@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
 import math
@@ -28,7 +27,6 @@ from .naifs import (
     GenerationSchedule,
     MapSpec,
     NAIFS,
-    check_semiconjugacy,
     validate_schedule,
 )
 from .pressure import PressureCurve, pressure_estimate, validate_eps_list
@@ -37,13 +35,13 @@ from .theorems import (
     InequalityReport,
     VIOLATED,
     check_basic_properties,
-    check_equicontinuity,
     check_factor_conjugacy,
     check_factor_lower,
     check_factor_upper,
     check_power_rule,
     check_truncation_monotonicity,
-    default_semiconjugacy_tol,
+    equicontinuity_report,
+    semiconjugacy_report,
     summarize_reports,
 )
 
@@ -370,6 +368,7 @@ def _run_estimate(config: ExperimentConfig, out: Path) -> int:
 def _run_checks(config: ExperimentConfig) -> list[InequalityReport]:
     reports: list[InequalityReport] = []
     phi = config.potential_phi or Potential("constant", (0.0,))
+    target_phi = config.potential_target or Potential("constant", (0.0,))
     common = dict(word_budget=config.word_budget, seed=config.seed, workers=config.workers, tol=config.tol)
     for chk in config.checks:
         kind = chk["type"]
@@ -403,44 +402,20 @@ def _run_checks(config: ExperimentConfig) -> list[InequalityReport]:
                 )
             )
         elif kind == "equicontinuity":
-            eq = check_equicontinuity(config.cloud, config.schedule, config.eps_list)
-            table = ";".join(f"delta({eps!r})={delta!r}" for eps, delta in eq.table)
-            reports.append(
-                InequalityReport(
-                    name="system/equicontinuity",
-                    lhs=0.0,
-                    rhs=min(d for _, d in eq.table),
-                    slack=min(d for _, d in eq.table),
-                    verdict="holds_within_tol" if eq.passed else "violated",
-                    level="asymptotic_proxy",
-                    context=table + ";" + eq.detail,
-                )
-            )
+            reports.append(equicontinuity_report(config.cloud, config.schedule, config.eps_list))
         elif kind == "semiconjugacy":
-            tol = chk.get("tol", default_semiconjugacy_tol(config.factor, config.n_range[-1]))
-            semi = check_semiconjugacy(config.factor, tol)
-            reports.append(
-                InequalityReport(
-                    name="factor/semiconjugacy",
-                    lhs=semi.max_deviation,
-                    rhs=tol,
-                    slack=tol - semi.max_deviation,
-                    verdict="holds_within_tol" if semi.passed else "violated",
-                    level="finite_n_exact",
-                    context=semi.detail,
-                )
-            )
+            reports.append(semiconjugacy_report(config.factor, config.n_range[-1], chk.get("tol")))
         elif kind == "factor_lower":
             reports.append(
                 check_factor_lower(
-                    config.factor, config.potential_target or Potential("constant", (0.0,)),
+                    config.factor, target_phi,
                     config.n_range, config.eps_list, **common,
                 )
             )
         elif kind == "factor_upper":
             reports.append(
                 check_factor_upper(
-                    config.factor, config.potential_target or Potential("constant", (0.0,)),
+                    config.factor, target_phi,
                     config.n_range, config.eps_list,
                     fiber_sample=chk.get("fiber_sample", 8), **common,
                 )
@@ -448,7 +423,7 @@ def _run_checks(config: ExperimentConfig) -> list[InequalityReport]:
         elif kind == "conjugacy":
             reports.extend(
                 check_factor_conjugacy(
-                    config.factor, config.potential_target or Potential("constant", (0.0,)),
+                    config.factor, target_phi,
                     config.n_range, config.eps_list, **common,
                 )
             )
@@ -524,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("config", help="path to a JSON config or the name of a bundled example")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1, help="worker pool size")
+        p.add_argument("--workers", type=int, default=None, help="override the config's worker pool size")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--tol", type=float, default=None, help="override the proxy tolerance")

@@ -17,7 +17,6 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .space import (
     PointCloud,
     batch_to_points,
     canonical_key,
-    pairwise_distances,
     paired_distances,
     points_to_batch,
 )
@@ -245,11 +243,8 @@ def bowen_distance(cloud: PointCloud, schedule: GenerationSchedule, w: Word, k: 
         raise ValueError(f"k={k} exceeds word length {len(w)}")
     space = cloud.space
     pts = [tuple(x), tuple(y)] if space.family == SYMBOLIC else [x, y]
-    batch = points_to_batch(space, pts)
-    best = 0.0
-    for step in orbit_batches(space, schedule, w, k, batch):
-        best = max(best, float(paired_distances(cloud, step[:1], step[1:2])[0]))
-    return best
+    steps = orbit_batches(space, schedule, w, k, points_to_batch(space, pts))
+    return max(float(paired_distances(cloud, step[:1], step[1:2])[0]) for step in steps)
 
 
 def sup_bowen_distance(cloud: PointCloud, schedule: GenerationSchedule, n: int, x, y, word_cap: int = 200_000) -> float:
@@ -261,16 +256,21 @@ def sup_bowen_distance(cloud: PointCloud, schedule: GenerationSchedule, n: int, 
         raise ValueError(f"n must be >= 1, got {n}")
     space = cloud.space
     pts = [tuple(x), tuple(y)] if space.family == SYMBOLIC else [x, y]
-    batch = points_to_batch(space, pts)
-    best = 0.0
+    steps = sup_orbit_batches(space, schedule, n, points_to_batch(space, pts), word_cap)
+    return max(float(paired_distances(cloud, step[:1], step[1:2])[0]) for step in steps)
+
+
+def sup_orbit_batches(space, schedule: GenerationSchedule, n: int, batch: np.ndarray, word_cap: int = 200_000) -> list[np.ndarray]:
+    """The orbit batches of every start index of one prefix+cycle horizon and
+    every word of length n, in one list: d*_n is the max distance over it."""
+    steps: list[np.ndarray] = []
     for i in range(1, schedule.horizon + 1):
         words, mode, _ = enumerate_words(schedule, i, n, word_cap, seed=0)
         if mode != "exact":
             raise ValueError("sup metric needs exhaustive words; raise word_cap")
         for w in words:
-            for step in orbit_batches(space, schedule, w, n, batch, start=i):
-                best = max(best, float(paired_distances(cloud, step[:1], step[1:2])[0]))
-    return best
+            steps.extend(orbit_batches(space, schedule, w, n, batch, start=i))
+    return steps
 
 
 def power_system(schedule: GenerationSchedule, n: int) -> GenerationSchedule:
@@ -495,11 +495,14 @@ def check_semiconjugacy(factor: FactorMapSpec, tol: float) -> SemiconjugacyRepor
 def _is_surjective(factor: FactorMapSpec, pi_batch: np.ndarray) -> bool:
     tgt = factor.target.cloud
     if factor.kind == "binary_expansion":
-        for y in tgt.points:
-            ytile = np.full(len(pi_batch), float(y))
-            if float(paired_distances(tgt, pi_batch, ytile).min()) > factor.fiber_tol + 1e-15:
-                return False
-        return True
+        # the point nearest to y on the circle is one of y's two cyclic
+        # neighbours in sorted order; the two ends are also taken, since the
+        # rounded distance is monotone only on each side of y
+        srt = np.sort(pi_batch % 1.0)
+        ys = np.asarray(tgt.points, dtype=np.float64) % 1.0
+        pos = np.searchsorted(srt, ys)
+        near = srt[np.stack([pos - 1, pos % len(srt), np.zeros_like(pos), np.full_like(pos, -1)], axis=1)]
+        return bool(np.all(paired_distances(tgt, near, ys[:, None]).min(axis=1) <= factor.fiber_tol + 1e-15))
     hit = {canonical_key(tgt.space, p) for p in batch_to_points(tgt.space, pi_batch)}
     return all(canonical_key(tgt.space, p) in hit for p in tgt.points)
 

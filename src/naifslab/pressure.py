@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,17 +24,19 @@ import numpy as np
 from .naifs import (
     GenerationSchedule,
     Word,
-    count_words,
     enumerate_words,
     orbit_batches,
+    sup_orbit_batches,
 )
 from .space import (
     CIRCLE,
-    FINITE,
     INTERVAL,
+    SYMBOLIC,
     PointCloud,
     Potential,
+    cylinder_distance,
     eval_potential_batch,
+    pack_words,
     pairwise_distances,
     points_to_batch,
 )
@@ -65,59 +67,29 @@ def _logsumexp(values: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # orbit contexts
 
-# Binary words of length <= 52 are packed into integer codes so that the
-# cylinder distance reduces to xor + highest-set-bit, all vectorizable;
-# beyond that (or for larger alphabets) the positionwise comparison is used.
-_CODE_DEPTH_LIMIT = 52
-
-
-def _pack_bits(batch: np.ndarray) -> np.ndarray:
-    depth = batch.shape[1]
-    if depth == 0:
-        return np.zeros(batch.shape[0], dtype=np.uint64)
-    weights = np.left_shift(np.uint64(1), np.arange(depth - 1, -1, -1, dtype=np.uint64))
-    return (batch.astype(np.uint64) * weights[None, :]).sum(axis=1, dtype=np.uint64)
-
-
-def _try_codes(cloud: PointCloud, step_batches: list[np.ndarray]) -> list[tuple[np.ndarray, int]] | None:
-    space = cloud.space
-    if space.family != "symbolic_depth" or space.alphabet_size != 2:
-        return None
-    if any(B.shape[1] > _CODE_DEPTH_LIMIT for B in step_batches):
-        return None
-    return [(_pack_bits(B), B.shape[1]) for B in step_batches]
-
-
-def _code_dist_row(code_i: np.uint64, codes_j: np.ndarray, depth: int) -> np.ndarray:
-    x = np.bitwise_xor(codes_j, code_i).astype(np.float64)
-    out = np.zeros_like(x)
-    nz = x > 0
-    if nz.any():
-        out[nz] = np.exp2(np.floor(np.log2(x[nz])) + 1.0 - depth)
-    return out
-
-
-def _code_dist_matrix(codes: np.ndarray, depth: int) -> np.ndarray:
-    x = np.bitwise_xor(codes[:, None], codes[None, :]).astype(np.float64)
-    out = np.zeros_like(x)
-    nz = x > 0
-    if nz.any():
-        out[nz] = np.exp2(np.floor(np.log2(x[nz])) + 1.0 - depth)
-    return out
-
 
 class _BowenOrbit:
-    """Orbits of the whole cloud along one word; Bowen distance queries."""
+    """Orbits of the whole cloud along one word; Bowen distance queries.
+
+    The distance is the running max of the base distance over a list of
+    step batches; _sup_orbit builds the longer list of the sup metric.
+    """
 
     def __init__(self, cloud: PointCloud, schedule: GenerationSchedule, word: Word, n: int):
         if word.start != 1:
             raise ValueError("partition sums run over words rooted at start 1; re-root the word")
         if n > len(word):
             raise ValueError(f"n={n} exceeds word length {len(word)}")
+        self._set_steps(cloud, orbit_batches(cloud.space, schedule, word, n, cloud.batch()))
+
+    def _set_steps(self, cloud: PointCloud, batches: list[np.ndarray]) -> None:
         self.cloud = cloud
-        self.n_points = len(cloud)
-        self.batches = orbit_batches(cloud.space, schedule, word, n, cloud.batch())
-        self.codes = _try_codes(cloud, self.batches)
+        self.batches = batches
+        self.n_points = len(batches[0])
+        self.codes = None
+        if cloud.space.family == SYMBOLIC:
+            m = cloud.space.alphabet_size
+            self.codes = [(pack_words(B, m), B.shape[1]) for B in batches]
         self._matrix: np.ndarray | None = None
 
     def matrix_available(self) -> bool:
@@ -131,8 +103,9 @@ class _BowenOrbit:
             m = np.zeros((n, n))
             fam = self.cloud.space.family
             if self.codes is not None:
+                alphabet = self.cloud.space.alphabet_size
                 for codes, depth in self.codes:
-                    np.maximum(m, _code_dist_matrix(codes, depth), out=m)
+                    np.maximum(m, cylinder_distance(codes[:, :, None], codes[:, None, :], depth, alphabet), out=m)
             elif fam in (INTERVAL, CIRCLE):
                 # reused buffers: fresh page-zeroed allocations dominate the
                 # runtime on grid-sized clouds otherwise
@@ -155,57 +128,24 @@ class _BowenOrbit:
         js = np.asarray(js, dtype=np.intp)
         acc = np.zeros(len(js))
         if self.codes is not None:
+            alphabet = self.cloud.space.alphabet_size
             for codes, depth in self.codes:
-                np.maximum(acc, _code_dist_row(codes[i], codes[js], depth), out=acc)
+                np.maximum(acc, cylinder_distance(codes[:, i : i + 1], codes[:, js], depth, alphabet), out=acc)
             return acc
         for B in self.batches:
             np.maximum(acc, pairwise_distances(self.cloud, B[[i]], B[js])[0], out=acc)
         return acc
 
 
-class _SupOrbit:
+def _sup_orbit(cloud: PointCloud, schedule: GenerationSchedule, n: int, indices: Sequence[int], word_cap: int = 200_000) -> _BowenOrbit:
     """Orbits of a point subset under every start index and word of length n;
-    distance queries in the sup metric d*_n."""
-
-    def __init__(self, cloud: PointCloud, schedule: GenerationSchedule, n: int, indices: Sequence[int], word_cap: int = 200_000):
-        if len(indices) > SUBSET_METRIC_LIMIT:
-            raise ValueError(f"sup-metric subset of {len(indices)} points exceeds the limit {SUBSET_METRIC_LIMIT}")
-        self.cloud = cloud
-        self.n_points = len(indices)
-        sub = cloud.batch()[np.asarray(indices, dtype=np.intp)]
-        self.orbit_lists = []
-        for i in range(1, schedule.horizon + 1):
-            words, mode, _ = enumerate_words(schedule, i, n, word_cap, seed=0)
-            if mode != "exact":
-                raise ValueError("sup metric needs exhaustive words; raise word_cap")
-            for w in words:
-                self.orbit_lists.append(orbit_batches(cloud.space, schedule, w, n, sub, start=i))
-        self._matrix: np.ndarray | None = None
-
-    def matrix_available(self) -> bool:
-        return True
-
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            m = np.zeros((self.n_points, self.n_points))
-            for batches in self.orbit_lists:
-                coded = _try_codes(self.cloud, batches)
-                if coded is not None:
-                    for codes, depth in coded:
-                        np.maximum(m, _code_dist_matrix(codes, depth), out=m)
-                else:
-                    for B in batches:
-                        np.maximum(m, pairwise_distances(self.cloud, B, B), out=m)
-            self._matrix = m
-        return self._matrix
-
-    def row(self, i: int, js: np.ndarray) -> np.ndarray:
-        js = np.asarray(js, dtype=np.intp)
-        acc = np.zeros(len(js))
-        for batches in self.orbit_lists:
-            for B in batches:
-                np.maximum(acc, pairwise_distances(self.cloud, B[[i]], B[js])[0], out=acc)
-        return acc
+    their distance is the sup metric d*_n."""
+    if len(indices) > SUBSET_METRIC_LIMIT:
+        raise ValueError(f"sup-metric subset of {len(indices)} points exceeds the limit {SUBSET_METRIC_LIMIT}")
+    sub = cloud.batch()[np.asarray(indices, dtype=np.intp)]
+    orbit = _BowenOrbit.__new__(_BowenOrbit)
+    orbit._set_steps(cloud, sup_orbit_batches(cloud.space, schedule, n, sub, word_cap))
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +162,10 @@ def _bits(mask: int) -> list[int]:
 
 
 def _conflict_masks(matrix: np.ndarray, eps: float) -> list[int]:
+    """Bit masks of the eps-neighbours of each point, itself excluded; the
+    closed eps-ball of point i is its mask with bit i set."""
     adj = matrix <= eps
     np.fill_diagonal(adj, False)
-    return [int(sum(1 << int(j) for j in np.flatnonzero(adj[i]))) for i in range(len(adj))]
-
-
-def _ball_masks(matrix: np.ndarray, eps: float) -> list[int]:
-    adj = matrix <= eps
     return [int(sum(1 << int(j) for j in np.flatnonzero(adj[i]))) for i in range(len(adj))]
 
 
@@ -406,25 +343,6 @@ def _first_fit_separated(ctx, eps: float, order: np.ndarray) -> list[int]:
     return accepted
 
 
-def _greedy_mis_degree(matrix: np.ndarray, eps: float) -> list[int]:
-    """Max-degree deletion on the proximity graph; remaining set is independent."""
-    adj = matrix <= eps
-    np.fill_diagonal(adj, False)
-    n = len(adj)
-    alive = np.ones(n, dtype=bool)
-    deg = adj.sum(axis=1).astype(np.int64)
-    while True:
-        live = np.flatnonzero(alive)
-        if not live.size or deg[live].max() == 0:
-            break
-        v = int(live[np.argmax(deg[live])])
-        alive[v] = False
-        nbrs = np.flatnonzero(adj[v] & alive)
-        deg[nbrs] -= 1
-        deg[v] = 0
-    return [int(i) for i in np.flatnonzero(alive)]
-
-
 def _greedy_cover_matrix(matrix: np.ndarray, eps: float, wlin: np.ndarray) -> list[int]:
     """Classic ratio greedy for weighted ball cover (matrix path)."""
     ball = matrix <= eps
@@ -532,44 +450,54 @@ def _recheck_spanning(ctx, idxs: list[int], eps: float) -> None:
         covered |= ctx.row(int(i), targets) <= eps
         if covered.all():
             return
-    if not covered.all():
-        raise RuntimeError("spanning witness failed its defining property")
+    raise RuntimeError("spanning witness failed its defining property")
+
+
+def _solve_setup(ctx, S: np.ndarray, eps: float, mode: str) -> tuple[str, float, np.ndarray]:
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    method = _resolve_method(mode, ctx.n_points)
+    shift = float(S.max())
+    return method, shift, np.exp(S - shift)
 
 
 def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str) -> tuple[float, list[int], str, bool]:
-    """sup over separated sets of sum exp(S); returns (log value, witness, method, exact)."""
-    method = _resolve_method(mode, ctx.n_points)
-    shift = float(S.max())
-    wlin = np.exp(S - shift)
-    if method == "exhaustive":
-        mask, val = _exhaustive_mwis(_conflict_masks(ctx.matrix(), eps), wlin)
-    elif method == "branch_and_bound":
-        mask, val = _bb_mwis(_conflict_masks(ctx.matrix(), eps), wlin)
-    else:
-        order = np.lexsort((np.arange(ctx.n_points), -S))
-        idxs = _first_fit_separated(ctx, eps, order)
-        return shift + math.log(float(wlin[idxs].sum())), sorted(idxs), "greedy", False
+    """sup over separated sets of sum exp(S); returns (log value, witness,
+    method, exact).  Every witness is re-checked before it is returned."""
+    method, shift, wlin = _solve_setup(ctx, S, eps, mode)
+    if method == "greedy":
+        idxs = _first_fit_separated(ctx, eps, np.lexsort((np.arange(ctx.n_points), -S)))
+        witness = sorted(idxs)
+        _recheck_separated(ctx, witness, eps)
+        return shift + math.log(float(wlin[idxs].sum())), witness, "greedy", False
+    conflict = _conflict_masks(ctx.matrix(), eps)
+    mask, val = (_exhaustive_mwis if method == "exhaustive" else _bb_mwis)(conflict, wlin)
     idxs = _bits(mask)
+    if any(conflict[i] & mask for i in idxs):
+        raise RuntimeError("separated witness failed its defining property")
     return shift + math.log(val), idxs, method, True
 
 
 def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str) -> tuple[float, list[int], str, bool]:
-    """inf over spanning sets of sum exp(S)."""
-    method = _resolve_method(mode, ctx.n_points)
-    shift = float(S.max())
-    wlin = np.exp(S - shift)
-    if method == "exhaustive":
-        mask, val = _exhaustive_cover(_ball_masks(ctx.matrix(), eps), wlin)
-    elif method == "branch_and_bound":
-        mask, val = _bb_cover(_ball_masks(ctx.matrix(), eps), wlin)
-    else:
+    """inf over spanning sets of sum exp(S); returns as _solve_separated_weighted."""
+    method, shift, wlin = _solve_setup(ctx, S, eps, mode)
+    if method == "greedy":
         if ctx.matrix_available() and ctx.n_points <= _GREEDY_COVER_LIMIT:
             idxs = _greedy_cover_matrix(ctx.matrix(), eps, wlin)
         else:
             # an eps-net: a maximal eps-separated set spans at eps
             idxs = _first_fit_separated(ctx, eps, np.arange(ctx.n_points))
-        return shift + math.log(float(wlin[idxs].sum())), sorted(idxs), "greedy", False
+        witness = sorted(idxs)
+        _recheck_spanning(ctx, witness, eps)
+        return shift + math.log(float(wlin[idxs].sum())), witness, "greedy", False
+    balls = [m | 1 << i for i, m in enumerate(_conflict_masks(ctx.matrix(), eps))]
+    mask, val = (_exhaustive_cover if method == "exhaustive" else _bb_cover)(balls, wlin)
     idxs = _bits(mask)
+    covered = 0
+    for i in idxs:
+        covered |= balls[i]
+    if covered != (1 << ctx.n_points) - 1:
+        raise RuntimeError("spanning witness failed its defining property")
     return shift + math.log(val), idxs, method, True
 
 
@@ -599,82 +527,36 @@ def _birkhoff_vector(ctx: _BowenOrbit, psi: Potential) -> np.ndarray:
 
 def max_separated(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, eps: float, mode: str = "auto") -> ExtremalSetResult:
     """Maximal cardinality of an (n, w, eps)-separated subset of the cloud."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     ctx = _BowenOrbit(cloud, schedule, w, n)
-    method = _resolve_method(mode, ctx.n_points)
-    if method != "greedy":
-        S = np.zeros(ctx.n_points)
-        _, idxs, method, _ = (
-            _solve_separated_weighted(ctx, S, eps, method)
-        )
-        _recheck_separated(ctx, idxs, eps)
-        pts = tuple(cloud.points[i] for i in idxs)
-        k = len(idxs)
-        return ExtremalSetResult(lower_bound=k, upper_bound=k, witness=pts, exact=True, method=method)
-    if ctx.matrix_available():
-        idxs = _greedy_mis_degree(ctx.matrix(), eps)
-    else:
-        idxs = _first_fit_separated(ctx, eps, np.arange(ctx.n_points))
-    # s(eps) <= r(eps/2) <= size of any maximal (eps/2)-separated set
-    upper = len(_first_fit_separated(ctx, eps / 2.0, np.arange(ctx.n_points)))
-    _recheck_separated(ctx, idxs, eps)
-    return ExtremalSetResult(
-        lower_bound=len(idxs),
-        upper_bound=max(upper, len(idxs)),
-        witness=tuple(cloud.points[i] for i in idxs),
-        exact=False,
-        method="greedy",
-    )
+    _, idxs, method, exact = _solve_separated_weighted(ctx, np.zeros(ctx.n_points), eps, mode)
+    upper = len(idxs)
+    if not exact:
+        # s(eps) <= r(eps/2) <= size of any maximal (eps/2)-separated set
+        upper = max(upper, len(_first_fit_separated(ctx, eps / 2.0, np.arange(ctx.n_points))))
+    return ExtremalSetResult(len(idxs), upper, tuple(cloud.points[i] for i in idxs), exact, method)
 
 
 def min_spanning(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, eps: float, mode: str = "auto") -> ExtremalSetResult:
     """Minimal cardinality of a cloud subset that (n, w, eps)-spans the cloud."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     ctx = _BowenOrbit(cloud, schedule, w, n)
-    method = _resolve_method(mode, ctx.n_points)
-    if method != "greedy":
-        S = np.zeros(ctx.n_points)
-        _, idxs, method, _ = _solve_spanning_weighted(ctx, S, eps, method)
-        _recheck_spanning(ctx, idxs, eps)
-        pts = tuple(cloud.points[i] for i in idxs)
-        k = len(idxs)
-        return ExtremalSetResult(lower_bound=k, upper_bound=k, witness=pts, exact=True, method=method)
-    if ctx.matrix_available() and ctx.n_points <= _GREEDY_COVER_LIMIT:
-        idxs = _greedy_cover_matrix(ctx.matrix(), eps, np.ones(ctx.n_points))
-    else:
-        idxs = _first_fit_separated(ctx, eps, np.arange(ctx.n_points))
-    lower = max(1, math.ceil(ctx.n_points / _max_ball_size(ctx, eps)))
-    _recheck_spanning(ctx, idxs, eps)
-    return ExtremalSetResult(
-        lower_bound=min(lower, len(idxs)),
-        upper_bound=len(idxs),
-        witness=tuple(cloud.points[i] for i in idxs),
-        exact=False,
-        method="greedy",
-    )
+    _, idxs, method, exact = _solve_spanning_weighted(ctx, np.zeros(ctx.n_points), eps, mode)
+    lower = len(idxs)
+    if not exact:
+        lower = min(lower, max(1, math.ceil(ctx.n_points / _max_ball_size(ctx, eps))))
+    return ExtremalSetResult(lower, len(idxs), tuple(cloud.points[i] for i in idxs), exact, method)
 
 
 def partition_sum_separated(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, psi: Potential, eps: float, mode: str = "auto") -> PartitionSumResult:
     """sup over separated sets E of sum_{x in E} exp(S_{w,n} psi(x))."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     ctx = _BowenOrbit(cloud, schedule, w, n)
-    S = _birkhoff_vector(ctx, psi)
-    log_value, idxs, method, exact = _solve_separated_weighted(ctx, S, eps, mode)
-    _recheck_separated(ctx, idxs, eps)
+    log_value, idxs, method, exact = _solve_separated_weighted(ctx, _birkhoff_vector(ctx, psi), eps, mode)
     return PartitionSumResult(log_value=log_value, word=w, method=method, exact=exact, witness_size=len(idxs))
 
 
 def partition_sum_spanning(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, psi: Potential, eps: float, mode: str = "auto") -> PartitionSumResult:
     """inf over spanning sets F of sum_{x in F} exp(S_{w,n} psi(x))."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     ctx = _BowenOrbit(cloud, schedule, w, n)
-    S = _birkhoff_vector(ctx, psi)
-    log_value, idxs, method, exact = _solve_spanning_weighted(ctx, S, eps, mode)
-    _recheck_spanning(ctx, idxs, eps)
+    log_value, idxs, method, exact = _solve_spanning_weighted(ctx, _birkhoff_vector(ctx, psi), eps, mode)
     return PartitionSumResult(log_value=log_value, word=w, method=method, exact=exact, witness_size=len(idxs))
 
 
@@ -985,7 +867,7 @@ def sup_entropy_estimate(
     entries: list[SupEntropyEntry] = []
     sandwiches: list[SandwichCheck] = []
     for n in ns:
-        ctx = _SupOrbit(cloud, schedule, n, indices, word_cap=word_cap)
+        ctx = _sup_orbit(cloud, schedule, n, indices, word_cap=word_cap)
         zeros = np.zeros(ctx.n_points)
         for eps in eps_list:
             _, s_idx, s_method, s_exact = _solve_separated_weighted(ctx, zeros, eps, mode)

@@ -17,7 +17,6 @@ the grid only seeds candidate sets for the extremal-set solvers.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
@@ -215,24 +214,9 @@ def pairwise_distances(cloud: PointCloud, A: np.ndarray, B: np.ndarray) -> np.nd
         return _circle_dist(A[:, None] - B[None, :])
     if fam == FINITE:
         return cloud.dmatrix()[np.ix_(np.asarray(A, dtype=np.intp), np.asarray(B, dtype=np.intp))]
-    return _symbolic_pairwise(A, B)
-
-
-def _symbolic_pairwise(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n, m = A.shape[0], B.shape[0]
-    depth = min(A.shape[1] if A.ndim == 2 else 0, B.shape[1] if B.ndim == 2 else 0)
-    dist = np.zeros((n, m))
-    if depth == 0:
-        return dist
-    alive = np.ones((n, m), dtype=bool)
-    for level in range(depth):
-        neq = A[:, level][:, None] != B[:, level][None, :]
-        hit = alive & neq
-        dist[hit] = 2.0 ** (-level)
-        alive &= ~neq
-        if not alive.any():
-            break
-    return dist
+    depth = min(A.shape[1], B.shape[1])
+    m = cloud.space.alphabet_size
+    return cylinder_distance(pack_words(A[:, :depth], m)[:, :, None], pack_words(B[:, :depth], m)[:, None, :], depth, m)
 
 
 def paired_distances(cloud: PointCloud, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -244,19 +228,60 @@ def paired_distances(cloud: PointCloud, A: np.ndarray, B: np.ndarray) -> np.ndar
         return _circle_dist(A - B)
     if fam == FINITE:
         return cloud.dmatrix()[np.asarray(A, dtype=np.intp), np.asarray(B, dtype=np.intp)]
-    n = A.shape[0]
-    depth = min(A.shape[1] if A.ndim == 2 else 0, B.shape[1] if B.ndim == 2 else 0)
-    dist = np.zeros(n)
-    if depth == 0:
-        return dist
-    alive = np.ones(n, dtype=bool)
-    for level in range(depth):
-        neq = A[:, level] != B[:, level]
-        hit = alive & neq
-        dist[hit] = 2.0 ** (-level)
-        alive &= ~neq
-        if not alive.any():
-            break
+    depth = min(A.shape[1], B.shape[1])
+    m = cloud.space.alphabet_size
+    return cylinder_distance(pack_words(A[:, :depth], m), pack_words(B[:, :depth], m), depth, m)
+
+
+# Chunks stay below 2**52 so that their xor converts to float64 exactly and
+# frexp reads its highest set bit exactly.
+_CHUNK_BITS = 52
+
+
+def _symbol_bits(alphabet: int) -> int:
+    return max(1, (alphabet - 1).bit_length())
+
+
+def pack_words(batch: np.ndarray, alphabet: int) -> np.ndarray:
+    """Pack an (N, D) batch of words into (chunks, N) uint64 codes.
+
+    Each symbol takes ceil(log2 m) bits, the first symbol highest; a chunk
+    holds as many whole symbols as fit in 52 bits, so that equal prefixes
+    give equal leading chunks.  A depth-0 batch packs into one zero chunk.
+    """
+    n, depth = batch.shape
+    bits = _symbol_bits(alphabet)
+    per = _CHUNK_BITS // bits
+    codes = np.zeros((max(1, -(-depth // per)), n), dtype=np.uint64)
+    # one symbol column at a time: no (N, D)-sized temporaries
+    for k in range(depth):
+        row = codes[k // per]
+        np.left_shift(row, np.uint64(bits), out=row)
+        np.bitwise_or(row, batch[:, k].astype(np.uint64), out=row)
+    return codes
+
+
+def cylinder_distance(a: np.ndarray, b: np.ndarray, depth: int, alphabet: int) -> np.ndarray:
+    """Cylinder distance 2**(-k), k the first position where two words of
+    the given depth differ (0 for equal words), between packed words.
+
+    `a` and `b` are codes from pack_words; they broadcast against each other
+    past the leading chunk axis.
+    """
+    bits = _symbol_bits(alphabet)
+    per = _CHUNK_BITS // bits
+    dist = alive = None
+    for j, (ca, cb) in enumerate(zip(a, b)):
+        x = np.bitwise_xor(ca, cb)
+        # x = mant * 2**expo with mant in [0.5, 1), or mant = 0 for x = 0: the
+        # highest set bit, expo - 1, lies in the first differing symbol, and
+        # ceil(mant) zeroes the distance of equal chunks
+        mant, expo = np.frexp(x.astype(np.float64))
+        end = min(depth, (j + 1) * per)
+        d = np.ldexp(np.ceil(mant), (expo - 1) // bits + 1 - end)
+        dist = d if dist is None else np.where(alive, d, dist)
+        if j + 1 < len(a):
+            alive = x == 0 if alive is None else alive & (x == 0)
     return dist
 
 
@@ -265,16 +290,8 @@ def distance(cloud: PointCloud, x, y) -> float:
     space = cloud.space
     _check_point(space, x)
     _check_point(space, y)
-    if space.family == SYMBOLIC:
-        # words of different lengths compare on their common prefix;
-        # coordinates beyond it are treated as equal
-        depth = min(len(x), len(y))
-        A = points_to_batch(space, [tuple(x)[:depth]])
-        B = points_to_batch(space, [tuple(y)[:depth]])
-    else:
-        A = points_to_batch(space, [x])
-        B = points_to_batch(space, [y])
-    return float(pairwise_distances(cloud, A, B)[0, 0])
+    # words of different lengths compare on their common prefix
+    return float(pairwise_distances(cloud, points_to_batch(space, [x]), points_to_batch(space, [y]))[0, 0])
 
 
 def _check_point(space: SpaceSpec, x) -> None:
@@ -374,15 +391,6 @@ def eval_potential_batch(space: SpaceSpec, psi: Potential, batch: np.ndarray) ->
     return arr[idx]
 
 
-def _word_codes(words_or_batch, depth: int, alphabet: int) -> np.ndarray:
-    weights = np.array([alphabet ** (depth - 1 - k) for k in range(depth)], dtype=np.uint64)
-    if isinstance(words_or_batch, np.ndarray):
-        if depth == 0:
-            return np.zeros(words_or_batch.shape[0], dtype=np.uint64)
-        return (words_or_batch.astype(np.uint64) * weights[None, :]).sum(axis=1, dtype=np.uint64)
-    return np.array([sum(int(s) * int(w) for s, w in zip(word, weights)) for word in words_or_batch], dtype=np.uint64)
-
-
 def _fast_table_eval(space: SpaceSpec, psi: Potential, batch: np.ndarray) -> np.ndarray | None:
     """Vectorized lookup for mapping-backed tables (sorted-key search);
     falls back to the pointwise path when keys cannot be packed."""
@@ -392,15 +400,15 @@ def _fast_table_eval(space: SpaceSpec, psi: Potential, batch: np.ndarray) -> np.
         object.__setattr__(psi, "_table_cache", cache)
     table = psi.params
     if space.family == SYMBOLIC:
-        depth = batch.shape[1]
-        if depth * math.log2(max(space.alphabet_size, 2)) > 52:
+        depth, m = batch.shape[1], space.alphabet_size
+        if depth * _symbol_bits(m) > _CHUNK_BITS:
             return None
         if depth not in cache:
             keys = sorted(k for k in table if len(k) == depth)
-            codes = _word_codes(keys, depth, space.alphabet_size)
+            codes = pack_words(np.asarray(keys, dtype=np.int8).reshape(len(keys), depth), m)[0]
             cache[depth] = (codes, np.array([table[k] for k in keys], dtype=float))
         codes, vals = cache[depth]
-        query = _word_codes(batch, depth, space.alphabet_size)
+        query = pack_words(batch, m)[0]
     elif space.family in (INTERVAL, CIRCLE):
         if "f" not in cache:
             keys = sorted(float(k) for k in table)

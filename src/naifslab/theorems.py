@@ -14,7 +14,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,13 +35,12 @@ from .naifs import (
     truncate_system,
 )
 from .pressure import (
-    PressureCurve,
     _birkhoff_vector,
     _BowenOrbit,
     _logsumexp,
-    _resolve_method,
     _solve_separated_weighted,
     _solve_spanning_weighted,
+    _sup_orbit,
     min_spanning,
     pressure_estimate,
     sup_entropy_estimate,
@@ -143,6 +142,25 @@ def _proxy_report(name: str, lhs: float, rhs: float, tol: float, exact_inputs: b
         name=name, lhs=lhs, rhs=rhs, slack=slack,
         verdict=_proxy_verdict(slack, tol, exact_inputs), level=PROXY_LEVEL, context=context,
     )
+
+
+def _equality_report(name: str, lhs: float, rhs: float, tol: float, exact_inputs: bool, context: str) -> InequalityReport:
+    """Proxy-level equality |lhs - rhs| <= tol."""
+    verdict = HOLDS_WITHIN_TOL if abs(lhs - rhs) <= tol else (VIOLATED if exact_inputs else INCONCLUSIVE)
+    return InequalityReport(name=name, lhs=lhs, rhs=rhs, slack=rhs - lhs, verdict=verdict, level=PROXY_LEVEL, context=context)
+
+
+def _escalated(ns: list[int], estimates, slack, tol: float):
+    """estimates(ns), or, when its slack(...) falls below -tol, estimates over
+    n_range extended by two steps; returns (estimates, escalated).  An
+    extension the inputs cannot take (ValueError) keeps the first result."""
+    first = estimates(ns)
+    if not slack(first) < -tol:
+        return first, False
+    try:
+        return estimates(ns + [ns[-1] + 1, ns[-1] + 2]), True
+    except ValueError:
+        return first, False
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +399,10 @@ def check_power_rule(
             cloud, pow_sched, Potential("constant", (n * const,)), ms, eps_list,
             word_budget=word_budget, seed=seed, mode=mode, workers=workers,
         )
-        gap = abs(est_pow_scaled.estimate - n * est_base.estimate)
         reports.append(
-            InequalityReport(
-                name="power/constant-potential-equality",
-                lhs=est_pow_scaled.estimate,
-                rhs=n * est_base.estimate,
-                slack=n * est_base.estimate - est_pow_scaled.estimate,
-                verdict=HOLDS_WITHIN_TOL if gap <= tol else (VIOLATED if est_base.all_exact and est_pow_scaled.all_exact else INCONCLUSIVE),
-                level=PROXY_LEVEL,
-                context=_ctx(n=n, c=const, tol=tol, equality=True),
+            _equality_report(
+                "power/constant-potential-equality", est_pow_scaled.estimate, n * est_base.estimate, tol,
+                est_base.all_exact and est_pow_scaled.all_exact, _ctx(n=n, c=const, tol=tol, equality=True),
             )
         )
     return reports
@@ -398,23 +410,6 @@ def check_power_rule(
 
 # ---------------------------------------------------------------------------
 # truncation monotonicity
-
-
-def _base_eps_net(cloud: PointCloud, eps: float) -> list[int]:
-    """First-fit maximal eps-separated set in the base metric; its closed
-    eps-balls cover the cloud."""
-    from .space import pairwise_distances
-
-    batch = cloud.batch()
-    accepted: list[int] = []
-    for i in range(len(cloud)):
-        if accepted:
-            arr = np.asarray(accepted, dtype=np.intp)
-            d = pairwise_distances(cloud, batch[[i]], batch[arr])[0]
-            if float(d.min()) <= eps:
-                continue
-        accepted.append(i)
-    return accepted
 
 
 def check_truncation_monotonicity(
@@ -444,6 +439,10 @@ def check_truncation_monotonicity(
     reports: list[InequalityReport] = []
 
     n_count = max(2, min(ns[-1], 4))
+    # first-fit maximal eps-separated sets in the base metric (n = 0): their
+    # closed eps-balls cover the cloud
+    base = _BowenOrbit(cloud, schedule, Word(start=1, symbols=()), 0)
+    net_size = {eps: len(_solve_separated_weighted(base, np.zeros(len(cloud)), eps, "greedy")[1]) for eps in eps_list}
     binding: tuple[int, int] | None = None
     exact_all = True
     for k in range(i, j):
@@ -453,12 +452,11 @@ def check_truncation_monotonicity(
         for w in words:
             w_tail = Word(start=1, symbols=w.symbols[1:])
             for eps in eps_list:
-                net = _base_eps_net(cloud, eps)
                 r_big = min_spanning(cloud, sched_k, w, n_count, 2.0 * eps, mode)
                 r_small = min_spanning(cloud, sched_k1, w_tail, n_count - 1, eps, mode)
                 exact_all = exact_all and r_big.exact and r_small.exact
                 lhs = r_big.upper_bound
-                rhs = len(net) * r_small.lower_bound
+                rhs = net_size[eps] * r_small.lower_bound
                 if binding is None or rhs - lhs < binding[1] - binding[0]:
                     binding = (lhs, rhs)
     counting = InequalityReport(
@@ -476,23 +474,18 @@ def check_truncation_monotonicity(
 
     if tol is None:
         tol = default_proxy_tol(ns[-1], len(cloud))
-    est_i = pressure_estimate(cloud, truncate_system(schedule, i), psi, ns, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
-    est_j = pressure_estimate(cloud, truncate_system(schedule, j), psi, ns, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
-    lhs, rhs, exact_pair = est_i.estimate, est_j.estimate, est_i.all_exact and est_j.all_exact
-    escalated = False
-    if rhs - lhs < -tol:
-        try:
-            ext = ns + [ns[-1] + 1, ns[-1] + 2]
-            est_i = pressure_estimate(cloud, truncate_system(schedule, i), psi, ext, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
-            est_j = pressure_estimate(cloud, truncate_system(schedule, j), psi, ext, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
-            lhs, rhs, exact_pair = est_i.estimate, est_j.estimate, est_i.all_exact and est_j.all_exact
-            escalated = True
-        except ValueError:
-            pass
+
+    def estimates(n_values):
+        return tuple(
+            pressure_estimate(cloud, truncate_system(schedule, k), psi, n_values, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
+            for k in (i, j)
+        )
+
+    (est_i, est_j), escalated = _escalated(ns, estimates, lambda e: e[1].estimate - e[0].estimate, tol)
     reports.insert(
         0,
         _proxy_report(
-            "truncation/monotonicity-proxy", lhs, rhs, tol, exact_pair,
+            "truncation/monotonicity-proxy", est_i.estimate, est_j.estimate, tol, est_i.all_exact and est_j.all_exact,
             _ctx(i=i, j=j, n_range=tuple(ns), tol=tol, escalated=escalated),
         ),
     )
@@ -531,6 +524,26 @@ def pullback_potential(factor: FactorMapSpec, phi_on_target: Potential, n_max: i
     return Potential("explicit_table", table)
 
 
+def _factor_setup(factor: FactorMapSpec, phi_on_target: Potential, n_range: Sequence[int], eps_list: Sequence[float], tol: float | None, semi_tol: float | None) -> tuple:
+    """Shared start of the factor checks: validated eps list and n values, a
+    passed semiconjugacy, the proxy tolerance and the pullback phi o pi."""
+    eps_list = validate_eps_list(eps_list)
+    ns = sorted(set(int(v) for v in n_range))
+    semi = check_semiconjugacy(factor, default_semiconjugacy_tol(factor, ns[-1]) if semi_tol is None else semi_tol)
+    if not semi.passed:
+        raise ValueError(f"semiconjugacy check failed: {semi.detail}")
+    if tol is None:
+        tol = default_proxy_tol(ns[-1], max(len(factor.source.cloud), len(factor.target.cloud)))
+    return eps_list, ns, semi, tol, pullback_potential(factor, phi_on_target, ns[-1])
+
+
+def _factor_estimates(factor: FactorMapSpec, phi_on_target: Potential, pulled: Potential, n_values: list[int], eps_list: list[float], **kw) -> tuple:
+    """Pressure curves of phi on the target and of its pullback on the source."""
+    est_t = pressure_estimate(factor.target.cloud, factor.target.schedule, phi_on_target, n_values, eps_list, **kw)
+    est_s = pressure_estimate(factor.source.cloud, factor.source.schedule, pulled, n_values, eps_list, **kw)
+    return est_t, est_s
+
+
 def check_factor_lower(
     factor: FactorMapSpec,
     phi_on_target: Potential,
@@ -545,30 +558,12 @@ def check_factor_lower(
 ) -> InequalityReport:
     """Target pressure of phi is bounded by source pressure of the pullback
     phi o pi (proxy level).  Requires a verified semiconjugacy."""
-    eps_list = validate_eps_list(eps_list)
-    ns = sorted(set(int(v) for v in n_range))
-    if semi_tol is None:
-        semi_tol = default_semiconjugacy_tol(factor, ns[-1])
-    semi = check_semiconjugacy(factor, semi_tol)
-    if not semi.passed:
-        raise ValueError(f"semiconjugacy check failed: {semi.detail}")
-    if tol is None:
-        tol = default_proxy_tol(ns[-1], max(len(factor.source.cloud), len(factor.target.cloud)))
-    pulled = pullback_potential(factor, phi_on_target, ns[-1])
+    eps_list, ns, semi, tol, pulled = _factor_setup(factor, phi_on_target, n_range, eps_list, tol, semi_tol)
 
     def estimates(n_values):
-        est_t = pressure_estimate(factor.target.cloud, factor.target.schedule, phi_on_target, n_values, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
-        est_s = pressure_estimate(factor.source.cloud, factor.source.schedule, pulled, n_values, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
-        return est_t, est_s
+        return _factor_estimates(factor, phi_on_target, pulled, n_values, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
 
-    est_t, est_s = estimates(ns)
-    escalated = False
-    if est_s.estimate - est_t.estimate < -tol:
-        try:
-            est_t, est_s = estimates(ns + [ns[-1] + 1, ns[-1] + 2])
-            escalated = True
-        except ValueError:
-            pass
+    (est_t, est_s), escalated = _escalated(ns, estimates, lambda e: e[1].estimate - e[0].estimate, tol)
     return _proxy_report(
         "factor/pullback-lower",
         est_t.estimate,
@@ -608,31 +603,14 @@ def check_factor_conjugacy(
     equality of pressures; emitted as both one-sided reports plus the
     symmetric equality report."""
     _invert_factor(factor)  # raises unless the factor is a bijection
-    eps_list = validate_eps_list(eps_list)
-    ns = sorted(set(int(v) for v in n_range))
-    semi = check_semiconjugacy(factor, default_semiconjugacy_tol(factor, ns[-1]))
-    if not semi.passed:
-        raise ValueError(f"semiconjugacy check failed: {semi.detail}")
-    if tol is None:
-        tol = default_proxy_tol(ns[-1], max(len(factor.source.cloud), len(factor.target.cloud)))
-    pulled = pullback_potential(factor, phi_on_target, ns[-1])
-    est_t = pressure_estimate(factor.target.cloud, factor.target.schedule, phi_on_target, ns, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
-    est_s = pressure_estimate(factor.source.cloud, factor.source.schedule, pulled, ns, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
+    eps_list, ns, _, tol, pulled = _factor_setup(factor, phi_on_target, n_range, eps_list, tol, None)
+    est_t, est_s = _factor_estimates(factor, phi_on_target, pulled, ns, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
     exact = est_t.all_exact and est_s.all_exact
     base = _ctx(n_range=tuple(ns), tol=tol)
-    gap = abs(est_t.estimate - est_s.estimate)
     return [
         _proxy_report("factor/pullback-lower", est_t.estimate, est_s.estimate, tol, exact, base + ";direction='forward'"),
         _proxy_report("factor/pullback-lower", est_s.estimate, est_t.estimate, tol, exact, base + ";direction='backward'"),
-        InequalityReport(
-            name="factor/conjugacy-equality",
-            lhs=est_t.estimate,
-            rhs=est_s.estimate,
-            slack=est_s.estimate - est_t.estimate,
-            verdict=HOLDS_WITHIN_TOL if gap <= tol else (VIOLATED if exact else INCONCLUSIVE),
-            level=PROXY_LEVEL,
-            context=base + ";equality=True",
-        ),
+        _equality_report("factor/conjugacy-equality", est_t.estimate, est_s.estimate, tol, exact, base + ";equality=True"),
     ]
 
 
@@ -654,19 +632,11 @@ def check_factor_upper(
 
     Also records the oscillation of the pullback at scale 2*eps_min as a
     diagnostic of the available slack budget."""
-    eps_list = validate_eps_list(eps_list)
-    ns = sorted(set(int(v) for v in n_range))
     eq_src = check_equicontinuity(factor.source.cloud, factor.source.schedule, eps_list)
     eq_tgt = check_equicontinuity(factor.target.cloud, factor.target.schedule, eps_list)
     if not (eq_src.passed and eq_tgt.passed):
         raise ValueError("equicontinuity check failed for one of the systems")
-    if semi_tol is None:
-        semi_tol = default_semiconjugacy_tol(factor, ns[-1])
-    semi = check_semiconjugacy(factor, semi_tol)
-    if not semi.passed:
-        raise ValueError(f"semiconjugacy check failed: {semi.detail}")
-    if tol is None:
-        tol = default_proxy_tol(ns[-1], max(len(factor.source.cloud), len(factor.target.cloud)))
+    eps_list, ns, _, tol, pulled = _factor_setup(factor, phi_on_target, n_range, eps_list, tol, semi_tol)
 
     tgt_cloud = factor.target.cloud
     count = max(1, min(fiber_sample, len(tgt_cloud)))
@@ -687,30 +657,18 @@ def check_factor_upper(
         h_exact = h_exact and h.all_exact
         h_term = max(h_term, h.estimate)
 
-    pulled = pullback_potential(factor, phi_on_target, ns[-1])
     var_diag = _oscillation(factor.source.cloud, pulled, 2.0 * eps_list[-1])
-    est_s = pressure_estimate(factor.source.cloud, factor.source.schedule, pulled, ns, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
-    est_t = pressure_estimate(tgt_cloud, factor.target.schedule, phi_on_target, ns, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
-    lhs = est_s.estimate
-    rhs = est_t.estimate + h_term
-    exact = est_s.all_exact and est_t.all_exact and h_exact
-    escalated = False
-    if rhs - lhs < -tol:
-        try:
-            ext = ns + [ns[-1] + 1, ns[-1] + 2]
-            est_s = pressure_estimate(factor.source.cloud, factor.source.schedule, pulled, ext, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
-            est_t = pressure_estimate(tgt_cloud, factor.target.schedule, phi_on_target, ext, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
-            lhs, rhs = est_s.estimate, est_t.estimate + h_term
-            exact = est_s.all_exact and est_t.all_exact and h_exact
-            escalated = True
-        except ValueError:
-            pass
+
+    def estimates(n_values):
+        return _factor_estimates(factor, phi_on_target, pulled, n_values, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
+
+    (est_t, est_s), escalated = _escalated(ns, estimates, lambda e: e[0].estimate + h_term - e[1].estimate, tol)
     return _proxy_report(
         "factor/fiber-upper",
-        lhs,
-        rhs,
+        est_s.estimate,
+        est_t.estimate + h_term,
         tol,
-        exact,
+        est_s.all_exact and est_t.all_exact and h_exact,
         _ctx(
             n_range=tuple(ns),
             eps_list=tuple(eps_list),
@@ -727,11 +685,9 @@ def _fiber_eps_schedule(cloud: PointCloud, schedule: GenerationSchedule, fiber: 
     """Extend the eps schedule by dyadic halving until it resolves every
     pair of the fiber in the one-step sup metric (distances only grow with
     n, so the separated counts are stable from there on)."""
-    from .pressure import _SupOrbit
-
     if len(fiber) < 2:
         return list(eps_list)
-    ctx = _SupOrbit(cloud, schedule, 1, list(fiber))
+    ctx = _sup_orbit(cloud, schedule, 1, list(fiber))
     m = ctx.matrix()
     off = m[~np.eye(len(fiber), dtype=bool)]
     floor = float(off.min()) / 2.0
@@ -808,6 +764,29 @@ def check_equicontinuity(
     passed = all(delta > 0 for _, delta in table)
     detail = f"pairs={len(ia)};sampled={sampled};seed={seed}"
     return EquicontinuityReport(table=tuple(table), passed=passed, detail=detail)
+
+
+def equicontinuity_report(cloud: PointCloud, schedule: GenerationSchedule, eps_list: Sequence[float]) -> InequalityReport:
+    """check_equicontinuity as a verdict record; rhs is the smallest modulus."""
+    eq = check_equicontinuity(cloud, schedule, eps_list)
+    delta = min(d for _, d in eq.table)
+    table = ";".join(f"delta({eps!r})={d!r}" for eps, d in eq.table)
+    return InequalityReport(
+        name="system/equicontinuity", lhs=0.0, rhs=delta, slack=delta,
+        verdict=HOLDS_WITHIN_TOL if eq.passed else VIOLATED, level=PROXY_LEVEL, context=table + ";" + eq.detail,
+    )
+
+
+def semiconjugacy_report(factor: FactorMapSpec, n_max: int, tol: float | None = None) -> InequalityReport:
+    """check_semiconjugacy as a verdict record, at the default tolerance for
+    n_max unless tol is given."""
+    if tol is None:
+        tol = default_semiconjugacy_tol(factor, n_max)
+    semi = check_semiconjugacy(factor, tol)
+    return InequalityReport(
+        name="factor/semiconjugacy", lhs=semi.max_deviation, rhs=tol, slack=tol - semi.max_deviation,
+        verdict=HOLDS_WITHIN_TOL if semi.passed else VIOLATED, level=FINITE_LEVEL, context=semi.detail,
+    )
 
 
 # ---------------------------------------------------------------------------

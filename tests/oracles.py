@@ -11,6 +11,15 @@ import math
 from naifslab import compose, distance, eval_potential
 
 
+def oracle_cylinder_distance(x, y):
+    """2**-k at the first position k where two words differ over their
+    common length; 0 when they agree there."""
+    for k, (a, b) in enumerate(zip(x, y)):
+        if a != b:
+            return 2.0 ** -k
+    return 0.0
+
+
 def oracle_bowen(cloud, schedule, w, n, x, y):
     return max(
         distance(cloud, compose(cloud, schedule, w, 1, j, x), compose(cloud, schedule, w, 1, j, y))

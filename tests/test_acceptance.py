@@ -1,11 +1,13 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`."""
 
+import hashlib
 import json
 import math
 import random
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +241,8 @@ def test_criterion_7_power_rule(doubling_setup, doubling_curve):
 
 
 def test_criterion_8_determinism(tmp_path):
+    # sha256 of every example CSV, pinned so that a refactor must keep the bytes
+    pinned = json.loads((Path(__file__).parent / "example_digests.json").read_text())
     mismatches = []
     sampled_seen = False
     for name, raw in EXAMPLE_CONFIGS.items():
@@ -252,6 +256,9 @@ def test_criterion_8_determinism(tmp_path):
             outputs.append({p.name: p.read_bytes() for p in sorted(outdir.glob("*.csv"))})
         if outputs[0] != outputs[1]:
             mismatches.append(name)
+        digests = {csv: hashlib.sha256(content).hexdigest() for csv, content in outputs[0].items()}
+        if digests != pinned.get(name):
+            mismatches.append(f"{name} (pinned digest)")
         for content in outputs[0].values():
             if b"sampled" in content:
                 sampled_seen = True
@@ -259,6 +266,6 @@ def test_criterion_8_determinism(tmp_path):
     _report(
         8,
         ok,
-        f"{len(EXAMPLE_CONFIGS)} bundled configs re-run byte-identical "
+        f"{len(EXAMPLE_CONFIGS)} bundled configs re-run byte-identical and match their pinned digests "
         f"(sampled-word mode covered: {sampled_seen}); mismatches: {mismatches or 'none'}",
     )

@@ -153,3 +153,15 @@ def test_main_runs_config_file(tmp_path):
     path.write_text(json.dumps(dict(TINY_ESTIMATE, output_dir=str(tmp_path / "out"))))
     assert main(["run", str(path), "--workers", "1"]) == 0
     assert (tmp_path / "out" / "estimate.txt").exists()
+
+
+def test_config_workers_reach_run(tmp_path, monkeypatch):
+    import naifslab.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config.workers) or 0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY_ESTIMATE, workers=3, output_dir=str(tmp_path / "out"))))
+    assert main(["run", str(path)]) == 0
+    assert main(["run", str(path), "--workers", "2"]) == 0
+    assert seen == [3, 2]

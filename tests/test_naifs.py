@@ -9,6 +9,7 @@ from naifslab import (
     GenerationSchedule,
     MapSpec,
     NAIFS,
+    PointCloud,
     SpaceSpec,
     Word,
     block_word,
@@ -301,6 +302,45 @@ def test_semiconjugacy_binary_expansion():
     rep = check_semiconjugacy(factor, 2.0 ** (-(depth - 4)))
     assert rep.max_deviation <= 2.0 ** (-(depth - 4))
     assert rep.passed
+
+
+def expansion_factor(words, n_target, fiber_tol=None):
+    """binary_expansion from a hand-picked set of depth-6 words onto a circle grid."""
+    src = NAIFS(
+        PointCloud(points=tuple(words), space=SpaceSpec("symbolic_depth", 6, alphabet_size=2)),
+        GenerationSchedule((), ((MapSpec("shift"),),)),
+    )
+    tgt = NAIFS(circle(n_target), GenerationSchedule((), ((MapSpec("doubling"),),)))
+    return FactorMapSpec(source=src, target=tgt, kind="binary_expansion", fiber_tol=fiber_tol)
+
+
+def brute_surjective(factor):
+    images = [sum(s * 2.0 ** -(k + 1) for k, s in enumerate(w)) for w in factor.source.cloud.points]
+    return all(
+        min(min(abs(p - y) % 1.0, 1.0 - abs(p - y) % 1.0) for p in images) <= factor.fiber_tol + 1e-15
+        for y in factor.target.cloud.points
+    )
+
+
+def test_binary_expansion_surjectivity():
+    full = [tuple(w) for w in itertools.product(range(2), repeat=6)]
+    assert check_semiconjugacy(expansion_factor(full, 64), 1.0).surjective
+    # 0.5 and 63/64 only: target 0 is reached across the wrap, 1/4 is not
+    near_one = [(1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1)]
+    assert check_semiconjugacy(expansion_factor(near_one, 2), 1.0).surjective
+    assert not check_semiconjugacy(expansion_factor(near_one, 4), 1.0).surjective
+    assert not check_semiconjugacy(expansion_factor(near_one, 2, fiber_tol=1.0 / 128), 1.0).surjective
+    assert check_semiconjugacy(expansion_factor(near_one, 2, fiber_tol=1.0 / 64), 1.0).surjective
+
+
+@given(
+    st.lists(st.tuples(*[st.integers(0, 1)] * 6), min_size=1, max_size=12),
+    st.integers(2, 40),
+    st.floats(0.001, 0.2),
+)
+def test_binary_expansion_surjectivity_matches_brute_force(words, n_target, fiber_tol):
+    factor = expansion_factor(words, n_target, fiber_tol)
+    assert check_semiconjugacy(factor, 1.0).surjective == brute_surjective(factor)
 
 
 def test_semiconjugacy_rejects_mismatched_index_sets():

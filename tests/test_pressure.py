@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from naifslab import (
     GenerationSchedule,
     MapSpec,
+    PointCloud,
     Potential,
     SpaceSpec,
     Word,
     averaged_partition_sum,
     birkhoff_sum,
     build_cloud,
+    distance,
     enumerate_words,
     max_separated,
     min_spanning,
@@ -158,6 +160,19 @@ def test_solvers_match_oracle_on_random_instances(mode):
         assert q.log_value <= p.log_value + 1e-12
         s_half = max_separated(cloud, sched, w, n, eps / 2, mode=mode)
         assert span.lower_bound <= sep.lower_bound <= s_half.lower_bound
+
+
+def test_deep_binary_words_solve_exactly():
+    # the xor of these codes has 49 bits; a float64 log2 of it rounds up and
+    # once doubled the distance, so both points looked 0.2-separated
+    x = (0,) * 52
+    y = (0, 0, 0) + (1,) * 49
+    cloud = PointCloud(points=(x, y), space=SpaceSpec("symbolic_depth", 52, alphabet_size=2))
+    sched = GenerationSchedule(prefix=(), cycle=((ID,),))
+    assert distance(cloud, x, y) == 0.125
+    for op in (max_separated, min_spanning):
+        res = op(cloud, sched, Word(1, ()), 0, 0.2)
+        assert res.exact and res.lower_bound == res.upper_bound == 1
 
 
 def test_greedy_bounds_bracket_exact():

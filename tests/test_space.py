@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from naifslab import (
     MetricError,
@@ -15,7 +15,8 @@ from naifslab import (
     materialize_potential,
     sup_norm,
 )
-from naifslab.space import eval_potential_batch, pairwise_distances
+from naifslab.space import eval_potential_batch, paired_distances, pairwise_distances
+from oracles import oracle_cylinder_distance
 
 
 def test_interval_grid_points():
@@ -142,3 +143,24 @@ def test_pairwise_matches_scalar_on_symbolic():
     for i in range(10):
         for j in range(10):
             assert mat[i, j] == distance(cloud, cloud.points[i], cloud.points[j])
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 4), st.integers(1, 64), st.data())
+def test_cylinder_distances_match_oracle(alphabet, depth, data):
+    # words share random-length prefixes of one base word, so every first
+    # differing position, deep chunks included, gets drawn
+    symbols = st.lists(st.integers(0, alphabet - 1), min_size=depth, max_size=depth)
+    base = data.draw(symbols)
+    words = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        k = data.draw(st.integers(0, depth))
+        words.append(tuple(base[:k] + data.draw(symbols)[k:]))
+    cloud = PointCloud(points=tuple(words), space=SpaceSpec("symbolic_depth", 2, alphabet_size=alphabet))
+    batch = cloud.batch()
+    mat = pairwise_distances(cloud, batch, batch)
+    paired = paired_distances(cloud, batch, batch[::-1])
+    for i, x in enumerate(words):
+        for j, y in enumerate(words):
+            assert mat[i, j] == oracle_cylinder_distance(x, y)
+        assert paired[i] == oracle_cylinder_distance(x, words[-1 - i])
