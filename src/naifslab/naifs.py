@@ -113,7 +113,7 @@ def apply_map(space, m: Map, batch: np.ndarray) -> np.ndarray:
             raise ValueError("shift applied past the symbolic depth; increase the depth D")
         return batch[:, 1:]
     # symbol_substitution_table
-    table = np.asarray(m.params, dtype=np.int8)
+    table = np.asarray(m.params, dtype=batch.dtype)
     return table[batch]
 
 

@@ -30,14 +30,13 @@ from .naifs import (
 )
 from .space import (
     CIRCLE,
-    INTERVAL,
+    FINITE,
     SYMBOLIC,
     PointCloud,
     Potential,
     cylinder_distance,
     eval_potential_batch,
     pack_words,
-    pairwise_distances,
     points_to_batch,
 )
 
@@ -45,10 +44,11 @@ log = logging.getLogger("naifslab.pressure")
 
 EXHAUSTIVE_LIMIT = 20
 BRANCH_AND_BOUND_LIMIT = 64
-MATRIX_LIMIT = 4500
+# the dense Bowen matrix serves the exact solvers and the ratio greedy cover
+MATRIX_LIMIT = 1500
 SUBSET_METRIC_LIMIT = 2000
-_GREEDY_COVER_LIMIT = 1500
-_RECHECK_ROW_CAP = 512
+# elements of one distance tile (512 KiB of float64)
+_TILE_ELEMENTS = 1 << 16
 
 MODES = ("auto", "exhaustive", "branch_and_bound", "greedy")
 KINDS = ("separated", "spanning")
@@ -73,6 +73,8 @@ class _BowenOrbit:
 
     The distance is the running max of the base distance over a list of
     step batches; _sup_orbit builds the longer list of the sup metric.
+    Queries read blocks of it; the dense matrix is built only for small
+    clouds (MATRIX_LIMIT) and then serves every later block.
     """
 
     def __init__(self, cloud: PointCloud, schedule: GenerationSchedule, word: Word, n: int):
@@ -92,49 +94,62 @@ class _BowenOrbit:
             self.codes = [(pack_words(B, m), B.shape[1]) for B in batches]
         self._matrix: np.ndarray | None = None
 
-    def matrix_available(self) -> bool:
-        return self.n_points <= MATRIX_LIMIT
+    def block(self, I: np.ndarray | slice, js: np.ndarray | slice) -> np.ndarray:
+        """Distances between the points I (rows) and js (columns), each an
+        index array or a slice."""
+        if self._matrix is not None:
+            return self._matrix[I][:, js]
+        fam = self.cloud.space.family
+        acc = None
+        for k, B in enumerate(self.batches):
+            if self.codes is not None:
+                codes, depth = self.codes[k]
+                d = cylinder_distance(codes[:, I, None], codes[:, None, js], depth, self.cloud.space.alphabet_size)
+            elif fam == FINITE:
+                d = self.cloud.dmatrix()[np.ix_(B[I], B[js])]
+            else:
+                # orbit points lie in [0, 1], where this is space._circle_dist
+                # without its reduction mod 1
+                d = np.subtract(B[I, None], B[None, js])
+                np.abs(d, out=d)
+                if fam == CIRCLE:
+                    np.minimum(d, 1.0 - d, out=d)
+            acc = d if acc is None else np.maximum(acc, d, out=acc)
+        return acc
+
+    def row(self, i: int, js: np.ndarray) -> np.ndarray:
+        return self.block(np.array([i], dtype=np.intp), np.asarray(js, dtype=np.intp))[0]
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            if not self.matrix_available():
-                raise ValueError(f"cloud of {self.n_points} points exceeds the matrix limit {MATRIX_LIMIT}")
             n = self.n_points
-            m = np.zeros((n, n))
-            fam = self.cloud.space.family
-            if self.codes is not None:
-                alphabet = self.cloud.space.alphabet_size
-                for codes, depth in self.codes:
-                    np.maximum(m, cylinder_distance(codes[:, :, None], codes[:, None, :], depth, alphabet), out=m)
-            elif fam in (INTERVAL, CIRCLE):
-                # reused buffers: fresh page-zeroed allocations dominate the
-                # runtime on grid-sized clouds otherwise
-                d = np.empty((n, n))
-                tmp = np.empty((n, n)) if fam == CIRCLE else None
-                for B in self.batches:
-                    np.subtract(B[:, None], B[None, :], out=d)
-                    np.abs(d, out=d)
-                    if fam == CIRCLE:
-                        np.subtract(1.0, d, out=tmp)
-                        np.minimum(d, tmp, out=d)
-                    np.maximum(m, d, out=m)
-            else:
-                for B in self.batches:
-                    np.maximum(m, pairwise_distances(self.cloud, B, B), out=m)
+            if n > MATRIX_LIMIT:
+                raise ValueError(f"cloud of {n} points exceeds the matrix limit {MATRIX_LIMIT}")
+            step = _tile_rows(n)
+            m = np.empty((n, n))
+            for lo in range(0, n, step):
+                m[lo : lo + step] = self.block(slice(lo, lo + step), slice(None))
             self._matrix = m
         return self._matrix
 
-    def row(self, i: int, js: np.ndarray) -> np.ndarray:
-        js = np.asarray(js, dtype=np.intp)
-        acc = np.zeros(len(js))
-        if self.codes is not None:
-            alphabet = self.cloud.space.alphabet_size
-            for codes, depth in self.codes:
-                np.maximum(acc, cylinder_distance(codes[:, i : i + 1], codes[:, js], depth, alphabet), out=acc)
-            return acc
-        for B in self.batches:
-            np.maximum(acc, pairwise_distances(self.cloud, B[[i]], B[js])[0], out=acc)
-        return acc
+    def min_pair_distance(self, idxs: Sequence[int]) -> float:
+        """Smallest distance between two distinct points of idxs (inf for
+        fewer than two), read over the upper triangle one tile at a time."""
+        idxs = np.asarray(idxs, dtype=np.intp)
+        best, lo = math.inf, 0
+        while lo < len(idxs) - 1:
+            rows = idxs[lo : lo + _tile_rows(len(idxs) - lo - 1)]
+            d = self.block(rows, idxs[lo + 1 :])
+            # row r of the tile pairs with columns r.. only (column c is point lo + 1 + c)
+            d[np.tril_indices(len(rows), -1, d.shape[1])] = math.inf
+            best = min(best, float(d.min()))
+            lo += len(rows)
+        return best
+
+
+def _tile_rows(n_cols: int) -> int:
+    """Rows of a distance tile with n_cols columns."""
+    return max(1, _TILE_ELEMENTS // max(1, n_cols))
 
 
 def _sup_orbit(cloud: PointCloud, schedule: GenerationSchedule, n: int, indices: Sequence[int], word_cap: int = 200_000) -> _BowenOrbit:
@@ -332,14 +347,12 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
 def _first_fit_separated(ctx, eps: float, order: np.ndarray) -> list[int]:
     """First-fit maximal separated set in the given candidate order,
     computed by repeated elimination (one distance row per accepted point)."""
-    alive = np.asarray(order, dtype=np.intp).copy()
-    matrix = ctx.matrix() if ctx.matrix_available() else None
+    alive = np.asarray(order, dtype=np.intp)
     accepted: list[int] = []
     while alive.size:
         c = int(alive[0])
         accepted.append(c)
-        d = matrix[c, alive] if matrix is not None else ctx.row(c, alive)
-        alive = alive[d > eps]
+        alive = alive[ctx.row(c, alive) > eps]
     return accepted
 
 
@@ -360,13 +373,9 @@ def _greedy_cover_matrix(matrix: np.ndarray, eps: float, wlin: np.ndarray) -> li
 
 
 def _max_ball_size(ctx, eps: float) -> int:
-    if ctx.matrix_available():
-        return int((ctx.matrix() <= eps).sum(axis=1).max())
-    best = 0
     idx = np.arange(ctx.n_points, dtype=np.intp)
-    for i in range(ctx.n_points):
-        best = max(best, int((ctx.row(i, idx) <= eps).sum()))
-    return best
+    step = _tile_rows(len(idx))
+    return max(int((ctx.block(idx[lo : lo + step], idx) <= eps).sum(axis=1).max()) for lo in range(0, len(idx), step))
 
 
 # ---------------------------------------------------------------------------
@@ -418,39 +427,25 @@ def _resolve_method(mode: str, n_points: int) -> str:
 
 
 def _recheck_separated(ctx, idxs: list[int], eps: float) -> None:
-    if len(idxs) < 2:
-        return
-    if ctx.matrix_available():
-        sub = ctx.matrix()[np.ix_(idxs, idxs)]
-        off = sub[~np.eye(len(idxs), dtype=bool)]
-        if off.size and float(off.min()) <= eps:
-            raise RuntimeError("separated witness failed its defining property")
-        return
-    arr = np.asarray(idxs, dtype=np.intp)
-    for a in range(min(len(idxs), _RECHECK_ROW_CAP)):
-        others = np.delete(arr, a)
-        if float(ctx.row(int(arr[a]), others).min()) <= eps:
-            raise RuntimeError("separated witness failed its defining property")
+    """Every pair of the witness is more than eps apart."""
+    if ctx.min_pair_distance(idxs) <= eps:
+        raise RuntimeError("separated witness failed its defining property")
 
 
 def _recheck_spanning(ctx, idxs: list[int], eps: float) -> None:
-    if not idxs:
+    """Every cloud point lies within eps of the witness; each tile of
+    witness rows is read against the points still uncovered."""
+    idxs = np.asarray(idxs, dtype=np.intp)
+    if not idxs.size:
         raise RuntimeError("spanning witness is empty")
-    n = ctx.n_points
-    if ctx.matrix_available():
-        covered = (ctx.matrix()[np.asarray(idxs, dtype=np.intp)] <= eps).any(axis=0)
-        if not covered.all():
-            raise RuntimeError("spanning witness failed its defining property")
-        return
-    targets = np.arange(n, dtype=np.intp)
-    if n > 4 * _RECHECK_ROW_CAP:
-        targets = targets[:: max(1, n // (4 * _RECHECK_ROW_CAP))]
-    covered = np.zeros(len(targets), dtype=bool)
-    for i in idxs:
-        covered |= ctx.row(int(i), targets) <= eps
-        if covered.all():
-            return
-    raise RuntimeError("spanning witness failed its defining property")
+    uncovered = np.arange(ctx.n_points, dtype=np.intp)
+    lo = 0
+    while uncovered.size and lo < len(idxs):
+        rows = idxs[lo : lo + _tile_rows(len(uncovered))]
+        uncovered = uncovered[~(ctx.block(rows, uncovered) <= eps).any(axis=0)]
+        lo += len(rows)
+    if uncovered.size:
+        raise RuntimeError("spanning witness failed its defining property")
 
 
 def _solve_setup(ctx, S: np.ndarray, eps: float, mode: str) -> tuple[str, float, np.ndarray]:
@@ -482,7 +477,7 @@ def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str) -> tuple
     """inf over spanning sets of sum exp(S); returns as _solve_separated_weighted."""
     method, shift, wlin = _solve_setup(ctx, S, eps, mode)
     if method == "greedy":
-        if ctx.matrix_available() and ctx.n_points <= _GREEDY_COVER_LIMIT:
+        if ctx.n_points <= MATRIX_LIMIT:
             idxs = _greedy_cover_matrix(ctx.matrix(), eps, wlin)
         else:
             # an eps-net: a maximal eps-separated set spans at eps

@@ -174,6 +174,11 @@ def canonical_key(space: SpaceSpec, point):
     return float(point)
 
 
+def _symbol_dtype(alphabet: int) -> type:
+    """Smallest signed integer type holding the symbols 0..alphabet-1."""
+    return np.int8 if alphabet <= 1 << 7 else np.int16 if alphabet <= 1 << 15 else np.int64
+
+
 def points_to_batch(space: SpaceSpec, points: Sequence) -> np.ndarray:
     """Pack points into the family's array representation.
 
@@ -181,12 +186,13 @@ def points_to_batch(space: SpaceSpec, points: Sequence) -> np.ndarray:
     cloud, where every step shortens all words uniformly).
     """
     if space.family == SYMBOLIC:
+        dtype = _symbol_dtype(space.alphabet_size)
         if not points:
-            return np.zeros((0, 0), dtype=np.int8)
+            return np.zeros((0, 0), dtype=dtype)
         lengths = {len(p) for p in points}
         if len(lengths) != 1:
             raise ValueError("symbolic batch requires words of equal length")
-        return np.asarray([list(p) for p in points], dtype=np.int8).reshape(len(points), lengths.pop())
+        return np.asarray([list(p) for p in points], dtype=dtype).reshape(len(points), lengths.pop())
     if space.family == FINITE:
         return np.asarray(points, dtype=np.intp)
     return np.asarray(points, dtype=np.float64)
@@ -405,7 +411,7 @@ def _fast_table_eval(space: SpaceSpec, psi: Potential, batch: np.ndarray) -> np.
             return None
         if depth not in cache:
             keys = sorted(k for k in table if len(k) == depth)
-            codes = pack_words(np.asarray(keys, dtype=np.int8).reshape(len(keys), depth), m)[0]
+            codes = pack_words(np.asarray(keys, dtype=_symbol_dtype(m)).reshape(len(keys), depth), m)[0]
             cache[depth] = (codes, np.array([table[k] for k in keys], dtype=float))
         codes, vals = cache[depth]
         query = pack_words(batch, m)[0]

@@ -685,12 +685,8 @@ def _fiber_eps_schedule(cloud: PointCloud, schedule: GenerationSchedule, fiber: 
     """Extend the eps schedule by dyadic halving until it resolves every
     pair of the fiber in the one-step sup metric (distances only grow with
     n, so the separated counts are stable from there on)."""
-    if len(fiber) < 2:
-        return list(eps_list)
     ctx = _sup_orbit(cloud, schedule, 1, list(fiber))
-    m = ctx.matrix()
-    off = m[~np.eye(len(fiber), dtype=bool)]
-    floor = float(off.min()) / 2.0
+    floor = ctx.min_pair_distance(np.arange(ctx.n_points)) / 2.0
     out = list(eps_list)
     while out[-1] > floor:
         out.append(out[-1] / 2.0)

@@ -19,7 +19,6 @@ from naifslab import (
     NAIFS,
     Potential,
     SpaceSpec,
-    Word,
     build_cloud,
     check_factor_conjugacy,
     check_factor_lower,

@@ -1,6 +1,4 @@
 import json
-import math
-from pathlib import Path
 
 import pytest
 

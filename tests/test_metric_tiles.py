@@ -1,0 +1,158 @@
+"""The Bowen distance kernel of the orbit class, and the greedy solves and
+witness re-checks that read it in rows and tiles instead of a dense matrix."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from naifslab import (
+    GenerationSchedule,
+    MapSpec,
+    Potential,
+    SpaceSpec,
+    Word,
+    build_cloud,
+    enumerate_words,
+)
+from naifslab.pressure import (
+    _BowenOrbit,
+    _birkhoff_vector,
+    _recheck_separated,
+    _recheck_spanning,
+    _solve_separated_weighted,
+    _solve_spanning_weighted,
+    _sup_orbit,
+)
+from naifslab.space import pairwise_distances
+from naifslab.theorems import random_explicit_instance
+from oracles import oracle_bowen, oracle_sup_bowen
+
+FAMILIES = ("interval_grid", "circle_grid", "symbolic_depth", "finite_explicit")
+
+
+def random_system(family, rng):
+    """A small cloud and a random schedule of maps valid on it."""
+    if family == "finite_explicit":
+        return random_explicit_instance(rng, max_points=8, max_maps=2, max_cycle=2)
+    if family == "interval_grid":
+        # 11 points: most grid values and their images are not dyadic
+        cloud = build_cloud(SpaceSpec(family, 11))
+        pool = [MapSpec("identity"), MapSpec("tent"), MapSpec("affine_clamped", (0.6, 0.3))]
+    elif family == "circle_grid":
+        cloud = build_cloud(SpaceSpec(family, 12))
+        pool = [MapSpec("doubling"), MapSpec("rotation", (0.3,)), MapSpec("affine_mod1", (3.0, 0.1))]
+    else:
+        m = rng.randint(2, 3)
+        cloud = build_cloud(SpaceSpec(family, 4, alphabet_size=m))
+        perm = list(range(m))
+        rng.shuffle(perm)
+        pool = [MapSpec("shift"), MapSpec("symbol_substitution_table", tuple(perm))]
+
+    def generation():
+        return tuple(rng.sample(pool, rng.randint(1, 2)))
+
+    prefix = tuple(generation() for _ in range(rng.randint(0, 1)))
+    cycle = tuple(generation() for _ in range(rng.randint(1, 2)))
+    return cloud, GenerationSchedule(prefix=prefix, cycle=cycle)
+
+
+def index_lists(data, n_points):
+    draw = st.lists(st.integers(0, n_points - 1), min_size=1, max_size=6)
+    return np.array(data.draw(draw), dtype=np.intp), np.array(data.draw(draw), dtype=np.intp)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(FAMILIES), st.integers(0, 10_000), st.integers(0, 3), st.data())
+def test_block_matches_oracle_bowen(family, seed, n, data):
+    rng = random.Random(seed)
+    cloud, sched = random_system(family, rng)
+    words, _, _ = enumerate_words(sched, 1, 3, None, 0)
+    w = words[rng.randrange(len(words))]
+    ctx = _BowenOrbit(cloud, sched, w, n)
+    I, js = index_lists(data, len(cloud))
+    block = ctx.block(I, js)
+    pts = cloud.points
+    expected = [[oracle_bowen(cloud, sched, w, n, pts[i], pts[j]) for j in js] for i in I]
+    assert block.tolist() == expected
+    assert ctx.row(int(I[0]), js).tolist() == expected[0]
+    full = ctx.block(np.arange(len(cloud)), np.arange(len(cloud)))
+    assert np.array_equal(ctx.matrix(), full)
+    # once built, the matrix serves every block
+    assert np.array_equal(ctx.block(I, js), block)
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(FAMILIES), st.integers(0, 10_000), st.integers(1, 2), st.data())
+def test_sup_orbit_block_matches_oracle_sup_bowen(family, seed, n, data):
+    rng = random.Random(seed)
+    cloud, sched = random_system(family, rng)
+    subset = sorted(rng.sample(range(len(cloud)), min(5, len(cloud))))
+    ctx = _sup_orbit(cloud, sched, n, subset)
+    I, js = index_lists(data, len(subset))
+    pts = [cloud.points[i] for i in subset]
+    expected = [[oracle_sup_bowen(cloud, sched, n, pts[i], pts[j]) for j in js] for i in I]
+    assert ctx.block(I, js).tolist() == expected
+    assert ctx.row(int(I[0]), js).tolist() == expected[0]
+
+
+# ---------------------------------------------------------------------------
+# greedy solves past the dense-matrix limit
+
+
+def doubling_orbit(n_points=4096, n=3):
+    cloud = build_cloud(SpaceSpec("circle_grid", n_points))
+    sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
+    return _BowenOrbit(cloud, sched, Word(1, (0,) * n), n)
+
+
+def reference_first_fit(ctx, eps, order):
+    """First fit with each row taken step by step from space.pairwise_distances."""
+    alive = np.asarray(order, dtype=np.intp)
+    accepted = []
+    while alive.size:
+        c = int(alive[0])
+        accepted.append(c)
+        d = np.zeros(len(alive))
+        for B in ctx.batches:
+            d = np.maximum(d, pairwise_distances(ctx.cloud, B[[c]], B[alive])[0])
+        alive = alive[d > eps]
+    return sorted(accepted)
+
+
+def test_greedy_solves_on_a_large_circle_never_build_the_matrix(monkeypatch):
+    ctx = doubling_orbit()
+    S = _birkhoff_vector(ctx, Potential("coordinate_affine", (1.0, 0.0)))
+    eps = 1.0 / 32
+
+    def no_matrix(self):
+        raise AssertionError("greedy path built the dense matrix")
+
+    monkeypatch.setattr(_BowenOrbit, "matrix", no_matrix)
+    _, sep, method, exact = _solve_separated_weighted(ctx, S, eps, "auto")
+    _, span, span_method, _ = _solve_spanning_weighted(ctx, S, eps, "auto")
+    assert (method, exact, span_method) == ("greedy", False, "greedy")
+    assert sep == reference_first_fit(ctx, eps, np.lexsort((np.arange(ctx.n_points), -S)))
+    assert span == reference_first_fit(ctx, eps, np.arange(ctx.n_points))
+    assert 1 < len(sep) < ctx.n_points and 1 < len(span) < ctx.n_points
+
+
+def test_recheck_separated_reads_every_pair():
+    ctx = doubling_orbit(n=0)  # the base metric: grid neighbours are 1/4096 apart
+    witness = sorted(set(range(0, 4096, 4)) | {2401})
+    # the only pair within eps is (2400, 2401), at positions 600 and 601
+    assert witness.index(2401) == 601
+    with pytest.raises(RuntimeError, match="separated witness"):
+        _recheck_separated(ctx, witness, 2.5 / 4096)
+    _recheck_separated(ctx, [i for i in witness if i != 2401], 2.5 / 4096)
+
+
+def test_recheck_spanning_reads_every_point():
+    ctx = doubling_orbit(n=0)
+    everything = list(range(4096))
+    _recheck_spanning(ctx, everything, 0.5 / 4096)
+    # each point covers only itself at this eps; 2047 is odd, off every
+    # second point
+    with pytest.raises(RuntimeError, match="spanning witness"):
+        _recheck_spanning(ctx, [i for i in everything if i != 2047], 0.5 / 4096)

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import pytest
 from hypothesis import given, strategies as st

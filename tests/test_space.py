@@ -5,18 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naifslab import (
+    GenerationSchedule,
+    MapSpec,
     MetricError,
     PointCloud,
     Potential,
     SpaceSpec,
+    Word,
     build_cloud,
+    compose,
     distance,
     eval_potential,
     materialize_potential,
+    max_separated,
     sup_norm,
 )
 from naifslab.space import eval_potential_batch, paired_distances, pairwise_distances
-from oracles import oracle_cylinder_distance
+from oracles import oracle_cylinder_distance, oracle_max_separated
 
 
 def test_interval_grid_points():
@@ -52,6 +57,20 @@ def test_symbolic_first_disagreement():
     assert distance(cloud, (0, 1, 0), (0, 1, 0)) == 0.0
     # shorter orbit words compare on the common prefix
     assert distance(cloud, (0, 1), (0, 1, 1)) == 0.0
+
+
+def test_wide_alphabet_symbols_fit_their_batches():
+    # 130 symbols overflow int8, the batch type of alphabets up to 128
+    space = SpaceSpec("symbolic_depth", 2, alphabet_size=130)
+    cloud = PointCloud(points=((0, 129), (0, 1), (1, 129)), space=space)
+    assert distance(cloud, (0, 129), (0, 1)) == 0.5
+    flip = MapSpec("symbol_substitution_table", tuple(range(129, -1, -1)))
+    sched = GenerationSchedule(prefix=(), cycle=((MapSpec("shift"), flip),))
+    assert compose(cloud, sched, Word(1, (0,)), 1, 1, (0, 129)) == (129,)
+    assert compose(cloud, sched, Word(1, (1,)), 1, 1, (0, 129)) == (129, 0)
+    for w in (Word(1, (0,)), Word(1, (1,))):
+        res = max_separated(cloud, sched, w, 1, 0.75)
+        assert res.exact and res.lower_bound == oracle_max_separated(cloud, sched, w, 1, 0.75)
 
 
 def test_resolution_out_of_range():
