@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -179,9 +180,13 @@ def _bits(mask: int) -> list[int]:
 def _conflict_masks(matrix: np.ndarray, eps: float) -> list[int]:
     """Bit masks of the eps-neighbours of each point, itself excluded; the
     closed eps-ball of point i is its mask with bit i set."""
+    n = len(matrix)
+    if n > 64:
+        raise ValueError(f"conflict masks pack at most 64 points, got {n}")
     adj = matrix <= eps
     np.fill_diagonal(adj, False)
-    return [int(sum(1 << int(j) for j in np.flatnonzero(adj[i]))) for i in range(len(adj))]
+    bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    return np.bitwise_or.reduce(np.where(adj, bits, np.uint64(0)), axis=1).tolist()
 
 
 def _exhaustive_mwis(conflict: list[int], wlin: np.ndarray) -> tuple[int, float]:
@@ -223,6 +228,7 @@ def _exhaustive_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
 def _bb_mwis(conflict: list[int], wlin: np.ndarray) -> tuple[int, float]:
     """Bitset branch and bound with a greedy clique-cover bound."""
     n = len(wlin)
+    w = wlin.tolist()
     cliques: list[int] = []
     clique_of = [0] * n
     for v in range(n):
@@ -235,7 +241,7 @@ def _bb_mwis(conflict: list[int], wlin: np.ndarray) -> tuple[int, float]:
             clique_of[v] = len(cliques)
             cliques.append(1 << v)
 
-    order = sorted(range(n), key=lambda i: (-wlin[i], i))
+    order = sorted(range(n), key=lambda i: (-w[i], i))
     inc_mask = 0
     blocked = 0
     for v in order:
@@ -243,19 +249,29 @@ def _bb_mwis(conflict: list[int], wlin: np.ndarray) -> tuple[int, float]:
             inc_mask |= 1 << v
             blocked |= (1 << v) | conflict[v]
     best_mask = inc_mask
-    best_val = float(sum(wlin[i] for i in _bits(inc_mask)))
+    best_val = 0.0
+    for i in _bits(inc_mask):
+        best_val += w[i]
 
     def bound(mask: int) -> float:
-        per: dict[int, float] = {}
+        # heaviest vertex per clique; float addition depends on order, and
+        # the sum runs over cliques as first met from the lowest vertex up
+        per = [0.0] * len(cliques)
+        met: list[int] = []
         mm = mask
         while mm:
             lsb = mm & -mm
             v = lsb.bit_length() - 1
             mm ^= lsb
             c = clique_of[v]
-            if wlin[v] > per.get(c, 0.0):
-                per[c] = wlin[v]
-        return sum(per.values())
+            if w[v] > per[c]:
+                if not per[c]:
+                    met.append(c)
+                per[c] = w[v]
+        total = 0.0
+        for c in met:
+            total += per[c]
+        return total
 
     def dfs(mask: int, chosen: int, cur: float) -> None:
         nonlocal best_mask, best_val
@@ -264,27 +280,53 @@ def _bb_mwis(conflict: list[int], wlin: np.ndarray) -> tuple[int, float]:
             best_mask = chosen
         if mask == 0 or cur + bound(mask) <= best_val:
             return
-        v, wv = -1, -1.0
-        mm = mask
-        while mm:
-            lsb = mm & -mm
-            u = lsb.bit_length() - 1
-            mm ^= lsb
-            if wlin[u] > wv:
-                wv = wlin[u]
-                v = u
-        dfs(mask & ~(conflict[v] | (1 << v)), chosen | (1 << v), cur + wlin[v])
+        # the heaviest vertex left, lowest index on ties
+        for v in order:
+            if (mask >> v) & 1:
+                break
+        dfs(mask & ~(conflict[v] | (1 << v)), chosen | (1 << v), cur + w[v])
         dfs(mask & ~(1 << v), chosen, cur)
 
     dfs((1 << n) - 1, 0, 0.0)
     return best_mask, best_val
 
 
+def _cover_lower_bound(balls: list[int], w: list[float], uncov: int) -> float:
+    """Lower bound on the weight of a cover of the elements in uncov.
+
+    Each uncovered element is charged the least ratio w_i / |ball_i & uncov|
+    over the balls that hold it.  The ratios are computed once and the balls
+    walked in increasing ratio, so an element takes the ratio of the first
+    ball that reaches it.  The charges are added in increasing element
+    order, which makes the bound the same float as the per-element minimum.
+    """
+    ratio = [w[i] / c if (c := (b & uncov).bit_count()) else math.inf for i, b in enumerate(balls)]
+    charge: dict[int, float] = {}
+    rest = uncov
+    for i in sorted(range(len(balls)), key=ratio.__getitem__):
+        new = balls[i] & rest
+        if new:
+            rest ^= new
+            while new:
+                lsb = new & -new
+                charge[lsb] = ratio[i]
+                new ^= lsb
+            if not rest:
+                break
+    total = 0.0
+    mm = uncov
+    while mm:
+        lsb = mm & -mm
+        total += charge[lsb]
+        mm ^= lsb
+    return total
+
+
 def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
     """Branch and bound minimum weighted ball cover."""
     n = len(wlin)
+    w = wlin.tolist()
     full = (1 << n) - 1
-    counts = [b.bit_count() for b in balls]
 
     uncov = full
     chosen = 0
@@ -294,26 +336,20 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
         for i in range(n):
             newly = (balls[i] & uncov).bit_count()
             if newly:
-                ratio = wlin[i] / newly
+                ratio = w[i] / newly
                 if ratio < best_ratio:
                     best_ratio = ratio
                     best_i = i
         chosen |= 1 << best_i
-        cost += wlin[best_i]
+        cost += w[best_i]
         uncov &= ~balls[best_i]
-    best_mask, best_val = chosen, float(cost)
+    best_mask, best_val = chosen, cost
 
-    covers_elem = [[i for i in range(n) if (balls[i] >> e) & 1] for e in range(n)]
-
-    def lower(uncov_mask: int) -> float:
-        total = 0.0
-        mm = uncov_mask
-        while mm:
-            lsb = mm & -mm
-            e = lsb.bit_length() - 1
-            mm ^= lsb
-            total += min(wlin[i] / (balls[i] & uncov_mask).bit_count() for i in covers_elem[e])
-        return total
+    # the balls holding each element, lightest first (lowest index on ties),
+    # and the elements by how few balls hold them
+    by_weight = sorted(range(n), key=lambda i: (w[i], i))
+    covers_elem = [[i for i in by_weight if (balls[i] >> e) & 1] for e in range(n)]
+    elem_order = sorted(range(n), key=lambda e: (len(covers_elem[e]), e))
 
     def dfs(uncov_mask: int, chosen_mask: int, cur: float) -> None:
         nonlocal best_mask, best_val
@@ -322,19 +358,13 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
                 best_val = cur
                 best_mask = chosen_mask
             return
-        if cur + lower(uncov_mask) >= best_val:
+        if cur + _cover_lower_bound(balls, w, uncov_mask) >= best_val:
             return
-        e, fewest = -1, math.inf
-        mm = uncov_mask
-        while mm:
-            lsb = mm & -mm
-            u = lsb.bit_length() - 1
-            mm ^= lsb
-            if len(covers_elem[u]) < fewest:
-                fewest = len(covers_elem[u])
-                e = u
-        for i in sorted(covers_elem[e], key=lambda i: (wlin[i], i)):
-            dfs(uncov_mask & ~balls[i], chosen_mask | (1 << i), cur + wlin[i])
+        for e in elem_order:
+            if (uncov_mask >> e) & 1:
+                break
+        for i in covers_elem[e]:
+            dfs(uncov_mask & ~balls[i], chosen_mask | (1 << i), cur + w[i])
 
     dfs(full, 0, 0.0)
     return best_mask, best_val
@@ -449,7 +479,7 @@ def _recheck_spanning(ctx, idxs: list[int], eps: float) -> None:
 
 
 def _solve_setup(ctx, S: np.ndarray, eps: float, mode: str) -> tuple[str, float, np.ndarray]:
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     method = _resolve_method(mode, ctx.n_points)
     shift = float(S.max())
@@ -609,10 +639,10 @@ def averaged_partition_sum(
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     words, word_mode, total = enumerate_words(schedule, 1, n, word_budget, seed)
     if workers > 1 and len(words) >= 8:
-        chunks = np.array_split(np.arange(len(words)), min(workers, len(words)))
-        payloads = [(cloud, schedule, [words[i] for i in c], n, psi, eps, kind, mode) for c in chunks if len(c)]
+        chunks = np.array_split(np.arange(len(words)), min(workers, len(words), os.cpu_count() or 1))
+        payloads = [(cloud, schedule, [words[i] for i in c], n, psi, eps, kind, mode) for c in chunks]
         rows: list[tuple] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             for part in pool.map(_avg_worker, payloads):
                 rows.extend(part)
     else:
@@ -736,8 +766,8 @@ def validate_eps_list(eps_list: Sequence[float]) -> list[float]:
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("eps values must be positive")
+    if not all(0 < e < math.inf for e in eps_list):
+        raise ValueError("eps values must be positive and finite")
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     return eps_list

@@ -45,6 +45,17 @@ def test_nonmonotone_eps_rejected():
         ExperimentConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_nonfinite_eps_rejected(tmp_path, capsys, eps):
+    bad = dict(TINY_ESTIMATE, eps_list=[eps], output_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="finite"):
+        ExperimentConfig.from_dict(bad)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(bad))
+    assert main(["run", str(path), "--workers", "1"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_symbolic_depth_guard():
     bad = {
         **TINY_ESTIMATE,

@@ -4,8 +4,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import naifslab.pressure as pressure
 from naifslab import (
     GenerationSchedule,
     MapSpec,
@@ -72,6 +73,17 @@ def test_max_separated_extremes():
     assert mid.lower_bound == 2 and mid.exact
     with pytest.raises(ValueError):
         max_separated(cloud, sched, w, 2, 0.0)
+
+
+def test_nan_eps_rejected():
+    # NaN compares false both ways: unchecked, no pair is within eps and a
+    # wrong count is reported as exact
+    cloud, sched = two_point()
+    for op in (max_separated, min_spanning):
+        with pytest.raises(ValueError, match="positive"):
+            op(cloud, sched, Word(1, (0,)), 1, math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        pressure.validate_eps_list([0.5, -math.inf])
 
 
 def test_min_spanning_four_cycle():
@@ -257,6 +269,115 @@ def test_workers_do_not_change_results():
     serial = averaged_partition_sum(cloud, sched, 6, psi, 0.5, word_budget=None, workers=1)
     parallel = averaged_partition_sum(cloud, sched, 6, psi, 0.5, word_budget=None, workers=2)
     assert serial.log_average == parallel.log_average
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing
+    and maps in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+@pytest.mark.parametrize(
+    "n, cpus, expected",
+    [(6, 3, 3), (6, None, 1), (3, 64, 8)],
+)
+def test_pool_is_sized_by_its_chunks(monkeypatch, n, cpus, expected):
+    # 2**n words; the pool takes min(workers, words, cpus) chunks however
+    # large the worker count asked for
+    sizes = []
+    monkeypatch.setattr(pressure, "ProcessPoolExecutor", lambda max_workers: RecordingPool(sizes, max_workers))
+    monkeypatch.setattr(pressure.os, "cpu_count", lambda: cpus)
+    cloud, sched = two_point()
+    psi = Potential("explicit_table", (0.0, 1.0))
+    serial = averaged_partition_sum(cloud, sched, n, psi, 0.5, word_budget=None, workers=1)
+    pooled = averaged_partition_sum(cloud, sched, n, psi, 0.5, word_budget=None, workers=10**9)
+    assert sizes == [expected]
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 20, 63, 64])
+def test_conflict_masks_match_per_bit_formula(n):
+    rng = np.random.default_rng(n)
+    m = np.round(rng.random((n, n)), 2)
+    m = np.minimum(m, m.T)
+    np.fill_diagonal(m, 0.0)
+    # eps equal to a distance: the comparison is inclusive
+    for eps in (0.0, 0.5, float(m[0, -1]) if n else 1.0, 1.0):
+        per_bit = [sum(1 << j for j in range(n) if j != i and m[i, j] <= eps) for i in range(n)]
+        assert pressure._conflict_masks(m, eps) == per_bit
+    # all true; at n = 64 every row but the last sets bit 63
+    full = (1 << n) - 1
+    assert pressure._conflict_masks(np.zeros((n, n)), 0.0) == [full ^ (1 << i) for i in range(n)]
+
+
+def test_conflict_masks_refuse_more_than_64_points():
+    with pytest.raises(ValueError, match="64"):
+        pressure._conflict_masks(np.zeros((65, 65)), 0.5)
+
+
+def per_element_cover_bound(balls, w, uncov):
+    """Reference for pressure._cover_lower_bound, one minimum per element:
+    each uncovered element takes the least w_i / |ball_i & uncov| over
+    the balls that hold it."""
+    n = len(balls)
+    covers_elem = [[i for i in range(n) if (balls[i] >> e) & 1] for e in range(n)]
+    total = 0.0
+    for e in range(n):
+        if (uncov >> e) & 1:
+            total += min(w[i] / (balls[i] & uncov).bit_count() for i in covers_elem[e])
+    return total
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_cover_bound_equals_per_element_formula(data):
+    n = data.draw(st.integers(1, 64))
+    # each ball holds its own centre, as every eps-ball does
+    balls = [data.draw(st.integers(0, (1 << n) - 1)) | (1 << i) for i in range(n)]
+    # tied weights, and weights whose ratios round: the sum must be bit-equal
+    weight = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 1.0)
+    w = [data.draw(weight) for _ in range(n)]
+    uncov = data.draw(st.integers(1, (1 << n) - 1))
+    assert pressure._cover_lower_bound(balls, w, uncov) == per_element_cover_bound(balls, w, uncov)
+
+
+@given(st.integers(0, 10**6), st.booleans(), st.integers(1, 3), st.floats(0.05, 0.95))
+def test_branch_and_bound_matches_oracle(seed, constant, n, quantile):
+    rng = random.Random(seed)
+    cloud, sched = random_explicit_instance(rng, max_points=14, max_maps=2, max_cycle=2)
+    words, _, _ = enumerate_words(sched, 1, n, None, 0)
+    w = words[rng.randrange(len(words))]
+    dm = cloud.dmatrix()
+    off = sorted(dm[~np.eye(len(cloud), dtype=bool)])
+    eps = off[int(quantile * len(off))]
+    if constant:
+        # equal weights: every tie in the solvers is met
+        psi = Potential("constant", (rng.uniform(-1, 1),))
+    else:
+        psi = Potential("explicit_table", tuple(rng.uniform(-1, 1) for _ in range(len(cloud))))
+    mode = "branch_and_bound"
+
+    sep = max_separated(cloud, sched, w, n, eps, mode=mode)
+    assert sep.exact and sep.method == mode
+    assert sep.lower_bound == oracle_max_separated(cloud, sched, w, n, eps)
+    span = min_spanning(cloud, sched, w, n, eps, mode=mode)
+    assert span.exact and span.method == mode
+    assert span.lower_bound == oracle_min_spanning(cloud, sched, w, n, eps)
+    p = partition_sum_separated(cloud, sched, w, n, psi, eps, mode=mode)
+    assert p.exact and p.log_value == pytest.approx(oracle_partition_separated(cloud, sched, w, n, psi, eps), abs=1e-12)
+    q = partition_sum_spanning(cloud, sched, w, n, psi, eps, mode=mode)
+    assert q.exact and q.log_value == pytest.approx(oracle_partition_spanning(cloud, sched, w, n, psi, eps), abs=1e-12)
 
 
 def test_sup_entropy_edge_cases():
