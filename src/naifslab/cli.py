@@ -30,7 +30,7 @@ from .naifs import (
     validate_schedule,
 )
 from .pressure import PressureCurve, pressure_estimate, validate_eps_list
-from .space import SYMBOLIC, PointCloud, Potential, SpaceSpec, build_cloud
+from .space import SYMBOLIC, PointCloud, Potential, SpaceSpec, build_cloud, validate_potential
 from .theorems import (
     InequalityReport,
     VIOLATED,
@@ -175,21 +175,31 @@ def _schema_check(raw: dict) -> None:
         raise ConfigError(f"config field {e.json_path}: {e.message}")
 
 
-def _space_from(d: dict) -> SpaceSpec:
+# The largest n a config may ask for.  An orbit of n steps holds n + 1
+# copies of the cloud, and every n is one pressure solve per word and eps.
+N_MAX_LIMIT = 1024
+
+# what building a space, a schedule, a potential or a factor from values
+# that passed the schema can raise: integers past the float range overflow
+# a float conversion
+_VALUE_ERRORS = (ValueError, OverflowError)
+
+
+def _cloud_from(d: dict, path: str) -> PointCloud:
     kwargs = dict(family=d["family"])
-    if "resolution" in d:
-        kwargs["resolution"] = d["resolution"]
-    if "alphabet_size" in d:
-        kwargs["alphabet_size"] = d["alphabet_size"]
-    if "distance_matrix" in d:
-        kwargs["distance_matrix"] = tuple(tuple(row) for row in d["distance_matrix"])
     try:
-        return SpaceSpec(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"config field $.space: {e}") from e
+        if "resolution" in d:
+            kwargs["resolution"] = int(d["resolution"])
+        if "alphabet_size" in d:
+            kwargs["alphabet_size"] = int(d["alphabet_size"])
+        if "distance_matrix" in d:
+            kwargs["distance_matrix"] = tuple(tuple(row) for row in d["distance_matrix"])
+        return build_cloud(SpaceSpec(**kwargs))
+    except _VALUE_ERRORS as e:
+        raise ConfigError(f"config field {path}: {e}") from e
 
 
-def _schedule_from(d: dict) -> GenerationSchedule:
+def _schedule_from(d: dict, path: str = "$.schedule") -> GenerationSchedule:
     def gen(maps):
         return tuple(MapSpec(kind=m["kind"], params=tuple(m.get("params", ()))) for m in maps)
 
@@ -198,15 +208,24 @@ def _schedule_from(d: dict) -> GenerationSchedule:
             prefix=tuple(gen(g) for g in d.get("prefix", [])),
             cycle=tuple(gen(g) for g in d["cycle"]),
         )
-    except ValueError as e:
-        raise ConfigError(f"config field $.schedule: {e}") from e
-
-
-def _potential_from(d: dict, path: str) -> Potential:
-    try:
-        return Potential(kind=d["kind"], params=tuple(d.get("params", ())))
-    except ValueError as e:
+    except _VALUE_ERRORS as e:
         raise ConfigError(f"config field {path}: {e}") from e
+
+
+def _potential_from(d: dict, path: str, space: SpaceSpec | None) -> Potential:
+    try:
+        psi = Potential(kind=d["kind"], params=tuple(d.get("params", ())))
+        if space is not None:
+            validate_potential(space, psi)
+    except _VALUE_ERRORS as e:
+        raise ConfigError(f"config field {path}: {e}") from e
+    return psi
+
+
+def _tol_from(value, path: str) -> float | None:
+    if value is not None and not 0.0 <= value < math.inf:
+        raise ConfigError(f"config field {path}: the tolerance must be finite and >= 0, got {value!r}")
+    return value
 
 
 @dataclass
@@ -235,19 +254,19 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _schema_check(raw)
-        space = _space_from(raw["space"])
+        cloud = _cloud_from(raw["space"], "$.space")
+        space = cloud.space
         schedule = _schedule_from(raw["schedule"])
         try:
             validate_schedule(space, schedule)
-        except ValueError as e:
+        except _VALUE_ERRORS as e:
             raise ConfigError(f"config field $.schedule: {e}") from e
-        cloud = build_cloud(space)
-        lo, hi = raw["n_range"]
-        if not 1 <= lo <= hi:
-            raise ConfigError("config field $.n_range: need 1 <= lo <= hi")
+        lo, hi = (int(v) for v in raw["n_range"])
+        if not 1 <= lo <= hi <= N_MAX_LIMIT:
+            raise ConfigError(f"config field $.n_range: need 1 <= lo <= hi <= {N_MAX_LIMIT}")
         try:
             eps_list = validate_eps_list(raw["eps_list"])
-        except ValueError as e:
+        except _VALUE_ERRORS as e:
             raise ConfigError(f"config field $.eps_list: {e}") from e
         if space.family == SYMBOLIC:
             needed = hi + math.log2(1.0 / eps_list[-1])
@@ -259,43 +278,48 @@ class ExperimentConfig:
         factor = None
         if "factor" in raw:
             fd = raw["factor"]
-            tspace = _space_from(fd["space"])
-            tschedule = _schedule_from(fd["schedule"])
+            tcloud = _cloud_from(fd["space"], "$.factor.space")
+            tschedule = _schedule_from(fd["schedule"], "$.factor.schedule")
             try:
-                validate_schedule(tspace, tschedule)
-            except ValueError as e:
+                validate_schedule(tcloud.space, tschedule)
+            except _VALUE_ERRORS as e:
                 raise ConfigError(f"config field $.factor.schedule: {e}") from e
             try:
                 factor = FactorMapSpec(
                     source=NAIFS(cloud=cloud, schedule=schedule),
-                    target=NAIFS(cloud=build_cloud(tspace), schedule=tschedule),
+                    target=NAIFS(cloud=tcloud, schedule=tschedule),
                     kind=fd["kind"],
                     table=tuple(fd["table"]) if "table" in fd else None,
                     fiber_tol=fd.get("fiber_tol"),
                 )
-            except ValueError as e:
+            except _VALUE_ERRORS as e:
                 raise ConfigError(f"config field $.factor: {e}") from e
         checks = raw.get("checks", [])
         for idx, chk in enumerate(checks):
             if chk["type"] in ("semiconjugacy", "factor_lower", "factor_upper", "conjugacy") and factor is None:
                 raise ConfigError(f"config field $.checks[{idx}]: check {chk['type']!r} requires a factor")
+            _tol_from(chk.get("tol"), f"$.checks[{idx}].tol")
         return cls(
             mode=raw["mode"],
             cloud=cloud,
             schedule=schedule,
-            potential=_potential_from(raw["potential"], "$.potential"),
+            potential=_potential_from(raw["potential"], "$.potential", space),
             n_range=list(range(lo, hi + 1)),
             eps_list=eps_list,
-            word_budget=raw["word_budget"],
-            seed=raw["seed"],
+            word_budget=int(raw["word_budget"]),
+            seed=int(raw["seed"]),
             kind=raw.get("kind", "separated"),
-            potential_phi=_potential_from(raw["potential_phi"], "$.potential_phi") if "potential_phi" in raw else None,
-            potential_target=_potential_from(raw["potential_target"], "$.potential_target") if "potential_target" in raw else None,
+            potential_phi=_potential_from(raw["potential_phi"], "$.potential_phi", space) if "potential_phi" in raw else None,
+            # potential_target lives on the factor's target; no check reads it without one
+            potential_target=(
+                _potential_from(raw["potential_target"], "$.potential_target", factor.target.cloud.space if factor else None)
+                if "potential_target" in raw else None
+            ),
             factor=factor,
             checks=checks,
-            sweep_resolutions=list(raw.get("sweep", {}).get("resolutions", [])),
-            workers=raw.get("workers", 1),
-            tol=raw.get("tol"),
+            sweep_resolutions=[int(r) for r in raw.get("sweep", {}).get("resolutions", [])],
+            workers=int(raw.get("workers", 1)),
+            tol=_tol_from(raw.get("tol"), "$.tol"),
             output_dir=raw.get("output_dir", "out"),
             raw=raw,
         )
@@ -453,8 +477,7 @@ def _run_sweep(config: ExperimentConfig, out: Path) -> int:
         raw_space.pop("distance_matrix", None)
         if raw_space["family"] == "finite_explicit":
             raise ConfigError("config field $.sweep: finite_explicit spaces cannot be resolution-swept")
-        space = _space_from(raw_space)
-        cloud = build_cloud(space)
+        cloud = _cloud_from(raw_space, "$.sweep.resolutions")
         for k, eps in enumerate(config.eps_list):
             curve = pressure_estimate(
                 cloud, config.schedule, config.potential, config.n_range, [eps],

@@ -59,6 +59,9 @@ _KIND_FAMILIES = {
     "symbol_substitution_table": (SYMBOLIC,),
 }
 
+# parameter counts of the map kinds with fixed-size parameters
+_KIND_ARITY = {"affine_mod1": 2, "affine_clamped": 2, "rotation": 1}
+
 WORD_ENUMERATION_CAP = 2_000_000
 
 
@@ -124,6 +127,9 @@ def validate_map(space, m: Map) -> None:
         return
     if space.family not in _KIND_FAMILIES[m.kind]:
         raise ValueError(f"map kind {m.kind!r} is not valid on a {space.family} space")
+    arity = _KIND_ARITY.get(m.kind)
+    if arity is not None and len(m.params) != arity:
+        raise ValueError(f"map kind {m.kind!r} takes {arity} parameters, got {len(m.params)}")
     if m.kind == "permutation_table":
         table = [int(v) for v in m.params]
         if sorted(table) != list(range(space.resolution)):
@@ -396,6 +402,8 @@ class FactorMapSpec:
             self.table = tuple(int(v) for v in self.table)
             if len(self.table) != len(self.source.cloud):
                 raise ValueError("index_table length must match the source cloud")
+            if any(not 0 <= v < len(self.target.cloud) for v in self.table):
+                raise ValueError("index_table values must be target cloud indices")
         if self.kind == "binary_expansion":
             if self.source.cloud.space.family != SYMBOLIC or self.target.cloud.space.family != CIRCLE:
                 raise ValueError("binary_expansion maps a symbolic space onto a circle grid")
@@ -404,6 +412,8 @@ class FactorMapSpec:
                 raise ValueError("coordinate_projection needs matching space families")
         if self.fiber_tol is None:
             self.fiber_tol = default_fiber_tol(self.target.cloud)
+        elif not 0.0 <= self.fiber_tol < math.inf:
+            raise ValueError(f"fiber_tol must be finite and >= 0, got {self.fiber_tol!r}")
 
 
 def default_fiber_tol(target_cloud: PointCloud) -> float:
@@ -507,45 +517,62 @@ def _is_surjective(factor: FactorMapSpec, pi_batch: np.ndarray) -> bool:
     return all(canonical_key(tgt.space, p) in hit for p in tgt.points)
 
 
-def reachable_points(cloud: PointCloud, schedule: GenerationSchedule, steps: int, cap: int = 2_000_000) -> list:
-    """Cloud points plus everything map applications can reach in <= steps.
+def reachable_batches(cloud: PointCloud, schedule: GenerationSchedule, steps: int, cap: int = 2_000_000) -> list[np.ndarray]:
+    """Cloud points plus everything map applications can reach in <= steps,
+    as point batches of distinct points in first-occurrence order.
 
-    Deterministic insertion order; used to tabulate derived potentials and
-    to take sup norms over the effective phase space.
+    A symbolic space gets one batch per word length (shift and
+    length-preserving maps may coexist in a generation); the other
+    families get one batch.  Used to tabulate derived potentials and to
+    take sup norms over the effective phase space.
     """
     space = cloud.space
-    seen: dict = {}
-    frontier: list = []
-    for p in cloud.points:
-        key = canonical_key(space, p)
-        if key not in seen:
-            seen[key] = p
-            frontier.append(p)
+    start = cloud.batch()
+    start = start[_first_occurrences(start)]
+    seen = {_width(start): start}
+    total = len(start)
+    frontier = [start]
     for j in range(1, steps + 1):
         # generations differ over time, so the frontier holds everything
         # reachable in exactly j-1 steps (deduplicated within the step only;
         # a revisited point still needs expansion by later generations)
-        step_seen: dict = {}
-        # symbolic frontiers can mix word lengths once shift and
-        # length-preserving maps coexist in a generation; batch per length
-        for group in _length_groups(space, frontier):
-            batch = points_to_batch(space, group)
+        images: dict[int, list[np.ndarray]] = {}
+        for batch in frontier:
             for m in generation_at(schedule, j):
-                for p in batch_to_points(space, apply_map(space, m, batch)):
-                    key = canonical_key(space, p)
-                    if key not in step_seen:
-                        step_seen[key] = p
-                        seen.setdefault(key, p)
-        if len(seen) > cap:
+                image = apply_map(space, m, batch)
+                images.setdefault(_width(image), []).append(image)
+        frontier = []
+        for width in sorted(images):
+            step = np.concatenate(images[width])
+            step = step[_first_occurrences(step)]
+            frontier.append(step)
+            old = seen.get(width)
+            if old is None:
+                seen[width] = step
+                total += len(step)
+            else:
+                # old rows are distinct, so they keep their places and only
+                # rows of this step that old lacks are appended
+                both = np.concatenate([old, step])
+                seen[width] = both[_first_occurrences(both)]
+                total += len(seen[width]) - len(old)
+        if total > cap:
             raise ValueError(f"reachable point set exceeded cap {cap}")
-        frontier = list(step_seen.values())
     return list(seen.values())
 
 
-def _length_groups(space, points: list) -> list[list]:
-    if space.family != SYMBOLIC:
-        return [points] if points else []
-    groups: dict[int, list] = {}
-    for p in points:
-        groups.setdefault(len(p), []).append(p)
-    return [groups[k] for k in sorted(groups)]
+def reachable_points(cloud: PointCloud, schedule: GenerationSchedule, steps: int, cap: int = 2_000_000) -> list:
+    """The points of reachable_batches as a list."""
+    space = cloud.space
+    return [p for batch in reachable_batches(cloud, schedule, steps, cap) for p in batch_to_points(space, batch)]
+
+
+def _width(batch: np.ndarray) -> int:
+    """Word length of a symbolic batch; 0 for the other families."""
+    return batch.shape[1] if batch.ndim == 2 else 0
+
+
+def _first_occurrences(batch: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct point."""
+    _, first = np.unique(batch, axis=0 if batch.ndim == 2 else None, return_index=True)
+    return np.sort(first)

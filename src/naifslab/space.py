@@ -17,6 +17,7 @@ the grid only seeds candidate sets for the extremal-set solvers.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
@@ -44,6 +45,11 @@ POTENTIAL_KINDS = (
 TRIANGLE_EXHAUSTIVE_LIMIT = 64
 TRIANGLE_SAMPLE_COUNT = 10_000
 TRIANGLE_SAMPLE_SEED = 20260810
+
+# build_cloud refuses spaces with more points.  Greedy solves are quadratic
+# in the cloud size: the 4096-point doubling_circle example takes seconds,
+# so 2**18 points would take hours.
+CLOUD_POINT_LIMIT = 1 << 18
 
 
 class MetricError(ValueError):
@@ -153,6 +159,13 @@ class PointCloud:
 
 def build_cloud(spec: SpaceSpec) -> PointCloud:
     """Materialize the candidate point set of a space."""
+    if spec.family == SYMBOLIC:
+        # compared in log2, so that huge alphabets and depths cost nothing
+        too_many = spec.resolution * math.log2(spec.alphabet_size) > math.log2(CLOUD_POINT_LIMIT)
+    else:
+        too_many = spec.resolution > CLOUD_POINT_LIMIT
+    if too_many:
+        raise ValueError(f"the space has more than CLOUD_POINT_LIMIT = {CLOUD_POINT_LIMIT} points")
     if spec.family == INTERVAL:
         n = spec.resolution
         pts = tuple(k / (n - 1) for k in range(n))
@@ -199,11 +212,13 @@ def points_to_batch(space: SpaceSpec, points: Sequence) -> np.ndarray:
 
 
 def batch_to_points(space: SpaceSpec, batch: np.ndarray) -> list:
+    # tolist() yields Python ints and floats
+    rows = np.asarray(batch).tolist()
     if space.family == SYMBOLIC:
-        return [tuple(int(s) for s in row) for row in batch]
+        return [tuple(row) for row in rows]
     if space.family == FINITE:
-        return [int(v) for v in batch]
-    return [float(v) for v in batch]
+        return [int(v) for v in rows]
+    return [float(v) for v in rows]
 
 
 def _circle_dist(t: np.ndarray) -> np.ndarray:
@@ -335,6 +350,23 @@ class Potential:
             object.__setattr__(self, "params", tuple(float(v) for v in self.params))
 
 
+def validate_potential(space: SpaceSpec, psi: Potential) -> None:
+    """Refuse a potential that cannot be evaluated at the points of the space."""
+    fam = space.family
+    if psi.kind == "first_symbol_table":
+        if fam != SYMBOLIC:
+            raise ValueError(f"first_symbol_table needs a symbolic_depth space, not {fam}")
+        if len(psi.params) < space.alphabet_size:
+            raise ValueError(f"first_symbol_table needs one value per symbol: {len(psi.params)} values for {space.alphabet_size} symbols")
+    elif psi.kind in ("coordinate_affine", "piecewise_linear") and fam == SYMBOLIC:
+        raise ValueError(f"{psi.kind} needs real coordinates; a symbolic_depth space has words")
+    elif psi.kind == "explicit_table" and not isinstance(psi.params, Mapping):
+        if fam != FINITE:
+            raise ValueError(f"a list-form explicit_table indexes finite_explicit point ids, not {fam} points")
+        if len(psi.params) < space.resolution:
+            raise ValueError(f"explicit_table needs one value per point: {len(psi.params)} values for {space.resolution} points")
+
+
 def eval_potential(psi: Potential, x) -> float:
     """Evaluate the potential at a single point."""
     if psi.kind == "constant":
@@ -356,6 +388,8 @@ def eval_potential(psi: Potential, x) -> float:
         if key not in table:
             raise KeyError(f"explicit_table has no entry for point {key!r}")
         return float(table[key])
+    if not isinstance(x, (int, np.integer)):
+        raise ValueError(f"a list-form explicit_table indexes finite_explicit point ids, got {type(x).__name__}")
     xi = int(x)
     if not 0 <= xi < len(table):
         raise KeyError(f"explicit_table has no entry for point id {xi}")
@@ -390,6 +424,8 @@ def eval_potential_batch(space: SpaceSpec, psi: Potential, batch: np.ndarray) ->
                 raise KeyError(f"explicit_table has no entry for point {key!r}")
             out[i] = table[key]
         return out
+    if space.family != FINITE:
+        raise ValueError(f"a list-form explicit_table indexes finite_explicit point ids, not {space.family} points")
     arr = np.asarray(table, dtype=float)
     idx = np.asarray(batch, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= len(arr)):
@@ -410,9 +446,11 @@ def _fast_table_eval(space: SpaceSpec, psi: Potential, batch: np.ndarray) -> np.
         if depth * _symbol_bits(m) > _CHUNK_BITS:
             return None
         if depth not in cache:
-            keys = sorted(k for k in table if len(k) == depth)
+            keys = [k for k in table if len(k) == depth]
             codes = pack_words(np.asarray(keys, dtype=_symbol_dtype(m)).reshape(len(keys), depth), m)[0]
-            cache[depth] = (codes, np.array([table[k] for k in keys], dtype=float))
+            # codes of equal-length words sort in lexicographic word order
+            order = np.argsort(codes, kind="stable")
+            cache[depth] = (codes[order], np.array([table[k] for k in keys], dtype=float)[order])
         codes, vals = cache[depth]
         query = pack_words(batch, m)[0]
     elif space.family in (INTERVAL, CIRCLE):

@@ -31,6 +31,7 @@ from .naifs import (
     fiber_indices,
     generation_at,
     power_system,
+    reachable_batches,
     reachable_points,
     truncate_system,
 )
@@ -48,7 +49,6 @@ from .pressure import (
 )
 from .space import (
     FINITE,
-    SYMBOLIC,
     PointCloud,
     Potential,
     SpaceSpec,
@@ -57,7 +57,6 @@ from .space import (
     eval_potential,
     eval_potential_batch,
     paired_distances,
-    points_to_batch,
 )
 
 log = logging.getLogger("naifslab.theorems")
@@ -506,42 +505,66 @@ def default_semiconjugacy_tol(factor: FactorMapSpec, n_max: int) -> float:
 def pullback_potential(factor: FactorMapSpec, phi_on_target: Potential, n_max: int) -> Potential:
     """Tabulate phi o pi over every source point reachable within n_max steps."""
     src = factor.source
-    reach = reachable_points(src.cloud, src.schedule, n_max)
-    space = src.cloud.space
     table: dict = {}
-    groups: dict[int, list] = {}
-    if space.family == SYMBOLIC:
-        for pt in reach:
-            groups.setdefault(len(pt), []).append(pt)
-    else:
-        groups[0] = reach
-    for pts in groups.values():
-        batch = points_to_batch(space, pts)
-        images = apply_factor_batch(factor, batch)
-        values = eval_potential_batch(factor.target.cloud.space, phi_on_target, images)
-        for pt, v in zip(pts, values):
-            table[canonical_key(space, pt)] = float(v)
+    for batch in reachable_batches(src.cloud, src.schedule, n_max):
+        values = eval_potential_batch(factor.target.cloud.space, phi_on_target, apply_factor_batch(factor, batch))
+        # tolist() gives the canonical keys: ints, floats, or int lists that
+        # become word tuples
+        keys = batch.tolist()
+        table.update(zip(map(tuple, keys) if batch.ndim == 2 else keys, np.asarray(values, dtype=float).tolist()))
     return Potential("explicit_table", table)
 
 
-def _factor_setup(factor: FactorMapSpec, phi_on_target: Potential, n_range: Sequence[int], eps_list: Sequence[float], tol: float | None, semi_tol: float | None) -> tuple:
+# The factor checks of one run share their set-up and curves through a memo
+# held on the FactorMapSpec (which is not changed after construction).  Each
+# key holds every input that reaches its entry; phi enters by identity, and
+# the entry keeps a reference to phi so that its id is not reused.
+
+
+def _factor_memo(factor: FactorMapSpec, key: tuple, compute):
+    memo = getattr(factor, "_memo", None)
+    if memo is None:
+        memo = factor._memo = {}
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _semiconjugacy(factor: FactorMapSpec, tol: float):
+    return _factor_memo(factor, ("semiconjugacy", tol), lambda: check_semiconjugacy(factor, tol))
+
+
+def _pullback(factor: FactorMapSpec, phi_on_target: Potential, n_max: int) -> Potential:
+    key = ("pullback", id(phi_on_target), n_max)
+    return _factor_memo(factor, key, lambda: (phi_on_target, pullback_potential(factor, phi_on_target, n_max)))[1]
+
+
+def _factor_setup(factor: FactorMapSpec, n_range: Sequence[int], eps_list: Sequence[float], tol: float | None, semi_tol: float | None) -> tuple:
     """Shared start of the factor checks: validated eps list and n values, a
-    passed semiconjugacy, the proxy tolerance and the pullback phi o pi."""
+    passed semiconjugacy and the proxy tolerance."""
     eps_list = validate_eps_list(eps_list)
     ns = sorted(set(int(v) for v in n_range))
-    semi = check_semiconjugacy(factor, default_semiconjugacy_tol(factor, ns[-1]) if semi_tol is None else semi_tol)
+    semi = _semiconjugacy(factor, default_semiconjugacy_tol(factor, ns[-1]) if semi_tol is None else semi_tol)
     if not semi.passed:
         raise ValueError(f"semiconjugacy check failed: {semi.detail}")
     if tol is None:
         tol = default_proxy_tol(ns[-1], max(len(factor.source.cloud), len(factor.target.cloud)))
-    return eps_list, ns, semi, tol, pullback_potential(factor, phi_on_target, ns[-1])
+    return eps_list, ns, semi, tol
 
 
-def _factor_estimates(factor: FactorMapSpec, phi_on_target: Potential, pulled: Potential, n_values: list[int], eps_list: list[float], **kw) -> tuple:
-    """Pressure curves of phi on the target and of its pullback on the source."""
-    est_t = pressure_estimate(factor.target.cloud, factor.target.schedule, phi_on_target, n_values, eps_list, **kw)
-    est_s = pressure_estimate(factor.source.cloud, factor.source.schedule, pulled, n_values, eps_list, **kw)
-    return est_t, est_s
+def _factor_estimates(factor: FactorMapSpec, phi_on_target: Potential, n_values: list[int], eps_list: list[float], word_budget: int | None, seed: int, mode: str, workers: int) -> tuple:
+    """Pressure curves of phi on the target and of its pullback on the
+    source; the pullback is tabulated to max(n_values) steps."""
+
+    def compute():
+        kw = dict(word_budget=word_budget, seed=seed, mode=mode, workers=workers)
+        pulled = _pullback(factor, phi_on_target, max(n_values))
+        est_t = pressure_estimate(factor.target.cloud, factor.target.schedule, phi_on_target, n_values, eps_list, **kw)
+        est_s = pressure_estimate(factor.source.cloud, factor.source.schedule, pulled, n_values, eps_list, **kw)
+        return phi_on_target, (est_t, est_s)
+
+    key = ("curves", id(phi_on_target), tuple(n_values), tuple(eps_list), word_budget, seed, mode, workers)
+    return _factor_memo(factor, key, compute)[1]
 
 
 def check_factor_lower(
@@ -558,10 +581,10 @@ def check_factor_lower(
 ) -> InequalityReport:
     """Target pressure of phi is bounded by source pressure of the pullback
     phi o pi (proxy level).  Requires a verified semiconjugacy."""
-    eps_list, ns, semi, tol, pulled = _factor_setup(factor, phi_on_target, n_range, eps_list, tol, semi_tol)
+    eps_list, ns, semi, tol = _factor_setup(factor, n_range, eps_list, tol, semi_tol)
 
     def estimates(n_values):
-        return _factor_estimates(factor, phi_on_target, pulled, n_values, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
+        return _factor_estimates(factor, phi_on_target, n_values, eps_list, word_budget, seed, mode, workers)
 
     (est_t, est_s), escalated = _escalated(ns, estimates, lambda e: e[1].estimate - e[0].estimate, tol)
     return _proxy_report(
@@ -603,8 +626,8 @@ def check_factor_conjugacy(
     equality of pressures; emitted as both one-sided reports plus the
     symmetric equality report."""
     _invert_factor(factor)  # raises unless the factor is a bijection
-    eps_list, ns, _, tol, pulled = _factor_setup(factor, phi_on_target, n_range, eps_list, tol, None)
-    est_t, est_s = _factor_estimates(factor, phi_on_target, pulled, ns, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
+    eps_list, ns, _, tol = _factor_setup(factor, n_range, eps_list, tol, None)
+    est_t, est_s = _factor_estimates(factor, phi_on_target, ns, eps_list, word_budget, seed, mode, workers)
     exact = est_t.all_exact and est_s.all_exact
     base = _ctx(n_range=tuple(ns), tol=tol)
     return [
@@ -636,7 +659,7 @@ def check_factor_upper(
     eq_tgt = check_equicontinuity(factor.target.cloud, factor.target.schedule, eps_list)
     if not (eq_src.passed and eq_tgt.passed):
         raise ValueError("equicontinuity check failed for one of the systems")
-    eps_list, ns, _, tol, pulled = _factor_setup(factor, phi_on_target, n_range, eps_list, tol, semi_tol)
+    eps_list, ns, _, tol = _factor_setup(factor, n_range, eps_list, tol, semi_tol)
 
     tgt_cloud = factor.target.cloud
     count = max(1, min(fiber_sample, len(tgt_cloud)))
@@ -657,10 +680,10 @@ def check_factor_upper(
         h_exact = h_exact and h.all_exact
         h_term = max(h_term, h.estimate)
 
-    var_diag = _oscillation(factor.source.cloud, pulled, 2.0 * eps_list[-1])
+    var_diag = _oscillation(factor.source.cloud, _pullback(factor, phi_on_target, ns[-1]), 2.0 * eps_list[-1])
 
     def estimates(n_values):
-        return _factor_estimates(factor, phi_on_target, pulled, n_values, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
+        return _factor_estimates(factor, phi_on_target, n_values, eps_list, word_budget, seed, mode, workers)
 
     (est_t, est_s), escalated = _escalated(ns, estimates, lambda e: e[0].estimate + h_term - e[1].estimate, tol)
     return _proxy_report(
@@ -778,7 +801,7 @@ def semiconjugacy_report(factor: FactorMapSpec, n_max: int, tol: float | None = 
     n_max unless tol is given."""
     if tol is None:
         tol = default_semiconjugacy_tol(factor, n_max)
-    semi = check_semiconjugacy(factor, tol)
+    semi = _semiconjugacy(factor, tol)
     return InequalityReport(
         name="factor/semiconjugacy", lhs=semi.max_deviation, rhs=tol, slack=tol - semi.max_deviation,
         verdict=HOLDS_WITHIN_TOL if semi.passed else VIOLATED, level=FINITE_LEVEL, context=semi.detail,

@@ -119,3 +119,53 @@ def oracle_sup_bowen(cloud, schedule, n, x, y):
                 b = compose(cloud, schedule, w, start, t, y)
                 best = max(best, distance(cloud, a, b))
     return best
+
+
+def oracle_reachable_points(cloud, schedule, steps):
+    """Cloud points plus everything reachable in <= steps, by a breadth-first
+    search over point tuples keyed by canonical_key: each step's frontier is
+    deduplicated within the step only, so a revisited point is still
+    expanded by the later generations."""
+    from naifslab.naifs import apply_map, generation_at
+    from naifslab.space import SYMBOLIC, batch_to_points, canonical_key, points_to_batch
+
+    space = cloud.space
+    seen = {}
+    frontier = []
+    for p in cloud.points:
+        if canonical_key(space, p) not in seen:
+            seen[canonical_key(space, p)] = p
+            frontier.append(p)
+    for j in range(1, steps + 1):
+        step_seen = {}
+        groups = {}
+        for p in frontier:
+            groups.setdefault(len(p) if space.family == SYMBOLIC else 0, []).append(p)
+        for length in sorted(groups):
+            batch = points_to_batch(space, groups[length])
+            for m in generation_at(schedule, j):
+                for p in batch_to_points(space, apply_map(space, m, batch)):
+                    key = canonical_key(space, p)
+                    if key not in step_seen:
+                        step_seen[key] = p
+                        seen.setdefault(key, p)
+        frontier = list(step_seen.values())
+    return list(seen.values())
+
+
+def oracle_pullback_table(factor, phi_on_target, n_max):
+    """phi o pi tabulated point by point over oracle_reachable_points."""
+    from naifslab.naifs import apply_factor_batch
+    from naifslab.space import SYMBOLIC, canonical_key, eval_potential_batch, points_to_batch
+
+    space = factor.source.cloud.space
+    table = {}
+    groups = {}
+    for p in oracle_reachable_points(factor.source.cloud, factor.source.schedule, n_max):
+        groups.setdefault(len(p) if space.family == SYMBOLIC else 0, []).append(p)
+    for pts in groups.values():
+        images = apply_factor_batch(factor, points_to_batch(space, pts))
+        values = eval_potential_batch(factor.target.cloud.space, phi_on_target, images)
+        for p, v in zip(pts, values):
+            table[canonical_key(space, p)] = float(v)
+    return table

@@ -1,9 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from naifslab import Potential, SpaceSpec, eval_potential
 from naifslab.catalog import EXAMPLE_CONFIGS, list_builtin
 from naifslab.cli import ConfigError, ExperimentConfig, main, run
+from naifslab.space import eval_potential_batch
 
 TINY_ESTIMATE = {
     "mode": "estimate",
@@ -174,3 +181,173 @@ def test_config_workers_reach_run(tmp_path, monkeypatch):
     assert main(["run", str(path)]) == 0
     assert main(["run", str(path), "--workers", "2"]) == 0
     assert seen == [3, 2]
+
+
+def _example(name, **changes):
+    raw = json.loads(json.dumps(EXAMPLE_CONFIGS[name]))
+    raw.update(changes)
+    return raw
+
+
+# potentials that do not fit their space: unchecked, each fails at run time
+# (exit 3) or evaluates params[int(x)] on a grid (exit 0 with wrong numbers)
+MISMATCHED_POTENTIALS = {
+    "short_explicit_table": dict(potential={"kind": "explicit_table", "params": [0.1]}),
+    "first_symbol_on_finite": dict(potential={"kind": "first_symbol_table", "params": [0.0, 1.0]}),
+    "explicit_table_on_circle": dict(
+        space={"family": "circle_grid", "resolution": 8},
+        schedule={"cycle": [[{"kind": "doubling"}]]},
+        potential={"kind": "explicit_table", "params": [0.5] * 8},
+    ),
+    "short_first_symbol_table": dict(
+        space={"family": "symbolic_depth", "resolution": 8, "alphabet_size": 3},
+        schedule={"cycle": [[{"kind": "shift"}]]},
+        potential={"kind": "first_symbol_table", "params": [0.0, 1.0]},
+        eps_list=[0.25],
+        n_range=[1, 3],
+    ),
+    "affine_on_words": dict(
+        space={"family": "symbolic_depth", "resolution": 8, "alphabet_size": 2},
+        schedule={"cycle": [[{"kind": "shift"}]]},
+        potential={"kind": "coordinate_affine", "params": [1.0, 0.0]},
+        eps_list=[0.25],
+        n_range=[1, 3],
+    ),
+    "phi_short_table": dict(potential_phi={"kind": "explicit_table", "params": [0.0]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_POTENTIALS))
+def test_mismatched_potential_is_a_config_error(tmp_path, capsys, case):
+    raw = _example("two_point_swap", mode="estimate", output_dir=str(tmp_path / "out"), **MISMATCHED_POTENTIALS[case])
+    raw.pop("checks", None)
+    with pytest.raises(ConfigError, match="potential"):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--workers", "1"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_target_potential_is_checked_against_the_target_space(tmp_path):
+    # the factor's target is a two-point space: a first-symbol table and a
+    # one-entry table do not fit it, a two-entry table does
+    for bad in ({"kind": "first_symbol_table", "params": [0.0, 1.0]}, {"kind": "explicit_table", "params": [0.0]}):
+        with pytest.raises(ConfigError, match="potential_target"):
+            ExperimentConfig.from_dict(_example("four_point_quotient", potential_target=bad))
+    good = ExperimentConfig.from_dict(_example("four_point_quotient", potential_target={"kind": "explicit_table", "params": [0.0, 1.0]}))
+    assert good.potential_target.params == (0.0, 1.0)
+
+
+def test_list_table_refused_off_finite_spaces():
+    pot = Potential("explicit_table", (0.5, 0.25))
+    with pytest.raises(ValueError, match="finite_explicit"):
+        eval_potential(pot, 0.75)
+    with pytest.raises(ValueError, match="finite_explicit"):
+        eval_potential_batch(SpaceSpec("circle_grid", 8), pot, np.array([0.0, 0.75]))
+    assert eval_potential(pot, 1) == 0.25
+
+
+def _get(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _set(raw, path, value):
+    _get(raw, path[:-1])[path[-1]] = value
+    return raw
+
+
+# values that pass the schema but are malformed or out of range; unchecked,
+# they raise other errors, exhaust memory or run with wrong numbers
+SCHEMA_VALID_BAD_VALUES = {
+    "huge_circle": ("doubling_circle", ("space", "resolution"), 2**40),
+    "huge_alphabet": ("shift_pressure", ("space", "alphabet_size"), 10**30),
+    "huge_n": ("doubling_circle", ("n_range", 1), 10**12),
+    "eps_past_float_range": ("doubling_circle", ("eps_list", 0), 10**400),
+    "matrix_past_float_range": ("two_point_swap", ("space", "distance_matrix", 0, 1), 10**400),
+    "table_outside_target": ("four_point_quotient", ("factor", "table", 3), 7),
+    "negative_table_entry": ("four_point_quotient", ("factor", "table", 3), -1),
+    "nan_fiber_tol": ("four_point_quotient", ("factor", "fiber_tol"), float("nan")),
+    "nan_tol": ("four_point_quotient", ("tol",), float("nan")),
+    "negative_check_tol": ("four_point_quotient", ("checks", 0, "tol"), -1.0),
+    "rotation_without_angle": ("doubling_circle", ("schedule", "cycle", 0, 0), {"kind": "rotation"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_VALID_BAD_VALUES))
+def test_schema_valid_bad_values_are_config_errors(tmp_path, case):
+    name, path, value = SCHEMA_VALID_BAD_VALUES[case]
+    raw = _set(_example(name), path, value)
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_integral_floats_read_as_integers():
+    raw = _example("shift_pressure", n_range=[1.0, 3.0], word_budget=8.0, seed=5.0, workers=1.0)
+    raw["space"] = {"family": "symbolic_depth", "resolution": 8.0, "alphabet_size": 2.0}
+    config = ExperimentConfig.from_dict(raw)
+    assert len(config.cloud) == 256 and config.n_range == [1, 2, 3]
+    assert (config.word_budget, config.seed, config.workers) == (8, 5, 1)
+    assert all(type(v) is int for v in (config.word_budget, config.seed, config.workers, config.cloud.space.resolution))
+
+
+# ---------------------------------------------------------------------------
+# fuzzing from_dict: a malformed config is a config error, never another one
+
+# Most random JSON fails the schema, so a third of the mutations write a
+# number: the schema passes integral floats as integers, integers past the
+# float range overflow a float conversion, and sizes can be huge
+_NUMBERS = (
+    st.integers(-3, 40) | st.integers(-3, 40).map(float) | st.integers() | st.floats()
+    | st.sampled_from([2**40, 10**30, 10**400])
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | _NUMBERS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _value_paths(node, prefix=()):
+    """Paths to every value inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _value_paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    raw = _example(draw(st.sampled_from(sorted(EXAMPLE_CONFIGS))))
+    for _ in range(draw(st.integers(1, 2))):
+        action = draw(st.sampled_from(["drop", "json", "number"]))
+        paths = list(_value_paths(raw))
+        if action == "number":
+            paths = [p for p in paths if isinstance(_get(raw, p), (int, float))] or paths
+        path = draw(st.sampled_from(paths))
+        parent = _get(raw, path[:-1])
+        if action == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON if action == "json" else _NUMBERS)
+    return raw
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_configs())
+def test_fuzzed_configs_raise_only_config_error(raw):
+    try:
+        ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        pass
+    else:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(Path(tmp) / "out")]) == 2

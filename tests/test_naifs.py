@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from naifslab import (
     FactorMapSpec,
@@ -25,7 +25,9 @@ from naifslab import (
     sup_bowen_distance,
     truncate_system,
 )
-from oracles import oracle_bowen, oracle_sup_bowen
+from naifslab.naifs import reachable_batches, reachable_points
+from naifslab.space import canonical_key
+from oracles import oracle_bowen, oracle_reachable_points, oracle_sup_bowen
 
 ID = MapSpec("identity")
 SWAP2 = MapSpec("permutation_table", (1, 0))
@@ -374,3 +376,77 @@ def test_bowen_distance_is_a_metric():
                 assert dxy > 0
             for z in pts:
                 assert dxy <= bowen_distance(cloud, sched, w, 3, x, z) + bowen_distance(cloud, sched, w, 3, z, y) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reachable sets: numpy batches against the tuple breadth-first search
+
+_FAMILY_MAPS = {
+    "circle_grid": st.sampled_from(
+        [MapSpec("doubling"), MapSpec("rotation", (0.25,)), MapSpec("affine_mod1", (3.0, 0.5)), ID]
+    ),
+    "interval_grid": st.sampled_from([MapSpec("tent"), MapSpec("affine_clamped", (0.5, 0.25)), ID]),
+}
+
+
+@st.composite
+def _reachable_instances(draw):
+    family = draw(st.sampled_from(["circle_grid", "interval_grid", "symbolic_depth", "finite_explicit"]))
+    if family == "symbolic_depth":
+        m = draw(st.integers(2, 3))
+        space = SpaceSpec(family, draw(st.integers(3, 6)), alphabet_size=m)
+        # shift next to substitutions: one step yields words of two lengths
+        maps = st.sampled_from([MapSpec("shift"), ID]) | st.lists(st.integers(0, m - 1), min_size=m, max_size=m).map(
+            lambda t: MapSpec("symbol_substitution_table", tuple(t))
+        )
+        max_steps = space.resolution
+    elif family == "finite_explicit":
+        n = draw(st.integers(2, 8))
+        dm = tuple(tuple(0.0 if i == j else 1.0 for j in range(n)) for i in range(n))
+        space = SpaceSpec(family, distance_matrix=dm)
+        maps = st.permutations(range(n)).map(lambda p: MapSpec("permutation_table", tuple(p)))
+        max_steps = 4
+    else:
+        space = SpaceSpec(family, draw(st.integers(3, 24)))
+        maps, max_steps = _FAMILY_MAPS[family], 5
+    gens = st.lists(maps, min_size=1, max_size=3).map(tuple)
+    schedule = GenerationSchedule(
+        prefix=tuple(draw(st.lists(gens, max_size=1))), cycle=tuple(draw(st.lists(gens, min_size=1, max_size=2)))
+    )
+    return build_cloud(space), schedule, draw(st.integers(0, max_steps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reachable_instances())
+def test_reachable_batches_match_tuple_search(instance):
+    cloud, schedule, steps = instance
+    space = cloud.space
+    expected = {canonical_key(space, p) for p in oracle_reachable_points(cloud, schedule, steps)}
+    batches = reachable_batches(cloud, schedule, steps)
+    points = reachable_points(cloud, schedule, steps)
+    assert len(points) == len(expected) and {canonical_key(space, p) for p in points} == expected
+    assert sum(len(b) for b in batches) == len(expected)
+    if space.family == "symbolic_depth":
+        widths = [b.shape[1] for b in batches]
+        assert len(set(widths)) == len(widths)
+
+
+def test_reachable_batches_shift_and_substitution_mix_word_lengths():
+    cloud = build_cloud(SpaceSpec("symbolic_depth", 4, alphabet_size=2))
+    flip = MapSpec("symbol_substitution_table", (1, 0))
+    schedule = GenerationSchedule(prefix=(), cycle=((MapSpec("shift"), flip),))
+    batches = reachable_batches(cloud, schedule, 2)
+    # 16 words of length 4, 8 of length 3 (shifted), 4 of length 2
+    assert sorted((b.shape[1], len(b)) for b in batches) == [(2, 4), (3, 8), (4, 16)]
+    assert len(oracle_reachable_points(cloud, schedule, 2)) == 28
+
+
+def test_reachable_batches_circle_doubling_revisits():
+    cloud = build_cloud(SpaceSpec("circle_grid", 16))
+    schedule = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
+    (batch,) = reachable_batches(cloud, schedule, 4)
+    # doubling maps the dyadic 16-point grid into itself exactly: every step
+    # revisits cloud points and nothing new is reached
+    assert list(batch) == list(cloud.batch())
+    with pytest.raises(ValueError, match="cap"):
+        reachable_batches(cloud, GenerationSchedule(prefix=(), cycle=((MapSpec("rotation", (0.01,)),),)), 2, cap=20)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -23,7 +24,21 @@ from naifslab import (
     power_system,
     run_finite_inequality_suite,
 )
-from naifslab.theorems import FINITE_LEVEL, HOLDS_EXACT, PROXY_LEVEL, VIOLATED, random_explicit_instance
+from naifslab.catalog import EXAMPLE_CONFIGS
+from naifslab.cli import ExperimentConfig, _run_checks, main
+from naifslab.space import eval_potential_batch
+from naifslab.theorems import (
+    FINITE_LEVEL,
+    HOLDS_EXACT,
+    INCONCLUSIVE,
+    PROXY_LEVEL,
+    VIOLATED,
+    _factor_estimates,
+    pullback_potential,
+    random_explicit_instance,
+    semiconjugacy_report,
+)
+from oracles import oracle_pullback_table
 
 ID = MapSpec("identity")
 SWAP2 = MapSpec("permutation_table", (1, 0))
@@ -212,3 +227,130 @@ def test_verdict_helpers_respect_exactness():
     assert _proxy_verdict(-1.0, 0.5, exact_inputs=False) == INCONCLUSIVE
     assert _proxy_verdict(-1.0, 0.5, exact_inputs=True) == VIOLATED
     assert _proxy_verdict(-0.2, 0.5, exact_inputs=False) == "holds_within_tol"
+
+
+# ---------------------------------------------------------------------------
+# the pullback table, the per-run factor memo and escalated factor checks
+
+
+def _shift_to_doubling(depth, circle, n_max, **changes):
+    """The shift_to_doubling_factor example at a given size, as a raw config."""
+    raw = json.loads(json.dumps(EXAMPLE_CONFIGS["shift_to_doubling_factor"]))
+    raw["space"]["resolution"] = depth
+    raw["factor"]["space"]["resolution"] = circle
+    raw["n_range"] = [1, n_max]
+    raw.update(changes)
+    return raw
+
+
+def _hex_table(table):
+    return {k: float(v).hex() for k, v in table.items()}
+
+
+@pytest.mark.parametrize("alphabet", [2, 3])
+def test_pullback_table_matches_pointwise_oracle(alphabet):
+    depth = 6 if alphabet == 2 else 4
+    src_cloud = build_cloud(SpaceSpec("symbolic_depth", depth, alphabet_size=alphabet))
+    relabel = MapSpec("symbol_substitution_table", tuple((s + 1) % alphabet for s in range(alphabet)))
+    # shift next to a relabelling: the reachable set mixes word lengths
+    src = NAIFS(src_cloud, GenerationSchedule((), ((MapSpec("shift"), relabel),)))
+    tgt = NAIFS(build_cloud(SpaceSpec("circle_grid", 64)), GenerationSchedule((), ((MapSpec("doubling"), ID),)))
+    factor = FactorMapSpec(source=src, target=tgt, kind="binary_expansion")
+    phi = Potential("coordinate_affine", (1.7, -0.3))
+    for n_max in (0, 1, 3):
+        pulled = pullback_potential(factor, phi, n_max)
+        assert _hex_table(pulled.params) == _hex_table(oracle_pullback_table(factor, phi, n_max))
+
+
+def test_pullback_table_matches_oracle_on_finite_and_circle_factors():
+    phi = Potential("explicit_table", (0.25, -1.5))
+    assert _hex_table(pullback_potential(quotient_factor(), phi, 3).params) == _hex_table(
+        oracle_pullback_table(quotient_factor(), phi, 3)
+    )
+    c = NAIFS(build_cloud(SpaceSpec("circle_grid", 10)), GenerationSchedule((), ((MapSpec("rotation", (0.05,)),),)))
+    proj = FactorMapSpec(source=c, target=c, kind="coordinate_projection")
+    wave = Potential("piecewise_linear", (0.0, 1.0, -0.5))
+    assert _hex_table(pullback_potential(proj, wave, 4).params) == _hex_table(oracle_pullback_table(proj, wave, 4))
+
+
+def test_symbolic_table_lookup_sorts_packed_codes():
+    cloud = build_cloud(SpaceSpec("symbolic_depth", 5, alphabet_size=3))
+    rng = random.Random(3)
+    words = list(cloud.points)
+    rng.shuffle(words)
+    pot = Potential("explicit_table", {w: rng.uniform(-1, 1) for w in words})
+    vals = eval_potential_batch(cloud.space, pot, cloud.batch())
+    assert [v.hex() for v in vals] == [float(pot.params[w]).hex() for w in cloud.points]
+    codes, _ = pot._table_cache[5]
+    assert np.all(codes[1:] > codes[:-1])
+
+
+def test_factor_checks_of_one_run_share_setup_and_curves(monkeypatch):
+    import naifslab.theorems as theorems
+    calls = {"pressure_estimate": 0, "pullback_potential": 0, "check_semiconjugacy": 0}
+
+    def counted(name):
+        original = getattr(theorems, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(theorems, name, counted(name))
+    raw = _shift_to_doubling(10, 256, 3)
+    reports = _run_checks(ExperimentConfig.from_dict(raw))
+    assert calls == {"pressure_estimate": 2, "pullback_potential": 1, "check_semiconjugacy": 1}
+    assert [r.name for r in reports] == ["factor/semiconjugacy", "factor/pullback-lower", "factor/fiber-upper"]
+
+    # each check on a factor of its own reads the same numbers
+    for check, report in zip(("factor_lower", "factor_upper"), reports[1:]):
+        fresh = ExperimentConfig.from_dict(dict(raw, checks=[c for c in raw["checks"] if c["type"] == check]))
+        assert _run_checks(fresh) == [report]
+
+
+def test_escalated_factor_lower_tabulates_the_deeper_pullback():
+    config = ExperimentConfig.from_dict(_shift_to_doubling(10, 1024, 3))
+    rep = check_factor_lower(config.factor, ZERO, config.n_range, config.eps_list, word_budget=config.word_budget, seed=config.seed, tol=1e-3)
+    assert "escalated=True" in rep.context
+    assert rep.verdict == INCONCLUSIVE
+
+
+def test_escalated_factor_upper_through_the_cli(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_shift_to_doubling(10, 256, 3)))
+    assert main(["run", str(path), "--tol", "0.001", "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "verdicts.csv").read_text().splitlines()
+    upper = [r for r in rows if r.startswith("factor/fiber-upper")]
+    assert len(upper) == 1 and "escalated=True" in upper[0] and INCONCLUSIVE in upper[0]
+
+
+def test_factor_memo_keys_hold_every_input():
+    # one factor serves calls that differ in one input each; its curves and
+    # reports must equal those of a factor that has seen no other call
+    shared = quotient_factor()
+    phi = Potential("explicit_table", (0.3, -0.2))
+    base = dict(n_values=[1, 2, 3, 4, 5], eps_list=[0.5], word_budget=8, seed=1, mode="auto", workers=1)
+    variants = [
+        {},
+        {"n_values": [1, 2, 3]},
+        {"eps_list": [0.3]},
+        {"word_budget": 16},
+        {"seed": 2},
+        {"mode": "greedy"},
+        {"phi": Potential("explicit_table", (0.3, -0.2))},
+        {"phi": Potential("explicit_table", (-0.4, 0.1))},
+    ]
+    for change in variants:
+        kw = dict(base, **change)
+        pot = kw.pop("phi", phi)
+        n_values, eps_list, word_budget, seed, mode, workers = kw.values()
+        args = (pot, n_values, eps_list, word_budget, seed, mode, workers)
+        assert _factor_estimates(shared, *args) == _factor_estimates(quotient_factor(), *args), change
+        check_kw = dict(n_range=n_values, eps_list=eps_list, word_budget=word_budget, seed=seed, mode=mode)
+        for check in (check_factor_lower, check_factor_upper):
+            assert check(shared, pot, **check_kw) == check(quotient_factor(), pot, **check_kw), (check.__name__, change)
+    for tol in (None, 1e-3):
+        assert semiconjugacy_report(shared, 5, tol) == semiconjugacy_report(quotient_factor(), 5, tol)
