@@ -228,6 +228,38 @@ def _tol_from(value, path: str) -> float | None:
     return value
 
 
+def _check_from(chk: dict, path: str, eps_default: float) -> dict:
+    """One check with its parameters read, range-checked and defaulted; the
+    runner reads these values only."""
+    kind = chk["type"]
+    out = {"type": kind, "tol": _tol_from(chk.get("tol"), f"{path}.tol")}
+    try:
+        if kind == "basic":
+            out.update(n=int(chk.get("n", 2)), eps=float(chk.get("eps", eps_default)))
+            out.update(p=float(chk.get("p", 0.5)), c=float(chk.get("c", 2.0)))
+        elif kind == "power":
+            out.update(n=int(chk.get("n", 2)), m_range=tuple(int(m) for m in chk.get("m_range", (1, 2))))
+        elif kind == "truncation":
+            out.update(i=int(chk.get("i", 1)), j=int(chk.get("j", 2)))
+        elif kind == "factor_upper":
+            out.update(fiber_sample=int(chk.get("fiber_sample", 8)))
+    except OverflowError as e:
+        raise ConfigError(f"config field {path}: {e}") from e
+    n, (m_lo, m_hi), i, j = out.get("n", 1), out.get("m_range", (1, 1)), out.get("i", 1), out.get("j", 2)
+    for name, ok, need in (
+        ("n", 1 <= n <= N_MAX_LIMIT, f"1 <= n <= {N_MAX_LIMIT}"),
+        ("m_range", 1 <= m_lo <= m_hi and n * m_hi <= N_MAX_LIMIT, f"1 <= m_lo <= m_hi and n * m_hi <= {N_MAX_LIMIT}"),
+        ("i", 1 <= i, "i >= 1"),
+        ("j", i < j <= N_MAX_LIMIT, f"i < j <= {N_MAX_LIMIT}"),
+        ("p", 0.0 <= out.get("p", 0.0) <= 1.0, "0 <= p <= 1"),
+        ("eps", 0.0 < out.get("eps", 1.0) < math.inf, "a finite eps > 0"),
+        ("c", math.isfinite(out.get("c", 0.0)), "a finite c"),
+    ):
+        if not ok:
+            raise ConfigError(f"config field {path}.{name}: need {need}, got {out[name]!r}")
+    return out
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed and validated experiment description."""
@@ -294,11 +326,11 @@ class ExperimentConfig:
                 )
             except _VALUE_ERRORS as e:
                 raise ConfigError(f"config field $.factor: {e}") from e
-        checks = raw.get("checks", [])
-        for idx, chk in enumerate(checks):
+        checks = []
+        for idx, chk in enumerate(raw.get("checks", [])):
             if chk["type"] in ("semiconjugacy", "factor_lower", "factor_upper", "conjugacy") and factor is None:
                 raise ConfigError(f"config field $.checks[{idx}]: check {chk['type']!r} requires a factor")
-            _tol_from(chk.get("tol"), f"$.checks[{idx}].tol")
+            checks.append(_check_from(chk, f"$.checks[{idx}]", eps_list[-1]))
         return cls(
             mode=raw["mode"],
             cloud=cloud,
@@ -399,36 +431,30 @@ def _run_checks(config: ExperimentConfig) -> list[InequalityReport]:
         if kind == "basic":
             reports.extend(
                 check_basic_properties(
-                    config.cloud,
-                    config.schedule,
-                    phi,
-                    config.potential,
-                    eps=chk.get("eps", config.eps_list[-1]),
-                    n=chk.get("n", 2),
-                    p=chk.get("p", 0.5),
-                    c=chk.get("c", 2.0),
+                    config.cloud, config.schedule, phi, config.potential,
+                    eps=chk["eps"], n=chk["n"], p=chk["p"], c=chk["c"],
                 )
             )
         elif kind == "power":
-            m_lo, m_hi = chk.get("m_range", [1, 2])
+            m_lo, m_hi = chk["m_range"]
             reports.extend(
                 check_power_rule(
                     config.cloud, config.schedule, config.potential,
-                    n=chk.get("n", 2), m_range=range(m_lo, m_hi + 1), eps_list=config.eps_list, **common,
+                    n=chk["n"], m_range=range(m_lo, m_hi + 1), eps_list=config.eps_list, **common,
                 )
             )
         elif kind == "truncation":
             reports.extend(
                 check_truncation_monotonicity(
                     config.cloud, config.schedule, config.potential,
-                    i=chk.get("i", 1), j=chk.get("j", 2),
+                    i=chk["i"], j=chk["j"],
                     n_range=config.n_range, eps_list=config.eps_list, **common,
                 )
             )
         elif kind == "equicontinuity":
             reports.append(equicontinuity_report(config.cloud, config.schedule, config.eps_list))
         elif kind == "semiconjugacy":
-            reports.append(semiconjugacy_report(config.factor, config.n_range[-1], chk.get("tol")))
+            reports.append(semiconjugacy_report(config.factor, config.n_range[-1], chk["tol"]))
         elif kind == "factor_lower":
             reports.append(
                 check_factor_lower(
@@ -441,7 +467,7 @@ def _run_checks(config: ExperimentConfig) -> list[InequalityReport]:
                 check_factor_upper(
                     config.factor, target_phi,
                     config.n_range, config.eps_list,
-                    fiber_sample=chk.get("fiber_sample", 8), **common,
+                    fiber_sample=chk["fiber_sample"], **common,
                 )
             )
         elif kind == "conjugacy":

@@ -444,13 +444,6 @@ def apply_factor_batch(factor: FactorMapSpec, batch: np.ndarray) -> np.ndarray:
     return batch.astype(np.float64) @ weights
 
 
-def apply_factor(factor: FactorMapSpec, x):
-    space = factor.source.cloud.space
-    pts = [tuple(x)] if space.family == SYMBOLIC else [x]
-    out = apply_factor_batch(factor, points_to_batch(space, pts))
-    return batch_to_points(factor.target.cloud.space, out)[0]
-
-
 def fiber_indices(factor: FactorMapSpec, y) -> list[int]:
     """Source cloud indices of the preimage of a target point.
 
@@ -523,8 +516,8 @@ def reachable_batches(cloud: PointCloud, schedule: GenerationSchedule, steps: in
 
     A symbolic space gets one batch per word length (shift and
     length-preserving maps may coexist in a generation); the other
-    families get one batch.  Used to tabulate derived potentials and to
-    take sup norms over the effective phase space.
+    families get one batch.  The pullback is tabulated over these points,
+    and the basic and power checks read potential ranges on them.
     """
     space = cloud.space
     start = cloud.batch()

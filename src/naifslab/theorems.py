@@ -32,10 +32,10 @@ from .naifs import (
     generation_at,
     power_system,
     reachable_batches,
-    reachable_points,
     truncate_system,
 )
 from .pressure import (
+    PressureCurve,
     _birkhoff_vector,
     _BowenOrbit,
     _logsumexp,
@@ -53,8 +53,6 @@ from .space import (
     Potential,
     SpaceSpec,
     build_cloud,
-    canonical_key,
-    eval_potential,
     eval_potential_batch,
     paired_distances,
 )
@@ -149,6 +147,12 @@ def _equality_report(name: str, lhs: float, rhs: float, tol: float, exact_inputs
     return InequalityReport(name=name, lhs=lhs, rhs=rhs, slack=rhs - lhs, verdict=verdict, level=PROXY_LEVEL, context=context)
 
 
+def _exact_curves(*curves: PressureCurve) -> bool:
+    """Whether comparisons of these curves may read violated: every entry
+    solved exactly and averaged over all words, not a Monte Carlo sample."""
+    return all(e.exact and e.word_mode == "exact" for curve in curves for e in curve.entries)
+
+
 def _escalated(ns: list[int], estimates, slack, tol: float):
     """estimates(ns), or, when its slack(...) falls below -tol, estimates over
     n_range extended by two steps; returns (estimates, escalated).  An
@@ -166,8 +170,27 @@ def _escalated(ns: list[int], estimates, slack, tol: float):
 # basic pressure properties at fixed (n, eps)
 
 
-def _table_potential(space: SpaceSpec, points: list, values: np.ndarray) -> Potential:
-    return Potential("explicit_table", {canonical_key(space, p): float(v) for p, v in zip(points, values)})
+def _derived_birkhoff(ctx: _BowenOrbit, phi: Potential, psi: Potential, p: float, c: float) -> dict[str, np.ndarray]:
+    """Birkhoff vectors of phi, psi and the potentials derived from them
+    pointwise.  phi and psi are evaluated once per step batch, and each
+    vector is summed step by step in _birkhoff_vector's order."""
+    space = ctx.cloud.space
+    S: dict[str, np.ndarray] = {}
+    for B in ctx.batches:
+        f = eval_potential_batch(space, phi, B)
+        g = eval_potential_batch(space, psi, B)
+        step = {
+            "phi": f, "psi": g, "dominating": np.maximum(f, g), "mix": p * f + (1.0 - p) * g, "phi_plus_c": f + c,
+            "c_phi": c * f, "phi_plus_psi": f + g, "abs_phi": np.abs(f), "neg_abs_phi": -np.abs(f), "zero": np.zeros_like(f),
+        }
+        for name, v in step.items():
+            S[name] = S.get(name, 0.0) + v
+    return S
+
+
+def _reachable_values(cloud: PointCloud, schedule: GenerationSchedule, pot: Potential, steps: int) -> np.ndarray:
+    """pot at every point reachable within steps."""
+    return np.concatenate([eval_potential_batch(cloud.space, pot, B) for B in reachable_batches(cloud, schedule, steps)])
 
 
 def check_basic_properties(
@@ -196,36 +219,21 @@ def check_basic_properties(
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    space = cloud.space
     words, word_mode, total = enumerate_words(schedule, 1, n, None, seed=0)
-    reach = reachable_points(cloud, schedule, n)
-    fphi = np.array([eval_potential(phi, pt) for pt in reach])
-    fpsi = np.array([eval_potential(psi, pt) for pt in reach])
-
-    derived = {
-        "phi": _table_potential(space, reach, fphi),
-        "psi": _table_potential(space, reach, fpsi),
-        "dominating": _table_potential(space, reach, np.maximum(fphi, fpsi)),
-        "mix": _table_potential(space, reach, p * fphi + (1.0 - p) * fpsi),
-        "phi_plus_c": _table_potential(space, reach, fphi + c),
-        "c_phi": _table_potential(space, reach, c * fphi),
-        "phi_plus_psi": _table_potential(space, reach, fphi + fpsi),
-        "abs_phi": _table_potential(space, reach, np.abs(fphi)),
-        "neg_abs_phi": _table_potential(space, reach, -np.abs(fphi)),
-        "zero": Potential("constant", (0.0,)),
-    }
+    fphi = _reachable_values(cloud, schedule, phi, n)
+    fpsi = _reachable_values(cloud, schedule, psi, n)
     dist_norm = float(np.max(np.abs(fphi - fpsi)))
     inf_phi, sup_phi = float(fphi.min()), float(fphi.max())
 
-    logP: dict[str, np.ndarray] = {name: np.zeros(len(words)) for name in derived}
+    sums: dict[str, list[float]] = {}
     exact_inputs = True
-    for wi, w in enumerate(words):
+    for w in words:
         ctx = _BowenOrbit(cloud, schedule, w, n)
-        for name, pot in derived.items():
-            S = _birkhoff_vector(ctx, pot)
+        for name, S in _derived_birkhoff(ctx, phi, psi, p, c).items():
             value, _, _, ok = _solve_separated_weighted(ctx, S, eps, mode)
-            logP[name][wi] = value
+            sums.setdefault(name, []).append(value)
             exact_inputs = exact_inputs and ok
+    logP = {name: np.array(vals) for name, vals in sums.items()}
 
     logW = math.log(len(words))
     avg = {name: _logsumexp(vals) - logW for name, vals in logP.items()}
@@ -341,9 +349,7 @@ def check_power_rule(
     if not ms or ms[0] < 1:
         raise ValueError("m_range must contain integers >= 1")
     eps_list = validate_eps_list(eps_list)
-    reach = reachable_points(cloud, schedule, n * ms[-1])
-    vals = np.array([eval_potential(psi, pt) for pt in reach])
-    if np.any(vals < 0.0):
+    if np.any(_reachable_values(cloud, schedule, psi, n * ms[-1]) < 0.0):
         raise ValueError("power-rule spanning transfer needs a nonnegative potential")
     pow_sched = power_system(schedule, n)
 
@@ -388,7 +394,7 @@ def check_power_rule(
             est_pow.estimate,
             n * est_base.estimate,
             tol,
-            est_base.all_exact and est_pow.all_exact,
+            _exact_curves(est_base, est_pow),
             _ctx(n=n, m_range=tuple(ms), tol=tol),
         )
     )
@@ -401,7 +407,7 @@ def check_power_rule(
         reports.append(
             _equality_report(
                 "power/constant-potential-equality", est_pow_scaled.estimate, n * est_base.estimate, tol,
-                est_base.all_exact and est_pow_scaled.all_exact, _ctx(n=n, c=const, tol=tol, equality=True),
+                _exact_curves(est_base, est_pow_scaled), _ctx(n=n, c=const, tol=tol, equality=True),
             )
         )
     return reports
@@ -484,7 +490,7 @@ def check_truncation_monotonicity(
     reports.insert(
         0,
         _proxy_report(
-            "truncation/monotonicity-proxy", est_i.estimate, est_j.estimate, tol, est_i.all_exact and est_j.all_exact,
+            "truncation/monotonicity-proxy", est_i.estimate, est_j.estimate, tol, _exact_curves(est_i, est_j),
             _ctx(i=i, j=j, n_range=tuple(ns), tol=tol, escalated=escalated),
         ),
     )
@@ -592,7 +598,7 @@ def check_factor_lower(
         est_t.estimate,
         est_s.estimate,
         tol,
-        est_t.all_exact and est_s.all_exact,
+        _exact_curves(est_t, est_s),
         _ctx(n_range=tuple(ns), eps_list=tuple(eps_list), tol=tol, semiconjugacy=semi.detail, escalated=escalated),
     )
 
@@ -628,7 +634,7 @@ def check_factor_conjugacy(
     _invert_factor(factor)  # raises unless the factor is a bijection
     eps_list, ns, _, tol = _factor_setup(factor, n_range, eps_list, tol, None)
     est_t, est_s = _factor_estimates(factor, phi_on_target, ns, eps_list, word_budget, seed, mode, workers)
-    exact = est_t.all_exact and est_s.all_exact
+    exact = _exact_curves(est_t, est_s)
     base = _ctx(n_range=tuple(ns), tol=tol)
     return [
         _proxy_report("factor/pullback-lower", est_t.estimate, est_s.estimate, tol, exact, base + ";direction='forward'"),
@@ -691,7 +697,7 @@ def check_factor_upper(
         est_s.estimate,
         est_t.estimate + h_term,
         tol,
-        est_s.all_exact and est_t.all_exact and h_exact,
+        _exact_curves(est_s, est_t) and h_exact,
         _ctx(
             n_range=tuple(ns),
             eps_list=tuple(eps_list),
@@ -716,17 +722,23 @@ def _fiber_eps_schedule(cloud: PointCloud, schedule: GenerationSchedule, fiber: 
     return out
 
 
+def _sample_pairs(n: int, pair_cap: int, seed: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Index pairs of distinct points: all pairs i < j when n * n <= pair_cap,
+    else pair_cap seeded draws less those with i = j.  The flag tells which."""
+    if n * n <= pair_cap:
+        return (*np.triu_indices(n, k=1), False)
+    rng = np.random.default_rng(seed)
+    ia = rng.integers(0, n, size=pair_cap)
+    ib = rng.integers(0, n, size=pair_cap)
+    keep = ia != ib
+    return ia[keep], ib[keep], True
+
+
 def _oscillation(cloud: PointCloud, pot: Potential, radius: float, pair_cap: int = 200_000, seed: int = 0) -> float:
     """sup |pot(x) - pot(y)| over sampled cloud pairs with d(x, y) < radius."""
-    n = len(cloud)
     batch = cloud.batch()
     vals = eval_potential_batch(cloud.space, pot, batch)
-    if n * n <= pair_cap:
-        ia, ib = np.triu_indices(n, k=1)
-    else:
-        rng = np.random.default_rng(seed)
-        ia = rng.integers(0, n, size=pair_cap)
-        ib = rng.integers(0, n, size=pair_cap)
+    ia, ib, _ = _sample_pairs(len(cloud), pair_cap, seed)
     d = paired_distances(cloud, batch[ia], batch[ib])
     close = d < radius
     if not close.any():
@@ -756,18 +768,8 @@ def check_equicontinuity(
     seed: int = 0,
 ) -> EquicontinuityReport:
     eps_list = validate_eps_list(eps_list)
-    n = len(cloud)
     batch = cloud.batch()
-    if n * n <= pair_cap:
-        ia, ib = np.triu_indices(n, k=1)
-        sampled = False
-    else:
-        rng = np.random.default_rng(seed)
-        ia = rng.integers(0, n, size=pair_cap)
-        ib = rng.integers(0, n, size=pair_cap)
-        keep = ia != ib
-        ia, ib = ia[keep], ib[keep]
-        sampled = True
+    ia, ib, sampled = _sample_pairs(len(cloud), pair_cap, seed)
     base = paired_distances(cloud, batch[ia], batch[ib])
     img_max = np.zeros_like(base)
     for j in range(1, schedule.horizon + 1):

@@ -169,3 +169,29 @@ def oracle_pullback_table(factor, phi_on_target, n_max):
         for p, v in zip(pts, values):
             table[canonical_key(space, p)] = float(v)
     return table
+
+
+def oracle_derived_birkhoff(ctx, schedule, n, phi, psi, p, c):
+    """The Birkhoff vectors of check_basic_properties' derived potentials by
+    the table path: phi and psi evaluated point by point over
+    oracle_reachable_points, each derived potential tabulated as an
+    explicit_table keyed by canonical_key and summed along ctx's orbits."""
+    import numpy as np
+
+    from naifslab.pressure import _birkhoff_vector
+    from naifslab.space import Potential, canonical_key
+
+    space = ctx.cloud.space
+    reach = oracle_reachable_points(ctx.cloud, schedule, n)
+    f = np.array([eval_potential(phi, pt) for pt in reach])
+    g = np.array([eval_potential(psi, pt) for pt in reach])
+    values = {
+        "phi": f, "psi": g, "dominating": np.maximum(f, g), "mix": p * f + (1.0 - p) * g, "phi_plus_c": f + c,
+        "c_phi": c * f, "phi_plus_psi": f + g, "abs_phi": np.abs(f), "neg_abs_phi": -np.abs(f),
+    }
+    out = {
+        name: _birkhoff_vector(ctx, Potential("explicit_table", {canonical_key(space, pt): float(v) for pt, v in zip(reach, vals)}))
+        for name, vals in values.items()
+    }
+    out["zero"] = _birkhoff_vector(ctx, Potential("constant", (0.0,)))
+    return out

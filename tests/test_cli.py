@@ -287,6 +287,45 @@ def test_schema_valid_bad_values_are_config_errors(tmp_path, case):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+# check parameters that pass the schema but that no check can run with
+BAD_CHECKS = {
+    "zero_n": {"type": "basic", "n": 0},
+    "p_above_one": {"type": "basic", "p": 1.5},
+    "zero_eps": {"type": "basic", "eps": 0},
+    "nan_eps": {"type": "basic", "eps": float("nan")},
+    "infinite_c": {"type": "basic", "c": float("inf")},
+    "i_after_j": {"type": "truncation", "i": 2, "j": 1},
+    "j_past_n_limit": {"type": "truncation", "j": 2000},
+    "reversed_m_range": {"type": "power", "m_range": [3, 1]},
+    "power_past_n_limit": {"type": "power", "n": 600, "m_range": [1, 2]},
+    "c_past_float_range": {"type": "basic", "c": 10**400},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKS))
+def test_bad_check_parameters_are_config_errors(tmp_path, case):
+    raw = _example("two_point_swap", checks=[BAD_CHECKS[case]])
+    with pytest.raises(ConfigError, match=r"\$\.checks\[0\]"):
+        ExperimentConfig.from_dict(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_check_parameters_are_parsed_with_defaults(tmp_path):
+    raw = _example("two_point_swap", checks=[
+        {"type": "basic", "n": 2.0}, {"type": "power", "n": 2.0, "m_range": [1.0, 2.0]}, {"type": "truncation"},
+    ])
+    basic, power, trunc = ExperimentConfig.from_dict(raw).checks
+    assert basic == {"type": "basic", "tol": None, "n": 2, "eps": raw["eps_list"][-1], "p": 0.5, "c": 2.0}
+    assert type(basic["n"]) is int and type(power["n"]) is int
+    assert power["m_range"] == (1, 2) and all(type(m) is int for m in power["m_range"])
+    assert (trunc["i"], trunc["j"]) == (1, 2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_integral_floats_read_as_integers():
     raw = _example("shift_pressure", n_range=[1.0, 3.0], word_budget=8.0, seed=5.0, workers=1.0)
     raw["space"] = {"family": "symbolic_depth", "resolution": 8.0, "alphabet_size": 2.0}

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naifslab import (
     FactorMapSpec,
@@ -20,12 +22,14 @@ from naifslab import (
     check_factor_upper,
     check_power_rule,
     check_truncation_monotonicity,
+    enumerate_words,
     growth_rate,
     power_system,
     run_finite_inequality_suite,
 )
 from naifslab.catalog import EXAMPLE_CONFIGS
 from naifslab.cli import ExperimentConfig, _run_checks, main
+from naifslab.pressure import CurveEntry, EpsSummary, PressureCurve, _BowenOrbit
 from naifslab.space import eval_potential_batch
 from naifslab.theorems import (
     FINITE_LEVEL,
@@ -33,12 +37,13 @@ from naifslab.theorems import (
     INCONCLUSIVE,
     PROXY_LEVEL,
     VIOLATED,
+    _derived_birkhoff,
     _factor_estimates,
     pullback_potential,
     random_explicit_instance,
     semiconjugacy_report,
 )
-from oracles import oracle_pullback_table
+from oracles import oracle_derived_birkhoff, oracle_pullback_table
 
 ID = MapSpec("identity")
 SWAP2 = MapSpec("permutation_table", (1, 0))
@@ -115,6 +120,19 @@ def test_power_rule_rejects_negative_potential():
     cloud, sched = two_point()
     with pytest.raises(ValueError, match="nonnegative"):
         check_power_rule(cloud, sched, Potential("explicit_table", (0.2, -0.1)), n=2, m_range=(1,), eps_list=[0.5])
+
+
+def test_power_rule_rejects_a_potential_negative_only_off_the_cloud():
+    cloud = build_cloud(SpaceSpec("interval_grid", 3))
+    # >= 0 on the cloud {0, 0.5, 1}, and -0.6 at x = 0.2, the image of 0
+    psi = Potential("piecewise_linear", (1.0, -1.0, 1.0, 1.0, 1.0))
+    assert min(eval_potential_batch(cloud.space, psi, cloud.batch())) >= 0.0
+    assert eval_potential_batch(cloud.space, psi, np.array([0.2]))[0] == pytest.approx(-0.6)
+    fixed = GenerationSchedule((), ((ID,),))
+    assert check_power_rule(cloud, fixed, psi, n=1, m_range=(1,), eps_list=[0.5], include_proxy=False)
+    moving = GenerationSchedule((), ((MapSpec("affine_clamped", (0.5, 0.2)),),))
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_power_rule(cloud, moving, psi, n=1, m_range=(1,), eps_list=[0.5], include_proxy=False)
 
 
 def test_power_rule_constant_equality_report():
@@ -216,6 +234,79 @@ def test_mini_random_suite_zero_violations():
     finite = [r for r in reports if r.level == FINITE_LEVEL]
     assert finite and all(r.verdict == HOLDS_EXACT for r in finite)
     assert not any(r.verdict == VIOLATED for r in reports)
+
+
+def _flat_curve(estimate, word_mode):
+    entry = CurveEntry(n=2, eps=0.5, log_avg=2 * estimate, value=estimate, stderr=0.1, word_mode=word_mode,
+                       method="exhaustive", exact=True, saturated=False)
+    summary = EpsSummary(eps=0.5, tail_max=estimate, ls_slope=estimate, max_step=estimate, estimate=estimate)
+    return PressureCurve(kind="separated", entries=[entry], per_eps=[summary], estimate=estimate, eps_star=0.5, all_exact=True)
+
+
+@pytest.mark.parametrize("word_mode, verdict", [("sampled", INCONCLUSIVE), ("exact", VIOLATED)])
+def test_sampled_curves_cannot_read_violated(monkeypatch, word_mode, verdict):
+    import naifslab.theorems as theorems
+
+    # the truncation at i reads 1.0 and the one at j reads 0.0: slack -1
+    estimates = iter([1.0, 0.0] * 2)
+    monkeypatch.setattr(theorems, "pressure_estimate", lambda *a, **kw: _flat_curve(next(estimates), word_mode))
+    cloud, sched = two_point()
+    reports = check_truncation_monotonicity(cloud, sched, ZERO, 1, 2, n_range=(2,), eps_list=[0.5], tol=0.1)
+    proxy = [r for r in reports if r.name == "truncation/monotonicity-proxy"][0]
+    assert proxy.slack == -1.0 and proxy.verdict == verdict
+
+
+_DERIVED_MAPS = {
+    "circle_grid": [MapSpec("doubling"), MapSpec("rotation", (0.25,)), MapSpec("affine_mod1", (3.0, 0.5)), ID],
+    "interval_grid": [MapSpec("tent"), MapSpec("affine_clamped", (0.5, 0.2)), ID],
+}
+_VALUES = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def _derived_instances(draw):
+    """A system of one of the four families with non-constant phi and psi."""
+    family = draw(st.sampled_from(["circle_grid", "interval_grid", "symbolic_depth", "finite_explicit"]))
+    n = draw(st.integers(1, 3))
+    if family == "symbolic_depth":
+        m = draw(st.integers(2, 3))
+        space = SpaceSpec(family, draw(st.integers(n + 1, 5)), alphabet_size=m)
+        maps = st.sampled_from([MapSpec("shift"), ID]) | st.lists(st.integers(0, m - 1), min_size=m, max_size=m).map(
+            lambda t: MapSpec("symbol_substitution_table", tuple(t))
+        )
+        pots = st.lists(_VALUES, min_size=m, max_size=m).map(lambda v: Potential("first_symbol_table", tuple(v)))
+    elif family == "finite_explicit":
+        k = draw(st.integers(2, 6))
+        space = SpaceSpec(family, distance_matrix=tuple(tuple(float(i != j) for j in range(k)) for i in range(k)))
+        maps = st.permutations(range(k)).map(lambda t: MapSpec("permutation_table", tuple(t)))
+        pots = st.lists(_VALUES, min_size=k, max_size=k).map(lambda v: Potential("explicit_table", tuple(v)))
+    else:
+        space = SpaceSpec(family, draw(st.integers(3, 16)))
+        maps = st.sampled_from(_DERIVED_MAPS[family])
+        pots = st.tuples(_VALUES, _VALUES).map(lambda ab: Potential("coordinate_affine", ab)) | st.lists(
+            _VALUES, min_size=2, max_size=5
+        ).map(lambda v: Potential("piecewise_linear", tuple(v)))
+    gens = st.lists(maps, min_size=1, max_size=2).map(tuple)
+    schedule = GenerationSchedule(
+        prefix=tuple(draw(st.lists(gens, max_size=1))), cycle=tuple(draw(st.lists(gens, min_size=1, max_size=2)))
+    )
+    p = draw(st.floats(0.0, 1.0))
+    c = draw(st.sampled_from([2.0, 0.5, 3.0, -1.0]) | _VALUES)
+    return build_cloud(space), schedule, n, draw(pots), draw(pots), p, c
+
+
+@settings(max_examples=120, deadline=None)
+@given(_derived_instances())
+def test_derived_birkhoff_vectors_match_the_table_path(instance):
+    cloud, schedule, n, phi, psi, p, c = instance
+    words, _, _ = enumerate_words(schedule, 1, n, None, seed=0)
+    for w in words[:3]:
+        ctx = _BowenOrbit(cloud, schedule, w, n)
+        new = _derived_birkhoff(ctx, phi, psi, p, c)
+        old = oracle_derived_birkhoff(ctx, schedule, n, phi, psi, p, c)
+        assert {k: [float(x).hex() for x in v] for k, v in new.items()} == {
+            k: [float(x).hex() for x in v] for k, v in old.items()
+        }
 
 
 def test_verdict_helpers_respect_exactness():
