@@ -27,6 +27,8 @@ from .naifs import (
     GenerationSchedule,
     MapSpec,
     NAIFS,
+    WORD_ENUMERATION_CAP,
+    count_words,
     validate_schedule,
 )
 from .pressure import PressureCurve, pressure_estimate, validate_eps_list
@@ -41,6 +43,7 @@ from .theorems import (
     check_power_rule,
     check_truncation_monotonicity,
     equicontinuity_report,
+    net_counting_length,
     semiconjugacy_report,
     summarize_reports,
 )
@@ -228,9 +231,10 @@ def _tol_from(value, path: str) -> float | None:
     return value
 
 
-def _check_from(chk: dict, path: str, eps_default: float) -> dict:
+def _check_from(chk: dict, path: str, eps_default: float, schedule: GenerationSchedule, n_max: int) -> dict:
     """One check with its parameters read, range-checked and defaulted; the
-    runner reads these values only."""
+    runner reads these values only.  A check that would enumerate more than
+    WORD_ENUMERATION_CAP words is refused here, before any is enumerated."""
     kind = chk["type"]
     out = {"type": kind, "tol": _tol_from(chk.get("tol"), f"{path}.tol")}
     try:
@@ -257,6 +261,13 @@ def _check_from(chk: dict, path: str, eps_default: float) -> dict:
     ):
         if not ok:
             raise ConfigError(f"config field {path}.{name}: need {need}, got {out[name]!r}")
+    # the basic, power and truncation checks enumerate every word of one length from these starts
+    name, length, starts = {
+        "basic": ("n", n, [1]), "power": ("m_range", n * m_hi, [1]), "truncation": ("j", net_counting_length(n_max), range(i, j)),
+    }.get(kind, ("", 0, []))
+    count = max((count_words(schedule, k, length) for k in starts), default=0)
+    if count > WORD_ENUMERATION_CAP:
+        raise ConfigError(f"config field {path}.{name}: the check enumerates {count} words, more than {WORD_ENUMERATION_CAP}")
     return out
 
 
@@ -330,7 +341,7 @@ class ExperimentConfig:
         for idx, chk in enumerate(raw.get("checks", [])):
             if chk["type"] in ("semiconjugacy", "factor_lower", "factor_upper", "conjugacy") and factor is None:
                 raise ConfigError(f"config field $.checks[{idx}]: check {chk['type']!r} requires a factor")
-            checks.append(_check_from(chk, f"$.checks[{idx}]", eps_list[-1]))
+            checks.append(_check_from(chk, f"$.checks[{idx}]", eps_list[-1], schedule, hi))
         return cls(
             mode=raw["mode"],
             cloud=cloud,

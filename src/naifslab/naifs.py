@@ -63,6 +63,8 @@ _KIND_FAMILIES = {
 _KIND_ARITY = {"affine_mod1": 2, "affine_clamped": 2, "rotation": 1}
 
 WORD_ENUMERATION_CAP = 2_000_000
+# words per start index that the sup metric d*_n enumerates at most
+SUP_WORD_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -198,13 +200,6 @@ class Word:
         return len(self.symbols)
 
 
-def validate_word(schedule: GenerationSchedule, w: Word) -> None:
-    for t, s in enumerate(w.symbols):
-        gen = generation_at(schedule, w.start + t)
-        if not 0 <= s < len(gen):
-            raise ValueError(f"word symbol {s} outside index set of generation {w.start + t}")
-
-
 def compose_batch(space, schedule: GenerationSchedule, w: Word, i: int, k: int, batch: np.ndarray) -> np.ndarray:
     """Apply f_w^{i,k} to a point batch (k = 0 is the identity)."""
     if k < 0:
@@ -223,8 +218,7 @@ def compose_batch(space, schedule: GenerationSchedule, w: Word, i: int, k: int, 
 def compose(cloud: PointCloud, schedule: GenerationSchedule, w: Word, i: int, k: int, x):
     """Pointwise f_w^{i,k}(x)."""
     space = cloud.space
-    pts = [tuple(x)] if space.family == SYMBOLIC else [x]
-    out = compose_batch(space, schedule, w, i, k, points_to_batch(space, pts))
+    out = compose_batch(space, schedule, w, i, k, points_to_batch(space, [x]))
     return batch_to_points(space, out)[0]
 
 
@@ -248,12 +242,11 @@ def bowen_distance(cloud: PointCloud, schedule: GenerationSchedule, w: Word, k: 
     if k > len(w):
         raise ValueError(f"k={k} exceeds word length {len(w)}")
     space = cloud.space
-    pts = [tuple(x), tuple(y)] if space.family == SYMBOLIC else [x, y]
-    steps = orbit_batches(space, schedule, w, k, points_to_batch(space, pts))
+    steps = orbit_batches(space, schedule, w, k, points_to_batch(space, [x, y]))
     return max(float(paired_distances(cloud, step[:1], step[1:2])[0]) for step in steps)
 
 
-def sup_bowen_distance(cloud: PointCloud, schedule: GenerationSchedule, n: int, x, y, word_cap: int = 200_000) -> float:
+def sup_bowen_distance(cloud: PointCloud, schedule: GenerationSchedule, n: int, x, y) -> float:
     """d*_n(x, y): sup over start indices and words of length n of the orbit max.
 
     The sup over all starts is exact as a max over one prefix+cycle horizon.
@@ -261,19 +254,18 @@ def sup_bowen_distance(cloud: PointCloud, schedule: GenerationSchedule, n: int, 
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     space = cloud.space
-    pts = [tuple(x), tuple(y)] if space.family == SYMBOLIC else [x, y]
-    steps = sup_orbit_batches(space, schedule, n, points_to_batch(space, pts), word_cap)
+    steps = sup_orbit_batches(space, schedule, n, points_to_batch(space, [x, y]))
     return max(float(paired_distances(cloud, step[:1], step[1:2])[0]) for step in steps)
 
 
-def sup_orbit_batches(space, schedule: GenerationSchedule, n: int, batch: np.ndarray, word_cap: int = 200_000) -> list[np.ndarray]:
+def sup_orbit_batches(space, schedule: GenerationSchedule, n: int, batch: np.ndarray) -> list[np.ndarray]:
     """The orbit batches of every start index of one prefix+cycle horizon and
     every word of length n, in one list: d*_n is the max distance over it."""
     steps: list[np.ndarray] = []
     for i in range(1, schedule.horizon + 1):
-        words, mode, _ = enumerate_words(schedule, i, n, word_cap, seed=0)
+        words, mode, _ = enumerate_words(schedule, i, n, SUP_WORD_CAP, seed=0)
         if mode != "exact":
-            raise ValueError("sup metric needs exhaustive words; raise word_cap")
+            raise ValueError(f"sup metric needs exhaustive words: more than SUP_WORD_CAP = {SUP_WORD_CAP} per start")
         for w in words:
             steps.extend(orbit_batches(space, schedule, w, n, batch, start=i))
     return steps
@@ -438,10 +430,13 @@ def apply_factor_batch(factor: FactorMapSpec, batch: np.ndarray) -> np.ndarray:
     # binary_expansion: truncated base-m expansion onto the circle
     m = factor.source.cloud.space.alphabet_size
     depth = batch.shape[1] if batch.ndim == 2 else 0
-    if depth == 0:
-        return np.zeros(batch.shape[0])
     weights = (1.0 / m) ** np.arange(1, depth + 1)
-    return batch.astype(np.float64) @ weights
+    # one column at a time, so that a row's value does not depend on the
+    # rest of its batch (a BLAS dot product rounds batch by batch)
+    out = np.zeros(batch.shape[0])
+    for k in range(depth):
+        out += batch[:, k] * weights[k]
+    return out
 
 
 def fiber_indices(factor: FactorMapSpec, y) -> list[int]:
@@ -516,8 +511,8 @@ def reachable_batches(cloud: PointCloud, schedule: GenerationSchedule, steps: in
 
     A symbolic space gets one batch per word length (shift and
     length-preserving maps may coexist in a generation); the other
-    families get one batch.  The pullback is tabulated over these points,
-    and the basic and power checks read potential ranges on them.
+    families get one batch.  The basic and power checks read potential
+    ranges on these points.
     """
     space = cloud.space
     start = cloud.batch()

@@ -153,14 +153,14 @@ def _tile_rows(n_cols: int) -> int:
     return max(1, _TILE_ELEMENTS // max(1, n_cols))
 
 
-def _sup_orbit(cloud: PointCloud, schedule: GenerationSchedule, n: int, indices: Sequence[int], word_cap: int = 200_000) -> _BowenOrbit:
+def _sup_orbit(cloud: PointCloud, schedule: GenerationSchedule, n: int, indices: Sequence[int]) -> _BowenOrbit:
     """Orbits of a point subset under every start index and word of length n;
     their distance is the sup metric d*_n."""
     if len(indices) > SUBSET_METRIC_LIMIT:
         raise ValueError(f"sup-metric subset of {len(indices)} points exceeds the limit {SUBSET_METRIC_LIMIT}")
     sub = cloud.batch()[np.asarray(indices, dtype=np.intp)]
     orbit = _BowenOrbit.__new__(_BowenOrbit)
-    orbit._set_steps(cloud, sup_orbit_batches(cloud.space, schedule, n, sub, word_cap))
+    orbit._set_steps(cloud, sup_orbit_batches(cloud.space, schedule, n, sub))
     return orbit
 
 
@@ -535,10 +535,8 @@ def birkhoff_sum(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: in
     if n > len(w):
         raise ValueError(f"n={n} exceeds word length {len(w)}")
     space = cloud.space
-    pts = [tuple(x)] if space.family == "symbolic_depth" else [x]
-    batch = points_to_batch(space, pts)
     total = 0.0
-    for step in orbit_batches(space, schedule, w, n, batch):
+    for step in orbit_batches(space, schedule, w, n, points_to_batch(space, [x])):
         total += float(eval_potential_batch(space, psi, step)[0])
     return total
 
@@ -874,7 +872,6 @@ def sup_entropy_estimate(
     n_range: Sequence[int],
     eps_list: Sequence[float],
     mode: str = "auto",
-    word_cap: int = 200_000,
 ) -> SupEntropyEstimate:
     """Growth rate of maximal separated sets of a subset under the sup metric
     d*_n (sup over start indices and words of the orbit maximum).
@@ -892,7 +889,7 @@ def sup_entropy_estimate(
     entries: list[SupEntropyEntry] = []
     sandwiches: list[SandwichCheck] = []
     for n in ns:
-        ctx = _sup_orbit(cloud, schedule, n, indices, word_cap=word_cap)
+        ctx = _sup_orbit(cloud, schedule, n, indices)
         zeros = np.zeros(ctx.n_points)
         for eps in eps_list:
             _, s_idx, s_method, s_exact = _solve_separated_weighted(ctx, zeros, eps, mode)

@@ -350,6 +350,15 @@ class Potential:
             object.__setattr__(self, "params", tuple(float(v) for v in self.params))
 
 
+@dataclass(frozen=True)
+class Pullback:
+    """phi o pi on a factor's source: ``pi`` maps a source batch into ``space``, where phi is evaluated."""
+
+    phi: Potential
+    space: SpaceSpec
+    pi: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+
+
 def validate_potential(space: SpaceSpec, psi: Potential) -> None:
     """Refuse a potential that cannot be evaluated at the points of the space."""
     fam = space.family
@@ -396,8 +405,10 @@ def eval_potential(psi: Potential, x) -> float:
     return float(table[xi])
 
 
-def eval_potential_batch(space: SpaceSpec, psi: Potential, batch: np.ndarray) -> np.ndarray:
+def eval_potential_batch(space: SpaceSpec, psi: Potential | Pullback, batch: np.ndarray) -> np.ndarray:
     """Vectorized potential evaluation over a point batch."""
+    if isinstance(psi, Pullback):
+        return eval_potential_batch(psi.space, psi.phi, psi.pi(batch))
     n = batch.shape[0]
     if psi.kind == "constant":
         return np.full(n, psi.params[0])
@@ -413,17 +424,7 @@ def eval_potential_batch(space: SpaceSpec, psi: Potential, batch: np.ndarray) ->
         return np.asarray(psi.params, dtype=float)[batch[:, 0]]
     table = psi.params
     if isinstance(table, Mapping):
-        fast = _fast_table_eval(space, psi, batch)
-        if fast is not None:
-            return fast
-        pts = batch_to_points(space, batch)
-        out = np.empty(n)
-        for i, p in enumerate(pts):
-            key = canonical_key(space, p)
-            if key not in table:
-                raise KeyError(f"explicit_table has no entry for point {key!r}")
-            out[i] = table[key]
-        return out
+        return np.array([eval_potential(psi, p) for p in batch_to_points(space, batch)], dtype=float)
     if space.family != FINITE:
         raise ValueError(f"a list-form explicit_table indexes finite_explicit point ids, not {space.family} points")
     arr = np.asarray(table, dtype=float)
@@ -431,43 +432,6 @@ def eval_potential_batch(space: SpaceSpec, psi: Potential, batch: np.ndarray) ->
     if idx.size and (idx.min() < 0 or idx.max() >= len(arr)):
         raise KeyError("explicit_table has no entry for a point id in the batch")
     return arr[idx]
-
-
-def _fast_table_eval(space: SpaceSpec, psi: Potential, batch: np.ndarray) -> np.ndarray | None:
-    """Vectorized lookup for mapping-backed tables (sorted-key search);
-    falls back to the pointwise path when keys cannot be packed."""
-    cache = getattr(psi, "_table_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(psi, "_table_cache", cache)
-    table = psi.params
-    if space.family == SYMBOLIC:
-        depth, m = batch.shape[1], space.alphabet_size
-        if depth * _symbol_bits(m) > _CHUNK_BITS:
-            return None
-        if depth not in cache:
-            keys = [k for k in table if len(k) == depth]
-            codes = pack_words(np.asarray(keys, dtype=_symbol_dtype(m)).reshape(len(keys), depth), m)[0]
-            # codes of equal-length words sort in lexicographic word order
-            order = np.argsort(codes, kind="stable")
-            cache[depth] = (codes[order], np.array([table[k] for k in keys], dtype=float)[order])
-        codes, vals = cache[depth]
-        query = pack_words(batch, m)[0]
-    elif space.family in (INTERVAL, CIRCLE):
-        if "f" not in cache:
-            keys = sorted(float(k) for k in table)
-            cache["f"] = (np.array(keys, dtype=float), np.array([table[k] for k in keys], dtype=float))
-        codes, vals = cache["f"]
-        query = np.asarray(batch, dtype=float)
-    else:
-        return None
-    if not len(codes):
-        raise KeyError("explicit_table has no entries at this word depth")
-    pos = np.searchsorted(codes, query)
-    clipped = np.minimum(pos, len(codes) - 1)
-    if np.any(codes[clipped] != query):
-        raise KeyError("explicit_table has no entry for a point in the batch")
-    return vals[clipped]
 
 
 def sup_norm(space: SpaceSpec, psi: Potential, points: Sequence) -> float:

@@ -299,6 +299,9 @@ BAD_CHECKS = {
     "reversed_m_range": {"type": "power", "m_range": [3, 1]},
     "power_past_n_limit": {"type": "power", "n": 600, "m_range": [1, 2]},
     "c_past_float_range": {"type": "basic", "c": 10**400},
+    # two maps per generation: 2**25 and 2**21 words, more than WORD_ENUMERATION_CAP
+    "basic_words_past_cap": {"type": "basic", "n": 25},
+    "power_words_past_cap": {"type": "power", "n": 7, "m_range": [1, 3]},
 }
 
 
@@ -310,6 +313,19 @@ def test_bad_check_parameters_are_config_errors(tmp_path, case):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     assert main(["verify", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_truncation_words_past_the_cap_are_a_config_error(tmp_path):
+    # 38**4 words of the net-counting length 4 at n_max = 6
+    raw = _example("two_point_swap", checks=[{"type": "truncation"}], schedule={"prefix": [], "cycle": [[{"kind": "identity"}] * 38]})
+    with pytest.raises(ConfigError, match=r"\$\.checks\[0\]\.j: the check enumerates 2085136 words"):
+        ExperimentConfig.from_dict(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    # 37**4 words fit
+    raw["schedule"]["cycle"][0].pop()
+    assert ExperimentConfig.from_dict(raw).checks[0]["type"] == "truncation"
 
 
 def test_check_parameters_are_parsed_with_defaults(tmp_path):

@@ -25,7 +25,7 @@ from naifslab import (
     sup_bowen_distance,
     truncate_system,
 )
-from naifslab.naifs import reachable_batches, reachable_points
+from naifslab.naifs import apply_factor_batch, reachable_batches, reachable_points
 from naifslab.space import canonical_key
 from oracles import oracle_bowen, oracle_reachable_points, oracle_sup_bowen
 
@@ -303,6 +303,20 @@ def test_semiconjugacy_binary_expansion():
     rep = check_semiconjugacy(factor, 2.0 ** (-(depth - 4)))
     assert rep.max_deviation <= 2.0 ** (-(depth - 4))
     assert rep.passed
+
+
+@pytest.mark.parametrize("alphabet,depth", [(3, 4), (3, 8), (5, 6)])
+def test_binary_expansion_of_a_row_does_not_depend_on_its_batch(alphabet, depth):
+    cloud = build_cloud(SpaceSpec("symbolic_depth", depth, alphabet_size=alphabet))
+    factor = FactorMapSpec(
+        source=NAIFS(cloud, GenerationSchedule((), ((MapSpec("shift"),),))),
+        target=NAIFS(circle(), GenerationSchedule((), ((MapSpec("doubling"),),))),
+        kind="binary_expansion",
+    )
+    batch = cloud.batch()
+    whole = apply_factor_batch(factor, batch)
+    alone = [apply_factor_batch(factor, batch[k : k + 1])[0] for k in range(len(batch))]
+    assert [v.hex() for v in whole] == [v.hex() for v in alone]
 
 
 def expansion_factor(words, n_target, fiber_tol=None):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from naifslab import (
 from naifslab.catalog import EXAMPLE_CONFIGS
 from naifslab.cli import ExperimentConfig, _run_checks, main
 from naifslab.pressure import CurveEntry, EpsSummary, PressureCurve, _BowenOrbit
-from naifslab.space import eval_potential_batch
+from naifslab.naifs import Word, orbit_batches, reachable_batches
+from naifslab.space import batch_to_points, canonical_key, eval_potential_batch
 from naifslab.theorems import (
     FINITE_LEVEL,
     HOLDS_EXACT,
@@ -309,6 +311,15 @@ def test_derived_birkhoff_vectors_match_the_table_path(instance):
         }
 
 
+@settings(max_examples=60, deadline=None)
+@given(_derived_instances(), st.lists(st.floats(1e-6, 2.0), min_size=1, max_size=3))
+def test_equicontinuity_always_passes(instance, eps_list):
+    # every pair that reaches eps > 0 is two distinct points, so no delta is 0
+    cloud, schedule, *_ = instance
+    eq = check_equicontinuity(cloud, schedule, sorted(set(eps_list), reverse=True))
+    assert eq.passed and all(delta > 0 for _, delta in eq.table)
+
+
 def test_verdict_helpers_respect_exactness():
     from naifslab.theorems import INCONCLUSIVE, _finite_verdict, _proxy_verdict
 
@@ -321,7 +332,7 @@ def test_verdict_helpers_respect_exactness():
 
 
 # ---------------------------------------------------------------------------
-# the pullback table, the per-run factor memo and escalated factor checks
+# the composed pullback, the per-run factor memo and escalated factor checks
 
 
 def _shift_to_doubling(depth, circle, n_max, **changes):
@@ -338,6 +349,16 @@ def _hex_table(table):
     return {k: float(v).hex() for k, v in table.items()}
 
 
+def _pulled_at_reachable_points(factor, phi, n_max):
+    """The composed pullback evaluated on each reachable batch, keyed by point."""
+    space = factor.source.cloud.space
+    pulled = pullback_potential(factor, phi)
+    table = {}
+    for batch in reachable_batches(factor.source.cloud, factor.source.schedule, n_max):
+        table.update(zip(map(partial(canonical_key, space), batch_to_points(space, batch)), eval_potential_batch(space, pulled, batch)))
+    return table
+
+
 @pytest.mark.parametrize("alphabet", [2, 3])
 def test_pullback_table_matches_pointwise_oracle(alphabet):
     depth = 6 if alphabet == 2 else 4
@@ -348,23 +369,39 @@ def test_pullback_table_matches_pointwise_oracle(alphabet):
     tgt = NAIFS(build_cloud(SpaceSpec("circle_grid", 64)), GenerationSchedule((), ((MapSpec("doubling"), ID),)))
     factor = FactorMapSpec(source=src, target=tgt, kind="binary_expansion")
     phi = Potential("coordinate_affine", (1.7, -0.3))
-    for n_max in (0, 1, 3):
-        pulled = pullback_potential(factor, phi, n_max)
-        assert _hex_table(pulled.params) == _hex_table(oracle_pullback_table(factor, phi, n_max))
+    for n_max in range(4):
+        assert _hex_table(_pulled_at_reachable_points(factor, phi, n_max)) == _hex_table(oracle_pullback_table(factor, phi, n_max))
 
 
 def test_pullback_table_matches_oracle_on_finite_and_circle_factors():
     phi = Potential("explicit_table", (0.25, -1.5))
-    assert _hex_table(pullback_potential(quotient_factor(), phi, 3).params) == _hex_table(
-        oracle_pullback_table(quotient_factor(), phi, 3)
-    )
     c = NAIFS(build_cloud(SpaceSpec("circle_grid", 10)), GenerationSchedule((), ((MapSpec("rotation", (0.05,)),),)))
     proj = FactorMapSpec(source=c, target=c, kind="coordinate_projection")
     wave = Potential("piecewise_linear", (0.0, 1.0, -0.5))
-    assert _hex_table(pullback_potential(proj, wave, 4).params) == _hex_table(oracle_pullback_table(proj, wave, 4))
+    for n_max in range(4):
+        for factor, pot in ((quotient_factor(), phi), (proj, wave)):
+            assert _hex_table(_pulled_at_reachable_points(factor, pot, n_max)) == _hex_table(oracle_pullback_table(factor, pot, n_max))
 
 
-def test_symbolic_table_lookup_sorts_packed_codes():
+def test_pullback_is_evaluated_deep_in_an_orbit_without_the_reachable_set(monkeypatch):
+    import naifslab.naifs as naifs
+    import naifslab.theorems as theorems
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pullback enumerated the reachable set")
+
+    for module in (naifs, theorems):
+        monkeypatch.setattr(module, "reachable_batches", refuse)
+    cloud = build_cloud(SpaceSpec("circle_grid", 4096))
+    rot = NAIFS(cloud, GenerationSchedule((), ((MapSpec("rotation", (0.1234567,)),),)))
+    proj = FactorMapSpec(source=rot, target=rot, kind="coordinate_projection")
+    wave = Potential("piecewise_linear", (0.0, 1.0, -0.5))
+    step = orbit_batches(cloud.space, rot.schedule, Word(1, (0,) * 500), 500, cloud.batch())[500]
+    values = eval_potential_batch(cloud.space, pullback_potential(proj, wave), step)
+    assert [v.hex() for v in values] == [v.hex() for v in eval_potential_batch(cloud.space, wave, step)]
+
+
+def test_symbolic_table_lookup_reads_shuffled_keys():
     cloud = build_cloud(SpaceSpec("symbolic_depth", 5, alphabet_size=3))
     rng = random.Random(3)
     words = list(cloud.points)
@@ -372,8 +409,6 @@ def test_symbolic_table_lookup_sorts_packed_codes():
     pot = Potential("explicit_table", {w: rng.uniform(-1, 1) for w in words})
     vals = eval_potential_batch(cloud.space, pot, cloud.batch())
     assert [v.hex() for v in vals] == [float(pot.params[w]).hex() for w in cloud.points]
-    codes, _ = pot._table_cache[5]
-    assert np.all(codes[1:] > codes[:-1])
 
 
 def test_factor_checks_of_one_run_share_setup_and_curves(monkeypatch):
@@ -393,7 +428,7 @@ def test_factor_checks_of_one_run_share_setup_and_curves(monkeypatch):
         monkeypatch.setattr(theorems, name, counted(name))
     raw = _shift_to_doubling(10, 256, 3)
     reports = _run_checks(ExperimentConfig.from_dict(raw))
-    assert calls == {"pressure_estimate": 2, "pullback_potential": 1, "check_semiconjugacy": 1}
+    assert calls == {"pressure_estimate": 2, "pullback_potential": 2, "check_semiconjugacy": 1}
     assert [r.name for r in reports] == ["factor/semiconjugacy", "factor/pullback-lower", "factor/fiber-upper"]
 
     # each check on a factor of its own reads the same numbers
@@ -402,7 +437,7 @@ def test_factor_checks_of_one_run_share_setup_and_curves(monkeypatch):
         assert _run_checks(fresh) == [report]
 
 
-def test_escalated_factor_lower_tabulates_the_deeper_pullback():
+def test_escalated_factor_lower_reads_inconclusive():
     config = ExperimentConfig.from_dict(_shift_to_doubling(10, 1024, 3))
     rep = check_factor_lower(config.factor, ZERO, config.n_range, config.eps_list, word_budget=config.word_budget, seed=config.seed, tol=1e-3)
     assert "escalated=True" in rep.context
