@@ -236,6 +236,8 @@ def _check_from(chk: dict, path: str, eps_default: float, schedule: GenerationSc
     runner reads these values only.  A check that would enumerate more than
     WORD_ENUMERATION_CAP words is refused here, before any is enumerated."""
     kind = chk["type"]
+    if kind != "semiconjugacy" and "tol" in chk:
+        raise ConfigError(f"config field {path}.tol: only a semiconjugacy check takes its own tol; set $.tol or --tol")
     out = {"type": kind, "tol": _tol_from(chk.get("tol"), f"{path}.tol")}
     try:
         if kind == "basic":

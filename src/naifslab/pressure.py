@@ -486,7 +486,7 @@ def _solve_setup(ctx, S: np.ndarray, eps: float, mode: str) -> tuple[str, float,
     return method, shift, np.exp(S - shift)
 
 
-def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str) -> tuple[float, list[int], str, bool]:
+def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto") -> tuple[float, list[int], str, bool]:
     """sup over separated sets of sum exp(S); returns (log value, witness,
     method, exact).  Every witness is re-checked before it is returned."""
     method, shift, wlin = _solve_setup(ctx, S, eps, mode)
@@ -503,7 +503,7 @@ def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str) -> tupl
     return shift + math.log(val), idxs, method, True
 
 
-def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str) -> tuple[float, list[int], str, bool]:
+def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto") -> tuple[float, list[int], str, bool]:
     """inf over spanning sets of sum exp(S); returns as _solve_separated_weighted."""
     method, shift, wlin = _solve_setup(ctx, S, eps, mode)
     if method == "greedy":
@@ -607,14 +607,13 @@ class AveragedPartitionSum:
         return self.min_witness >= self.cloud_size
 
 
-def _per_word_sums(cloud, schedule, words, n, psi, eps, kind, mode) -> list[PartitionSumResult]:
+def _per_word_sums(cloud, schedule, words, n, psi, eps, kind) -> list[PartitionSumResult]:
     op = partition_sum_separated if kind == "separated" else partition_sum_spanning
-    return [op(cloud, schedule, w, n, psi, eps, mode) for w in words]
+    return [op(cloud, schedule, w, n, psi, eps) for w in words]
 
 
 def _avg_worker(payload):
-    cloud, schedule, words, n, psi, eps, kind, mode = payload
-    res = _per_word_sums(cloud, schedule, words, n, psi, eps, kind, mode)
+    res = _per_word_sums(*payload)
     return [(r.log_value, r.method, r.exact, r.witness_size) for r in res]
 
 
@@ -627,7 +626,6 @@ def averaged_partition_sum(
     kind: str = "separated",
     word_budget: int | None = 4096,
     seed: int = 0,
-    mode: str = "auto",
     workers: int = 1,
 ) -> AveragedPartitionSum:
     """Arithmetic mean over enumerated or sampled words of the per-word sums,
@@ -638,13 +636,13 @@ def averaged_partition_sum(
     words, word_mode, total = enumerate_words(schedule, 1, n, word_budget, seed)
     if workers > 1 and len(words) >= 8:
         chunks = np.array_split(np.arange(len(words)), min(workers, len(words), os.cpu_count() or 1))
-        payloads = [(cloud, schedule, [words[i] for i in c], n, psi, eps, kind, mode) for c in chunks]
+        payloads = [(cloud, schedule, [words[i] for i in c], n, psi, eps, kind) for c in chunks]
         rows: list[tuple] = []
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             for part in pool.map(_avg_worker, payloads):
                 rows.extend(part)
     else:
-        rows = [(r.log_value, r.method, r.exact, r.witness_size) for r in _per_word_sums(cloud, schedule, words, n, psi, eps, kind, mode)]
+        rows = [(r.log_value, r.method, r.exact, r.witness_size) for r in _per_word_sums(cloud, schedule, words, n, psi, eps, kind)]
     logs = np.array([r[0] for r in rows])
     log_average = _logsumexp(logs) - math.log(len(logs))
     stderr = 0.0
@@ -785,7 +783,6 @@ def pressure_estimate(
     word_budget: int | None = 4096,
     seed: int = 0,
     kind: str = "separated",
-    mode: str = "auto",
     workers: int = 1,
 ) -> PressureCurve:
     """Growth-rate curve of the word-averaged partition sums.
@@ -802,9 +799,7 @@ def pressure_estimate(
     entries: list[CurveEntry] = []
     for eps in eps_list:
         for n in ns:
-            avg = averaged_partition_sum(
-                cloud, schedule, n, psi, eps, kind=kind, word_budget=word_budget, seed=seed, mode=mode, workers=workers
-            )
+            avg = averaged_partition_sum(cloud, schedule, n, psi, eps, kind=kind, word_budget=word_budget, seed=seed, workers=workers)
             entries.append(
                 CurveEntry(
                     n=n,
@@ -871,7 +866,6 @@ def sup_entropy_estimate(
     subset: Sequence,
     n_range: Sequence[int],
     eps_list: Sequence[float],
-    mode: str = "auto",
 ) -> SupEntropyEstimate:
     """Growth rate of maximal separated sets of a subset under the sup metric
     d*_n (sup over start indices and words of the orbit maximum).
@@ -892,9 +886,9 @@ def sup_entropy_estimate(
         ctx = _sup_orbit(cloud, schedule, n, indices)
         zeros = np.zeros(ctx.n_points)
         for eps in eps_list:
-            _, s_idx, s_method, s_exact = _solve_separated_weighted(ctx, zeros, eps, mode)
-            _, r_idx, _, r_exact = _solve_spanning_weighted(ctx, zeros, eps, mode)
-            _, rh_idx, _, rh_exact = _solve_spanning_weighted(ctx, zeros, eps / 2.0, mode)
+            _, s_idx, s_method, s_exact = _solve_separated_weighted(ctx, zeros, eps)
+            _, r_idx, _, r_exact = _solve_spanning_weighted(ctx, zeros, eps)
+            _, rh_idx, _, rh_exact = _solve_spanning_weighted(ctx, zeros, eps / 2.0)
             entries.append(
                 SupEntropyEntry(
                     n=n,

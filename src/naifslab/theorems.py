@@ -204,7 +204,6 @@ def check_basic_properties(
     n: int,
     p: float,
     c: float,
-    mode: str = "auto",
 ) -> list[InequalityReport]:
     """Finite-scale forms of the elementary pressure properties.
 
@@ -232,7 +231,7 @@ def check_basic_properties(
     for w in words:
         ctx = _BowenOrbit(cloud, schedule, w, n)
         for name, S in _derived_birkhoff(ctx, phi, psi, p, c).items():
-            value, _, _, ok = _solve_separated_weighted(ctx, S, eps, mode)
+            value, _, _, ok = _solve_separated_weighted(ctx, S, eps)
             sums.setdefault(name, []).append(value)
             exact_inputs = exact_inputs and ok
     logP = {name: np.array(vals) for name, vals in sums.items()}
@@ -338,7 +337,6 @@ def check_power_rule(
     word_budget: int | None = 4096,
     seed: int = 0,
     tol: float | None = None,
-    mode: str = "auto",
     workers: int = 1,
     include_proxy: bool = True,
 ) -> list[InequalityReport]:
@@ -367,8 +365,8 @@ def check_power_rule(
             s_base = _birkhoff_vector(ctx_base, psi)
             s_pow = _birkhoff_vector(ctx_pow, psi)
             for eps in eps_list:
-                q_base, _, _, ok_b = _solve_spanning_weighted(ctx_base, s_base, eps, mode)
-                q_pow, _, _, ok_p = _solve_spanning_weighted(ctx_pow, s_pow, eps, mode)
+                q_base, _, _, ok_b = _solve_spanning_weighted(ctx_base, s_base, eps)
+                q_pow, _, _, ok_p = _solve_spanning_weighted(ctx_pow, s_pow, eps)
                 exact_all = exact_all and ok_b and ok_p
                 checked += 1
                 if binding is None or q_base - q_pow < binding[1] - binding[0]:
@@ -386,8 +384,8 @@ def check_power_rule(
         return reports
 
     base_ns = [m * n for m in ms]
-    est_base = pressure_estimate(cloud, schedule, psi, base_ns, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
-    est_pow = pressure_estimate(cloud, pow_sched, psi, ms, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
+    est_base = pressure_estimate(cloud, schedule, psi, base_ns, eps_list, word_budget=word_budget, seed=seed, workers=workers)
+    est_pow = pressure_estimate(cloud, pow_sched, psi, ms, eps_list, word_budget=word_budget, seed=seed, workers=workers)
     if tol is None:
         tol = default_proxy_tol(max(base_ns), len(cloud))
     reports.append(
@@ -404,7 +402,7 @@ def check_power_rule(
         const = psi.params[0]
         est_pow_scaled = pressure_estimate(
             cloud, pow_sched, Potential("constant", (n * const,)), ms, eps_list,
-            word_budget=word_budget, seed=seed, mode=mode, workers=workers,
+            word_budget=word_budget, seed=seed, workers=workers,
         )
         reports.append(
             _equality_report(
@@ -435,7 +433,6 @@ def check_truncation_monotonicity(
     word_budget: int | None = 4096,
     seed: int = 0,
     tol: float | None = None,
-    mode: str = "auto",
     workers: int = 1,
     include_proxy: bool = True,
 ) -> list[InequalityReport]:
@@ -464,8 +461,8 @@ def check_truncation_monotonicity(
         for w in words:
             w_tail = Word(start=1, symbols=w.symbols[1:])
             for eps in eps_list:
-                r_big = min_spanning(cloud, sched_k, w, n_count, 2.0 * eps, mode)
-                r_small = min_spanning(cloud, sched_k1, w_tail, n_count - 1, eps, mode)
+                r_big = min_spanning(cloud, sched_k, w, n_count, 2.0 * eps)
+                r_small = min_spanning(cloud, sched_k1, w_tail, n_count - 1, eps)
                 exact_all = exact_all and r_big.exact and r_small.exact
                 lhs = r_big.upper_bound
                 rhs = net_size[eps] * r_small.lower_bound
@@ -489,7 +486,7 @@ def check_truncation_monotonicity(
 
     def estimates(n_values):
         return tuple(
-            pressure_estimate(cloud, truncate_system(schedule, k), psi, n_values, eps_list, word_budget=word_budget, seed=seed, mode=mode, workers=workers)
+            pressure_estimate(cloud, truncate_system(schedule, k), psi, n_values, eps_list, word_budget=word_budget, seed=seed, workers=workers)
             for k in (i, j)
         )
 
@@ -539,12 +536,12 @@ def _semiconjugacy(factor: FactorMapSpec, tol: float):
     return _factor_memo(factor, ("semiconjugacy", tol), lambda: check_semiconjugacy(factor, tol))
 
 
-def _factor_setup(factor: FactorMapSpec, n_range: Sequence[int], eps_list: Sequence[float], tol: float | None, semi_tol: float | None) -> tuple:
+def _factor_setup(factor: FactorMapSpec, n_range: Sequence[int], eps_list: Sequence[float], tol: float | None) -> tuple:
     """Shared start of the factor checks: validated eps list and n values, a
     passed semiconjugacy and the proxy tolerance."""
     eps_list = validate_eps_list(eps_list)
     ns = sorted(set(int(v) for v in n_range))
-    semi = _semiconjugacy(factor, default_semiconjugacy_tol(factor, ns[-1]) if semi_tol is None else semi_tol)
+    semi = _semiconjugacy(factor, default_semiconjugacy_tol(factor, ns[-1]))
     if not semi.passed:
         raise ValueError(f"semiconjugacy check failed: {semi.detail}")
     if tol is None:
@@ -552,17 +549,17 @@ def _factor_setup(factor: FactorMapSpec, n_range: Sequence[int], eps_list: Seque
     return eps_list, ns, semi, tol
 
 
-def _factor_estimates(factor: FactorMapSpec, phi_on_target: Potential, n_values: list[int], eps_list: list[float], word_budget: int | None, seed: int, mode: str, workers: int) -> tuple:
+def _factor_estimates(factor: FactorMapSpec, phi_on_target: Potential, n_values: list[int], eps_list: list[float], word_budget: int | None, seed: int, workers: int) -> tuple:
     """Pressure curves of phi on the target and of its pullback on the source."""
 
     def compute():
-        kw = dict(word_budget=word_budget, seed=seed, mode=mode, workers=workers)
+        kw = dict(word_budget=word_budget, seed=seed, workers=workers)
         pulled = pullback_potential(factor, phi_on_target)
         est_t = pressure_estimate(factor.target.cloud, factor.target.schedule, phi_on_target, n_values, eps_list, **kw)
         est_s = pressure_estimate(factor.source.cloud, factor.source.schedule, pulled, n_values, eps_list, **kw)
         return phi_on_target, (est_t, est_s)
 
-    key = ("curves", id(phi_on_target), tuple(n_values), tuple(eps_list), word_budget, seed, mode, workers)
+    key = ("curves", id(phi_on_target), tuple(n_values), tuple(eps_list), word_budget, seed, workers)
     return _factor_memo(factor, key, compute)[1]
 
 
@@ -574,16 +571,14 @@ def check_factor_lower(
     word_budget: int | None = 4096,
     seed: int = 0,
     tol: float | None = None,
-    mode: str = "auto",
     workers: int = 1,
-    semi_tol: float | None = None,
 ) -> InequalityReport:
     """Target pressure of phi is bounded by source pressure of the pullback
     phi o pi (proxy level).  Requires a verified semiconjugacy."""
-    eps_list, ns, semi, tol = _factor_setup(factor, n_range, eps_list, tol, semi_tol)
+    eps_list, ns, semi, tol = _factor_setup(factor, n_range, eps_list, tol)
 
     def estimates(n_values):
-        return _factor_estimates(factor, phi_on_target, n_values, eps_list, word_budget, seed, mode, workers)
+        return _factor_estimates(factor, phi_on_target, n_values, eps_list, word_budget, seed, workers)
 
     (est_t, est_s), escalated = _escalated(ns, estimates, lambda e: e[1].estimate - e[0].estimate, tol)
     return _proxy_report(
@@ -596,20 +591,6 @@ def check_factor_lower(
     )
 
 
-def _invert_factor(factor: FactorMapSpec) -> FactorMapSpec:
-    if factor.kind == "coordinate_projection":
-        return FactorMapSpec(source=factor.target, target=factor.source, kind="coordinate_projection")
-    if factor.kind == "index_table":
-        table = list(factor.table)
-        if sorted(table) != list(range(len(factor.target.cloud))) or len(table) != len(factor.target.cloud):
-            raise ValueError("factor is not invertible: index table is not a bijection")
-        inverse = [0] * len(table)
-        for i, t in enumerate(table):
-            inverse[t] = i
-        return FactorMapSpec(source=factor.target, target=factor.source, kind="index_table", table=tuple(inverse))
-    raise ValueError(f"factor kind {factor.kind!r} has no computable inverse")
-
-
 def check_factor_conjugacy(
     factor: FactorMapSpec,
     phi_on_target: Potential,
@@ -618,15 +599,18 @@ def check_factor_conjugacy(
     word_budget: int | None = 4096,
     seed: int = 0,
     tol: float | None = None,
-    mode: str = "auto",
     workers: int = 1,
 ) -> list[InequalityReport]:
     """For an invertible factor the two pullback bounds combine into the
     equality of pressures; emitted as both one-sided reports plus the
     symmetric equality report."""
-    _invert_factor(factor)  # raises unless the factor is a bijection
-    eps_list, ns, _, tol = _factor_setup(factor, n_range, eps_list, tol, None)
-    est_t, est_s = _factor_estimates(factor, phi_on_target, ns, eps_list, word_budget, seed, mode, workers)
+    if factor.kind == "index_table":
+        if sorted(factor.table) != list(range(len(factor.target.cloud))):
+            raise ValueError("factor is not invertible: index table is not a bijection")
+    elif factor.kind != "coordinate_projection":
+        raise ValueError(f"factor kind {factor.kind!r} has no computable inverse")
+    eps_list, ns, _, tol = _factor_setup(factor, n_range, eps_list, tol)
+    est_t, est_s = _factor_estimates(factor, phi_on_target, ns, eps_list, word_budget, seed, workers)
     exact = _exact_curves(est_t, est_s)
     base = _ctx(n_range=tuple(ns), tol=tol)
     return [
@@ -645,16 +629,14 @@ def check_factor_upper(
     word_budget: int | None = 4096,
     seed: int = 0,
     tol: float | None = None,
-    mode: str = "auto",
     workers: int = 1,
-    semi_tol: float | None = None,
 ) -> InequalityReport:
     """Source pressure of the pullback against target pressure plus the
     largest fiber sup-entropy over sampled target points (proxy level).
 
     Also records the oscillation of the pullback at scale 2*eps_min as a
     diagnostic of the available slack budget."""
-    eps_list, ns, _, tol = _factor_setup(factor, n_range, eps_list, tol, semi_tol)
+    eps_list, ns, _, tol = _factor_setup(factor, n_range, eps_list, tol)
 
     tgt_cloud = factor.target.cloud
     count = max(1, min(fiber_sample, len(tgt_cloud)))
@@ -671,14 +653,14 @@ def check_factor_upper(
         # limit is attained once eps drops below the smallest pairwise
         # sup-metric distance, so the schedule is extended to that scale
         fiber_eps = _fiber_eps_schedule(factor.source.cloud, factor.source.schedule, fiber, eps_list)
-        h = sup_entropy_estimate(factor.source.cloud, factor.source.schedule, fiber, ns, fiber_eps, mode=mode)
+        h = sup_entropy_estimate(factor.source.cloud, factor.source.schedule, fiber, ns, fiber_eps)
         h_exact = h_exact and h.all_exact
         h_term = max(h_term, h.estimate)
 
     var_diag = _oscillation(factor.source.cloud, pullback_potential(factor, phi_on_target), 2.0 * eps_list[-1])
 
     def estimates(n_values):
-        return _factor_estimates(factor, phi_on_target, n_values, eps_list, word_budget, seed, mode, workers)
+        return _factor_estimates(factor, phi_on_target, n_values, eps_list, word_budget, seed, workers)
 
     (est_t, est_s), escalated = _escalated(ns, estimates, lambda e: e[0].estimate + h_term - e[1].estimate, tol)
     return _proxy_report(
@@ -750,16 +732,15 @@ class EquicontinuityReport:
     no sampled pair expands past eps under any single map of the horizon."""
 
     table: tuple[tuple[float, float], ...]
-    passed: bool
     detail: str
 
 
 def check_equicontinuity(cloud: PointCloud, schedule: GenerationSchedule, eps_list: Sequence[float]) -> EquicontinuityReport:
     """The modulus table of the maps of one horizon over sampled cloud pairs.
 
-    ``passed`` is always true: two points at distance 0 are one point and
-    have one image, so every pair whose images reach eps > 0 has a positive
-    base distance, and every delta in the table is > 0."""
+    Every delta in the table is > 0: two points at distance 0 are one point
+    and have one image, so every pair whose images reach eps > 0 has a
+    positive base distance."""
     eps_list = validate_eps_list(eps_list)
     batch = cloud.batch()
     ia, ib, sampled = _sample_pairs(len(cloud))
@@ -775,9 +756,8 @@ def check_equicontinuity(cloud: PointCloud, schedule: GenerationSchedule, eps_li
         bad = base[img_max >= eps]
         delta = float(bad.min()) if bad.size else diam
         table.append((eps, delta))
-    passed = all(delta > 0 for _, delta in table)
     detail = f"pairs={len(ia)};sampled={sampled};seed={PAIR_SEED}"
-    return EquicontinuityReport(table=tuple(table), passed=passed, detail=detail)
+    return EquicontinuityReport(table=tuple(table), detail=detail)
 
 
 def equicontinuity_report(cloud: PointCloud, schedule: GenerationSchedule, eps_list: Sequence[float]) -> InequalityReport:
@@ -788,7 +768,7 @@ def equicontinuity_report(cloud: PointCloud, schedule: GenerationSchedule, eps_l
     table = ";".join(f"delta({eps!r})={d!r}" for eps, d in eq.table)
     return InequalityReport(
         name="system/equicontinuity", lhs=0.0, rhs=delta, slack=delta,
-        verdict=HOLDS_WITHIN_TOL if eq.passed else VIOLATED, level=PROXY_LEVEL, context=table + ";" + eq.detail,
+        verdict=HOLDS_WITHIN_TOL, level=PROXY_LEVEL, context=table + ";" + eq.detail,
     )
 
 
@@ -850,11 +830,10 @@ def run_finite_inequality_suite(
     max_maps: int = 3,
     max_cycle: int = 2,
     n_max: int = 4,
-    mode: str = "auto",
 ) -> list[InequalityReport]:
     """Finite-scale inequality reports over seeded random small instances:
     the basic-property family, the power spanning transfer, and the
-    truncation net counting, all in exact mode."""
+    truncation net counting.  Their solves are exact up to 64 points."""
     reports: list[InequalityReport] = []
     c_cycle = (2.0, 0.5, 3.0, -1.0)
     for t in range(count):
@@ -869,14 +848,14 @@ def run_finite_inequality_suite(
         eps = float(off[int(len(off) * rng.uniform(0.2, 0.8))])
         p = rng.uniform(0.1, 0.9)
         c = c_cycle[t % len(c_cycle)]
-        reports.extend(check_basic_properties(cloud, schedule, phi, psi, eps, n, p, c, mode=mode))
+        reports.extend(check_basic_properties(cloud, schedule, phi, psi, eps, n, p, c))
         psi_pos = Potential("explicit_table", tuple(rng.uniform(0.0, 1.0) for _ in range(n_pts)))
         reports.extend(
-            check_power_rule(cloud, schedule, psi_pos, n=2, m_range=(1, 2), eps_list=(eps,), mode=mode, include_proxy=False)
+            check_power_rule(cloud, schedule, psi_pos, n=2, m_range=(1, 2), eps_list=(eps,), include_proxy=False)
         )
         reports.extend(
             check_truncation_monotonicity(
-                cloud, schedule, psi, i=1, j=2, n_range=(2, 3), eps_list=(eps,), mode=mode, include_proxy=False
+                cloud, schedule, psi, i=1, j=2, n_range=(2, 3), eps_list=(eps,), include_proxy=False
             )
         )
     return reports

@@ -315,6 +315,22 @@ def test_bad_check_parameters_are_config_errors(tmp_path, case):
     assert main(["verify", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+def test_check_tol_is_refused_except_on_semiconjugacy(tmp_path, capsys):
+    # every other check reads the config tol; its own tol would be ignored
+    raw = _example("four_point_quotient")
+    for chk in raw["checks"]:
+        chk["tol"] = 1e-30
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "$.checks[1].tol: only a semiconjugacy check takes its own tol" in capsys.readouterr().err
+    for kind in ("basic", "power", "truncation", "equicontinuity", "factor_lower", "factor_upper", "conjugacy"):
+        with pytest.raises(ConfigError, match=r"\$\.checks\[0\]\.tol"):
+            ExperimentConfig.from_dict(_example("four_point_quotient", checks=[{"type": kind, "tol": 0.1}]))
+    raw["checks"] = raw["checks"][:1]
+    assert ExperimentConfig.from_dict(raw).checks[0]["tol"] == 1e-30
+
+
 def test_truncation_words_past_the_cap_are_a_config_error(tmp_path):
     # 38**4 words of the net-counting length 4 at n_max = 6
     raw = _example("two_point_swap", checks=[{"type": "truncation"}], schedule={"prefix": [], "cycle": [[{"kind": "identity"}] * 38]})

@@ -203,6 +203,38 @@ def test_greedy_bounds_bracket_exact():
         assert greedy_r.lower_bound <= exact_r.lower_bound <= greedy_r.upper_bound
 
 
+def _separated_grid(points):
+    # an interval grid read at a length-0 word, with eps below the spacing:
+    # every point is its own ball, so each solver finishes at once
+    cloud = build_cloud(SpaceSpec("interval_grid", points))
+    return cloud, GenerationSchedule((), ((ID,),)), Word(1, ()), 0.5 / (points - 1)
+
+
+@pytest.mark.parametrize("points, method", [(20, "exhaustive"), (21, "branch_and_bound"), (64, "branch_and_bound"), (65, "greedy")])
+def test_auto_policy_picks_the_solver_by_cloud_size(points, method):
+    assert (pressure.EXHAUSTIVE_LIMIT, pressure.BRANCH_AND_BOUND_LIMIT) == (20, 64)
+    cloud, sched, w, eps = _separated_grid(points)
+    for op in (max_separated, min_spanning):
+        res = op(cloud, sched, w, 0, eps)
+        assert (res.method, res.exact) == (method, method != "greedy")
+        assert res.lower_bound == res.upper_bound == points
+    for op in (partition_sum_separated, partition_sum_spanning):
+        res = op(cloud, sched, w, 0, ZERO, eps)
+        assert res.method == method and res.log_value == pytest.approx(math.log(points), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "points, mode, message",
+    [(21, "exhaustive", "limited to 20 points"), (65, "branch_and_bound", "limited to 64 points"), (4, "fastest", "unknown mode 'fastest'")],
+)
+def test_forced_mode_past_its_limit_or_unknown_raises(points, mode, message):
+    cloud, sched, w, eps = _separated_grid(points)
+    with pytest.raises(ValueError, match=message):
+        max_separated(cloud, sched, w, 0, eps, mode=mode)
+    with pytest.raises(ValueError, match=message):
+        partition_sum_spanning(cloud, sched, w, 0, ZERO, eps, mode=mode)
+
+
 def test_monotonicity_in_eps_and_n():
     cloud = build_cloud(SpaceSpec("circle_grid", 64))
     sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
@@ -243,11 +275,13 @@ def test_pressure_curve_two_point_exact_values():
 
 
 def test_pressure_curve_value_nonincreasing_in_eps():
-    cloud = build_cloud(SpaceSpec("circle_grid", 64))
+    # 128 points: the automatic policy runs greedy
+    cloud = build_cloud(SpaceSpec("circle_grid", 128))
     sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
-    curve = pressure_estimate(cloud, sched, ZERO, [2, 4], [0.25, 0.125], word_budget=8, seed=0, mode="greedy")
+    curve = pressure_estimate(cloud, sched, ZERO, [2, 4], [0.25, 0.125], word_budget=8, seed=0)
     by_eps = {}
     for e in curve.entries:
+        assert e.method == "greedy"
         by_eps.setdefault(e.n, {})[e.eps] = e.value
     for n, vals in by_eps.items():
         assert vals[0.25] <= vals[0.125] + 1e-12

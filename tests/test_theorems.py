@@ -181,7 +181,6 @@ def test_equicontinuity_moduli():
     i = build_cloud(SpaceSpec("interval_grid", 129))
     tent = check_equicontinuity(i, GenerationSchedule((), ((MapSpec("tent"),),)), [0.125])
     assert dict(tent.table) == {0.125: 0.0625}
-    assert rot.passed and dbl.passed and tent.passed
 
 
 def quotient_factor():
@@ -226,9 +225,25 @@ def test_factor_conjugacy_identity_slack_zero():
     assert all(r.verdict == "holds_within_tol" for r in reports)
 
 
+def _collapsing_pair():
+    cloud, sched = two_point()
+    return FactorMapSpec(source=NAIFS(cloud, sched), target=NAIFS(cloud, sched), kind="index_table", table=(0, 0))
+
+
+def _binary_expansion_factor():
+    identity = GenerationSchedule((), ((ID,),))
+    src = NAIFS(build_cloud(SpaceSpec("symbolic_depth", resolution=4, alphabet_size=2)), identity)
+    return FactorMapSpec(source=src, target=NAIFS(build_cloud(SpaceSpec("circle_grid", 16)), identity), kind="binary_expansion")
+
+
 def test_factor_conjugacy_rejects_noninvertible():
-    with pytest.raises(ValueError, match="bijection"):
-        check_factor_conjugacy(quotient_factor(), ZERO, n_range=range(1, 4), eps_list=[0.5])
+    for factor, message in (
+        (quotient_factor(), "index table is not a bijection"),
+        (_collapsing_pair(), "index table is not a bijection"),
+        (_binary_expansion_factor(), "factor kind 'binary_expansion' has no computable inverse"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            check_factor_conjugacy(factor, ZERO, n_range=range(1, 4), eps_list=[0.5])
 
 
 def test_mini_random_suite_zero_violations():
@@ -317,7 +332,7 @@ def test_equicontinuity_always_passes(instance, eps_list):
     # every pair that reaches eps > 0 is two distinct points, so no delta is 0
     cloud, schedule, *_ = instance
     eq = check_equicontinuity(cloud, schedule, sorted(set(eps_list), reverse=True))
-    assert eq.passed and all(delta > 0 for _, delta in eq.table)
+    assert all(delta > 0 for _, delta in eq.table)
 
 
 def test_verdict_helpers_respect_exactness():
@@ -458,24 +473,23 @@ def test_factor_memo_keys_hold_every_input():
     # reports must equal those of a factor that has seen no other call
     shared = quotient_factor()
     phi = Potential("explicit_table", (0.3, -0.2))
-    base = dict(n_values=[1, 2, 3, 4, 5], eps_list=[0.5], word_budget=8, seed=1, mode="auto", workers=1)
+    base = dict(n_values=[1, 2, 3, 4, 5], eps_list=[0.5], word_budget=8, seed=1, workers=1)
     variants = [
         {},
         {"n_values": [1, 2, 3]},
         {"eps_list": [0.3]},
         {"word_budget": 16},
         {"seed": 2},
-        {"mode": "greedy"},
         {"phi": Potential("explicit_table", (0.3, -0.2))},
         {"phi": Potential("explicit_table", (-0.4, 0.1))},
     ]
     for change in variants:
         kw = dict(base, **change)
         pot = kw.pop("phi", phi)
-        n_values, eps_list, word_budget, seed, mode, workers = kw.values()
-        args = (pot, n_values, eps_list, word_budget, seed, mode, workers)
+        n_values, eps_list, word_budget, seed, workers = kw.values()
+        args = (pot, n_values, eps_list, word_budget, seed, workers)
         assert _factor_estimates(shared, *args) == _factor_estimates(quotient_factor(), *args), change
-        check_kw = dict(n_range=n_values, eps_list=eps_list, word_budget=word_budget, seed=seed, mode=mode)
+        check_kw = dict(n_range=n_values, eps_list=eps_list, word_budget=word_budget, seed=seed)
         for check in (check_factor_lower, check_factor_upper):
             assert check(shared, pot, **check_kw) == check(quotient_factor(), pot, **check_kw), (check.__name__, change)
     for tol in (None, 1e-3):
