@@ -459,10 +459,20 @@ def fiber_indices(factor: FactorMapSpec, y) -> list[int]:
 
 @dataclass
 class SemiconjugacyReport:
+    """The measured deviation and surjectivity, judged at tol; the same
+    measurement at another tol is dataclasses.replace(report, tol=...)."""
+
     max_deviation: float
     surjective: bool
-    passed: bool
-    detail: str
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation <= self.tol and self.surjective
+
+    @property
+    def detail(self) -> str:
+        return f"max_deviation={self.max_deviation!r} tol={self.tol!r} surjective={self.surjective}"
 
 
 def check_semiconjugacy(factor: FactorMapSpec, tol: float) -> SemiconjugacyReport:
@@ -484,10 +494,7 @@ def check_semiconjugacy(factor: FactorMapSpec, tol: float) -> SemiconjugacyRepor
             d = paired_distances(tgt.cloud, lhs, rhs)
             if d.size:
                 dev = max(dev, float(d.max()))
-    surjective = _is_surjective(factor, pi_batch)
-    passed = dev <= tol and surjective
-    detail = f"max_deviation={dev!r} tol={tol!r} surjective={surjective}"
-    return SemiconjugacyReport(max_deviation=dev, surjective=surjective, passed=passed, detail=detail)
+    return SemiconjugacyReport(max_deviation=dev, surjective=_is_surjective(factor, pi_batch), tol=tol)
 
 
 def _is_surjective(factor: FactorMapSpec, pi_batch: np.ndarray) -> bool:

@@ -13,6 +13,7 @@ All sums of exponentials are accumulated in log space with max shifting.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 import os
@@ -101,13 +102,14 @@ class _BowenOrbit:
         if self._matrix is not None:
             return self._matrix[I][:, js]
         fam = self.cloud.space.family
+        dm = self.cloud.dmatrix() if fam == FINITE else None
         acc = None
         for k, B in enumerate(self.batches):
             if self.codes is not None:
                 codes, depth = self.codes[k]
                 d = cylinder_distance(codes[:, I, None], codes[:, None, js], depth, self.cloud.space.alphabet_size)
-            elif fam == FINITE:
-                d = self.cloud.dmatrix()[np.ix_(B[I], B[js])]
+            elif dm is not None:
+                d = dm[B[I][:, None], B[js]]
             else:
                 # orbit points lie in [0, 1], where this is space._circle_dist
                 # without its reduction mod 1
@@ -322,34 +324,47 @@ def _cover_lower_bound(balls: list[int], w: list[float], uncov: int) -> float:
     return total
 
 
+def _greedy_cover_bits(balls: list[int], w: list[float]) -> tuple[int, float]:
+    """Ratio greedy cover: the ball of least w_i / |ball_i & uncovered|,
+    lowest index on ties, until every element is covered.
+
+    The ratios sit in a heap and are refreshed only when popped.  A ratio
+    never falls as elements get covered, so a popped ratio that is still
+    current is the least one, and equal ratios pop in index order.
+    """
+    heap = [(w[i] / c, i) for i, b in enumerate(balls) if (c := b.bit_count())]
+    heapq.heapify(heap)
+    uncov = (1 << len(balls)) - 1
+    chosen, cost = 0, 0.0
+    while uncov:
+        ratio, i = heapq.heappop(heap)
+        newly = (balls[i] & uncov).bit_count()
+        if not newly:
+            continue
+        if w[i] / newly != ratio:
+            heapq.heappush(heap, (w[i] / newly, i))
+            continue
+        chosen |= 1 << i
+        cost += w[i]
+        uncov &= ~balls[i]
+    return chosen, cost
+
+
 def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
     """Branch and bound minimum weighted ball cover."""
     n = len(wlin)
     w = wlin.tolist()
-    full = (1 << n) - 1
-
-    uncov = full
-    chosen = 0
-    cost = 0.0
-    while uncov:
-        best_i, best_ratio = -1, math.inf
-        for i in range(n):
-            newly = (balls[i] & uncov).bit_count()
-            if newly:
-                ratio = w[i] / newly
-                if ratio < best_ratio:
-                    best_ratio = ratio
-                    best_i = i
-        chosen |= 1 << best_i
-        cost += w[best_i]
-        uncov &= ~balls[best_i]
-    best_mask, best_val = chosen, cost
+    best_mask, best_val = _greedy_cover_bits(balls, w)
 
     # the balls holding each element, lightest first (lowest index on ties),
     # and the elements by how few balls hold them
-    by_weight = sorted(range(n), key=lambda i: (w[i], i))
-    covers_elem = [[i for i in by_weight if (balls[i] >> e) & 1] for e in range(n)]
+    covers_elem: list[list[int]] = [[] for _ in range(n)]
+    for i in sorted(range(n), key=lambda i: (w[i], i)):
+        for e in _bits(balls[i]):
+            covers_elem[e].append(i)
     elem_order = sorted(range(n), key=lambda e: (len(covers_elem[e]), e))
+    # within one solve the bound depends on the uncovered mask alone
+    bounds: dict[int, float] = {}
 
     def dfs(uncov_mask: int, chosen_mask: int, cur: float) -> None:
         nonlocal best_mask, best_val
@@ -358,15 +373,25 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
                 best_val = cur
                 best_mask = chosen_mask
             return
-        if cur + _cover_lower_bound(balls, w, uncov_mask) >= best_val:
+        lb = bounds.get(uncov_mask)
+        if lb is None:
+            lb = bounds[uncov_mask] = _cover_lower_bound(balls, w, uncov_mask)
+        if cur + lb >= best_val:
             return
         for e in elem_order:
             if (uncov_mask >> e) & 1:
                 break
         for i in covers_elem[e]:
+            # children come lightest first and the bound is >= 0, so once a
+            # child would prune on entry every later one would too
+            if cur + w[i] >= best_val:
+                break
             dfs(uncov_mask & ~balls[i], chosen_mask | (1 << i), cur + w[i])
 
-    dfs(full, 0, 0.0)
+    dfs((1 << n) - 1, 0, 0.0)
+    # dfs holds itself through its closure; dropping the name frees the
+    # memo and ball lists now instead of at some later cycle collection
+    del dfs
     return best_mask, best_val
 
 

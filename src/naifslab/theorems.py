@@ -14,7 +14,7 @@ import functools
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -78,7 +78,9 @@ class InequalityReport:
     """One verified inequality instance; lhs <= rhs is the claim.
 
     Multiplicative statements are recorded in log space, so slack is the
-    log of the ratio; proxy statements are recorded as growth rates.
+    log of the ratio; proxy statements are recorded as growth rates.  tol
+    is the slack a proxy comparison allows (None where there is none); it
+    is read by summarize_reports and not written to verdicts.csv.
     """
 
     name: str
@@ -88,6 +90,7 @@ class InequalityReport:
     verdict: str
     level: str
     context: str
+    tol: float | None = None
 
 
 @dataclass
@@ -139,14 +142,14 @@ def _proxy_report(name: str, lhs: float, rhs: float, tol: float, exact_inputs: b
     slack = rhs - lhs
     return InequalityReport(
         name=name, lhs=lhs, rhs=rhs, slack=slack,
-        verdict=_proxy_verdict(slack, tol, exact_inputs), level=PROXY_LEVEL, context=context,
+        verdict=_proxy_verdict(slack, tol, exact_inputs), level=PROXY_LEVEL, context=context, tol=tol,
     )
 
 
 def _equality_report(name: str, lhs: float, rhs: float, tol: float, exact_inputs: bool, context: str) -> InequalityReport:
     """Proxy-level equality |lhs - rhs| <= tol."""
     verdict = HOLDS_WITHIN_TOL if abs(lhs - rhs) <= tol else (VIOLATED if exact_inputs else INCONCLUSIVE)
-    return InequalityReport(name=name, lhs=lhs, rhs=rhs, slack=rhs - lhs, verdict=verdict, level=PROXY_LEVEL, context=context)
+    return InequalityReport(name=name, lhs=lhs, rhs=rhs, slack=rhs - lhs, verdict=verdict, level=PROXY_LEVEL, context=context, tol=tol)
 
 
 def _exact_curves(*curves: PressureCurve) -> bool:
@@ -533,7 +536,10 @@ def _factor_memo(factor: FactorMapSpec, key: tuple, compute):
 
 
 def _semiconjugacy(factor: FactorMapSpec, tol: float):
-    return _factor_memo(factor, ("semiconjugacy", tol), lambda: check_semiconjugacy(factor, tol))
+    """check_semiconjugacy at tol; the deviation and surjectivity do not
+    depend on tol and are measured once per factor."""
+    semi = _factor_memo(factor, ("semiconjugacy",), lambda: check_semiconjugacy(factor, tol))
+    return replace(semi, tol=tol)
 
 
 def _factor_setup(factor: FactorMapSpec, n_range: Sequence[int], eps_list: Sequence[float], tol: float | None) -> tuple:
@@ -861,13 +867,24 @@ def run_finite_inequality_suite(
     return reports
 
 
+def _tol_exceeds_both_sides(r: InequalityReport) -> bool:
+    """A proxy report (the only kind with a tol) whose tol is larger than
+    |lhs| and |rhs|: its verdict says little about either side."""
+    return r.tol is not None and r.tol > max(abs(r.lhs), abs(r.rhs))
+
+
 def summarize_reports(reports: Sequence[InequalityReport]) -> str:
-    """Human-readable verdict table."""
+    """Human-readable verdict table; a proxy report whose tol exceeds both
+    |lhs| and |rhs| is marked with a *."""
     lines = [f"{'check':38s} {'level':18s} {'verdict':20s} {'slack':>14s}"]
     for r in reports:
-        lines.append(f"{r.name:38s} {r.level:18s} {r.verdict:20s} {r.slack:14.6g}")
+        mark = " *" if _tol_exceeds_both_sides(r) else ""
+        lines.append(f"{r.name:38s} {r.level:18s} {r.verdict:20s} {r.slack:14.6g}{mark}")
     counts: dict[str, int] = {}
     for r in reports:
         counts[r.verdict] = counts.get(r.verdict, 0) + 1
     lines.append("totals: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
+    marked = sum(map(_tol_exceeds_both_sides, reports))
+    if marked:
+        lines.append(f"* tol exceeds both |lhs| and |rhs| ({marked} {PROXY_LEVEL} reports)")
     return "\n".join(lines)

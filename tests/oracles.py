@@ -2,7 +2,9 @@
 
 Everything here recomputes orbit distances point by point through `compose`
 and scans subsets with itertools, deliberately sharing no machinery with
-the package's solvers (no bitsets, no subset DP, no greedy).
+the package's solvers (no bitsets, no subset DP, no greedy).  The one
+exception is reference_bb_cover, a plain bitset search kept so that the
+package's faster ball-cover search can be held to its exact results.
 """
 
 import itertools
@@ -195,3 +197,58 @@ def oracle_derived_birkhoff(ctx, schedule, n, phi, psi, p, c):
     }
     out["zero"] = _birkhoff_vector(ctx, Potential("constant", (0.0,)))
     return out
+
+
+def per_element_cover_bound(balls, w, uncov):
+    """Reference for pressure._cover_lower_bound, one minimum per element:
+    each uncovered element takes the least w_i / |ball_i & uncov| over
+    the balls that hold it."""
+    n = len(balls)
+    covers_elem = [[i for i in range(n) if (balls[i] >> e) & 1] for e in range(n)]
+    total = 0.0
+    for e in range(n):
+        if (uncov >> e) & 1:
+            total += min(w[i] / (balls[i] & uncov).bit_count() for i in covers_elem[e])
+    return total
+
+
+def reference_bb_cover(balls, wlin):
+    """The minimum weighted ball cover by the plain branch and bound that
+    pressure._bb_cover speeds up: a greedy incumbent that rescans every
+    ball per pick, the per-element bound at every node, and every child
+    of a node entered.  It returns the same (mask, value) bit for bit, so
+    a pruning or ordering change in the package shows as a difference."""
+    n = len(wlin)
+    w = [float(v) for v in wlin]
+    full = (1 << n) - 1
+
+    uncov, chosen, cost = full, 0, 0.0
+    while uncov:
+        best_i, best_ratio = -1, math.inf
+        for i in range(n):
+            newly = (balls[i] & uncov).bit_count()
+            if newly and w[i] / newly < best_ratio:
+                best_ratio, best_i = w[i] / newly, i
+        chosen |= 1 << best_i
+        cost += w[best_i]
+        uncov &= ~balls[best_i]
+    best = [chosen, cost]
+
+    by_weight = sorted(range(n), key=lambda i: (w[i], i))
+    covers_elem = [[i for i in by_weight if (balls[i] >> e) & 1] for e in range(n)]
+    elem_order = sorted(range(n), key=lambda e: (len(covers_elem[e]), e))
+
+    def dfs(uncov_mask, chosen_mask, cur):
+        if uncov_mask == 0:
+            if cur < best[1]:
+                best[:] = [chosen_mask, cur]
+            return
+        if cur + per_element_cover_bound(balls, w, uncov_mask) >= best[1]:
+            return
+        e = next(e for e in elem_order if (uncov_mask >> e) & 1)
+        for i in covers_elem[e]:
+            dfs(uncov_mask & ~balls[i], chosen_mask | (1 << i), cur + w[i])
+
+    dfs(full, 0, 0.0)
+    return best[0], best[1]
+

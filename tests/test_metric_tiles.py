@@ -97,6 +97,22 @@ def test_sup_orbit_block_matches_oracle_sup_bowen(family, seed, n, data):
     assert ctx.row(int(I[0]), js).tolist() == expected[0]
 
 
+@settings(max_examples=30)
+@given(st.integers(0, 10_000), st.integers(0, 3), st.data())
+def test_finite_block_equals_ix_gather(seed, n, data):
+    rng = random.Random(seed)
+    cloud, sched = random_system("finite_explicit", rng)
+    words, _, _ = enumerate_words(sched, 1, 3, None, 0)
+    ctx = _BowenOrbit(cloud, sched, words[rng.randrange(len(words))], n)
+    dm = cloud.dmatrix()
+    I, js = index_lists(data, len(cloud))
+    lo = data.draw(st.integers(0, len(cloud)))
+    rows = slice(lo, data.draw(st.integers(lo, len(cloud))))
+    for args in ((I, js), (rows, js), (I, slice(None)), (rows, slice(None))):
+        gathered = [dm[np.ix_(B[args[0]], B[args[1]])] for B in ctx.batches]
+        assert np.array_equal(ctx.block(*args), np.maximum.reduce(gathered)), args
+
+
 # ---------------------------------------------------------------------------
 # greedy solves past the dense-matrix limit
 

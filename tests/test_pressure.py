@@ -33,6 +33,8 @@ from oracles import (
     oracle_min_spanning,
     oracle_partition_separated,
     oracle_partition_spanning,
+    per_element_cover_bound,
+    reference_bb_cover,
 )
 
 ID = MapSpec("identity")
@@ -360,19 +362,6 @@ def test_conflict_masks_refuse_more_than_64_points():
         pressure._conflict_masks(np.zeros((65, 65)), 0.5)
 
 
-def per_element_cover_bound(balls, w, uncov):
-    """Reference for pressure._cover_lower_bound, one minimum per element:
-    each uncovered element takes the least w_i / |ball_i & uncov| over
-    the balls that hold it."""
-    n = len(balls)
-    covers_elem = [[i for i in range(n) if (balls[i] >> e) & 1] for e in range(n)]
-    total = 0.0
-    for e in range(n):
-        if (uncov >> e) & 1:
-            total += min(w[i] / (balls[i] & uncov).bit_count() for i in covers_elem[e])
-    return total
-
-
 @settings(max_examples=200)
 @given(st.data())
 def test_cover_bound_equals_per_element_formula(data):
@@ -384,6 +373,25 @@ def test_cover_bound_equals_per_element_formula(data):
     w = [data.draw(weight) for _ in range(n)]
     uncov = data.draw(st.integers(1, (1 << n) - 1))
     assert pressure._cover_lower_bound(balls, w, uncov) == per_element_cover_bound(balls, w, uncov)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_bb_cover_matches_reference_bit_for_bit(data):
+    n = data.draw(st.integers(1, 16))
+    # each ball holds its own centre, as every eps-ball does
+    balls = [data.draw(st.integers(0, (1 << n) - 1)) | (1 << i) for i in range(n)]
+    # tied weights, zero weights (exp underflow) and weights whose ratios round
+    weight = st.sampled_from([0.0, 0.25, 0.5, 1.0, 5e-324]) | st.floats(0.01, 1.0)
+    wlin = np.array([data.draw(weight) for _ in range(n)])
+    mask, value = pressure._bb_cover(balls, wlin)
+    ref_mask, ref_value = reference_bb_cover(balls, wlin)
+    assert (mask, value.hex()) == (ref_mask, ref_value.hex())
+    covered = 0
+    for i in pressure._bits(mask):
+        covered |= balls[i]
+    assert covered == (1 << n) - 1
+    assert abs(value - pressure._exhaustive_cover(balls, wlin)[1]) <= 1e-12
 
 
 @given(st.integers(0, 10**6), st.booleans(), st.integers(1, 3), st.floats(0.05, 0.95))

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from naifslab import (
     growth_rate,
     power_system,
     run_finite_inequality_suite,
+    summarize_reports,
 )
 from naifslab.catalog import EXAMPLE_CONFIGS
 from naifslab.cli import ExperimentConfig, _run_checks, main
@@ -450,6 +454,45 @@ def test_factor_checks_of_one_run_share_setup_and_curves(monkeypatch):
     for check, report in zip(("factor_lower", "factor_upper"), reports[1:]):
         fresh = ExperimentConfig.from_dict(dict(raw, checks=[c for c in raw["checks"] if c["type"] == check]))
         assert _run_checks(fresh) == [report]
+
+
+def test_semiconjugacy_check_with_its_own_tol_measures_once(monkeypatch, tmp_path):
+    import naifslab.theorems as theorems
+    tols = []
+    original = theorems.check_semiconjugacy
+    monkeypatch.setattr(theorems, "check_semiconjugacy", lambda factor, tol: tols.append(tol) or original(factor, tol))
+    raw = _shift_to_doubling(14, 2048, 3)
+    raw["checks"][0]["tol"] = 0.01
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(tols) == 1
+    csv = (tmp_path / "out" / "verdicts.csv").read_bytes()
+    # the check reads its own tol, the factor checks the default 2^-11
+    assert b"max_deviation=0.0 tol=0.01 surjective=True" in csv
+    assert b"max_deviation=0.0 tol=0.00048828125 surjective=True" in csv
+    # the bytes written when each tolerance had a measurement of its own
+    assert hashlib.sha256(csv).hexdigest() == "92ddfc954804849b4439d2afad8eeba93aee8af24430cd3ef1e706bcfac3e8d8"
+
+
+def test_summary_marks_proxy_reports_whose_tol_exceeds_both_sides(tmp_path):
+    reports = _run_checks(ExperimentConfig.from_dict(json.loads(json.dumps(EXAMPLE_CONFIGS["four_point_quotient"]))))
+    proxy = [r for r in reports if r.level == PROXY_LEVEL]
+    # pressures of 4e-16 against a tol of 0.512
+    assert len(proxy) == 2 and all(r.tol > max(abs(r.lhs), abs(r.rhs)) for r in proxy)
+    assert [r.tol for r in reports if r.level == FINITE_LEVEL] == [None]
+    assert main(["verify", "four_point_quotient", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    for r in reports:
+        (row,) = [ln for ln in lines if ln.startswith(r.name + " ")]
+        assert row.endswith(" *") == (r.level == PROXY_LEVEL), row
+    assert lines[-1] == "* tol exceeds both |lhs| and |rhs| (2 asymptotic_proxy reports)"
+    # tol is not written to verdicts.csv
+    digest = json.loads((Path(__file__).parent / "example_digests.json").read_text())["four_point_quotient"]["verdicts.csv"]
+    assert hashlib.sha256((tmp_path / "verdicts.csv").read_bytes()).hexdigest() == digest
+    # a tol below either side, or no tol, leaves a proxy report unmarked
+    for r in (replace(proxy[0], lhs=1.0), replace(proxy[0], rhs=-1.0), replace(proxy[0], tol=None)):
+        assert "*" not in summarize_reports([r])
 
 
 def test_escalated_factor_lower_reads_inconclusive():
