@@ -31,14 +31,11 @@ from .naifs import (
     sup_orbit_batches,
 )
 from .space import (
-    CIRCLE,
-    FINITE,
-    SYMBOLIC,
     PointCloud,
     Potential,
-    cylinder_distance,
+    _distance_kernel,
+    _to_distance_form,
     eval_potential_batch,
-    pack_words,
     points_to_batch,
 )
 
@@ -73,8 +70,9 @@ def _logsumexp(values: np.ndarray) -> float:
 class _BowenOrbit:
     """Orbits of the whole cloud along one word; Bowen distance queries.
 
-    The distance is the running max of the base distance over a list of
-    step batches; _sup_orbit builds the longer list of the sup metric.
+    The distance is the running max of the space's base distance over a
+    list of step batches, each put in distance form once; _sup_orbit builds
+    the longer list of the sup metric.
     Queries read blocks of it; the dense matrix is built only for small
     clouds (MATRIX_LIMIT) and then serves every later block.
     """
@@ -90,10 +88,7 @@ class _BowenOrbit:
         self.cloud = cloud
         self.batches = batches
         self.n_points = len(batches[0])
-        self.codes = None
-        if cloud.space.family == SYMBOLIC:
-            m = cloud.space.alphabet_size
-            self.codes = [(pack_words(B, m), B.shape[1]) for B in batches]
+        self.forms = [_to_distance_form(cloud, B) for B in batches]
         self._matrix: np.ndarray | None = None
 
     def block(self, I: np.ndarray | slice, js: np.ndarray | slice) -> np.ndarray:
@@ -101,22 +96,9 @@ class _BowenOrbit:
         index array or a slice."""
         if self._matrix is not None:
             return self._matrix[I][:, js]
-        fam = self.cloud.space.family
-        dm = self.cloud.dmatrix() if fam == FINITE else None
         acc = None
-        for k, B in enumerate(self.batches):
-            if self.codes is not None:
-                codes, depth = self.codes[k]
-                d = cylinder_distance(codes[:, I, None], codes[:, None, js], depth, self.cloud.space.alphabet_size)
-            elif dm is not None:
-                d = dm[B[I][:, None], B[js]]
-            else:
-                # orbit points lie in [0, 1], where this is space._circle_dist
-                # without its reduction mod 1
-                d = np.subtract(B[I, None], B[None, js])
-                np.abs(d, out=d)
-                if fam == CIRCLE:
-                    np.minimum(d, 1.0 - d, out=d)
+        for f in self.forms:
+            d = _distance_kernel(self.cloud, f[..., I, None], f[..., None, js])
             acc = d if acc is None else np.maximum(acc, d, out=acc)
         return acc
 
@@ -179,16 +161,12 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _conflict_masks(matrix: np.ndarray, eps: float) -> list[int]:
-    """Bit masks of the eps-neighbours of each point, itself excluded; the
-    closed eps-ball of point i is its mask with bit i set."""
-    n = len(matrix)
-    if n > 64:
-        raise ValueError(f"conflict masks pack at most 64 points, got {n}")
-    adj = matrix <= eps
-    np.fill_diagonal(adj, False)
-    bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-    return np.bitwise_or.reduce(np.where(adj, bits, np.uint64(0)), axis=1).tolist()
+def _balls(matrix: np.ndarray, eps: float) -> list[int]:
+    """The closed eps-balls of the matrix rows as bit masks: bit j of ball i
+    is set when d(i, j) <= eps.  Point i's conflicts are its ball without
+    bit i."""
+    rows = np.packbits(matrix <= eps, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in rows]
 
 
 def _exhaustive_mwis(conflict: list[int], wlin: np.ndarray) -> tuple[int, float]:
@@ -290,6 +268,9 @@ def _bb_mwis(conflict: list[int], wlin: np.ndarray) -> tuple[int, float]:
         dfs(mask & ~(1 << v), chosen, cur)
 
     dfs((1 << n) - 1, 0, 0.0)
+    # dfs holds itself through its closure; dropping the name frees the
+    # clique lists and weights now instead of at some later cycle collection
+    del dfs
     return best_mask, best_val
 
 
@@ -324,9 +305,10 @@ def _cover_lower_bound(balls: list[int], w: list[float], uncov: int) -> float:
     return total
 
 
-def _greedy_cover_bits(balls: list[int], w: list[float]) -> tuple[int, float]:
+def _greedy_cover_bits(balls: list[int], w: list[float]) -> list[int]:
     """Ratio greedy cover: the ball of least w_i / |ball_i & uncovered|,
-    lowest index on ties, until every element is covered.
+    lowest index on ties, until every element is covered.  Returns the
+    picks in order.
 
     The ratios sit in a heap and are refreshed only when popped.  A ratio
     never falls as elements get covered, so a popped ratio that is still
@@ -335,7 +317,7 @@ def _greedy_cover_bits(balls: list[int], w: list[float]) -> tuple[int, float]:
     heap = [(w[i] / c, i) for i, b in enumerate(balls) if (c := b.bit_count())]
     heapq.heapify(heap)
     uncov = (1 << len(balls)) - 1
-    chosen, cost = 0, 0.0
+    picks: list[int] = []
     while uncov:
         ratio, i = heapq.heappop(heap)
         newly = (balls[i] & uncov).bit_count()
@@ -344,17 +326,19 @@ def _greedy_cover_bits(balls: list[int], w: list[float]) -> tuple[int, float]:
         if w[i] / newly != ratio:
             heapq.heappush(heap, (w[i] / newly, i))
             continue
-        chosen |= 1 << i
-        cost += w[i]
+        picks.append(i)
         uncov &= ~balls[i]
-    return chosen, cost
+    return picks
 
 
 def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
     """Branch and bound minimum weighted ball cover."""
     n = len(wlin)
     w = wlin.tolist()
-    best_mask, best_val = _greedy_cover_bits(balls, w)
+    best_mask, best_val = 0, 0.0
+    for i in _greedy_cover_bits(balls, w):
+        best_mask |= 1 << i
+        best_val += w[i]
 
     # the balls holding each element, lightest first (lowest index on ties),
     # and the elements by how few balls hold them
@@ -409,22 +393,6 @@ def _first_fit_separated(ctx, eps: float, order: np.ndarray) -> list[int]:
         accepted.append(c)
         alive = alive[ctx.row(c, alive) > eps]
     return accepted
-
-
-def _greedy_cover_matrix(matrix: np.ndarray, eps: float, wlin: np.ndarray) -> list[int]:
-    """Classic ratio greedy for weighted ball cover (matrix path)."""
-    ball = matrix <= eps
-    n = len(ball)
-    uncov = np.ones(n, dtype=bool)
-    chosen: list[int] = []
-    while uncov.any():
-        newly = (ball & uncov[None, :]).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            ratio = np.where(newly > 0, wlin / np.maximum(newly, 1), math.inf)
-        i = int(np.argmin(ratio))
-        chosen.append(i)
-        uncov &= ~ball[i]
-    return chosen
 
 
 def _max_ball_size(ctx, eps: float) -> int:
@@ -520,7 +488,7 @@ def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto"
         witness = sorted(idxs)
         _recheck_separated(ctx, witness, eps)
         return shift + math.log(float(wlin[idxs].sum())), witness, "greedy", False
-    conflict = _conflict_masks(ctx.matrix(), eps)
+    conflict = [b & ~(1 << i) for i, b in enumerate(_balls(ctx.matrix(), eps))]
     mask, val = (_exhaustive_mwis if method == "exhaustive" else _bb_mwis)(conflict, wlin)
     idxs = _bits(mask)
     if any(conflict[i] & mask for i in idxs):
@@ -533,14 +501,14 @@ def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto")
     method, shift, wlin = _solve_setup(ctx, S, eps, mode)
     if method == "greedy":
         if ctx.n_points <= MATRIX_LIMIT:
-            idxs = _greedy_cover_matrix(ctx.matrix(), eps, wlin)
+            idxs = _greedy_cover_bits(_balls(ctx.matrix(), eps), wlin.tolist())
         else:
             # an eps-net: a maximal eps-separated set spans at eps
             idxs = _first_fit_separated(ctx, eps, np.arange(ctx.n_points))
         witness = sorted(idxs)
         _recheck_spanning(ctx, witness, eps)
         return shift + math.log(float(wlin[idxs].sum())), witness, "greedy", False
-    balls = [m | 1 << i for i, m in enumerate(_conflict_masks(ctx.matrix(), eps))]
+    balls = _balls(ctx.matrix(), eps)
     mask, val = (_exhaustive_cover if method == "exhaustive" else _bb_cover)(balls, wlin)
     idxs = _bits(mask)
     covered = 0
@@ -964,10 +932,9 @@ def sup_entropy_estimate(
 
 
 def _subset_indices(cloud: PointCloud, subset: Sequence) -> list[int]:
-    indices = []
-    for p in subset:
-        if isinstance(p, (int, np.integer)) and cloud.space.family != "finite_explicit":
-            indices.append(int(p))
-        else:
-            indices.append(cloud.index_of(p))
-    return sorted(set(indices))
+    """Cloud indices of the subset's points.  An integer is a point index in
+    every family; finite_explicit point ids are their indices."""
+    indices = {int(p) if isinstance(p, (int, np.integer)) else cloud.index_of(p) for p in subset}
+    if not all(0 <= i < len(cloud) for i in indices):
+        raise KeyError(f"a subset index is outside the cloud of {len(cloud)} points")
+    return sorted(indices)

@@ -221,37 +221,54 @@ def batch_to_points(space: SpaceSpec, batch: np.ndarray) -> list:
     return [float(v) for v in rows]
 
 
-def _circle_dist(t: np.ndarray) -> np.ndarray:
-    t = np.abs(t) % 1.0
-    return np.minimum(t, 1.0 - t)
-
-
 def pairwise_distances(cloud: PointCloud, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Distance matrix between two point batches of the same space."""
-    fam = cloud.space.family
-    if fam == INTERVAL:
-        return np.abs(A[:, None] - B[None, :])
-    if fam == CIRCLE:
-        return _circle_dist(A[:, None] - B[None, :])
-    if fam == FINITE:
-        return cloud.dmatrix()[np.ix_(np.asarray(A, dtype=np.intp), np.asarray(B, dtype=np.intp))]
-    depth = min(A.shape[1], B.shape[1])
-    m = cloud.space.alphabet_size
-    return cylinder_distance(pack_words(A[:, :depth], m)[:, :, None], pack_words(B[:, :depth], m)[:, None, :], depth, m)
+    A, B = _common_forms(cloud, A, B)
+    return _distance_kernel(cloud, A[..., :, None], B[..., None, :])
 
 
 def paired_distances(cloud: PointCloud, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Elementwise distances between two equally long batches."""
+    return _distance_kernel(cloud, *_common_forms(cloud, A, B))
+
+
+def _common_forms(cloud: PointCloud, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # words of different lengths compare on their common prefix
+    if cloud.space.family == SYMBOLIC:
+        depth = min(A.shape[1], B.shape[1])
+        A, B = A[:, :depth], B[:, :depth]
+    return _to_distance_form(cloud, A), _to_distance_form(cloud, B)
+
+
+def _to_distance_form(cloud: PointCloud, batch: np.ndarray) -> np.ndarray:
+    """A point batch as _distance_kernel reads it, points on the last axis:
+    packed codes for words, coordinates reduced mod 1 on the circle, point
+    ids or coordinates as they are otherwise."""
     fam = cloud.space.family
-    if fam == INTERVAL:
-        return np.abs(A - B)
-    if fam == CIRCLE:
-        return _circle_dist(A - B)
+    if fam == SYMBOLIC:
+        return pack_words(batch, cloud.space.alphabet_size)
     if fam == FINITE:
-        return cloud.dmatrix()[np.asarray(A, dtype=np.intp), np.asarray(B, dtype=np.intp)]
-    depth = min(A.shape[1], B.shape[1])
-    m = cloud.space.alphabet_size
-    return cylinder_distance(pack_words(A[:, :depth], m), pack_words(B[:, :depth], m), depth, m)
+        return np.asarray(batch, dtype=np.intp)
+    if fam == CIRCLE:
+        # x mod 1, rounded once as np.mod does, at a tenth of its cost
+        return batch - np.floor(batch)
+    return batch
+
+
+def _distance_kernel(cloud: PointCloud, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Base distances between batches in distance form; `a` and `b`
+    broadcast against each other."""
+    fam = cloud.space.family
+    if fam == SYMBOLIC:
+        return cylinder_distance(a, b, cloud.space.alphabet_size)
+    if fam == FINITE:
+        return cloud.dmatrix()[a, b]
+    d = np.subtract(a, b)
+    np.abs(d, out=d)
+    if fam == CIRCLE:
+        # both coordinates lie in [0, 1], so |a - b| needs no reduction
+        np.minimum(d, 1.0 - d, out=d)
+    return d
 
 
 # Chunks stay below 2**52 so that their xor converts to float64 exactly and
@@ -267,8 +284,10 @@ def pack_words(batch: np.ndarray, alphabet: int) -> np.ndarray:
     """Pack an (N, D) batch of words into (chunks, N) uint64 codes.
 
     Each symbol takes ceil(log2 m) bits, the first symbol highest; a chunk
-    holds as many whole symbols as fit in 52 bits, so that equal prefixes
-    give equal leading chunks.  A depth-0 batch packs into one zero chunk.
+    has room for as many whole symbols as fit in 52 bits, and the last
+    chunk's unused room is zero at its low end.  So equal prefixes give
+    equal leading chunks, and a symbol's position follows from its bits
+    alone.  A depth-0 batch packs into one zero chunk.
     """
     n, depth = batch.shape
     bits = _symbol_bits(alphabet)
@@ -279,15 +298,17 @@ def pack_words(batch: np.ndarray, alphabet: int) -> np.ndarray:
         row = codes[k // per]
         np.left_shift(row, np.uint64(bits), out=row)
         np.bitwise_or(row, batch[:, k].astype(np.uint64), out=row)
+    if depth % per:
+        np.left_shift(codes[-1], np.uint64(bits * (per - depth % per)), out=codes[-1])
     return codes
 
 
-def cylinder_distance(a: np.ndarray, b: np.ndarray, depth: int, alphabet: int) -> np.ndarray:
-    """Cylinder distance 2**(-k), k the first position where two words of
-    the given depth differ (0 for equal words), between packed words.
+def cylinder_distance(a: np.ndarray, b: np.ndarray, alphabet: int) -> np.ndarray:
+    """Cylinder distance 2**(-k), k the first position where two words
+    differ (0 for equal words), between packed words.
 
-    `a` and `b` are codes from pack_words; they broadcast against each other
-    past the leading chunk axis.
+    `a` and `b` are codes from pack_words of words of one depth; they
+    broadcast against each other past the leading chunk axis.
     """
     bits = _symbol_bits(alphabet)
     per = _CHUNK_BITS // bits
@@ -298,8 +319,7 @@ def cylinder_distance(a: np.ndarray, b: np.ndarray, depth: int, alphabet: int) -
         # highest set bit, expo - 1, lies in the first differing symbol, and
         # ceil(mant) zeroes the distance of equal chunks
         mant, expo = np.frexp(x.astype(np.float64))
-        end = min(depth, (j + 1) * per)
-        d = np.ldexp(np.ceil(mant), (expo - 1) // bits + 1 - end)
+        d = np.ldexp(np.ceil(mant), (expo - 1) // bits + 1 - (j + 1) * per)
         dist = d if dist is None else np.where(alive, d, dist)
         if j + 1 < len(a):
             alive = x == 0 if alive is None else alive & (x == 0)
@@ -311,7 +331,6 @@ def distance(cloud: PointCloud, x, y) -> float:
     space = cloud.space
     _check_point(space, x)
     _check_point(space, y)
-    # words of different lengths compare on their common prefix
     return float(pairwise_distances(cloud, points_to_batch(space, [x]), points_to_batch(space, [y]))[0, 0])
 
 

@@ -2,13 +2,17 @@
 
 Everything here recomputes orbit distances point by point through `compose`
 and scans subsets with itertools, deliberately sharing no machinery with
-the package's solvers (no bitsets, no subset DP, no greedy).  The one
-exception is reference_bb_cover, a plain bitset search kept so that the
-package's faster ball-cover search can be held to its exact results.
+the package's solvers (no bitsets, no subset DP).  Two references are
+the exceptions: reference_bb_cover, a plain bitset search, and
+reference_greedy_cover, the ratio greedy as one numpy pass per pick.
+They hold the package's faster ball-cover search and its heap greedy to
+the same results, pick for pick.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 from naifslab import compose, distance, eval_potential
 
@@ -178,8 +182,6 @@ def oracle_derived_birkhoff(ctx, schedule, n, phi, psi, p, c):
     the table path: phi and psi evaluated point by point over
     oracle_reachable_points, each derived potential tabulated as an
     explicit_table keyed by canonical_key and summed along ctx's orbits."""
-    import numpy as np
-
     from naifslab.pressure import _birkhoff_vector
     from naifslab.space import Potential, canonical_key
 
@@ -252,3 +254,21 @@ def reference_bb_cover(balls, wlin):
     dfs(full, 0, 0.0)
     return best[0], best[1]
 
+
+def reference_greedy_cover(matrix, eps, wlin):
+    """The ratio greedy cover that pressure._greedy_cover_bits speeds up:
+    each pick rescans every ball of matrix <= eps for the least
+    w_i / |ball_i & uncovered|, lowest index on ties.  Returns the picks in
+    order."""
+    ball = matrix <= eps
+    n = len(ball)
+    uncov = np.ones(n, dtype=bool)
+    chosen = []
+    while uncov.any():
+        newly = (ball & uncov[None, :]).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            ratio = np.where(newly > 0, wlin / np.maximum(newly, 1), math.inf)
+        i = int(np.argmin(ratio))
+        chosen.append(i)
+        uncov &= ~ball[i]
+    return chosen

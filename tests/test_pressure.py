@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -35,6 +36,7 @@ from oracles import (
     oracle_partition_spanning,
     per_element_cover_bound,
     reference_bb_cover,
+    reference_greedy_cover,
 )
 
 ID = MapSpec("identity")
@@ -342,24 +344,20 @@ def test_pool_is_sized_by_its_chunks(monkeypatch, n, cpus, expected):
     assert pooled == serial
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 20, 63, 64])
+@pytest.mark.parametrize("n", [0, 1, 2, 20, 63, 64, 65, 300])
 def test_conflict_masks_match_per_bit_formula(n):
+    # the exact solvers' conflict masks are the balls less their centres;
+    # balls are Python ints, so no width limit sits at 64 points
     rng = np.random.default_rng(n)
     m = np.round(rng.random((n, n)), 2)
     m = np.minimum(m, m.T)
     np.fill_diagonal(m, 0.0)
     # eps equal to a distance: the comparison is inclusive
     for eps in (0.0, 0.5, float(m[0, -1]) if n else 1.0, 1.0):
-        per_bit = [sum(1 << j for j in range(n) if j != i and m[i, j] <= eps) for i in range(n)]
-        assert pressure._conflict_masks(m, eps) == per_bit
-    # all true; at n = 64 every row but the last sets bit 63
-    full = (1 << n) - 1
-    assert pressure._conflict_masks(np.zeros((n, n)), 0.0) == [full ^ (1 << i) for i in range(n)]
-
-
-def test_conflict_masks_refuse_more_than_64_points():
-    with pytest.raises(ValueError, match="64"):
-        pressure._conflict_masks(np.zeros((65, 65)), 0.5)
+        per_bit = [sum(1 << j for j in range(n) if m[i, j] <= eps) for i in range(n)]
+        assert pressure._balls(m, eps) == per_bit
+    # all true; at n = 64 every ball sets bit 63
+    assert pressure._balls(np.zeros((n, n)), 0.0) == [(1 << n) - 1] * n
 
 
 @settings(max_examples=200)
@@ -392,6 +390,40 @@ def test_bb_cover_matches_reference_bit_for_bit(data):
         covered |= balls[i]
     assert covered == (1 << n) - 1
     assert abs(value - pressure._exhaustive_cover(balls, wlin)[1]) <= 1e-12
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_greedy_cover_bits_matches_reference_pick_for_pick(data):
+    n = data.draw(st.integers(1, 200))
+    # each ball holds its own centre, as every eps-ball does
+    balls = [data.draw(st.integers(0, (1 << n) - 1)) | (1 << i) for i in range(n)]
+    # tied weights, zero weights (exp underflow), subnormal weights whose
+    # ratios round to equal floats, and weights whose ratios round
+    weight = st.sampled_from([0.0, 0.25, 0.5, 1.0, 5e-324, 1e-310]) | st.floats(0.01, 1.0)
+    wlin = np.array([data.draw(weight) for _ in range(n)])
+    dist = np.array([[0.0 if (b >> j) & 1 else 1.0 for j in range(n)] for b in balls])
+    assert pressure._greedy_cover_bits(balls, wlin.tolist()) == reference_greedy_cover(dist, 0.5, wlin)
+
+
+@pytest.mark.parametrize("solver", ["_bb_mwis", "_bb_cover"])
+def test_branch_and_bound_leaves_no_cycles(solver):
+    # a solve frees its search state on return: nothing is left for the
+    # cycle collector
+    rng = np.random.default_rng(24)
+    m = rng.random((24, 24))
+    m = np.minimum(m, m.T)
+    np.fill_diagonal(m, 0.0)
+    balls = pressure._balls(m, 0.3)
+    masks = balls if solver == "_bb_cover" else [b & ~(1 << i) for i, b in enumerate(balls)]
+    wlin = rng.random(24)
+    gc.collect()
+    gc.disable()
+    try:
+        getattr(pressure, solver)(masks, wlin)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(st.integers(0, 10**6), st.booleans(), st.integers(1, 3), st.floats(0.05, 0.95))
@@ -434,6 +466,15 @@ def test_sup_entropy_edge_cases():
         assert e.separated == 2
     for s in whole.sandwiches:
         assert s.ok and s.r_eps <= s.s_eps <= s.r_half
+    # an integer is a point index in every family and must lie in the cloud
+    doubling = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
+    circle = build_cloud(SpaceSpec("circle_grid", 4))
+    for c, sch in ((cloud, sched), (circle, doubling)):
+        for bad in (len(c), -1):
+            with pytest.raises(KeyError):
+                sup_entropy_estimate(c, sch, [0, bad], [1], [0.5])
+    # index 3 and the point 0.75 are one point
+    assert sup_entropy_estimate(circle, doubling, [3, 0.75], [1], [0.5]).subset_size == 1
 
 
 def test_sup_entropy_sandwich_on_random_instances():

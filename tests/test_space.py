@@ -164,8 +164,25 @@ def test_pairwise_matches_scalar_on_symbolic():
             assert mat[i, j] == distance(cloud, cloud.points[i], cloud.points[j])
 
 
+def test_circle_distances_reduce_reals_mod_1():
+    # reals outside [0, 1) name circle points too; all values here are
+    # dyadic, so the arc distance is exact
+    cloud = build_cloud(SpaceSpec("circle_grid", 8))
+    xs = [-0.25, 0.0, 0.125, 0.5, 0.75, 1.0, 2.75]
+
+    def arc(x, y):
+        t = abs(x - y) % 1.0
+        return min(t, 1.0 - t)
+
+    pairs = [(x, y) for x in xs for y in xs]
+    for x, y in pairs:
+        assert distance(cloud, x, y) == arc(x, y)
+    A, B = (np.array(col) for col in zip(*pairs))
+    assert paired_distances(cloud, A, B).tolist() == [arc(x, y) for x, y in pairs]
+
+
 @settings(max_examples=100)
-@given(st.integers(2, 4), st.integers(1, 64), st.data())
+@given(st.sampled_from([2, 3, 4, 5, 9, 130]), st.integers(1, 64), st.data())
 def test_cylinder_distances_match_oracle(alphabet, depth, data):
     # words share random-length prefixes of one base word, so every first
     # differing position, deep chunks included, gets drawn

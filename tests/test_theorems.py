@@ -36,7 +36,7 @@ from naifslab.catalog import EXAMPLE_CONFIGS
 from naifslab.cli import ExperimentConfig, _run_checks, main
 from naifslab.pressure import CurveEntry, EpsSummary, PressureCurve, _BowenOrbit
 from naifslab.naifs import Word, orbit_batches, reachable_batches
-from naifslab.space import batch_to_points, canonical_key, eval_potential_batch
+from naifslab.space import batch_to_points, canonical_key, eval_potential_batch, paired_distances
 from naifslab.theorems import (
     FINITE_LEVEL,
     HOLDS_EXACT,
@@ -45,6 +45,8 @@ from naifslab.theorems import (
     VIOLATED,
     _derived_birkhoff,
     _factor_estimates,
+    _pair_distances,
+    _sample_pairs,
     pullback_potential,
     random_explicit_instance,
     semiconjugacy_report,
@@ -185,6 +187,25 @@ def test_equicontinuity_moduli():
     i = build_cloud(SpaceSpec("interval_grid", 129))
     tent = check_equicontinuity(i, GenerationSchedule((), ((MapSpec("tent"),),)), [0.125])
     assert dict(tent.table) == {0.125: 0.0625}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SpaceSpec("interval_grid", 40),
+        SpaceSpec("circle_grid", 40),
+        # 512 points: the pairs are sampled
+        SpaceSpec("symbolic_depth", 9, alphabet_size=2),
+        SpaceSpec("finite_explicit", distance_matrix=((0.0, 1.0, 0.5), (1.0, 0.0, 0.5), (0.5, 0.5, 0.0))),
+    ],
+)
+def test_pair_distances_gather_from_one_form(spec):
+    # the diagnostics put a batch in distance form once and gather the pairs
+    # from it; that must equal measuring each pair on its own
+    cloud = build_cloud(spec)
+    batch = cloud.batch()
+    ia, ib, _ = _sample_pairs(len(cloud))
+    assert np.array_equal(_pair_distances(cloud, batch, ia, ib), paired_distances(cloud, batch[ia], batch[ib]))
 
 
 def quotient_factor():
