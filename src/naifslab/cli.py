@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
-
 from .catalog import CATALOG_KINDS, EXAMPLE_CONFIGS, list_builtin
 from .naifs import (
     FactorMapSpec,
@@ -171,6 +169,9 @@ CONFIG_SCHEMA = {
 
 
 def _schema_check(raw: dict) -> None:
+    # imported here, not at module level: `import naifslab` need not load it
+    import jsonschema
+
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(raw), key=lambda e: e.json_path)
     if errors:

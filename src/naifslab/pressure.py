@@ -8,6 +8,12 @@ size thresholds (subset enumeration to 20 points, bitset branch and bound
 to 64); beyond that deterministic greedy bounds take over and every result
 self-reports its method and exactness.
 
+An orbit object (_BowenOrbit) caches what a solve reads that does not
+depend on the weights: the dense Bowen matrix, its closed eps-balls per
+eps, and per (eps, kind) the subsets that subset enumeration may return.
+Callers that solve several potentials, both kinds or a repeated eps on
+one orbit build these once; the cache is freed with the orbit.
+
 All sums of exponentials are accumulated in log space with max shifting.
 """
 
@@ -75,6 +81,11 @@ class _BowenOrbit:
     the longer list of the sup metric.
     Queries read blocks of it; the dense matrix is built only for small
     clouds (MATRIX_LIMIT) and then serves every later block.
+
+    The matrix, its eps-balls (balls) and the feasible subsets of subset
+    enumeration (feasible_subsets) are built on first use and kept for the
+    life of the orbit, one entry per eps and per (eps, kind): solves of
+    other weight vectors on the same orbit read them instead of rebuilding.
     """
 
     def __init__(self, cloud: PointCloud, schedule: GenerationSchedule, word: Word, n: int):
@@ -90,6 +101,8 @@ class _BowenOrbit:
         self.n_points = len(batches[0])
         self.forms = [_to_distance_form(cloud, B) for B in batches]
         self._matrix: np.ndarray | None = None
+        self._balls: dict[float, list[int]] = {}
+        self._feasible: dict[tuple[float, str], np.ndarray] = {}
 
     def block(self, I: np.ndarray | slice, js: np.ndarray | slice) -> np.ndarray:
         """Distances between the points I (rows) and js (columns), each an
@@ -116,6 +129,23 @@ class _BowenOrbit:
                 m[lo : lo + step] = self.block(slice(lo, lo + step), slice(None))
             self._matrix = m
         return self._matrix
+
+    def balls(self, eps: float) -> list[int]:
+        """The closed eps-balls of the matrix rows as bit masks (_balls)."""
+        balls = self._balls.get(eps)
+        if balls is None:
+            balls = self._balls[eps] = _balls(self.matrix(), eps)
+        return balls
+
+    def feasible_subsets(self, eps: float, kind: str) -> np.ndarray:
+        """Ascending indices of the eps-separated subsets or of the eps-spanning
+        subsets of the cloud (_feasible_subsets)."""
+        feas = self._feasible.get((eps, kind))
+        if feas is None:
+            feas = self._feasible[eps, kind] = _feasible_subsets(self.balls(eps), kind)
+            # shared by every later solve at (eps, kind)
+            feas.flags.writeable = False
+        return feas
 
     def min_pair_distance(self, idxs: Sequence[int]) -> float:
         """Smallest distance between two distinct points of idxs (inf for
@@ -169,40 +199,48 @@ def _balls(matrix: np.ndarray, eps: float) -> list[int]:
     return [int.from_bytes(r.tobytes(), "little") for r in rows]
 
 
-def _exhaustive_mwis(conflict: list[int], wlin: np.ndarray) -> tuple[int, float]:
-    """Scan all subsets; DP marks independence and accumulates weights.
+def _feasible_subsets(balls: list[int], kind: str) -> np.ndarray:
+    """Ascending indices of the subsets whose members lie in no other
+    member's ball (kind "separated") or whose balls cover every point
+    (kind "spanning"): the weight-free half of subset enumeration.
 
     Bits run high to low so that a subset's tail (its value without the
     lowest set bit, which has only higher bits) is final before use.
     """
-    n = len(wlin)
-    size = 1 << n
-    indep = np.ones(size, dtype=bool)
-    wsum = np.zeros(size)
-    for b in reversed(range(n)):
-        base = np.arange(0, size, 1 << (b + 1), dtype=np.int64)
-        s = base + (1 << b)
-        indep[s] = indep[base] & ((conflict[b] & base) == 0)
-        wsum[s] = wsum[base] + wlin[b]
-    feas = np.flatnonzero(indep)
-    best = int(feas[np.argmax(wsum[feas])])
-    return best, float(wsum[best])
+    size = 1 << len(balls)
+    if kind == "separated":
+        idx = np.arange(size, dtype=np.int64)
+        ok = np.ones(size, dtype=bool)
+        for b in reversed(range(len(balls))):
+            step = 1 << (b + 1)
+            conflict = balls[b] & ~(1 << b)
+            ok[1 << b :: step] = ok[::step] & ((idx[::step] & conflict) == 0)
+    else:
+        cov = np.zeros(size, dtype=np.int64)
+        for b in reversed(range(len(balls))):
+            step = 1 << (b + 1)
+            np.bitwise_or(cov[::step], balls[b], out=cov[1 << b :: step])
+        ok = cov == size - 1
+    return np.flatnonzero(ok)
 
 
-def _exhaustive_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
-    n = len(wlin)
-    size = 1 << n
-    cov = np.zeros(size, dtype=np.int64)
-    wsum = np.zeros(size)
-    for b in reversed(range(n)):
-        base = np.arange(0, size, 1 << (b + 1), dtype=np.int64)
-        s = base + (1 << b)
-        cov[s] = cov[base] | balls[b]
-        wsum[s] = wsum[base] + wlin[b]
-    full = size - 1
-    feas = np.flatnonzero(cov == full)
-    best = int(feas[np.argmin(wsum[feas])])
-    return best, float(wsum[best])
+def _subset_sums(wlin: np.ndarray) -> np.ndarray:
+    """wsum[s], the sum of wlin over the bits of s: the weight half of
+    subset enumeration.  Each subset adds its lowest bit's weight to the sum
+    of its tail, so the terms are added from the highest bit down."""
+    wsum = np.zeros(1 << len(wlin))
+    for b in reversed(range(len(wlin))):
+        step = 1 << (b + 1)
+        np.add(wsum[::step], wlin[b], out=wsum[1 << b :: step])
+    return wsum
+
+
+def _best_subset(feas: np.ndarray, wlin: np.ndarray, pick) -> tuple[int, float]:
+    """The feasible subset whose weight pick (np.argmax or np.argmin)
+    selects, lowest index on ties, and its weight."""
+    wsum = _subset_sums(wlin)[feas]
+    i = pick(wsum)
+    return int(feas[i]), float(wsum[i])
 
 
 def _bb_mwis(conflict: list[int], wlin: np.ndarray) -> tuple[int, float]:
@@ -488,10 +526,13 @@ def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto"
         witness = sorted(idxs)
         _recheck_separated(ctx, witness, eps)
         return shift + math.log(float(wlin[idxs].sum())), witness, "greedy", False
-    conflict = [b & ~(1 << i) for i, b in enumerate(_balls(ctx.matrix(), eps))]
-    mask, val = (_exhaustive_mwis if method == "exhaustive" else _bb_mwis)(conflict, wlin)
+    balls = ctx.balls(eps)
+    if method == "exhaustive":
+        mask, val = _best_subset(ctx.feasible_subsets(eps, "separated"), wlin, np.argmax)
+    else:
+        mask, val = _bb_mwis([b & ~(1 << i) for i, b in enumerate(balls)], wlin)
     idxs = _bits(mask)
-    if any(conflict[i] & mask for i in idxs):
+    if any(balls[i] & ~(1 << i) & mask for i in idxs):
         raise RuntimeError("separated witness failed its defining property")
     return shift + math.log(val), idxs, method, True
 
@@ -501,15 +542,18 @@ def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto")
     method, shift, wlin = _solve_setup(ctx, S, eps, mode)
     if method == "greedy":
         if ctx.n_points <= MATRIX_LIMIT:
-            idxs = _greedy_cover_bits(_balls(ctx.matrix(), eps), wlin.tolist())
+            idxs = _greedy_cover_bits(ctx.balls(eps), wlin.tolist())
         else:
             # an eps-net: a maximal eps-separated set spans at eps
             idxs = _first_fit_separated(ctx, eps, np.arange(ctx.n_points))
         witness = sorted(idxs)
         _recheck_spanning(ctx, witness, eps)
         return shift + math.log(float(wlin[idxs].sum())), witness, "greedy", False
-    balls = _balls(ctx.matrix(), eps)
-    mask, val = (_exhaustive_cover if method == "exhaustive" else _bb_cover)(balls, wlin)
+    balls = ctx.balls(eps)
+    if method == "exhaustive":
+        mask, val = _best_subset(ctx.feasible_subsets(eps, "spanning"), wlin, np.argmin)
+    else:
+        mask, val = _bb_cover(balls, wlin)
     idxs = _bits(mask)
     covered = 0
     for i in idxs:

@@ -243,13 +243,16 @@ def _common_forms(cloud: PointCloud, A: np.ndarray, B: np.ndarray) -> tuple[np.n
 def _to_distance_form(cloud: PointCloud, batch: np.ndarray) -> np.ndarray:
     """A point batch as _distance_kernel reads it, points on the last axis:
     packed codes for words, coordinates reduced mod 1 on the circle, point
-    ids or coordinates as they are otherwise."""
+    ids or coordinates as they are otherwise.  A circle batch already in
+    [0, 1) is returned itself, not copied."""
     fam = cloud.space.family
     if fam == SYMBOLIC:
         return pack_words(batch, cloud.space.alphabet_size)
     if fam == FINITE:
         return np.asarray(batch, dtype=np.intp)
     if fam == CIRCLE:
+        if batch.size and 0.0 <= batch.min() and batch.max() < 1.0:
+            return batch
         # x mod 1, rounded once as np.mod does, at a tenth of its cost
         return batch - np.floor(batch)
     return batch

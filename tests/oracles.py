@@ -2,11 +2,12 @@
 
 Everything here recomputes orbit distances point by point through `compose`
 and scans subsets with itertools, deliberately sharing no machinery with
-the package's solvers (no bitsets, no subset DP).  Two references are
-the exceptions: reference_bb_cover, a plain bitset search, and
-reference_greedy_cover, the ratio greedy as one numpy pass per pick.
-They hold the package's faster ball-cover search and its heap greedy to
-the same results, pick for pick.
+the package's solvers (no bitsets, no subset DP).  Three references are
+the exceptions: reference_bb_cover, a plain bitset search,
+reference_greedy_cover, the ratio greedy as one numpy pass per pick, and
+reference_exhaustive, the subset DP with weights and feasibility in one
+pass.  They hold the package's faster ball-cover search, its heap greedy
+and its cached subset enumeration to the same results, bit for bit.
 """
 
 import itertools
@@ -272,3 +273,28 @@ def reference_greedy_cover(matrix, eps, wlin):
         chosen.append(i)
         uncov &= ~ball[i]
     return chosen
+
+
+def reference_exhaustive(balls, wlin, kind):
+    """The subset DP that pressure._feasible_subsets and _subset_sums split
+    in two: feasibility and weights in one pass, bits high to low, one
+    index array per bit.  Returns the heaviest independent subset ("separated")
+    or the lightest cover ("spanning"), lowest index on ties, and its weight."""
+    n = len(wlin)
+    size = 1 << n
+    ok = np.ones(size, dtype=bool)
+    cov = np.zeros(size, dtype=np.int64)
+    wsum = np.zeros(size)
+    for b in reversed(range(n)):
+        base = np.arange(0, size, 1 << (b + 1), dtype=np.int64)
+        s = base + (1 << b)
+        ok[s] = ok[base] & (((balls[b] & ~(1 << b)) & base) == 0)
+        cov[s] = cov[base] | balls[b]
+        wsum[s] = wsum[base] + wlin[b]
+    if kind == "separated":
+        feas = np.flatnonzero(ok)
+        best = int(feas[np.argmax(wsum[feas])])
+    else:
+        feas = np.flatnonzero(cov == size - 1)
+        best = int(feas[np.argmin(wsum[feas])])
+    return best, float(wsum[best])

@@ -27,7 +27,7 @@ from naifslab import (
     pressure_estimate,
     sup_entropy_estimate,
 )
-from naifslab.theorems import random_explicit_instance
+from naifslab.theorems import check_basic_properties, random_explicit_instance
 from oracles import (
     oracle_birkhoff,
     oracle_max_separated,
@@ -36,6 +36,7 @@ from oracles import (
     oracle_partition_spanning,
     per_element_cover_bound,
     reference_bb_cover,
+    reference_exhaustive,
     reference_greedy_cover,
 )
 
@@ -389,7 +390,24 @@ def test_bb_cover_matches_reference_bit_for_bit(data):
     for i in pressure._bits(mask):
         covered |= balls[i]
     assert covered == (1 << n) - 1
-    assert abs(value - pressure._exhaustive_cover(balls, wlin)[1]) <= 1e-12
+    _, least = pressure._best_subset(pressure._feasible_subsets(balls, "spanning"), wlin, np.argmin)
+    assert abs(value - least) <= 1e-12
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_subset_enumeration_matches_reference_bit_for_bit(data):
+    n = data.draw(st.integers(0, 12))
+    # each ball holds its own centre, as every eps-ball does
+    balls = [data.draw(st.integers(0, (1 << n) - 1)) | (1 << i) for i in range(n)]
+    # tied weights, zero weights (exp underflow), subnormal weights and
+    # weights whose sums round differently in another order
+    weight = st.sampled_from([0.0, 0.25, 0.5, 1.0, 5e-324]) | st.floats(0.01, 1.0)
+    wlin = np.array([data.draw(weight) for _ in range(n)])
+    for kind, pick in (("separated", np.argmax), ("spanning", np.argmin)):
+        mask, value = pressure._best_subset(pressure._feasible_subsets(balls, kind), wlin, pick)
+        ref_mask, ref_value = reference_exhaustive(balls, wlin, kind)
+        assert (mask, value.hex()) == (ref_mask, ref_value.hex())
 
 
 @settings(max_examples=100)
@@ -512,3 +530,72 @@ def test_spanning_kind_pipeline():
     assert curve.kind == "spanning"
     for e in curve.entries:
         assert e.log_avg == pytest.approx(math.log(2), abs=1e-12)
+
+
+def _solve(orbit, kind, psi, eps, mode):
+    solve = pressure._solve_separated_weighted if kind == "separated" else pressure._solve_spanning_weighted
+    log_value, witness, method, exact = solve(orbit, pressure._birkhoff_vector(orbit, psi), eps, mode)
+    return log_value.hex(), witness, method, exact
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(4, 12), st.integers(1, 2), st.data())
+def test_orbit_cache_solves_equal_fresh_orbit_solves(seed, max_points, n, data):
+    # one orbit solves several eps (repeats included), potentials, kinds and
+    # modes in a shuffled order, reading its cached balls and feasible
+    # subsets; each result must equal a solve on a fresh orbit bit for bit
+    rng = random.Random(seed)
+    cloud, sched = random_explicit_instance(rng, max_points=max_points, max_maps=2, max_cycle=2)
+    words, _, _ = enumerate_words(sched, 1, n, None, 0)
+    w = words[rng.randrange(len(words))]
+    off = sorted(cloud.dmatrix()[~np.eye(len(cloud), dtype=bool)])
+    eps_values = [off[int(q * len(off))] for q in data.draw(st.lists(st.floats(0.0, 0.99), min_size=1, max_size=3))]
+    psis = [Potential("explicit_table", tuple(rng.uniform(-1, 1) for _ in range(len(cloud)))) for _ in range(2)]
+    psis.append(Potential("constant", (0.0,)))  # equal weights: every tie is met
+    jobs = [
+        (eps, psi, kind, mode)
+        for eps in eps_values
+        for psi in psis
+        for kind in pressure.KINDS
+        for mode in ("auto", "branch_and_bound", "greedy")
+    ]
+    rng.shuffle(jobs)
+    orbit = pressure._BowenOrbit(cloud, sched, w, n)
+    for eps, psi, kind, mode in jobs:
+        got = _solve(orbit, kind, psi, eps, mode)
+        assert got == _solve(pressure._BowenOrbit(cloud, sched, w, n), kind, psi, eps, mode)
+        if got[3]:
+            oracle = oracle_partition_separated if kind == "separated" else oracle_partition_spanning
+            assert float.fromhex(got[0]) == pytest.approx(oracle(cloud, sched, w, n, psi, eps), abs=1e-12)
+    assert set(orbit._balls) == set(eps_values)
+
+
+def test_basic_properties_build_one_feasibility_table_per_word_and_eps(monkeypatch):
+    # ten potentials are solved per word at one eps; the weight-free
+    # tables are built once per orbit
+    built = []
+    feasible = pressure._feasible_subsets
+    monkeypatch.setattr(pressure, "_feasible_subsets", lambda balls, kind: built.append(kind) or feasible(balls, kind))
+    rng = random.Random(11)
+    cloud, sched = random_explicit_instance(rng, max_points=10, max_maps=2, max_cycle=2)
+    phi, psi = (Potential("explicit_table", tuple(rng.uniform(-1, 1) for _ in range(len(cloud)))) for _ in range(2))
+    off = sorted(cloud.dmatrix()[~np.eye(len(cloud), dtype=bool)])
+    n = 2
+    words, _, _ = enumerate_words(sched, 1, n, None, 0)
+    for eps in (off[len(off) // 3], off[len(off) // 2]):
+        built.clear()
+        check_basic_properties(cloud, sched, phi, psi, eps, n, 0.4, 2.0)
+        assert built == ["separated"] * len(words)
+
+
+def test_sup_entropy_reuses_the_half_eps_tables(monkeypatch):
+    # with eps halving, the spanning solve at eps / 2 is the next eps's
+    # spanning solve: each orbit packs balls once per distinct eps
+    packed = []
+    balls = pressure._balls
+    monkeypatch.setattr(pressure, "_balls", lambda matrix, eps: packed.append(eps) or balls(matrix, eps))
+    rng = random.Random(12)
+    cloud, sched = random_explicit_instance(rng, max_points=8, max_maps=2, max_cycle=2)
+    eps_list = [0.4, 0.2, 0.1]
+    sup_entropy_estimate(cloud, sched, list(cloud.points), [1, 2], eps_list)
+    assert packed == [0.4, 0.2, 0.1, 0.05] * 2

@@ -20,7 +20,7 @@ from naifslab import (
     max_separated,
     sup_norm,
 )
-from naifslab.space import eval_potential_batch, paired_distances, pairwise_distances
+from naifslab.space import _to_distance_form, eval_potential_batch, paired_distances, pairwise_distances
 from oracles import oracle_cylinder_distance, oracle_max_separated
 
 
@@ -179,6 +179,20 @@ def test_circle_distances_reduce_reals_mod_1():
         assert distance(cloud, x, y) == arc(x, y)
     A, B = (np.array(col) for col in zip(*pairs))
     assert paired_distances(cloud, A, B).tolist() == [arc(x, y) for x, y in pairs]
+
+
+def test_circle_distance_form_reuses_batches_in_range():
+    # a batch already in [0, 1) is its own distance form; any other is
+    # reduced mod 1 into a new array and left as it was
+    cloud = build_cloud(SpaceSpec("circle_grid", 8))
+    inside = np.array([0.0, 0.125, 0.5, 1.0 - 2.0**-53])
+    assert _to_distance_form(cloud, inside) is inside
+    for x in (1.0, -0.25, 2.75):
+        batch = np.append(inside, x)
+        form = _to_distance_form(cloud, batch)
+        assert form is not batch and batch[-1] == x
+        assert form.tolist() == (batch - np.floor(batch)).tolist()
+        assert 0.0 <= form.min() and form.max() < 1.0
 
 
 @settings(max_examples=100)
