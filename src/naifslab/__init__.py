@@ -8,9 +8,6 @@ from .space import (
     SpaceSpec,
     build_cloud,
     distance,
-    eval_potential,
-    materialize_potential,
-    sup_norm,
 )
 from .naifs import (
     ComposedMap,
@@ -22,7 +19,6 @@ from .naifs import (
     block_word,
     bowen_distance,
     check_semiconjugacy,
-    compose,
     count_words,
     enumerate_words,
     fiber_indices,

@@ -27,7 +27,6 @@ from .space import (
     SYMBOLIC,
     PointCloud,
     batch_to_points,
-    canonical_key,
     paired_distances,
     points_to_batch,
 )
@@ -198,28 +197,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-
-def compose_batch(space, schedule: GenerationSchedule, w: Word, i: int, k: int, batch: np.ndarray) -> np.ndarray:
-    """Apply f_w^{i,k} to a point batch (k = 0 is the identity)."""
-    if k < 0:
-        raise ValueError("composition length k must be >= 0")
-    if i < w.start or i + k > w.start + len(w):
-        raise ValueError(f"word too short for composition (i={i}, k={k}, start={w.start}, |w|={len(w)})")
-    for g in range(i, i + k):
-        sym = w.symbols[g - w.start]
-        gen = generation_at(schedule, g)
-        if sym >= len(gen):
-            raise ValueError(f"word symbol {sym} outside index set of generation {g}")
-        batch = apply_map(space, gen[sym], batch)
-    return batch
-
-
-def compose(cloud: PointCloud, schedule: GenerationSchedule, w: Word, i: int, k: int, x):
-    """Pointwise f_w^{i,k}(x)."""
-    space = cloud.space
-    out = compose_batch(space, schedule, w, i, k, points_to_batch(space, [x]))
-    return batch_to_points(space, out)[0]
 
 
 def orbit_batches(space, schedule: GenerationSchedule, w: Word, k: int, batch: np.ndarray, start: int | None = None) -> list[np.ndarray]:
@@ -439,22 +416,27 @@ def apply_factor_batch(factor: FactorMapSpec, batch: np.ndarray) -> np.ndarray:
     return out
 
 
-def fiber_indices(factor: FactorMapSpec, y) -> list[int]:
-    """Source cloud indices of the preimage of a target point.
+def fiber_indices(factor: FactorMapSpec, yi: int) -> list[int]:
+    """Source cloud indices of the preimage of the target cloud's point yi.
 
-    Exact preimage for index_table / coordinate_projection; for
-    binary_expansion membership is distance to y within fiber_tol (analytic
-    preimages are unavailable on depth-truncated clouds).
+    Exact preimage for index_table / coordinate_projection: the image rows
+    equal to the target row; for binary_expansion membership is distance
+    to the target point within fiber_tol (analytic preimages are
+    unavailable on depth-truncated clouds).
     """
-    src = factor.source.cloud
-    images = apply_factor_batch(factor, src.batch())
-    if factor.kind == "index_table":
-        return [i for i, v in enumerate(images) if int(v) == int(y)]
-    if factor.kind == "coordinate_projection":
-        return [i for i, v in enumerate(images) if float(v) == float(y)]
-    ytile = np.full(len(images), float(y))
-    dist = paired_distances(factor.target.cloud, images, ytile)
-    return [int(i) for i in np.flatnonzero(dist <= factor.fiber_tol + 1e-15)]
+    tgt = factor.target.cloud
+    if not 0 <= yi < len(tgt):
+        raise IndexError(f"target index {yi} is outside the cloud of {len(tgt)} points")
+    y = tgt.batch[yi]
+    images = apply_factor_batch(factor, factor.source.cloud.batch)
+    if factor.kind == "binary_expansion":
+        hit = paired_distances(tgt, images, np.full(len(images), y)) <= factor.fiber_tol + 1e-15
+    elif images.shape[1:] != y.shape:
+        # words of another depth are other points
+        return []
+    else:
+        hit = (images == y).reshape(len(images), -1).all(axis=1)
+    return np.flatnonzero(hit).tolist()
 
 
 @dataclass
@@ -480,7 +462,7 @@ def check_semiconjugacy(factor: FactorMapSpec, tol: float) -> SemiconjugacyRepor
     of pi onto the target cloud.  Mismatched index sets are a hard error."""
     src, tgt = factor.source, factor.target
     horizon = max(src.schedule.horizon, tgt.schedule.horizon)
-    batch = src.cloud.batch()
+    batch = src.cloud.batch
     pi_batch = apply_factor_batch(factor, batch)
     dev = 0.0
     for j in range(1, horizon + 1):
@@ -504,12 +486,16 @@ def _is_surjective(factor: FactorMapSpec, pi_batch: np.ndarray) -> bool:
         # neighbours in sorted order; the two ends are also taken, since the
         # rounded distance is monotone only on each side of y
         srt = np.sort(pi_batch % 1.0)
-        ys = np.asarray(tgt.points, dtype=np.float64) % 1.0
+        ys = tgt.batch % 1.0
         pos = np.searchsorted(srt, ys)
         near = srt[np.stack([pos - 1, pos % len(srt), np.zeros_like(pos), np.full_like(pos, -1)], axis=1)]
         return bool(np.all(paired_distances(tgt, near, ys[:, None]).min(axis=1) <= factor.fiber_tol + 1e-15))
-    hit = {canonical_key(tgt.space, p) for p in batch_to_points(tgt.space, pi_batch)}
-    return all(canonical_key(tgt.space, p) in hit for p in tgt.points)
+    if pi_batch.shape[1:] != tgt.batch.shape[1:]:
+        return False
+    # every target row is an image row iff adding the target rows to the
+    # distinct image rows adds no new row
+    hit = np.unique(pi_batch, axis=0)
+    return len(np.unique(np.concatenate([hit, tgt.batch]), axis=0)) == len(hit)
 
 
 def reachable_batches(cloud: PointCloud, schedule: GenerationSchedule, steps: int, cap: int = 2_000_000) -> list[np.ndarray]:
@@ -522,7 +508,7 @@ def reachable_batches(cloud: PointCloud, schedule: GenerationSchedule, steps: in
     ranges on these points.
     """
     space = cloud.space
-    start = cloud.batch()
+    start = cloud.batch
     start = start[_first_occurrences(start)]
     seen = {_width(start): start}
     total = len(start)

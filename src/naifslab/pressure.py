@@ -93,7 +93,7 @@ class _BowenOrbit:
             raise ValueError("partition sums run over words rooted at start 1; re-root the word")
         if n > len(word):
             raise ValueError(f"n={n} exceeds word length {len(word)}")
-        self._set_steps(cloud, orbit_batches(cloud.space, schedule, word, n, cloud.batch()))
+        self._set_steps(cloud, orbit_batches(cloud.space, schedule, word, n, cloud.batch))
 
     def _set_steps(self, cloud: PointCloud, batches: list[np.ndarray]) -> None:
         self.cloud = cloud
@@ -172,7 +172,7 @@ def _sup_orbit(cloud: PointCloud, schedule: GenerationSchedule, n: int, indices:
     their distance is the sup metric d*_n."""
     if len(indices) > SUBSET_METRIC_LIMIT:
         raise ValueError(f"sup-metric subset of {len(indices)} points exceeds the limit {SUBSET_METRIC_LIMIT}")
-    sub = cloud.batch()[np.asarray(indices, dtype=np.intp)]
+    sub = cloud.batch[np.asarray(indices, dtype=np.intp)]
     orbit = _BowenOrbit.__new__(_BowenOrbit)
     orbit._set_steps(cloud, sup_orbit_batches(cloud.space, schedule, n, sub))
     return orbit
@@ -445,11 +445,12 @@ def _max_ball_size(ctx, eps: float) -> int:
 
 @dataclass
 class ExtremalSetResult:
-    """Cardinality bounds and witness for a separated/spanning extremum."""
+    """Cardinality bounds and witness (ascending cloud indices) for a
+    separated/spanning extremum."""
 
     lower_bound: int
     upper_bound: int
-    witness: tuple
+    witness: tuple[int, ...]
     exact: bool
     method: str
 
@@ -593,7 +594,7 @@ def max_separated(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: i
     if not exact:
         # s(eps) <= r(eps/2) <= size of any maximal (eps/2)-separated set
         upper = max(upper, len(_first_fit_separated(ctx, eps / 2.0, np.arange(ctx.n_points))))
-    return ExtremalSetResult(len(idxs), upper, tuple(cloud.points[i] for i in idxs), exact, method)
+    return ExtremalSetResult(len(idxs), upper, tuple(map(int, idxs)), exact, method)
 
 
 def min_spanning(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, eps: float, mode: str = "auto") -> ExtremalSetResult:
@@ -603,7 +604,7 @@ def min_spanning(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: in
     lower = len(idxs)
     if not exact:
         lower = min(lower, max(1, math.ceil(ctx.n_points / _max_ball_size(ctx, eps))))
-    return ExtremalSetResult(lower, len(idxs), tuple(cloud.points[i] for i in idxs), exact, method)
+    return ExtremalSetResult(lower, len(idxs), tuple(map(int, idxs)), exact, method)
 
 
 def partition_sum_separated(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, psi: Potential, eps: float, mode: str = "auto") -> PartitionSumResult:
@@ -900,7 +901,7 @@ class SupEntropyEstimate:
 def sup_entropy_estimate(
     cloud: PointCloud,
     schedule: GenerationSchedule,
-    subset: Sequence,
+    subset: Sequence[int],
     n_range: Sequence[int],
     eps_list: Sequence[float],
 ) -> SupEntropyEstimate:
@@ -975,10 +976,11 @@ def sup_entropy_estimate(
     )
 
 
-def _subset_indices(cloud: PointCloud, subset: Sequence) -> list[int]:
-    """Cloud indices of the subset's points.  An integer is a point index in
-    every family; finite_explicit point ids are their indices."""
-    indices = {int(p) if isinstance(p, (int, np.integer)) else cloud.index_of(p) for p in subset}
+def _subset_indices(cloud: PointCloud, subset: Sequence[int]) -> list[int]:
+    """The subset's distinct cloud indices, ascending."""
+    if not all(isinstance(i, (int, np.integer)) for i in subset):
+        raise TypeError("a subset holds cloud indices (integers)")
+    indices = {int(i) for i in subset}
     if not all(0 <= i < len(cloud) for i in indices):
         raise KeyError(f"a subset index is outside the cloud of {len(cloud)} points")
     return sorted(indices)

@@ -19,8 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -119,33 +118,31 @@ def _validate_distance_matrix(dm: np.ndarray) -> None:
             raise MetricError("triangle inequality fails on a sampled triple")
 
 
-@dataclass
+@dataclass(eq=False)
 class PointCloud:
-    """Ordered finite sample of the space.  Immutable after construction."""
+    """Ordered finite sample of the space: its points as one read-only
+    batch, which every orbit of the cloud shares.  Immutable after
+    construction."""
 
-    points: tuple
     space: SpaceSpec
-    _batch: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _dm: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _index: dict | None = field(default=None, repr=False, compare=False)
+    batch: np.ndarray
+    _dm: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.batch.flags.writeable = False
+
+    def __setstate__(self, state):
+        # an unpickled array is writeable again (worker processes)
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def batch(self) -> np.ndarray:
-        if self._batch is None:
-            self._batch = points_to_batch(self.space, self.points)
-        return self._batch
+        return len(self.batch)
 
     def dmatrix(self) -> np.ndarray | None:
         if self.space.family == FINITE and self._dm is None:
             self._dm = np.asarray(self.space.distance_matrix, dtype=float)
         return self._dm
-
-    def index_of(self, point) -> int:
-        if self._index is None:
-            self._index = {canonical_key(self.space, p): i for i, p in enumerate(self.points)}
-        return self._index[canonical_key(self.space, point)]
 
     def diameter(self) -> float:
         if self.space.family == INTERVAL:
@@ -158,7 +155,8 @@ class PointCloud:
 
 
 def build_cloud(spec: SpaceSpec) -> PointCloud:
-    """Materialize the candidate point set of a space."""
+    """The points of a space as a batch: the grids in index order, the words
+    in lexicographic order, the point ids of a finite space."""
     if spec.family == SYMBOLIC:
         # compared in log2, so that huge alphabets and depths cost nothing
         too_many = spec.resolution * math.log2(spec.alphabet_size) > math.log2(CLOUD_POINT_LIMIT)
@@ -166,25 +164,18 @@ def build_cloud(spec: SpaceSpec) -> PointCloud:
         too_many = spec.resolution > CLOUD_POINT_LIMIT
     if too_many:
         raise ValueError(f"the space has more than CLOUD_POINT_LIMIT = {CLOUD_POINT_LIMIT} points")
+    n = spec.resolution
     if spec.family == INTERVAL:
-        n = spec.resolution
-        pts = tuple(k / (n - 1) for k in range(n))
+        batch = np.arange(n) / (n - 1)
     elif spec.family == CIRCLE:
-        n = spec.resolution
-        pts = tuple(k / n for k in range(n))
+        batch = np.arange(n) / n
     elif spec.family == SYMBOLIC:
-        pts = tuple(product(range(spec.alphabet_size), repeat=spec.resolution))
+        # row k spells k in base m, first symbol highest
+        digits = np.indices((spec.alphabet_size,) * n, dtype=_symbol_dtype(spec.alphabet_size))
+        batch = np.ascontiguousarray(digits.reshape(n, -1).T)
     else:
-        pts = tuple(range(spec.resolution))
-    return PointCloud(points=pts, space=spec)
-
-
-def canonical_key(space: SpaceSpec, point):
-    if space.family == SYMBOLIC:
-        return tuple(int(s) for s in point)
-    if space.family == FINITE:
-        return int(point)
-    return float(point)
+        batch = np.arange(n, dtype=np.intp)
+    return PointCloud(space=spec, batch=batch)
 
 
 def _symbol_dtype(alphabet: int) -> type:
@@ -193,7 +184,8 @@ def _symbol_dtype(alphabet: int) -> type:
 
 
 def points_to_batch(space: SpaceSpec, points: Sequence) -> np.ndarray:
-    """Pack points into the family's array representation.
+    """Pack point values (word tuples, reals, point ids) into the family's
+    array representation: where points from outside the cloud enter.
 
     Symbolic points must share a common length (true along any orbit of the
     cloud, where every step shortens all words uniformly).
@@ -349,15 +341,11 @@ def _check_point(space: SpaceSpec, x) -> None:
 
 @dataclass(frozen=True)
 class Potential:
-    """A bounded real function on the space.
-
-    ``params`` is a flat number sequence except for ``explicit_table``,
-    where it may also be a mapping from canonical point keys to values
-    (sequence form indexes finite_explicit point ids).
-    """
+    """A bounded real function on the space, given by a flat number
+    sequence (``explicit_table`` indexes finite_explicit point ids)."""
 
     kind: str
-    params: tuple | Mapping = ()
+    params: tuple = ()
 
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
@@ -368,8 +356,10 @@ class Potential:
             raise ValueError("coordinate_affine potential takes parameters (a, b)")
         if self.kind == "piecewise_linear" and len(self.params) < 2:
             raise ValueError("piecewise_linear potential needs at least two knot values")
-        if not isinstance(self.params, Mapping):
-            object.__setattr__(self, "params", tuple(float(v) for v in self.params))
+        if isinstance(self.params, Mapping):
+            # iterating a mapping would read its keys as the values
+            raise TypeError("potential params are a number sequence, not a mapping")
+        object.__setattr__(self, "params", tuple(float(v) for v in self.params))
 
 
 @dataclass(frozen=True)
@@ -391,40 +381,11 @@ def validate_potential(space: SpaceSpec, psi: Potential) -> None:
             raise ValueError(f"first_symbol_table needs one value per symbol: {len(psi.params)} values for {space.alphabet_size} symbols")
     elif psi.kind in ("coordinate_affine", "piecewise_linear") and fam == SYMBOLIC:
         raise ValueError(f"{psi.kind} needs real coordinates; a symbolic_depth space has words")
-    elif psi.kind == "explicit_table" and not isinstance(psi.params, Mapping):
+    elif psi.kind == "explicit_table":
         if fam != FINITE:
-            raise ValueError(f"a list-form explicit_table indexes finite_explicit point ids, not {fam} points")
+            raise ValueError(f"explicit_table indexes finite_explicit point ids, not {fam} points")
         if len(psi.params) < space.resolution:
             raise ValueError(f"explicit_table needs one value per point: {len(psi.params)} values for {space.resolution} points")
-
-
-def eval_potential(psi: Potential, x) -> float:
-    """Evaluate the potential at a single point."""
-    if psi.kind == "constant":
-        return psi.params[0]
-    if psi.kind == "coordinate_affine":
-        a, b = psi.params
-        return a * float(x) + b
-    if psi.kind == "piecewise_linear":
-        vals = np.asarray(psi.params, dtype=float)
-        knots = np.linspace(0.0, 1.0, len(vals))
-        return float(np.interp(float(x), knots, vals))
-    if psi.kind == "first_symbol_table":
-        if len(x) == 0:
-            raise ValueError("first_symbol_table is undefined on the empty word")
-        return psi.params[int(x[0])]
-    table = psi.params
-    if isinstance(table, Mapping):
-        key = tuple(int(s) for s in x) if isinstance(x, tuple) else (int(x) if isinstance(x, (int, np.integer)) else float(x))
-        if key not in table:
-            raise KeyError(f"explicit_table has no entry for point {key!r}")
-        return float(table[key])
-    if not isinstance(x, (int, np.integer)):
-        raise ValueError(f"a list-form explicit_table indexes finite_explicit point ids, got {type(x).__name__}")
-    xi = int(x)
-    if not 0 <= xi < len(table):
-        raise KeyError(f"explicit_table has no entry for point id {xi}")
-    return float(table[xi])
 
 
 def eval_potential_batch(space: SpaceSpec, psi: Potential | Pullback, batch: np.ndarray) -> np.ndarray:
@@ -444,24 +405,11 @@ def eval_potential_batch(space: SpaceSpec, psi: Potential | Pullback, batch: np.
         if batch.ndim != 2 or batch.shape[1] == 0:
             raise ValueError("first_symbol_table is undefined on the empty word")
         return np.asarray(psi.params, dtype=float)[batch[:, 0]]
-    table = psi.params
-    if isinstance(table, Mapping):
-        return np.array([eval_potential(psi, p) for p in batch_to_points(space, batch)], dtype=float)
     if space.family != FINITE:
-        raise ValueError(f"a list-form explicit_table indexes finite_explicit point ids, not {space.family} points")
-    arr = np.asarray(table, dtype=float)
+        raise ValueError(f"explicit_table indexes finite_explicit point ids, not {space.family} points")
+    arr = np.asarray(psi.params, dtype=float)
     idx = np.asarray(batch, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= len(arr)):
         raise KeyError("explicit_table has no entry for a point id in the batch")
     return arr[idx]
 
-
-def sup_norm(space: SpaceSpec, psi: Potential, points: Sequence) -> float:
-    """max |psi| over a finite point set (the sup norm on a finite space)."""
-    return max(abs(eval_potential(psi, p)) for p in points)
-
-
-def materialize_potential(space: SpaceSpec, points: Iterable, fn: Callable) -> Potential:
-    """Tabulate a point function as an explicit_table potential."""
-    table = {canonical_key(space, p): float(fn(p)) for p in points}
-    return Potential(kind="explicit_table", params=table)

@@ -652,7 +652,7 @@ def check_factor_upper(
     fiber_sizes = []
     h_exact = True
     for yi in sample_idx:
-        fiber = fiber_indices(factor, tgt_cloud.points[yi])
+        fiber = fiber_indices(factor, yi)
         fiber_sizes.append(len(fiber))
         if not fiber:
             continue
@@ -726,7 +726,7 @@ def _pair_distances(cloud: PointCloud, batch: np.ndarray, ia: np.ndarray, ib: np
 
 def _oscillation(cloud: PointCloud, pot: Pullback, radius: float) -> float:
     """sup |pot(x) - pot(y)| over sampled cloud pairs with d(x, y) < radius."""
-    batch = cloud.batch()
+    batch = cloud.batch
     vals = eval_potential_batch(cloud.space, pot, batch)
     ia, ib, _ = _sample_pairs(len(cloud))
     d = _pair_distances(cloud, batch, ia, ib)
@@ -756,7 +756,7 @@ def check_equicontinuity(cloud: PointCloud, schedule: GenerationSchedule, eps_li
     and have one image, so every pair whose images reach eps > 0 has a
     positive base distance."""
     eps_list = validate_eps_list(eps_list)
-    batch = cloud.batch()
+    batch = cloud.batch
     ia, ib, sampled = _sample_pairs(len(cloud))
     base = _pair_distances(cloud, batch, ia, ib)
     img_max = np.zeros_like(base)

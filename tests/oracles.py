@@ -1,9 +1,19 @@
 """Independent brute-force oracles.
 
-Everything here recomputes orbit distances point by point through `compose`
-and scans subsets with itertools, deliberately sharing no machinery with
-the package's solvers (no bitsets, no subset DP).  Three references are
-the exceptions: reference_bb_cover, a plain bitset search,
+The package holds a cloud as one numpy batch; the oracles work on Python
+point values.  `cloud_points` lists a space's points the way the package
+once stored them (itertools.product words, k/n grid reals, point ids),
+and `pack_points` packs such a list into the batch the package should
+build, so the cloud construction is checked against code it does not
+share.  `points_of` reads a cloud's points off its batch (sub-clouds built
+by tests included), `canonical_key` makes a point hashable, and
+`eval_potential` and `compose` are the per-point references for the
+package's batch potentials and orbits.
+
+Everything else recomputes orbit distances point by point through
+`compose` and scans subsets with itertools, deliberately sharing no
+machinery with the package's solvers (no bitsets, no subset DP).  Three
+references are the exceptions: reference_bb_cover, a plain bitset search,
 reference_greedy_cover, the ratio greedy as one numpy pass per pick, and
 reference_exhaustive, the subset DP with weights and feasibility in one
 pass.  They hold the package's faster ball-cover search, its heap greedy
@@ -15,7 +25,88 @@ import math
 
 import numpy as np
 
-from naifslab import compose, distance, eval_potential
+from naifslab import distance
+from naifslab.naifs import apply_factor_batch, apply_map, generation_at
+from naifslab.space import CIRCLE, FINITE, INTERVAL, SYMBOLIC, batch_to_points, points_to_batch
+
+
+def cloud_points(spec):
+    """The points of a space in cloud order: k/(N-1) on the interval, k/N
+    on the circle, words in lexicographic order, point ids otherwise."""
+    n = spec.resolution
+    if spec.family == INTERVAL:
+        return [k / (n - 1) for k in range(n)]
+    if spec.family == CIRCLE:
+        return [k / n for k in range(n)]
+    if spec.family == SYMBOLIC:
+        return list(itertools.product(range(spec.alphabet_size), repeat=n))
+    return list(range(n))
+
+
+def pack_points(spec, points):
+    """Points as the batch of their space: reals as float64, point ids as
+    intp, words as rows of the smallest signed integer type that holds
+    the alphabet."""
+    if spec.family == SYMBOLIC:
+        dtype = next(t for t in (np.int8, np.int16, np.int64) if spec.alphabet_size - 1 <= np.iinfo(t).max)
+        return np.array(points, dtype=dtype)
+    if spec.family == FINITE:
+        return np.array(points, dtype=np.intp)
+    return np.array(points, dtype=np.float64)
+
+
+def points_of(cloud):
+    """A cloud's points as Python values, read off its batch."""
+    return batch_to_points(cloud.space, cloud.batch)
+
+
+def canonical_key(space, point):
+    """A hashable key that equal points share."""
+    if space.family == SYMBOLIC:
+        return tuple(int(s) for s in point)
+    if space.family == FINITE:
+        return int(point)
+    return float(point)
+
+
+def eval_potential(psi, x):
+    """The potential at a single point."""
+    if psi.kind == "constant":
+        return psi.params[0]
+    if psi.kind == "coordinate_affine":
+        a, b = psi.params
+        return a * float(x) + b
+    if psi.kind == "piecewise_linear":
+        vals = np.asarray(psi.params, dtype=float)
+        knots = np.linspace(0.0, 1.0, len(vals))
+        return float(np.interp(float(x), knots, vals))
+    if psi.kind == "first_symbol_table":
+        if len(x) == 0:
+            raise ValueError("first_symbol_table is undefined on the empty word")
+        return psi.params[int(x[0])]
+    if not isinstance(x, (int, np.integer)):
+        raise ValueError(f"explicit_table indexes finite_explicit point ids, got {type(x).__name__}")
+    xi = int(x)
+    if not 0 <= xi < len(psi.params):
+        raise KeyError(f"explicit_table has no entry for point id {xi}")
+    return float(psi.params[xi])
+
+
+def compose(cloud, schedule, w, i, k, x):
+    """Pointwise f_w^{i,k}(x) (k = 0 is the identity)."""
+    if k < 0:
+        raise ValueError("composition length k must be >= 0")
+    if i < w.start or i + k > w.start + len(w):
+        raise ValueError(f"word too short for composition (i={i}, k={k}, start={w.start}, |w|={len(w)})")
+    space = cloud.space
+    batch = points_to_batch(space, [x])
+    for g in range(i, i + k):
+        sym = w.symbols[g - w.start]
+        gen = generation_at(schedule, g)
+        if sym >= len(gen):
+            raise ValueError(f"word symbol {sym} outside index set of generation {g}")
+        batch = apply_map(space, gen[sym], batch)
+    return batch_to_points(space, batch)[0]
 
 
 def oracle_cylinder_distance(x, y):
@@ -39,7 +130,7 @@ def oracle_birkhoff(cloud, schedule, w, n, psi, x):
 
 
 def _bowen_table(cloud, schedule, w, n):
-    pts = list(cloud.points)
+    pts = points_of(cloud)
     return {
         (a, b): oracle_bowen(cloud, schedule, w, n, a, b)
         for a, b in itertools.combinations(pts, 2)
@@ -47,7 +138,7 @@ def _bowen_table(cloud, schedule, w, n):
 
 
 def oracle_max_separated(cloud, schedule, w, n, eps):
-    pts = list(cloud.points)
+    pts = points_of(cloud)
     table = _bowen_table(cloud, schedule, w, n)
     best = 0
     for r in range(1, len(pts) + 1):
@@ -58,7 +149,7 @@ def oracle_max_separated(cloud, schedule, w, n, eps):
 
 
 def oracle_min_spanning(cloud, schedule, w, n, eps):
-    pts = list(cloud.points)
+    pts = points_of(cloud)
     table = _bowen_table(cloud, schedule, w, n)
 
     def d(a, b):
@@ -75,7 +166,7 @@ def oracle_min_spanning(cloud, schedule, w, n, eps):
 
 def oracle_partition_separated(cloud, schedule, w, n, psi, eps):
     """log of sup over separated subsets of sum exp(Birkhoff)."""
-    pts = list(cloud.points)
+    pts = points_of(cloud)
     table = _bowen_table(cloud, schedule, w, n)
     weight = {x: math.exp(oracle_birkhoff(cloud, schedule, w, n, psi, x)) for x in pts}
     best = None
@@ -90,7 +181,7 @@ def oracle_partition_separated(cloud, schedule, w, n, psi, eps):
 
 def oracle_partition_spanning(cloud, schedule, w, n, psi, eps):
     """log of inf over spanning subsets of sum exp(Birkhoff)."""
-    pts = list(cloud.points)
+    pts = points_of(cloud)
     table = _bowen_table(cloud, schedule, w, n)
     weight = {x: math.exp(oracle_birkhoff(cloud, schedule, w, n, psi, x)) for x in pts}
 
@@ -111,8 +202,6 @@ def oracle_partition_spanning(cloud, schedule, w, n, psi, eps):
 
 def oracle_sup_bowen(cloud, schedule, n, x, y):
     """d*_n by exhaustive enumeration over one prefix+cycle horizon."""
-    from naifslab import generation_at
-
     horizon = len(schedule.prefix) + len(schedule.cycle)
     best = 0.0
     for start in range(1, horizon + 1):
@@ -133,13 +222,10 @@ def oracle_reachable_points(cloud, schedule, steps):
     search over point tuples keyed by canonical_key: each step's frontier is
     deduplicated within the step only, so a revisited point is still
     expanded by the later generations."""
-    from naifslab.naifs import apply_map, generation_at
-    from naifslab.space import SYMBOLIC, batch_to_points, canonical_key, points_to_batch
-
     space = cloud.space
     seen = {}
     frontier = []
-    for p in cloud.points:
+    for p in points_of(cloud):
         if canonical_key(space, p) not in seen:
             seen[canonical_key(space, p)] = p
             frontier.append(p)
@@ -162,8 +248,7 @@ def oracle_reachable_points(cloud, schedule, steps):
 
 def oracle_pullback_table(factor, phi_on_target, n_max):
     """phi o pi tabulated point by point over oracle_reachable_points."""
-    from naifslab.naifs import apply_factor_batch
-    from naifslab.space import SYMBOLIC, canonical_key, eval_potential_batch, points_to_batch
+    from naifslab.space import eval_potential_batch
 
     space = factor.source.cloud.space
     table = {}
@@ -181,10 +266,10 @@ def oracle_pullback_table(factor, phi_on_target, n_max):
 def oracle_derived_birkhoff(ctx, schedule, n, phi, psi, p, c):
     """The Birkhoff vectors of check_basic_properties' derived potentials by
     the table path: phi and psi evaluated point by point over
-    oracle_reachable_points, each derived potential tabulated as an
-    explicit_table keyed by canonical_key and summed along ctx's orbits."""
+    oracle_reachable_points, each derived potential tabulated by
+    canonical_key and looked up row by row along ctx's orbits."""
     from naifslab.pressure import _birkhoff_vector
-    from naifslab.space import Potential, canonical_key
+    from naifslab.space import Potential
 
     space = ctx.cloud.space
     reach = oracle_reachable_points(ctx.cloud, schedule, n)
@@ -194,10 +279,14 @@ def oracle_derived_birkhoff(ctx, schedule, n, phi, psi, p, c):
         "phi": f, "psi": g, "dominating": np.maximum(f, g), "mix": p * f + (1.0 - p) * g, "phi_plus_c": f + c,
         "c_phi": c * f, "phi_plus_psi": f + g, "abs_phi": np.abs(f), "neg_abs_phi": -np.abs(f),
     }
-    out = {
-        name: _birkhoff_vector(ctx, Potential("explicit_table", {canonical_key(space, pt): float(v) for pt, v in zip(reach, vals)}))
-        for name, vals in values.items()
-    }
+    keys = [[canonical_key(space, pt) for pt in batch_to_points(space, B)] for B in ctx.batches]
+    out = {}
+    for name, vals in values.items():
+        table = {canonical_key(space, pt): float(v) for pt, v in zip(reach, vals)}
+        S = np.zeros(ctx.n_points)
+        for step in keys:
+            S += np.array([table[k] for k in step])
+        out[name] = S
     out["zero"] = _birkhoff_vector(ctx, Potential("constant", (0.0,)))
     return out
 
@@ -298,3 +387,20 @@ def reference_exhaustive(balls, wlin, kind):
         feas = np.flatnonzero(cov == size - 1)
         best = int(feas[np.argmin(wsum[feas])])
     return best, float(wsum[best])
+
+
+def oracle_surjective(factor):
+    """Whether every target cloud point has a preimage in the source cloud,
+    point by point: an equal image (keys compared), or for
+    binary_expansion an image within fiber_tol on the circle."""
+    src, tgt = factor.source.cloud, factor.target.cloud
+    images = [batch_to_points(tgt.space, apply_factor_batch(factor, points_to_batch(src.space, [x])))[0] for x in points_of(src)]
+    if factor.kind == "binary_expansion":
+
+        def arc(x, y):
+            t = abs(x % 1.0 - y % 1.0)
+            return min(t, 1.0 - t)
+
+        return all(min(arc(p, y) for p in images) <= factor.fiber_tol + 1e-15 for y in points_of(tgt))
+    hit = {canonical_key(tgt.space, p) for p in images}
+    return all(canonical_key(tgt.space, y) in hit for y in points_of(tgt))

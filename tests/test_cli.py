@@ -7,10 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from naifslab import Potential, SpaceSpec, eval_potential
+from naifslab import Potential, SpaceSpec
 from naifslab.catalog import EXAMPLE_CONFIGS, list_builtin
 from naifslab.cli import ConfigError, ExperimentConfig, main, run
 from naifslab.space import eval_potential_batch
+from oracles import eval_potential
 
 TINY_ESTIMATE = {
     "mode": "estimate",

@@ -27,7 +27,7 @@ from naifslab.pressure import (
 )
 from naifslab.space import pairwise_distances
 from naifslab.theorems import random_explicit_instance
-from oracles import oracle_bowen, oracle_sup_bowen
+from oracles import oracle_bowen, oracle_sup_bowen, points_of
 
 FAMILIES = ("interval_grid", "circle_grid", "symbolic_depth", "finite_explicit")
 
@@ -73,7 +73,7 @@ def test_block_matches_oracle_bowen(family, seed, n, data):
     ctx = _BowenOrbit(cloud, sched, w, n)
     I, js = index_lists(data, len(cloud))
     block = ctx.block(I, js)
-    pts = cloud.points
+    pts = points_of(cloud)
     expected = [[oracle_bowen(cloud, sched, w, n, pts[i], pts[j]) for j in js] for i in I]
     assert block.tolist() == expected
     assert ctx.row(int(I[0]), js).tolist() == expected[0]
@@ -91,7 +91,7 @@ def test_sup_orbit_block_matches_oracle_sup_bowen(family, seed, n, data):
     subset = sorted(rng.sample(range(len(cloud)), min(5, len(cloud))))
     ctx = _sup_orbit(cloud, sched, n, subset)
     I, js = index_lists(data, len(subset))
-    pts = [cloud.points[i] for i in subset]
+    pts = [points_of(cloud)[i] for i in subset]
     expected = [[oracle_sup_bowen(cloud, sched, n, pts[i], pts[j]) for j in js] for i in I]
     assert ctx.block(I, js).tolist() == expected
     assert ctx.row(int(I[0]), js).tolist() == expected[0]

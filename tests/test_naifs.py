@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,13 +10,14 @@ from naifslab import (
     MapSpec,
     NAIFS,
     PointCloud,
+    Potential,
     SpaceSpec,
     Word,
     block_word,
     bowen_distance,
     build_cloud,
+    check_factor_upper,
     check_semiconjugacy,
-    compose,
     count_words,
     distance,
     enumerate_words,
@@ -25,9 +27,10 @@ from naifslab import (
     sup_bowen_distance,
     truncate_system,
 )
-from naifslab.naifs import apply_factor_batch, reachable_batches, reachable_points
-from naifslab.space import canonical_key
-from oracles import oracle_bowen, oracle_reachable_points, oracle_sup_bowen
+from naifslab.cli import main
+from naifslab.naifs import _is_surjective, apply_factor_batch, reachable_batches, reachable_points
+from naifslab.space import points_to_batch
+from oracles import canonical_key, compose, oracle_bowen, oracle_reachable_points, oracle_sup_bowen, oracle_surjective, points_of
 
 ID = MapSpec("identity")
 SWAP2 = MapSpec("permutation_table", (1, 0))
@@ -89,7 +92,7 @@ def test_cocycle_property_exhaustive():
     cloud, sched = two_point()
     for symbols in itertools.product(range(2), repeat=4):
         w = Word(1, symbols)
-        for x in cloud.points:
+        for x in points_of(cloud):
             for k in range(5):
                 for m in range(5 - k):
                     via = compose(cloud, sched, w, 1 + k, m, compose(cloud, sched, w, 1, k, x))
@@ -140,8 +143,8 @@ def test_bowen_agrees_with_oracle():
     )
     for symbols in itertools.product(range(1), range(2), range(2)):
         w = Word(1, symbols)
-        for x in cloud.points[:4]:
-            for y in cloud.points[4:8]:
+        for x in points_of(cloud)[:4]:
+            for y in points_of(cloud)[4:8]:
                 assert bowen_distance(cloud, sched, w, 3, x, y) == pytest.approx(
                     oracle_bowen(cloud, sched, w, 3, x, y)
                 )
@@ -216,7 +219,7 @@ def test_power_compose_reproduces_base_compose():
             assert mode == "exact"
             for w in words:
                 wstar = block_word(sched, w, n)
-                for x in cloud.points[:5]:
+                for x in points_of(cloud)[:5]:
                     assert compose(cloud, powered, wstar, 1, m, x) == compose(cloud, sched, w, 1, m * n, x)
 
 
@@ -287,6 +290,9 @@ def test_semiconjugacy_quotient_table():
     assert rep.max_deviation == 0.0 and rep.passed
     assert fiber_indices(factor, 0) == [0, 2]
     assert fiber_indices(factor, 1) == [1, 3]
+    for yi in (-1, 2):
+        with pytest.raises(IndexError):
+            fiber_indices(factor, yi)
 
 
 def test_semiconjugacy_binary_expansion():
@@ -313,7 +319,7 @@ def test_binary_expansion_of_a_row_does_not_depend_on_its_batch(alphabet, depth)
         target=NAIFS(circle(), GenerationSchedule((), ((MapSpec("doubling"),),))),
         kind="binary_expansion",
     )
-    batch = cloud.batch()
+    batch = cloud.batch
     whole = apply_factor_batch(factor, batch)
     alone = [apply_factor_batch(factor, batch[k : k + 1])[0] for k in range(len(batch))]
     assert [v.hex() for v in whole] == [v.hex() for v in alone]
@@ -321,20 +327,10 @@ def test_binary_expansion_of_a_row_does_not_depend_on_its_batch(alphabet, depth)
 
 def expansion_factor(words, n_target, fiber_tol=None):
     """binary_expansion from a hand-picked set of depth-6 words onto a circle grid."""
-    src = NAIFS(
-        PointCloud(points=tuple(words), space=SpaceSpec("symbolic_depth", 6, alphabet_size=2)),
-        GenerationSchedule((), ((MapSpec("shift"),),)),
-    )
+    space = SpaceSpec("symbolic_depth", 6, alphabet_size=2)
+    src = NAIFS(PointCloud(space, points_to_batch(space, words)), GenerationSchedule((), ((MapSpec("shift"),),)))
     tgt = NAIFS(circle(n_target), GenerationSchedule((), ((MapSpec("doubling"),),)))
     return FactorMapSpec(source=src, target=tgt, kind="binary_expansion", fiber_tol=fiber_tol)
-
-
-def brute_surjective(factor):
-    images = [sum(s * 2.0 ** -(k + 1) for k, s in enumerate(w)) for w in factor.source.cloud.points]
-    return all(
-        min(min(abs(p - y) % 1.0, 1.0 - abs(p - y) % 1.0) for p in images) <= factor.fiber_tol + 1e-15
-        for y in factor.target.cloud.points
-    )
 
 
 def test_binary_expansion_surjectivity():
@@ -355,7 +351,86 @@ def test_binary_expansion_surjectivity():
 )
 def test_binary_expansion_surjectivity_matches_brute_force(words, n_target, fiber_tol):
     factor = expansion_factor(words, n_target, fiber_tol)
-    assert check_semiconjugacy(factor, 1.0).surjective == brute_surjective(factor)
+    assert check_semiconjugacy(factor, 1.0).surjective == oracle_surjective(factor)
+
+
+def shift_projection(depth=4):
+    """Binary words of one depth under the shift, projected onto themselves."""
+    words = NAIFS(build_cloud(SpaceSpec("symbolic_depth", depth, alphabet_size=2)), GenerationSchedule((), ((MapSpec("shift"),),)))
+    return FactorMapSpec(source=words, target=words, kind="coordinate_projection")
+
+
+def test_symbolic_projection_fibers_are_single_words():
+    factor = shift_projection()
+    assert [fiber_indices(factor, yi) for yi in range(16)] == [[yi] for yi in range(16)]
+    report = check_factor_upper(factor, Potential("constant", (0.0,)), [1, 2], [0.5])
+    assert report.name == "factor/fiber-upper"
+    # a word of another depth is another point
+    deeper = FactorMapSpec(shift_projection(3).source, factor.target, "coordinate_projection")
+    assert [fiber_indices(deeper, yi) for yi in range(16)] == [[]] * 16
+
+
+def test_symbolic_projection_verifies_through_the_cli(tmp_path):
+    system = {
+        "space": {"family": "symbolic_depth", "resolution": 4, "alphabet_size": 2},
+        "schedule": {"prefix": [], "cycle": [[{"kind": "shift"}]]},
+    }
+    config = {
+        "mode": "verify",
+        **system,
+        "potential": {"kind": "constant", "params": [0.0]},
+        "potential_target": {"kind": "constant", "params": [0.0]},
+        "factor": {"kind": "coordinate_projection", **system},
+        "n_range": [1, 2],
+        "eps_list": [0.5],
+        "word_budget": 64,
+        "seed": 1,
+        "checks": [{"type": "factor_upper"}],
+    }
+    path = tmp_path / "projection.json"
+    path.write_text(json.dumps(config))
+    assert main(["verify", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def _circle_system(n):
+    return NAIFS(circle(n), GenerationSchedule((), ((ID,),)))
+
+
+def _words_system(words, depth=4):
+    space = SpaceSpec("symbolic_depth", depth, alphabet_size=2)
+    return NAIFS(PointCloud(space, points_to_batch(space, words)), GenerationSchedule((), ((MapSpec("shift"),),)))
+
+
+def _finite_system(n):
+    dm = tuple(tuple(float(i != j) for j in range(n)) for i in range(n))
+    return NAIFS(build_cloud(SpaceSpec("finite_explicit", distance_matrix=dm)), GenerationSchedule((), ((ID,),)))
+
+
+def _interval_system(n):
+    return NAIFS(build_cloud(SpaceSpec("interval_grid", n)), GenerationSchedule((), ((ID,),)))
+
+
+SURJECTIVITY_CASES = {
+    "index_table_onto": (four_point_quotient, True),
+    "index_table_misses_a_point": (lambda: FactorMapSpec(_finite_system(4), _finite_system(3), "index_table", (0, 1, 0, 1)), False),
+    "finite_projection": (lambda: FactorMapSpec(_finite_system(3), _finite_system(3), "coordinate_projection"), True),
+    "circle_onto_coarser_grid": (lambda: FactorMapSpec(_circle_system(16), _circle_system(8), "coordinate_projection"), True),
+    "circle_into_finer_grid": (lambda: FactorMapSpec(_circle_system(8), _circle_system(16), "coordinate_projection"), False),
+    "interval_onto_coarser_grid": (lambda: FactorMapSpec(_interval_system(5), _interval_system(3), "coordinate_projection"), True),
+    "words_onto_themselves": (shift_projection, True),
+    "some_words": (lambda: FactorMapSpec(_words_system([(0, 1, 1, 0), (1, 1, 1, 1)]), shift_projection().target, "coordinate_projection"), False),
+    "words_of_another_depth": (lambda: FactorMapSpec(shift_projection(3).source, shift_projection(4).target, "coordinate_projection"), False),
+    "binary_expansion_onto": (lambda: expansion_factor([tuple(w) for w in itertools.product(range(2), repeat=6)], 64), True),
+    "binary_expansion_misses": (lambda: expansion_factor([(1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1)], 4), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SURJECTIVITY_CASES))
+def test_surjectivity_matches_point_keys(case):
+    build, expected = SURJECTIVITY_CASES[case]
+    factor = build()
+    pi_batch = apply_factor_batch(factor, factor.source.cloud.batch)
+    assert _is_surjective(factor, pi_batch) == oracle_surjective(factor) == expected
 
 
 def test_semiconjugacy_rejects_mismatched_index_sets():
@@ -380,7 +455,7 @@ def test_bowen_distance_is_a_metric():
     cloud = circle(16)
     sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"), MapSpec("rotation", (0.25,))),))
     w = Word(1, (0, 1, 0))
-    pts = cloud.points[:6]
+    pts = points_of(cloud)[:6]
     for x in pts:
         assert bowen_distance(cloud, sched, w, 3, x, x) == 0.0
         for y in pts:
@@ -461,6 +536,6 @@ def test_reachable_batches_circle_doubling_revisits():
     (batch,) = reachable_batches(cloud, schedule, 4)
     # doubling maps the dyadic 16-point grid into itself exactly: every step
     # revisits cloud points and nothing new is reached
-    assert list(batch) == list(cloud.batch())
+    assert list(batch) == list(cloud.batch)
     with pytest.raises(ValueError, match="cap"):
         reachable_batches(cloud, GenerationSchedule(prefix=(), cycle=((MapSpec("rotation", (0.01,)),),)), 2, cap=20)

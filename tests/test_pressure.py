@@ -27,14 +27,17 @@ from naifslab import (
     pressure_estimate,
     sup_entropy_estimate,
 )
+from naifslab.space import points_to_batch
 from naifslab.theorems import check_basic_properties, random_explicit_instance
 from oracles import (
     oracle_birkhoff,
+    oracle_bowen,
     oracle_max_separated,
     oracle_min_spanning,
     oracle_partition_separated,
     oracle_partition_spanning,
     per_element_cover_bound,
+    points_of,
     reference_bb_cover,
     reference_exhaustive,
     reference_greedy_cover,
@@ -109,6 +112,20 @@ def test_min_spanning_four_cycle():
     assert each.lower_bound == 4
 
 
+def test_witnesses_are_ascending_cloud_indices():
+    cloud = build_cloud(SpaceSpec("circle_grid", 32))
+    sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
+    w, eps = Word(1, (0, 0)), 0.1
+    pts = points_of(cloud)
+    for mode in ("branch_and_bound", "greedy"):
+        sep = max_separated(cloud, sched, w, 2, eps, mode=mode)
+        span = min_spanning(cloud, sched, w, 2, eps, mode=mode)
+        for res in (sep, span):
+            assert list(res.witness) == sorted(set(res.witness)) and all(type(i) is int for i in res.witness)
+        assert all(oracle_bowen(cloud, sched, w, 2, pts[i], pts[j]) > eps for i, j in itertools.combinations(sep.witness, 2))
+        assert all(min(oracle_bowen(cloud, sched, w, 2, x, pts[j]) for j in span.witness) <= eps for x in pts)
+
+
 def test_partition_sum_reduces_to_counting():
     cloud, sched = two_point()
     w = Word(1, (0, 1))
@@ -148,7 +165,7 @@ def test_partition_sum_lower_bound_invariant():
     w = Word(1, (0, 1))
     for op in (partition_sum_separated, partition_sum_spanning):
         res = op(cloud, sched, w, 2, psi, 0.5)
-        smin = min(oracle_birkhoff(cloud, sched, w, 2, psi, x) for x in cloud.points)
+        smin = min(oracle_birkhoff(cloud, sched, w, 2, psi, x) for x in points_of(cloud))
         assert res.log_value >= smin - 1e-12
 
 
@@ -184,7 +201,8 @@ def test_deep_binary_words_solve_exactly():
     # once doubled the distance, so both points looked 0.2-separated
     x = (0,) * 52
     y = (0, 0, 0) + (1,) * 49
-    cloud = PointCloud(points=(x, y), space=SpaceSpec("symbolic_depth", 52, alphabet_size=2))
+    space = SpaceSpec("symbolic_depth", 52, alphabet_size=2)
+    cloud = PointCloud(space, points_to_batch(space, [x, y]))
     sched = GenerationSchedule(prefix=(), cycle=((ID,),))
     assert distance(cloud, x, y) == 0.125
     for op in (max_separated, min_spanning):
@@ -484,15 +502,18 @@ def test_sup_entropy_edge_cases():
         assert e.separated == 2
     for s in whole.sandwiches:
         assert s.ok and s.r_eps <= s.s_eps <= s.r_half
-    # an integer is a point index in every family and must lie in the cloud
+    # a subset holds cloud indices, which must lie in the cloud
     doubling = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
     circle = build_cloud(SpaceSpec("circle_grid", 4))
     for c, sch in ((cloud, sched), (circle, doubling)):
         for bad in (len(c), -1):
             with pytest.raises(KeyError):
                 sup_entropy_estimate(c, sch, [0, bad], [1], [0.5])
-    # index 3 and the point 0.75 are one point
-    assert sup_entropy_estimate(circle, doubling, [3, 0.75], [1], [0.5]).subset_size == 1
+    # a point value is not an index, even where it names a cloud point
+    for point in (0.75, 0.0):
+        with pytest.raises(TypeError):
+            sup_entropy_estimate(circle, doubling, [3, point], [1], [0.5])
+    assert sup_entropy_estimate(circle, doubling, [3, np.int64(3)], [1], [0.5]).subset_size == 1
 
 
 def test_sup_entropy_sandwich_on_random_instances():
@@ -502,7 +523,7 @@ def test_sup_entropy_sandwich_on_random_instances():
         dm = cloud.dmatrix()
         off = sorted(dm[~np.eye(len(cloud), dtype=bool)])
         eps = off[len(off) // 2]
-        res = sup_entropy_estimate(cloud, sched, list(cloud.points), range(1, 4), [eps])
+        res = sup_entropy_estimate(cloud, sched, range(len(cloud)), range(1, 4), [eps])
         assert res.sandwiches, "exact counts expected on small instances"
         for s in res.sandwiches:
             assert s.r_eps <= s.s_eps <= s.r_half
@@ -597,5 +618,5 @@ def test_sup_entropy_reuses_the_half_eps_tables(monkeypatch):
     rng = random.Random(12)
     cloud, sched = random_explicit_instance(rng, max_points=8, max_maps=2, max_cycle=2)
     eps_list = [0.4, 0.2, 0.1]
-    sup_entropy_estimate(cloud, sched, list(cloud.points), [1, 2], eps_list)
+    sup_entropy_estimate(cloud, sched, range(len(cloud)), [1, 2], eps_list)
     assert packed == [0.4, 0.2, 0.1, 0.05] * 2

@@ -1,9 +1,15 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import naifslab
 from naifslab import (
     GenerationSchedule,
     MapSpec,
@@ -13,25 +19,90 @@ from naifslab import (
     SpaceSpec,
     Word,
     build_cloud,
-    compose,
     distance,
-    eval_potential,
-    materialize_potential,
     max_separated,
-    sup_norm,
 )
-from naifslab.space import _to_distance_form, eval_potential_batch, paired_distances, pairwise_distances
-from oracles import oracle_cylinder_distance, oracle_max_separated
+from naifslab.space import (
+    CLOUD_POINT_LIMIT,
+    _to_distance_form,
+    eval_potential_batch,
+    paired_distances,
+    pairwise_distances,
+    points_to_batch,
+)
+from oracles import (
+    cloud_points,
+    compose,
+    eval_potential,
+    oracle_cylinder_distance,
+    oracle_max_separated,
+    pack_points,
+    points_of,
+)
 
 
 def test_interval_grid_points():
     cloud = build_cloud(SpaceSpec("interval_grid", 5))
-    assert cloud.points == (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert cloud.batch.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_symbolic_enumeration():
     cloud = build_cloud(SpaceSpec("symbolic_depth", 2, alphabet_size=2))
-    assert cloud.points == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert points_of(cloud) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+CLOUD_SPECS = [
+    SpaceSpec("interval_grid", 3),
+    SpaceSpec("interval_grid", 7),
+    SpaceSpec("interval_grid", 1000),
+    SpaceSpec("circle_grid", 10),
+    SpaceSpec("circle_grid", 4096),
+    SpaceSpec("symbolic_depth", 10, alphabet_size=2),
+    SpaceSpec("symbolic_depth", 5, alphabet_size=3),
+    SpaceSpec("symbolic_depth", 2, alphabet_size=130),
+    SpaceSpec("finite_explicit", distance_matrix=((0.0, 1.0, 2.0), (1.0, 0.0, 1.5), (2.0, 1.5, 0.0))),
+]
+
+
+@pytest.mark.parametrize("spec", CLOUD_SPECS, ids=lambda s: f"{s.family}-{s.resolution}-{s.alphabet_size}")
+def test_cloud_batch_matches_oracle_points(spec):
+    batch = build_cloud(spec).batch
+    expected = pack_points(spec, cloud_points(spec))
+    assert batch.dtype == expected.dtype and batch.shape == expected.shape
+    assert batch.tobytes() == expected.tobytes()
+
+
+def test_cloud_batch_is_read_only():
+    for spec in CLOUD_SPECS:
+        cloud = build_cloud(spec)
+        # a worker process receives the cloud pickled
+        for batch in (cloud.batch, pickle.loads(pickle.dumps(cloud)).batch):
+            with pytest.raises(ValueError, match="read-only"):
+                batch[0] = batch[-1]
+    # on the circle the batch is its own distance form: that is read-only too
+    cloud = build_cloud(SpaceSpec("circle_grid", 16))
+    form = _to_distance_form(cloud, cloud.batch)
+    assert np.shares_memory(form, cloud.batch)
+    with pytest.raises(ValueError, match="read-only"):
+        form[1] = 0.5
+
+
+def test_cloud_at_the_point_limit_costs_its_batch():
+    # a depth-18 binary cloud is a 4.7 MB batch; rebuilding it from Python
+    # point tuples cost over 100 MB of peak memory
+    assert 2**18 == CLOUD_POINT_LIMIT
+    code = (
+        "import resource, naifslab\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "cloud = naifslab.build_cloud(naifslab.SpaceSpec('symbolic_depth', 18, 2))\n"
+        "assert cloud.batch.shape == (2**18, 18)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    # the child imports the package this suite imported
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(naifslab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    # ru_maxrss is in KiB on Linux
+    assert int(out.stdout) <= 20 * 1024
 
 
 def test_finite_explicit_two_points():
@@ -62,7 +133,7 @@ def test_symbolic_first_disagreement():
 def test_wide_alphabet_symbols_fit_their_batches():
     # 130 symbols overflow int8, the batch type of alphabets up to 128
     space = SpaceSpec("symbolic_depth", 2, alphabet_size=130)
-    cloud = PointCloud(points=((0, 129), (0, 1), (1, 129)), space=space)
+    cloud = PointCloud(space, points_to_batch(space, [(0, 129), (0, 1), (1, 129)]))
     assert distance(cloud, (0, 129), (0, 1)) == 0.5
     flip = MapSpec("symbol_substitution_table", tuple(range(129, -1, -1)))
     sched = GenerationSchedule(prefix=(), cycle=((MapSpec("shift"), flip),))
@@ -97,7 +168,7 @@ def test_invalid_matrix_names_axiom(matrix, fragment):
 @given(st.integers(2, 40), st.integers(0, 10_000))
 def test_metric_axioms_on_grids(n, salt):
     cloud = build_cloud(SpaceSpec("circle_grid", n))
-    pts = cloud.points
+    pts = points_of(cloud)
     rng = np.random.default_rng(salt)
     idx = rng.integers(0, n, size=(20, 3))
     for i, j, k in idx:
@@ -127,41 +198,32 @@ def test_explicit_table_missing_entry():
     assert eval_potential(pot, 1) == pytest.approx(0.2)
     with pytest.raises(KeyError):
         eval_potential(pot, 5)
-    mapping = Potential("explicit_table", {0.0: 1.0, 0.5: 2.0})
+    space = SpaceSpec("finite_explicit", distance_matrix=((0.0, 1.0), (1.0, 0.0)))
+    assert eval_potential_batch(space, pot, np.array([1, 0])).tolist() == [0.2, 0.1]
     with pytest.raises(KeyError):
-        eval_potential(mapping, 0.25)
-
-
-def test_sup_norm_is_max_abs():
-    cloud = build_cloud(SpaceSpec("interval_grid", 5))
-    pot = Potential("coordinate_affine", (2.0, -1.0))
-    assert sup_norm(cloud.space, pot, cloud.points) == pytest.approx(1.0)
-
-
-def test_materialize_matches_function():
-    cloud = build_cloud(SpaceSpec("interval_grid", 5))
-    pot = materialize_potential(cloud.space, cloud.points, lambda x: x * x)
-    assert eval_potential(pot, 0.5) == pytest.approx(0.25)
-    vals = eval_potential_batch(cloud.space, pot, cloud.batch())
-    assert vals == pytest.approx([0.0, 0.0625, 0.25, 0.5625, 1.0])
+        eval_potential_batch(space, pot, np.array([0, 5]))
+    # a table keyed by point is no potential: its keys would read as values
+    with pytest.raises(TypeError, match="mapping"):
+        Potential("explicit_table", {0: 0.1, 1: 0.2})
 
 
 def test_vectorized_symbolic_table_lookup():
-    cloud = build_cloud(SpaceSpec("symbolic_depth", 3, alphabet_size=2))
-    pot = materialize_potential(cloud.space, cloud.points, lambda w: float(sum(w)))
-    vals = eval_potential_batch(cloud.space, pot, cloud.batch())
-    assert list(vals) == [float(sum(w)) for w in cloud.points]
-    with pytest.raises(KeyError):
-        eval_potential_batch(cloud.space, pot, np.array([[0, 0]], dtype=np.int8))
+    cloud = build_cloud(SpaceSpec("symbolic_depth", 3, alphabet_size=3))
+    pot = Potential("first_symbol_table", (0.5, -1.25, 2.0))
+    vals = eval_potential_batch(cloud.space, pot, cloud.batch)
+    assert vals.tolist() == [eval_potential(pot, w) for w in cloud_points(cloud.space)]
+    with pytest.raises(ValueError, match="empty word"):
+        eval_potential_batch(cloud.space, pot, cloud.batch[:, :0])
 
 
 def test_pairwise_matches_scalar_on_symbolic():
     cloud = build_cloud(SpaceSpec("symbolic_depth", 4, alphabet_size=3))
-    batch = cloud.batch()[:10]
+    batch = cloud.batch[:10]
     mat = pairwise_distances(cloud, batch, batch)
+    pts = points_of(cloud)
     for i in range(10):
         for j in range(10):
-            assert mat[i, j] == distance(cloud, cloud.points[i], cloud.points[j])
+            assert mat[i, j] == distance(cloud, pts[i], pts[j])
 
 
 def test_circle_distances_reduce_reals_mod_1():
@@ -206,8 +268,9 @@ def test_cylinder_distances_match_oracle(alphabet, depth, data):
     for _ in range(data.draw(st.integers(1, 5))):
         k = data.draw(st.integers(0, depth))
         words.append(tuple(base[:k] + data.draw(symbols)[k:]))
-    cloud = PointCloud(points=tuple(words), space=SpaceSpec("symbolic_depth", 2, alphabet_size=alphabet))
-    batch = cloud.batch()
+    space = SpaceSpec("symbolic_depth", 2, alphabet_size=alphabet)
+    cloud = PointCloud(space, points_to_batch(space, words))
+    batch = cloud.batch
     mat = pairwise_distances(cloud, batch, batch)
     paired = paired_distances(cloud, batch, batch[::-1])
     for i, x in enumerate(words):

@@ -3,7 +3,6 @@ import json
 import math
 import random
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ from naifslab.catalog import EXAMPLE_CONFIGS
 from naifslab.cli import ExperimentConfig, _run_checks, main
 from naifslab.pressure import CurveEntry, EpsSummary, PressureCurve, _BowenOrbit
 from naifslab.naifs import Word, orbit_batches, reachable_batches
-from naifslab.space import batch_to_points, canonical_key, eval_potential_batch, paired_distances
+from naifslab.space import batch_to_points, eval_potential_batch, paired_distances
 from naifslab.theorems import (
     FINITE_LEVEL,
     HOLDS_EXACT,
@@ -51,7 +50,7 @@ from naifslab.theorems import (
     random_explicit_instance,
     semiconjugacy_report,
 )
-from oracles import oracle_derived_birkhoff, oracle_pullback_table
+from oracles import canonical_key, oracle_derived_birkhoff, oracle_pullback_table
 
 ID = MapSpec("identity")
 SWAP2 = MapSpec("permutation_table", (1, 0))
@@ -134,7 +133,7 @@ def test_power_rule_rejects_a_potential_negative_only_off_the_cloud():
     cloud = build_cloud(SpaceSpec("interval_grid", 3))
     # >= 0 on the cloud {0, 0.5, 1}, and -0.6 at x = 0.2, the image of 0
     psi = Potential("piecewise_linear", (1.0, -1.0, 1.0, 1.0, 1.0))
-    assert min(eval_potential_batch(cloud.space, psi, cloud.batch())) >= 0.0
+    assert min(eval_potential_batch(cloud.space, psi, cloud.batch)) >= 0.0
     assert eval_potential_batch(cloud.space, psi, np.array([0.2]))[0] == pytest.approx(-0.6)
     fixed = GenerationSchedule((), ((ID,),))
     assert check_power_rule(cloud, fixed, psi, n=1, m_range=(1,), eps_list=[0.5], include_proxy=False)
@@ -203,7 +202,7 @@ def test_pair_distances_gather_from_one_form(spec):
     # the diagnostics put a batch in distance form once and gather the pairs
     # from it; that must equal measuring each pair on its own
     cloud = build_cloud(spec)
-    batch = cloud.batch()
+    batch = cloud.batch
     ia, ib, _ = _sample_pairs(len(cloud))
     assert np.array_equal(_pair_distances(cloud, batch, ia, ib), paired_distances(cloud, batch[ia], batch[ib]))
 
@@ -395,7 +394,8 @@ def _pulled_at_reachable_points(factor, phi, n_max):
     pulled = pullback_potential(factor, phi)
     table = {}
     for batch in reachable_batches(factor.source.cloud, factor.source.schedule, n_max):
-        table.update(zip(map(partial(canonical_key, space), batch_to_points(space, batch)), eval_potential_batch(space, pulled, batch)))
+        keys = [canonical_key(space, p) for p in batch_to_points(space, batch)]
+        table.update(zip(keys, eval_potential_batch(space, pulled, batch)))
     return table
 
 
@@ -436,19 +436,9 @@ def test_pullback_is_evaluated_deep_in_an_orbit_without_the_reachable_set(monkey
     rot = NAIFS(cloud, GenerationSchedule((), ((MapSpec("rotation", (0.1234567,)),),)))
     proj = FactorMapSpec(source=rot, target=rot, kind="coordinate_projection")
     wave = Potential("piecewise_linear", (0.0, 1.0, -0.5))
-    step = orbit_batches(cloud.space, rot.schedule, Word(1, (0,) * 500), 500, cloud.batch())[500]
+    step = orbit_batches(cloud.space, rot.schedule, Word(1, (0,) * 500), 500, cloud.batch)[500]
     values = eval_potential_batch(cloud.space, pullback_potential(proj, wave), step)
     assert [v.hex() for v in values] == [v.hex() for v in eval_potential_batch(cloud.space, wave, step)]
-
-
-def test_symbolic_table_lookup_reads_shuffled_keys():
-    cloud = build_cloud(SpaceSpec("symbolic_depth", 5, alphabet_size=3))
-    rng = random.Random(3)
-    words = list(cloud.points)
-    rng.shuffle(words)
-    pot = Potential("explicit_table", {w: rng.uniform(-1, 1) for w in words})
-    vals = eval_potential_batch(cloud.space, pot, cloud.batch())
-    assert [v.hex() for v in vals] == [float(pot.params[w]).hex() for w in cloud.points]
 
 
 def test_factor_checks_of_one_run_share_setup_and_curves(monkeypatch):
