@@ -36,7 +36,7 @@ def main():
         )
         print(f"\nresolution {res}, eps {args.eps:g}")
         for e in curve.entries:
-            print(f"  n={e.n:2d} log_sum={e.log_avg:9.4f} a_n={e.value:7.4f} saturated={e.saturated}")
+            print(f"  n={e.n:2d} log_sum={e.log_average:9.4f} a_n={e.value:7.4f} saturated={e.saturated}")
         s = curve.per_eps[0]
         print(f"  tail_max={s.tail_max:.4f} ls_slope={s.ls_slope:.4f} max_step={s.max_step:.4f}")
         print(f"  estimate={curve.estimate:.6f} (error {abs(curve.estimate - math.log(2)) / math.log(2):.2%})")

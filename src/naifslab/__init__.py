@@ -30,7 +30,6 @@ from .naifs import (
 )
 from .pressure import (
     AveragedPartitionSum,
-    CurveEntry,
     EpsSummary,
     ExtremalSetResult,
     PartitionSumResult,
@@ -38,7 +37,6 @@ from .pressure import (
     SupEntropyEstimate,
     averaged_partition_sum,
     birkhoff_sum,
-    default_eps_list,
     max_separated,
     min_spanning,
     partition_sum_separated,

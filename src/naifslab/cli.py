@@ -30,7 +30,7 @@ from .naifs import (
     validate_schedule,
 )
 from .pressure import PressureCurve, pressure_estimate, validate_eps_list
-from .space import SYMBOLIC, PointCloud, Potential, SpaceSpec, build_cloud, validate_potential
+from .space import FINITE, SYMBOLIC, PointCloud, Potential, SpaceSpec, build_cloud, check_point_limit, validate_potential
 from .theorems import (
     InequalityReport,
     VIOLATED,
@@ -203,6 +203,34 @@ def _cloud_from(d: dict, path: str) -> PointCloud:
         raise ConfigError(f"config field {path}: {e}") from e
 
 
+def _check_depth(space: SpaceSpec, n_max: int, eps_min: float, path: str) -> None:
+    """A symbolic space must be deeper than the words the orbits and eps read."""
+    if space.family == SYMBOLIC:
+        needed = n_max + math.log2(1.0 / eps_min)
+        if needed >= space.resolution:
+            raise ConfigError(
+                f"config field {path}: symbolic depth too small; need "
+                f"n_max + log2(1/eps_min) = {needed:g} < resolution D = {space.resolution}"
+            )
+
+
+def _check_sweep(d: dict, resolutions: list[int], n_max: int, eps_min: float) -> None:
+    """The space $.space names at each swept resolution gets the checks that
+    $.space gets; the clouds are built when the sweep runs."""
+    if not resolutions:
+        raise ConfigError("config field $.sweep.resolutions: sweep mode needs resolutions")
+    if d["family"] == FINITE:
+        raise ConfigError("config field $.sweep: finite_explicit spaces cannot be resolution-swept")
+    for k, res in enumerate(resolutions):
+        path = f"$.sweep.resolutions[{k}]"
+        try:
+            space = SpaceSpec(family=d["family"], resolution=res, alphabet_size=int(d.get("alphabet_size", 2)))
+            check_point_limit(space)
+        except _VALUE_ERRORS as e:
+            raise ConfigError(f"config field {path}: {e}") from e
+        _check_depth(space, n_max, eps_min, path)
+
+
 def _schedule_from(d: dict, path: str = "$.schedule") -> GenerationSchedule:
     def gen(maps):
         return tuple(MapSpec(kind=m["kind"], params=tuple(m.get("params", ()))) for m in maps)
@@ -314,13 +342,10 @@ class ExperimentConfig:
             eps_list = validate_eps_list(raw["eps_list"])
         except _VALUE_ERRORS as e:
             raise ConfigError(f"config field $.eps_list: {e}") from e
-        if space.family == SYMBOLIC:
-            needed = hi + math.log2(1.0 / eps_list[-1])
-            if needed >= space.resolution:
-                raise ConfigError(
-                    "config field $.n_range: symbolic depth too small; need "
-                    f"n_max + log2(1/eps_min) = {needed:g} < resolution D = {space.resolution}"
-                )
+        _check_depth(space, hi, eps_list[-1], "$.n_range")
+        word_budget = int(raw["word_budget"])
+        if word_budget > WORD_ENUMERATION_CAP:
+            raise ConfigError(f"config field $.word_budget: need word_budget <= {WORD_ENUMERATION_CAP}, got {word_budget}")
         factor = None
         if "factor" in raw:
             fd = raw["factor"]
@@ -345,6 +370,11 @@ class ExperimentConfig:
             if chk["type"] in ("semiconjugacy", "factor_lower", "factor_upper", "conjugacy") and factor is None:
                 raise ConfigError(f"config field $.checks[{idx}]: check {chk['type']!r} requires a factor")
             checks.append(_check_from(chk, f"$.checks[{idx}]", eps_list[-1], schedule, hi))
+        if raw["mode"] == "verify" and not checks:
+            raise ConfigError("config field $.checks: verify mode needs at least one check")
+        sweep_resolutions = [int(r) for r in raw.get("sweep", {}).get("resolutions", [])]
+        if raw["mode"] == "sweep":
+            _check_sweep(raw["space"], sweep_resolutions, hi, eps_list[-1])
         return cls(
             mode=raw["mode"],
             cloud=cloud,
@@ -352,7 +382,7 @@ class ExperimentConfig:
             potential=_potential_from(raw["potential"], "$.potential", space),
             n_range=list(range(lo, hi + 1)),
             eps_list=eps_list,
-            word_budget=int(raw["word_budget"]),
+            word_budget=word_budget,
             seed=int(raw["seed"]),
             kind=raw.get("kind", "separated"),
             potential_phi=_potential_from(raw["potential_phi"], "$.potential_phi", space) if "potential_phi" in raw else None,
@@ -363,7 +393,7 @@ class ExperimentConfig:
             ),
             factor=factor,
             checks=checks,
-            sweep_resolutions=[int(r) for r in raw.get("sweep", {}).get("resolutions", [])],
+            sweep_resolutions=sweep_resolutions,
             workers=int(raw.get("workers", 1)),
             tol=_tol_from(raw.get("tol"), "$.tol"),
             output_dir=raw.get("output_dir", "out"),
@@ -394,7 +424,7 @@ VERDICT_COLUMNS = ["theorem", "level", "lhs", "rhs", "slack", "verdict", "contex
 
 def _curve_rows(curve: PressureCurve) -> list[list]:
     return [
-        [e.n, e.eps, curve.kind, e.log_avg, e.value, e.stderr, e.word_mode, e.method, e.exact, e.saturated]
+        [e.n, e.eps, curve.kind, e.log_average, e.value, e.stderr, e.word_mode, e.method, e.exact, e.saturated]
         for e in curve.entries
     ]
 
@@ -495,8 +525,6 @@ def _run_checks(config: ExperimentConfig) -> list[InequalityReport]:
 
 
 def _run_verify(config: ExperimentConfig, out: Path) -> int:
-    if not config.checks:
-        raise ConfigError("config field $.checks: verify mode needs at least one check")
     reports = _run_checks(config)
     rows = [[r.name, r.level, r.lhs, r.rhs, r.slack, r.verdict, r.context] for r in reports]
     _write_csv(out / "verdicts.csv", VERDICT_COLUMNS, rows, config.seed)
@@ -508,16 +536,9 @@ def _run_verify(config: ExperimentConfig, out: Path) -> int:
 
 
 def _run_sweep(config: ExperimentConfig, out: Path) -> int:
-    if not config.sweep_resolutions:
-        raise ConfigError("config field $.sweep.resolutions: sweep mode needs resolutions")
     summary_rows = []
     for res in config.sweep_resolutions:
-        raw_space = dict(config.raw["space"])
-        raw_space["resolution"] = res
-        raw_space.pop("distance_matrix", None)
-        if raw_space["family"] == "finite_explicit":
-            raise ConfigError("config field $.sweep: finite_explicit spaces cannot be resolution-swept")
-        cloud = _cloud_from(raw_space, "$.sweep.resolutions")
+        cloud = _cloud_from(dict(config.raw["space"], resolution=res), "$.sweep.resolutions")
         for k, eps in enumerate(config.eps_list):
             curve = pressure_estimate(
                 cloud, config.schedule, config.potential, config.n_range, [eps],

@@ -320,12 +320,13 @@ def enumerate_words(schedule: GenerationSchedule, m: int, n: int, budget: int | 
     """All words of I^{m,n} when the count fits the budget, else an i.i.d.
     uniform sample of `budget` words, reproducible from the seed.
 
-    budget=None forces exact enumeration (used by exact-equality checks).
+    budget=None forces exact enumeration (used by exact-equality checks);
+    a budget above WORD_ENUMERATION_CAP is refused before any word is built.
     """
     if m < 1:
         raise ValueError(f"start index must be >= 1, got {m}")
-    if budget is not None and budget < 1:
-        raise ValueError(f"word budget must be >= 1, got {budget}")
+    if budget is not None and not 1 <= budget <= WORD_ENUMERATION_CAP:
+        raise ValueError(f"word budget must lie in [1, WORD_ENUMERATION_CAP = {WORD_ENUMERATION_CAP}], got {budget}")
     sizes = [len(generation_at(schedule, m + t)) for t in range(n)]
     total = count_words(schedule, m, n)
     cap = budget if budget is not None else WORD_ENUMERATION_CAP

@@ -8,11 +8,17 @@ size thresholds (subset enumeration to 20 points, bitset branch and bound
 to 64); beyond that deterministic greedy bounds take over and every result
 self-reports its method and exactness.
 
-An orbit object (_BowenOrbit) caches what a solve reads that does not
-depend on the weights: the dense Bowen matrix, its closed eps-balls per
-eps, and per (eps, kind) the subsets that subset enumeration may return.
-Callers that solve several potentials, both kinds or a repeated eps on
-one orbit build these once; the cache is freed with the orbit.
+An orbit object (_BowenOrbit) is built from one list of step batches:
+the orbit of the cloud along one word (_word_orbit), every n-th step of
+such an orbit (the power system's orbit), or the orbits of a subset under
+every start and word (_sup_orbit).  It caches what a solve reads that does
+not depend on the weights: the dense Bowen matrix, its closed eps-balls
+per eps, and per (eps, kind) the subsets that subset enumeration may
+return.  Callers that solve several potentials, both kinds or a repeated
+eps on one orbit build these once; the cache is freed with the orbit.
+
+A pressure curve holds one AveragedPartitionSum per (n, eps): the
+word-averaged sum in log space and its growth value (1/n) log.
 
 All sums of exponentials are accumulated in log space with max shifting.
 """
@@ -74,11 +80,12 @@ def _logsumexp(values: np.ndarray) -> float:
 
 
 class _BowenOrbit:
-    """Orbits of the whole cloud along one word; Bowen distance queries.
+    """Bowen distances of the cloud over a list of orbit step batches.
 
-    The distance is the running max of the space's base distance over a
-    list of step batches, each put in distance form once; _sup_orbit builds
-    the longer list of the sup metric.
+    The distance is the running max of the space's base distance over the
+    steps, each put in distance form once; the steps are those of one word
+    (_word_orbit), of every start and word of the sup metric (_sup_orbit),
+    or any list a caller already holds.
     Queries read blocks of it; the dense matrix is built only for small
     clouds (MATRIX_LIMIT) and then serves every later block.
 
@@ -88,18 +95,11 @@ class _BowenOrbit:
     other weight vectors on the same orbit read them instead of rebuilding.
     """
 
-    def __init__(self, cloud: PointCloud, schedule: GenerationSchedule, word: Word, n: int):
-        if word.start != 1:
-            raise ValueError("partition sums run over words rooted at start 1; re-root the word")
-        if n > len(word):
-            raise ValueError(f"n={n} exceeds word length {len(word)}")
-        self._set_steps(cloud, orbit_batches(cloud.space, schedule, word, n, cloud.batch))
-
-    def _set_steps(self, cloud: PointCloud, batches: list[np.ndarray]) -> None:
+    def __init__(self, cloud: PointCloud, steps: list[np.ndarray]):
         self.cloud = cloud
-        self.batches = batches
-        self.n_points = len(batches[0])
-        self.forms = [_to_distance_form(cloud, B) for B in batches]
+        self.batches = steps
+        self.n_points = len(steps[0])
+        self.forms = [_to_distance_form(cloud, B) for B in steps]
         self._matrix: np.ndarray | None = None
         self._balls: dict[float, list[int]] = {}
         self._feasible: dict[tuple[float, str], np.ndarray] = {}
@@ -167,15 +167,23 @@ def _tile_rows(n_cols: int) -> int:
     return max(1, _TILE_ELEMENTS // max(1, n_cols))
 
 
+def _word_orbit(cloud: PointCloud, schedule: GenerationSchedule, word: Word, n: int) -> _BowenOrbit:
+    """The orbit of the whole cloud along the first n steps of a word rooted
+    at start 1."""
+    if word.start != 1:
+        raise ValueError("partition sums run over words rooted at start 1; re-root the word")
+    if n > len(word):
+        raise ValueError(f"n={n} exceeds word length {len(word)}")
+    return _BowenOrbit(cloud, orbit_batches(cloud.space, schedule, word, n, cloud.batch))
+
+
 def _sup_orbit(cloud: PointCloud, schedule: GenerationSchedule, n: int, indices: Sequence[int]) -> _BowenOrbit:
     """Orbits of a point subset under every start index and word of length n;
     their distance is the sup metric d*_n."""
     if len(indices) > SUBSET_METRIC_LIMIT:
         raise ValueError(f"sup-metric subset of {len(indices)} points exceeds the limit {SUBSET_METRIC_LIMIT}")
     sub = cloud.batch[np.asarray(indices, dtype=np.intp)]
-    orbit = _BowenOrbit.__new__(_BowenOrbit)
-    orbit._set_steps(cloud, sup_orbit_batches(cloud.space, schedule, n, sub))
-    return orbit
+    return _BowenOrbit(cloud, sup_orbit_batches(cloud.space, schedule, n, sub))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +596,7 @@ def _birkhoff_vector(ctx: _BowenOrbit, psi: Potential) -> np.ndarray:
 
 def max_separated(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, eps: float, mode: str = "auto") -> ExtremalSetResult:
     """Maximal cardinality of an (n, w, eps)-separated subset of the cloud."""
-    ctx = _BowenOrbit(cloud, schedule, w, n)
+    ctx = _word_orbit(cloud, schedule, w, n)
     _, idxs, method, exact = _solve_separated_weighted(ctx, np.zeros(ctx.n_points), eps, mode)
     upper = len(idxs)
     if not exact:
@@ -599,7 +607,7 @@ def max_separated(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: i
 
 def min_spanning(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, eps: float, mode: str = "auto") -> ExtremalSetResult:
     """Minimal cardinality of a cloud subset that (n, w, eps)-spans the cloud."""
-    ctx = _BowenOrbit(cloud, schedule, w, n)
+    ctx = _word_orbit(cloud, schedule, w, n)
     _, idxs, method, exact = _solve_spanning_weighted(ctx, np.zeros(ctx.n_points), eps, mode)
     lower = len(idxs)
     if not exact:
@@ -609,14 +617,14 @@ def min_spanning(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: in
 
 def partition_sum_separated(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, psi: Potential, eps: float, mode: str = "auto") -> PartitionSumResult:
     """sup over separated sets E of sum_{x in E} exp(S_{w,n} psi(x))."""
-    ctx = _BowenOrbit(cloud, schedule, w, n)
+    ctx = _word_orbit(cloud, schedule, w, n)
     log_value, idxs, method, exact = _solve_separated_weighted(ctx, _birkhoff_vector(ctx, psi), eps, mode)
     return PartitionSumResult(log_value=log_value, word=w, method=method, exact=exact, witness_size=len(idxs))
 
 
 def partition_sum_spanning(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, psi: Potential, eps: float, mode: str = "auto") -> PartitionSumResult:
     """inf over spanning sets F of sum_{x in F} exp(S_{w,n} psi(x))."""
-    ctx = _BowenOrbit(cloud, schedule, w, n)
+    ctx = _word_orbit(cloud, schedule, w, n)
     log_value, idxs, method, exact = _solve_spanning_weighted(ctx, _birkhoff_vector(ctx, psi), eps, mode)
     return PartitionSumResult(log_value=log_value, word=w, method=method, exact=exact, witness_size=len(idxs))
 
@@ -644,15 +652,17 @@ class AveragedPartitionSum:
         resolution is exhausted at this (n, eps)."""
         return self.min_witness >= self.cloud_size
 
+    @property
+    def value(self) -> float:
+        """The growth value (1/n) log of the averaged sum."""
+        return self.log_average / self.n
 
-def _per_word_sums(cloud, schedule, words, n, psi, eps, kind) -> list[PartitionSumResult]:
+
+def _word_sums(payload) -> list[PartitionSumResult]:
+    """The per-word partition sums of one chunk of words, in word order."""
+    cloud, schedule, words, n, psi, eps, kind = payload
     op = partition_sum_separated if kind == "separated" else partition_sum_spanning
     return [op(cloud, schedule, w, n, psi, eps) for w in words]
-
-
-def _avg_worker(payload):
-    res = _per_word_sums(*payload)
-    return [(r.log_value, r.method, r.exact, r.witness_size) for r in res]
 
 
 def averaged_partition_sum(
@@ -675,13 +685,13 @@ def averaged_partition_sum(
     if workers > 1 and len(words) >= 8:
         chunks = np.array_split(np.arange(len(words)), min(workers, len(words), os.cpu_count() or 1))
         payloads = [(cloud, schedule, [words[i] for i in c], n, psi, eps, kind) for c in chunks]
-        rows: list[tuple] = []
+        sums: list[PartitionSumResult] = []
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            for part in pool.map(_avg_worker, payloads):
-                rows.extend(part)
+            for part in pool.map(_word_sums, payloads):
+                sums.extend(part)
     else:
-        rows = [(r.log_value, r.method, r.exact, r.witness_size) for r in _per_word_sums(cloud, schedule, words, n, psi, eps, kind)]
-    logs = np.array([r[0] for r in rows])
+        sums = _word_sums((cloud, schedule, words, n, psi, eps, kind))
+    logs = np.array([r.log_value for r in sums])
     log_average = _logsumexp(logs) - math.log(len(logs))
     stderr = 0.0
     if word_mode == "sampled" and len(logs) > 1:
@@ -690,7 +700,7 @@ def averaged_partition_sum(
         mean = float(lin.mean())
         se = float(lin.std(ddof=1)) / math.sqrt(len(lin))
         stderr = se / mean if mean > 0 else 0.0
-    methods = {r[1] for r in rows}
+    methods = {r.method for r in sums}
     method = methods.pop() if len(methods) == 1 else "mixed"
     return AveragedPartitionSum(
         log_average=log_average,
@@ -700,8 +710,8 @@ def averaged_partition_sum(
         eps=eps,
         kind=kind,
         method=method,
-        exact=all(r[2] for r in rows),
-        min_witness=min(r[3] for r in rows),
+        exact=all(r.exact for r in sums),
+        min_witness=min(r.witness_size for r in sums),
         words_used=len(words),
         word_count=total,
         cloud_size=len(cloud),
@@ -710,19 +720,6 @@ def averaged_partition_sum(
 
 # ---------------------------------------------------------------------------
 # growth-rate curves
-
-
-@dataclass
-class CurveEntry:
-    n: int
-    eps: float
-    log_avg: float
-    value: float  # (1/n) * log_avg
-    stderr: float
-    word_mode: str
-    method: str
-    exact: bool
-    saturated: bool
 
 
 @dataclass
@@ -746,18 +743,15 @@ class EpsSummary:
 
 @dataclass
 class PressureCurve:
+    """One AveragedPartitionSum per (n, eps), eps by eps in the order given
+    and n ascending within each, with their per-eps summaries."""
+
     kind: str
-    entries: list[CurveEntry]
+    entries: list[AveragedPartitionSum]
     per_eps: list[EpsSummary]
     estimate: float
     eps_star: float
     all_exact: bool
-
-
-def _tail_max(entries: list[CurveEntry]) -> float:
-    ns = [e.n for e in entries]
-    cut = math.ceil((min(ns) + max(ns)) / 2)
-    return max(e.value for e in entries if e.n >= cut)
 
 
 def _ls_slope(pairs: list[tuple[int, float]]) -> float:
@@ -777,19 +771,22 @@ def _max_step(pairs: list[tuple[int, float]]) -> float:
     return best
 
 
-def _eps_summary(entries: list[CurveEntry]) -> EpsSummary:
-    kept = [e for e in entries if not e.saturated]
+def _eps_summary(eps: float, points: list[tuple[int, float, bool]]) -> EpsSummary:
+    """The growth proxies of one eps from its (n, log sum, saturated) points,
+    n ascending."""
+    kept = [(n, y) for n, y, saturated in points if not saturated]
     if len(kept) < 2:
-        kept = entries
-    pairs = [(e.n, e.log_avg) for e in kept]
-    if len(pairs) >= 2:
-        slope = _ls_slope(pairs)
-        step = _max_step(pairs)
+        kept = [(n, y) for n, y, _ in points]
+    if len(kept) >= 2:
+        slope = _ls_slope(kept)
+        step = _max_step(kept)
     else:
-        slope = step = entries[-1].value
+        n, y, _ = points[-1]
+        slope = step = y / n
+    cut = math.ceil((points[0][0] + points[-1][0]) / 2)
     return EpsSummary(
-        eps=entries[0].eps,
-        tail_max=_tail_max(entries),
+        eps=eps,
+        tail_max=max(y / n for n, y, _ in points if n >= cut),
         ls_slope=slope,
         max_step=step,
         estimate=step,
@@ -805,11 +802,6 @@ def validate_eps_list(eps_list: Sequence[float]) -> list[float]:
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     return eps_list
-
-
-def default_eps_list(cloud: PointCloud) -> list[float]:
-    diam = cloud.diameter()
-    return [diam * 2.0 ** (-k) for k in range(1, 6)]
 
 
 def pressure_estimate(
@@ -834,24 +826,12 @@ def pressure_estimate(
     if not ns or ns[0] < 1:
         raise ValueError("n_range must contain integers >= 1")
     eps_list = validate_eps_list(eps_list)
-    entries: list[CurveEntry] = []
-    for eps in eps_list:
-        for n in ns:
-            avg = averaged_partition_sum(cloud, schedule, n, psi, eps, kind=kind, word_budget=word_budget, seed=seed, workers=workers)
-            entries.append(
-                CurveEntry(
-                    n=n,
-                    eps=eps,
-                    log_avg=avg.log_average,
-                    value=avg.log_average / n,
-                    stderr=avg.stderr,
-                    word_mode=avg.word_mode,
-                    method=avg.method,
-                    exact=avg.exact,
-                    saturated=avg.saturated,
-                )
-            )
-    per_eps = [_eps_summary([e for e in entries if e.eps == eps]) for eps in eps_list]
+    entries = [
+        averaged_partition_sum(cloud, schedule, n, psi, eps, kind=kind, word_budget=word_budget, seed=seed, workers=workers)
+        for eps in eps_list
+        for n in ns
+    ]
+    per_eps = [_eps_summary(eps, [(e.n, e.log_average, e.saturated) for e in entries if e.eps == eps]) for eps in eps_list]
     return PressureCurve(
         kind=kind,
         entries=entries,
@@ -949,22 +929,7 @@ def sup_entropy_estimate(
                         ok=len(r_idx) <= len(s_idx) <= len(rh_idx),
                     )
                 )
-    star = [e for e in entries if e.eps == eps_list[-1]]
-    curve = [
-        CurveEntry(
-            n=e.n,
-            eps=e.eps,
-            log_avg=math.log(e.separated),
-            value=math.log(e.separated) / e.n,
-            stderr=0.0,
-            word_mode="exact",
-            method=e.method,
-            exact=e.exact,
-            saturated=e.saturated,
-        )
-        for e in star
-    ]
-    summary = _eps_summary(curve)
+    summary = _eps_summary(eps_list[-1], [(e.n, math.log(e.separated), e.saturated) for e in entries if e.eps == eps_list[-1]])
     return SupEntropyEstimate(
         estimate=summary.estimate,
         eps_star=eps_list[-1],

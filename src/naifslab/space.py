@@ -154,9 +154,8 @@ class PointCloud:
         return float(np.max(self.dmatrix()))
 
 
-def build_cloud(spec: SpaceSpec) -> PointCloud:
-    """The points of a space as a batch: the grids in index order, the words
-    in lexicographic order, the point ids of a finite space."""
+def check_point_limit(spec: SpaceSpec) -> None:
+    """Raise ValueError when the space has more than CLOUD_POINT_LIMIT points."""
     if spec.family == SYMBOLIC:
         # compared in log2, so that huge alphabets and depths cost nothing
         too_many = spec.resolution * math.log2(spec.alphabet_size) > math.log2(CLOUD_POINT_LIMIT)
@@ -164,6 +163,12 @@ def build_cloud(spec: SpaceSpec) -> PointCloud:
         too_many = spec.resolution > CLOUD_POINT_LIMIT
     if too_many:
         raise ValueError(f"the space has more than CLOUD_POINT_LIMIT = {CLOUD_POINT_LIMIT} points")
+
+
+def build_cloud(spec: SpaceSpec) -> PointCloud:
+    """The points of a space as a batch: the grids in index order, the words
+    in lexicographic order, the point ids of a finite space."""
+    check_point_limit(spec)
     n = spec.resolution
     if spec.family == INTERVAL:
         batch = np.arange(n) / (n - 1)

@@ -26,11 +26,11 @@ from .naifs import (
     Word,
     apply_factor_batch,
     apply_map,
-    block_word,
     check_semiconjugacy,
     enumerate_words,
     fiber_indices,
     generation_at,
+    orbit_batches,
     power_system,
     reachable_batches,
     truncate_system,
@@ -233,7 +233,7 @@ def check_basic_properties(
     sums: dict[str, list[float]] = {}
     exact_inputs = True
     for w in words:
-        ctx = _BowenOrbit(cloud, schedule, w, n)
+        ctx = _BowenOrbit(cloud, orbit_batches(cloud.space, schedule, w, n, cloud.batch))
         for name, S in _derived_birkhoff(ctx, phi, psi, p, c).items():
             value, _, _, ok = _solve_separated_weighted(ctx, S, eps)
             sums.setdefault(name, []).append(value)
@@ -355,7 +355,6 @@ def check_power_rule(
     eps_list = validate_eps_list(eps_list)
     if np.any(_reachable_values(cloud, schedule, psi, n * ms[-1]) < 0.0):
         raise ValueError("power-rule spanning transfer needs a nonnegative potential")
-    pow_sched = power_system(schedule, n)
 
     binding: tuple[float, float] | None = None
     exact_all = True
@@ -363,9 +362,9 @@ def check_power_rule(
     for m in ms:
         words, _, _ = enumerate_words(schedule, 1, m * n, None, seed)
         for w in words:
-            wstar = block_word(schedule, w, n)
-            ctx_base = _BowenOrbit(cloud, schedule, w, m * n)
-            ctx_pow = _BowenOrbit(cloud, pow_sched, wstar, m)
+            ctx_base = _BowenOrbit(cloud, orbit_batches(cloud.space, schedule, w, m * n, cloud.batch))
+            # the power system's orbit along the blocked word is every n-th base step
+            ctx_pow = _BowenOrbit(cloud, ctx_base.batches[::n])
             s_base = _birkhoff_vector(ctx_base, psi)
             s_pow = _birkhoff_vector(ctx_pow, psi)
             for eps in eps_list:
@@ -387,6 +386,7 @@ def check_power_rule(
     if not include_proxy:
         return reports
 
+    pow_sched = power_system(schedule, n)
     base_ns = [m * n for m in ms]
     est_base = pressure_estimate(cloud, schedule, psi, base_ns, eps_list, word_budget=word_budget, seed=seed, workers=workers)
     est_pow = pressure_estimate(cloud, pow_sched, psi, ms, eps_list, word_budget=word_budget, seed=seed, workers=workers)
@@ -454,7 +454,7 @@ def check_truncation_monotonicity(
     n_count = net_counting_length(ns[-1])
     # first-fit maximal eps-separated sets in the base metric (n = 0): their
     # closed eps-balls cover the cloud
-    base = _BowenOrbit(cloud, schedule, Word(start=1, symbols=()), 0)
+    base = _BowenOrbit(cloud, [cloud.batch])
     net_size = {eps: len(_solve_separated_weighted(base, np.zeros(len(cloud)), eps, "greedy")[1]) for eps in eps_list}
     binding: tuple[int, int] | None = None
     exact_all = True

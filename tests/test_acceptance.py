@@ -129,7 +129,7 @@ def test_criterion_4_shift_pressure():
     curve = pressure_estimate(cloud, schedule, psi, range(1, 9), [2.0**-3], word_budget=64, seed=5)
     # cylinder-sum oracle: the per-n averaged sum is 4 * 3^(n+1) exactly
     cylinder_gap = max(
-        abs(e.log_avg - (math.log(4.0) + (e.n + 1) * LOG3)) for e in curve.entries
+        abs(e.log_average - (math.log(4.0) + (e.n + 1) * LOG3)) for e in curve.entries
     )
     rel = abs(curve.estimate - LOG3) / LOG3
     ok = rel <= 0.07 and cylinder_gap <= 1e-9

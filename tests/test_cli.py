@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from naifslab import Potential, SpaceSpec
 from naifslab.catalog import EXAMPLE_CONFIGS, list_builtin
+import naifslab.cli as cli
 from naifslab.cli import ConfigError, ExperimentConfig, main, run
 from naifslab.space import eval_potential_batch
 from oracles import eval_potential
@@ -343,6 +344,48 @@ def test_truncation_words_past_the_cap_are_a_config_error(tmp_path):
     # 37**4 words fit
     raw["schedule"]["cycle"][0].pop()
     assert ExperimentConfig.from_dict(raw).checks[0]["type"] == "truncation"
+
+
+def test_word_budget_past_the_cap_is_a_config_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "WORD_ENUMERATION_CAP", 10)
+    raw = dict(TINY_ESTIMATE, word_budget=11)
+    with pytest.raises(ConfigError, match=r"\$\.word_budget: need word_budget <= 10, got 11"):
+        ExperimentConfig.from_dict(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert ExperimentConfig.from_dict(dict(raw, word_budget=10)).word_budget == 10
+
+
+# configs whose mode or swept spaces cannot run: (command, example, changes, message)
+MODE_ERRORS = {
+    "verify_without_checks": ("verify", "doubling_circle", {}, r"\$\.checks: verify mode needs at least one check"),
+    "sweep_without_resolutions": ("sweep", "doubling_circle", {}, r"\$\.sweep\.resolutions: sweep mode needs resolutions"),
+    "sweep_of_a_finite_space": ("sweep", "two_point_swap", {"sweep": {"resolutions": [4]}}, r"\$\.sweep: finite_explicit"),
+    "swept_resolution_below_two": ("sweep", "doubling_circle", {"sweep": {"resolutions": [64, 1]}}, r"\$\.sweep\.resolutions\[1\]: resolution must be >= 2"),
+    "swept_space_past_point_limit": ("sweep", "doubling_circle", {"sweep": {"resolutions": [2**40]}}, r"\$\.sweep\.resolutions\[0\]: the space has more than"),
+    "swept_alphabet_past_point_limit": ("sweep", "shift_pressure", {"sweep": {"resolutions": [10**400]}}, r"\$\.sweep\.resolutions\[0\]"),
+    # n_max + log2(1/eps_min) = 3 + 3 words deep: $.space at depth 4 is refused too
+    "swept_symbolic_depth_too_small": (
+        "sweep", "shift_pressure", {"n_range": [1, 3], "sweep": {"resolutions": [4]}},
+        r"\$\.sweep\.resolutions\[0\]: symbolic depth too small; need n_max \+ log2\(1/eps_min\) = 6 < resolution D = 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODE_ERRORS))
+def test_mode_and_swept_space_errors_leave_no_output(tmp_path, case):
+    command, name, changes, message = MODE_ERRORS[case]
+    raw = _example(name, **changes)
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict(dict(raw, mode=command))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_check_parameters_are_parsed_with_defaults(tmp_path):

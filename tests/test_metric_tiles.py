@@ -24,6 +24,7 @@ from naifslab.pressure import (
     _solve_separated_weighted,
     _solve_spanning_weighted,
     _sup_orbit,
+    _word_orbit,
 )
 from naifslab.space import pairwise_distances
 from naifslab.theorems import random_explicit_instance
@@ -70,7 +71,7 @@ def test_block_matches_oracle_bowen(family, seed, n, data):
     cloud, sched = random_system(family, rng)
     words, _, _ = enumerate_words(sched, 1, 3, None, 0)
     w = words[rng.randrange(len(words))]
-    ctx = _BowenOrbit(cloud, sched, w, n)
+    ctx = _word_orbit(cloud, sched, w, n)
     I, js = index_lists(data, len(cloud))
     block = ctx.block(I, js)
     pts = points_of(cloud)
@@ -103,7 +104,7 @@ def test_finite_block_equals_ix_gather(seed, n, data):
     rng = random.Random(seed)
     cloud, sched = random_system("finite_explicit", rng)
     words, _, _ = enumerate_words(sched, 1, 3, None, 0)
-    ctx = _BowenOrbit(cloud, sched, words[rng.randrange(len(words))], n)
+    ctx = _word_orbit(cloud, sched, words[rng.randrange(len(words))], n)
     dm = cloud.dmatrix()
     I, js = index_lists(data, len(cloud))
     lo = data.draw(st.integers(0, len(cloud)))
@@ -120,7 +121,7 @@ def test_finite_block_equals_ix_gather(seed, n, data):
 def doubling_orbit(n_points=4096, n=3):
     cloud = build_cloud(SpaceSpec("circle_grid", n_points))
     sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
-    return _BowenOrbit(cloud, sched, Word(1, (0,) * n), n)
+    return _word_orbit(cloud, sched, Word(1, (0,) * n), n)
 
 
 def reference_first_fit(ctx, eps, order):

@@ -27,6 +27,7 @@ from naifslab import (
     sup_bowen_distance,
     truncate_system,
 )
+import naifslab.naifs as naifs
 from naifslab.cli import main
 from naifslab.naifs import _is_surjective, apply_factor_batch, reachable_batches, reachable_points
 from naifslab.space import points_to_batch
@@ -258,6 +259,17 @@ def test_enumerate_words_exact_and_sampled():
     assert mode == "sampled" and total == 2**30 and len(words) == 1000
     again, _, _ = enumerate_words(sched, 1, 30, 1000, 42)
     assert [w.symbols for w in words] == [w.symbols for w in again]
+
+
+def test_enumerate_words_refuses_a_budget_past_the_cap(monkeypatch):
+    _, sched = two_point()
+    monkeypatch.setattr(naifs, "WORD_ENUMERATION_CAP", 10)
+    words, mode, _ = enumerate_words(sched, 1, 30, 10, 0)
+    assert mode == "sampled" and len(words) == 10
+    monkeypatch.setattr(naifs, "Word", lambda *a, **kw: pytest.fail("a word was built"))
+    for budget in (11, 20):
+        with pytest.raises(ValueError, match="WORD_ENUMERATION_CAP = 10"):
+            enumerate_words(sched, 1, 30, budget, 0)
 
 
 def test_semiconjugacy_identity_is_exact():

@@ -292,7 +292,7 @@ def test_pressure_curve_two_point_exact_values():
     cloud, sched = two_point()
     curve = pressure_estimate(cloud, sched, ZERO, range(1, 11), [0.5], word_budget=2048, seed=0)
     for e in curve.entries:
-        assert e.exact and e.log_avg == pytest.approx(math.log(2), abs=1e-12)
+        assert e.exact and e.log_average == pytest.approx(math.log(2), abs=1e-12)
         assert e.value == pytest.approx(math.log(2) / e.n, abs=1e-12)
     assert abs(curve.estimate) <= 1e-12
 
@@ -550,7 +550,7 @@ def test_spanning_kind_pipeline():
     curve = pressure_estimate(cloud, sched, ZERO, range(1, 6), [0.5], word_budget=64, seed=0, kind="spanning")
     assert curve.kind == "spanning"
     for e in curve.entries:
-        assert e.log_avg == pytest.approx(math.log(2), abs=1e-12)
+        assert e.log_average == pytest.approx(math.log(2), abs=1e-12)
 
 
 def _solve(orbit, kind, psi, eps, mode):
@@ -581,10 +581,10 @@ def test_orbit_cache_solves_equal_fresh_orbit_solves(seed, max_points, n, data):
         for mode in ("auto", "branch_and_bound", "greedy")
     ]
     rng.shuffle(jobs)
-    orbit = pressure._BowenOrbit(cloud, sched, w, n)
+    orbit = pressure._word_orbit(cloud, sched, w, n)
     for eps, psi, kind, mode in jobs:
         got = _solve(orbit, kind, psi, eps, mode)
-        assert got == _solve(pressure._BowenOrbit(cloud, sched, w, n), kind, psi, eps, mode)
+        assert got == _solve(pressure._word_orbit(cloud, sched, w, n), kind, psi, eps, mode)
         if got[3]:
             oracle = oracle_partition_separated if kind == "separated" else oracle_partition_spanning
             assert float.fromhex(got[0]) == pytest.approx(oracle(cloud, sched, w, n, psi, eps), abs=1e-12)

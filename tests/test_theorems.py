@@ -17,6 +17,7 @@ from naifslab import (
     NAIFS,
     Potential,
     SpaceSpec,
+    block_word,
     build_cloud,
     check_basic_properties,
     check_equicontinuity,
@@ -26,6 +27,7 @@ from naifslab import (
     check_power_rule,
     check_truncation_monotonicity,
     enumerate_words,
+    generation_at,
     growth_rate,
     power_system,
     run_finite_inequality_suite,
@@ -33,7 +35,16 @@ from naifslab import (
 )
 from naifslab.catalog import EXAMPLE_CONFIGS
 from naifslab.cli import ExperimentConfig, _run_checks, main
-from naifslab.pressure import CurveEntry, EpsSummary, PressureCurve, _BowenOrbit
+from naifslab.pressure import (
+    AveragedPartitionSum,
+    EpsSummary,
+    PressureCurve,
+    _birkhoff_vector,
+    _BowenOrbit,
+    _solve_separated_weighted,
+    _solve_spanning_weighted,
+    _word_orbit,
+)
 from naifslab.naifs import Word, orbit_batches, reachable_batches
 from naifslab.space import batch_to_points, eval_potential_batch, paired_distances
 from naifslab.theorems import (
@@ -147,6 +158,48 @@ def test_power_rule_constant_equality_report():
     reports = check_power_rule(cloud, sched, Potential("constant", (0.4,)), n=2, m_range=(1, 2, 3), eps_list=[0.5])
     eq = [r for r in reports if r.name == "power/constant-potential-equality"]
     assert eq and eq[0].verdict == "holds_within_tol"
+
+
+_DOUBLING = MapSpec("doubling")
+_QUARTER = MapSpec("rotation", (0.25,))
+
+
+@st.composite
+def _power_instances(draw):
+    """A random finite instance or a circle doubling/rotation schedule (each
+    with a prefix of 0 or 1 generations), n, m and a word of length m * n."""
+    n, m = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):
+        cloud, schedule = random_explicit_instance(random.Random(draw(st.integers(0, 10_000))), max_points=10)
+        psi = Potential("explicit_table", tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=len(cloud), max_size=len(cloud)))))
+        off = np.sort(cloud.dmatrix()[~np.eye(len(cloud), dtype=bool)])
+        eps = float(off[draw(st.integers(0, len(off) - 1))])
+    else:
+        gens = st.sampled_from([(_DOUBLING,), (_QUARTER,), (_DOUBLING, _QUARTER), (_QUARTER, _DOUBLING)])
+        schedule = GenerationSchedule(
+            prefix=tuple(draw(st.lists(gens, max_size=1))), cycle=tuple(draw(st.lists(gens, min_size=1, max_size=2)))
+        )
+        cloud = build_cloud(SpaceSpec("circle_grid", draw(st.sampled_from([16, 24]))))
+        psi = Potential("piecewise_linear", (0.0, 1.0, 0.2, 0.9))
+        eps = draw(st.sampled_from([0.04, 0.0625, 0.125, 0.3]))
+    symbols = tuple(draw(st.integers(0, len(generation_at(schedule, 1 + t)) - 1)) for t in range(m * n))
+    return cloud, schedule, n, m, Word(1, symbols), psi, eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(_power_instances())
+def test_power_orbit_is_every_nth_base_step(instance):
+    # check_power_rule builds the power system's orbit from its base orbit's steps
+    cloud, schedule, n, m, w, psi, eps = instance
+    steps = _word_orbit(cloud, schedule, w, m * n).batches[::n]
+    powered = orbit_batches(cloud.space, power_system(schedule, n), block_word(schedule, w, n), m, cloud.batch)
+    assert len(steps) == len(powered) == m + 1
+    for a, b in zip(steps, powered):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    ctx, ctx_pow = _BowenOrbit(cloud, steps), _BowenOrbit(cloud, powered)
+    for solve in (_solve_spanning_weighted, _solve_separated_weighted):
+        got, want = (solve(c, _birkhoff_vector(c, psi), eps) for c in (ctx, ctx_pow))
+        assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:])
 
 
 def test_truncation_constant_schedule_has_zero_proxy_slack():
@@ -278,8 +331,8 @@ def test_mini_random_suite_zero_violations():
 
 
 def _flat_curve(estimate, word_mode):
-    entry = CurveEntry(n=2, eps=0.5, log_avg=2 * estimate, value=estimate, stderr=0.1, word_mode=word_mode,
-                       method="exhaustive", exact=True, saturated=False)
+    entry = AveragedPartitionSum(log_average=2 * estimate, stderr=0.1, word_mode=word_mode, n=2, eps=0.5, kind="separated",
+                                 method="exhaustive", exact=True, min_witness=1, words_used=1, word_count=1, cloud_size=2)
     summary = EpsSummary(eps=0.5, tail_max=estimate, ls_slope=estimate, max_step=estimate, estimate=estimate)
     return PressureCurve(kind="separated", entries=[entry], per_eps=[summary], estimate=estimate, eps_star=0.5, all_exact=True)
 
@@ -342,7 +395,7 @@ def test_derived_birkhoff_vectors_match_the_table_path(instance):
     cloud, schedule, n, phi, psi, p, c = instance
     words, _, _ = enumerate_words(schedule, 1, n, None, seed=0)
     for w in words[:3]:
-        ctx = _BowenOrbit(cloud, schedule, w, n)
+        ctx = _word_orbit(cloud, schedule, w, n)
         new = _derived_birkhoff(ctx, phi, psi, p, c)
         old = oracle_derived_birkhoff(ctx, schedule, n, phi, psi, p, c)
         assert {k: [float(x).hex() for x in v] for k, v in new.items()} == {
