@@ -17,6 +17,11 @@ per eps, and per (eps, kind) the subsets that subset enumeration may
 return.  Callers that solve several potentials, both kinds or a repeated
 eps on one orbit build these once; the cache is freed with the orbit.
 
+Greedy first fit reads one row per accepted point, and only over the
+point's step-0 window when step 0 is the cloud itself (_BowenOrbit.window);
+the witness re-checks read every pair or every point, so they do not
+depend on the window being right.
+
 A pressure curve holds one AveragedPartitionSum per (n, eps): the
 word-averaged sum in log space and its growth value (1/n) log.
 
@@ -43,6 +48,9 @@ from .naifs import (
     sup_orbit_batches,
 )
 from .space import (
+    FINITE,
+    INTERVAL,
+    SYMBOLIC,
     PointCloud,
     Potential,
     _distance_kernel,
@@ -83,11 +91,18 @@ class _BowenOrbit:
     """Bowen distances of the cloud over a list of orbit step batches.
 
     The distance is the running max of the space's base distance over the
-    steps, each put in distance form once; the steps are those of one word
-    (_word_orbit), of every start and word of the sup metric (_sup_orbit),
-    or any list a caller already holds.
-    Queries read blocks of it; the dense matrix is built only for small
-    clouds (MATRIX_LIMIT) and then serves every later block.
+    steps; the steps are those of one word (_word_orbit), of every start
+    and word of the sup metric (_sup_orbit), or any list a caller already
+    holds.  Each step is put in distance form once, and the forms are held
+    stacked on one step axis, so that a row reads every step in one kernel
+    call.  Queries read rows and tiles of it; the dense matrix is built
+    only for small clouds (MATRIX_LIMIT) and then serves every later
+    block.  Tiles are written into two buffers the orbit reuses.
+
+    When step 0 is the enumerated cloud itself, a Bowen distance is at
+    least the base distance, so the closed eps-ball of a point lies in its
+    base ball: an index window on the grids and a run of the lexicographic
+    order on words (window).  Greedy rows read only the window.
 
     The matrix, its eps-balls (balls) and the feasible subsets of subset
     enumeration (feasible_subsets) are built on first use and kept for the
@@ -99,24 +114,84 @@ class _BowenOrbit:
         self.cloud = cloud
         self.batches = steps
         self.n_points = len(steps[0])
-        self.forms = [_to_distance_form(cloud, B) for B in steps]
+        self.forms = _stack_forms([_to_distance_form(cloud, B) for B in steps])
+        # a finite space has no order that its balls follow
+        self._windowed = cloud.enumerated and steps[0] is cloud.batch and cloud.space.family != FINITE
         self._matrix: np.ndarray | None = None
         self._balls: dict[float, list[int]] = {}
         self._feasible: dict[tuple[float, str], np.ndarray] = {}
+        self._buffers: list[np.ndarray | None] = [None, None]
 
-    def block(self, I: np.ndarray | slice, js: np.ndarray | slice) -> np.ndarray:
+    def _buffer(self, slot: int, shape: tuple[int, int]) -> np.ndarray:
+        """Reused buffer `slot` (0: tiles, 1: one step inside block) viewed as
+        shape.  It is made the size of a whole tile at once (no tile of a
+        small cloud is larger than its matrix), so that tiles of varying
+        shape do not regrow it."""
+        size = shape[0] * shape[1]
+        buf = self._buffers[slot]
+        if buf is None or buf.size < size:
+            buf = self._buffers[slot] = np.empty(max(size, min(_TILE_ELEMENTS, self.n_points**2)))
+        return buf[:size].reshape(shape)
+
+    def block(self, I: np.ndarray | slice, js: np.ndarray | slice, out: np.ndarray | None = None) -> np.ndarray:
         """Distances between the points I (rows) and js (columns), each an
-        index array or a slice."""
+        index array or a slice, written into out when given and otherwise
+        into a new array (never a view of the matrix)."""
         if self._matrix is not None:
-            return self._matrix[I][:, js]
-        acc = None
-        for f in self.forms:
-            d = _distance_kernel(self.cloud, f[..., I, None], f[..., None, js])
-            acc = d if acc is None else np.maximum(acc, d, out=acc)
+            sub = self._matrix[I][:, js]
+            if out is None:
+                out = np.empty_like(sub)
+            out[...] = sub
+            return out
+        a = self._columns(I)[..., None]
+        b = self._columns(js)[..., None, :]
+        acc = _distance_kernel(self.cloud, a[..., 0, :, :], b[..., 0, :, :], out)
+        if a.shape[-3] > 1:
+            scratch = self._buffer(1, acc.shape)
+            for s in range(1, a.shape[-3]):
+                np.maximum(acc, _distance_kernel(self.cloud, a[..., s, :, :], b[..., s, :, :], scratch), out=acc)
         return acc
 
+    def tile(self, I: np.ndarray, js: np.ndarray) -> np.ndarray:
+        """block(I, js) in the orbit's tile buffer: the caller may overwrite
+        it, and the next tile does."""
+        return self.block(I, js, self._buffer(0, (len(I), len(js))))
+
     def row(self, i: int, js: np.ndarray) -> np.ndarray:
-        return self.block(np.array([i], dtype=np.intp), np.asarray(js, dtype=np.intp))[0]
+        """Distances from point i to the points js, every step in one kernel call."""
+        js = np.asarray(js, dtype=np.intp)
+        if self._matrix is not None:
+            return self._matrix[i, js]
+        return _distance_kernel(self.cloud, self.forms[..., i, None], self._columns(js)).max(axis=0)
+
+    def _columns(self, js: np.ndarray | slice) -> np.ndarray:
+        """The forms of the points js, in C order: np.take, unlike an index
+        array on the last axis, keeps each step's points contiguous, and the
+        kernels then write C-ordered tiles."""
+        return self.forms[..., js] if isinstance(js, slice) else np.take(self.forms, js, axis=-1)
+
+    def window(self, c: int, eps: float) -> np.ndarray:
+        """Indices that hold every point within eps of point c: all of them,
+        unless step 0 is the enumerated cloud (see the class docstring).
+        One grid step more than the base ball absorbs float rounding."""
+        n = self.n_points
+        space = self.cloud.space
+        if not self._windowed:
+            return np.arange(n)
+        if space.family == SYMBOLIC:
+            # words within eps agree on their first k symbols, k the least
+            # with 2**-k <= eps: a run of alphabet**(depth - k) words
+            k = max(0, 1 - math.frexp(min(eps, 1.0))[1])
+            size = space.alphabet_size ** max(0, space.resolution - k)
+            lo = c - c % size
+            return np.arange(lo, lo + size)
+        if space.family == INTERVAL:
+            r = math.ceil(min(eps, 1.0) * (n - 1)) + 1
+            return np.arange(max(0, c - r), min(n, c + r + 1))
+        r = math.ceil(min(eps, 0.5) * n) + 1
+        if 2 * r + 1 >= n:
+            return np.arange(n)
+        return np.arange(c - r, c + r + 1) % n
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
@@ -126,7 +201,7 @@ class _BowenOrbit:
             step = _tile_rows(n)
             m = np.empty((n, n))
             for lo in range(0, n, step):
-                m[lo : lo + step] = self.block(slice(lo, lo + step), slice(None))
+                self.block(slice(lo, lo + step), slice(None), m[lo : lo + step])
             self._matrix = m
         return self._matrix
 
@@ -153,13 +228,25 @@ class _BowenOrbit:
         idxs = np.asarray(idxs, dtype=np.intp)
         best, lo = math.inf, 0
         while lo < len(idxs) - 1:
-            rows = idxs[lo : lo + _tile_rows(len(idxs) - lo - 1)]
-            d = self.block(rows, idxs[lo + 1 :])
+            cols = idxs[lo + 1 :]
+            d = self.tile(idxs[lo : lo + _tile_rows(len(cols))], cols)
             # row r of the tile pairs with columns r.. only (column c is point lo + 1 + c)
-            d[np.tril_indices(len(rows), -1, d.shape[1])] = math.inf
+            d[np.tril_indices(len(d), -1, d.shape[1])] = math.inf
             best = min(best, float(d.min()))
-            lo += len(rows)
+            lo += len(d)
         return best
+
+
+def _stack_forms(forms: list[np.ndarray]) -> np.ndarray:
+    """Step forms stacked on the second-to-last axis: (steps, N), or
+    (chunks, steps, N) for packed words.  A step of shorter words gains
+    zero chunks, equal in every word, which change no distance."""
+    if forms[0].ndim == 1:
+        return np.array(forms)
+    stacked = np.zeros((max(len(f) for f in forms), len(forms), forms[0].shape[1]), dtype=forms[0].dtype)
+    for s, f in enumerate(forms):
+        stacked[: len(f), s] = f
+    return stacked
 
 
 def _tile_rows(n_cols: int) -> int:
@@ -429,22 +516,24 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
 # greedy solvers (deterministic; ties broken by lowest point index)
 
 
-def _first_fit_separated(ctx, eps: float, order: np.ndarray) -> list[int]:
-    """First-fit maximal separated set in the given candidate order,
-    computed by repeated elimination (one distance row per accepted point)."""
-    alive = np.asarray(order, dtype=np.intp)
+def _first_fit_separated(ctx: _BowenOrbit, eps: float, order: np.ndarray) -> list[int]:
+    """First-fit maximal separated set in the given candidate order: each
+    candidate still alive is accepted, and its row, read over the alive
+    points of its window, kills every point within eps."""
+    dead = np.zeros(ctx.n_points, dtype=bool)
     accepted: list[int] = []
-    while alive.size:
-        c = int(alive[0])
+    for c in np.asarray(order, dtype=np.intp).tolist():
+        if dead[c]:
+            continue
         accepted.append(c)
-        alive = alive[ctx.row(c, alive) > eps]
+        js = ctx.window(c, eps)
+        js = js[~dead[js]]
+        dead[js[ctx.row(c, js) <= eps]] = True
     return accepted
 
 
-def _max_ball_size(ctx, eps: float) -> int:
-    idx = np.arange(ctx.n_points, dtype=np.intp)
-    step = _tile_rows(len(idx))
-    return max(int((ctx.block(idx[lo : lo + step], idx) <= eps).sum(axis=1).max()) for lo in range(0, len(idx), step))
+def _max_ball_size(ctx: _BowenOrbit, eps: float) -> int:
+    return max(int((ctx.row(c, ctx.window(c, eps)) <= eps).sum()) for c in range(ctx.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +601,7 @@ def _recheck_spanning(ctx, idxs: list[int], eps: float) -> None:
     lo = 0
     while uncovered.size and lo < len(idxs):
         rows = idxs[lo : lo + _tile_rows(len(uncovered))]
-        uncovered = uncovered[~(ctx.block(rows, uncovered) <= eps).any(axis=0)]
+        uncovered = uncovered[~(ctx.tile(rows, uncovered) <= eps).any(axis=0)]
         lo += len(rows)
     if uncovered.size:
         raise RuntimeError("spanning witness failed its defining property")

@@ -122,11 +122,16 @@ def _validate_distance_matrix(dm: np.ndarray) -> None:
 class PointCloud:
     """Ordered finite sample of the space: its points as one read-only
     batch, which every orbit of the cloud shares.  Immutable after
-    construction."""
+    construction.
+
+    enumerated is set by build_cloud alone: the batch is then every point
+    of the space in its order (grid index, lexicographic word), so a
+    point's index is its position in the space."""
 
     space: SpaceSpec
     batch: np.ndarray
     _dm: np.ndarray | None = field(default=None, repr=False)
+    enumerated: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         self.batch.flags.writeable = False
@@ -180,7 +185,9 @@ def build_cloud(spec: SpaceSpec) -> PointCloud:
         batch = np.ascontiguousarray(digits.reshape(n, -1).T)
     else:
         batch = np.arange(n, dtype=np.intp)
-    return PointCloud(space=spec, batch=batch)
+    cloud = PointCloud(space=spec, batch=batch)
+    cloud.enumerated = True
+    return cloud
 
 
 def _symbol_dtype(alphabet: int) -> type:
@@ -255,15 +262,20 @@ def _to_distance_form(cloud: PointCloud, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _distance_kernel(cloud: PointCloud, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _distance_kernel(cloud: PointCloud, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Base distances between batches in distance form; `a` and `b`
-    broadcast against each other."""
+    broadcast against each other.  The result is written into `out` when
+    it is given (of the broadcast shape) and returned."""
     fam = cloud.space.family
     if fam == SYMBOLIC:
-        return cylinder_distance(a, b, cloud.space.alphabet_size)
+        return cylinder_distance(a, b, cloud.space.alphabet_size, out)
     if fam == FINITE:
-        return cloud.dmatrix()[a, b]
-    d = np.subtract(a, b)
+        d = cloud.dmatrix()[a, b]
+        if out is None:
+            return d
+        out[...] = d
+        return out
+    d = np.subtract(a, b, out=out)
     np.abs(d, out=d)
     if fam == CIRCLE:
         # both coordinates lie in [0, 1], so |a - b| needs no reduction
@@ -303,24 +315,37 @@ def pack_words(batch: np.ndarray, alphabet: int) -> np.ndarray:
     return codes
 
 
-def cylinder_distance(a: np.ndarray, b: np.ndarray, alphabet: int) -> np.ndarray:
+def cylinder_distance(a: np.ndarray, b: np.ndarray, alphabet: int, out: np.ndarray | None = None) -> np.ndarray:
     """Cylinder distance 2**(-k), k the first position where two words
-    differ (0 for equal words), between packed words.
+    differ (0 for equal words), between packed words, written into `out`
+    when it is given.
 
-    `a` and `b` are codes from pack_words of words of one depth; they
-    broadcast against each other past the leading chunk axis.
+    `a` and `b` are codes from pack_words, and two words compared share
+    their depth; they broadcast against each other past the leading chunk
+    axis.
     """
     bits = _symbol_bits(alphabet)
     per = _CHUNK_BITS // bits
     dist = alive = None
     for j, (ca, cb) in enumerate(zip(a, b)):
         x = np.bitwise_xor(ca, cb)
-        # x = mant * 2**expo with mant in [0.5, 1), or mant = 0 for x = 0: the
-        # highest set bit, expo - 1, lies in the first differing symbol, and
-        # ceil(mant) zeroes the distance of equal chunks
-        mant, expo = np.frexp(x.astype(np.float64))
-        d = np.ldexp(np.ceil(mant), (expo - 1) // bits + 1 - (j + 1) * per)
-        dist = d if dist is None else np.where(alive, d, dist)
+        d = out if dist is None and out is not None else np.empty(x.shape)
+        # x < 2**52 converts to float exactly; d = mant * 2**expo with mant in
+        # [0.5, 1), or mant = 0 for x = 0: the highest set bit, expo - 1, lies
+        # in the first differing symbol, and ceil(mant) zeroes the distance of
+        # equal chunks.  Each step works in place in d.
+        np.copyto(d, x)
+        mant, expo = np.frexp(d, out=(d, None))
+        np.ceil(mant, out=mant)
+        expo -= 1
+        expo //= bits
+        expo += 1 - (j + 1) * per
+        np.ldexp(mant, expo, out=d)
+        if dist is None:
+            dist = d
+        else:
+            # later chunks decide only where every earlier chunk is equal
+            np.copyto(dist, d, where=alive)
         if j + 1 < len(a):
             alive = x == 0 if alive is None else alive & (x == 0)
     return dist

@@ -12,12 +12,14 @@ package's batch potentials and orbits.
 
 Everything else recomputes orbit distances point by point through
 `compose` and scans subsets with itertools, deliberately sharing no
-machinery with the package's solvers (no bitsets, no subset DP).  Three
+machinery with the package's solvers (no bitsets, no subset DP).  Four
 references are the exceptions: reference_bb_cover, a plain bitset search,
-reference_greedy_cover, the ratio greedy as one numpy pass per pick, and
+reference_greedy_cover, the ratio greedy as one numpy pass per pick,
 reference_exhaustive, the subset DP with weights and feasibility in one
-pass.  They hold the package's faster ball-cover search, its heap greedy
-and its cached subset enumeration to the same results, bit for bit.
+pass, and reference_first_fit, first fit over an alive array with every
+row read in full, step by step.  They hold the package's faster
+ball-cover search, its heap greedy, its cached subset enumeration and its
+windowed first fit to the same results, bit for bit.
 """
 
 import itertools
@@ -27,7 +29,7 @@ import numpy as np
 
 from naifslab import distance
 from naifslab.naifs import apply_factor_batch, apply_map, generation_at
-from naifslab.space import CIRCLE, FINITE, INTERVAL, SYMBOLIC, batch_to_points, points_to_batch
+from naifslab.space import CIRCLE, FINITE, INTERVAL, SYMBOLIC, batch_to_points, pairwise_distances, points_to_batch
 
 
 def cloud_points(spec):
@@ -362,6 +364,29 @@ def reference_greedy_cover(matrix, eps, wlin):
         chosen.append(i)
         uncov &= ~ball[i]
     return chosen
+
+
+def reference_bowen_row(ctx, c, js):
+    """Bowen distances of an orbit from point c to the points js, one step
+    at a time through space.pairwise_distances: no window, no stacked
+    forms, no matrix."""
+    d = np.zeros(len(js))
+    for B in ctx.batches:
+        d = np.maximum(d, pairwise_distances(ctx.cloud, B[[c]], B[js])[0])
+    return d
+
+
+def reference_first_fit(ctx, eps, order):
+    """First fit over an alive array, the picks in order: the first alive
+    candidate is accepted, and every alive point within eps of it (itself
+    included) dies, read off a full row."""
+    alive = np.asarray(order, dtype=np.intp)
+    accepted = []
+    while alive.size:
+        c = int(alive[0])
+        accepted.append(c)
+        alive = alive[reference_bowen_row(ctx, c, alive) > eps]
+    return accepted
 
 
 def reference_exhaustive(balls, wlin, kind):

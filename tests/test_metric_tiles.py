@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from naifslab import (
     GenerationSchedule,
     MapSpec,
+    PointCloud,
     Potential,
     SpaceSpec,
     Word,
@@ -26,9 +27,9 @@ from naifslab.pressure import (
     _sup_orbit,
     _word_orbit,
 )
-from naifslab.space import pairwise_distances
+from naifslab.space import points_to_batch
 from naifslab.theorems import random_explicit_instance
-from oracles import oracle_bowen, oracle_sup_bowen, points_of
+from oracles import oracle_bowen, oracle_sup_bowen, points_of, reference_first_fit
 
 FAMILIES = ("interval_grid", "circle_grid", "symbolic_depth", "finite_explicit")
 
@@ -124,20 +125,6 @@ def doubling_orbit(n_points=4096, n=3):
     return _word_orbit(cloud, sched, Word(1, (0,) * n), n)
 
 
-def reference_first_fit(ctx, eps, order):
-    """First fit with each row taken step by step from space.pairwise_distances."""
-    alive = np.asarray(order, dtype=np.intp)
-    accepted = []
-    while alive.size:
-        c = int(alive[0])
-        accepted.append(c)
-        d = np.zeros(len(alive))
-        for B in ctx.batches:
-            d = np.maximum(d, pairwise_distances(ctx.cloud, B[[c]], B[alive])[0])
-        alive = alive[d > eps]
-    return sorted(accepted)
-
-
 def test_greedy_solves_on_a_large_circle_never_build_the_matrix(monkeypatch):
     ctx = doubling_orbit()
     S = _birkhoff_vector(ctx, Potential("coordinate_affine", (1.0, 0.0)))
@@ -150,8 +137,8 @@ def test_greedy_solves_on_a_large_circle_never_build_the_matrix(monkeypatch):
     _, sep, method, exact = _solve_separated_weighted(ctx, S, eps, "auto")
     _, span, span_method, _ = _solve_spanning_weighted(ctx, S, eps, "auto")
     assert (method, exact, span_method) == ("greedy", False, "greedy")
-    assert sep == reference_first_fit(ctx, eps, np.lexsort((np.arange(ctx.n_points), -S)))
-    assert span == reference_first_fit(ctx, eps, np.arange(ctx.n_points))
+    assert sep == sorted(reference_first_fit(ctx, eps, np.lexsort((np.arange(ctx.n_points), -S))))
+    assert span == sorted(reference_first_fit(ctx, eps, np.arange(ctx.n_points)))
     assert 1 < len(sep) < ctx.n_points and 1 < len(span) < ctx.n_points
 
 
@@ -173,3 +160,21 @@ def test_recheck_spanning_reads_every_point():
     # second point
     with pytest.raises(RuntimeError, match="spanning witness"):
         _recheck_spanning(ctx, [i for i in everything if i != 2047], 0.5 / 4096)
+
+
+def test_words_across_a_chunk_boundary_stack_with_zero_chunks():
+    # depth 60 packs into two chunks and depth 52 into one: the shifted
+    # steps are padded with a zero chunk in the stacked forms
+    rng = random.Random(7)
+    words = [tuple(rng.randint(0, 1) for _ in range(60)) for _ in range(5)]
+    words += [words[0][:50] + (1 - words[0][50],) + words[0][51:], words[1][:57] + (1 - words[1][57],) + words[1][58:]]
+    space = SpaceSpec("symbolic_depth", 60, alphabet_size=2)
+    cloud = PointCloud(space, points_to_batch(space, words))
+    sched = GenerationSchedule(prefix=(), cycle=((MapSpec("shift"),),))
+    w = Word(1, (0,) * 10)
+    ctx = _word_orbit(cloud, sched, w, 10)
+    assert ctx.forms.shape == (2, 11, len(words))
+    everything = np.arange(len(words))
+    expected = [[oracle_bowen(cloud, sched, w, 10, x, y) for y in words] for x in words]
+    assert ctx.block(everything, everything).tolist() == expected
+    assert [ctx.row(i, everything).tolist() for i in everything] == expected
