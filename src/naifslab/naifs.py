@@ -17,6 +17,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,17 @@ class MapSpec:
         if self.kind not in MAP_KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}; expected one of {MAP_KINDS}")
         object.__setattr__(self, "params", tuple(self.params))
+        # a table entry such as 1.9 is refused, not truncated to 1
+        if self.kind in ("permutation_table", "symbol_substitution_table") and any(int(v) != v for v in self.params):
+            raise ValueError(f"{self.kind} entries must be integers, got {list(self.params)}")
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The params as an index table, converted once per map: every orbit
+        step of a permutation or substitution reads it."""
+        table = np.asarray(self.params, dtype=np.intp)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -110,15 +122,13 @@ def apply_map(space, m: Map, batch: np.ndarray) -> np.ndarray:
     if k == "tent":
         return 1.0 - np.abs(2.0 * batch - 1.0)
     if k == "permutation_table":
-        table = np.asarray(m.params, dtype=np.intp)
-        return table[batch]
+        return m.table[batch]
     if k == "shift":
         if batch.ndim != 2 or batch.shape[1] == 0:
             raise ValueError("shift applied past the symbolic depth; increase the depth D")
         return batch[:, 1:]
-    # symbol_substitution_table
-    table = np.asarray(m.params, dtype=batch.dtype)
-    return table[batch]
+    # symbol_substitution_table: the words keep their symbol type
+    return m.table.astype(batch.dtype, copy=False)[batch]
 
 
 def validate_map(space, m: Map) -> None:

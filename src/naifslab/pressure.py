@@ -6,7 +6,11 @@ a minimum ball cover, and the partition sums are their weighted versions
 with vertex weights exp(Birkhoff sum).  Exact solvers run up to fixed
 size thresholds (subset enumeration to 20 points, bitset branch and bound
 to 64); beyond that deterministic greedy bounds take over and every result
-self-reports its method and exactness.
+self-reports its method and exactness.  The spanning branch and bound
+prunes with a per-element ratio bound that reads, for each uncovered
+element, only the balls holding it, and a ball's ratio only once per node
+(_cover_lower_bound); its search tree and result do not depend on how the
+bound is computed.
 
 An orbit object (_BowenOrbit) is built from one list of step batches:
 the orbit of the cloud along one word (_word_orbit), every n-th step of
@@ -96,8 +100,9 @@ class _BowenOrbit:
     holds.  Each step is put in distance form once, and the forms are held
     stacked on one step axis, so that a row reads every step in one kernel
     call.  Queries read rows and tiles of it; the dense matrix is built
-    only for small clouds (MATRIX_LIMIT) and then serves every later
-    block.  Tiles are written into two buffers the orbit reuses.
+    only for small clouds (MATRIX_LIMIT), one kernel call per tile over
+    every step, and then serves every later block.  Tiles are written
+    into two buffers the orbit reuses.
 
     When step 0 is the enumerated cloud itself, a Bowen distance is at
     least the base distance, so the closed eps-ball of a point lies in its
@@ -122,12 +127,12 @@ class _BowenOrbit:
         self._feasible: dict[tuple[float, str], np.ndarray] = {}
         self._buffers: list[np.ndarray | None] = [None, None]
 
-    def _buffer(self, slot: int, shape: tuple[int, int]) -> np.ndarray:
-        """Reused buffer `slot` (0: tiles, 1: one step inside block) viewed as
-        shape.  It is made the size of a whole tile at once (no tile of a
-        small cloud is larger than its matrix), so that tiles of varying
-        shape do not regrow it."""
-        size = shape[0] * shape[1]
+    def _buffer(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
+        """Reused buffer `slot` (0: tiles, 1: one step inside block, or every
+        step of a matrix tile) viewed as shape.  It is made the size of a
+        whole tile at once (no tile of a small cloud is larger than its
+        matrix), so that tiles of varying shape do not regrow it."""
+        size = math.prod(shape)
         buf = self._buffers[slot]
         if buf is None or buf.size < size:
             buf = self._buffers[slot] = np.empty(max(size, min(_TILE_ELEMENTS, self.n_points**2)))
@@ -198,10 +203,16 @@ class _BowenOrbit:
             n = self.n_points
             if n > MATRIX_LIMIT:
                 raise ValueError(f"cloud of {n} points exceeds the matrix limit {MATRIX_LIMIT}")
-            step = _tile_rows(n)
+            # one kernel call per tile reads every step, as row does; the
+            # tile's rows shrink with the step count, so that its (steps,
+            # rows, N) distances stay within _TILE_ELEMENTS
+            steps = self.forms.shape[-2]
+            rows = _tile_rows(n * steps)
             m = np.empty((n, n))
-            for lo in range(0, n, step):
-                self.block(slice(lo, lo + step), slice(None), m[lo : lo + step])
+            for lo in range(0, n, rows):
+                a = self.forms[..., lo : lo + rows, None]
+                d = _distance_kernel(self.cloud, a, self.forms[..., None, :], self._buffer(1, (steps, a.shape[-2], n)))
+                np.max(d, axis=0, out=m[lo : lo + rows])
             self._matrix = m
         return self._matrix
 
@@ -407,34 +418,30 @@ def _bb_mwis(conflict: list[int], wlin: np.ndarray) -> tuple[int, float]:
     return best_mask, best_val
 
 
-def _cover_lower_bound(balls: list[int], w: list[float], uncov: int) -> float:
+def _cover_lower_bound(balls: list[int], w: list[float], uncov: int, covers_elem: list[list[int]]) -> float:
     """Lower bound on the weight of a cover of the elements in uncov.
 
-    Each uncovered element is charged the least ratio w_i / |ball_i & uncov|
-    over the balls that hold it.  The ratios are computed once and the balls
-    walked in increasing ratio, so an element takes the ratio of the first
-    ball that reaches it.  The charges are added in increasing element
-    order, which makes the bound the same float as the per-element minimum.
+    Each uncovered element, in increasing order, is charged the least ratio
+    w_i / |ball_i & uncov| over the balls that hold it (covers_elem[e]).  A
+    ball's ratio is computed the first time an element reads it, so balls
+    that hold no uncovered element cost nothing.  The charges are added in
+    increasing element order, which makes the bound the same float as the
+    per-element minimum.
     """
-    ratio = [w[i] / c if (c := (b & uncov).bit_count()) else math.inf for i, b in enumerate(balls)]
-    charge: dict[int, float] = {}
-    rest = uncov
-    for i in sorted(range(len(balls)), key=ratio.__getitem__):
-        new = balls[i] & rest
-        if new:
-            rest ^= new
-            while new:
-                lsb = new & -new
-                charge[lsb] = ratio[i]
-                new ^= lsb
-            if not rest:
-                break
+    ratio: list[float | None] = [None] * len(balls)
     total = 0.0
     mm = uncov
     while mm:
         lsb = mm & -mm
-        total += charge[lsb]
         mm ^= lsb
+        least = math.inf
+        for i in covers_elem[lsb.bit_length() - 1]:
+            r = ratio[i]
+            if r is None:
+                r = ratio[i] = w[i] / (balls[i] & uncov).bit_count()
+            if r < least:
+                least = r
+        total += least
     return total
 
 
@@ -473,12 +480,15 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
         best_mask |= 1 << i
         best_val += w[i]
 
-    # the balls holding each element, lightest first (lowest index on ties),
-    # and the elements by how few balls hold them
+    # the balls holding each element, lightest first (lowest index on ties:
+    # the sort is stable), and the elements by how few balls hold them
     covers_elem: list[list[int]] = [[] for _ in range(n)]
-    for i in sorted(range(n), key=lambda i: (w[i], i)):
-        for e in _bits(balls[i]):
-            covers_elem[e].append(i)
+    for i in sorted(range(n), key=w.__getitem__):
+        b = balls[i]
+        while b:
+            lsb = b & -b
+            covers_elem[lsb.bit_length() - 1].append(i)
+            b ^= lsb
     elem_order = sorted(range(n), key=lambda e: (len(covers_elem[e]), e))
     # within one solve the bound depends on the uncovered mask alone
     bounds: dict[int, float] = {}
@@ -492,7 +502,7 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
             return
         lb = bounds.get(uncov_mask)
         if lb is None:
-            lb = bounds[uncov_mask] = _cover_lower_bound(balls, w, uncov_mask)
+            lb = bounds[uncov_mask] = _cover_lower_bound(balls, w, uncov_mask, covers_elem)
         if cur + lb >= best_val:
             return
         for e in elem_order:
@@ -612,6 +622,9 @@ def _solve_setup(ctx, S: np.ndarray, eps: float, mode: str) -> tuple[str, float,
         raise ValueError(f"eps must be positive, got {eps}")
     method = _resolve_method(mode, ctx.n_points)
     shift = float(S.max())
+    if not math.isfinite(shift):
+        # a NaN or an overflowed Birkhoff sum has no partition sum to report
+        raise ValueError(f"the Birkhoff sums are not finite (max {shift})")
     return method, shift, np.exp(S - shift)
 
 

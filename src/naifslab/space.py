@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -390,6 +391,16 @@ class Potential:
             # iterating a mapping would read its keys as the values
             raise TypeError("potential params are a number sequence, not a mapping")
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
+        if not all(math.isfinite(v) for v in self.params):
+            raise ValueError(f"potential params must be finite, got {list(self.params)}")
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The params as a float array, converted once per potential: every
+        orbit step of a table or knot potential reads it."""
+        table = np.asarray(self.params, dtype=float)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -429,15 +440,15 @@ def eval_potential_batch(space: SpaceSpec, psi: Potential | Pullback, batch: np.
         a, b = psi.params
         return a * batch + b
     if psi.kind == "piecewise_linear":
-        vals = np.asarray(psi.params, dtype=float)
+        vals = psi.table
         return np.interp(batch, np.linspace(0.0, 1.0, len(vals)), vals)
     if psi.kind == "first_symbol_table":
         if batch.ndim != 2 or batch.shape[1] == 0:
             raise ValueError("first_symbol_table is undefined on the empty word")
-        return np.asarray(psi.params, dtype=float)[batch[:, 0]]
+        return psi.table[batch[:, 0]]
     if space.family != FINITE:
         raise ValueError(f"explicit_table indexes finite_explicit point ids, not {space.family} points")
-    arr = np.asarray(psi.params, dtype=float)
+    arr = psi.table
     idx = np.asarray(batch, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= len(arr)):
         raise KeyError("explicit_table has no entry for a point id in the batch")

@@ -289,6 +289,62 @@ def test_schema_valid_bad_values_are_config_errors(tmp_path, case):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+# table maps with entries that are not integers: unchecked, each entry is
+# truncated toward zero and the config runs as another map ([1.9, 0.4] as
+# the swap [1, 0])
+def _substitution(table):
+    return [{"kind": "shift"}, {"kind": "symbol_substitution_table", "params": table}]
+
+
+# (example, path, bad value, field named, the value with integral floats)
+NONINTEGRAL_TABLES = {
+    "permutation": ("two_point_swap", ("schedule", "cycle", 0, 1, "params"), [1.9, 0.4], r"\$\.schedule", [1.0, 0.0]),
+    "target_permutation": (
+        "four_point_quotient", ("factor", "schedule", "cycle", 0, 1, "params"), [1.0, 0.5], r"\$\.factor\.schedule", [1.0, 0.0],
+    ),
+    "substitution": ("shift_pressure", ("schedule", "cycle", 0), _substitution([1.5, 0.2]), r"\$\.schedule", _substitution([1.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONINTEGRAL_TABLES))
+def test_nonintegral_table_entries_are_config_errors(tmp_path, capsys, case):
+    name, path, value, field, integral = NONINTEGRAL_TABLES[case]
+    raw = _set(_example(name), path, value)
+    with pytest.raises(ConfigError, match=field + r".*must be integers"):
+        ExperimentConfig.from_dict(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "must be integers" in capsys.readouterr().err
+    # integral floats still read as the table they spell
+    ExperimentConfig.from_dict(_set(_example(name), path, integral))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_potential_params_are_config_errors(tmp_path, capsys, value):
+    # unchecked, [nan, 1.0] ran to exit 0 and wrote log_avg=nan rows labelled exact
+    raw = _example("two_point_swap", mode="estimate", potential={"kind": "explicit_table", "params": [value, 1.0]})
+    raw.pop("checks", None)
+    with pytest.raises(ConfigError, match=r"\$\.potential.*finite"):
+        ExperimentConfig.from_dict(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_overflowing_birkhoff_sums_are_a_runtime_error(tmp_path, capsys):
+    # every param is finite, but the sums of n + 1 of them overflow to +-inf:
+    # no partition sum can be reported, exact or not
+    raw = _example("two_point_swap", mode="estimate", potential={"kind": "explicit_table", "params": [1e308, -1e308]})
+    raw.pop("checks", None)
+    ExperimentConfig.from_dict(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "Birkhoff sums are not finite" in capsys.readouterr().err
+
+
 # check parameters that pass the schema but that no check can run with
 BAD_CHECKS = {
     "zero_n": {"type": "basic", "n": 0},

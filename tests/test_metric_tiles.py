@@ -17,6 +17,7 @@ from naifslab import (
     build_cloud,
     enumerate_words,
 )
+import naifslab.pressure as pressure
 from naifslab.pressure import (
     _BowenOrbit,
     _birkhoff_vector,
@@ -29,7 +30,7 @@ from naifslab.pressure import (
 )
 from naifslab.space import points_to_batch
 from naifslab.theorems import random_explicit_instance
-from oracles import oracle_bowen, oracle_sup_bowen, points_of, reference_first_fit
+from oracles import oracle_bowen, oracle_sup_bowen, points_of, reference_bowen_row, reference_first_fit
 
 FAMILIES = ("interval_grid", "circle_grid", "symbolic_depth", "finite_explicit")
 
@@ -113,6 +114,47 @@ def test_finite_block_equals_ix_gather(seed, n, data):
     for args in ((I, js), (rows, js), (I, slice(None)), (rows, slice(None))):
         gathered = [dm[np.ix_(B[args[0]], B[args[1]])] for B in ctx.batches]
         assert np.array_equal(ctx.block(*args), np.maximum.reduce(gathered)), args
+
+
+def matrix_system(family, rng, steps):
+    """A cloud of up to 40 points (27 words), a schedule valid on it and a
+    word of the given length whose orbit every cloud point can follow."""
+    if family == "finite_explicit":
+        cloud, sched = random_explicit_instance(rng, max_points=40, max_maps=2, max_cycle=2)
+    elif family == "circle_grid":
+        cloud = build_cloud(SpaceSpec(family, rng.randint(2, 40)))
+        pool = [MapSpec("doubling"), MapSpec("rotation", (0.3,)), MapSpec("affine_mod1", (3.0, 0.1))]
+        sched = GenerationSchedule(prefix=(), cycle=(tuple(rng.sample(pool, 2)),))
+    else:
+        m = rng.randint(2, 3)
+        cloud = build_cloud(SpaceSpec(family, 4 if m == 2 else 3, alphabet_size=m))
+        perm = list(range(m))
+        rng.shuffle(perm)
+        sched = GenerationSchedule(prefix=(), cycle=((MapSpec("symbol_substitution_table", tuple(perm)), MapSpec("shift")),))
+        # at most depth - 1 shifts, so that every step keeps a symbol
+        symbols = [0] * steps
+        for t in rng.sample(range(steps), min(steps, cloud.space.resolution - 1)):
+            symbols[t] = rng.randint(0, 1)
+        return cloud, sched, Word(1, tuple(symbols))
+    words, _, _ = enumerate_words(sched, 1, steps, 64, rng.randrange(1000))
+    return cloud, sched, words[rng.randrange(len(words))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("finite_explicit", "circle_grid", "symbolic_depth")), st.integers(0, 10_000), st.integers(1, 9), st.data())
+def test_matrix_rows_equal_the_reference_rows(family, seed, steps, data):
+    # matrix reads every step of a tile in one kernel call; tiles of a few
+    # rows put tile boundaries inside the matrix
+    rng = random.Random(seed)
+    cloud, sched, w = matrix_system(family, rng, steps)
+    ctx = _word_orbit(cloud, sched, w, steps)
+    n_points = len(cloud)
+    rows = data.draw(st.integers(1, n_points))
+    everything = np.arange(n_points)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pressure, "_TILE_ELEMENTS", rows * n_points * (steps + 1))
+        matrix = ctx.matrix()
+    assert [row.tolist() for row in matrix] == [reference_bowen_row(ctx, c, everything).tolist() for c in everything]
 
 
 # ---------------------------------------------------------------------------

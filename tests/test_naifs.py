@@ -61,6 +61,17 @@ def test_generation_at_prefix_then_cycle():
         generation_at(sched, 0)
 
 
+def test_table_maps_refuse_entries_that_are_not_integers():
+    # unchecked, (1.9, 0.4) ran as the swap (1, 0)
+    for kind, bad in (("permutation_table", (1.9, 0.4)), ("symbol_substitution_table", (1.5, 0.2))):
+        with pytest.raises(ValueError, match="must be integers"):
+            MapSpec(kind, bad)
+    cloud, _ = two_point()
+    swap = MapSpec("permutation_table", (1.0, 0.0))
+    assert naifs.apply_map(cloud.space, swap, cloud.batch).tolist() == [1, 0]
+    assert swap == SWAP2 and swap.table.tolist() == [1, 0]
+
+
 def test_compose_identity_at_zero_steps():
     cloud = circle()
     sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))

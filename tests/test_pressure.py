@@ -94,6 +94,21 @@ def test_nan_eps_rejected():
         pressure.validate_eps_list([0.5, -math.inf])
 
 
+def test_nonfinite_weights_are_refused():
+    # a NaN or overflowed Birkhoff sum would give log_value nan labelled exact
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Potential("explicit_table", (bad, 1.0))
+    cloud, sched = two_point()
+    ctx = pressure._word_orbit(cloud, sched, Word(1, (0,)), 1)
+    for S in ([math.nan, 0.0], [math.inf, 0.0], [-math.inf, -math.inf]):
+        for solve in (pressure._solve_separated_weighted, pressure._solve_spanning_weighted):
+            with pytest.raises(ValueError, match="Birkhoff sums are not finite"):
+                solve(ctx, np.array(S), 0.5)
+    # one weight that underflows to zero leaves a finite maximum
+    assert pressure._solve_spanning_weighted(ctx, np.array([-math.inf, 0.0]), 0.5)[0] == 0.0
+
+
 def test_min_spanning_four_cycle():
     dm = (
         (0.0, 1.0, 2.0, 1.0),
@@ -389,7 +404,10 @@ def test_cover_bound_equals_per_element_formula(data):
     weight = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 1.0)
     w = [data.draw(weight) for _ in range(n)]
     uncov = data.draw(st.integers(1, (1 << n) - 1))
-    assert pressure._cover_lower_bound(balls, w, uncov) == per_element_cover_bound(balls, w, uncov)
+    # the balls holding each element, lightest first, as _bb_cover passes them
+    by_weight = sorted(range(n), key=lambda i: (w[i], i))
+    covers_elem = [[i for i in by_weight if (balls[i] >> e) & 1] for e in range(n)]
+    assert pressure._cover_lower_bound(balls, w, uncov, covers_elem) == per_element_cover_bound(balls, w, uncov)
 
 
 @settings(max_examples=200)
@@ -410,6 +428,31 @@ def test_bb_cover_matches_reference_bit_for_bit(data):
     assert covered == (1 << n) - 1
     _, least = pressure._best_subset(pressure._feasible_subsets(balls, "spanning"), wlin, np.argmin)
     assert abs(value - least) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(17, 40), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_bb_cover_matches_reference_at_the_workload_size(n, symmetric, seed, data):
+    # the benchmark's instances: closed Euclidean balls at the 30th
+    # percentile of the pairwise distances, or asymmetric balls, each
+    # holding its own centre
+    rng = np.random.default_rng(seed)
+    if symmetric:
+        pts = rng.random((n, 2))
+        dm = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+        balls = pressure._balls(dm, float(np.quantile(dm[np.triu_indices(n, 1)], 0.3)))
+    else:
+        inside = rng.random((n, n)) < data.draw(st.floats(0.1, 0.5))
+        np.fill_diagonal(inside, True)
+        balls = pressure._balls(np.where(inside, 0.0, 1.0), 0.0)
+    # weights exp(S - max S) as the solves make them: tied sums, and sums
+    # so low that their weight underflows to zero
+    term = st.sampled_from([0.0, -0.5, -1.0, -800.0]) | st.floats(-3.0, 0.0)
+    S = np.array(data.draw(st.lists(term, min_size=n, max_size=n)))
+    wlin = np.exp(S - S.max())
+    mask, value = pressure._bb_cover(balls, wlin)
+    ref_mask, ref_value = reference_bb_cover(balls, wlin)
+    assert (mask, value.hex()) == (ref_mask, ref_value.hex())
 
 
 @settings(max_examples=200)

@@ -1,0 +1,29 @@
+"""Two benchmark workloads pinned to their output digests.
+
+The workloads (perfbench/workloads.py, imported read-only) run thousands of
+exact solves; a speed-up of those solves must leave every output byte as it
+was, so their digests at one seed are fixed here.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+DIGESTS_AT_SEED_3 = {
+    "explicit_spanning_bb": "808464e8826ec3dac95d4ebecd47a0bc65bf099b715e91338346303e77387dde",
+    "finite_suite": "985d8473df10c0a8339b6bcb0ba54bbaa55385e2d37ae62bc541117ccb57ec4c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS_AT_SEED_3))
+def test_workload_outputs_equal_their_pinned_digest(tmp_path, name):
+    workload = WORKLOADS[name]
+    state = workload.setup(3)
+    code = workload.run(state, tmp_path, 1)
+    assert workload.check(state, tmp_path, code) == []
+    assert workload.digest(state, tmp_path) == DIGESTS_AT_SEED_3[name]
