@@ -37,6 +37,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -906,6 +907,16 @@ def validate_eps_list(eps_list: Sequence[float]) -> list[float]:
     return eps_list
 
 
+def validate_n_range(values: Sequence[int], name: str = "n_range") -> list[int]:
+    """values as distinct ascending ints; an empty range, a value below 1 or
+    a value that is not integral (2.5, nan, inf) is refused."""
+    values = list(values)
+    integral = all(isinstance(v, numbers.Real) and float(v).is_integer() for v in values)
+    if not values or not integral or min(values) < 1:
+        raise ValueError(f"{name} must be a nonempty list of integers >= 1, got {values!r}")
+    return sorted(set(int(v) for v in values))
+
+
 def pressure_estimate(
     cloud: PointCloud,
     schedule: GenerationSchedule,
@@ -924,9 +935,7 @@ def pressure_estimate(
     described on EpsSummary.  The eps -> 0 limit equality of the separated
     and spanning variants is monitored by running both kinds, never assumed.
     """
-    ns = sorted(set(int(n) for n in n_range))
-    if not ns or ns[0] < 1:
-        raise ValueError("n_range must contain integers >= 1")
+    ns = validate_n_range(n_range)
     eps_list = validate_eps_list(eps_list)
     entries = [
         averaged_partition_sum(cloud, schedule, n, psi, eps, kind=kind, word_budget=word_budget, seed=seed, workers=workers)
@@ -994,9 +1003,7 @@ def sup_entropy_estimate(
     are exact the sandwich r*(eps) <= s*(eps) <= r*(eps/2) is verified.
     """
     eps_list = validate_eps_list(eps_list)
-    ns = sorted(set(int(n) for n in n_range))
-    if not ns or ns[0] < 1:
-        raise ValueError("n_range must contain integers >= 1")
+    ns = validate_n_range(n_range)
     indices = _subset_indices(cloud, subset)
     if not indices:
         return SupEntropyEstimate(0.0, eps_list[-1], 0.0, [], [], 0, True)

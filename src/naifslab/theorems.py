@@ -2,10 +2,23 @@
 
 Every check produces InequalityReport records.  Finite-scale inequalities
 (the per-n forms carrying their (n+1) constants) are verified with exact
-partition sums and judged at a relative floating-point tolerance; limit
-statements are compared at the asymptotic-proxy level between growth-rate
-estimates under a declared analytic tolerance.  Inexact inputs can never
-produce a `violated` verdict, only `inconclusive_inexact`.
+partition sums; limit statements are compared at the asymptotic-proxy
+level between growth-rate estimates under a declared analytic tolerance.
+
+One table, VERDICTS, judges every row that can fail, from whether its
+claim holds, whether its inputs are exact and whether it declares a tol:
+a claim that holds reads holds_exact only on exact inputs with no tol
+declared, else holds_within_tol; a claim that fails reads violated on
+exact inputs and inconclusive_inexact on inexact ones.  comparison_report
+builds every comparison row from slack = rhs - lhs and the slack the
+claim may lose: REL_TOL_EXACT (REL_TOL_EQUALITY for an equality) times
+max(1, scale) on a finite row, exactly 0 on the integer counts of
+truncation/net-counting, and the declared tol on a proxy row (|lhs - rhs|
+<= tol for a proxy equality).  The proxy rows and factor/semiconjugacy
+(deviation <= tol and pi onto) declare a tol.  Two rows cannot fail and
+keep a fixed holds_within_tol: pressure/finiteness-link, since the solves
+refuse non-finite Birkhoff sums, and system/equicontinuity, since every
+modulus is > 0.
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ from .pressure import (
     pressure_estimate,
     sup_entropy_estimate,
     validate_eps_list,
+    validate_n_range,
 )
 from .space import (
     FINITE,
@@ -119,38 +133,46 @@ def _ctx(**kw) -> str:
     return ";".join(f"{k}={kw[k]!r}" for k in sorted(kw))
 
 
-def _finite_verdict(slack: float, scale: float, exact_inputs: bool, equality: bool = False) -> str:
-    tol = (REL_TOL_EQUALITY if equality else REL_TOL_EXACT) * max(1.0, scale)
-    if slack >= -tol:
-        return HOLDS_EXACT if exact_inputs else HOLDS_WITHIN_TOL
-    return VIOLATED if exact_inputs else INCONCLUSIVE
+# The verdict of every row that can fail:
+# (claim holds, inputs exact, tolerance declared) -> verdict.
+VERDICTS = {
+    (True, True, False): HOLDS_EXACT,
+    (True, True, True): HOLDS_WITHIN_TOL,
+    (True, False, False): HOLDS_WITHIN_TOL,
+    (True, False, True): HOLDS_WITHIN_TOL,
+    (False, True, False): VIOLATED,
+    (False, True, True): VIOLATED,
+    (False, False, False): INCONCLUSIVE,
+    (False, False, True): INCONCLUSIVE,
+}
 
 
-def _proxy_verdict(slack: float, tol: float, exact_inputs: bool) -> str:
-    if slack >= -tol:
-        return HOLDS_WITHIN_TOL
-    return VIOLATED if exact_inputs else INCONCLUSIVE
-
-
-def _finite_report(name: str, lhs: float, rhs: float, exact_inputs: bool, context: str, equality: bool = False) -> InequalityReport:
-    slack = rhs - lhs
-    scale = max(abs(lhs), abs(rhs))
-    verdict = _finite_verdict(slack, scale, exact_inputs, equality=equality)
-    return InequalityReport(name=name, lhs=lhs, rhs=rhs, slack=slack, verdict=verdict, level=FINITE_LEVEL, context=context)
-
-
-def _proxy_report(name: str, lhs: float, rhs: float, tol: float, exact_inputs: bool, context: str) -> InequalityReport:
-    slack = rhs - lhs
+def comparison_report(
+    name: str, lhs: float, rhs: float, exact_inputs: bool, context: str, tol: float | None = None, *,
+    equality: bool = False, counts: bool = False, scale: float | None = None, slack: float | None = None,
+) -> InequalityReport:
+    """The row of the claim lhs <= rhs (lhs = rhs when equality), judged by
+    VERDICTS: it holds when slack = rhs - lhs (-|slack| for an equality) is
+    >= -allowance, the allowance being tol on a proxy row, 0 on counts
+    recorded as their logs, and REL_TOL_EXACT or REL_TOL_EQUALITY times
+    max(1, scale) on any other finite row, scale defaulting to
+    max(|lhs|, |rhs|).  A row that records its slack in another form of
+    rhs - lhs passes it."""
+    if slack is None:
+        slack = rhs - lhs
+    if tol is not None:
+        allowance = tol
+    elif counts:
+        allowance = 0.0
+    else:
+        if scale is None:
+            scale = max(abs(lhs), abs(rhs))
+        allowance = (REL_TOL_EQUALITY if equality else REL_TOL_EXACT) * max(1.0, scale)
+    holds = (-abs(slack) if equality else slack) >= -allowance
     return InequalityReport(
-        name=name, lhs=lhs, rhs=rhs, slack=slack,
-        verdict=_proxy_verdict(slack, tol, exact_inputs), level=PROXY_LEVEL, context=context, tol=tol,
+        name=name, lhs=lhs, rhs=rhs, slack=slack, verdict=VERDICTS[holds, exact_inputs, tol is not None],
+        level=FINITE_LEVEL if tol is None else PROXY_LEVEL, context=context, tol=tol,
     )
-
-
-def _equality_report(name: str, lhs: float, rhs: float, tol: float, exact_inputs: bool, context: str) -> InequalityReport:
-    """Proxy-level equality |lhs - rhs| <= tol."""
-    verdict = HOLDS_WITHIN_TOL if abs(lhs - rhs) <= tol else (VIOLATED if exact_inputs else INCONCLUSIVE)
-    return InequalityReport(name=name, lhs=lhs, rhs=rhs, slack=rhs - lhs, verdict=verdict, level=PROXY_LEVEL, context=context, tol=tol)
 
 
 def _exact_curves(*curves: PressureCurve) -> bool:
@@ -243,88 +265,56 @@ def check_basic_properties(
     logW = math.log(len(words))
     avg = {name: _logsumexp(vals) - logW for name, vals in logP.items()}
     base_ctx = _ctx(n=n, eps=eps, words=len(words), word_mode=word_mode, p=p, c=c)
-    reports: list[InequalityReport] = []
 
-    reports.append(
-        _finite_report("pressure/monotone-in-potential", avg["phi"], avg["dominating"], exact_inputs, base_ctx)
-    )
+    def row(name: str, lhs: float, rhs: float, context: str = "", **kw) -> InequalityReport:
+        return comparison_report(name, lhs, rhs, exact_inputs, base_ctx + context, **kw)
 
     low = (n + 1) * inf_phi + avg["zero"]
     high = (n + 1) * sup_phi + avg["zero"]
-    side = min(avg["phi"] - low, high - avg["phi"])
     if avg["phi"] - low <= high - avg["phi"]:
-        reports.append(_finite_report("pressure/entropy-bounds", low, avg["phi"], exact_inputs, base_ctx + ";side='lower'"))
+        entropy_bounds = row("pressure/entropy-bounds", low, avg["phi"], ";side='lower'")
     else:
-        reports.append(_finite_report("pressure/entropy-bounds", avg["phi"], high, exact_inputs, base_ctx + ";side='upper'"))
+        entropy_bounds = row("pressure/entropy-bounds", avg["phi"], high, ";side='upper'")
 
-    lip_bound = (n + 1) * dist_norm
     worst_gap = float(np.max(np.abs(logP["phi"] - logP["psi"])))
-    reports.append(
-        _finite_report("pressure/lipschitz-in-potential", worst_gap, lip_bound, exact_inputs, base_ctx + f";norm={dist_norm!r}")
-    )
-
-    reports.append(
-        _finite_report(
-            "pressure/convexity", avg["mix"], p * avg["phi"] + (1.0 - p) * avg["psi"], exact_inputs, base_ctx
-        )
-    )
-
+    # the gap is a max of absolute differences and its slack is the negated
+    # gap, which reads -0.0 at a zero gap
     shift_gap = float(np.max(np.abs(logP["phi_plus_c"] - (logP["phi"] + (n + 1) * c))))
-    scale = max(1.0, float(np.max(np.abs(logP["phi"]))) + abs((n + 1) * c))
-    reports.append(
-        InequalityReport(
-            name="pressure/additive-constant",
-            lhs=shift_gap,
-            rhs=0.0,
-            slack=-shift_gap,
-            verdict=_finite_verdict(-shift_gap, scale, exact_inputs, equality=True),
-            level=FINITE_LEVEL,
-            context=base_ctx + ";equality=True",
-        )
-    )
-
-    reports.append(
-        _finite_report(
-            "pressure/subadditive-product",
-            avg["phi_plus_psi"],
-            math.log(total) + avg["phi"] + avg["psi"],
-            exact_inputs,
-            base_ctx,
-        )
-    )
+    shift_scale = float(np.max(np.abs(logP["phi"]))) + abs((n + 1) * c)
 
     gaps = []
     if c >= 1.0:
         gaps.append(float(np.max(logP["c_phi"] - c * logP["phi"])))
     if c <= 1.0:
         gaps.append(float(np.max(c * logP["phi"] - logP["c_phi"])))
-    worst = max(gaps)
-    reports.append(
-        _finite_report("pressure/power-scaling", worst, 0.0, exact_inputs, base_ctx + f";direction={'ge1' if c >= 1 else 'le1'}")
-    )
 
-    lo_slack = avg["phi"] - avg["neg_abs_phi"]
-    hi_slack = avg["abs_phi"] - avg["phi"]
-    if lo_slack <= hi_slack:
-        reports.append(_finite_report("pressure/abs-envelope", avg["neg_abs_phi"], avg["phi"], exact_inputs, base_ctx + ";side='lower'"))
+    if avg["phi"] - avg["neg_abs_phi"] <= avg["abs_phi"] - avg["phi"]:
+        abs_envelope = row("pressure/abs-envelope", avg["neg_abs_phi"], avg["phi"], ";side='lower'")
     else:
-        reports.append(_finite_report("pressure/abs-envelope", avg["phi"], avg["abs_phi"], exact_inputs, base_ctx + ";side='upper'"))
+        abs_envelope = row("pressure/abs-envelope", avg["phi"], avg["abs_phi"], ";side='upper'")
 
+    # _solve_setup refuses non-finite Birkhoff sums, so both rates are finite
+    # and this row cannot fail
     rate_lhs = avg["phi"] / n
     rate_rhs = avg["zero"] / n + (n + 1) / n * sup_phi
-    both_finite = math.isfinite(rate_lhs) and math.isfinite(avg["zero"])
-    reports.append(
-        InequalityReport(
-            name="pressure/finiteness-link",
-            lhs=rate_lhs,
-            rhs=rate_rhs,
-            slack=rate_rhs - rate_lhs,
-            verdict=HOLDS_WITHIN_TOL if both_finite else VIOLATED,
-            level=PROXY_LEVEL,
-            context=base_ctx,
-        )
+    finiteness = InequalityReport(
+        name="pressure/finiteness-link", lhs=rate_lhs, rhs=rate_rhs, slack=rate_rhs - rate_lhs,
+        verdict=HOLDS_WITHIN_TOL, level=PROXY_LEVEL, context=base_ctx,
     )
-    return reports
+    return [
+        row("pressure/monotone-in-potential", avg["phi"], avg["dominating"]),
+        entropy_bounds,
+        row("pressure/lipschitz-in-potential", worst_gap, (n + 1) * dist_norm, f";norm={dist_norm!r}"),
+        row("pressure/convexity", avg["mix"], p * avg["phi"] + (1.0 - p) * avg["psi"]),
+        row(
+            "pressure/additive-constant", shift_gap, 0.0, ";equality=True",
+            equality=True, scale=shift_scale, slack=-shift_gap,
+        ),
+        row("pressure/subadditive-product", avg["phi_plus_psi"], math.log(total) + avg["phi"] + avg["psi"]),
+        row("pressure/power-scaling", max(gaps), 0.0, f";direction={'ge1' if c >= 1 else 'le1'}"),
+        abs_envelope,
+        finiteness,
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +339,7 @@ def check_power_rule(
     base pressure (and their equality for constant potentials)."""
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
-    ms = sorted(set(int(m) for m in m_range))
-    if not ms or ms[0] < 1:
-        raise ValueError("m_range must contain integers >= 1")
+    ms = validate_n_range(m_range, "m_range")
     eps_list = validate_eps_list(eps_list)
     if np.any(_reachable_values(cloud, schedule, psi, n * ms[-1]) < 0.0):
         raise ValueError("power-rule spanning transfer needs a nonnegative potential")
@@ -375,7 +363,7 @@ def check_power_rule(
                 if binding is None or q_base - q_pow < binding[1] - binding[0]:
                     binding = (q_pow, q_base)
     reports = [
-        _finite_report(
+        comparison_report(
             "power/spanning-transfer",
             binding[0],
             binding[1],
@@ -393,13 +381,9 @@ def check_power_rule(
     if tol is None:
         tol = default_proxy_tol(max(base_ns), len(cloud))
     reports.append(
-        _proxy_report(
-            "power/upper-bound-proxy",
-            est_pow.estimate,
-            n * est_base.estimate,
-            tol,
-            _exact_curves(est_base, est_pow),
-            _ctx(n=n, m_range=tuple(ms), tol=tol),
+        comparison_report(
+            "power/upper-bound-proxy", est_pow.estimate, n * est_base.estimate,
+            _exact_curves(est_base, est_pow), _ctx(n=n, m_range=tuple(ms), tol=tol), tol,
         )
     )
     if psi.kind == "constant":
@@ -409,9 +393,9 @@ def check_power_rule(
             word_budget=word_budget, seed=seed, workers=workers,
         )
         reports.append(
-            _equality_report(
-                "power/constant-potential-equality", est_pow_scaled.estimate, n * est_base.estimate, tol,
-                _exact_curves(est_base, est_pow_scaled), _ctx(n=n, c=const, tol=tol, equality=True),
+            comparison_report(
+                "power/constant-potential-equality", est_pow_scaled.estimate, n * est_base.estimate,
+                _exact_curves(est_base, est_pow_scaled), _ctx(n=n, c=const, tol=tol, equality=True), tol, equality=True,
             )
         )
     return reports
@@ -446,9 +430,7 @@ def check_truncation_monotonicity(
     if not 1 <= i < j:
         raise ValueError(f"need 1 <= i < j, got i={i}, j={j}")
     eps_list = validate_eps_list(eps_list)
-    ns = sorted(set(int(v) for v in n_range))
-    if not ns or ns[0] < 1:
-        raise ValueError("n_range must contain integers >= 1")
+    ns = validate_n_range(n_range)
     reports: list[InequalityReport] = []
 
     n_count = net_counting_length(ns[-1])
@@ -472,16 +454,12 @@ def check_truncation_monotonicity(
                 rhs = net_size[eps] * r_small.lower_bound
                 if binding is None or rhs - lhs < binding[1] - binding[0]:
                     binding = (lhs, rhs)
-    counting = InequalityReport(
-        name="truncation/net-counting",
-        lhs=math.log(binding[0]),
-        rhs=math.log(binding[1]),
-        slack=math.log(binding[1]) - math.log(binding[0]),
-        verdict=(HOLDS_EXACT if binding[0] <= binding[1] else VIOLATED) if exact_all else (HOLDS_WITHIN_TOL if binding[0] <= binding[1] else INCONCLUSIVE),
-        level=FINITE_LEVEL,
-        context=_ctx(i=i, j=j, n=n_count, eps_list=tuple(eps_list)),
+    reports.append(
+        comparison_report(
+            "truncation/net-counting", math.log(binding[0]), math.log(binding[1]), exact_all,
+            _ctx(i=i, j=j, n=n_count, eps_list=tuple(eps_list)), counts=True,
+        )
     )
-    reports.append(counting)
     if not include_proxy:
         return reports
 
@@ -497,9 +475,9 @@ def check_truncation_monotonicity(
     (est_i, est_j), escalated = _escalated(ns, estimates, lambda e: e[1].estimate - e[0].estimate, tol)
     reports.insert(
         0,
-        _proxy_report(
-            "truncation/monotonicity-proxy", est_i.estimate, est_j.estimate, tol, _exact_curves(est_i, est_j),
-            _ctx(i=i, j=j, n_range=tuple(ns), tol=tol, escalated=escalated),
+        comparison_report(
+            "truncation/monotonicity-proxy", est_i.estimate, est_j.estimate, _exact_curves(est_i, est_j),
+            _ctx(i=i, j=j, n_range=tuple(ns), tol=tol, escalated=escalated), tol,
         ),
     )
     return reports
@@ -547,7 +525,7 @@ def _factor_setup(factor: FactorMapSpec, n_range: Sequence[int], eps_list: Seque
     """Shared start of the factor checks: validated eps list and n values, a
     passed semiconjugacy and the proxy tolerance."""
     eps_list = validate_eps_list(eps_list)
-    ns = sorted(set(int(v) for v in n_range))
+    ns = validate_n_range(n_range)
     semi = _semiconjugacy(factor, default_semiconjugacy_tol(factor, ns[-1]))
     if not semi.passed:
         raise ValueError(f"semiconjugacy check failed: {semi.detail}")
@@ -588,13 +566,9 @@ def check_factor_lower(
         return _factor_estimates(factor, phi_on_target, n_values, eps_list, word_budget, seed, workers)
 
     (est_t, est_s), escalated = _escalated(ns, estimates, lambda e: e[1].estimate - e[0].estimate, tol)
-    return _proxy_report(
-        "factor/pullback-lower",
-        est_t.estimate,
-        est_s.estimate,
-        tol,
-        _exact_curves(est_t, est_s),
-        _ctx(n_range=tuple(ns), eps_list=tuple(eps_list), tol=tol, semiconjugacy=semi.detail, escalated=escalated),
+    return comparison_report(
+        "factor/pullback-lower", est_t.estimate, est_s.estimate, _exact_curves(est_t, est_s),
+        _ctx(n_range=tuple(ns), eps_list=tuple(eps_list), tol=tol, semiconjugacy=semi.detail, escalated=escalated), tol,
     )
 
 
@@ -621,9 +595,11 @@ def check_factor_conjugacy(
     exact = _exact_curves(est_t, est_s)
     base = _ctx(n_range=tuple(ns), tol=tol)
     return [
-        _proxy_report("factor/pullback-lower", est_t.estimate, est_s.estimate, tol, exact, base + ";direction='forward'"),
-        _proxy_report("factor/pullback-lower", est_s.estimate, est_t.estimate, tol, exact, base + ";direction='backward'"),
-        _equality_report("factor/conjugacy-equality", est_t.estimate, est_s.estimate, tol, exact, base + ";equality=True"),
+        comparison_report("factor/pullback-lower", est_t.estimate, est_s.estimate, exact, base + ";direction='forward'", tol),
+        comparison_report("factor/pullback-lower", est_s.estimate, est_t.estimate, exact, base + ";direction='backward'", tol),
+        comparison_report(
+            "factor/conjugacy-equality", est_t.estimate, est_s.estimate, exact, base + ";equality=True", tol, equality=True
+        ),
     ]
 
 
@@ -670,11 +646,10 @@ def check_factor_upper(
         return _factor_estimates(factor, phi_on_target, n_values, eps_list, word_budget, seed, workers)
 
     (est_t, est_s), escalated = _escalated(ns, estimates, lambda e: e[0].estimate + h_term - e[1].estimate, tol)
-    return _proxy_report(
+    return comparison_report(
         "factor/fiber-upper",
         est_s.estimate,
         est_t.estimate + h_term,
-        tol,
         _exact_curves(est_s, est_t) and h_exact,
         _ctx(
             n_range=tuple(ns),
@@ -685,6 +660,7 @@ def check_factor_upper(
             oscillation=var_diag,
             escalated=escalated,
         ),
+        tol,
     )
 
 
@@ -788,13 +764,15 @@ def equicontinuity_report(cloud: PointCloud, schedule: GenerationSchedule, eps_l
 
 def semiconjugacy_report(factor: FactorMapSpec, n_max: int, tol: float | None = None) -> InequalityReport:
     """check_semiconjugacy as a verdict record, at the default tolerance for
-    n_max unless tol is given."""
+    n_max unless tol is given.  The claim is deviation <= tol and pi onto,
+    measured exactly under a declared tol, so it reads holds_within_tol or
+    violated."""
     if tol is None:
         tol = default_semiconjugacy_tol(factor, n_max)
     semi = _semiconjugacy(factor, tol)
     return InequalityReport(
         name="factor/semiconjugacy", lhs=semi.max_deviation, rhs=tol, slack=tol - semi.max_deviation,
-        verdict=HOLDS_WITHIN_TOL if semi.passed else VIOLATED, level=FINITE_LEVEL, context=semi.detail,
+        verdict=VERDICTS[semi.passed, True, True], level=FINITE_LEVEL, context=semi.detail,
     )
 
 

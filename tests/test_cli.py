@@ -522,3 +522,14 @@ def test_fuzzed_configs_raise_only_config_error(raw):
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(Path(tmp) / "out")]) == 2
+
+
+def test_catalogs_and_schema_list_the_kinds_in_their_source_order():
+    from naifslab import catalog, naifs, pressure, space
+
+    assert tuple(catalog.MAP_CATALOG) == naifs.MAP_KINDS
+    assert tuple(catalog.SPACE_CATALOG) == space.FAMILIES
+    assert tuple(catalog.POTENTIAL_CATALOG) == space.POTENTIAL_KINDS
+    props = cli.CONFIG_SCHEMA["properties"]
+    assert tuple(props["factor"]["properties"]["kind"]["enum"]) == naifs.FACTOR_KINDS
+    assert tuple(props["kind"]["enum"]) == pressure.KINDS

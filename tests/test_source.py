@@ -29,3 +29,31 @@ def test_every_module_level_function_and_class_is_used():
         and used[node.name] - _names(node)[node.name] == 0
     ]
     assert unused == []
+
+
+def _scope_nodes(node):
+    """Nodes under node, not descending into nested functions, lambdas or classes."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            yield from _scope_nodes(child)
+
+
+def test_no_function_local_name_is_stored_and_never_loaded():
+    # a dead store: assigned in a function and read nowhere in it, nested
+    # functions included; the throwaway name _ is exempt
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own = list(_scope_nodes(fn))
+            declared = {name for n in own if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+            stored = {n.id: n.lineno for n in own if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            loaded = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            dead += [
+                f"{path.name}:{line} {fn.name}: {name}"
+                for name, line in stored.items()
+                if name != "_" and name not in loaded and name not in declared
+            ]
+    assert dead == []

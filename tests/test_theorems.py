@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import json
 import math
 import random
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,19 +46,26 @@ from naifslab.pressure import (
     _solve_separated_weighted,
     _solve_spanning_weighted,
     _word_orbit,
+    pressure_estimate,
+    sup_entropy_estimate,
 )
 from naifslab.naifs import Word, orbit_batches, reachable_batches
 from naifslab.space import batch_to_points, eval_potential_batch, paired_distances
 from naifslab.theorems import (
     FINITE_LEVEL,
     HOLDS_EXACT,
+    HOLDS_WITHIN_TOL,
     INCONCLUSIVE,
     PROXY_LEVEL,
+    REL_TOL_EQUALITY,
+    REL_TOL_EXACT,
+    VERDICTS,
     VIOLATED,
     _derived_birkhoff,
     _factor_estimates,
     _pair_distances,
     _sample_pairs,
+    comparison_report,
     pullback_potential,
     random_explicit_instance,
     semiconjugacy_report,
@@ -323,6 +332,26 @@ def test_factor_conjugacy_rejects_noninvertible():
             check_factor_conjugacy(factor, ZERO, n_range=range(1, 4), eps_list=[0.5])
 
 
+@pytest.mark.parametrize("bad", [[], [0], [1, 2.5]], ids=["empty", "zero", "nonintegral"])
+def test_every_n_range_parser_refuses_a_bad_range(bad):
+    cloud, sched = two_point()
+    still = NAIFS(cloud, GenerationSchedule((), ((ID,),)))
+    invertible = FactorMapSpec(source=still, target=still, kind="index_table", table=(0, 1))
+    calls = {
+        "pressure_estimate": lambda: pressure_estimate(cloud, sched, ZERO, bad, [0.5]),
+        "sup_entropy_estimate": lambda: sup_entropy_estimate(cloud, sched, [0, 1], bad, [0.5]),
+        "check_power_rule": lambda: check_power_rule(cloud, sched, ZERO, n=1, m_range=bad, eps_list=[0.5]),
+        "check_truncation_monotonicity": lambda: check_truncation_monotonicity(cloud, sched, ZERO, 1, 2, bad, [0.5]),
+        "check_factor_lower": lambda: check_factor_lower(quotient_factor(), ZERO, bad, [0.5]),
+        "check_factor_upper": lambda: check_factor_upper(quotient_factor(), ZERO, bad, [0.5]),
+        "check_factor_conjugacy": lambda: check_factor_conjugacy(invertible, ZERO, bad, [0.5]),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="_range must be a nonempty list of integers >= 1"):
+            call()
+            pytest.fail(f"{name} accepted {bad!r}")
+
+
 def test_mini_random_suite_zero_violations():
     reports = run_finite_inequality_suite(count=25, base_seed=17)
     finite = [r for r in reports if r.level == FINITE_LEVEL]
@@ -413,14 +442,111 @@ def test_equicontinuity_always_passes(instance, eps_list):
 
 
 def test_verdict_helpers_respect_exactness():
-    from naifslab.theorems import INCONCLUSIVE, _finite_verdict, _proxy_verdict
+    assert comparison_report("t", 1.0, 0.0, True, "").verdict == VIOLATED
+    assert comparison_report("t", 1.0, 0.0, False, "").verdict == INCONCLUSIVE
+    assert comparison_report("t", 1.0, 1.0, True, "").verdict == HOLDS_EXACT
+    assert comparison_report("t", 1.0, 0.0, False, "", 0.5).verdict == INCONCLUSIVE
+    assert comparison_report("t", 1.0, 0.0, True, "", 0.5).verdict == VIOLATED
+    assert comparison_report("t", 0.2, 0.0, False, "", 0.5).verdict == "holds_within_tol"
 
-    assert _finite_verdict(-1.0, 1.0, exact_inputs=True) == VIOLATED
-    assert _finite_verdict(-1.0, 1.0, exact_inputs=False) == INCONCLUSIVE
-    assert _finite_verdict(0.0, 1.0, exact_inputs=True) == HOLDS_EXACT
-    assert _proxy_verdict(-1.0, 0.5, exact_inputs=False) == INCONCLUSIVE
-    assert _proxy_verdict(-1.0, 0.5, exact_inputs=True) == VIOLATED
-    assert _proxy_verdict(-0.2, 0.5, exact_inputs=False) == "holds_within_tol"
+
+# ---------------------------------------------------------------------------
+# the verdict table and the one comparison builder
+
+
+def _expected_verdict(holds, exact_inputs, declared):
+    if holds:
+        return HOLDS_EXACT if exact_inputs and not declared else HOLDS_WITHIN_TOL
+    return VIOLATED if exact_inputs else INCONCLUSIVE
+
+
+def test_verdict_table_reads_each_combination():
+    assert set(VERDICTS) == set(itertools.product((True, False), repeat=3))
+    for (holds, exact_inputs, declared), verdict in VERDICTS.items():
+        assert verdict == _expected_verdict(holds, exact_inputs, declared)
+    # inexact inputs never read violated, and only an undeclared exact claim reads holds_exact
+    assert [key for key, v in VERDICTS.items() if v == VIOLATED] == [(False, True, False), (False, True, True)]
+    assert [key for key, v in VERDICTS.items() if v == HOLDS_EXACT] == [(True, True, False)]
+
+
+# (builder keywords, allowance, whether a tol is declared)
+ROW_FORMS = {
+    "finite": ({}, REL_TOL_EXACT, False),
+    "finite_scaled": ({"scale": 4.0}, 4.0 * REL_TOL_EXACT, False),
+    "finite_equality": ({"equality": True}, REL_TOL_EQUALITY, False),
+    "counts": ({"counts": True}, 0.0, False),
+    "proxy": ({"tol": 0.25}, 0.25, True),
+    "proxy_equality": ({"tol": 0.25, "equality": True}, 0.25, True),
+}
+
+
+@pytest.mark.parametrize("exact_inputs", [True, False])
+@pytest.mark.parametrize("form", sorted(ROW_FORMS))
+def test_each_row_form_holds_at_its_allowance_and_fails_one_ulp_past_it(form, exact_inputs):
+    kw, allowance, declared = ROW_FORMS[form]
+    signs = (-1.0, 1.0) if kw.get("equality") else (-1.0,)
+    for sign in signs:
+        edge = sign * allowance
+        past = float(np.nextafter(edge, sign * np.inf))
+        # lhs = 0, so slack = rhs exactly and the scale stays below 1
+        at = comparison_report("t", 0.0, edge, exact_inputs, "", **kw)
+        beyond = comparison_report("t", 0.0, past, exact_inputs, "", **kw)
+        assert at.slack == edge and beyond.slack == past
+        assert at.verdict == _expected_verdict(True, exact_inputs, declared), (form, sign)
+        assert beyond.verdict == _expected_verdict(False, exact_inputs, declared), (form, sign)
+        assert at.level == (PROXY_LEVEL if declared else FINITE_LEVEL)
+        assert at.tol == kw.get("tol")
+
+
+def test_finite_rows_scale_their_allowance_by_the_larger_side():
+    # slack -2**-29 is about -1.9e-9: inside 1e-9 * 3, outside 1e-9 * 1
+    assert comparison_report("t", 3.0, 3.0 - 2.0**-29, True, "").verdict == HOLDS_EXACT
+    assert comparison_report("t", 1.0, 1.0 - 2.0**-29, True, "").verdict == VIOLATED
+
+
+def test_counts_one_apart_at_two_to_the_36_read_violated():
+    b1 = 2**36
+    lhs, rhs = math.log(b1 + 1), math.log(b1)
+    # under the relative float tolerance this claim would pass
+    assert lhs - rhs < REL_TOL_EXACT * max(1.0, lhs)
+    assert comparison_report("c", lhs, rhs, True, "", counts=True).verdict == VIOLATED
+    assert comparison_report("c", lhs, rhs, False, "", counts=True).verdict == INCONCLUSIVE
+    assert comparison_report("c", rhs, rhs, True, "", counts=True).verdict == HOLDS_EXACT
+
+
+def test_net_counting_row_judges_its_counts_with_no_allowance(monkeypatch):
+    # r_n(w, 2 eps) = 2**36 + 1 against #net * r_{n-1}(w', eps) = 2 * 2**35
+    import naifslab.theorems as theorems
+
+    def fake_min_spanning(cloud, schedule, word, n, eps):
+        count = 2**36 + 1 if eps == 1.0 else 2**35
+        return SimpleNamespace(lower_bound=count, upper_bound=count, exact=True)
+
+    monkeypatch.setattr(theorems, "min_spanning", fake_min_spanning)
+    cloud, sched = two_point()
+    reports = check_truncation_monotonicity(cloud, sched, ZERO, 1, 2, n_range=(2,), eps_list=[0.5], include_proxy=False)
+    assert [(r.name, r.verdict) for r in reports] == [("truncation/net-counting", VIOLATED)]
+    assert reports[0].lhs == math.log(2**36 + 1) and reports[0].rhs == math.log(2**36)
+
+
+def test_zero_gap_additive_constant_slack_is_negative_zero():
+    cloud, sched = two_point()
+    reports = check_basic_properties(cloud, sched, ZERO, Potential("explicit_table", (0.0, 1.0)), eps=0.5, n=2, p=0.5, c=2.0)
+    row = {r.name: r for r in reports}["pressure/additive-constant"]
+    assert (row.lhs, row.rhs, row.verdict) == (0.0, 0.0, HOLDS_EXACT)
+    assert repr(row.slack) == "-0.0"
+
+
+def test_semiconjugacy_onto_nothing_reads_violated():
+    # pi collapses both points onto 0 and the maps are identities: the
+    # deviation is 0 but pi is not onto
+    cloud, _ = two_point()
+    still = NAIFS(cloud, GenerationSchedule((), ((ID,),)))
+    rep = semiconjugacy_report(FactorMapSpec(source=still, target=still, kind="index_table", table=(0, 0)), 3)
+    assert rep.lhs == 0.0 and "surjective=False" in rep.context
+    assert (rep.verdict, rep.level, rep.tol) == (VIOLATED, FINITE_LEVEL, None)
+    onto = semiconjugacy_report(FactorMapSpec(source=still, target=still, kind="index_table", table=(0, 1)), 3)
+    assert onto.verdict == HOLDS_WITHIN_TOL
 
 
 # ---------------------------------------------------------------------------

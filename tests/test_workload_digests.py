@@ -1,8 +1,11 @@
-"""Two benchmark workloads pinned to their output digests.
+"""The four benchmark workloads pinned to their output digests.
 
-The workloads (perfbench/workloads.py, imported read-only) run thousands of
-exact solves; a speed-up of those solves must leave every output byte as it
-was, so their digests at one seed are fixed here.
+The workloads (perfbench/workloads.py, imported read-only) cover the
+estimate and verify modes: explicit_spanning_bb and finite_suite run
+thousands of exact solves, circle_estimate a greedy pressure curve on a
+4096-point circle, and factor_verify the factor verdict rows.  A speed-up
+or a refactor must leave every output byte as it was, so their digests at
+one seed are fixed here.
 """
 
 import sys
@@ -15,7 +18,9 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 DIGESTS_AT_SEED_3 = {
+    "circle_estimate": "221fd94d4b934d1fb9a31fe7271c74fb502a96c41e0a67fc45affd388fbb9229",
     "explicit_spanning_bb": "808464e8826ec3dac95d4ebecd47a0bc65bf099b715e91338346303e77387dde",
+    "factor_verify": "4169d71bb88f916d37c292eaf69b4b94ecc85f721fcf45b9920ff471b7567d2e",
     "finite_suite": "985d8473df10c0a8339b6bcb0ba54bbaa55385e2d37ae62bc541117ccb57ec4c",
 }
 
