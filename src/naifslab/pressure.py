@@ -27,7 +27,11 @@ the witness re-checks read every pair or every point, so they do not
 depend on the window being right.
 
 A pressure curve holds one AveragedPartitionSum per (n, eps): the
-word-averaged sum in log space and its growth value (1/n) log.
+word-averaged sum in log space and its growth value (1/n) log.  It takes
+its cells n by n behind a memo of the per-word sums at the current n
+(_CurveMemo): each distinct word's orbit is built once and solves every
+eps.  The memo is serial-only and dropped when the curve returns or
+raises; called on their own, the per-word sums are not memoised.
 
 All sums of exponentials are accumulated in log space with max shifting.
 """
@@ -40,6 +44,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -692,8 +697,10 @@ def birkhoff_sum(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: in
 
 def _birkhoff_vector(ctx: _BowenOrbit, psi: Potential) -> np.ndarray:
     S = np.zeros(ctx.n_points)
-    for B in ctx.batches:
-        S += eval_potential_batch(ctx.cloud.space, psi, B)
+    # an overflowed sum is refused by _solve_setup, not warned about here
+    with np.errstate(over="ignore"):
+        for B in ctx.batches:
+            S += eval_potential_batch(ctx.cloud.space, psi, B)
     return S
 
 
@@ -718,18 +725,71 @@ def min_spanning(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: in
     return ExtremalSetResult(lower, len(idxs), tuple(map(int, idxs)), exact, method)
 
 
+def _weighted_solver(kind: str):
+    return _solve_separated_weighted if kind == "separated" else _solve_spanning_weighted
+
+
+class _CurveMemo:
+    """The per-word sums of one pressure curve at one n.
+
+    A word's orbit and Birkhoff vector depend on neither eps nor how often
+    the word was drawn.  The first request for a word builds them, solves
+    every eps of the curve on them and keeps (log value, witness size,
+    method, exact) per eps; the orbit is dropped.  Only requests with the
+    memo's cloud, schedule and potential (by identity), n and kind, mode
+    "auto" and an eps of the curve are served, and only in the process
+    that opened the memo: pool workers forked during the curve solve afresh.
+    """
+
+    def __init__(self, cloud: PointCloud, schedule: GenerationSchedule, n: int, psi: Potential, kind: str, eps_list: list[float]):
+        self.scope = (cloud, schedule, n, psi, kind)
+        self.eps_index = {eps: i for i, eps in enumerate(eps_list)}
+        self.pid = os.getpid()
+        self.sums: dict[Word, list[tuple[float, int, str, bool]]] = {}
+
+    def serves(self, cloud, schedule, n: int, psi, eps: float, mode: str, kind: str) -> bool:
+        c, s, m, p, k = self.scope
+        return (
+            cloud is c and schedule is s and n == m and psi is p and kind == k
+            and mode == "auto" and eps in self.eps_index and os.getpid() == self.pid
+        )
+
+    def read(self, w: Word, eps: float) -> tuple[float, int, str, bool]:
+        sums = self.sums.get(w)
+        if sums is None:
+            cloud, schedule, n, psi, kind = self.scope
+            ctx = _word_orbit(cloud, schedule, w, n)
+            S = _birkhoff_vector(ctx, psi)
+            solves = (_weighted_solver(kind)(ctx, S, e, "auto") for e in self.eps_index)
+            sums = self.sums[w] = [(value, len(idxs), method, exact) for value, idxs, method, exact in solves]
+        return sums[self.eps_index[eps]]
+
+
+# the memo of the pressure curve this thread is computing, if any
+# (pressure_estimate); a context variable, so that curves computed in two
+# threads at once neither share nor leave behind each other's memo
+_curve_memo: ContextVar[_CurveMemo | None] = ContextVar("curve_memo", default=None)
+
+
+def _partition_sum(kind: str, cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, psi: Potential, eps: float, mode: str) -> PartitionSumResult:
+    memo = _curve_memo.get()
+    if memo is not None and memo.serves(cloud, schedule, n, psi, eps, mode, kind):
+        log_value, size, method, exact = memo.read(w, eps)
+    else:
+        ctx = _word_orbit(cloud, schedule, w, n)
+        log_value, idxs, method, exact = _weighted_solver(kind)(ctx, _birkhoff_vector(ctx, psi), eps, mode)
+        size = len(idxs)
+    return PartitionSumResult(log_value=log_value, word=w, method=method, exact=exact, witness_size=size)
+
+
 def partition_sum_separated(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, psi: Potential, eps: float, mode: str = "auto") -> PartitionSumResult:
     """sup over separated sets E of sum_{x in E} exp(S_{w,n} psi(x))."""
-    ctx = _word_orbit(cloud, schedule, w, n)
-    log_value, idxs, method, exact = _solve_separated_weighted(ctx, _birkhoff_vector(ctx, psi), eps, mode)
-    return PartitionSumResult(log_value=log_value, word=w, method=method, exact=exact, witness_size=len(idxs))
+    return _partition_sum("separated", cloud, schedule, w, n, psi, eps, mode)
 
 
 def partition_sum_spanning(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, psi: Potential, eps: float, mode: str = "auto") -> PartitionSumResult:
     """inf over spanning sets F of sum_{x in F} exp(S_{w,n} psi(x))."""
-    ctx = _word_orbit(cloud, schedule, w, n)
-    log_value, idxs, method, exact = _solve_spanning_weighted(ctx, _birkhoff_vector(ctx, psi), eps, mode)
-    return PartitionSumResult(log_value=log_value, word=w, method=method, exact=exact, witness_size=len(idxs))
+    return _partition_sum("spanning", cloud, schedule, w, n, psi, eps, mode)
 
 
 @dataclass
@@ -907,12 +967,24 @@ def validate_eps_list(eps_list: Sequence[float]) -> list[float]:
     return eps_list
 
 
+def _is_step_count(v) -> bool:
+    """v is an integral real >= 1 (not 2.5, nan or inf)."""
+    integral = isinstance(v, numbers.Integral) or (isinstance(v, numbers.Real) and float(v).is_integer())
+    return integral and v >= 1
+
+
+def validate_step_count(value, name: str = "n") -> int:
+    """value as an int, by the rule of validate_n_range."""
+    if not _is_step_count(value):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def validate_n_range(values: Sequence[int], name: str = "n_range") -> list[int]:
     """values as distinct ascending ints; an empty range, a value below 1 or
     a value that is not integral (2.5, nan, inf) is refused."""
     values = list(values)
-    integral = all(isinstance(v, numbers.Real) and float(v).is_integer() for v in values)
-    if not values or not integral or min(values) < 1:
+    if not values or not all(_is_step_count(v) for v in values):
         raise ValueError(f"{name} must be a nonempty list of integers >= 1, got {values!r}")
     return sorted(set(int(v) for v in values))
 
@@ -937,11 +1009,18 @@ def pressure_estimate(
     """
     ns = validate_n_range(n_range)
     eps_list = validate_eps_list(eps_list)
-    entries = [
-        averaged_partition_sum(cloud, schedule, n, psi, eps, kind=kind, word_budget=word_budget, seed=seed, workers=workers)
-        for eps in eps_list
-        for n in ns
-    ]
+    token, cells = _curve_memo.set(None), {}
+    try:
+        # n by n, so that each word's orbit serves every eps (_CurveMemo)
+        for n in ns:
+            _curve_memo.set(_CurveMemo(cloud, schedule, n, psi, kind, eps_list))
+            for eps in eps_list:
+                cells[eps, n] = averaged_partition_sum(
+                    cloud, schedule, n, psi, eps, kind=kind, word_budget=word_budget, seed=seed, workers=workers
+                )
+    finally:
+        _curve_memo.reset(token)
+    entries = [cells[eps, n] for eps in eps_list for n in ns]
     per_eps = [_eps_summary(eps, [(e.n, e.log_average, e.saturated) for e in entries if e.eps == eps]) for eps in eps_list]
     return PressureCurve(
         kind=kind,

@@ -61,6 +61,7 @@ from .pressure import (
     sup_entropy_estimate,
     validate_eps_list,
     validate_n_range,
+    validate_step_count,
 )
 from .space import (
     FINITE,
@@ -244,8 +245,7 @@ def check_basic_properties(
         raise ValueError(f"eps must be positive, got {eps}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = validate_step_count(n)
     words, word_mode, total = enumerate_words(schedule, 1, n, None, seed=0)
     fphi = _reachable_values(cloud, schedule, phi, n)
     fpsi = _reachable_values(cloud, schedule, psi, n)
@@ -337,8 +337,7 @@ def check_power_rule(
     """Spanning-set transfer to the n-step power system, exactly per word,
     plus proxy comparisons of the power-system pressure against n times the
     base pressure (and their equality for constant potentials)."""
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
+    n = validate_step_count(n)
     ms = validate_n_range(m_range, "m_range")
     eps_list = validate_eps_list(eps_list)
     if np.any(_reachable_values(cloud, schedule, psi, n * ms[-1]) < 0.0):

@@ -333,9 +333,11 @@ def test_nonfinite_potential_params_are_config_errors(tmp_path, capsys, value):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_birkhoff_sums_are_a_runtime_error(tmp_path, capsys):
     # every param is finite, but the sums of n + 1 of them overflow to +-inf:
-    # no partition sum can be reported, exact or not
+    # no partition sum can be reported, exact or not, and the refusal is the
+    # only signal (no overflow warning)
     raw = _example("two_point_swap", mode="estimate", potential={"kind": "explicit_table", "params": [1e308, -1e308]})
     raw.pop("checks", None)
     ExperimentConfig.from_dict(raw)

@@ -352,6 +352,29 @@ def test_every_n_range_parser_refuses_a_bad_range(bad):
             pytest.fail(f"{name} accepted {bad!r}")
 
 
+@pytest.mark.parametrize("bad", [2.5, 1.5, math.nan, math.inf, 0])
+def test_scalar_step_counts_are_refused_by_the_n_range_rule(bad):
+    cloud, sched = two_point()
+    calls = {
+        "check_basic_properties": lambda: check_basic_properties(cloud, sched, ZERO, ZERO, 0.5, n=bad, p=0.5, c=1.0),
+        "check_power_rule": lambda: check_power_rule(cloud, sched, ZERO, n=bad, m_range=[1, 2], eps_list=[0.5]),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+            call()
+            pytest.fail(f"{name} accepted n={bad!r}")
+
+
+def test_integral_float_step_counts_run_as_ints():
+    cloud, sched = two_point()
+    assert check_basic_properties(cloud, sched, ZERO, ZERO, 0.5, n=2.0, p=0.5, c=1.0) == check_basic_properties(
+        cloud, sched, ZERO, ZERO, 0.5, n=2, p=0.5, c=1.0
+    )
+    assert check_power_rule(cloud, sched, ZERO, n=2.0, m_range=[1, 2], eps_list=[0.5]) == check_power_rule(
+        cloud, sched, ZERO, n=2, m_range=[1, 2], eps_list=[0.5]
+    )
+
+
 def test_mini_random_suite_zero_violations():
     reports = run_finite_inequality_suite(count=25, base_seed=17)
     finite = [r for r in reports if r.level == FINITE_LEVEL]
