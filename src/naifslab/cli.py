@@ -1,10 +1,19 @@
 """Experiment runner: config parsing, estimate/verify/sweep dispatch, CSV
 and summary emission.
 
-Configuration is a single JSON document validated against a published
-schema; all tabular output is CSV with the seed recorded in a leading
-comment line.  Exit codes: 0 ok, 1 violated verdicts, 2 config error,
-3 runtime error.
+Configuration is a single JSON document validated against the published
+schema CONFIG_SCHEMA; all tabular output is CSV with the seed recorded in
+a leading comment line.  Exit codes: 0 ok, 1 violated verdicts, 2 config
+error, 3 runtime error.
+
+The schema is read here, by _schema_errors, with no JSON Schema engine.
+It honours the nine keywords CONFIG_SCHEMA uses (type, enum, properties,
+required, additionalProperties, items, minItems, maxItems, minimum) with
+draft 2020-12 semantics: an integer is an int or an integral float, a
+number any numbers.Number, neither ever a bool; an array is a list and an
+object a dict.  Of all the errors, the one at the least json path (as a
+string; the first reported on a tie) is raised as
+"config field <path>: <message>".
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import csv
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -168,15 +178,64 @@ CONFIG_SCHEMA = {
 }
 
 
-def _schema_check(raw: dict) -> None:
-    # imported here, not at module level: `import naifslab` need not load it
-    import jsonschema
+# draft 2020-12 instance types, as CONFIG_SCHEMA names them
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Number),
+}
 
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: e.json_path)
+
+def _schema_errors(value, schema: dict, path: str, errors: list[tuple[str, str]]) -> None:
+    """Append (json path, message) for each keyword of schema that value
+    breaks, in the order of the schema's keywords and properties.
+
+    A keyword that reads objects or arrays skips a value of another type,
+    as in draft 2020-12.  Every enum of CONFIG_SCHEMA lists strings, and
+    every additionalProperties is false; "$schema" is not a check.
+    """
+    for key, rule in schema.items():
+        if key == "type":
+            if not _JSON_TYPES[rule](value):
+                errors.append((path, f"{value!r} is not of type {rule!r}"))
+        elif key == "enum":
+            if not (isinstance(value, str) and value in rule):
+                errors.append((path, f"{value!r} is not one of {rule!r}"))
+        elif key == "minimum":
+            if _JSON_TYPES["number"](value) and value < rule:
+                errors.append((path, f"{value!r} is less than the minimum of {rule!r}"))
+        elif isinstance(value, dict):
+            if key == "properties":
+                for name, sub in rule.items():
+                    if name in value:
+                        _schema_errors(value[name], sub, f"{path}.{name}", errors)
+            elif key == "required":
+                errors.extend((path, f"{name!r} is a required property") for name in rule if name not in value)
+            elif key == "additionalProperties":
+                extras = sorted({name for name in value if name not in schema.get("properties", {})}, key=str)
+                if extras:
+                    listed = ", ".join(repr(name) for name in extras)
+                    verb = "was" if len(extras) == 1 else "were"
+                    errors.append((path, f"Additional properties are not allowed ({listed} {verb} unexpected)"))
+        elif isinstance(value, list):
+            if key == "items":
+                for i, item in enumerate(value):
+                    _schema_errors(item, rule, f"{path}[{i}]", errors)
+            elif key == "minItems" and len(value) < rule:
+                errors.append((path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"))
+            elif key == "maxItems" and len(value) > rule:
+                errors.append((path, f"{value!r} {'is expected to be empty' if rule == 0 else 'is too long'}"))
+
+
+def _schema_check(raw: dict) -> None:
+    """raw against CONFIG_SCHEMA; the error at the least json path is raised."""
+    errors: list[tuple[str, str]] = []
+    _schema_errors(raw, CONFIG_SCHEMA, "$", errors)
     if errors:
-        e = errors[0]
-        raise ConfigError(f"config field {e.json_path}: {e.message}")
+        path, message = min(errors, key=lambda e: e[0])
+        raise ConfigError(f"config field {path}: {message}")
 
 
 # The largest n a config may ask for.  An orbit of n steps holds n + 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -209,6 +210,21 @@ class Word:
         return len(self.symbols)
 
 
+def is_step_count(value, minimum: int = 1) -> bool:
+    """value is an integral real >= minimum (2.0 is; 2.5, nan and inf are not)."""
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    return integral and value >= minimum
+
+
+def validate_step_count(value, name: str = "n", minimum: int = 1) -> int:
+    """value as an int, by the rule of is_step_count.  The count arguments
+    of this module's public functions are read through it (generation_at
+    and Word are not: they run once per orbit step and per word)."""
+    if not is_step_count(value, minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def orbit_batches(space, schedule: GenerationSchedule, w: Word, k: int, batch: np.ndarray, start: int | None = None) -> list[np.ndarray]:
     """[B, f(B), ..., f^{start,k}(B)] computed incrementally."""
     i = w.start if start is None else start
@@ -224,6 +240,7 @@ def orbit_batches(space, schedule: GenerationSchedule, w: Word, k: int, batch: n
 
 def bowen_distance(cloud: PointCloud, schedule: GenerationSchedule, w: Word, k: int, x, y) -> float:
     """d_{w,k}(x, y) = max over the first k+1 orbit steps of the base distance."""
+    k = validate_step_count(k, "k", minimum=0)
     if w.start != 1:
         raise ValueError("Bowen distances are rooted at start index 1; re-root the word first")
     if k > len(w):
@@ -238,8 +255,7 @@ def sup_bowen_distance(cloud: PointCloud, schedule: GenerationSchedule, n: int, 
 
     The sup over all starts is exact as a max over one prefix+cycle horizon.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = validate_step_count(n)
     space = cloud.space
     steps = sup_orbit_batches(space, schedule, n, points_to_batch(space, [x, y]))
     return max(float(paired_distances(cloud, step[:1], step[1:2])[0]) for step in steps)
@@ -265,8 +281,7 @@ def power_system(schedule: GenerationSchedule, n: int) -> GenerationSchedule:
     The prefix is padded to a block boundary so the result is again
     eventually periodic.
     """
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
+    n = validate_step_count(n)
     if n == 1:
         return schedule
     p, c = len(schedule.prefix), len(schedule.cycle)
@@ -292,6 +307,7 @@ def power_system(schedule: GenerationSchedule, n: int) -> GenerationSchedule:
 def block_word(schedule: GenerationSchedule, w: Word, n: int) -> Word:
     """Reindex a word of length m*n over the base system as the length-m word
     over the n-step power system that selects the same composition."""
+    n = validate_step_count(n)
     if w.start != 1:
         raise ValueError("blocking is defined for words rooted at start index 1")
     if len(w) % n != 0:
@@ -308,8 +324,7 @@ def block_word(schedule: GenerationSchedule, w: Word, n: int) -> Word:
 
 def truncate_system(schedule: GenerationSchedule, k: int) -> GenerationSchedule:
     """The system starting from generation k (generation j maps to j + k - 1)."""
-    if k < 1:
-        raise ValueError(f"truncation index must be >= 1, got {k}")
+    k = validate_step_count(k, "k")
     drop = k - 1
     p = len(schedule.prefix)
     if drop < p:
@@ -320,6 +335,7 @@ def truncate_system(schedule: GenerationSchedule, k: int) -> GenerationSchedule:
 
 def count_words(schedule: GenerationSchedule, m: int, n: int) -> int:
     """#I^{m,n} as an exact integer (Python integers do not overflow)."""
+    m, n = validate_step_count(m, "m"), validate_step_count(n, "n", minimum=0)
     total = 1
     for t in range(n):
         total *= len(generation_at(schedule, m + t))
@@ -333,8 +349,7 @@ def enumerate_words(schedule: GenerationSchedule, m: int, n: int, budget: int | 
     budget=None forces exact enumeration (used by exact-equality checks);
     a budget above WORD_ENUMERATION_CAP is refused before any word is built.
     """
-    if m < 1:
-        raise ValueError(f"start index must be >= 1, got {m}")
+    m, n = validate_step_count(m, "m"), validate_step_count(n, "n", minimum=0)
     if budget is not None and not 1 <= budget <= WORD_ENUMERATION_CAP:
         raise ValueError(f"word budget must lie in [1, WORD_ENUMERATION_CAP = {WORD_ENUMERATION_CAP}], got {budget}")
     sizes = [len(generation_at(schedule, m + t)) for t in range(n)]
@@ -518,6 +533,7 @@ def reachable_batches(cloud: PointCloud, schedule: GenerationSchedule, steps: in
     families get one batch.  The basic and power checks read potential
     ranges on these points.
     """
+    steps = validate_step_count(steps, "steps", minimum=0)
     space = cloud.space
     start = cloud.batch
     start = start[_first_occurrences(start)]

@@ -41,7 +41,6 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
@@ -54,6 +53,7 @@ from .naifs import (
     GenerationSchedule,
     Word,
     enumerate_words,
+    is_step_count,
     orbit_batches,
     sup_orbit_batches,
 )
@@ -967,24 +967,12 @@ def validate_eps_list(eps_list: Sequence[float]) -> list[float]:
     return eps_list
 
 
-def _is_step_count(v) -> bool:
-    """v is an integral real >= 1 (not 2.5, nan or inf)."""
-    integral = isinstance(v, numbers.Integral) or (isinstance(v, numbers.Real) and float(v).is_integer())
-    return integral and v >= 1
-
-
-def validate_step_count(value, name: str = "n") -> int:
-    """value as an int, by the rule of validate_n_range."""
-    if not _is_step_count(value):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def validate_n_range(values: Sequence[int], name: str = "n_range") -> list[int]:
     """values as distinct ascending ints; an empty range, a value below 1 or
-    a value that is not integral (2.5, nan, inf) is refused."""
+    a value that is not integral (2.5, nan, inf) is refused, by the rule of
+    naifs.is_step_count."""
     values = list(values)
-    if not values or not all(_is_step_count(v) for v in values):
+    if not values or not all(is_step_count(v) for v in values):
         raise ValueError(f"{name} must be a nonempty list of integers >= 1, got {values!r}")
     return sorted(set(int(v) for v in values))
 

@@ -47,6 +47,7 @@ from .naifs import (
     power_system,
     reachable_batches,
     truncate_system,
+    validate_step_count,
 )
 from .pressure import (
     PressureCurve,
@@ -61,7 +62,6 @@ from .pressure import (
     sup_entropy_estimate,
     validate_eps_list,
     validate_n_range,
-    validate_step_count,
 )
 from .space import (
     FINITE,

@@ -1,10 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from naifslab import Potential, SpaceSpec
@@ -13,6 +18,10 @@ import naifslab.cli as cli
 from naifslab.cli import ConfigError, ExperimentConfig, main, run
 from naifslab.space import eval_potential_batch
 from oracles import eval_potential
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import circle_config, explicit_spanning_configs, factor_config  # noqa: E402
 
 TINY_ESTIMATE = {
     "mode": "estimate",
@@ -495,8 +504,8 @@ def _value_paths(node, prefix=()):
 
 
 @st.composite
-def _mutated_configs(draw):
-    raw = _example(draw(st.sampled_from(sorted(EXAMPLE_CONFIGS))))
+def _mutated_configs(draw, bases=EXAMPLE_CONFIGS):
+    raw = json.loads(json.dumps(bases[draw(st.sampled_from(sorted(bases)))]))
     for _ in range(draw(st.integers(1, 2))):
         action = draw(st.sampled_from(["drop", "json", "number"]))
         paths = list(_value_paths(raw))
@@ -535,3 +544,169 @@ def test_catalogs_and_schema_list_the_kinds_in_their_source_order():
     props = cli.CONFIG_SCHEMA["properties"]
     assert tuple(props["factor"]["properties"]["kind"]["enum"]) == naifs.FACTOR_KINDS
     assert tuple(props["kind"]["enum"]) == pressure.KINDS
+
+
+# ---------------------------------------------------------------------------
+# the schema walker against a JSON Schema engine
+
+# every config the benchmark workloads parse (finite_suite parses none)
+WORKLOAD_CONFIGS = {
+    "circle_estimate": circle_config(3),
+    "factor_verify": factor_config(3),
+    **{f"explicit_spanning_bb[{i}]": raw for i, raw in enumerate(explicit_spanning_configs(3))},
+}
+
+# values a JSON document cannot hold, holds as another type, or holds at a
+# bound of the schema
+_CONFUSING = st.sampled_from([
+    True, False, np.int64(3), np.int64(0), np.float64(2.0), np.float64(0.5), Fraction(3, 2), Fraction(4, 2),
+    math.nan, math.inf, -math.inf, [], {}, (), (1, 2), "x", 0, [1, 2, 3],
+])
+
+
+@st.composite
+def _confused_configs(draw):
+    """A mutated example or workload config, then up to three type
+    confusions: a confusing value, a list turned tuple or emptied, or an
+    unknown (or known) key added to an object."""
+    raw = draw(_mutated_configs(dict(EXAMPLE_CONFIGS, **WORKLOAD_CONFIGS)))
+    for _ in range(draw(st.integers(0, 3))):
+        paths = [()] + list(_value_paths(raw))
+        # shallow paths are a small share of a 24-point config's paths
+        if draw(st.booleans()):
+            paths = [p for p in paths if len(p) <= 2]
+        path = draw(st.sampled_from(paths))
+        node = _get(raw, path)
+        action = draw(st.sampled_from(["value", "tuple", "empty", "key"]))
+        if action == "key" and isinstance(node, dict):
+            node[draw(st.sampled_from(["extra", "Kind", "x.y", "", "seed", "params"]))] = draw(_CONFUSING)
+        elif action == "tuple" and isinstance(node, list) and path:
+            _set(raw, path, tuple(node))
+        elif action == "empty" and path:
+            _set(raw, path, [])
+        elif action == "value" and path:
+            _set(raw, path, draw(_CONFUSING))
+    return raw
+
+
+def _walker_error(raw):
+    try:
+        cli._schema_check(raw)
+    except ConfigError as e:
+        return str(e)
+    return None
+
+
+def test_config_schema_uses_only_the_keywords_the_walker_reads():
+    seen = set()
+
+    def visit(schema):
+        seen.update(schema)
+        assert all(isinstance(v, str) for v in schema.get("enum", []))
+        assert schema.get("additionalProperties", False) is False
+        for sub in schema.get("properties", {}).values():
+            visit(sub)
+        if "items" in schema:
+            visit(schema["items"])
+
+    visit(cli.CONFIG_SCHEMA)
+    assert seen == {
+        "$schema", "type", "enum", "properties", "required", "additionalProperties", "items", "minItems", "maxItems", "minimum",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS) + sorted(WORKLOAD_CONFIGS))
+def test_bundled_and_workload_configs_validate_clean(name):
+    raw = EXAMPLE_CONFIGS.get(name) or WORKLOAD_CONFIGS[name]
+    assert _walker_error(raw) is None
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"seed": "x"}, "$.seed: 'x' is not of type 'integer'"),
+    ({"seed": True}, "$.seed: True is not of type 'integer'"),
+    ({"seed": np.int64(3)}, "$.seed: np.int64(3) is not of type 'integer'"),
+    ({"seed": 3.5}, "$.seed: 3.5 is not of type 'integer'"),
+    ({"eps_list": (0.5,)}, "$.eps_list: (0.5,) is not of type 'array'"),
+    ({"eps_list": []}, "$.eps_list: [] should be non-empty"),
+    ({"n_range": [1, 2, 3]}, "$.n_range: [1, 2, 3] is too long"),
+    ({"word_budget": 0}, "$.word_budget: 0 is less than the minimum of 1"),
+    ({"mode": "run"}, "$.mode: 'run' is not one of ['estimate', 'verify', 'sweep']"),
+    ({"extra": 1, "seed": _DROP}, "$: 'seed' is a required property"),
+    ({"extra": 1, "another": 2}, "$: Additional properties are not allowed ('another', 'extra' were unexpected)"),
+    # the least json path as a string: [10] sorts before [2]
+    ({"schedule": {"cycle": [[{"kind": "permutation_table", "params": [1, 0] + [0] * 8 + ["a"]}]], "prefix": 1}},
+     "$.schedule.cycle[0][0].params[10]: 'a' is not of type 'number'"),
+])
+def test_schema_errors_name_the_least_path(change, message):
+    raw = {k: v for k, v in _example("two_point_swap", **change).items() if v is not _DROP}
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(raw)
+    assert str(info.value) == "config field " + message
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_confused_configs())
+# each bound of the schema, just past it
+@example(_example("two_point_swap", word_budget=0))
+@example(_example("two_point_swap", workers=0.0))
+@example(_example("two_point_swap", n_range=[1]))
+@example(_example("two_point_swap", n_range=[1, 2, 3]))
+@example(_example("two_point_swap", eps_list=[]))
+def test_schema_walker_agrees_with_a_draft_2020_12_validator(raw):
+    import jsonschema
+
+    errors = sorted(jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA).iter_errors(raw), key=lambda e: e.json_path)
+    got = _walker_error(raw)
+    if not errors:
+        assert got is None
+    else:
+        assert got is not None and got.startswith(f"config field {errors[0].json_path}: ")
+
+
+# a config parsed and run with the jsonschema package unimportable, then a
+# config with a bad seed; prints the bad run's exit code
+_WITHOUT_JSONSCHEMA = """
+import json, sys
+sys.modules["jsonschema"] = None
+from naifslab.catalog import EXAMPLE_CONFIGS
+from naifslab.cli import ExperimentConfig, main
+for raw in EXAMPLE_CONFIGS.values():
+    ExperimentConfig.from_dict(json.loads(json.dumps(raw)))
+out = sys.argv[1]
+assert main(["run", "two_point_swap", "--out", out + "/run"]) == 0
+with open(out + "/bad.json", "w") as f:
+    json.dump(dict(EXAMPLE_CONFIGS["two_point_swap"], seed="x"), f)
+print(main(["run", out + "/bad.json", "--out", out + "/bad"]))
+"""
+
+
+def _python(code, *args):
+    # the child imports the package this suite imported
+    import naifslab
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(naifslab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+
+
+def test_configs_load_and_run_without_jsonschema(tmp_path):
+    out = _python(_WITHOUT_JSONSCHEMA, str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "2"
+    assert "config error: config field $.seed: 'x' is not of type 'integer'" in out.stderr
+    assert (tmp_path / "run" / "verdicts.csv").exists() and not (tmp_path / "bad").exists()
+
+
+def test_parsing_a_config_imports_no_jsonschema():
+    code = (
+        "import sys\n"
+        "from naifslab.catalog import EXAMPLE_CONFIGS\n"
+        "from naifslab.cli import ExperimentConfig\n"
+        "ExperimentConfig.from_dict(dict(EXAMPLE_CONFIGS['two_point_swap']))\n"
+        "print('jsonschema' in sys.modules)\n"
+    )
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

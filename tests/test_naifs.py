@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,6 +282,55 @@ def test_enumerate_words_refuses_a_budget_past_the_cap(monkeypatch):
     for budget in (11, 20):
         with pytest.raises(ValueError, match="WORD_ENUMERATION_CAP = 10"):
             enumerate_words(sched, 1, 30, budget, 0)
+
+
+# every count argument of the public API: (call with the count, its name)
+_COUNT_ARGUMENTS = {
+    "power_system": (lambda c, s, v: power_system(s, v), "n"),
+    "truncate_system": (lambda c, s, v: truncate_system(s, v), "k"),
+    "block_word": (lambda c, s, v: block_word(s, Word(1, (0, 1, 1, 0)), v), "n"),
+    "bowen_distance": (lambda c, s, v: bowen_distance(c, s, Word(1, (0, 1, 1)), v, 0, 1), "k"),
+    "sup_bowen_distance": (lambda c, s, v: sup_bowen_distance(c, s, v, 0, 1), "n"),
+    "count_words m": (lambda c, s, v: count_words(s, v, 2), "m"),
+    "count_words n": (lambda c, s, v: count_words(s, 1, v), "n"),
+    "enumerate_words m": (lambda c, s, v: enumerate_words(s, v, 2, None, 0), "m"),
+    "enumerate_words n": (lambda c, s, v: enumerate_words(s, 1, v, None, 0), "n"),
+    "reachable_points": (lambda c, s, v: reachable_points(c, s, v), "steps"),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan, math.inf])
+@pytest.mark.parametrize("function", sorted(_COUNT_ARGUMENTS))
+def test_nonintegral_counts_are_refused_by_name(function, bad):
+    cloud, sched = two_point()
+    call, name = _COUNT_ARGUMENTS[function]
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= [01], got {bad!r}$"):
+        call(cloud, sched, bad)
+
+
+@pytest.mark.parametrize("function", sorted(_COUNT_ARGUMENTS))
+def test_integral_float_counts_run_as_ints(function):
+    cloud, sched = two_point()
+    call, _ = _COUNT_ARGUMENTS[function]
+    assert call(cloud, sched, 2.0) == call(cloud, sched, 2)
+
+
+def test_counts_keep_their_lower_bounds():
+    cloud, sched = two_point()
+    assert bowen_distance(cloud, sched, Word(1, (0, 1)), 0, 0, 1) == 1.0
+    assert count_words(sched, 1, 0) == 1 and enumerate_words(sched, 1, 0, None, 0)[2] == 1
+    assert sorted(reachable_points(cloud, sched, 0)) == [0, 1]
+    for call, name, low in (
+        (lambda: power_system(sched, 0), "n", 1),
+        (lambda: truncate_system(sched, 0), "k", 1),
+        (lambda: bowen_distance(cloud, sched, Word(1, (0,)), -1, 0, 1), "k", 0),
+        (lambda: sup_bowen_distance(cloud, sched, 0, 0, 1), "n", 1),
+        (lambda: count_words(sched, 0, 2), "m", 1),
+        (lambda: enumerate_words(sched, 1, -1, None, 0), "n", 0),
+        (lambda: reachable_points(cloud, sched, -1), "steps", 0),
+    ):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {low}, got "):
+            call()
 
 
 def test_semiconjugacy_identity_is_exact():
