@@ -186,8 +186,8 @@ def validate_schedule(space, schedule: GenerationSchedule) -> None:
 
 
 def generation_at(schedule: GenerationSchedule, j: int) -> Generation:
-    if j < 1:
-        raise ValueError(f"generation index must be >= 1, got {j}")
+    if type(j) is not int or j < 1:
+        j = validate_step_count(j, "j")
     p = len(schedule.prefix)
     if j <= p:
         return schedule.prefix[j - 1]
@@ -202,9 +202,12 @@ class Word:
     symbols: tuple[int, ...]
 
     def __post_init__(self):
-        if self.start < 1:
-            raise ValueError(f"word start must be >= 1, got {self.start}")
-        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
+        if type(self.start) is not int or self.start < 1:
+            object.__setattr__(self, "start", validate_step_count(self.start, "start"))
+        symbols = self.symbols
+        if type(symbols) is not tuple or not all(type(s) is int and s >= 0 for s in symbols):
+            symbols = tuple(validate_step_count(s, f"symbols[{t}]", minimum=0) for t, s in enumerate(symbols))
+            object.__setattr__(self, "symbols", symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -218,8 +221,9 @@ def is_step_count(value, minimum: int = 1) -> bool:
 
 def validate_step_count(value, name: str = "n", minimum: int = 1) -> int:
     """value as an int, by the rule of is_step_count.  The count arguments
-    of this module's public functions are read through it (generation_at
-    and Word are not: they run once per orbit step and per word)."""
+    of this module's public functions are read through it; generation_at
+    and Word, which run once per orbit step and per word, first pass a
+    plain int by its type."""
     if not is_step_count(value, minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)

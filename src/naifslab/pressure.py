@@ -1079,10 +1079,14 @@ def sup_entropy_estimate(
     for n in ns:
         ctx = _sup_orbit(cloud, schedule, n, indices)
         zeros = np.zeros(ctx.n_points)
+        # one spanning solve per eps: on a schedule that halves eps, the
+        # r*(eps/2) of one entry is the r*(eps) of the next
+        spanning_eps = sorted({*eps_list, *(eps / 2.0 for eps in eps_list)}, reverse=True)
+        spans = {e: _solve_spanning_weighted(ctx, zeros, e) for e in spanning_eps}
         for eps in eps_list:
             _, s_idx, s_method, s_exact = _solve_separated_weighted(ctx, zeros, eps)
-            _, r_idx, _, r_exact = _solve_spanning_weighted(ctx, zeros, eps)
-            _, rh_idx, _, rh_exact = _solve_spanning_weighted(ctx, zeros, eps / 2.0)
+            _, r_idx, _, r_exact = spans[eps]
+            _, rh_idx, _, rh_exact = spans[eps / 2.0]
             entries.append(
                 SupEntropyEntry(
                     n=n,

@@ -614,10 +614,7 @@ def check_factor_upper(
     workers: int = 1,
 ) -> InequalityReport:
     """Source pressure of the pullback against target pressure plus the
-    largest fiber sup-entropy over sampled target points (proxy level).
-
-    Also records the oscillation of the pullback at scale 2*eps_min as a
-    diagnostic of the available slack budget."""
+    largest fiber sup-entropy over sampled target points (proxy level)."""
     eps_list, ns, _, tol = _factor_setup(factor, n_range, eps_list, tol)
 
     tgt_cloud = factor.target.cloud
@@ -639,8 +636,6 @@ def check_factor_upper(
         h_exact = h_exact and h.all_exact
         h_term = max(h_term, h.estimate)
 
-    var_diag = _oscillation(factor.source.cloud, pullback_potential(factor, phi_on_target), 2.0 * eps_list[-1])
-
     def estimates(n_values):
         return _factor_estimates(factor, phi_on_target, n_values, eps_list, word_budget, seed, workers)
 
@@ -656,7 +651,6 @@ def check_factor_upper(
             tol=tol,
             h_term=h_term,
             fiber_sizes=tuple(fiber_sizes),
-            oscillation=var_diag,
             escalated=escalated,
         ),
         tol,
@@ -675,7 +669,7 @@ def _fiber_eps_schedule(cloud: PointCloud, schedule: GenerationSchedule, fiber: 
     return out
 
 
-# point pairs that the oscillation and equicontinuity diagnostics read at most
+# point pairs that the equicontinuity diagnostic reads at most
 PAIR_CAP = 200_000
 PAIR_SEED = 0
 
@@ -697,18 +691,6 @@ def _pair_distances(cloud: PointCloud, batch: np.ndarray, ia: np.ndarray, ib: np
     form once and gathered from it."""
     form = _to_distance_form(cloud, batch)
     return _distance_kernel(cloud, form[..., ia], form[..., ib])
-
-
-def _oscillation(cloud: PointCloud, pot: Pullback, radius: float) -> float:
-    """sup |pot(x) - pot(y)| over sampled cloud pairs with d(x, y) < radius."""
-    batch = cloud.batch
-    vals = eval_potential_batch(cloud.space, pot, batch)
-    ia, ib, _ = _sample_pairs(len(cloud))
-    d = _pair_distances(cloud, batch, ia, ib)
-    close = d < radius
-    if not close.any():
-        return 0.0
-    return float(np.max(np.abs(vals[ia[close]] - vals[ib[close]])))
 
 
 # ---------------------------------------------------------------------------

@@ -710,3 +710,27 @@ def test_parsing_a_config_imports_no_jsonschema():
     out = _python(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+# the two factor verifications, each followed by whether numpy.random is loaded
+_FACTOR_RUNS_WITHOUT_NUMPY_RANDOM = """
+import json, sys
+from naifslab.catalog import EXAMPLE_CONFIGS
+from naifslab.cli import main
+out = sys.argv[1]
+print(main(["verify", "four_point_quotient", "--out", out + "/q"]), "numpy.random" in sys.modules)
+raw = json.loads(json.dumps(EXAMPLE_CONFIGS["shift_to_doubling_factor"]))
+raw["space"]["resolution"], raw["factor"]["space"]["resolution"], raw["n_range"] = 10, 256, [1, 3]
+with open(out + "/factor.json", "w") as f:
+    json.dump(raw, f)
+print(main(["run", out + "/factor.json", "--out", out + "/f"]), "numpy.random" in sys.modules)
+"""
+
+
+def test_factor_verification_loads_no_numpy_random(tmp_path):
+    # the 1024-point source cloud has more than PAIR_CAP point pairs; no
+    # factor check samples them
+    out = _python(_FACTOR_RUNS_WITHOUT_NUMPY_RANDOM, str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["0 False", "0 False"]
+    assert b"factor/fiber-upper" in (tmp_path / "f" / "verdicts.csv").read_bytes()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,6 +297,9 @@ _COUNT_ARGUMENTS = {
     "enumerate_words m": (lambda c, s, v: enumerate_words(s, v, 2, None, 0), "m"),
     "enumerate_words n": (lambda c, s, v: enumerate_words(s, 1, v, None, 0), "n"),
     "reachable_points": (lambda c, s, v: reachable_points(c, s, v), "steps"),
+    "generation_at": (lambda c, s, v: generation_at(s, v), "j"),
+    "Word start": (lambda c, s, v: Word(v, (0,)), "start"),
+    "Word symbols": (lambda c, s, v: Word(1, (0, v)), "symbols[1]"),
 }
 
 
@@ -304,7 +308,7 @@ _COUNT_ARGUMENTS = {
 def test_nonintegral_counts_are_refused_by_name(function, bad):
     cloud, sched = two_point()
     call, name = _COUNT_ARGUMENTS[function]
-    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= [01], got {bad!r}$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer >= [01], got {bad!r}$"):
         call(cloud, sched, bad)
 
 
@@ -313,6 +317,14 @@ def test_integral_float_counts_run_as_ints(function):
     cloud, sched = two_point()
     call, _ = _COUNT_ARGUMENTS[function]
     assert call(cloud, sched, 2.0) == call(cloud, sched, 2)
+
+
+def test_words_hold_plain_ints():
+    # 2.0 runs as 2; a plain int is kept as given
+    w = Word(2.0, [1.0, 0])
+    assert w == Word(2, (1, 0)) and type(w.start) is int and all(type(s) is int for s in w.symbols)
+    symbols = (0, 1)
+    assert Word(1, symbols).symbols is symbols
 
 
 def test_counts_keep_their_lower_bounds():
@@ -328,8 +340,11 @@ def test_counts_keep_their_lower_bounds():
         (lambda: count_words(sched, 0, 2), "m", 1),
         (lambda: enumerate_words(sched, 1, -1, None, 0), "n", 0),
         (lambda: reachable_points(cloud, sched, -1), "steps", 0),
+        (lambda: generation_at(sched, 0), "j", 1),
+        (lambda: Word(0, (0,)), "start", 1),
+        (lambda: Word(1, (-1,)), "symbols[0]", 0),
     ):
-        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {low}, got "):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer >= {low}, got "):
             call()
 
 

@@ -41,15 +41,18 @@ from naifslab.pressure import (
     AveragedPartitionSum,
     EpsSummary,
     PressureCurve,
+    SandwichCheck,
+    SupEntropyEntry,
     _birkhoff_vector,
     _BowenOrbit,
     _solve_separated_weighted,
     _solve_spanning_weighted,
+    _sup_orbit,
     _word_orbit,
     pressure_estimate,
     sup_entropy_estimate,
 )
-from naifslab.naifs import Word, orbit_batches, reachable_batches
+from naifslab.naifs import Word, fiber_indices, orbit_batches, reachable_batches
 from naifslab.space import batch_to_points, eval_potential_batch, paired_distances
 from naifslab.theorems import (
     FINITE_LEVEL,
@@ -63,6 +66,7 @@ from naifslab.theorems import (
     VIOLATED,
     _derived_birkhoff,
     _factor_estimates,
+    _fiber_eps_schedule,
     _pair_distances,
     _sample_pairs,
     comparison_report,
@@ -261,8 +265,8 @@ def test_equicontinuity_moduli():
     ],
 )
 def test_pair_distances_gather_from_one_form(spec):
-    # the diagnostics put a batch in distance form once and gather the pairs
-    # from it; that must equal measuring each pair on its own
+    # the equicontinuity diagnostic puts a batch in distance form once and
+    # gathers the pairs from it; that must equal measuring each pair on its own
     cloud = build_cloud(spec)
     batch = cloud.batch
     ia, ib, _ = _sample_pairs(len(cloud))
@@ -660,13 +664,75 @@ def test_factor_checks_of_one_run_share_setup_and_curves(monkeypatch):
         monkeypatch.setattr(theorems, name, counted(name))
     raw = _shift_to_doubling(10, 256, 3)
     reports = _run_checks(ExperimentConfig.from_dict(raw))
-    assert calls == {"pressure_estimate": 2, "pullback_potential": 2, "check_semiconjugacy": 1}
+    assert calls == {"pressure_estimate": 2, "pullback_potential": 1, "check_semiconjugacy": 1}
     assert [r.name for r in reports] == ["factor/semiconjugacy", "factor/pullback-lower", "factor/fiber-upper"]
 
     # each check on a factor of its own reads the same numbers
     for check, report in zip(("factor_lower", "factor_upper"), reports[1:]):
         fresh = ExperimentConfig.from_dict(dict(raw, checks=[c for c in raw["checks"] if c["type"] == check]))
         assert _run_checks(fresh) == [report]
+
+
+def _sup_entropy_reference(cloud, schedule, subset, ns, eps_list):
+    """The entries and sandwiches of sup_entropy_estimate from three solves
+    per (n, eps): separated at eps, spanning at eps and spanning at eps / 2."""
+    indices = sorted(set(subset))
+    entries, sandwiches = [], []
+    for n in ns:
+        ctx = _sup_orbit(cloud, schedule, n, indices)
+        zeros = np.zeros(ctx.n_points)
+        for eps in eps_list:
+            _, s_idx, s_method, s_exact = _solve_separated_weighted(ctx, zeros, eps)
+            _, r_idx, _, r_exact = _solve_spanning_weighted(ctx, zeros, eps)
+            _, rh_idx, _, rh_exact = _solve_spanning_weighted(ctx, zeros, eps / 2.0)
+            s, r, rh = len(s_idx), len(r_idx), len(rh_idx)
+            entries.append(SupEntropyEntry(n, eps, s, r, s_exact and r_exact, s_method, s >= len(indices)))
+            if s_exact and r_exact and rh_exact:
+                sandwiches.append(SandwichCheck(n, eps, r, s, rh, r <= s <= rh))
+    return entries, sandwiches
+
+
+def _assert_one_spanning_solve_per_eps(cloud, schedule, subset, ns, eps_list):
+    """sup_entropy_estimate solves spanning once per distinct (n, eps) and
+    reads the reference's entries and sandwiches."""
+    import naifslab.pressure as pressure
+
+    calls = []
+    solve = pressure._solve_spanning_weighted
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pressure, "_solve_spanning_weighted", lambda ctx, S, eps: calls.append((ctx, eps)) or solve(ctx, S, eps))
+        est = sup_entropy_estimate(cloud, schedule, subset, ns, eps_list)
+    distinct = set(eps_list) | {eps / 2.0 for eps in eps_list}
+    # each n has an orbit of its own, and calls holds every orbit alive
+    assert len({id(ctx) for ctx, _ in calls}) == len(ns)
+    assert len(calls) == len({(id(ctx), eps) for ctx, eps in calls}) == len(ns) * len(distinct)
+    assert (est.entries, est.sandwiches) == _sup_entropy_reference(cloud, schedule, subset, ns, eps_list)
+
+
+@pytest.mark.parametrize("depth, circle, fiber_size", [(10, 256, 5), (14, 2048, 9)])
+def test_fiber_entropy_solves_each_eps_once(depth, circle, fiber_size):
+    # the fiber schedule halves eps, so r*(eps / 2) of one entry is r*(eps) of the next
+    factor = ExperimentConfig.from_dict(_shift_to_doubling(depth, circle, 3)).factor
+    src = factor.source
+    targets = sorted(set(int(round(v)) for v in np.linspace(0, len(factor.target.cloud) - 1, 6)))
+    for yi in targets:
+        fiber = fiber_indices(factor, yi)
+        fiber_eps = _fiber_eps_schedule(src.cloud, src.schedule, fiber, [0.25, 0.125])
+        assert len(fiber) == fiber_size and len(fiber_eps) > 2
+        _assert_one_spanning_solve_per_eps(src.cloud, src.schedule, fiber, [1, 2, 3], fiber_eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.data())
+def test_sup_entropy_solves_each_eps_once_on_random_instances(salt, n_max, data):
+    cloud, schedule = random_explicit_instance(random.Random(salt), max_points=10, max_maps=2, max_cycle=2)
+    subset = data.draw(st.lists(st.integers(0, len(cloud) - 1), min_size=1, max_size=len(cloud)))
+    off = np.sort(cloud.dmatrix()[~np.eye(len(cloud), dtype=bool)])
+    eps_list = [float(off[data.draw(st.integers(0, len(off) - 1))])]
+    if data.draw(st.booleans()):
+        # a halving schedule, as check_factor_upper extends it
+        eps_list = _fiber_eps_schedule(cloud, schedule, sorted(set(subset)), eps_list)
+    _assert_one_spanning_solve_per_eps(cloud, schedule, subset, list(range(1, n_max + 1)), eps_list)
 
 
 def test_semiconjugacy_check_with_its_own_tol_measures_once(monkeypatch, tmp_path):
@@ -685,7 +751,7 @@ def test_semiconjugacy_check_with_its_own_tol_measures_once(monkeypatch, tmp_pat
     assert b"max_deviation=0.0 tol=0.01 surjective=True" in csv
     assert b"max_deviation=0.0 tol=0.00048828125 surjective=True" in csv
     # the bytes written when each tolerance had a measurement of its own
-    assert hashlib.sha256(csv).hexdigest() == "92ddfc954804849b4439d2afad8eeba93aee8af24430cd3ef1e706bcfac3e8d8"
+    assert hashlib.sha256(csv).hexdigest() == "36f7fdf290715d5dd1831b60189096dec6f9b5e007db2378e942e9c3d8d7af5b"
 
 
 def test_summary_marks_proxy_reports_whose_tol_exceeds_both_sides(tmp_path):
