@@ -237,9 +237,17 @@ def orbit_batches(space, schedule: GenerationSchedule, w: Word, k: int, batch: n
     out = [batch]
     for g in range(i, i + k):
         gen = generation_at(schedule, g)
-        batch = apply_map(space, gen[w.symbols[g - w.start]], batch)
+        batch = apply_map(space, gen[_symbol(w, g - w.start, len(gen))], batch)
         out.append(batch)
     return out
+
+
+def _symbol(w: Word, t: int, size: int) -> int:
+    """Symbol t of the word, which must index one of the size maps of its generation."""
+    s = w.symbols[t]
+    if s >= size:
+        raise ValueError(f"symbols[{t}] = {s} is outside generation {w.start + t}, whose maps are 0..{size - 1}")
+    return s
 
 
 def bowen_distance(cloud: PointCloud, schedule: GenerationSchedule, w: Word, k: int, x, y) -> float:
@@ -321,7 +329,7 @@ def block_word(schedule: GenerationSchedule, w: Word, n: int) -> Word:
         sizes = [len(generation_at(schedule, 1 + b * n + t)) for t in range(n)]
         idx = 0
         for t in range(n):
-            idx = idx * sizes[t] + w.symbols[b * n + t]
+            idx = idx * sizes[t] + _symbol(w, b * n + t, sizes[t])
         symbols.append(idx)
     return Word(start=1, symbols=tuple(symbols))
 

@@ -30,8 +30,9 @@ A pressure curve holds one AveragedPartitionSum per (n, eps): the
 word-averaged sum in log space and its growth value (1/n) log.  It takes
 its cells n by n behind a memo of the per-word sums at the current n
 (_CurveMemo): each distinct word's orbit is built once and solves every
-eps.  The memo is serial-only and dropped when the curve returns or
-raises; called on their own, the per-word sums are not memoised.
+eps (_word_sums), on first request or in the curve's one process pool.
+The memo is dropped when the curve returns or raises; called on their
+own, the per-word sums are not memoised.
 
 All sums of exponentials are accumulated in log space with max shifting.
 """
@@ -726,42 +727,49 @@ def min_spanning(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: in
 
 
 def _weighted_solver(kind: str):
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     return _solve_separated_weighted if kind == "separated" else _solve_spanning_weighted
+
+
+def _word_sums(payload, mode: str = "auto") -> list[list[tuple[float, int, str, bool]]]:
+    """(log value, witness size, method, exact) at every eps of the list for
+    each word of one chunk, in order, from one orbit and one Birkhoff vector
+    per word: the unit that _CurveMemo reads and that a pool task solves."""
+    cloud, schedule, n, psi, kind, eps_list, words = payload
+    solve = _weighted_solver(kind)
+    out = []
+    for w in words:
+        ctx = _word_orbit(cloud, schedule, w, n)
+        S = _birkhoff_vector(ctx, psi)
+        out.append([(value, len(idxs), method, exact) for value, idxs, method, exact in (solve(ctx, S, e, mode) for e in eps_list)])
+    return out
 
 
 class _CurveMemo:
     """The per-word sums of one pressure curve at one n.
 
     A word's orbit and Birkhoff vector depend on neither eps nor how often
-    the word was drawn.  The first request for a word builds them, solves
-    every eps of the curve on them and keeps (log value, witness size,
-    method, exact) per eps; the orbit is dropped.  Only requests with the
-    memo's cloud, schedule and potential (by identity), n and kind, mode
-    "auto" and an eps of the curve are served, and only in the process
-    that opened the memo: pool workers forked during the curve solve afresh.
+    the word was drawn, so its sums at every eps of the curve are solved
+    together (_word_sums), on its first request or beforehand by the
+    curve's pool (pressure_estimate).  Only requests with the memo's cloud,
+    schedule and potential (by identity), n and kind, mode "auto" and an
+    eps of the curve are served.
     """
 
     def __init__(self, cloud: PointCloud, schedule: GenerationSchedule, n: int, psi: Potential, kind: str, eps_list: list[float]):
-        self.scope = (cloud, schedule, n, psi, kind)
+        self.scope = (cloud, schedule, n, psi, kind, eps_list)
         self.eps_index = {eps: i for i, eps in enumerate(eps_list)}
-        self.pid = os.getpid()
         self.sums: dict[Word, list[tuple[float, int, str, bool]]] = {}
 
     def serves(self, cloud, schedule, n: int, psi, eps: float, mode: str, kind: str) -> bool:
-        c, s, m, p, k = self.scope
-        return (
-            cloud is c and schedule is s and n == m and psi is p and kind == k
-            and mode == "auto" and eps in self.eps_index and os.getpid() == self.pid
-        )
+        c, s, m, p, k, _ = self.scope
+        return cloud is c and schedule is s and n == m and psi is p and kind == k and mode == "auto" and eps in self.eps_index
 
     def read(self, w: Word, eps: float) -> tuple[float, int, str, bool]:
         sums = self.sums.get(w)
         if sums is None:
-            cloud, schedule, n, psi, kind = self.scope
-            ctx = _word_orbit(cloud, schedule, w, n)
-            S = _birkhoff_vector(ctx, psi)
-            solves = (_weighted_solver(kind)(ctx, S, e, "auto") for e in self.eps_index)
-            sums = self.sums[w] = [(value, len(idxs), method, exact) for value, idxs, method, exact in solves]
+            sums = self.sums[w] = _word_sums((*self.scope, [w]))[0]
         return sums[self.eps_index[eps]]
 
 
@@ -776,9 +784,7 @@ def _partition_sum(kind: str, cloud: PointCloud, schedule: GenerationSchedule, w
     if memo is not None and memo.serves(cloud, schedule, n, psi, eps, mode, kind):
         log_value, size, method, exact = memo.read(w, eps)
     else:
-        ctx = _word_orbit(cloud, schedule, w, n)
-        log_value, idxs, method, exact = _weighted_solver(kind)(ctx, _birkhoff_vector(ctx, psi), eps, mode)
-        size = len(idxs)
+        log_value, size, method, exact = _word_sums((cloud, schedule, n, psi, kind, [eps], [w]), mode)[0][0]
     return PartitionSumResult(log_value=log_value, word=w, method=method, exact=exact, witness_size=size)
 
 
@@ -821,13 +827,6 @@ class AveragedPartitionSum:
         return self.log_average / self.n
 
 
-def _word_sums(payload) -> list[PartitionSumResult]:
-    """The per-word partition sums of one chunk of words, in word order."""
-    cloud, schedule, words, n, psi, eps, kind = payload
-    op = partition_sum_separated if kind == "separated" else partition_sum_spanning
-    return [op(cloud, schedule, w, n, psi, eps) for w in words]
-
-
 def averaged_partition_sum(
     cloud: PointCloud,
     schedule: GenerationSchedule,
@@ -837,7 +836,6 @@ def averaged_partition_sum(
     kind: str = "separated",
     word_budget: int | None = 4096,
     seed: int = 0,
-    workers: int = 1,
 ) -> AveragedPartitionSum:
     """Arithmetic mean over enumerated or sampled words of the per-word sums,
     accumulated by log-sum-exp.  stderr is the Monte Carlo standard error of
@@ -845,15 +843,8 @@ def averaged_partition_sum(
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     words, word_mode, total = enumerate_words(schedule, 1, n, word_budget, seed)
-    if workers > 1 and len(words) >= 8:
-        chunks = np.array_split(np.arange(len(words)), min(workers, len(words), os.cpu_count() or 1))
-        payloads = [(cloud, schedule, [words[i] for i in c], n, psi, eps, kind) for c in chunks]
-        sums: list[PartitionSumResult] = []
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            for part in pool.map(_word_sums, payloads):
-                sums.extend(part)
-    else:
-        sums = _word_sums((cloud, schedule, words, n, psi, eps, kind))
+    op = partition_sum_separated if kind == "separated" else partition_sum_spanning
+    sums = [op(cloud, schedule, w, n, psi, eps) for w in words]
     logs = np.array([r.log_value for r in sums])
     log_average = _logsumexp(logs) - math.log(len(logs))
     stderr = 0.0
@@ -997,16 +988,25 @@ def pressure_estimate(
     """
     ns = validate_n_range(n_range)
     eps_list = validate_eps_list(eps_list)
-    token, cells = _curve_memo.set(None), {}
+    width = min(workers, os.cpu_count() or 1)
+    token, cells, pool = _curve_memo.set(None), {}, None
     try:
         # n by n, so that each word's orbit serves every eps (_CurveMemo)
         for n in ns:
-            _curve_memo.set(_CurveMemo(cloud, schedule, n, psi, kind, eps_list))
+            _curve_memo.set(memo := _CurveMemo(cloud, schedule, n, psi, kind, eps_list))
+            # at two or more workers, the curve's one pool solves the distinct
+            # words, in first-draw order and fixed runs, before the cells read them
+            words = list(dict.fromkeys(enumerate_words(schedule, 1, n, word_budget, seed)[0])) if width > 1 else []
+            if len(words) >= 8:
+                pool = pool or ProcessPoolExecutor(max_workers=width)
+                cuts = [len(words) * i // width for i in range(width + 1)]
+                parts = pool.map(_word_sums, [(*memo.scope, words[a:b]) for a, b in zip(cuts, cuts[1:])])
+                memo.sums.update(zip(words, (sums for part in parts for sums in part)))
             for eps in eps_list:
-                cells[eps, n] = averaged_partition_sum(
-                    cloud, schedule, n, psi, eps, kind=kind, word_budget=word_budget, seed=seed, workers=workers
-                )
+                cells[eps, n] = averaged_partition_sum(cloud, schedule, n, psi, eps, kind=kind, word_budget=word_budget, seed=seed)
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         _curve_memo.reset(token)
     entries = [cells[eps, n] for eps in eps_list for n in ns]
     per_eps = [_eps_summary(eps, [(e.n, e.log_average, e.saturated) for e in entries if e.eps == eps]) for eps in eps_list]

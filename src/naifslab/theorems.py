@@ -69,10 +69,9 @@ from .space import (
     Potential,
     Pullback,
     SpaceSpec,
-    _distance_kernel,
-    _to_distance_form,
     build_cloud,
     eval_potential_batch,
+    paired_distances,
 )
 
 log = logging.getLogger("naifslab.theorems")
@@ -686,13 +685,6 @@ def _sample_pairs(n: int) -> tuple[np.ndarray, np.ndarray, bool]:
     return ia[keep], ib[keep], True
 
 
-def _pair_distances(cloud: PointCloud, batch: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Distances of the index pairs (ia, ib) of one batch, put in distance
-    form once and gathered from it."""
-    form = _to_distance_form(cloud, batch)
-    return _distance_kernel(cloud, form[..., ia], form[..., ib])
-
-
 # ---------------------------------------------------------------------------
 # equicontinuity
 
@@ -715,12 +707,12 @@ def check_equicontinuity(cloud: PointCloud, schedule: GenerationSchedule, eps_li
     eps_list = validate_eps_list(eps_list)
     batch = cloud.batch
     ia, ib, sampled = _sample_pairs(len(cloud))
-    base = _pair_distances(cloud, batch, ia, ib)
+    base = paired_distances(cloud, batch[ia], batch[ib])
     img_max = np.zeros_like(base)
     for j in range(1, schedule.horizon + 1):
         for m in generation_at(schedule, j):
             image = apply_map(cloud.space, m, batch)
-            np.maximum(img_max, _pair_distances(cloud, image, ia, ib), out=img_max)
+            np.maximum(img_max, paired_distances(cloud, image[ia], image[ib]), out=img_max)
     diam = cloud.diameter()
     table = []
     for eps in eps_list:

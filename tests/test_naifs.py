@@ -25,6 +25,7 @@ from naifslab import (
     enumerate_words,
     fiber_indices,
     generation_at,
+    partition_sum_separated,
     power_system,
     sup_bowen_distance,
     truncate_system,
@@ -346,6 +347,25 @@ def test_counts_keep_their_lower_bounds():
     ):
         with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer >= {low}, got "):
             call()
+
+
+def test_symbols_are_checked_against_their_generation():
+    # two maps per step: symbol 5 at step 1, and 2 or 7 at step 2, name no map
+    cloud, sched = two_point()
+    with pytest.raises(ValueError, match=r"^symbols\[0\] = 5 is outside generation 1, whose maps are 0\.\.1$"):
+        bowen_distance(cloud, sched, Word(1, (5,)), 1, 0, 1)
+    with pytest.raises(ValueError, match=r"^symbols\[1\] = 2 is outside generation 2, whose maps are 0\.\.1$"):
+        partition_sum_separated(cloud, sched, Word(1, (0, 2)), 2, Potential("constant", (0.0,)), 0.5)
+    with pytest.raises(ValueError, match=r"^symbols\[1\] = 7 is outside generation 2, whose maps are 0\.\.1$"):
+        block_word(sched, Word(1, (0, 7)), 2)
+    assert block_word(sched, Word(1, (1, 1)), 2) == Word(1, (3,))
+    # a one-map prefix generation takes symbol 0 only
+    prefixed = GenerationSchedule(prefix=((SWAP2,),), cycle=((ID, SWAP2),))
+    with pytest.raises(ValueError, match=r"^symbols\[0\] = 1 is outside generation 1, whose maps are 0\.\.0$"):
+        bowen_distance(cloud, prefixed, Word(1, (1, 0)), 2, 0, 1)
+    with pytest.raises(ValueError, match=r"^symbols\[0\] = 1 is outside generation 1, whose maps are 0\.\.0$"):
+        block_word(prefixed, Word(1, (1, 0)), 2)
+    assert bowen_distance(cloud, prefixed, Word(1, (0, 1)), 2, 0, 1) == 1.0
 
 
 def test_semiconjugacy_identity_is_exact():

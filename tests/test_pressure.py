@@ -335,47 +335,14 @@ def test_sampled_mode_reports_stderr_and_reproduces():
     assert a.stderr >= 0.0
 
 
-def test_workers_do_not_change_results():
+def test_workers_do_not_change_results(monkeypatch):
+    # 2**6 words at n = 6: two worker processes solve them for the curve
     cloud, sched = two_point()
     psi = Potential("explicit_table", (0.0, 1.0))
-    serial = averaged_partition_sum(cloud, sched, 6, psi, 0.5, word_budget=None, workers=1)
-    parallel = averaged_partition_sum(cloud, sched, 6, psi, 0.5, word_budget=None, workers=2)
-    assert serial.log_average == parallel.log_average
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, starts nothing
-    and maps in this process."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, payloads):
-        return map(fn, payloads)
-
-
-@pytest.mark.parametrize(
-    "n, cpus, expected",
-    [(6, 3, 3), (6, None, 1), (3, 64, 8)],
-)
-def test_pool_is_sized_by_its_chunks(monkeypatch, n, cpus, expected):
-    # 2**n words; the pool takes min(workers, words, cpus) chunks however
-    # large the worker count asked for
-    sizes = []
-    monkeypatch.setattr(pressure, "ProcessPoolExecutor", lambda max_workers: RecordingPool(sizes, max_workers))
-    monkeypatch.setattr(pressure.os, "cpu_count", lambda: cpus)
-    cloud, sched = two_point()
-    psi = Potential("explicit_table", (0.0, 1.0))
-    serial = averaged_partition_sum(cloud, sched, n, psi, 0.5, word_budget=None, workers=1)
-    pooled = averaged_partition_sum(cloud, sched, n, psi, 0.5, word_budget=None, workers=10**9)
-    assert sizes == [expected]
-    assert pooled == serial
+    monkeypatch.setattr(pressure.os, "cpu_count", lambda: 2)
+    serial = pressure_estimate(cloud, sched, psi, [5, 6], [0.5], word_budget=None, workers=1)
+    parallel = pressure_estimate(cloud, sched, psi, [5, 6], [0.5], word_budget=None, workers=2)
+    assert serial == parallel
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 20, 63, 64, 65, 300])

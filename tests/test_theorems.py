@@ -52,8 +52,8 @@ from naifslab.pressure import (
     pressure_estimate,
     sup_entropy_estimate,
 )
-from naifslab.naifs import Word, fiber_indices, orbit_batches, reachable_batches
-from naifslab.space import batch_to_points, eval_potential_batch, paired_distances
+from naifslab.naifs import Word, apply_map, fiber_indices, orbit_batches, reachable_batches
+from naifslab.space import batch_to_points, eval_potential_batch, pairwise_distances
 from naifslab.theorems import (
     FINITE_LEVEL,
     HOLDS_EXACT,
@@ -67,7 +67,6 @@ from naifslab.theorems import (
     _derived_birkhoff,
     _factor_estimates,
     _fiber_eps_schedule,
-    _pair_distances,
     _sample_pairs,
     comparison_report,
     pullback_potential,
@@ -255,22 +254,28 @@ def test_equicontinuity_moduli():
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, maps",
     [
-        SpaceSpec("interval_grid", 40),
-        SpaceSpec("circle_grid", 40),
+        (SpaceSpec("interval_grid", 40), (MapSpec("tent"), MapSpec("affine_clamped", (0.5, 0.25)))),
+        (SpaceSpec("circle_grid", 40), (MapSpec("doubling"), MapSpec("rotation", (0.3,)))),
         # 512 points: the pairs are sampled
-        SpaceSpec("symbolic_depth", 9, alphabet_size=2),
-        SpaceSpec("finite_explicit", distance_matrix=((0.0, 1.0, 0.5), (1.0, 0.0, 0.5), (0.5, 0.5, 0.0))),
+        (SpaceSpec("symbolic_depth", 9, alphabet_size=2), (MapSpec("shift"), MapSpec("symbol_substitution_table", (1, 0)))),
+        (SpaceSpec("finite_explicit", distance_matrix=((0.0, 1.0, 0.5), (1.0, 0.0, 0.5), (0.5, 0.5, 0.0))), (MapSpec("permutation_table", (1, 2, 0)),)),
     ],
 )
-def test_pair_distances_gather_from_one_form(spec):
-    # the equicontinuity diagnostic puts a batch in distance form once and
-    # gathers the pairs from it; that must equal measuring each pair on its own
+def test_equicontinuity_table_equals_a_pairwise_reference(spec, maps):
+    # the diagnostic's pair distances, read from one pairwise matrix per
+    # batch: delta(eps) is the least base distance of a sampled pair that
+    # some map of the horizon stretches to eps or more
     cloud = build_cloud(spec)
-    batch = cloud.batch
+    sched = GenerationSchedule(prefix=(), cycle=(maps[:1], maps))
+    eps_list = [0.5, 0.25, 0.1]
     ia, ib, _ = _sample_pairs(len(cloud))
-    assert np.array_equal(_pair_distances(cloud, batch, ia, ib), paired_distances(cloud, batch[ia], batch[ib]))
+    base = pairwise_distances(cloud, cloud.batch, cloud.batch)[ia, ib]
+    images = [apply_map(cloud.space, m, cloud.batch) for gen in sched.cycle for m in gen]
+    stretch = np.max([pairwise_distances(cloud, im, im)[ia, ib] for im in images], axis=0)
+    want = tuple((eps, float(base[stretch >= eps].min()) if (stretch >= eps).any() else cloud.diameter()) for eps in eps_list)
+    assert check_equicontinuity(cloud, sched, eps_list).table == want
 
 
 def quotient_factor():
