@@ -52,6 +52,8 @@ from .theorems import (
     check_truncation_monotonicity,
     equicontinuity_report,
     net_counting_length,
+    require_invertible,
+    require_power_potential,
     semiconjugacy_report,
     summarize_reports,
 )
@@ -345,6 +347,7 @@ def _check_from(chk: dict, path: str, eps_default: float, schedule: GenerationSc
         ("m_range", 1 <= m_lo <= m_hi and n * m_hi <= N_MAX_LIMIT, f"1 <= m_lo <= m_hi and n * m_hi <= {N_MAX_LIMIT}"),
         ("i", 1 <= i, "i >= 1"),
         ("j", i < j <= N_MAX_LIMIT, f"i < j <= {N_MAX_LIMIT}"),
+        ("fiber_sample", out.get("fiber_sample", 1) >= 1, "fiber_sample >= 1"),
         ("p", 0.0 <= out.get("p", 0.0) <= 1.0, "0 <= p <= 1"),
         ("eps", 0.0 < out.get("eps", 1.0) < math.inf, "a finite eps > 0"),
         ("c", math.isfinite(out.get("c", 0.0)), "a finite c"),
@@ -424,11 +427,20 @@ class ExperimentConfig:
                 )
             except _VALUE_ERRORS as e:
                 raise ConfigError(f"config field $.factor: {e}") from e
+        potential = _potential_from(raw["potential"], "$.potential", space)
         checks = []
         for idx, chk in enumerate(raw.get("checks", [])):
             if chk["type"] in ("semiconjugacy", "factor_lower", "factor_upper", "conjugacy") and factor is None:
                 raise ConfigError(f"config field $.checks[{idx}]: check {chk['type']!r} requires a factor")
             checks.append(_check_from(chk, f"$.checks[{idx}]", eps_list[-1], schedule, hi))
+            # the check's premise, once its parameters are read
+            try:
+                if chk["type"] == "conjugacy":
+                    require_invertible(factor)
+                elif chk["type"] == "power":
+                    require_power_potential(cloud, schedule, potential, checks[-1]["n"] * checks[-1]["m_range"][1])
+            except ValueError as e:
+                raise ConfigError(f"config field $.checks[{idx}]: {e}") from e
         if raw["mode"] == "verify" and not checks:
             raise ConfigError("config field $.checks: verify mode needs at least one check")
         sweep_resolutions = [int(r) for r in raw.get("sweep", {}).get("resolutions", [])]
@@ -438,7 +450,7 @@ class ExperimentConfig:
             mode=raw["mode"],
             cloud=cloud,
             schedule=schedule,
-            potential=_potential_from(raw["potential"], "$.potential", space),
+            potential=potential,
             n_range=list(range(lo, hi + 1)),
             eps_list=eps_list,
             word_budget=word_budget,
@@ -558,6 +570,9 @@ def _run_checks(config: ExperimentConfig) -> list[InequalityReport]:
             reports.append(equicontinuity_report(config.cloud, config.schedule, config.eps_list))
         elif kind == "semiconjugacy":
             reports.append(semiconjugacy_report(config.factor, config.n_range[-1], chk["tol"]))
+        elif (premise := semiconjugacy_report(config.factor, config.n_range[-1])).verdict == VIOLATED:
+            # a factor inequality assumes a semiconjugacy: the failed premise is its row
+            reports.append(premise)
         elif kind == "factor_lower":
             reports.append(
                 check_factor_lower(

@@ -417,6 +417,9 @@ class FactorMapSpec:
         if self.kind == "coordinate_projection":
             if self.source.cloud.space.family != self.target.cloud.space.family:
                 raise ValueError("coordinate_projection needs matching space families")
+            if self.source.cloud.space.family == FINITE and len(self.source.cloud) > len(self.target.cloud):
+                # a finite point is its index, which must index the target cloud
+                raise ValueError("coordinate_projection of a finite space needs a target cloud at least as large")
         if self.fiber_tol is None:
             self.fiber_tol = default_fiber_tol(self.target.cloud)
         elif not 0.0 <= self.fiber_tol < math.inf:

@@ -15,11 +15,15 @@ bound is computed.
 An orbit object (_BowenOrbit) is built from one list of step batches:
 the orbit of the cloud along one word (_word_orbit), every n-th step of
 such an orbit (the power system's orbit), or the orbits of a subset under
-every start and word (_sup_orbit).  It caches what a solve reads that does
-not depend on the weights: the dense Bowen matrix, its closed eps-balls
-per eps, and per (eps, kind) the subsets that subset enumeration may
-return.  Callers that solve several potentials, both kinds or a repeated
-eps on one orbit build these once; the cache is freed with the orbit.
+every start and word (_sup_orbit).  Every row and tile of Bowen distances
+is computed from the orbit's distance forms.  The dense Bowen matrix is
+read only to build closed eps-balls, so a greedy witness is re-checked on
+distances computed afresh, not on the table its cover read.  The orbit
+caches what a solve reads that does not depend on the weights: the
+matrix, its eps-balls per eps, and per (eps, kind) the subsets that subset
+enumeration may return.  Callers that solve several potentials, both kinds
+or a repeated eps on one orbit build these once; the cache is freed with
+the orbit.
 
 Greedy first fit reads one row per accepted point, and only over the
 point's step-0 window when step 0 is the cloud itself (_BowenOrbit.window);
@@ -57,6 +61,7 @@ from .naifs import (
     is_step_count,
     orbit_batches,
     sup_orbit_batches,
+    validate_step_count,
 )
 from .space import (
     FINITE,
@@ -106,10 +111,10 @@ class _BowenOrbit:
     and word of the sup metric (_sup_orbit), or any list a caller already
     holds.  Each step is put in distance form once, and the forms are held
     stacked on one step axis, so that a row reads every step in one kernel
-    call.  Queries read rows and tiles of it; the dense matrix is built
-    only for small clouds (MATRIX_LIMIT), one kernel call per tile over
-    every step, and then serves every later block.  Tiles are written
-    into two buffers the orbit reuses.
+    call.  Rows and tiles are always computed from the forms; the dense
+    matrix is built only for small clouds (MATRIX_LIMIT), one kernel call
+    per tile over every step, and only its eps-balls (balls) read it.
+    Tiles are written into two buffers the orbit reuses.
 
     When step 0 is the enumerated cloud itself, a Bowen distance is at
     least the base distance, so the closed eps-ball of a point lies in its
@@ -147,14 +152,8 @@ class _BowenOrbit:
 
     def block(self, I: np.ndarray | slice, js: np.ndarray | slice, out: np.ndarray | None = None) -> np.ndarray:
         """Distances between the points I (rows) and js (columns), each an
-        index array or a slice, written into out when given and otherwise
-        into a new array (never a view of the matrix)."""
-        if self._matrix is not None:
-            sub = self._matrix[I][:, js]
-            if out is None:
-                out = np.empty_like(sub)
-            out[...] = sub
-            return out
+        index array or a slice, computed from the forms and written into out
+        when given and otherwise into a new array."""
         a = self._columns(I)[..., None]
         b = self._columns(js)[..., None, :]
         acc = _distance_kernel(self.cloud, a[..., 0, :, :], b[..., 0, :, :], out)
@@ -172,8 +171,6 @@ class _BowenOrbit:
     def row(self, i: int, js: np.ndarray) -> np.ndarray:
         """Distances from point i to the points js, every step in one kernel call."""
         js = np.asarray(js, dtype=np.intp)
-        if self._matrix is not None:
-            return self._matrix[i, js]
         return _distance_kernel(self.cloud, self.forms[..., i, None], self._columns(js)).max(axis=0)
 
     def _columns(self, js: np.ndarray | slice) -> np.ndarray:
@@ -988,7 +985,7 @@ def pressure_estimate(
     """
     ns = validate_n_range(n_range)
     eps_list = validate_eps_list(eps_list)
-    width = min(workers, os.cpu_count() or 1)
+    width = min(validate_step_count(workers, "workers"), os.cpu_count() or 1)
     token, cells, pool = _curve_memo.set(None), {}, None
     try:
         # n by n, so that each word's orbit serves every eps (_CurveMemo)
@@ -1067,7 +1064,9 @@ def sup_entropy_estimate(
     d*_n (sup over start indices and words of the orbit maximum).
 
     The empty subset has entropy 0 by convention.  Whenever all three counts
-    are exact the sandwich r*(eps) <= s*(eps) <= r*(eps/2) is verified.
+    are exact the sandwich r*(eps) <= s*(eps) <= r*(eps/2) is verified, and
+    a triple that breaks it raises RuntimeError, as a failed witness
+    re-check does.
     """
     eps_list = validate_eps_list(eps_list)
     ns = validate_n_range(n_range)
@@ -1099,16 +1098,10 @@ def sup_entropy_estimate(
                 )
             )
             if s_exact and r_exact and rh_exact:
-                sandwiches.append(
-                    SandwichCheck(
-                        n=n,
-                        eps=eps,
-                        r_eps=len(r_idx),
-                        s_eps=len(s_idx),
-                        r_half=len(rh_idx),
-                        ok=len(r_idx) <= len(s_idx) <= len(rh_idx),
-                    )
-                )
+                r_eps, s_eps, r_half = len(r_idx), len(s_idx), len(rh_idx)
+                if not r_eps <= s_eps <= r_half:
+                    raise RuntimeError(f"sandwich r*(eps) <= s*(eps) <= r*(eps/2) failed at n={n}, eps={eps}: {r_eps}, {s_eps}, {r_half}")
+                sandwiches.append(SandwichCheck(n=n, eps=eps, r_eps=r_eps, s_eps=s_eps, r_half=r_half, ok=True))
     summary = _eps_summary(eps_list[-1], [(e.n, math.log(e.separated), e.saturated) for e in entries if e.eps == eps_list[-1]])
     return SupEntropyEstimate(
         estimate=summary.estimate,

@@ -204,15 +204,17 @@ def _derived_birkhoff(ctx: _BowenOrbit, phi: Potential, psi: Potential, p: float
     vector is summed step by step in _birkhoff_vector's order."""
     space = ctx.cloud.space
     S: dict[str, np.ndarray] = {}
-    for B in ctx.batches:
-        f = eval_potential_batch(space, phi, B)
-        g = eval_potential_batch(space, psi, B)
-        step = {
-            "phi": f, "psi": g, "dominating": np.maximum(f, g), "mix": p * f + (1.0 - p) * g, "phi_plus_c": f + c,
-            "c_phi": c * f, "phi_plus_psi": f + g, "abs_phi": np.abs(f), "neg_abs_phi": -np.abs(f), "zero": np.zeros_like(f),
-        }
-        for name, v in step.items():
-            S[name] = S.get(name, 0.0) + v
+    # as in _birkhoff_vector, an overflowed sum is refused by the solve, not warned about here
+    with np.errstate(over="ignore"):
+        for B in ctx.batches:
+            f = eval_potential_batch(space, phi, B)
+            g = eval_potential_batch(space, psi, B)
+            step = {
+                "phi": f, "psi": g, "dominating": np.maximum(f, g), "mix": p * f + (1.0 - p) * g, "phi_plus_c": f + c,
+                "c_phi": c * f, "phi_plus_psi": f + g, "abs_phi": np.abs(f), "neg_abs_phi": -np.abs(f), "zero": np.zeros_like(f),
+            }
+            for name, v in step.items():
+                S[name] = S.get(name, 0.0) + v
     return S
 
 
@@ -320,6 +322,13 @@ def check_basic_properties(
 # power rule
 
 
+def require_power_potential(cloud: PointCloud, schedule: GenerationSchedule, psi: Potential, steps: int) -> None:
+    """Refuse (ValueError) a potential that is negative at a point reachable
+    within steps: the power rule's spanning transfer needs psi >= 0."""
+    if np.any(_reachable_values(cloud, schedule, psi, steps) < 0.0):
+        raise ValueError("power-rule spanning transfer needs a nonnegative potential")
+
+
 def check_power_rule(
     cloud: PointCloud,
     schedule: GenerationSchedule,
@@ -339,8 +348,7 @@ def check_power_rule(
     n = validate_step_count(n)
     ms = validate_n_range(m_range, "m_range")
     eps_list = validate_eps_list(eps_list)
-    if np.any(_reachable_values(cloud, schedule, psi, n * ms[-1]) < 0.0):
-        raise ValueError("power-rule spanning transfer needs a nonnegative potential")
+    require_power_potential(cloud, schedule, psi, n * ms[-1])
 
     binding: tuple[float, float] | None = None
     exact_all = True
@@ -425,7 +433,8 @@ def check_truncation_monotonicity(
     """Pressure of the system truncated at i against the one truncated at j
     (proxy level), plus the exact net-counting inequality
     r_n(w, 2 eps) <= #net * r_{n-1}(w', eps) for each consecutive truncation."""
-    if not 1 <= i < j:
+    i, j = validate_step_count(i, "i"), validate_step_count(j, "j")
+    if not i < j:
         raise ValueError(f"need 1 <= i < j, got i={i}, j={j}")
     eps_list = validate_eps_list(eps_list)
     ns = validate_n_range(n_range)
@@ -570,6 +579,16 @@ def check_factor_lower(
     )
 
 
+def require_invertible(factor: FactorMapSpec) -> None:
+    """Refuse (ValueError) a factor with no computable inverse: only a
+    bijective index table and a coordinate projection have one."""
+    if factor.kind == "index_table":
+        if sorted(factor.table) != list(range(len(factor.target.cloud))):
+            raise ValueError("factor is not invertible: index table is not a bijection")
+    elif factor.kind != "coordinate_projection":
+        raise ValueError(f"factor kind {factor.kind!r} has no computable inverse")
+
+
 def check_factor_conjugacy(
     factor: FactorMapSpec,
     phi_on_target: Potential,
@@ -583,11 +602,7 @@ def check_factor_conjugacy(
     """For an invertible factor the two pullback bounds combine into the
     equality of pressures; emitted as both one-sided reports plus the
     symmetric equality report."""
-    if factor.kind == "index_table":
-        if sorted(factor.table) != list(range(len(factor.target.cloud))):
-            raise ValueError("factor is not invertible: index table is not a bijection")
-    elif factor.kind != "coordinate_projection":
-        raise ValueError(f"factor kind {factor.kind!r} has no computable inverse")
+    require_invertible(factor)
     eps_list, ns, _, tol = _factor_setup(factor, n_range, eps_list, tol)
     est_t, est_s = _factor_estimates(factor, phi_on_target, ns, eps_list, word_budget, seed, workers)
     exact = _exact_curves(est_t, est_s)
@@ -614,10 +629,11 @@ def check_factor_upper(
 ) -> InequalityReport:
     """Source pressure of the pullback against target pressure plus the
     largest fiber sup-entropy over sampled target points (proxy level)."""
+    fiber_sample = validate_step_count(fiber_sample, "fiber_sample")
     eps_list, ns, _, tol = _factor_setup(factor, n_range, eps_list, tol)
 
     tgt_cloud = factor.target.cloud
-    count = max(1, min(fiber_sample, len(tgt_cloud)))
+    count = min(fiber_sample, len(tgt_cloud))
     sample_idx = sorted(set(int(round(v)) for v in np.linspace(0, len(tgt_cloud) - 1, count)))
     h_term = 0.0
     fiber_sizes = []

@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import math
 import os
@@ -16,7 +19,9 @@ from naifslab import Potential, SpaceSpec
 from naifslab.catalog import EXAMPLE_CONFIGS, list_builtin
 import naifslab.cli as cli
 from naifslab.cli import ConfigError, ExperimentConfig, main, run
-from naifslab.space import eval_potential_batch
+from naifslab.naifs import FACTOR_KINDS, MAP_KINDS
+from naifslab.space import POTENTIAL_KINDS, eval_potential_batch
+from naifslab.theorems import VIOLATED
 from oracles import eval_potential
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -349,11 +354,14 @@ def test_overflowing_birkhoff_sums_are_a_runtime_error(tmp_path, capsys):
     # only signal (no overflow warning)
     raw = _example("two_point_swap", mode="estimate", potential={"kind": "explicit_table", "params": [1e308, -1e308]})
     raw.pop("checks", None)
-    ExperimentConfig.from_dict(raw)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(raw))
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
-    assert "Birkhoff sums are not finite" in capsys.readouterr().err
+    # the basic-property check sums the potentials it derives, 2 * psi among them
+    basic = _example("two_point_swap", potential={"kind": "explicit_table", "params": [1e308, 1e308]}, checks=[{"type": "basic"}])
+    for config in (raw, basic):
+        ExperimentConfig.from_dict(config)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "Birkhoff sums are not finite" in capsys.readouterr().err
 
 
 # check parameters that pass the schema but that no check can run with
@@ -382,6 +390,53 @@ def test_bad_check_parameters_are_config_errors(tmp_path, case):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     assert main(["verify", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+def _fiber_sample(count):
+    raw = _example("four_point_quotient")
+    raw["checks"][2]["fiber_sample"] = count
+    return raw
+
+
+# checks that cannot run as the config sets them up: refused at load time,
+# not at run time (a fiber_sample below 1 once read as one sampled fiber)
+CHECK_SETUP_ERRORS = {
+    "zero_fiber_sample": (_fiber_sample(0), r"\$\.checks\[2\]\.fiber_sample: need fiber_sample >= 1, got 0"),
+    "negative_fiber_sample": (_fiber_sample(-5), r"\$\.checks\[2\]\.fiber_sample: need fiber_sample >= 1, got -5"),
+    "conjugacy_of_a_quotient": (
+        _example("four_point_quotient", checks=[{"type": "conjugacy"}]),
+        r"\$\.checks\[0\]: factor is not invertible: index table is not a bijection",
+    ),
+    "power_rule_of_a_negative_potential": (
+        _example("two_point_swap", potential={"kind": "explicit_table", "params": [-1.0, 1.0]}),
+        r"\$\.checks\[1\]: power-rule spanning transfer needs a nonnegative potential",
+    ),
+    "finite_projection_onto_fewer_points": (
+        _example("four_point_quotient", factor=dict(EXAMPLE_CONFIGS["four_point_quotient"]["factor"], kind="coordinate_projection")),
+        r"\$\.factor: coordinate_projection of a finite space needs a target cloud at least as large",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_SETUP_ERRORS))
+def test_checks_that_cannot_run_are_config_errors(tmp_path, case):
+    raw, message = CHECK_SETUP_ERRORS[case]
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_a_factor_that_is_no_semiconjugacy_reads_violated(tmp_path):
+    # each factor inequality reports its failed premise in its place
+    raw = _example("four_point_quotient")
+    raw["factor"]["table"] = [1, 1, 0, 1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    rows = list(csv.DictReader((tmp_path / "out" / "verdicts.csv").read_text().splitlines()[1:]))
+    assert [(r["theorem"], r["verdict"]) for r in rows] == [("factor/semiconjugacy", VIOLATED)] * 3
 
 
 def test_check_tol_is_refused_except_on_semiconjugacy(tmp_path, capsys):
@@ -533,6 +588,62 @@ def test_fuzzed_configs_raise_only_config_error(raw):
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(Path(tmp) / "out")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing configs that parse and run: each ends in one of four outcomes
+
+_RUN_BASES = ("two_point_swap", "two_point_swap_sampled", "four_point_quotient")
+# small counts keep every run short; the rest are edge values of a float
+_RUN_NUMBERS = st.integers(-2, 6) | st.sampled_from([0.0, 0.25, 0.5, 2.0, 1e308, -1e308, math.inf, math.nan])
+_RUN_KINDS = st.sampled_from(sorted({*MAP_KINDS, *POTENTIAL_KINDS, *FACTOR_KINDS, "separated", "spanning"}))
+_CHECK_TYPES = ("basic", "power", "truncation", "equicontinuity", "semiconjugacy", "factor_lower", "factor_upper", "conjugacy")
+_CHECK_PARAMS = ("n", "eps", "p", "c", "m_range", "i", "j", "fiber_sample")
+
+
+@st.composite
+def _perturbed_runs(draw):
+    """A bundled finite example with one or two of its numbers, kinds or
+    check parameters replaced."""
+    raw = _example(draw(st.sampled_from(_RUN_BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        action = draw(st.sampled_from(["number", "kind", "check"]))
+        if action == "check" and raw.get("checks"):
+            chk = draw(st.sampled_from(raw["checks"]))
+            key = draw(st.sampled_from(("type",) + _CHECK_PARAMS))
+            if key == "type":
+                chk[key] = draw(st.sampled_from(_CHECK_TYPES))
+            else:
+                chk[key] = [draw(_RUN_NUMBERS), draw(_RUN_NUMBERS)] if key == "m_range" else draw(_RUN_NUMBERS)
+        elif action == "kind":
+            paths = [p for p in _value_paths(raw) if p[-1] == "kind"] + [("kind",)]
+            _set(raw, draw(st.sampled_from(paths)), draw(_RUN_KINDS))
+        else:
+            paths = [p for p in _value_paths(raw) if type(_get(raw, p)) in (int, float)]
+            _set(raw, draw(st.sampled_from(paths)), draw(_RUN_NUMBERS))
+    return raw
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_perturbed_runs())
+@example(_example("four_point_quotient", checks=[{"type": "factor_upper", "fiber_sample": 0}]))
+def test_perturbed_configs_run_to_a_documented_outcome(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out, err = Path(tmp) / "cfg.json", Path(tmp) / "out", io.StringIO()
+        path.write_text(json.dumps(raw))
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(path), "--out", str(out)])
+        # the verdicts file opens with a seed line, then the CSV header
+        verdicts = [row["verdict"] for row in csv.DictReader((out / "verdicts.csv").read_text().splitlines()[1:])] if code == 1 else []
+    message = err.getvalue()
+    if code == 1:
+        assert VIOLATED in verdicts, message
+    elif code == 2:
+        assert "config error: config field $" in message, message
+    elif code == 3:
+        assert "the Birkhoff sums are not finite" in message, message
+    else:
+        assert code == 0, message
 
 
 def test_catalogs_and_schema_list_the_kinds_in_their_source_order():

@@ -82,7 +82,7 @@ def test_block_matches_oracle_bowen(family, seed, n, data):
     assert ctx.row(int(I[0]), js).tolist() == expected[0]
     full = ctx.block(np.arange(len(cloud)), np.arange(len(cloud)))
     assert np.array_equal(ctx.matrix(), full)
-    # once built, the matrix serves every block
+    # a block read after the matrix is built is still computed from the forms
     assert np.array_equal(ctx.block(I, js), block)
 
 
@@ -202,6 +202,24 @@ def test_recheck_spanning_reads_every_point():
     # second point
     with pytest.raises(RuntimeError, match="spanning witness"):
         _recheck_spanning(ctx, [i for i in everything if i != 2047], 0.5 / 4096)
+
+
+def test_greedy_spanning_recheck_does_not_read_the_matrix(monkeypatch):
+    # a corrupted matrix puts point 0 within every eps of every point: the
+    # ratio cover reads its balls and picks point 0 alone, and the witness
+    # re-check, which computes its tiles from the forms, refuses it
+    build = _BowenOrbit.matrix
+
+    def corrupted(self):
+        m = build(self)
+        m[0, :] = m[:, 0] = 0.0
+        return m
+
+    monkeypatch.setattr(_BowenOrbit, "matrix", corrupted)
+    cloud = build_cloud(SpaceSpec("circle_grid", 200))
+    sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
+    with pytest.raises(RuntimeError, match="spanning witness failed its defining property"):
+        pressure.partition_sum_spanning(cloud, sched, Word(1, (0,)), 1, Potential("constant", (0.0,)), 1 / 16)
 
 
 def test_words_across_a_chunk_boundary_stack_with_zero_chunks():

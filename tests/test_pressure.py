@@ -526,6 +526,21 @@ def test_sup_entropy_edge_cases():
     assert sup_entropy_estimate(circle, doubling, [3, np.int64(3)], [1], [0.5]).subset_size == 1
 
 
+def test_a_broken_sandwich_raises(monkeypatch):
+    # a spanning witness padded by one point at eps makes r*(eps) = 3 exceed
+    # s*(eps) = 2 on the two-point cloud, with every count still exact
+    cloud, sched = two_point()
+    solve = pressure._solve_spanning_weighted
+
+    def padded(ctx, S, eps, mode="auto"):
+        value, idxs, method, exact = solve(ctx, S, eps, mode)
+        return value, idxs + idxs[:1] if eps == 0.5 else idxs, method, exact
+
+    monkeypatch.setattr(pressure, "_solve_spanning_weighted", padded)
+    with pytest.raises(RuntimeError, match=r"sandwich r\*\(eps\) <= s\*\(eps\) <= r\*\(eps/2\) failed at n=1, eps=0.5: 3, 2, 2"):
+        sup_entropy_estimate(cloud, sched, [0, 1], [1, 2], [0.5])
+
+
 def test_sup_entropy_sandwich_on_random_instances():
     for seed in range(4):
         rng = random.Random(70 + seed)

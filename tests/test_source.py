@@ -57,3 +57,43 @@ def test_no_function_local_name_is_stored_and_never_loaded():
                 if name != "_" and name not in loaded and name not in declared
             ]
     assert dead == []
+
+
+# the private names one module may still import from another; a ceiling,
+# so that removing one never fails the test
+PRIVATE_IMPORTS = {
+    ("pressure", "space", "_distance_kernel"),
+    ("pressure", "space", "_to_distance_form"),
+    ("theorems", "pressure", "_BowenOrbit"),
+    ("theorems", "pressure", "_birkhoff_vector"),
+    ("theorems", "pressure", "_logsumexp"),
+    ("theorems", "pressure", "_solve_separated_weighted"),
+    ("theorems", "pressure", "_solve_spanning_weighted"),
+    ("theorems", "pressure", "_sup_orbit"),
+}
+
+
+def test_no_new_private_imports_between_modules():
+    found = {
+        (path.stem, node.module, alias.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert sorted(found - PRIVATE_IMPORTS) == []
+
+
+def test_only_the_matrix_builder_reads_the_cached_matrix():
+    # rows and tiles come from the orbit's forms: the dense matrix is set
+    # up empty in __init__ and built, cached and returned by matrix() alone
+    tree = ast.parse((SRC / "pressure.py").read_text())
+    touched = sorted(
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for n in _scope_nodes(fn)
+        if isinstance(n, ast.Attribute) and n.attr == "_matrix"
+    )
+    assert set(touched) == {"__init__", "matrix"}

@@ -361,17 +361,22 @@ def test_every_n_range_parser_refuses_a_bad_range(bad):
             pytest.fail(f"{name} accepted {bad!r}")
 
 
-@pytest.mark.parametrize("bad", [2.5, 1.5, math.nan, math.inf, 0])
+@pytest.mark.parametrize("bad", [2.5, 1.5, math.nan, math.inf, 0, "2"])
 def test_scalar_step_counts_are_refused_by_the_n_range_rule(bad):
     cloud, sched = two_point()
-    calls = {
-        "check_basic_properties": lambda: check_basic_properties(cloud, sched, ZERO, ZERO, 0.5, n=bad, p=0.5, c=1.0),
-        "check_power_rule": lambda: check_power_rule(cloud, sched, ZERO, n=bad, m_range=[1, 2], eps_list=[0.5]),
-    }
-    for name, call in calls.items():
-        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+    kw = dict(n_range=[1, 2], eps_list=[0.5])
+    calls = [
+        ("n", lambda: check_basic_properties(cloud, sched, ZERO, ZERO, 0.5, n=bad, p=0.5, c=1.0)),
+        ("n", lambda: check_power_rule(cloud, sched, ZERO, n=bad, m_range=[1, 2], eps_list=[0.5])),
+        ("i", lambda: check_truncation_monotonicity(cloud, sched, ZERO, bad, 2, include_proxy=False, **kw)),
+        ("j", lambda: check_truncation_monotonicity(cloud, sched, ZERO, 1, bad, include_proxy=False, **kw)),
+        ("fiber_sample", lambda: check_factor_upper(quotient_factor(), ZERO, fiber_sample=bad, **kw)),
+        ("workers", lambda: pressure_estimate(cloud, sched, ZERO, workers=bad, **kw)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
             call()
-            pytest.fail(f"{name} accepted n={bad!r}")
+            pytest.fail(f"accepted {name}={bad!r}")
 
 
 def test_integral_float_step_counts_run_as_ints():
@@ -382,6 +387,13 @@ def test_integral_float_step_counts_run_as_ints():
     assert check_power_rule(cloud, sched, ZERO, n=2.0, m_range=[1, 2], eps_list=[0.5]) == check_power_rule(
         cloud, sched, ZERO, n=2, m_range=[1, 2], eps_list=[0.5]
     )
+    kw = dict(n_range=[2], eps_list=[0.5], include_proxy=False)
+    assert check_truncation_monotonicity(cloud, sched, ZERO, 1.0, 2.0, **kw) == check_truncation_monotonicity(cloud, sched, ZERO, 1, 2, **kw)
+    # the i < j rule reads the indices as ints
+    with pytest.raises(ValueError, match=r"need 1 <= i < j, got i=2, j=2"):
+        check_truncation_monotonicity(cloud, sched, ZERO, 2.0, 2, **kw)
+    kw = dict(n_range=[1, 2], eps_list=[0.5])
+    assert check_factor_upper(quotient_factor(), ZERO, fiber_sample=2.0, **kw) == check_factor_upper(quotient_factor(), ZERO, fiber_sample=2, **kw)
 
 
 def test_mini_random_suite_zero_violations():
