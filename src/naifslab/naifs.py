@@ -132,11 +132,7 @@ def apply_map(space, m: Map, batch: np.ndarray) -> np.ndarray:
     return m.table.astype(batch.dtype, copy=False)[batch]
 
 
-def validate_map(space, m: Map) -> None:
-    if isinstance(m, ComposedMap):
-        for step in m.steps:
-            validate_map(space, step)
-        return
+def validate_map(space, m: MapSpec) -> None:
     if space.family not in _KIND_FAMILIES[m.kind]:
         raise ValueError(f"map kind {m.kind!r} is not valid on a {space.family} space")
     arity = _KIND_ARITY.get(m.kind)

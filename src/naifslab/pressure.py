@@ -906,8 +906,6 @@ class PressureCurve:
 
 
 def _ls_slope(pairs: list[tuple[int, float]]) -> float:
-    if len(pairs) < 2:
-        return 0.0
     xs = np.array([p[0] for p in pairs], dtype=float)
     ys = np.array([p[1] for p in pairs], dtype=float)
     xm, ym = xs.mean(), ys.mean()
@@ -1039,7 +1037,6 @@ class SandwichCheck:
     r_eps: int
     s_eps: int
     r_half: int
-    ok: bool
 
 
 @dataclass
@@ -1101,7 +1098,7 @@ def sup_entropy_estimate(
                 r_eps, s_eps, r_half = len(r_idx), len(s_idx), len(rh_idx)
                 if not r_eps <= s_eps <= r_half:
                     raise RuntimeError(f"sandwich r*(eps) <= s*(eps) <= r*(eps/2) failed at n={n}, eps={eps}: {r_eps}, {s_eps}, {r_half}")
-                sandwiches.append(SandwichCheck(n=n, eps=eps, r_eps=r_eps, s_eps=s_eps, r_half=r_half, ok=True))
+                sandwiches.append(SandwichCheck(n=n, eps=eps, r_eps=r_eps, s_eps=s_eps, r_half=r_half))
     summary = _eps_summary(eps_list[-1], [(e.n, math.log(e.separated), e.saturated) for e in entries if e.eps == eps_list[-1]])
     return SupEntropyEstimate(
         estimate=summary.estimate,

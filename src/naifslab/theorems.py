@@ -181,19 +181,6 @@ def _exact_curves(*curves: PressureCurve) -> bool:
     return all(e.exact and e.word_mode == "exact" for curve in curves for e in curve.entries)
 
 
-def _escalated(ns: list[int], estimates, slack, tol: float):
-    """estimates(ns), or, when its slack(...) falls below -tol, estimates over
-    n_range extended by two steps; returns (estimates, escalated).  An
-    extension the inputs cannot take (ValueError) keeps the first result."""
-    first = estimates(ns)
-    if not slack(first) < -tol:
-        return first, False
-    try:
-        return estimates(ns + [ns[-1] + 1, ns[-1] + 2]), True
-    except ValueError:
-        return first, False
-
-
 # ---------------------------------------------------------------------------
 # basic pressure properties at fixed (n, eps)
 
@@ -473,18 +460,15 @@ def check_truncation_monotonicity(
     if tol is None:
         tol = default_proxy_tol(ns[-1], len(cloud))
 
-    def estimates(n_values):
-        return tuple(
-            pressure_estimate(cloud, truncate_system(schedule, k), psi, n_values, eps_list, word_budget=word_budget, seed=seed, workers=workers)
-            for k in (i, j)
-        )
-
-    (est_i, est_j), escalated = _escalated(ns, estimates, lambda e: e[1].estimate - e[0].estimate, tol)
+    est_i, est_j = (
+        pressure_estimate(cloud, truncate_system(schedule, k), psi, ns, eps_list, word_budget=word_budget, seed=seed, workers=workers)
+        for k in (i, j)
+    )
     reports.insert(
         0,
         comparison_report(
             "truncation/monotonicity-proxy", est_i.estimate, est_j.estimate, _exact_curves(est_i, est_j),
-            _ctx(i=i, j=j, n_range=tuple(ns), tol=tol, escalated=escalated), tol,
+            _ctx(i=i, j=j, n_range=tuple(ns), tol=tol), tol,
         ),
     )
     return reports
@@ -569,13 +553,10 @@ def check_factor_lower(
     phi o pi (proxy level).  Requires a verified semiconjugacy."""
     eps_list, ns, semi, tol = _factor_setup(factor, n_range, eps_list, tol)
 
-    def estimates(n_values):
-        return _factor_estimates(factor, phi_on_target, n_values, eps_list, word_budget, seed, workers)
-
-    (est_t, est_s), escalated = _escalated(ns, estimates, lambda e: e[1].estimate - e[0].estimate, tol)
+    est_t, est_s = _factor_estimates(factor, phi_on_target, ns, eps_list, word_budget, seed, workers)
     return comparison_report(
         "factor/pullback-lower", est_t.estimate, est_s.estimate, _exact_curves(est_t, est_s),
-        _ctx(n_range=tuple(ns), eps_list=tuple(eps_list), tol=tol, semiconjugacy=semi.detail, escalated=escalated), tol,
+        _ctx(n_range=tuple(ns), eps_list=tuple(eps_list), tol=tol, semiconjugacy=semi.detail), tol,
     )
 
 
@@ -651,23 +632,13 @@ def check_factor_upper(
         h_exact = h_exact and h.all_exact
         h_term = max(h_term, h.estimate)
 
-    def estimates(n_values):
-        return _factor_estimates(factor, phi_on_target, n_values, eps_list, word_budget, seed, workers)
-
-    (est_t, est_s), escalated = _escalated(ns, estimates, lambda e: e[0].estimate + h_term - e[1].estimate, tol)
+    est_t, est_s = _factor_estimates(factor, phi_on_target, ns, eps_list, word_budget, seed, workers)
     return comparison_report(
         "factor/fiber-upper",
         est_s.estimate,
         est_t.estimate + h_term,
         _exact_curves(est_s, est_t) and h_exact,
-        _ctx(
-            n_range=tuple(ns),
-            eps_list=tuple(eps_list),
-            tol=tol,
-            h_term=h_term,
-            fiber_sizes=tuple(fiber_sizes),
-            escalated=escalated,
-        ),
+        _ctx(n_range=tuple(ns), eps_list=tuple(eps_list), tol=tol, h_term=h_term, fiber_sizes=tuple(fiber_sizes)),
         tol,
     )
 

@@ -21,7 +21,7 @@ import naifslab.cli as cli
 from naifslab.cli import ConfigError, ExperimentConfig, main, run
 from naifslab.naifs import FACTOR_KINDS, MAP_KINDS
 from naifslab.space import POTENTIAL_KINDS, eval_potential_batch
-from naifslab.theorems import VIOLATED
+from naifslab.theorems import HOLDS_WITHIN_TOL, VIOLATED
 from oracles import eval_potential
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -173,11 +173,12 @@ def test_determinism_same_seed_byte_identical(tmp_path):
 
 
 def test_workers_flag_preserves_bytes(tmp_path):
-    for d, workers in (("w1", "1"), ("w2", "2")):
-        assert main(["run", "two_point_swap_sampled", "--out", str(tmp_path / d), "--workers", workers]) == 0
-    a = (tmp_path / "w1" / "pressure_curve.csv").read_bytes()
-    b = (tmp_path / "w2" / "pressure_curve.csv").read_bytes()
-    assert a == b
+    # an estimate run, and a verify run whose theorem curves open a pool at 2 workers
+    for name, outputs in (("two_point_swap_sampled", ("pressure_curve.csv",)), ("two_point_swap", ("verdicts.csv", "summary.txt"))):
+        for workers in ("1", "2"):
+            assert main(["run", name, "--out", str(tmp_path / name / workers), "--workers", workers]) == 0
+        for output in outputs:
+            assert (tmp_path / name / "1" / output).read_bytes() == (tmp_path / name / "2" / output).read_bytes(), output
 
 
 def test_main_runs_config_file(tmp_path):
@@ -276,27 +277,37 @@ def _set(raw, path, value):
 
 
 # values that pass the schema but are malformed or out of range; unchecked,
-# they raise other errors, exhaust memory or run with wrong numbers
+# they raise other errors, exhaust memory or run with wrong numbers.  Each is
+# (config, path, value), and the error names the path's top-level field.
+_INTERVAL = _example(
+    "doubling_circle", space={"family": "interval_grid", "resolution": 16}, schedule={"cycle": [[{"kind": "tent"}]]}
+)
 SCHEMA_VALID_BAD_VALUES = {
-    "huge_circle": ("doubling_circle", ("space", "resolution"), 2**40),
-    "huge_alphabet": ("shift_pressure", ("space", "alphabet_size"), 10**30),
-    "huge_n": ("doubling_circle", ("n_range", 1), 10**12),
-    "eps_past_float_range": ("doubling_circle", ("eps_list", 0), 10**400),
-    "matrix_past_float_range": ("two_point_swap", ("space", "distance_matrix", 0, 1), 10**400),
-    "table_outside_target": ("four_point_quotient", ("factor", "table", 3), 7),
-    "negative_table_entry": ("four_point_quotient", ("factor", "table", 3), -1),
-    "nan_fiber_tol": ("four_point_quotient", ("factor", "fiber_tol"), float("nan")),
-    "nan_tol": ("four_point_quotient", ("tol",), float("nan")),
-    "negative_check_tol": ("four_point_quotient", ("checks", 0, "tol"), -1.0),
-    "rotation_without_angle": ("doubling_circle", ("schedule", "cycle", 0, 0), {"kind": "rotation"}),
+    "huge_circle": (_example("doubling_circle"), ("space", "resolution"), 2**40),
+    "huge_alphabet": (_example("shift_pressure"), ("space", "alphabet_size"), 10**30),
+    "huge_n": (_example("doubling_circle"), ("n_range", 1), 10**12),
+    "eps_past_float_range": (_example("doubling_circle"), ("eps_list", 0), 10**400),
+    "matrix_past_float_range": (_example("two_point_swap"), ("space", "distance_matrix", 0, 1), 10**400),
+    "table_outside_target": (_example("four_point_quotient"), ("factor", "table", 3), 7),
+    "negative_table_entry": (_example("four_point_quotient"), ("factor", "table", 3), -1),
+    "nan_fiber_tol": (_example("four_point_quotient"), ("factor", "fiber_tol"), float("nan")),
+    "nan_tol": (_example("four_point_quotient"), ("tol",), float("nan")),
+    "negative_check_tol": (_example("four_point_quotient"), ("checks", 0, "tol"), -1.0),
+    "rotation_without_angle": (_example("doubling_circle"), ("schedule", "cycle", 0, 0), {"kind": "rotation"}),
+    # x -> 2x leaves [0, 1]
+    "affine_clamped_out_of_range": (_INTERVAL, ("schedule", "cycle", 0, 0), {"kind": "affine_clamped", "params": [2.0, 0.0]}),
+    # symbol 5 is outside the alphabet {0, 1}
+    "substitution_out_of_alphabet": (
+        _example("shift_pressure"), ("schedule", "cycle", 0, 0), {"kind": "symbol_substitution_table", "params": [0, 5]},
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SCHEMA_VALID_BAD_VALUES))
 def test_schema_valid_bad_values_are_config_errors(tmp_path, case):
-    name, path, value = SCHEMA_VALID_BAD_VALUES[case]
-    raw = _set(_example(name), path, value)
-    with pytest.raises(ConfigError):
+    base, path, value = SCHEMA_VALID_BAD_VALUES[case]
+    raw = _set(json.loads(json.dumps(base)), path, value)
+    with pytest.raises(ConfigError, match=rf"config field \$\.{path[0]}\b"):
         ExperimentConfig.from_dict(raw)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
@@ -437,6 +448,24 @@ def test_a_factor_that_is_no_semiconjugacy_reads_violated(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
     rows = list(csv.DictReader((tmp_path / "out" / "verdicts.csv").read_text().splitlines()[1:]))
     assert [(r["theorem"], r["verdict"]) for r in rows] == [("factor/semiconjugacy", VIOLATED)] * 3
+
+
+def test_conjugacy_check_runs_through_the_cli(tmp_path):
+    # the swap system is conjugate to itself through the bijection x -> 1 - x
+    system = {k: EXAMPLE_CONFIGS["two_point_swap"][k] for k in ("space", "schedule")}
+    raw = _example(
+        "two_point_swap",
+        factor=dict(system, kind="index_table", table=[1, 0]),
+        potential_target={"kind": "explicit_table", "params": [0, 1]},
+        checks=[{"type": "conjugacy"}],
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = list(csv.DictReader((tmp_path / "out" / "verdicts.csv").read_text().splitlines()[1:]))
+    assert [r["theorem"] for r in rows] == ["factor/pullback-lower", "factor/pullback-lower", "factor/conjugacy-equality"]
+    assert "direction='forward'" in rows[0]["context"] and "direction='backward'" in rows[1]["context"]
+    assert [r["verdict"] for r in rows] == [HOLDS_WITHIN_TOL] * 3
 
 
 def test_check_tol_is_refused_except_on_semiconjugacy(tmp_path, capsys):

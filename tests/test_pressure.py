@@ -511,7 +511,7 @@ def test_sup_entropy_edge_cases():
     for e in whole.entries:
         assert e.separated == 2
     for s in whole.sandwiches:
-        assert s.ok and s.r_eps <= s.s_eps <= s.r_half
+        assert s.r_eps <= s.s_eps <= s.r_half
     # a subset holds cloud indices, which must lie in the cloud
     doubling = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
     circle = build_cloud(SpaceSpec("circle_grid", 4))

@@ -24,6 +24,7 @@ from naifslab import (
 )
 from naifslab.space import (
     CLOUD_POINT_LIMIT,
+    TRIANGLE_EXHAUSTIVE_LIMIT,
     _to_distance_form,
     eval_potential_batch,
     paired_distances,
@@ -163,6 +164,19 @@ def test_resolution_out_of_range():
 def test_invalid_matrix_names_axiom(matrix, fragment):
     with pytest.raises(MetricError, match=fragment):
         SpaceSpec("finite_explicit", distance_matrix=tuple(tuple(r) for r in matrix))
+
+
+def test_large_matrices_sample_the_triangle_check():
+    # above TRIANGLE_EXHAUSTIVE_LIMIT points the triangle check reads a fixed
+    # sample of triples: a planar metric passes it, and stretching one pair
+    # far past every detour through a third point fails it
+    pts = np.random.default_rng(1).random((70, 2))
+    dm = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    assert len(dm) > TRIANGLE_EXHAUSTIVE_LIMIT
+    SpaceSpec("finite_explicit", distance_matrix=tuple(map(tuple, dm.tolist())))
+    dm[0, 1] = dm[1, 0] = 10.0
+    with pytest.raises(MetricError, match="triangle inequality fails on a sampled triple"):
+        SpaceSpec("finite_explicit", distance_matrix=tuple(map(tuple, dm.tolist())))
 
 
 @given(st.integers(2, 40), st.integers(0, 10_000))

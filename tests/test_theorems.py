@@ -594,7 +594,7 @@ def test_semiconjugacy_onto_nothing_reads_violated():
 
 
 # ---------------------------------------------------------------------------
-# the composed pullback, the per-run factor memo and escalated factor checks
+# the composed pullback, the per-run factor memo and proxy rows judged once
 
 
 def _shift_to_doubling(depth, circle, n_max, **changes):
@@ -705,7 +705,8 @@ def _sup_entropy_reference(cloud, schedule, subset, ns, eps_list):
             s, r, rh = len(s_idx), len(r_idx), len(rh_idx)
             entries.append(SupEntropyEntry(n, eps, s, r, s_exact and r_exact, s_method, s >= len(indices)))
             if s_exact and r_exact and rh_exact:
-                sandwiches.append(SandwichCheck(n, eps, r, s, rh, r <= s <= rh))
+                assert r <= s <= rh
+                sandwiches.append(SandwichCheck(n, eps, r, s, rh))
     return entries, sandwiches
 
 
@@ -768,7 +769,7 @@ def test_semiconjugacy_check_with_its_own_tol_measures_once(monkeypatch, tmp_pat
     assert b"max_deviation=0.0 tol=0.01 surjective=True" in csv
     assert b"max_deviation=0.0 tol=0.00048828125 surjective=True" in csv
     # the bytes written when each tolerance had a measurement of its own
-    assert hashlib.sha256(csv).hexdigest() == "36f7fdf290715d5dd1831b60189096dec6f9b5e007db2378e942e9c3d8d7af5b"
+    assert hashlib.sha256(csv).hexdigest() == "d22c79cd15d3a3475b5a803e91c827372a712adea8d514ce11191452a6f03305"
 
 
 def test_summary_marks_proxy_reports_whose_tol_exceeds_both_sides(tmp_path):
@@ -791,20 +792,48 @@ def test_summary_marks_proxy_reports_whose_tol_exceeds_both_sides(tmp_path):
         assert "*" not in summarize_reports([r])
 
 
-def test_escalated_factor_lower_reads_inconclusive():
+def _record_pressure_estimates(monkeypatch):
+    """Record (cloud size, n values) of every pressure_estimate call made by
+    the checks."""
+    import naifslab.theorems as theorems
+
+    calls = []
+    original = theorems.pressure_estimate
+
+    def recording(cloud, schedule, phi, n_values, *args, **kw):
+        calls.append((len(cloud), list(n_values)))
+        return original(cloud, schedule, phi, n_values, *args, **kw)
+
+    monkeypatch.setattr(theorems, "pressure_estimate", recording)
+    return calls
+
+
+# A proxy row whose slack falls below -tol is judged once, on the n_range it
+# was given: no second reading on a longer range.
+
+
+def test_escalated_factor_lower_reads_inconclusive(monkeypatch):
     config = ExperimentConfig.from_dict(_shift_to_doubling(10, 1024, 3))
+    calls = _record_pressure_estimates(monkeypatch)
     rep = check_factor_lower(config.factor, ZERO, config.n_range, config.eps_list, word_budget=config.word_budget, seed=config.seed, tol=1e-3)
-    assert "escalated=True" in rep.context
+    assert rep.slack < -rep.tol
     assert rep.verdict == INCONCLUSIVE
+    assert "escalated" not in rep.context
+    # one curve on the target, one on the source, both on n = 1..3
+    assert calls == [(len(config.factor.target.cloud), [1, 2, 3]), (len(config.factor.source.cloud), [1, 2, 3])]
 
 
-def test_escalated_factor_upper_through_the_cli(tmp_path):
+def test_escalated_factor_upper_through_the_cli(monkeypatch, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_shift_to_doubling(10, 256, 3)))
+    calls = _record_pressure_estimates(monkeypatch)
     assert main(["run", str(path), "--tol", "0.001", "--out", str(tmp_path / "out")]) == 0
     rows = (tmp_path / "out" / "verdicts.csv").read_text().splitlines()
     upper = [r for r in rows if r.startswith("factor/fiber-upper")]
-    assert len(upper) == 1 and "escalated=True" in upper[0] and INCONCLUSIVE in upper[0]
+    assert len(upper) == 1 and INCONCLUSIVE in upper[0]
+    assert "escalated" not in "\n".join(rows)
+    # the lower and upper checks share one curve per side, on n = 1..3
+    assert calls == [(256, [1, 2, 3]), (1024, [1, 2, 3])]
 
 
 def test_factor_memo_keys_hold_every_input():
