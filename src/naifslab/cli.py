@@ -132,7 +132,7 @@ CONFIG_SCHEMA = {
         "n_range": {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2},
         "eps_list": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "word_budget": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "kind": {"enum": ["separated", "spanning"]},
         "checks": {
             "type": "array",
@@ -171,7 +171,6 @@ CONFIG_SCHEMA = {
             "required": ["resolutions"],
             "additionalProperties": False,
         },
-        "workers": {"type": "integer", "minimum": 1},
         "tol": {"type": "number"},
         "output_dir": {"type": "string"},
     },
@@ -382,7 +381,6 @@ class ExperimentConfig:
     factor: FactorMapSpec | None = None
     checks: list[dict] = field(default_factory=list)
     sweep_resolutions: list[int] = field(default_factory=list)
-    workers: int = 1
     tol: float | None = None
     output_dir: str = "out"
     raw: dict = field(default_factory=dict, repr=False)
@@ -465,7 +463,6 @@ class ExperimentConfig:
             factor=factor,
             checks=checks,
             sweep_resolutions=sweep_resolutions,
-            workers=int(raw.get("workers", 1)),
             tol=_tol_from(raw.get("tol"), "$.tol"),
             output_dir=raw.get("output_dir", "out"),
             raw=raw,
@@ -528,7 +525,6 @@ def _run_estimate(config: ExperimentConfig, out: Path) -> int:
         word_budget=config.word_budget,
         seed=config.seed,
         kind=config.kind,
-        workers=config.workers,
     )
     _write_csv(out / "pressure_curve.csv", CURVE_COLUMNS, _curve_rows(curve), config.seed)
     (out / "estimate.txt").write_text(_estimate_text(curve, config))
@@ -540,7 +536,7 @@ def _run_checks(config: ExperimentConfig) -> list[InequalityReport]:
     reports: list[InequalityReport] = []
     phi = config.potential_phi or Potential("constant", (0.0,))
     target_phi = config.potential_target or Potential("constant", (0.0,))
-    common = dict(word_budget=config.word_budget, seed=config.seed, workers=config.workers, tol=config.tol)
+    common = dict(word_budget=config.word_budget, seed=config.seed, tol=config.tol)
     for chk in config.checks:
         kind = chk["type"]
         if kind == "basic":
@@ -616,7 +612,7 @@ def _run_sweep(config: ExperimentConfig, out: Path) -> int:
         for k, eps in enumerate(config.eps_list):
             curve = pressure_estimate(
                 cloud, config.schedule, config.potential, config.n_range, [eps],
-                word_budget=config.word_budget, seed=config.seed, kind=config.kind, workers=config.workers,
+                word_budget=config.word_budget, seed=config.seed, kind=config.kind,
             )
             _write_csv(out / f"pressure_curve_r{res}_e{k}.csv", CURVE_COLUMNS, _curve_rows(curve), config.seed)
             summary_rows.append([res, eps, curve.estimate, curve.all_exact])
@@ -657,7 +653,6 @@ def main(argv: list[str] | None = None) -> int:
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("config", help="path to a JSON config or the name of a bundled example")
-        p.add_argument("--workers", type=int, default=None, help="override the config's worker pool size")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--tol", type=float, default=None, help="override the proxy tolerance")
@@ -684,8 +679,6 @@ def main(argv: list[str] | None = None) -> int:
             raw["output_dir"] = args.out
         if args.tol is not None:
             raw["tol"] = args.tol
-        if args.workers is not None:
-            raw["workers"] = args.workers
         config = ExperimentConfig.from_dict(raw)
         return run(config)
     except ConfigError as e:

@@ -227,6 +227,8 @@ def validate_step_count(value, name: str = "n", minimum: int = 1) -> int:
 
 def orbit_batches(space, schedule: GenerationSchedule, w: Word, k: int, batch: np.ndarray, start: int | None = None) -> list[np.ndarray]:
     """[B, f(B), ..., f^{start,k}(B)] computed incrementally."""
+    if type(k) is not int or k < 0:
+        k = validate_step_count(k, "k", minimum=0)
     i = w.start if start is None else start
     if i < w.start or i + k > w.start + len(w):
         raise ValueError(f"word too short for orbit (start={i}, k={k})")
@@ -358,8 +360,11 @@ def enumerate_words(schedule: GenerationSchedule, m: int, n: int, budget: int | 
     a budget above WORD_ENUMERATION_CAP is refused before any word is built.
     """
     m, n = validate_step_count(m, "m"), validate_step_count(n, "n", minimum=0)
-    if budget is not None and not 1 <= budget <= WORD_ENUMERATION_CAP:
-        raise ValueError(f"word budget must lie in [1, WORD_ENUMERATION_CAP = {WORD_ENUMERATION_CAP}], got {budget}")
+    seed = validate_step_count(seed, "seed", minimum=0)
+    if budget is not None:
+        budget = validate_step_count(budget, "word_budget")
+        if budget > WORD_ENUMERATION_CAP:
+            raise ValueError(f"word_budget must be at most WORD_ENUMERATION_CAP = {WORD_ENUMERATION_CAP}, got {budget}")
     sizes = [len(generation_at(schedule, m + t)) for t in range(n)]
     total = count_words(schedule, m, n)
     cap = budget if budget is not None else WORD_ENUMERATION_CAP

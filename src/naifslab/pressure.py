@@ -33,10 +33,10 @@ depend on the window being right.
 A pressure curve holds one AveragedPartitionSum per (n, eps): the
 word-averaged sum in log space and its growth value (1/n) log.  It takes
 its cells n by n behind a memo of the per-word sums at the current n
-(_CurveMemo): each distinct word's orbit is built once and solves every
-eps (_word_sums), on first request or in the curve's one process pool.
-The memo is dropped when the curve returns or raises; called on their
-own, the per-word sums are not memoised.
+(_CurveMemo): each distinct word's orbit is built once, on its first
+request, and solves every eps (_word_sums).  The memo is dropped when
+the curve returns or raises; called on their own, the per-word sums are
+not memoised.
 
 All sums of exponentials are accumulated in log space with max shifting.
 """
@@ -46,8 +46,8 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
+# unused: perfbench/child.py counts pool_calls (now 0) through this name, and CI's traced step needs every metric
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
@@ -272,6 +272,8 @@ def _tile_rows(n_cols: int) -> int:
 def _word_orbit(cloud: PointCloud, schedule: GenerationSchedule, word: Word, n: int) -> _BowenOrbit:
     """The orbit of the whole cloud along the first n steps of a word rooted
     at start 1."""
+    if type(n) is not int or n < 0:
+        n = validate_step_count(n, "n", minimum=0)
     if word.start != 1:
         raise ValueError("partition sums run over words rooted at start 1; re-root the word")
     if n > len(word):
@@ -729,18 +731,16 @@ def _weighted_solver(kind: str):
     return _solve_separated_weighted if kind == "separated" else _solve_spanning_weighted
 
 
-def _word_sums(payload, mode: str = "auto") -> list[list[tuple[float, int, str, bool]]]:
-    """(log value, witness size, method, exact) at every eps of the list for
-    each word of one chunk, in order, from one orbit and one Birkhoff vector
-    per word: the unit that _CurveMemo reads and that a pool task solves."""
-    cloud, schedule, n, psi, kind, eps_list, words = payload
+def _word_sums(
+    cloud: PointCloud, schedule: GenerationSchedule, n: int, psi: Potential, kind: str, eps_list: list[float], w: Word, mode: str = "auto"
+) -> list[tuple[float, int, str, bool]]:
+    """(log value, witness size, method, exact) of one word at every eps of
+    the list, in order, from one orbit and one Birkhoff vector: the unit
+    that _CurveMemo reads."""
     solve = _weighted_solver(kind)
-    out = []
-    for w in words:
-        ctx = _word_orbit(cloud, schedule, w, n)
-        S = _birkhoff_vector(ctx, psi)
-        out.append([(value, len(idxs), method, exact) for value, idxs, method, exact in (solve(ctx, S, e, mode) for e in eps_list)])
-    return out
+    ctx = _word_orbit(cloud, schedule, w, n)
+    S = _birkhoff_vector(ctx, psi)
+    return [(value, len(idxs), method, exact) for value, idxs, method, exact in (solve(ctx, S, e, mode) for e in eps_list)]
 
 
 class _CurveMemo:
@@ -748,10 +748,9 @@ class _CurveMemo:
 
     A word's orbit and Birkhoff vector depend on neither eps nor how often
     the word was drawn, so its sums at every eps of the curve are solved
-    together (_word_sums), on its first request or beforehand by the
-    curve's pool (pressure_estimate).  Only requests with the memo's cloud,
-    schedule and potential (by identity), n and kind, mode "auto" and an
-    eps of the curve are served.
+    together (_word_sums), on its first request.  Only requests with the
+    memo's cloud, schedule and potential (by identity), n and kind, mode
+    "auto" and an eps of the curve are served.
     """
 
     def __init__(self, cloud: PointCloud, schedule: GenerationSchedule, n: int, psi: Potential, kind: str, eps_list: list[float]):
@@ -766,7 +765,7 @@ class _CurveMemo:
     def read(self, w: Word, eps: float) -> tuple[float, int, str, bool]:
         sums = self.sums.get(w)
         if sums is None:
-            sums = self.sums[w] = _word_sums((*self.scope, [w]))[0]
+            sums = self.sums[w] = _word_sums(*self.scope, w)
         return sums[self.eps_index[eps]]
 
 
@@ -781,7 +780,7 @@ def _partition_sum(kind: str, cloud: PointCloud, schedule: GenerationSchedule, w
     if memo is not None and memo.serves(cloud, schedule, n, psi, eps, mode, kind):
         log_value, size, method, exact = memo.read(w, eps)
     else:
-        log_value, size, method, exact = _word_sums((cloud, schedule, n, psi, kind, [eps], [w]), mode)[0][0]
+        [(log_value, size, method, exact)] = _word_sums(cloud, schedule, n, psi, kind, [eps], w, mode)
     return PartitionSumResult(log_value=log_value, word=w, method=method, exact=exact, witness_size=size)
 
 
@@ -972,7 +971,6 @@ def pressure_estimate(
     word_budget: int | None = 4096,
     seed: int = 0,
     kind: str = "separated",
-    workers: int = 1,
 ) -> PressureCurve:
     """Growth-rate curve of the word-averaged partition sums.
 
@@ -983,25 +981,14 @@ def pressure_estimate(
     """
     ns = validate_n_range(n_range)
     eps_list = validate_eps_list(eps_list)
-    width = min(validate_step_count(workers, "workers"), os.cpu_count() or 1)
-    token, cells, pool = _curve_memo.set(None), {}, None
+    token, cells = _curve_memo.set(None), {}
     try:
         # n by n, so that each word's orbit serves every eps (_CurveMemo)
         for n in ns:
-            _curve_memo.set(memo := _CurveMemo(cloud, schedule, n, psi, kind, eps_list))
-            # at two or more workers, the curve's one pool solves the distinct
-            # words, in first-draw order and fixed runs, before the cells read them
-            words = list(dict.fromkeys(enumerate_words(schedule, 1, n, word_budget, seed)[0])) if width > 1 else []
-            if len(words) >= 8:
-                pool = pool or ProcessPoolExecutor(max_workers=width)
-                cuts = [len(words) * i // width for i in range(width + 1)]
-                parts = pool.map(_word_sums, [(*memo.scope, words[a:b]) for a, b in zip(cuts, cuts[1:])])
-                memo.sums.update(zip(words, (sums for part in parts for sums in part)))
+            _curve_memo.set(_CurveMemo(cloud, schedule, n, psi, kind, eps_list))
             for eps in eps_list:
                 cells[eps, n] = averaged_partition_sum(cloud, schedule, n, psi, eps, kind=kind, word_budget=word_budget, seed=seed)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
         _curve_memo.reset(token)
     entries = [cells[eps, n] for eps in eps_list for n in ns]
     per_eps = [_eps_summary(eps, [(e.n, e.log_average, e.saturated) for e in entries if e.eps == eps]) for eps in eps_list]

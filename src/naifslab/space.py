@@ -138,7 +138,7 @@ class PointCloud:
         self.batch.flags.writeable = False
 
     def __setstate__(self, state):
-        # an unpickled array is writeable again (worker processes)
+        # an unpickled array is writeable again; the copy stays immutable
         self.__dict__.update(state)
         self.__post_init__()
 

@@ -326,7 +326,6 @@ def check_power_rule(
     word_budget: int | None = 4096,
     seed: int = 0,
     tol: float | None = None,
-    workers: int = 1,
     include_proxy: bool = True,
 ) -> list[InequalityReport]:
     """Spanning-set transfer to the n-step power system, exactly per word,
@@ -369,8 +368,8 @@ def check_power_rule(
 
     pow_sched = power_system(schedule, n)
     base_ns = [m * n for m in ms]
-    est_base = pressure_estimate(cloud, schedule, psi, base_ns, eps_list, word_budget=word_budget, seed=seed, workers=workers)
-    est_pow = pressure_estimate(cloud, pow_sched, psi, ms, eps_list, word_budget=word_budget, seed=seed, workers=workers)
+    est_base = pressure_estimate(cloud, schedule, psi, base_ns, eps_list, word_budget=word_budget, seed=seed)
+    est_pow = pressure_estimate(cloud, pow_sched, psi, ms, eps_list, word_budget=word_budget, seed=seed)
     if tol is None:
         tol = default_proxy_tol(max(base_ns), len(cloud))
     reports.append(
@@ -383,7 +382,7 @@ def check_power_rule(
         const = psi.params[0]
         est_pow_scaled = pressure_estimate(
             cloud, pow_sched, Potential("constant", (n * const,)), ms, eps_list,
-            word_budget=word_budget, seed=seed, workers=workers,
+            word_budget=word_budget, seed=seed,
         )
         reports.append(
             comparison_report(
@@ -414,7 +413,6 @@ def check_truncation_monotonicity(
     word_budget: int | None = 4096,
     seed: int = 0,
     tol: float | None = None,
-    workers: int = 1,
     include_proxy: bool = True,
 ) -> list[InequalityReport]:
     """Pressure of the system truncated at i against the one truncated at j
@@ -461,7 +459,7 @@ def check_truncation_monotonicity(
         tol = default_proxy_tol(ns[-1], len(cloud))
 
     est_i, est_j = (
-        pressure_estimate(cloud, truncate_system(schedule, k), psi, ns, eps_list, word_budget=word_budget, seed=seed, workers=workers)
+        pressure_estimate(cloud, truncate_system(schedule, k), psi, ns, eps_list, word_budget=word_budget, seed=seed)
         for k in (i, j)
     )
     reports.insert(
@@ -525,17 +523,17 @@ def _factor_setup(factor: FactorMapSpec, n_range: Sequence[int], eps_list: Seque
     return eps_list, ns, semi, tol
 
 
-def _factor_estimates(factor: FactorMapSpec, phi_on_target: Potential, n_values: list[int], eps_list: list[float], word_budget: int | None, seed: int, workers: int) -> tuple:
+def _factor_estimates(factor: FactorMapSpec, phi_on_target: Potential, n_values: list[int], eps_list: list[float], word_budget: int | None, seed: int) -> tuple:
     """Pressure curves of phi on the target and of its pullback on the source."""
 
     def compute():
-        kw = dict(word_budget=word_budget, seed=seed, workers=workers)
+        kw = dict(word_budget=word_budget, seed=seed)
         pulled = pullback_potential(factor, phi_on_target)
         est_t = pressure_estimate(factor.target.cloud, factor.target.schedule, phi_on_target, n_values, eps_list, **kw)
         est_s = pressure_estimate(factor.source.cloud, factor.source.schedule, pulled, n_values, eps_list, **kw)
         return phi_on_target, (est_t, est_s)
 
-    key = ("curves", id(phi_on_target), tuple(n_values), tuple(eps_list), word_budget, seed, workers)
+    key = ("curves", id(phi_on_target), tuple(n_values), tuple(eps_list), word_budget, seed)
     return _factor_memo(factor, key, compute)[1]
 
 
@@ -547,13 +545,12 @@ def check_factor_lower(
     word_budget: int | None = 4096,
     seed: int = 0,
     tol: float | None = None,
-    workers: int = 1,
 ) -> InequalityReport:
     """Target pressure of phi is bounded by source pressure of the pullback
     phi o pi (proxy level).  Requires a verified semiconjugacy."""
     eps_list, ns, semi, tol = _factor_setup(factor, n_range, eps_list, tol)
 
-    est_t, est_s = _factor_estimates(factor, phi_on_target, ns, eps_list, word_budget, seed, workers)
+    est_t, est_s = _factor_estimates(factor, phi_on_target, ns, eps_list, word_budget, seed)
     return comparison_report(
         "factor/pullback-lower", est_t.estimate, est_s.estimate, _exact_curves(est_t, est_s),
         _ctx(n_range=tuple(ns), eps_list=tuple(eps_list), tol=tol, semiconjugacy=semi.detail), tol,
@@ -578,14 +575,13 @@ def check_factor_conjugacy(
     word_budget: int | None = 4096,
     seed: int = 0,
     tol: float | None = None,
-    workers: int = 1,
 ) -> list[InequalityReport]:
     """For an invertible factor the two pullback bounds combine into the
     equality of pressures; emitted as both one-sided reports plus the
     symmetric equality report."""
     require_invertible(factor)
     eps_list, ns, _, tol = _factor_setup(factor, n_range, eps_list, tol)
-    est_t, est_s = _factor_estimates(factor, phi_on_target, ns, eps_list, word_budget, seed, workers)
+    est_t, est_s = _factor_estimates(factor, phi_on_target, ns, eps_list, word_budget, seed)
     exact = _exact_curves(est_t, est_s)
     base = _ctx(n_range=tuple(ns), tol=tol)
     return [
@@ -606,7 +602,6 @@ def check_factor_upper(
     word_budget: int | None = 4096,
     seed: int = 0,
     tol: float | None = None,
-    workers: int = 1,
 ) -> InequalityReport:
     """Source pressure of the pullback against target pressure plus the
     largest fiber sup-entropy over sampled target points (proxy level)."""
@@ -632,7 +627,7 @@ def check_factor_upper(
         h_exact = h_exact and h.all_exact
         h_term = max(h_term, h.estimate)
 
-    est_t, est_s = _factor_estimates(factor, phi_on_target, ns, eps_list, word_budget, seed, workers)
+    est_t, est_s = _factor_estimates(factor, phi_on_target, ns, eps_list, word_budget, seed)
     return comparison_report(
         "factor/fiber-upper",
         est_s.estimate,

@@ -75,7 +75,7 @@ def test_nonfinite_eps_rejected(tmp_path, capsys, eps):
         ExperimentConfig.from_dict(bad)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(bad))
-    assert main(["run", str(path), "--workers", "1"]) == 2
+    assert main(["run", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -153,51 +153,42 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 def test_main_runs_bundled_example(tmp_path):
-    assert main(["run", "two_point_swap_sampled", "--out", str(tmp_path / "a"), "--workers", "1"]) == 0
+    assert main(["run", "two_point_swap_sampled", "--out", str(tmp_path / "a")]) == 0
     text = (tmp_path / "a" / "estimate.txt").read_text()
     value = float(text.split("final_estimate = ")[1].splitlines()[0])
     assert abs(value) < 1e-9
 
 
 def test_seed_override_changes_output_header(tmp_path):
-    assert main(["run", "two_point_swap_sampled", "--out", str(tmp_path / "b"), "--seed", "99", "--workers", "1"]) == 0
+    assert main(["run", "two_point_swap_sampled", "--out", str(tmp_path / "b"), "--seed", "99"]) == 0
     assert (tmp_path / "b" / "pressure_curve.csv").read_text().splitlines()[0] == "# seed=99"
 
 
 def test_determinism_same_seed_byte_identical(tmp_path):
     for d in ("r1", "r2"):
-        assert main(["run", "two_point_swap_sampled", "--out", str(tmp_path / d), "--workers", "1"]) == 0
+        assert main(["run", "two_point_swap_sampled", "--out", str(tmp_path / d)]) == 0
     a = (tmp_path / "r1" / "pressure_curve.csv").read_bytes()
     b = (tmp_path / "r2" / "pressure_curve.csv").read_bytes()
     assert a == b
 
 
-def test_workers_flag_preserves_bytes(tmp_path):
-    # an estimate run, and a verify run whose theorem curves open a pool at 2 workers
-    for name, outputs in (("two_point_swap_sampled", ("pressure_curve.csv",)), ("two_point_swap", ("verdicts.csv", "summary.txt"))):
-        for workers in ("1", "2"):
-            assert main(["run", name, "--out", str(tmp_path / name / workers), "--workers", workers]) == 0
-        for output in outputs:
-            assert (tmp_path / name / "1" / output).read_bytes() == (tmp_path / name / "2" / output).read_bytes(), output
-
-
 def test_main_runs_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(TINY_ESTIMATE, output_dir=str(tmp_path / "out"))))
-    assert main(["run", str(path), "--workers", "1"]) == 0
+    assert main(["run", str(path)]) == 0
     assert (tmp_path / "out" / "estimate.txt").exists()
 
 
-def test_config_workers_reach_run(tmp_path, monkeypatch):
-    import naifslab.cli as cli
-
-    seen = []
-    monkeypatch.setattr(cli, "run", lambda config: seen.append(config.workers) or 0)
+def test_a_worker_count_is_refused_by_the_config_and_the_command_line(tmp_path, capsys):
+    # every curve takes one serial path: no config field or flag sets a worker count
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(TINY_ESTIMATE, workers=3, output_dir=str(tmp_path / "out"))))
-    assert main(["run", str(path)]) == 0
-    assert main(["run", str(path), "--workers", "2"]) == 0
-    assert seen == [3, 2]
+    path.write_text(json.dumps(dict(TINY_ESTIMATE, workers=2, output_dir=str(tmp_path / "out"))))
+    assert main(["run", str(path)]) == 2
+    assert "config field $: Additional properties are not allowed ('workers' was unexpected)" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["run", "two_point_swap_sampled", "--out", str(tmp_path / "flag"), "--workers", "2"])
+    assert info.value.code == 2
+    assert not (tmp_path / "out").exists() and not (tmp_path / "flag").exists()
 
 
 def _example(name, **changes):
@@ -242,7 +233,7 @@ def test_mismatched_potential_is_a_config_error(tmp_path, capsys, case):
         ExperimentConfig.from_dict(raw)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
-    assert main(["run", str(path), "--workers", "1"]) == 2
+    assert main(["run", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -554,12 +545,12 @@ def test_check_parameters_are_parsed_with_defaults(tmp_path):
 
 
 def test_integral_floats_read_as_integers():
-    raw = _example("shift_pressure", n_range=[1.0, 3.0], word_budget=8.0, seed=5.0, workers=1.0)
+    raw = _example("shift_pressure", n_range=[1.0, 3.0], word_budget=8.0, seed=5.0)
     raw["space"] = {"family": "symbolic_depth", "resolution": 8.0, "alphabet_size": 2.0}
     config = ExperimentConfig.from_dict(raw)
     assert len(config.cloud) == 256 and config.n_range == [1, 2, 3]
-    assert (config.word_budget, config.seed, config.workers) == (8, 5, 1)
-    assert all(type(v) is int for v in (config.word_budget, config.seed, config.workers, config.cloud.space.resolution))
+    assert (config.word_budget, config.seed) == (8, 5)
+    assert all(type(v) is int for v in (config.word_budget, config.seed, config.cloud.space.resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +770,8 @@ _DROP = object()
     # the least json path as a string: [10] sorts before [2]
     ({"schedule": {"cycle": [[{"kind": "permutation_table", "params": [1, 0] + [0] * 8 + ["a"]}]], "prefix": 1}},
      "$.schedule.cycle[0][0].params[10]: 'a' is not of type 'number'"),
+    # random.Random(-3) would draw the words of seed 3
+    ({"seed": -3}, "$.seed: -3 is less than the minimum of 0"),
 ])
 def test_schema_errors_name_the_least_path(change, message):
     raw = {k: v for k, v in _example("two_point_swap", **change).items() if v is not _DROP}
@@ -791,7 +784,7 @@ def test_schema_errors_name_the_least_path(change, message):
 @given(_confused_configs())
 # each bound of the schema, just past it
 @example(_example("two_point_swap", word_budget=0))
-@example(_example("two_point_swap", workers=0.0))
+@example(_example("two_point_swap", seed=-1))
 @example(_example("two_point_swap", n_range=[1]))
 @example(_example("two_point_swap", n_range=[1, 2, 3]))
 @example(_example("two_point_swap", eps_list=[]))

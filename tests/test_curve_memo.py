@@ -5,14 +5,12 @@ Inside pressure_estimate each word's orbit and Birkhoff vector are built
 once per n and serve every eps of the curve, and a word drawn twice is
 solved once.  Every entry must equal the uncached averaged_partition_sum
 bit for bit, and a request outside the curve's scope must be solved afresh.
-At two or more workers the curve's one process pool fills the memo with
-the same per-word sums before the cells read them.
 """
 
 import dataclasses
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -167,135 +165,6 @@ def test_nothing_is_memoised_after_a_curve_returns_or_raises(monkeypatch):
     monkeypatch.setattr(pressure, "_solve_separated_weighted", failing)
     with pytest.raises(RuntimeError, match="planted failure"):
         pressure_estimate(cloud, sched, psi, [1, 2], eps_list)
-    assert pressure._curve_memo.get() is None
-
-
-class InProcessPool:
-    """Stands in for ProcessPoolExecutor: maps in this process, and records
-    its size, the word runs of each task and whether it was shut down."""
-
-    opened: list["InProcessPool"] = []
-
-    def __init__(self, max_workers):
-        self.max_workers, self.runs, self.shut = max_workers, [], False
-        InProcessPool.opened.append(self)
-
-    def map(self, fn, payloads):
-        payloads = list(payloads)
-        self.runs.append([payload[-1] for payload in payloads])
-        return map(fn, payloads)
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.shut = True
-
-
-@pytest.fixture
-def in_process_pool(monkeypatch):
-    InProcessPool.opened = []
-    monkeypatch.setattr(pressure, "ProcessPoolExecutor", InProcessPool)
-    return InProcessPool.opened
-
-
-def _first_draws(sched, n, budget, seed):
-    return list(dict.fromkeys(enumerate_words(sched, 1, n, budget, seed)[0]))
-
-
-@pytest.mark.parametrize("workers, cpus, size", [(2, 2, 2), (10**9, 3, 3), (2, 1, None), (1, 4, None), (2, None, None)])
-def test_a_curve_opens_at_most_one_pool_sized_by_workers_and_cpus(monkeypatch, in_process_pool, workers, cpus, size):
-    # n = 1 draws 3 words and stays serial; n = 2 and 3 draw 9 and 12 words
-    rng = random.Random(4)
-    cloud, sched, psi = _instance(rng, 8)
-    eps_list = _eps_list(cloud, [0.5, 0.2])
-    ns, budget = [1, 2, 3], 12
-    serial = pressure_estimate(cloud, sched, psi, ns, eps_list, word_budget=budget, seed=2, kind="spanning")
-    monkeypatch.setattr(pressure.os, "cpu_count", lambda: cpus)
-    pooled = pressure_estimate(cloud, sched, psi, ns, eps_list, word_budget=budget, seed=2, kind="spanning", workers=workers)
-    assert [_fields(e) for e in pooled.entries] == [_fields(e) for e in serial.entries]
-    assert pressure._curve_memo.get() is None
-    if size is None:
-        assert in_process_pool == []
-        return
-    (pool,) = in_process_pool
-    assert pool.max_workers == size and pool.shut
-    # one map per pooled n, of `size` runs that hold its distinct words in first-draw order
-    assert [[w for run in runs for w in run] for runs in pool.runs] == [_first_draws(sched, n, budget, 2) for n in (2, 3)]
-    assert all(len(runs) == size for runs in pool.runs)
-
-
-def test_no_pool_when_no_n_draws_eight_distinct_words(monkeypatch, in_process_pool):
-    # 3, 9 and 27 words, sampled at a budget of 7
-    rng = random.Random(4)
-    cloud, sched, psi = _instance(rng, 8)
-    eps_list = _eps_list(cloud, [0.5, 0.2])
-    monkeypatch.setattr(pressure.os, "cpu_count", lambda: 4)
-    serial = pressure_estimate(cloud, sched, psi, [1, 2, 3], eps_list, word_budget=7, seed=2)
-    pooled = pressure_estimate(cloud, sched, psi, [1, 2, 3], eps_list, word_budget=7, seed=2, workers=4)
-    assert in_process_pool == []
-    assert [_fields(e) for e in pooled.entries] == [_fields(e) for e in serial.entries]
-
-
-def test_pool_tasks_fill_the_memo_with_one_orbit_per_distinct_word(monkeypatch, in_process_pool):
-    # at 2 workers every orbit is built by a pool task or by a serial read
-    # of an n with fewer than 8 distinct words, once per distinct word
-    rng = random.Random(5)
-    cloud, sched, psi = _instance(rng, 24)
-    eps_list = _eps_list(cloud, [0.6, 0.3])
-    ns, budget = [1, 2, 3], 12
-    orbits, reads = [], []
-    word_orbit = pressure._word_orbit
-    read = pressure._CurveMemo.read
-    monkeypatch.setattr(pressure, "_word_orbit", lambda cloud_, sched_, w, n: orbits.append((n, w)) or word_orbit(cloud_, sched_, w, n))
-    monkeypatch.setattr(pressure._CurveMemo, "read", lambda self, w, eps: reads.append(w) or read(self, w, eps))
-    monkeypatch.setattr(pressure.os, "cpu_count", lambda: 2)
-    pressure_estimate(cloud, sched, psi, ns, eps_list, word_budget=budget, seed=1, kind="spanning", workers=2)
-    assert [len(_first_draws(sched, n, budget, 1)) for n in ns] == [3, 9, 10]
-    assert orbits == [(n, w) for n in ns for w in _first_draws(sched, n, budget, 1)]
-    # every (draw, eps) still reads the memo once
-    assert len(reads) == len(eps_list) * sum(_distinct_words(sched, n, budget, 1)[0] for n in ns)
-    assert len(in_process_pool) == 1
-
-
-class CountedPool(ProcessPoolExecutor):
-    """The real executor, recording every instance a curve opens."""
-
-    opened: list["CountedPool"] = []
-
-    def __init__(self, max_workers):
-        super().__init__(max_workers=max_workers)
-        CountedPool.opened.append(self)
-
-
-def test_a_two_worker_curve_equals_the_serial_curve(monkeypatch):
-    # real worker processes, at budgets that draw repeated words
-    rng = random.Random(6)
-    cloud, sched, psi = _instance(rng, 8)
-    eps_list = _eps_list(cloud, [0.5, 0.2])
-    ns = [2, 3]
-    draws = [_distinct_words(sched, n, 10, 4) for n in ns]
-    assert any(d < drawn for drawn, d in draws) and max(d for _, d in draws) >= 8
-    monkeypatch.setattr(pressure.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(pressure, "ProcessPoolExecutor", CountedPool)
-    for kind in pressure.KINDS:
-        CountedPool.opened = []
-        serial = pressure_estimate(cloud, sched, psi, ns, eps_list, word_budget=10, seed=4, kind=kind)
-        pooled = pressure_estimate(cloud, sched, psi, ns, eps_list, word_budget=10, seed=4, kind=kind, workers=2)
-        assert len(CountedPool.opened) == 1
-        assert [_fields(e) for e in pooled.entries] == [_fields(e) for e in serial.entries]
-
-
-def test_a_failing_pool_task_propagates_and_shuts_the_pool(monkeypatch):
-    # n = 2 draws 9 words; their Birkhoff sums overflow in the worker processes
-    rng = random.Random(6)
-    cloud, sched, _ = _instance(rng, 8)
-    huge = Potential("explicit_table", (1e308,) * len(cloud))
-    monkeypatch.setattr(pressure.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(pressure, "ProcessPoolExecutor", CountedPool)
-    CountedPool.opened = []
-    with pytest.raises(ValueError, match="Birkhoff sums are not finite"):
-        pressure_estimate(cloud, sched, huge, [2], _eps_list(cloud, [0.5]), workers=2)
-    (pool,) = CountedPool.opened
-    with pytest.raises(RuntimeError, match="after shutdown"):
-        pool.submit(int)
     assert pressure._curve_memo.get() is None
 
 

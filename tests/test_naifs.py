@@ -26,18 +26,20 @@ from naifslab import (
     fiber_indices,
     generation_at,
     partition_sum_separated,
+    partition_sum_spanning,
     power_system,
     sup_bowen_distance,
     truncate_system,
 )
 import naifslab.naifs as naifs
 from naifslab.cli import main
-from naifslab.naifs import _is_surjective, apply_factor_batch, reachable_batches, reachable_points
+from naifslab.naifs import _is_surjective, apply_factor_batch, orbit_batches, reachable_batches, reachable_points
 from naifslab.space import points_to_batch
 from oracles import canonical_key, compose, oracle_bowen, oracle_reachable_points, oracle_sup_bowen, oracle_surjective, points_of
 
 ID = MapSpec("identity")
 SWAP2 = MapSpec("permutation_table", (1, 0))
+ZERO = Potential("constant", (0.0,))
 
 
 def two_point():
@@ -297,6 +299,12 @@ _COUNT_ARGUMENTS = {
     "count_words n": (lambda c, s, v: count_words(s, 1, v), "n"),
     "enumerate_words m": (lambda c, s, v: enumerate_words(s, v, 2, None, 0), "m"),
     "enumerate_words n": (lambda c, s, v: enumerate_words(s, 1, v, None, 0), "n"),
+    # 8 words at n = 3: a budget of 2 samples them
+    "enumerate_words budget": (lambda c, s, v: enumerate_words(s, 1, 3, v, 0), "word_budget"),
+    "enumerate_words seed": (lambda c, s, v: enumerate_words(s, 1, 3, 2, v), "seed"),
+    "partition_sum_separated": (lambda c, s, v: partition_sum_separated(c, s, Word(1, (0, 1, 1)), v, ZERO, 0.5), "n"),
+    "partition_sum_spanning": (lambda c, s, v: partition_sum_spanning(c, s, Word(1, (0, 1, 1)), v, ZERO, 0.5), "n"),
+    "orbit_batches": (lambda c, s, v: [b.tolist() for b in orbit_batches(c.space, s, Word(1, (0, 1, 1)), v, c.batch)], "k"),
     "reachable_points": (lambda c, s, v: reachable_points(c, s, v), "steps"),
     "generation_at": (lambda c, s, v: generation_at(s, v), "j"),
     "Word start": (lambda c, s, v: Word(v, (0,)), "start"),
@@ -333,6 +341,9 @@ def test_counts_keep_their_lower_bounds():
     assert bowen_distance(cloud, sched, Word(1, (0, 1)), 0, 0, 1) == 1.0
     assert count_words(sched, 1, 0) == 1 and enumerate_words(sched, 1, 0, None, 0)[2] == 1
     assert sorted(reachable_points(cloud, sched, 0)) == [0, 1]
+    assert enumerate_words(sched, 1, 3, 1, 0)[1] == "sampled"
+    assert partition_sum_spanning(cloud, sched, Word(1, (0,)), 0, ZERO, 0.5).witness_size == 2
+    assert len(orbit_batches(cloud.space, sched, Word(1, (0,)), 0, cloud.batch)) == 1
     for call, name, low in (
         (lambda: power_system(sched, 0), "n", 1),
         (lambda: truncate_system(sched, 0), "k", 1),
@@ -340,6 +351,11 @@ def test_counts_keep_their_lower_bounds():
         (lambda: sup_bowen_distance(cloud, sched, 0, 0, 1), "n", 1),
         (lambda: count_words(sched, 0, 2), "m", 1),
         (lambda: enumerate_words(sched, 1, -1, None, 0), "n", 0),
+        (lambda: enumerate_words(sched, 1, 3, 0, 0), "word_budget", 1),
+        (lambda: enumerate_words(sched, 1, 3, 2, -3), "seed", 0),
+        (lambda: partition_sum_separated(cloud, sched, Word(1, (0,)), -1, ZERO, 0.5), "n", 0),
+        (lambda: partition_sum_spanning(cloud, sched, Word(1, (0,)), -1, ZERO, 0.5), "n", 0),
+        (lambda: orbit_batches(cloud.space, sched, Word(1, (0,)), -1, cloud.batch), "k", 0),
         (lambda: reachable_points(cloud, sched, -1), "steps", 0),
         (lambda: generation_at(sched, 0), "j", 1),
         (lambda: Word(0, (0,)), "start", 1),

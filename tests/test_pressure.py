@@ -335,16 +335,6 @@ def test_sampled_mode_reports_stderr_and_reproduces():
     assert a.stderr >= 0.0
 
 
-def test_workers_do_not_change_results(monkeypatch):
-    # 2**6 words at n = 6: two worker processes solve them for the curve
-    cloud, sched = two_point()
-    psi = Potential("explicit_table", (0.0, 1.0))
-    monkeypatch.setattr(pressure.os, "cpu_count", lambda: 2)
-    serial = pressure_estimate(cloud, sched, psi, [5, 6], [0.5], word_budget=None, workers=1)
-    parallel = pressure_estimate(cloud, sched, psi, [5, 6], [0.5], word_budget=None, workers=2)
-    assert serial == parallel
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 20, 63, 64, 65, 300])
 def test_conflict_masks_match_per_bit_formula(n):
     # the exact solvers' conflict masks are the balls less their centres;

@@ -76,7 +76,7 @@ def test_cloud_batch_matches_oracle_points(spec):
 def test_cloud_batch_is_read_only():
     for spec in CLOUD_SPECS:
         cloud = build_cloud(spec)
-        # a worker process receives the cloud pickled
+        # a pickled copy of the cloud is read-only too
         for batch in (cloud.batch, pickle.loads(pickle.dumps(cloud)).batch):
             with pytest.raises(ValueError, match="read-only"):
                 batch[0] = batch[-1]

@@ -371,7 +371,7 @@ def test_scalar_step_counts_are_refused_by_the_n_range_rule(bad):
         ("i", lambda: check_truncation_monotonicity(cloud, sched, ZERO, bad, 2, include_proxy=False, **kw)),
         ("j", lambda: check_truncation_monotonicity(cloud, sched, ZERO, 1, bad, include_proxy=False, **kw)),
         ("fiber_sample", lambda: check_factor_upper(quotient_factor(), ZERO, fiber_sample=bad, **kw)),
-        ("workers", lambda: pressure_estimate(cloud, sched, ZERO, workers=bad, **kw)),
+        ("word_budget", lambda: pressure_estimate(cloud, sched, ZERO, word_budget=bad, **kw)),
     ]
     for name, call in calls:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
@@ -841,7 +841,7 @@ def test_factor_memo_keys_hold_every_input():
     # reports must equal those of a factor that has seen no other call
     shared = quotient_factor()
     phi = Potential("explicit_table", (0.3, -0.2))
-    base = dict(n_values=[1, 2, 3, 4, 5], eps_list=[0.5], word_budget=8, seed=1, workers=1)
+    base = dict(n_values=[1, 2, 3, 4, 5], eps_list=[0.5], word_budget=8, seed=1)
     variants = [
         {},
         {"n_values": [1, 2, 3]},
@@ -854,8 +854,8 @@ def test_factor_memo_keys_hold_every_input():
     for change in variants:
         kw = dict(base, **change)
         pot = kw.pop("phi", phi)
-        n_values, eps_list, word_budget, seed, workers = kw.values()
-        args = (pot, n_values, eps_list, word_budget, seed, workers)
+        n_values, eps_list, word_budget, seed = kw.values()
+        args = (pot, n_values, eps_list, word_budget, seed)
         assert _factor_estimates(shared, *args) == _factor_estimates(quotient_factor(), *args), change
         check_kw = dict(n_range=n_values, eps_list=eps_list, word_budget=word_budget, seed=seed)
         for check in (check_factor_lower, check_factor_upper):
