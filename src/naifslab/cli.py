@@ -14,11 +14,16 @@ number any numbers.Number, neither ever a bool; an array is a list and an
 object a dict.  Of all the errors, the one at the least json path (as a
 string; the first reported on a tie) is raised as
 "config field <path>: <message>".
+
+Values that pass the schema are built into library objects inside
+_field(path), the one place where a library ValueError or OverflowError
+becomes "config field <path>: <message>".
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -65,7 +70,8 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
 
-_MAP_SCHEMA = {
+# a map or a potential: a kind and its parameters
+_KIND_SCHEMA = {
     "type": "object",
     "properties": {
         "kind": {"type": "string"},
@@ -78,8 +84,8 @@ _MAP_SCHEMA = {
 _SCHEDULE_SCHEMA = {
     "type": "object",
     "properties": {
-        "prefix": {"type": "array", "items": {"type": "array", "items": _MAP_SCHEMA, "minItems": 1}},
-        "cycle": {"type": "array", "items": {"type": "array", "items": _MAP_SCHEMA, "minItems": 1}, "minItems": 1},
+        "prefix": {"type": "array", "items": {"type": "array", "items": _KIND_SCHEMA, "minItems": 1}},
+        "cycle": {"type": "array", "items": {"type": "array", "items": _KIND_SCHEMA, "minItems": 1}, "minItems": 1},
     },
     "required": ["cycle"],
     "additionalProperties": False,
@@ -97,16 +103,6 @@ _SPACE_SCHEMA = {
     "additionalProperties": False,
 }
 
-_POTENTIAL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"type": "string"},
-        "params": {"type": "array", "items": {"type": "number"}},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -114,9 +110,9 @@ CONFIG_SCHEMA = {
         "mode": {"enum": ["estimate", "verify", "sweep"]},
         "space": _SPACE_SCHEMA,
         "schedule": _SCHEDULE_SCHEMA,
-        "potential": _POTENTIAL_SCHEMA,
-        "potential_phi": _POTENTIAL_SCHEMA,
-        "potential_target": _POTENTIAL_SCHEMA,
+        "potential": _KIND_SCHEMA,
+        "potential_phi": _KIND_SCHEMA,
+        "potential_target": _KIND_SCHEMA,
         "factor": {
             "type": "object",
             "properties": {
@@ -243,24 +239,26 @@ def _schema_check(raw: dict) -> None:
 # copies of the cloud, and every n is one pressure solve per word and eps.
 N_MAX_LIMIT = 1024
 
-# what building a space, a schedule, a potential or a factor from values
-# that passed the schema can raise: integers past the float range overflow
-# a float conversion
-_VALUE_ERRORS = (ValueError, OverflowError)
 
-
-def _cloud_from(d: dict, path: str) -> PointCloud:
-    kwargs = dict(family=d["family"])
+@contextlib.contextmanager
+def _field(path: str):
+    """A library refusal of the value at path, as a config error naming it;
+    integers past the float range overflow a float conversion."""
     try:
-        if "resolution" in d:
-            kwargs["resolution"] = int(d["resolution"])
-        if "alphabet_size" in d:
-            kwargs["alphabet_size"] = int(d["alphabet_size"])
+        yield
+    except (ValueError, OverflowError) as e:
+        raise ConfigError(f"config field {path}: {e}") from e
+
+
+def _space_from(d: dict, path: str) -> SpaceSpec:
+    """The space d names, refused past CLOUD_POINT_LIMIT points."""
+    with _field(path):
+        kwargs = {key: int(d[key]) for key in ("resolution", "alphabet_size") if key in d}
         if "distance_matrix" in d:
             kwargs["distance_matrix"] = tuple(tuple(row) for row in d["distance_matrix"])
-        return build_cloud(SpaceSpec(**kwargs))
-    except _VALUE_ERRORS as e:
-        raise ConfigError(f"config field {path}: {e}") from e
+        space = SpaceSpec(family=d["family"], **kwargs)
+        check_point_limit(space)
+    return space
 
 
 def _check_depth(space: SpaceSpec, n_max: int, eps_min: float, path: str) -> None:
@@ -274,43 +272,40 @@ def _check_depth(space: SpaceSpec, n_max: int, eps_min: float, path: str) -> Non
             )
 
 
-def _check_sweep(d: dict, resolutions: list[int], n_max: int, eps_min: float) -> None:
-    """The space $.space names at each swept resolution gets the checks that
-    $.space gets; the clouds are built when the sweep runs."""
+def _sweep_from(d: dict, resolutions: list, n_max: int, eps_min: float) -> list[SpaceSpec]:
+    """The space $.space names at each swept resolution, with the checks
+    that $.space gets; the clouds are built when the sweep runs."""
     if not resolutions:
         raise ConfigError("config field $.sweep.resolutions: sweep mode needs resolutions")
     if d["family"] == FINITE:
         raise ConfigError("config field $.sweep: finite_explicit spaces cannot be resolution-swept")
+    spaces = []
     for k, res in enumerate(resolutions):
         path = f"$.sweep.resolutions[{k}]"
-        try:
-            space = SpaceSpec(family=d["family"], resolution=res, alphabet_size=int(d.get("alphabet_size", 2)))
-            check_point_limit(space)
-        except _VALUE_ERRORS as e:
-            raise ConfigError(f"config field {path}: {e}") from e
-        _check_depth(space, n_max, eps_min, path)
+        spaces.append(_space_from(dict(d, resolution=res), path))
+        _check_depth(spaces[-1], n_max, eps_min, path)
+    return spaces
 
 
-def _schedule_from(d: dict, path: str = "$.schedule") -> GenerationSchedule:
+def _schedule_from(d: dict, path: str, space: SpaceSpec) -> GenerationSchedule:
+    """The schedule d names, with every map checked against space."""
     def gen(maps):
         return tuple(MapSpec(kind=m["kind"], params=tuple(m.get("params", ()))) for m in maps)
 
-    try:
-        return GenerationSchedule(
+    with _field(path):
+        schedule = GenerationSchedule(
             prefix=tuple(gen(g) for g in d.get("prefix", [])),
             cycle=tuple(gen(g) for g in d["cycle"]),
         )
-    except _VALUE_ERRORS as e:
-        raise ConfigError(f"config field {path}: {e}") from e
+        validate_schedule(space, schedule)
+    return schedule
 
 
 def _potential_from(d: dict, path: str, space: SpaceSpec | None) -> Potential:
-    try:
+    with _field(path):
         psi = Potential(kind=d["kind"], params=tuple(d.get("params", ())))
         if space is not None:
             validate_potential(space, psi)
-    except _VALUE_ERRORS as e:
-        raise ConfigError(f"config field {path}: {e}") from e
     return psi
 
 
@@ -328,7 +323,7 @@ def _check_from(chk: dict, path: str, eps_default: float, schedule: GenerationSc
     if kind != "semiconjugacy" and "tol" in chk:
         raise ConfigError(f"config field {path}.tol: only a semiconjugacy check takes its own tol; set $.tol or --tol")
     out = {"type": kind, "tol": _tol_from(chk.get("tol"), f"{path}.tol")}
-    try:
+    with _field(path):
         if kind == "basic":
             out.update(n=int(chk.get("n", 2)), eps=float(chk.get("eps", eps_default)))
             out.update(p=float(chk.get("p", 0.5)), c=float(chk.get("c", 2.0)))
@@ -338,8 +333,6 @@ def _check_from(chk: dict, path: str, eps_default: float, schedule: GenerationSc
             out.update(i=int(chk.get("i", 1)), j=int(chk.get("j", 2)))
         elif kind == "factor_upper":
             out.update(fiber_sample=int(chk.get("fiber_sample", 8)))
-    except OverflowError as e:
-        raise ConfigError(f"config field {path}: {e}") from e
     n, (m_lo, m_hi), i, j = out.get("n", 1), out.get("m_range", (1, 1)), out.get("i", 1), out.get("j", 2)
     for name, ok, need in (
         ("n", 1 <= n <= N_MAX_LIMIT, f"1 <= n <= {N_MAX_LIMIT}"),
@@ -380,28 +373,21 @@ class ExperimentConfig:
     potential_target: Potential | None = None
     factor: FactorMapSpec | None = None
     checks: list[dict] = field(default_factory=list)
-    sweep_resolutions: list[int] = field(default_factory=list)
+    sweep_spaces: list[SpaceSpec] = field(default_factory=list)
     tol: float | None = None
     output_dir: str = "out"
-    raw: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _schema_check(raw)
-        cloud = _cloud_from(raw["space"], "$.space")
-        space = cloud.space
-        schedule = _schedule_from(raw["schedule"])
-        try:
-            validate_schedule(space, schedule)
-        except _VALUE_ERRORS as e:
-            raise ConfigError(f"config field $.schedule: {e}") from e
+        space = _space_from(raw["space"], "$.space")
+        cloud = build_cloud(space)
+        schedule = _schedule_from(raw["schedule"], "$.schedule", space)
         lo, hi = (int(v) for v in raw["n_range"])
         if not 1 <= lo <= hi <= N_MAX_LIMIT:
             raise ConfigError(f"config field $.n_range: need 1 <= lo <= hi <= {N_MAX_LIMIT}")
-        try:
+        with _field("$.eps_list"):
             eps_list = validate_eps_list(raw["eps_list"])
-        except _VALUE_ERRORS as e:
-            raise ConfigError(f"config field $.eps_list: {e}") from e
         _check_depth(space, hi, eps_list[-1], "$.n_range")
         word_budget = int(raw["word_budget"])
         if word_budget > WORD_ENUMERATION_CAP:
@@ -409,22 +395,16 @@ class ExperimentConfig:
         factor = None
         if "factor" in raw:
             fd = raw["factor"]
-            tcloud = _cloud_from(fd["space"], "$.factor.space")
-            tschedule = _schedule_from(fd["schedule"], "$.factor.schedule")
-            try:
-                validate_schedule(tcloud.space, tschedule)
-            except _VALUE_ERRORS as e:
-                raise ConfigError(f"config field $.factor.schedule: {e}") from e
-            try:
+            tspace = _space_from(fd["space"], "$.factor.space")
+            tschedule = _schedule_from(fd["schedule"], "$.factor.schedule", tspace)
+            with _field("$.factor"):
                 factor = FactorMapSpec(
                     source=NAIFS(cloud=cloud, schedule=schedule),
-                    target=NAIFS(cloud=tcloud, schedule=tschedule),
+                    target=NAIFS(cloud=build_cloud(tspace), schedule=tschedule),
                     kind=fd["kind"],
                     table=tuple(fd["table"]) if "table" in fd else None,
                     fiber_tol=fd.get("fiber_tol"),
                 )
-            except _VALUE_ERRORS as e:
-                raise ConfigError(f"config field $.factor: {e}") from e
         potential = _potential_from(raw["potential"], "$.potential", space)
         checks = []
         for idx, chk in enumerate(raw.get("checks", [])):
@@ -432,18 +412,16 @@ class ExperimentConfig:
                 raise ConfigError(f"config field $.checks[{idx}]: check {chk['type']!r} requires a factor")
             checks.append(_check_from(chk, f"$.checks[{idx}]", eps_list[-1], schedule, hi))
             # the check's premise, once its parameters are read
-            try:
+            with _field(f"$.checks[{idx}]"):
                 if chk["type"] == "conjugacy":
                     require_invertible(factor)
                 elif chk["type"] == "power":
                     require_power_potential(cloud, schedule, potential, checks[-1]["n"] * checks[-1]["m_range"][1])
-            except ValueError as e:
-                raise ConfigError(f"config field $.checks[{idx}]: {e}") from e
         if raw["mode"] == "verify" and not checks:
             raise ConfigError("config field $.checks: verify mode needs at least one check")
-        sweep_resolutions = [int(r) for r in raw.get("sweep", {}).get("resolutions", [])]
+        sweep_spaces = []
         if raw["mode"] == "sweep":
-            _check_sweep(raw["space"], sweep_resolutions, hi, eps_list[-1])
+            sweep_spaces = _sweep_from(raw["space"], raw.get("sweep", {}).get("resolutions", []), hi, eps_list[-1])
         return cls(
             mode=raw["mode"],
             cloud=cloud,
@@ -462,16 +440,13 @@ class ExperimentConfig:
             ),
             factor=factor,
             checks=checks,
-            sweep_resolutions=sweep_resolutions,
+            sweep_spaces=sweep_spaces,
             tol=_tol_from(raw.get("tol"), "$.tol"),
             output_dir=raw.get("output_dir", "out"),
-            raw=raw,
         )
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -607,8 +582,8 @@ def _run_verify(config: ExperimentConfig, out: Path) -> int:
 
 def _run_sweep(config: ExperimentConfig, out: Path) -> int:
     summary_rows = []
-    for res in config.sweep_resolutions:
-        cloud = _cloud_from(dict(config.raw["space"], resolution=res), "$.sweep.resolutions")
+    for space in config.sweep_spaces:
+        cloud, res = build_cloud(space), space.resolution
         for k, eps in enumerate(config.eps_list):
             curve = pressure_estimate(
                 cloud, config.schedule, config.potential, config.n_range, [eps],

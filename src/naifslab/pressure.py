@@ -579,7 +579,6 @@ class PartitionSumResult:
     """One per-word partition sum, stored in log space."""
 
     log_value: float
-    word: Word
     method: str
     exact: bool
     witness_size: int
@@ -686,6 +685,7 @@ def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto")
 
 def birkhoff_sum(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, psi: Potential, x) -> float:
     """Sum of n+1 potential values along the w-orbit of x (steps 0..n)."""
+    n = validate_step_count(n, "n", minimum=0)
     if n > len(w):
         raise ValueError(f"n={n} exceeds word length {len(w)}")
     space = cloud.space
@@ -781,7 +781,7 @@ def _partition_sum(kind: str, cloud: PointCloud, schedule: GenerationSchedule, w
         log_value, size, method, exact = memo.read(w, eps)
     else:
         [(log_value, size, method, exact)] = _word_sums(cloud, schedule, n, psi, kind, [eps], w, mode)
-    return PartitionSumResult(log_value=log_value, word=w, method=method, exact=exact, witness_size=size)
+    return PartitionSumResult(log_value=log_value, method=method, exact=exact, witness_size=size)
 
 
 def partition_sum_separated(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, psi: Potential, eps: float, mode: str = "auto") -> PartitionSumResult:
@@ -836,6 +836,7 @@ def averaged_partition_sum(
     """Arithmetic mean over enumerated or sampled words of the per-word sums,
     accumulated by log-sum-exp.  stderr is the Monte Carlo standard error of
     the average in sampled mode and 0 in exact mode."""
+    n = validate_step_count(n)
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     words, word_mode, total = enumerate_words(schedule, 1, n, word_budget, seed)
@@ -888,7 +889,6 @@ class EpsSummary:
     tail_max: float
     ls_slope: float
     max_step: float
-    estimate: float
 
 
 @dataclass
@@ -937,7 +937,6 @@ def _eps_summary(eps: float, points: list[tuple[int, float, bool]]) -> EpsSummar
         tail_max=max(y / n for n, y, _ in points if n >= cut),
         ls_slope=slope,
         max_step=step,
-        estimate=step,
     )
 
 
@@ -996,7 +995,7 @@ def pressure_estimate(
         kind=kind,
         entries=entries,
         per_eps=per_eps,
-        estimate=per_eps[-1].estimate,
+        estimate=per_eps[-1].max_step,
         eps_star=eps_list[-1],
         all_exact=all(e.exact for e in entries),
     )
@@ -1030,7 +1029,6 @@ class SandwichCheck:
 class SupEntropyEstimate:
     estimate: float
     eps_star: float
-    limsup_proxy: float
     entries: list[SupEntropyEntry]
     sandwiches: list[SandwichCheck]
     subset_size: int
@@ -1056,7 +1054,7 @@ def sup_entropy_estimate(
     ns = validate_n_range(n_range)
     indices = _subset_indices(cloud, subset)
     if not indices:
-        return SupEntropyEstimate(0.0, eps_list[-1], 0.0, [], [], 0, True)
+        return SupEntropyEstimate(0.0, eps_list[-1], [], [], 0, True)
     entries: list[SupEntropyEntry] = []
     sandwiches: list[SandwichCheck] = []
     for n in ns:
@@ -1088,9 +1086,8 @@ def sup_entropy_estimate(
                 sandwiches.append(SandwichCheck(n=n, eps=eps, r_eps=r_eps, s_eps=s_eps, r_half=r_half))
     summary = _eps_summary(eps_list[-1], [(e.n, math.log(e.separated), e.saturated) for e in entries if e.eps == eps_list[-1]])
     return SupEntropyEstimate(
-        estimate=summary.estimate,
+        estimate=summary.max_step,
         eps_star=eps_list[-1],
-        limsup_proxy=summary.tail_max,
         entries=entries,
         sandwiches=sandwiches,
         subset_size=len(indices),

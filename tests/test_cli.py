@@ -305,6 +305,32 @@ def test_schema_valid_bad_values_are_config_errors(tmp_path, case):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+# factor values refused at the path they sit on: (example, path, value, message)
+FACTOR_FIELD_ERRORS = {
+    "huge_target": (
+        "shift_to_doubling_factor", ("factor", "space", "resolution"), 2**40,
+        "config field $.factor.space: the space has more than CLOUD_POINT_LIMIT = 262144 points",
+    ),
+    "target_map_off_its_space": (
+        "four_point_quotient", ("factor", "schedule", "cycle", 0, 0), {"kind": "doubling"},
+        "config field $.factor.schedule: map kind 'doubling' is not valid on a finite_explicit space",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_FIELD_ERRORS))
+def test_factor_values_are_refused_at_their_path(tmp_path, capsys, case):
+    name, path, value, message = FACTOR_FIELD_ERRORS[case]
+    raw = _set(_example(name), path, value)
+    with pytest.raises(ConfigError) as refused:
+        ExperimentConfig.from_dict(raw)
+    assert str(refused.value) == message
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"config error: {message}"
+
+
 # table maps with entries that are not integers: unchecked, each entry is
 # truncated toward zero and the config runs as another map ([1.9, 0.4] as
 # the swap [1, 0])

@@ -25,6 +25,8 @@ from naifslab import (
     enumerate_words,
     fiber_indices,
     generation_at,
+    averaged_partition_sum,
+    birkhoff_sum,
     partition_sum_separated,
     partition_sum_spanning,
     power_system,
@@ -305,6 +307,8 @@ _COUNT_ARGUMENTS = {
     "partition_sum_separated": (lambda c, s, v: partition_sum_separated(c, s, Word(1, (0, 1, 1)), v, ZERO, 0.5), "n"),
     "partition_sum_spanning": (lambda c, s, v: partition_sum_spanning(c, s, Word(1, (0, 1, 1)), v, ZERO, 0.5), "n"),
     "orbit_batches": (lambda c, s, v: [b.tolist() for b in orbit_batches(c.space, s, Word(1, (0, 1, 1)), v, c.batch)], "k"),
+    "averaged_partition_sum": (lambda c, s, v: averaged_partition_sum(c, s, v, ZERO, 0.5), "n"),
+    "birkhoff_sum": (lambda c, s, v: birkhoff_sum(c, s, Word(1, (0, 1, 1)), v, Potential("explicit_table", (0.0, 1.0)), 0), "n"),
     "reachable_points": (lambda c, s, v: reachable_points(c, s, v), "steps"),
     "generation_at": (lambda c, s, v: generation_at(s, v), "j"),
     "Word start": (lambda c, s, v: Word(v, (0,)), "start"),
@@ -344,6 +348,7 @@ def test_counts_keep_their_lower_bounds():
     assert enumerate_words(sched, 1, 3, 1, 0)[1] == "sampled"
     assert partition_sum_spanning(cloud, sched, Word(1, (0,)), 0, ZERO, 0.5).witness_size == 2
     assert len(orbit_batches(cloud.space, sched, Word(1, (0,)), 0, cloud.batch)) == 1
+    assert birkhoff_sum(cloud, sched, Word(1, (0,)), 0, Potential("constant", (0.5,)), 0) == 0.5
     for call, name, low in (
         (lambda: power_system(sched, 0), "n", 1),
         (lambda: truncate_system(sched, 0), "k", 1),
@@ -356,6 +361,8 @@ def test_counts_keep_their_lower_bounds():
         (lambda: partition_sum_separated(cloud, sched, Word(1, (0,)), -1, ZERO, 0.5), "n", 0),
         (lambda: partition_sum_spanning(cloud, sched, Word(1, (0,)), -1, ZERO, 0.5), "n", 0),
         (lambda: orbit_batches(cloud.space, sched, Word(1, (0,)), -1, cloud.batch), "k", 0),
+        (lambda: averaged_partition_sum(cloud, sched, 0, ZERO, 0.5), "n", 1),
+        (lambda: birkhoff_sum(cloud, sched, Word(1, (0,)), -1, ZERO, 0), "n", 0),
         (lambda: reachable_points(cloud, sched, -1), "steps", 0),
         (lambda: generation_at(sched, 0), "j", 1),
         (lambda: Word(0, (0,)), "start", 1),

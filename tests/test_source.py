@@ -97,3 +97,28 @@ def test_only_the_matrix_builder_reads_the_cached_matrix():
         if isinstance(n, ast.Attribute) and n.attr == "_matrix"
     )
     assert set(touched) == {"__init__", "matrix"}
+
+
+def test_only_field_turns_library_errors_into_config_errors():
+    # in cli.py a library ValueError or OverflowError becomes a config error
+    # in _field alone; main's list branch refuses an unknown catalog kind,
+    # which no config field holds
+    tree = ast.parse((SRC / "cli.py").read_text())
+
+    def catches(n):
+        return isinstance(n, ast.ExceptHandler) and n.type is not None and bool({"ValueError", "OverflowError"} & set(_names(n.type)))
+
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(_scope_nodes(fn))
+        in_list = {
+            m
+            for n in nodes
+            if isinstance(n, ast.If) and "list" in {c.value for c in ast.walk(n.test) if isinstance(c, ast.Constant)}
+            for stmt in n.body
+            for m in ast.walk(stmt)
+        }
+        found += [f"{fn.name} list branch" if n in in_list else fn.name for n in nodes if catches(n)]
+    assert sorted(found) == ["_field", "main list branch"]

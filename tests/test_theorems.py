@@ -406,7 +406,7 @@ def test_mini_random_suite_zero_violations():
 def _flat_curve(estimate, word_mode):
     entry = AveragedPartitionSum(log_average=2 * estimate, stderr=0.1, word_mode=word_mode, n=2, eps=0.5, kind="separated",
                                  method="exhaustive", exact=True, min_witness=1, words_used=1, word_count=1, cloud_size=2)
-    summary = EpsSummary(eps=0.5, tail_max=estimate, ls_slope=estimate, max_step=estimate, estimate=estimate)
+    summary = EpsSummary(eps=0.5, tail_max=estimate, ls_slope=estimate, max_step=estimate)
     return PressureCurve(kind="separated", entries=[entry], per_eps=[summary], estimate=estimate, eps_star=0.5, all_exact=True)
 
 
