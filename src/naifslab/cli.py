@@ -420,6 +420,8 @@ class ExperimentConfig:
         if raw["mode"] == "verify" and not checks:
             raise ConfigError("config field $.checks: verify mode needs at least one check")
         sweep_spaces = []
+        if "sweep" in raw and raw["mode"] != "sweep":
+            raise ConfigError(f"config field $.sweep: only sweep mode reads a sweep block, and the mode is {raw['mode']!r}")
         if raw["mode"] == "sweep":
             sweep_spaces = _sweep_from(raw["space"], raw.get("sweep", {}).get("resolutions", []), hi, eps_list[-1])
         return cls(

@@ -5,7 +5,11 @@ set of the proximity graph under a Bowen metric, a minimal spanning set is
 a minimum ball cover, and the partition sums are their weighted versions
 with vertex weights exp(Birkhoff sum).  Exact solvers run up to fixed
 size thresholds (subset enumeration to 20 points, bitset branch and bound
-to 64); beyond that deterministic greedy bounds take over and every result
+to 64).  Beyond that a symbolic orbit is still solved exactly: its Bowen
+metric is a max of cylinder ultrametrics, so its closed eps-balls are the
+classes of points that agree on their first k symbols at every step, and
+each sum is a sum over classes (_class_sum, method "ultrametric_classes").
+Other large orbits take deterministic greedy bounds.  Every result
 self-reports its method and exactness.  The spanning branch and bound
 prunes with a per-element ratio bound that reads, for each uncovered
 element, only the balls holding it, and a ball's ratio only once per node
@@ -26,9 +30,10 @@ or a repeated eps on one orbit build these once; the cache is freed with
 the orbit.
 
 Greedy first fit reads one row per accepted point, and only over the
-point's step-0 window when step 0 is the cloud itself (_BowenOrbit.window);
-the witness re-checks read every pair or every point, so they do not
-depend on the window being right.
+point's step-0 window when step 0 is an interval or circle grid itself
+(_BowenOrbit.window); word clouds have no window, so a forced greedy
+solve on words reads full rows.  The witness re-checks read every pair or
+every point, so they do not depend on the window being right.
 
 A pressure curve holds one AveragedPartitionSum per (n, eps): the
 word-averaged sum in log space and its growth value (1/n) log.  It takes
@@ -64,13 +69,14 @@ from .naifs import (
     validate_step_count,
 )
 from .space import (
-    FINITE,
+    CIRCLE,
     INTERVAL,
     SYMBOLIC,
     PointCloud,
     Potential,
     _distance_kernel,
     _to_distance_form,
+    cylinder_keys,
     eval_potential_batch,
     points_to_batch,
 )
@@ -86,6 +92,9 @@ SUBSET_METRIC_LIMIT = 2000
 _TILE_ELEMENTS = 1 << 16
 
 MODES = ("auto", "exhaustive", "branch_and_bound", "greedy")
+# the exact method of symbolic orbits past BRANCH_AND_BOUND_LIMIT in mode
+# "auto": their Bowen eps-balls are classes (_ultrametric_classes)
+CLASSES = "ultrametric_classes"
 KINDS = ("separated", "spanning")
 
 
@@ -116,10 +125,12 @@ class _BowenOrbit:
     per tile over every step, and only its eps-balls (balls) read it.
     Tiles are written into two buffers the orbit reuses.
 
-    When step 0 is the enumerated cloud itself, a Bowen distance is at
-    least the base distance, so the closed eps-ball of a point lies in its
-    base ball: an index window on the grids and a run of the lexicographic
-    order on words (window).  Greedy rows read only the window.
+    When step 0 is the enumerated interval or circle grid itself, a Bowen
+    distance is at least the base distance, so the closed eps-ball of a
+    point lies in its base ball, an index window (window).  Greedy rows
+    read only the window.  Word clouds have no window: their large orbits
+    are solved by classes (_ultrametric_classes), and a forced greedy
+    solve reads full rows.
 
     The matrix, its eps-balls (balls) and the feasible subsets of subset
     enumeration (feasible_subsets) are built on first use and kept for the
@@ -132,8 +143,8 @@ class _BowenOrbit:
         self.batches = steps
         self.n_points = len(steps[0])
         self.forms = _stack_forms([_to_distance_form(cloud, B) for B in steps])
-        # a finite space has no order that its balls follow
-        self._windowed = cloud.enumerated and steps[0] is cloud.batch and cloud.space.family != FINITE
+        # only the grids have an order that their balls follow
+        self._windowed = cloud.enumerated and steps[0] is cloud.batch and cloud.space.family in (INTERVAL, CIRCLE)
         self._matrix: np.ndarray | None = None
         self._balls: dict[float, list[int]] = {}
         self._feasible: dict[tuple[float, str], np.ndarray] = {}
@@ -181,20 +192,12 @@ class _BowenOrbit:
 
     def window(self, c: int, eps: float) -> np.ndarray:
         """Indices that hold every point within eps of point c: all of them,
-        unless step 0 is the enumerated cloud (see the class docstring).
+        unless step 0 is an enumerated grid (see the class docstring).
         One grid step more than the base ball absorbs float rounding."""
         n = self.n_points
-        space = self.cloud.space
         if not self._windowed:
             return np.arange(n)
-        if space.family == SYMBOLIC:
-            # words within eps agree on their first k symbols, k the least
-            # with 2**-k <= eps: a run of alphabet**(depth - k) words
-            k = max(0, 1 - math.frexp(min(eps, 1.0))[1])
-            size = space.alphabet_size ** max(0, space.resolution - k)
-            lo = c - c % size
-            return np.arange(lo, lo + size)
-        if space.family == INTERVAL:
+        if self.cloud.space.family == INTERVAL:
             r = math.ceil(min(eps, 1.0) * (n - 1)) + 1
             return np.arange(max(0, c - r), min(n, c + r + 1))
         r = math.ceil(min(eps, 0.5) * n) + 1
@@ -529,6 +532,61 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
 
 
 # ---------------------------------------------------------------------------
+# the class solver of symbolic orbits (exact)
+
+
+def _ultrametric_classes(ctx: _BowenOrbit, eps: float) -> np.ndarray:
+    """A class label per point of a symbolic orbit: two points share one
+    when at every step they agree on their first k symbols, k the least
+    with 2**-k <= eps.
+
+    Each step's cylinder distance is then at most eps, and otherwise one
+    step's exceeds eps, so the classes are the closed eps-balls of the
+    Bowen metric, a max of ultrametrics.  The label takes one key at a
+    time as (label << width) | key, and is made dense (np.unique) where
+    the pair could pass 64 bits; the key too, if that is not enough.
+    """
+    k = max(0, 1 - math.frexp(min(eps, 1.0))[1])
+    label, width = np.zeros(ctx.n_points, dtype=np.uint64), 0
+    for step in range(ctx.forms.shape[1]):
+        for key, bits in cylinder_keys(ctx.forms[:, step], ctx.cloud.space.alphabet_size, k):
+            if width + bits > 64:
+                label, width = _dense(label)
+                if width + bits > 64:
+                    key, bits = _dense(key)
+            label <<= np.uint64(bits)
+            label |= key
+            width += bits
+    return label
+
+
+def _dense(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """values renumbered 0, 1, ... in their order, and the bit length of
+    the largest number."""
+    _, dense = np.unique(values, return_inverse=True)
+    return dense.astype(np.uint64), int(dense.max()).bit_length()
+
+
+def _class_sum(ctx: _BowenOrbit, S: np.ndarray, eps: float, kind: str) -> tuple[float, list[int]]:
+    """The exact partition sum of a symbolic orbit in log space, and its
+    witness as ascending indices: the heaviest point of each eps-class
+    (_ultrametric_classes) for kind "separated", the lightest for
+    "spanning", lowest index on ties.  The witness is re-checked before it
+    is returned."""
+    label = _ultrametric_classes(ctx, eps)
+    # lexsort is stable: points of equal label and S keep index order
+    order = np.lexsort((-S if kind == "separated" else S, label))
+    label = label[order]
+    first = np.empty(len(order), dtype=bool)
+    first[0] = True
+    np.not_equal(label[1:], label[:-1], out=first[1:])
+    idxs = np.sort(order[first]).tolist()
+    (_recheck_separated if kind == "separated" else _recheck_spanning)(ctx, idxs, eps)
+    shift = float(S.max())
+    return shift + math.log(math.fsum(np.exp(S[idxs] - shift))), idxs
+
+
+# ---------------------------------------------------------------------------
 # greedy solvers (deterministic; ties broken by lowest point index)
 
 
@@ -584,7 +642,7 @@ class PartitionSumResult:
     witness_size: int
 
 
-def _resolve_method(mode: str, n_points: int) -> str:
+def _resolve_method(mode: str, n_points: int, symbolic: bool) -> str:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == "auto":
@@ -592,7 +650,7 @@ def _resolve_method(mode: str, n_points: int) -> str:
             return "exhaustive"
         if n_points <= BRANCH_AND_BOUND_LIMIT:
             return "branch_and_bound"
-        return "greedy"
+        return CLASSES if symbolic else "greedy"
     if mode == "exhaustive" and n_points > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive mode is limited to {EXHAUSTIVE_LIMIT} points")
     if mode == "branch_and_bound" and n_points > BRANCH_AND_BOUND_LIMIT:
@@ -625,7 +683,7 @@ def _recheck_spanning(ctx, idxs: list[int], eps: float) -> None:
 def _solve_setup(ctx, S: np.ndarray, eps: float, mode: str) -> tuple[str, float, np.ndarray]:
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    method = _resolve_method(mode, ctx.n_points)
+    method = _resolve_method(mode, ctx.n_points, ctx.cloud.space.family == SYMBOLIC)
     shift = float(S.max())
     if not math.isfinite(shift):
         # a NaN or an overflowed Birkhoff sum has no partition sum to report
@@ -637,6 +695,8 @@ def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto"
     """sup over separated sets of sum exp(S); returns (log value, witness,
     method, exact).  Every witness is re-checked before it is returned."""
     method, shift, wlin = _solve_setup(ctx, S, eps, mode)
+    if method == CLASSES:
+        return *_class_sum(ctx, S, eps, "separated"), method, True
     if method == "greedy":
         idxs = _first_fit_separated(ctx, eps, np.lexsort((np.arange(ctx.n_points), -S)))
         witness = sorted(idxs)
@@ -656,6 +716,8 @@ def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto"
 def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto") -> tuple[float, list[int], str, bool]:
     """inf over spanning sets of sum exp(S); returns as _solve_separated_weighted."""
     method, shift, wlin = _solve_setup(ctx, S, eps, mode)
+    if method == CLASSES:
+        return *_class_sum(ctx, S, eps, "spanning"), method, True
     if method == "greedy":
         if ctx.n_points <= MATRIX_LIMIT:
             idxs = _greedy_cover_bits(ctx.balls(eps), wlin.tolist())

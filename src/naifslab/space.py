@@ -316,6 +316,25 @@ def pack_words(batch: np.ndarray, alphabet: int) -> np.ndarray:
     return codes
 
 
+def cylinder_keys(codes: np.ndarray, alphabet: int, k: int) -> list[tuple[np.ndarray, int]]:
+    """The first k symbol slots of packed words (codes from pack_words), as
+    one (key, width) pair per chunk that the slots reach, each key below
+    2**width.
+
+    Two words of one depth agree on their first min(k, depth) symbols
+    exactly when every key of theirs agrees: the slots past the depth are
+    zero in both.  So they are within 2**-k of each other (cylinder_distance)
+    exactly then.  Each key has the shape of one chunk of the codes.
+    """
+    bits = _symbol_bits(alphabet)
+    per = _CHUNK_BITS // bits
+    keys = []
+    for j in range(min(len(codes), -(-k // per))):
+        slots = min(per, k - j * per)
+        keys.append((codes[j] >> np.uint64(bits * (per - slots)), bits * slots))
+    return keys
+
+
 def cylinder_distance(a: np.ndarray, b: np.ndarray, alphabet: int, out: np.ndarray | None = None) -> np.ndarray:
     """Cylinder distance 2**(-k), k the first position where two words
     differ (0 for equal words), between packed words, written into `out`

@@ -168,36 +168,42 @@ def oracle_min_spanning(cloud, schedule, w, n, eps):
 
 def oracle_partition_separated(cloud, schedule, w, n, psi, eps):
     """log of sup over separated subsets of sum exp(Birkhoff)."""
-    pts = points_of(cloud)
-    table = _bowen_table(cloud, schedule, w, n)
-    weight = {x: math.exp(oracle_birkhoff(cloud, schedule, w, n, psi, x)) for x in pts}
-    best = None
-    for r in range(1, len(pts) + 1):
-        for sub in itertools.combinations(pts, r):
-            if all(table[pair] > eps for pair in itertools.combinations(sub, 2)):
-                val = sum(weight[x] for x in sub)
-                if best is None or val > best:
-                    best = val
-    return math.log(best)
+    return oracle_weighted_sum(cloud, schedule, w, n, _birkhoff_of(cloud, schedule, w, n, psi), eps, "separated")
 
 
 def oracle_partition_spanning(cloud, schedule, w, n, psi, eps):
     """log of inf over spanning subsets of sum exp(Birkhoff)."""
+    return oracle_weighted_sum(cloud, schedule, w, n, _birkhoff_of(cloud, schedule, w, n, psi), eps, "spanning")
+
+
+def _birkhoff_of(cloud, schedule, w, n, psi):
+    return {x: oracle_birkhoff(cloud, schedule, w, n, psi, x) for x in points_of(cloud)}
+
+
+def oracle_weighted_sum(cloud, schedule, w, n, S, eps, kind):
+    """log of sup over separated subsets (kind "separated") or inf over
+    spanning subsets ("spanning") of sum exp(S[x]), S a dict from the
+    cloud's points to their weights in log space."""
     pts = points_of(cloud)
     table = _bowen_table(cloud, schedule, w, n)
-    weight = {x: math.exp(oracle_birkhoff(cloud, schedule, w, n, psi, x)) for x in pts}
+    weight = {x: math.exp(S[x]) for x in pts}
 
     def d(a, b):
         if a == b:
             return 0.0
         return table[(a, b)] if (a, b) in table else table[(b, a)]
 
+    def feasible(sub):
+        if kind == "separated":
+            return all(table[pair] > eps for pair in itertools.combinations(sub, 2))
+        return all(any(d(x, y) <= eps for y in sub) for x in pts)
+
     best = None
     for r in range(1, len(pts) + 1):
         for sub in itertools.combinations(pts, r):
-            if all(any(d(x, y) <= eps for y in sub) for x in pts):
+            if feasible(sub):
                 val = sum(weight[x] for x in sub)
-                if best is None or val < best:
+                if best is None or (val > best if kind == "separated" else val < best):
                     best = val
     return math.log(best)
 

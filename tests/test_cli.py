@@ -556,6 +556,23 @@ def test_mode_and_swept_space_errors_leave_no_output(tmp_path, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, name", [("run", "doubling_circle"), ("verify", "two_point_swap")])
+def test_a_sweep_block_outside_sweep_mode_is_a_config_error(tmp_path, command, name, capsys):
+    # resolutions that sweep mode would refuse: outside it they were never read
+    raw = _example(name, sweep={"resolutions": [1, 2**40]})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    mode = "estimate" if command == "run" else "verify"
+    assert f"config field $.sweep: only sweep mode reads a sweep block, and the mode is {mode!r}" in capsys.readouterr().err
+    # in sweep mode the same block is read, and its first bad resolution named
+    if name == "doubling_circle":
+        with pytest.raises(ConfigError, match=r"\$\.sweep\.resolutions\[0\]: resolution must be >= 2"):
+            ExperimentConfig.from_dict(dict(raw, mode="sweep"))
+
+
 def test_check_parameters_are_parsed_with_defaults(tmp_path):
     raw = _example("two_point_swap", checks=[
         {"type": "basic", "n": 2.0}, {"type": "power", "n": 2.0, "m_range": [1.0, 2.0]}, {"type": "truncation"},

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import random
 
@@ -27,6 +28,9 @@ from naifslab import (
     pressure_estimate,
     sup_entropy_estimate,
 )
+from naifslab.catalog import EXAMPLE_CONFIGS
+from naifslab.cli import ExperimentConfig
+from naifslab.naifs import generation_at
 from naifslab.space import points_to_batch
 from naifslab.theorems import check_basic_properties, random_explicit_instance
 from oracles import (
@@ -36,6 +40,7 @@ from oracles import (
     oracle_min_spanning,
     oracle_partition_separated,
     oracle_partition_spanning,
+    oracle_weighted_sum,
     per_element_cover_bound,
     points_of,
     reference_bb_cover,
@@ -635,3 +640,101 @@ def test_sup_entropy_reuses_the_half_eps_tables(monkeypatch):
     eps_list = [0.4, 0.2, 0.1]
     sup_entropy_estimate(cloud, sched, range(len(cloud)), [1, 2], eps_list)
     assert packed == [0.4, 0.2, 0.1, 0.05] * 2
+
+
+# The class solver of symbolic orbits (pressure._class_sum).  The auto
+# dispatch sends it only orbits past BRANCH_AND_BOUND_LIMIT; these tests
+# call it directly on small ones, where the oracles can check it.
+
+
+@st.composite
+def symbolic_word_orbits(draw):
+    """The orbit along one word of at most 12 distinct words over 2 or 3
+    letters, under a prefix and a two-generation cycle of shift, identity
+    and substitution maps (a substitution need not be injective), with a
+    weight per point that varies inside the eps-classes."""
+    m = draw(st.sampled_from([2, 3]))
+    depth = draw(st.integers(2, 5))
+    space = SpaceSpec("symbolic_depth", depth, alphabet_size=m)
+    words = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * depth), min_size=1, max_size=12, unique=True))
+    cloud = PointCloud(space, points_to_batch(space, words))
+    substitution = MapSpec("symbol_substitution_table", tuple(draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))))
+    maps = st.sampled_from([MapSpec("shift"), ID, substitution])
+    generation = st.lists(maps, min_size=1, max_size=2).map(tuple)
+    sched = GenerationSchedule(prefix=(draw(generation),), cycle=(draw(generation), draw(generation)))
+    # at most depth shifts: the words never run out
+    n = draw(st.integers(0, depth))
+    symbols = tuple(draw(st.integers(0, len(generation_at(sched, g)) - 1)) for g in range(1, n + 1))
+    w = Word(1, symbols)
+    weight = st.one_of(st.integers(-2, 2).map(float), st.floats(-3.0, 3.0))
+    S = np.array(draw(st.lists(weight, min_size=len(words), max_size=len(words))))
+    return cloud, sched, w, n, S
+
+
+@settings(max_examples=150, deadline=None)
+@given(symbolic_word_orbits(), st.sampled_from(["separated", "spanning"]), st.one_of(st.integers(0, 6).map(lambda k: 2.0**-k), st.floats(0.01, 1.5)))
+def test_class_sums_match_the_oracle_on_small_symbolic_clouds(orbit, kind, eps):
+    cloud, sched, w, n, S = orbit
+    ctx = pressure._word_orbit(cloud, sched, w, n)
+    value, idxs = pressure._class_sum(ctx, S, eps, kind)
+    weights = dict(zip(points_of(cloud), S.tolist()))
+    assert value == pytest.approx(oracle_weighted_sum(cloud, sched, w, n, weights, eps, kind), rel=1e-12, abs=1e-12)
+    # one point per class, the heaviest (separated) or lightest (spanning)
+    assert idxs == sorted(set(idxs))
+    label = pressure._ultrametric_classes(ctx, eps)
+    assert len(idxs) == len(set(label.tolist()))
+    pick = max if kind == "separated" else min
+    for i in idxs:
+        assert S[i] == pick(S[label == label[i]])
+
+
+def test_class_sums_key_every_step_of_the_orbit():
+    # at n = 2 and eps = 1/4 two words share a class when they agree on
+    # symbols 0-1, 1-2 and 2-3: 16 classes.  Keyed on step 0 alone there
+    # would be 4, and those 4 still pass the separated re-check
+    cloud = build_cloud(SpaceSpec("symbolic_depth", 6, alphabet_size=2))
+    sched = GenerationSchedule(prefix=(), cycle=((MapSpec("shift"),),))
+    ctx = pressure._word_orbit(cloud, sched, Word(1, (0, 0)), 2)
+    for kind in ("separated", "spanning"):
+        value, idxs = pressure._class_sum(ctx, np.zeros(64), 0.25, kind)
+        assert len(idxs) == 16 and value == pytest.approx(math.log(16), rel=1e-15)
+    # heaviest and lightest of each class: the first 4 symbols fix the class
+    S = np.arange(64.0)
+    assert pressure._class_sum(ctx, S, 0.25, "separated")[1] == list(range(3, 64, 4))
+    assert pressure._class_sum(ctx, -S, 0.25, "spanning")[1] == list(range(3, 64, 4))
+
+
+def test_wide_keys_are_made_dense_before_they_pass_64_bits():
+    # 60 binary symbols at eps = 2**-60: each step's key is 52 + 8 bits
+    # wide.  The label is made dense between steps, and with more than
+    # 2**12 distinct labels the 52-bit key is made dense too
+    rng = np.random.default_rng(7)
+    batch = rng.integers(0, 2, size=(5000, 60), dtype=np.int8)
+    batch[1::2, :30] = batch[::2, :30]
+    batch[-1] = batch[0]
+    cloud = PointCloud(SpaceSpec("symbolic_depth", 60, alphabet_size=2), batch)
+    sched = GenerationSchedule(prefix=(), cycle=((ID,),))
+    ctx = pressure._word_orbit(cloud, sched, Word(1, (0, 0)), 2)
+
+    def first_index(keys):
+        seen = {}
+        return [seen.setdefault(key, i) for i, key in enumerate(keys)]
+
+    for k in (60, 59, 31, 30):
+        # the same partition: equal labels exactly where the k-prefixes are equal
+        label = pressure._ultrametric_classes(ctx, 2.0**-k)
+        assert first_index(label.tolist()) == first_index(map(bytes, batch[:, :k]))
+
+
+def test_a_forced_greedy_solve_on_words_reads_full_rows():
+    # words have no step-0 window: the shift_pressure cloud at n = 1, where a
+    # Bowen eps-ball is a cylinder of 4 symbols, not the 3 of step 0 alone
+    config = ExperimentConfig.from_dict(json.loads(json.dumps(EXAMPLE_CONFIGS["shift_pressure"])))
+    w = Word(1, (0,))
+    ctx = pressure._word_orbit(config.cloud, config.schedule, w, 1)
+    assert ctx.window(5, 0.125).tolist() == list(range(len(config.cloud)))
+    forced = partition_sum_separated(config.cloud, config.schedule, w, 1, config.potential, 0.125, mode="greedy")
+    exact = partition_sum_separated(config.cloud, config.schedule, w, 1, config.potential, 0.125)
+    assert (forced.method, forced.exact, forced.witness_size) == ("greedy", False, 16)
+    assert (exact.method, exact.exact, exact.witness_size) == (pressure.CLASSES, True, 16)
+    assert forced.log_value == pytest.approx(exact.log_value, rel=1e-12)
