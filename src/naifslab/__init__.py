@@ -17,7 +17,6 @@ from .naifs import (
     NAIFS,
     Word,
     block_word,
-    bowen_distance,
     check_semiconjugacy,
     count_words,
     enumerate_words,
@@ -25,7 +24,6 @@ from .naifs import (
     generation_at,
     power_system,
     reachable_points,
-    sup_bowen_distance,
     truncate_system,
 )
 from .pressure import (

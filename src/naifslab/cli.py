@@ -44,7 +44,7 @@ from .naifs import (
     count_words,
     validate_schedule,
 )
-from .pressure import PressureCurve, pressure_estimate, validate_eps_list
+from .pressure import AveragedPartitionSum, PressureCurve, pressure_estimate, validate_eps_list
 from .space import FINITE, SYMBOLIC, PointCloud, Potential, SpaceSpec, build_cloud, check_point_limit, validate_potential
 from .theorems import (
     InequalityReport,
@@ -361,7 +361,8 @@ class ExperimentConfig:
     """Parsed and validated experiment description."""
 
     mode: str
-    cloud: PointCloud
+    # None in sweep mode unless a factor or a check reads it
+    cloud: PointCloud | None
     schedule: GenerationSchedule
     potential: Potential
     n_range: list[int]
@@ -381,7 +382,8 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _schema_check(raw)
         space = _space_from(raw["space"], "$.space")
-        cloud = build_cloud(space)
+        # a sweep reads only its swept spaces' clouds
+        cloud = build_cloud(space) if raw["mode"] != "sweep" or "factor" in raw or raw.get("checks") else None
         schedule = _schedule_from(raw["schedule"], "$.schedule", space)
         lo, hi = (int(v) for v in raw["n_range"])
         if not 1 <= lo <= hi <= N_MAX_LIMIT:
@@ -467,10 +469,10 @@ CURVE_COLUMNS = ["n", "eps", "kind", "log_avg", "per_n_value", "stderr", "word_m
 VERDICT_COLUMNS = ["theorem", "level", "lhs", "rhs", "slack", "verdict", "context"]
 
 
-def _curve_rows(curve: PressureCurve) -> list[list]:
+def _curve_rows(kind: str, entries: list[AveragedPartitionSum]) -> list[list]:
     return [
-        [e.n, e.eps, curve.kind, e.log_average, e.value, e.stderr, e.word_mode, e.method, e.exact, e.saturated]
-        for e in curve.entries
+        [e.n, e.eps, kind, e.log_average, e.value, e.stderr, e.word_mode, e.method, e.exact, e.saturated]
+        for e in entries
     ]
 
 
@@ -503,7 +505,7 @@ def _run_estimate(config: ExperimentConfig, out: Path) -> int:
         seed=config.seed,
         kind=config.kind,
     )
-    _write_csv(out / "pressure_curve.csv", CURVE_COLUMNS, _curve_rows(curve), config.seed)
+    _write_csv(out / "pressure_curve.csv", CURVE_COLUMNS, _curve_rows(curve.kind, curve.entries), config.seed)
     (out / "estimate.txt").write_text(_estimate_text(curve, config))
     log.info("estimate %r written to %s", curve.estimate, out)
     return 0
@@ -583,16 +585,20 @@ def _run_verify(config: ExperimentConfig, out: Path) -> int:
 
 
 def _run_sweep(config: ExperimentConfig, out: Path) -> int:
+    """One curve per swept resolution over every eps, so that each word
+    orbit serves every eps; its entries and summary at each eps make that
+    eps's CSV and summary row."""
     summary_rows = []
     for space in config.sweep_spaces:
-        cloud, res = build_cloud(space), space.resolution
-        for k, eps in enumerate(config.eps_list):
-            curve = pressure_estimate(
-                cloud, config.schedule, config.potential, config.n_range, [eps],
-                word_budget=config.word_budget, seed=config.seed, kind=config.kind,
-            )
-            _write_csv(out / f"pressure_curve_r{res}_e{k}.csv", CURVE_COLUMNS, _curve_rows(curve), config.seed)
-            summary_rows.append([res, eps, curve.estimate, curve.all_exact])
+        res = space.resolution
+        curve = pressure_estimate(
+            build_cloud(space), config.schedule, config.potential, config.n_range, config.eps_list,
+            word_budget=config.word_budget, seed=config.seed, kind=config.kind,
+        )
+        for k, (eps, summary) in enumerate(zip(config.eps_list, curve.per_eps)):
+            entries = [e for e in curve.entries if e.eps == eps]
+            _write_csv(out / f"pressure_curve_r{res}_e{k}.csv", CURVE_COLUMNS, _curve_rows(curve.kind, entries), config.seed)
+            summary_rows.append([res, eps, summary.max_step, all(e.exact for e in entries)])
     _write_csv(out / "sweep_summary.csv", ["resolution", "eps", "estimate", "all_exact"], summary_rows, config.seed)
     return 0
 

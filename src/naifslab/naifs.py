@@ -5,9 +5,10 @@ finite ordered family of self-maps of the space, its index set being
 {0, ..., len-1}.  Schedules are eventually periodic (finite prefix plus a
 repeating cycle), which makes every supremum over start indices exact.
 
-Words select one map per generation; compositions, Bowen metrics, the
-n-step power system, truncated systems, and factor maps between two
-systems with identical index sets all live here.
+Words select one map per generation; the orbits of a batch under many
+words at once, the orbit batches of the sup metric, the n-step power
+system, truncated systems, and factor maps between two systems with
+identical index sets all live here.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .space import (
     PointCloud,
     batch_to_points,
     paired_distances,
-    points_to_batch,
 )
 
 log = logging.getLogger("naifslab.naifs")
@@ -225,19 +225,40 @@ def validate_step_count(value, name: str = "n", minimum: int = 1) -> int:
     return int(value)
 
 
-def orbit_batches(space, schedule: GenerationSchedule, w: Word, k: int, batch: np.ndarray, start: int | None = None) -> list[np.ndarray]:
-    """[B, f(B), ..., f^{start,k}(B)] computed incrementally."""
+def orbit_batches(space, schedule: GenerationSchedule, words: list[Word], k: int, batch: np.ndarray, start: int | None = None) -> list[list[np.ndarray]]:
+    """Per word, [B, f(B), ..., f^{start,k}(B)]: the orbits of one batch
+    under several words of one start, advanced together one step at a time.
+
+    At each step the words that take one map on points of one shape are
+    mapped in one apply_map call on their stacked points, and each word's
+    step is its part of the image.  Every orbit's step 0 is the batch
+    itself.  A map acts on each point alone, so a word's steps do not
+    depend on the other words."""
     if type(k) is not int or k < 0:
         k = validate_step_count(k, "k", minimum=0)
-    i = w.start if start is None else start
-    if i < w.start or i + k > w.start + len(w):
-        raise ValueError(f"word too short for orbit (start={i}, k={k})")
-    out = [batch]
+    origin = words[0].start if words else 1
+    i = origin if start is None else start
+    for w in words:
+        if w.start != origin:
+            raise ValueError(f"orbit_batches takes words of one start, got {origin} and {w.start}")
+        if i < w.start or i + k > w.start + len(w):
+            raise ValueError(f"word too short for orbit (start={i}, k={k})")
+    size = len(batch)
+    orbits = [[batch] for _ in words]
     for g in range(i, i + k):
         gen = generation_at(schedule, g)
-        batch = apply_map(space, gen[_symbol(w, g - w.start, len(gen))], batch)
-        out.append(batch)
-    return out
+        # (symbol, point shape) -> the orbits that take that map
+        groups: dict[tuple[int, tuple], list[list[np.ndarray]]] = {}
+        for w, orbit in zip(words, orbits):
+            groups.setdefault((_symbol(w, g - origin, len(gen)), orbit[-1].shape), []).append(orbit)
+        for (s, _), members in groups.items():
+            if len(members) == 1:
+                members[0].append(apply_map(space, gen[s], members[0][-1]))
+                continue
+            image = apply_map(space, gen[s], np.concatenate([orbit[-1] for orbit in members]))
+            for j, orbit in enumerate(members):
+                orbit.append(image[j * size : (j + 1) * size])
+    return orbits
 
 
 def _symbol(w: Word, t: int, size: int) -> int:
@@ -248,29 +269,6 @@ def _symbol(w: Word, t: int, size: int) -> int:
     return s
 
 
-def bowen_distance(cloud: PointCloud, schedule: GenerationSchedule, w: Word, k: int, x, y) -> float:
-    """d_{w,k}(x, y) = max over the first k+1 orbit steps of the base distance."""
-    k = validate_step_count(k, "k", minimum=0)
-    if w.start != 1:
-        raise ValueError("Bowen distances are rooted at start index 1; re-root the word first")
-    if k > len(w):
-        raise ValueError(f"k={k} exceeds word length {len(w)}")
-    space = cloud.space
-    steps = orbit_batches(space, schedule, w, k, points_to_batch(space, [x, y]))
-    return max(float(paired_distances(cloud, step[:1], step[1:2])[0]) for step in steps)
-
-
-def sup_bowen_distance(cloud: PointCloud, schedule: GenerationSchedule, n: int, x, y) -> float:
-    """d*_n(x, y): sup over start indices and words of length n of the orbit max.
-
-    The sup over all starts is exact as a max over one prefix+cycle horizon.
-    """
-    n = validate_step_count(n)
-    space = cloud.space
-    steps = sup_orbit_batches(space, schedule, n, points_to_batch(space, [x, y]))
-    return max(float(paired_distances(cloud, step[:1], step[1:2])[0]) for step in steps)
-
-
 def sup_orbit_batches(space, schedule: GenerationSchedule, n: int, batch: np.ndarray) -> list[np.ndarray]:
     """The orbit batches of every start index of one prefix+cycle horizon and
     every word of length n, in one list: d*_n is the max distance over it."""
@@ -279,8 +277,8 @@ def sup_orbit_batches(space, schedule: GenerationSchedule, n: int, batch: np.nda
         words, mode, _ = enumerate_words(schedule, i, n, SUP_WORD_CAP, seed=0)
         if mode != "exact":
             raise ValueError(f"sup metric needs exhaustive words: more than SUP_WORD_CAP = {SUP_WORD_CAP} per start")
-        for w in words:
-            steps.extend(orbit_batches(space, schedule, w, n, batch, start=i))
+        for orbit in orbit_batches(space, schedule, words, n, batch, start=i):
+            steps.extend(orbit)
     return steps
 
 

@@ -17,10 +17,12 @@ element, only the balls holding it, and a ball's ratio only once per node
 bound is computed.
 
 An orbit object (_BowenOrbit) is built from one list of step batches:
-the orbit of the cloud along one word (_word_orbit), every n-th step of
-such an orbit (the power system's orbit), or the orbits of a subset under
-every start and word (_sup_orbit).  Every row and tile of Bowen distances
-is computed from the orbit's distance forms.  The dense Bowen matrix is
+the orbit of the cloud along one word, every n-th step of such an orbit
+(the power system's orbit), or the orbits of a subset under every start
+and word (_sup_orbit).  The orbits of several words of one length are
+built together, in one orbit_batches pass (_word_orbits); a single word
+is the one-word case (_word_orbit).  Every row and tile of Bowen
+distances is computed from the orbit's distance forms.  The dense Bowen matrix is
 read only to build closed eps-balls, so a greedy witness is re-checked on
 distances computed afresh, not on the table its cover read.  The orbit
 caches what a solve reads that does not depend on the weights: the
@@ -38,10 +40,16 @@ every point, so they do not depend on the window being right.
 A pressure curve holds one AveragedPartitionSum per (n, eps): the
 word-averaged sum in log space and its growth value (1/n) log.  It takes
 its cells n by n behind a memo of the per-word sums at the current n
-(_CurveMemo): each distinct word's orbit is built once, on its first
-request, and solves every eps (_word_sums).  The memo is dropped when
-the curve returns or raises; called on their own, the per-word sums are
-not memoised.
+(_CurveMemo).  The first request of a step solves every distinct word
+the step drew in one batch, at every eps of the curve (_word_sums): the
+words' orbits are built together, their Birkhoff vectors take one
+potential evaluation per step, and the exact solvers' eps-balls come
+from Bowen matrices built a tile of whole matrices at a time
+(_matrix_tiles) and packed once per eps.  Each word is still solved on
+its own orbit, so its sums are the bits it has when solved alone.  The
+memo is dropped when the curve returns or raises; called on their own,
+the per-word sums are not memoised, and a single sum is a batch of one
+word.
 
 All sums of exponentials are accumulated in log space with max shifting.
 """
@@ -116,14 +124,17 @@ class _BowenOrbit:
     """Bowen distances of the cloud over a list of orbit step batches.
 
     The distance is the running max of the space's base distance over the
-    steps; the steps are those of one word (_word_orbit), of every start
-    and word of the sup metric (_sup_orbit), or any list a caller already
-    holds.  Each step is put in distance form once, and the forms are held
-    stacked on one step axis, so that a row reads every step in one kernel
-    call.  Rows and tiles are always computed from the forms; the dense
-    matrix is built only for small clouds (MATRIX_LIMIT), one kernel call
-    per tile over every step, and only its eps-balls (balls) read it.
-    Tiles are written into two buffers the orbit reuses.
+    steps; the steps are those of one word of a word batch (_word_orbits),
+    of every start and word of the sup metric (_sup_orbit), or any list a
+    caller already holds.  Each step is put in distance form once, and the
+    forms are held stacked on one step axis, so that a row reads every
+    step in one kernel call.  Rows and tiles are always computed from the
+    forms; the dense matrix is built only for small clouds (MATRIX_LIMIT),
+    one kernel call per tile over every step (_matrix_tiles), and only its
+    eps-balls (balls) read it.  A word batch may give the orbit its
+    eps-balls instead, from matrices it built for all its words
+    (_word_balls).  The tiles of tile and block are written into two
+    buffers the orbit reuses.
 
     When step 0 is the enumerated interval or circle grid itself, a Bowen
     distance is at least the base distance, so the closed eps-ball of a
@@ -142,7 +153,7 @@ class _BowenOrbit:
         self.cloud = cloud
         self.batches = steps
         self.n_points = len(steps[0])
-        self.forms = _stack_forms([_to_distance_form(cloud, B) for B in steps])
+        self.forms = _stack_forms([_to_distance_form(cloud, B) for B in steps], cloud.space.family == SYMBOLIC)
         # only the grids have an order that their balls follow
         self._windowed = cloud.enumerated and steps[0] is cloud.batch and cloud.space.family in (INTERVAL, CIRCLE)
         self._matrix: np.ndarray | None = None
@@ -151,10 +162,10 @@ class _BowenOrbit:
         self._buffers: list[np.ndarray | None] = [None, None]
 
     def _buffer(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
-        """Reused buffer `slot` (0: tiles, 1: one step inside block, or every
-        step of a matrix tile) viewed as shape.  It is made the size of a
-        whole tile at once (no tile of a small cloud is larger than its
-        matrix), so that tiles of varying shape do not regrow it."""
+        """Reused buffer `slot` (0: tiles, 1: one step inside block) viewed
+        as shape.  It is made the size of a whole tile at once (no tile of
+        a small cloud is larger than its matrix), so that tiles of varying
+        shape do not regrow it."""
         size = math.prod(shape)
         buf = self._buffers[slot]
         if buf is None or buf.size < size:
@@ -210,21 +221,17 @@ class _BowenOrbit:
             n = self.n_points
             if n > MATRIX_LIMIT:
                 raise ValueError(f"cloud of {n} points exceeds the matrix limit {MATRIX_LIMIT}")
-            # one kernel call per tile reads every step, as row does; the
-            # tile's rows shrink with the step count, so that its (steps,
-            # rows, N) distances stay within _TILE_ELEMENTS
-            steps = self.forms.shape[-2]
-            rows = _tile_rows(n * steps)
-            m = np.empty((n, n))
-            for lo in range(0, n, rows):
-                a = self.forms[..., lo : lo + rows, None]
-                d = _distance_kernel(self.cloud, a, self.forms[..., None, :], self._buffer(1, (steps, a.shape[-2], n)))
-                np.max(d, axis=0, out=m[lo : lo + rows])
-            self._matrix = m
+            # the one-word case of _matrix_tiles: row tiles of the matrix
+            # when it does not fit one tile with every step
+            m = np.empty((1, n, n))
+            for _, rows, d in _matrix_tiles(self.cloud, self.forms[..., None, :, :]):
+                np.max(d, axis=-3, out=m[:, rows])
+            self._matrix = m[0]
         return self._matrix
 
     def balls(self, eps: float) -> list[int]:
-        """The closed eps-balls of the matrix rows as bit masks (_balls)."""
+        """The closed eps-balls of the matrix rows as bit masks (_balls),
+        unless a word batch put them here (_word_balls)."""
         balls = self._balls.get(eps)
         if balls is None:
             balls = self._balls[eps] = _balls(self.matrix(), eps)
@@ -255,16 +262,38 @@ class _BowenOrbit:
         return best
 
 
-def _stack_forms(forms: list[np.ndarray]) -> np.ndarray:
-    """Step forms stacked on the second-to-last axis: (steps, N), or
-    (chunks, steps, N) for packed words.  A step of shorter words gains
-    zero chunks, equal in every word, which change no distance."""
-    if forms[0].ndim == 1:
+def _stack_forms(forms: list[np.ndarray], packed: bool) -> np.ndarray:
+    """Forms of equal shape stacked on a new axis: in front, or right after
+    the chunk axis of packed words, so that the step forms of an orbit
+    give (steps, N) or (chunks, steps, N), and the forms of several
+    orbits (words, steps, N) or (chunks, words, steps, N).  Packed words
+    with fewer chunks gain zero chunks, equal in every word, which change
+    no distance."""
+    if not packed:
         return np.array(forms)
-    stacked = np.zeros((max(len(f) for f in forms), len(forms), forms[0].shape[1]), dtype=forms[0].dtype)
+    stacked = np.zeros((max(len(f) for f in forms), len(forms), *forms[0].shape[1:]), dtype=forms[0].dtype)
     for s, f in enumerate(forms):
         stacked[: len(f), s] = f
     return stacked
+
+
+def _matrix_tiles(cloud: PointCloud, forms: np.ndarray):
+    """The Bowen matrices of the words on the word axis of forms
+    (_stack_forms), one tile at a time: yields (words, rows, d), where
+    d[i, s] holds the step-s distances of the matrix rows `rows` of word
+    words[i], so that a max over axis -3 gives those rows.
+
+    A tile holds the whole matrices of as many words as fit _TILE_ELEMENTS
+    with every step or, when one matrix does not, as many rows of one
+    word's matrix as fit.  Either way it is one kernel call over every
+    step."""
+    *_, n_words, steps, n = forms.shape
+    per = max(1, _TILE_ELEMENTS // (steps * n * n))
+    rows = min(n, _tile_rows(n * steps))
+    for lo in range(0, n_words, per):
+        words = slice(lo, lo + per)
+        for r in range(0, n, rows):
+            yield words, slice(r, r + rows), _distance_kernel(cloud, forms[..., words, :, r : r + rows, None], forms[..., words, :, None, :])
 
 
 def _tile_rows(n_cols: int) -> int:
@@ -272,16 +301,24 @@ def _tile_rows(n_cols: int) -> int:
     return max(1, _TILE_ELEMENTS // max(1, n_cols))
 
 
-def _word_orbit(cloud: PointCloud, schedule: GenerationSchedule, word: Word, n: int) -> _BowenOrbit:
-    """The orbit of the whole cloud along the first n steps of a word rooted
-    at start 1."""
+def _word_orbits(cloud: PointCloud, schedule: GenerationSchedule, words: list[Word], n: int) -> list[_BowenOrbit]:
+    """The orbits of the whole cloud along the first n steps of each word,
+    rooted at start 1, built in one orbit_batches pass.  Every orbit's
+    step 0 is the cloud's batch, so the grids keep their windows."""
     if type(n) is not int or n < 0:
         n = validate_step_count(n, "n", minimum=0)
-    if word.start != 1:
-        raise ValueError("partition sums run over words rooted at start 1; re-root the word")
-    if n > len(word):
-        raise ValueError(f"n={n} exceeds word length {len(word)}")
-    return _BowenOrbit(cloud, orbit_batches(cloud.space, schedule, word, n, cloud.batch))
+    for w in words:
+        if w.start != 1:
+            raise ValueError("partition sums run over words rooted at start 1; re-root the word")
+        if n > len(w):
+            raise ValueError(f"n={n} exceeds word length {len(w)}")
+    return [_BowenOrbit(cloud, steps) for steps in orbit_batches(cloud.space, schedule, words, n, cloud.batch)]
+
+
+def _word_orbit(cloud: PointCloud, schedule: GenerationSchedule, word: Word, n: int) -> _BowenOrbit:
+    """The orbit of the whole cloud along the first n steps of a word rooted
+    at start 1: _word_orbits at one word."""
+    return _word_orbits(cloud, schedule, [word], n)[0]
 
 
 def _sup_orbit(cloud: PointCloud, schedule: GenerationSchedule, n: int, indices: Sequence[int]) -> _BowenOrbit:
@@ -306,12 +343,37 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _balls(matrix: np.ndarray, eps: float) -> list[int]:
-    """The closed eps-balls of the matrix rows as bit masks: bit j of ball i
-    is set when d(i, j) <= eps.  Point i's conflicts are its ball without
-    bit i."""
-    rows = np.packbits(matrix <= eps, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in rows]
+def _balls(matrices: np.ndarray, eps: float) -> list:
+    """The closed eps-balls of the rows of a matrix, or of each matrix on
+    the leading axes, as bit masks in nested lists: bit j of ball i is set
+    when d(i, j) <= eps.  Point i's conflicts are its ball without bit i."""
+    packed = np.packbits(matrices <= eps, axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    if width <= 8:
+        # up to 64 points a row is one little-endian uint64, which tolist
+        # turns into a Python int
+        wide = np.zeros((*packed.shape[:-1], 8), dtype=np.uint8)
+        wide[..., :width] = packed
+        return wide.view("<u8")[..., 0].tolist()
+    masks = [int.from_bytes(r.tobytes(), "little") for r in packed.reshape(-1, width)]
+    return np.array(masks, dtype=object).reshape(packed.shape[:-1]).tolist()
+
+
+def _word_balls(orbits: list[_BowenOrbit], eps_list: list[float]) -> None:
+    """Give each orbit of a word batch (_word_orbits) its eps-balls at every
+    eps of the list (balls): each tile of the batch's Bowen matrices
+    (_matrix_tiles over the stacked forms) is reduced over its steps once
+    and packed once per eps.  No matrix is kept."""
+    cloud = orbits[0].cloud
+    balls = {eps: [[] for _ in orbits] for eps in eps_list}
+    for words, _, d in _matrix_tiles(cloud, _stack_forms([ctx.forms for ctx in orbits], cloud.space.family == SYMBOLIC)):
+        tile = d.max(axis=-3)
+        for eps, per_word in balls.items():
+            for masks, out in zip(_balls(tile, eps), per_word[words]):
+                out.extend(masks)
+    for eps, per_word in balls.items():
+        for ctx, masks in zip(orbits, per_word):
+            ctx._balls[eps] = masks
 
 
 def _feasible_subsets(balls: list[int], kind: str) -> np.ndarray:
@@ -752,18 +814,37 @@ def birkhoff_sum(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: in
         raise ValueError(f"n={n} exceeds word length {len(w)}")
     space = cloud.space
     total = 0.0
-    for step in orbit_batches(space, schedule, w, n, points_to_batch(space, [x])):
+    for step in orbit_batches(space, schedule, [w], n, points_to_batch(space, [x]))[0]:
         total += float(eval_potential_batch(space, psi, step)[0])
     return total
 
 
-def _birkhoff_vector(ctx: _BowenOrbit, psi: Potential) -> np.ndarray:
-    S = np.zeros(ctx.n_points)
+def _birkhoff_vectors(orbits: list[_BowenOrbit], psi: Potential) -> np.ndarray:
+    """The Birkhoff vectors of orbits of one cloud with equally many steps,
+    one row per orbit, summed step by step: each step of every orbit takes
+    one potential evaluation on the stacked points.  A point's sum does not
+    depend on the other orbits.  Only a symbolic generation that holds
+    both a shift and a map that keeps the depth gives the orbits' points
+    at one step two shapes; those are evaluated orbit by orbit."""
+    space, n = orbits[0].cloud.space, orbits[0].n_points
+    # the rows end to end, in the order of the stacked points
+    S = np.zeros(len(orbits) * n)
     # an overflowed sum is refused by _solve_setup, not warned about here
     with np.errstate(over="ignore"):
-        for B in ctx.batches:
-            S += eval_potential_batch(ctx.cloud.space, psi, B)
-    return S
+        for points in zip(*(ctx.batches for ctx in orbits)):
+            if len(points) == 1:
+                S += eval_potential_batch(space, psi, points[0])
+            elif all(p.shape == points[0].shape for p in points):
+                S += eval_potential_batch(space, psi, np.concatenate(points))
+            else:
+                for r, p in enumerate(points):
+                    S[r * n : (r + 1) * n] += eval_potential_batch(space, psi, p)
+    return S.reshape(len(orbits), n)
+
+
+def _birkhoff_vector(ctx: _BowenOrbit, psi: Potential) -> np.ndarray:
+    """The Birkhoff vector of one orbit: _birkhoff_vectors at one orbit."""
+    return _birkhoff_vectors([ctx], psi)[0]
 
 
 def max_separated(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, eps: float, mode: str = "auto") -> ExtremalSetResult:
@@ -794,40 +875,67 @@ def _weighted_solver(kind: str):
 
 
 def _word_sums(
-    cloud: PointCloud, schedule: GenerationSchedule, n: int, psi: Potential, kind: str, eps_list: list[float], w: Word, mode: str = "auto"
-) -> list[tuple[float, int, str, bool]]:
-    """(log value, witness size, method, exact) of one word at every eps of
-    the list, in order, from one orbit and one Birkhoff vector: the unit
-    that _CurveMemo reads."""
+    cloud: PointCloud, schedule: GenerationSchedule, n: int, psi: Potential, kind: str, eps_list: list[float], words: list[Word], mode: str = "auto"
+) -> list[list[tuple[float, int, str, bool]]]:
+    """Per word, (log value, witness size, method, exact) at every eps of
+    the list, in order: the unit that _CurveMemo reads.
+
+    The words are taken in chunks whose orbits hold at most _TILE_ELEMENTS
+    points (one word at least).  A chunk's orbits are built together
+    (_word_orbits) and its Birkhoff vectors take one potential evaluation
+    per step (_birkhoff_vectors).  For the exact solvers, which read
+    eps-balls, the chunk's balls come from its Bowen matrices, a tile of
+    words at a time (_word_balls).  Each word is then solved on its own
+    orbit, so its sums do not depend on the other words.
+    """
     solve = _weighted_solver(kind)
-    ctx = _word_orbit(cloud, schedule, w, n)
-    S = _birkhoff_vector(ctx, psi)
-    return [(value, len(idxs), method, exact) for value, idxs, method, exact in (solve(ctx, S, e, mode) for e in eps_list)]
+    if type(n) is not int or n < 0:
+        n = validate_step_count(n, "n", minimum=0)
+    per = max(1, _TILE_ELEMENTS // ((n + 1) * len(cloud)))
+    reads_balls = _resolve_method(mode, len(cloud), cloud.space.family == SYMBOLIC) in ("exhaustive", "branch_and_bound")
+    sums = []
+    for lo in range(0, len(words), per):
+        orbits = _word_orbits(cloud, schedule, words[lo : lo + per], n)
+        S = _birkhoff_vectors(orbits, psi)
+        if reads_balls:
+            _word_balls(orbits, eps_list)
+        for ctx, s in zip(orbits, S):
+            sums.append([(value, len(idxs), method, exact) for value, idxs, method, exact in (solve(ctx, s, e, mode) for e in eps_list)])
+    return sums
 
 
 class _CurveMemo:
     """The per-word sums of one pressure curve at one n.
 
     A word's orbit and Birkhoff vector depend on neither eps nor how often
-    the word was drawn, so its sums at every eps of the curve are solved
-    together (_word_sums), on its first request.  Only requests with the
-    memo's cloud, schedule and potential (by identity), n and kind, mode
-    "auto" and an eps of the curve are served.
+    the word was drawn, so the first request for a word with no sums yet
+    solves it at every eps of the curve in one batch (_word_sums) with
+    every distinct word of the step (expect) that has none yet.  Only
+    requests with the memo's cloud, schedule and potential (by identity),
+    n and kind, mode "auto" and an eps of the curve are served.
     """
 
     def __init__(self, cloud: PointCloud, schedule: GenerationSchedule, n: int, psi: Potential, kind: str, eps_list: list[float]):
         self.scope = (cloud, schedule, n, psi, kind, eps_list)
         self.eps_index = {eps: i for i, eps in enumerate(eps_list)}
+        self.words: list[Word] = []
         self.sums: dict[Word, list[tuple[float, int, str, bool]]] = {}
 
     def serves(self, cloud, schedule, n: int, psi, eps: float, mode: str, kind: str) -> bool:
         c, s, m, p, k, _ = self.scope
         return cloud is c and schedule is s and n == m and psi is p and kind == k and mode == "auto" and eps in self.eps_index
 
+    def expect(self, words: list[Word]) -> None:
+        """The step's words, as the averaged sum about to read them drew
+        them, for the next batch."""
+        self.words = words
+
     def read(self, w: Word, eps: float) -> tuple[float, int, str, bool]:
         sums = self.sums.get(w)
         if sums is None:
-            sums = self.sums[w] = _word_sums(*self.scope, w)
+            missing = [x for x in dict.fromkeys([*self.words, w]) if x not in self.sums]
+            self.sums.update(zip(missing, _word_sums(*self.scope, missing)))
+            sums = self.sums[w]
         return sums[self.eps_index[eps]]
 
 
@@ -842,7 +950,7 @@ def _partition_sum(kind: str, cloud: PointCloud, schedule: GenerationSchedule, w
     if memo is not None and memo.serves(cloud, schedule, n, psi, eps, mode, kind):
         log_value, size, method, exact = memo.read(w, eps)
     else:
-        [(log_value, size, method, exact)] = _word_sums(cloud, schedule, n, psi, kind, [eps], w, mode)
+        [[(log_value, size, method, exact)]] = _word_sums(cloud, schedule, n, psi, kind, [eps], [w], mode)
     return PartitionSumResult(log_value=log_value, method=method, exact=exact, witness_size=size)
 
 
@@ -902,6 +1010,9 @@ def averaged_partition_sum(
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     words, word_mode, total = enumerate_words(schedule, 1, n, word_budget, seed)
+    memo = _curve_memo.get()
+    if memo is not None and memo.serves(cloud, schedule, n, psi, eps, "auto", kind):
+        memo.expect(words)
     op = partition_sum_separated if kind == "separated" else partition_sum_spanning
     sums = [op(cloud, schedule, w, n, psi, eps) for w in words]
     logs = np.array([r.log_value for r in sums])

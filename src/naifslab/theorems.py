@@ -243,7 +243,7 @@ def check_basic_properties(
     sums: dict[str, list[float]] = {}
     exact_inputs = True
     for w in words:
-        ctx = _BowenOrbit(cloud, orbit_batches(cloud.space, schedule, w, n, cloud.batch))
+        ctx = _BowenOrbit(cloud, orbit_batches(cloud.space, schedule, [w], n, cloud.batch)[0])
         for name, S in _derived_birkhoff(ctx, phi, psi, p, c).items():
             value, _, _, ok = _solve_separated_weighted(ctx, S, eps)
             sums.setdefault(name, []).append(value)
@@ -342,7 +342,7 @@ def check_power_rule(
     for m in ms:
         words, _, _ = enumerate_words(schedule, 1, m * n, None, seed)
         for w in words:
-            ctx_base = _BowenOrbit(cloud, orbit_batches(cloud.space, schedule, w, m * n, cloud.batch))
+            ctx_base = _BowenOrbit(cloud, orbit_batches(cloud.space, schedule, [w], m * n, cloud.batch)[0])
             # the power system's orbit along the blocked word is every n-th base step
             ctx_pow = _BowenOrbit(cloud, ctx_base.batches[::n])
             s_base = _birkhoff_vector(ctx_base, psi)

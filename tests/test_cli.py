@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -129,14 +130,15 @@ def test_sweep_outputs(tmp_path):
         "output_dir": str(tmp_path / "s"),
     }
     assert run(ExperimentConfig.from_dict(cfg)) == 0
-    files = sorted(p.name for p in (tmp_path / "s").glob("*.csv"))
-    assert files == [
-        "pressure_curve_r32_e0.csv",
-        "pressure_curve_r32_e1.csv",
-        "pressure_curve_r64_e0.csv",
-        "pressure_curve_r64_e1.csv",
-        "sweep_summary.csv",
-    ]
+    # one curve file per (resolution, eps) and the summary, byte for byte
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "s").glob("*.csv")}
+    assert digests == {
+        "pressure_curve_r32_e0.csv": "db807b98e7a016745590ac31c1848bf7f782cf669245b2bcb10c748d950b7312",
+        "pressure_curve_r32_e1.csv": "424e013c71fe13b7f8caf94f42fd7da11d68e7a9f0143844230c6408775c82f7",
+        "pressure_curve_r64_e0.csv": "565723e37c6811fae83d63c8e9fec58be8317ed37d169899e175bf8fee065fa9",
+        "pressure_curve_r64_e1.csv": "5e5ebf976fa71509d0d8d664d36160ee1115a4c4433cbb844b252974e4542da1",
+        "sweep_summary.csv": "167f40de9812b51108587e1ce25d8f9f466c02b2c4af19c9f5b223475a119c7f",
+    }
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -571,6 +573,21 @@ def test_a_sweep_block_outside_sweep_mode_is_a_config_error(tmp_path, command, n
     if name == "doubling_circle":
         with pytest.raises(ConfigError, match=r"\$\.sweep\.resolutions\[0\]: resolution must be >= 2"):
             ExperimentConfig.from_dict(dict(raw, mode="sweep"))
+
+
+def test_a_sweep_builds_only_the_clouds_it_reads(tmp_path, monkeypatch):
+    # the 4096-point $.space cloud is read by no sweep without a factor or a check
+    built = []
+    build = cli.build_cloud
+    monkeypatch.setattr(cli, "build_cloud", lambda space: built.append(space.resolution) or build(space))
+    raw = _example("doubling_circle", mode="sweep", n_range=[1, 2], sweep={"resolutions": [16, 32]}, output_dir=str(tmp_path / "s"))
+    config = ExperimentConfig.from_dict(raw)
+    assert config.cloud is None and built == []
+    assert run(config) == 0 and built == [16, 32]
+    # an estimate reads $.space, and so does a sweep whose check reads the cloud
+    assert len(ExperimentConfig.from_dict({k: v for k, v in raw.items() if k != "sweep"} | {"mode": "estimate"}).cloud) == 4096
+    checked = ExperimentConfig.from_dict(dict(raw, checks=[{"type": "power"}]))
+    assert len(checked.cloud) == 4096 and built == [16, 32, 4096, 4096]
 
 
 def test_check_parameters_are_parsed_with_defaults(tmp_path):

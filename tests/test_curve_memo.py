@@ -1,9 +1,9 @@
 """A pressure curve's per-word memo (pressure._CurveMemo) against the same
 sums computed cell by cell with no curve open.
 
-Inside pressure_estimate each word's orbit and Birkhoff vector are built
-once per n and serve every eps of the curve, and a word drawn twice is
-solved once.  Every entry must equal the uncached averaged_partition_sum
+Inside pressure_estimate the orbits and Birkhoff vectors of an n's words
+are built in one batch and serve every eps of the curve, and a word drawn
+twice is solved once.  Every entry must equal the uncached averaged_partition_sum
 bit for bit, and a request outside the curve's scope must be solved afresh.
 """
 
@@ -89,7 +89,8 @@ def test_a_curve_builds_one_orbit_per_distinct_word_and_solves_it_once_per_eps(m
     cloud, sched, psi = _instance(rng, 24)
     eps_list = _eps_list(cloud, [0.6, 0.3])
     ns, budget = [1, 2, 3], 6
-    counts = {"orbits": 0, "covers": 0, "sums": 0}
+    counts = {"covers": 0, "sums": 0}
+    batches = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -98,7 +99,12 @@ def test_a_curve_builds_one_orbit_per_distinct_word_and_solves_it_once_per_eps(m
 
         return wrapper
 
-    monkeypatch.setattr(pressure, "_word_orbit", counting("orbits", pressure._word_orbit))
+    def word_orbits(cloud_, sched_, words_, n):
+        batches.append(len(words_))
+        return orbits(cloud_, sched_, words_, n)
+
+    orbits = pressure._word_orbits
+    monkeypatch.setattr(pressure, "_word_orbits", word_orbits)
     monkeypatch.setattr(pressure, "_bb_cover", counting("covers", pressure._bb_cover))
     monkeypatch.setattr(pressure, "partition_sum_spanning", counting("sums", pressure.partition_sum_spanning))
     curve = pressure_estimate(cloud, sched, psi, ns, eps_list, word_budget=budget, seed=1, kind="spanning")
@@ -106,7 +112,9 @@ def test_a_curve_builds_one_orbit_per_distinct_word_and_solves_it_once_per_eps(m
     words = [_distinct_words(sched, n, budget, 1) for n in ns]
     drawn, distinct = sum(w for w, _ in words), sum(d for _, d in words)
     assert distinct < drawn
-    assert counts == {"orbits": distinct, "covers": distinct * len(eps_list), "sums": drawn * len(eps_list)}
+    # one batch of orbits per n, holding each of its distinct words once
+    assert batches == [d for _, d in words]
+    assert counts == {"covers": distinct * len(eps_list), "sums": drawn * len(eps_list)}
 
 
 def test_requests_outside_the_curve_are_solved_afresh(monkeypatch):

@@ -16,7 +16,6 @@ from naifslab import (
     SpaceSpec,
     Word,
     block_word,
-    bowen_distance,
     build_cloud,
     check_factor_upper,
     check_semiconjugacy,
@@ -30,12 +29,12 @@ from naifslab import (
     partition_sum_separated,
     partition_sum_spanning,
     power_system,
-    sup_bowen_distance,
     truncate_system,
 )
 import naifslab.naifs as naifs
 from naifslab.cli import main
-from naifslab.naifs import _is_surjective, apply_factor_batch, orbit_batches, reachable_batches, reachable_points
+from naifslab.naifs import _is_surjective, apply_factor_batch, orbit_batches, reachable_batches, reachable_points, sup_orbit_batches
+from naifslab.pressure import _BowenOrbit, _sup_orbit, _word_orbit
 from naifslab.space import points_to_batch
 from oracles import canonical_key, compose, oracle_bowen, oracle_reachable_points, oracle_sup_bowen, oracle_surjective, points_of
 
@@ -52,6 +51,20 @@ def two_point():
 
 def circle(n=64):
     return build_cloud(SpaceSpec("circle_grid", n))
+
+
+def bowen(cloud, sched, w, k, x, y):
+    """d_{w,k}(x, y) as the package reads it: the orbit class's distance
+    between the two orbits of the batch [x, y] under the word."""
+    [steps] = orbit_batches(cloud.space, sched, [w], k, points_to_batch(cloud.space, [x, y]))
+    return float(_BowenOrbit(cloud, steps).block([0], [1])[0, 0])
+
+
+def sup_bowen(cloud, sched, n, x, y):
+    """d*_n(x, y) as the package reads it: the orbit class's distance over
+    the sup metric's orbit batches of [x, y]."""
+    steps = sup_orbit_batches(cloud.space, sched, n, points_to_batch(cloud.space, [x, y]))
+    return float(_BowenOrbit(cloud, steps).block([0], [1])[0, 0])
 
 
 def test_generation_at_prefix_then_cycle():
@@ -122,15 +135,15 @@ def test_bowen_identity_schedule_is_base_distance():
     cloud = circle()
     sched = GenerationSchedule(prefix=(), cycle=((ID,),))
     w = Word(1, (0, 0, 0))
-    assert bowen_distance(cloud, sched, w, 3, 0.125, 0.5) == distance(cloud, 0.125, 0.5)
+    assert bowen(cloud, sched, w, 3, 0.125, 0.5) == distance(cloud, 0.125, 0.5)
 
 
 def test_bowen_doubling_example():
     cloud = circle()
     sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
     w = Word(1, (0, 0))
-    assert bowen_distance(cloud, sched, w, 2, 0.0, 0.26) == pytest.approx(0.48)
-    assert bowen_distance(cloud, sched, w, 2, 0.26, 0.26) == 0.0
+    assert bowen(cloud, sched, w, 2, 0.0, 0.26) == pytest.approx(0.48)
+    assert bowen(cloud, sched, w, 2, 0.26, 0.26) == 0.0
 
 
 def test_bowen_monotone_in_k_and_dominates_base():
@@ -139,19 +152,19 @@ def test_bowen_monotone_in_k_and_dominates_base():
     w = Word(1, (0, 1, 0, 1))
     prev = 0.0
     for k in range(5):
-        d = bowen_distance(cloud, sched, w, k, 0.0, 1 / 32)
+        d = bowen(cloud, sched, w, k, 0.0, 1 / 32)
         assert d >= prev
         prev = d
-    assert bowen_distance(cloud, sched, w, 4, 0.0, 1 / 32) >= distance(cloud, 0.0, 1 / 32)
+    assert bowen(cloud, sched, w, 4, 0.0, 1 / 32) >= distance(cloud, 0.0, 1 / 32)
 
 
 def test_bowen_requires_root_one():
     cloud = circle()
     sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
     with pytest.raises(ValueError, match="re-root"):
-        bowen_distance(cloud, sched, Word(2, (0, 0)), 2, 0.0, 0.5)
+        _word_orbit(cloud, sched, Word(2, (0, 0)), 2)
     with pytest.raises(ValueError, match="exceeds"):
-        bowen_distance(cloud, sched, Word(1, (0,)), 2, 0.0, 0.5)
+        _word_orbit(cloud, sched, Word(1, (0,)), 2)
 
 
 def test_bowen_agrees_with_oracle():
@@ -164,18 +177,18 @@ def test_bowen_agrees_with_oracle():
         w = Word(1, symbols)
         for x in points_of(cloud)[:4]:
             for y in points_of(cloud)[4:8]:
-                assert bowen_distance(cloud, sched, w, 3, x, y) == pytest.approx(
+                assert bowen(cloud, sched, w, 3, x, y) == pytest.approx(
                     oracle_bowen(cloud, sched, w, 3, x, y)
                 )
 
 
 def test_sup_bowen_identity_and_swap():
     cloud, sched = two_point()
-    assert sup_bowen_distance(cloud, sched, 3, 0, 1) == 1.0
-    assert sup_bowen_distance(cloud, sched, 3, 1, 1) == 0.0
+    assert sup_bowen(cloud, sched, 3, 0, 1) == 1.0
+    assert sup_bowen(cloud, sched, 3, 1, 1) == 0.0
     ident = GenerationSchedule(prefix=(), cycle=((ID,),))
     c = circle(16)
-    assert sup_bowen_distance(c, ident, 4, 0.25, 0.5) == distance(c, 0.25, 0.5)
+    assert sup_bowen(c, ident, 4, 0.25, 0.5) == distance(c, 0.25, 0.5)
 
 
 def test_sup_bowen_dominates_rooted_words_and_matches_oracle():
@@ -185,11 +198,11 @@ def test_sup_bowen_dominates_rooted_words_and_matches_oracle():
         cycle=((MapSpec("doubling"), ID),),
     )
     x, y = 0.0, 0.0625
-    dstar = sup_bowen_distance(cloud, sched, 3, x, y)
+    dstar = sup_bowen(cloud, sched, 3, x, y)
     assert dstar == pytest.approx(oracle_sup_bowen(cloud, sched, 3, x, y))
     for symbols in itertools.product(range(1), range(2), range(2)):
         w = Word(1, symbols)
-        assert dstar >= bowen_distance(cloud, sched, w, 3, x, y) - 1e-15
+        assert dstar >= bowen(cloud, sched, w, 3, x, y) - 1e-15
 
 
 def test_power_system_unit_power_is_identity():
@@ -295,8 +308,9 @@ _COUNT_ARGUMENTS = {
     "power_system": (lambda c, s, v: power_system(s, v), "n"),
     "truncate_system": (lambda c, s, v: truncate_system(s, v), "k"),
     "block_word": (lambda c, s, v: block_word(s, Word(1, (0, 1, 1, 0)), v), "n"),
-    "bowen_distance": (lambda c, s, v: bowen_distance(c, s, Word(1, (0, 1, 1)), v, 0, 1), "k"),
-    "sup_bowen_distance": (lambda c, s, v: sup_bowen_distance(c, s, v, 0, 1), "n"),
+    # the Bowen distances of a word orbit and of the sup metric, as the orbit class reads them
+    "bowen_distance": (lambda c, s, v: _word_orbit(c, s, Word(1, (0, 1, 1)), v).block([0], [1]).tolist(), "n"),
+    "sup_bowen_distance": (lambda c, s, v: _sup_orbit(c, s, v, [0, 1]).block([0], [1]).tolist(), "n"),
     "count_words m": (lambda c, s, v: count_words(s, v, 2), "m"),
     "count_words n": (lambda c, s, v: count_words(s, 1, v), "n"),
     "enumerate_words m": (lambda c, s, v: enumerate_words(s, v, 2, None, 0), "m"),
@@ -306,7 +320,7 @@ _COUNT_ARGUMENTS = {
     "enumerate_words seed": (lambda c, s, v: enumerate_words(s, 1, 3, 2, v), "seed"),
     "partition_sum_separated": (lambda c, s, v: partition_sum_separated(c, s, Word(1, (0, 1, 1)), v, ZERO, 0.5), "n"),
     "partition_sum_spanning": (lambda c, s, v: partition_sum_spanning(c, s, Word(1, (0, 1, 1)), v, ZERO, 0.5), "n"),
-    "orbit_batches": (lambda c, s, v: [b.tolist() for b in orbit_batches(c.space, s, Word(1, (0, 1, 1)), v, c.batch)], "k"),
+    "orbit_batches": (lambda c, s, v: [b.tolist() for b in orbit_batches(c.space, s, [Word(1, (0, 1, 1))], v, c.batch)[0]], "k"),
     "averaged_partition_sum": (lambda c, s, v: averaged_partition_sum(c, s, v, ZERO, 0.5), "n"),
     "birkhoff_sum": (lambda c, s, v: birkhoff_sum(c, s, Word(1, (0, 1, 1)), v, Potential("explicit_table", (0.0, 1.0)), 0), "n"),
     "reachable_points": (lambda c, s, v: reachable_points(c, s, v), "steps"),
@@ -342,25 +356,25 @@ def test_words_hold_plain_ints():
 
 def test_counts_keep_their_lower_bounds():
     cloud, sched = two_point()
-    assert bowen_distance(cloud, sched, Word(1, (0, 1)), 0, 0, 1) == 1.0
+    assert bowen(cloud, sched, Word(1, (0, 1)), 0, 0, 1) == 1.0
     assert count_words(sched, 1, 0) == 1 and enumerate_words(sched, 1, 0, None, 0)[2] == 1
     assert sorted(reachable_points(cloud, sched, 0)) == [0, 1]
     assert enumerate_words(sched, 1, 3, 1, 0)[1] == "sampled"
     assert partition_sum_spanning(cloud, sched, Word(1, (0,)), 0, ZERO, 0.5).witness_size == 2
-    assert len(orbit_batches(cloud.space, sched, Word(1, (0,)), 0, cloud.batch)) == 1
+    assert [len(o) for o in orbit_batches(cloud.space, sched, [Word(1, (0,))], 0, cloud.batch)] == [1]
     assert birkhoff_sum(cloud, sched, Word(1, (0,)), 0, Potential("constant", (0.5,)), 0) == 0.5
     for call, name, low in (
         (lambda: power_system(sched, 0), "n", 1),
         (lambda: truncate_system(sched, 0), "k", 1),
-        (lambda: bowen_distance(cloud, sched, Word(1, (0,)), -1, 0, 1), "k", 0),
-        (lambda: sup_bowen_distance(cloud, sched, 0, 0, 1), "n", 1),
+        (lambda: _word_orbit(cloud, sched, Word(1, (0,)), -1), "n", 0),
+        (lambda: _sup_orbit(cloud, sched, -1, [0, 1]), "n", 0),
         (lambda: count_words(sched, 0, 2), "m", 1),
         (lambda: enumerate_words(sched, 1, -1, None, 0), "n", 0),
         (lambda: enumerate_words(sched, 1, 3, 0, 0), "word_budget", 1),
         (lambda: enumerate_words(sched, 1, 3, 2, -3), "seed", 0),
         (lambda: partition_sum_separated(cloud, sched, Word(1, (0,)), -1, ZERO, 0.5), "n", 0),
         (lambda: partition_sum_spanning(cloud, sched, Word(1, (0,)), -1, ZERO, 0.5), "n", 0),
-        (lambda: orbit_batches(cloud.space, sched, Word(1, (0,)), -1, cloud.batch), "k", 0),
+        (lambda: orbit_batches(cloud.space, sched, [Word(1, (0,))], -1, cloud.batch), "k", 0),
         (lambda: averaged_partition_sum(cloud, sched, 0, ZERO, 0.5), "n", 1),
         (lambda: birkhoff_sum(cloud, sched, Word(1, (0,)), -1, ZERO, 0), "n", 0),
         (lambda: reachable_points(cloud, sched, -1), "steps", 0),
@@ -376,7 +390,7 @@ def test_symbols_are_checked_against_their_generation():
     # two maps per step: symbol 5 at step 1, and 2 or 7 at step 2, name no map
     cloud, sched = two_point()
     with pytest.raises(ValueError, match=r"^symbols\[0\] = 5 is outside generation 1, whose maps are 0\.\.1$"):
-        bowen_distance(cloud, sched, Word(1, (5,)), 1, 0, 1)
+        bowen(cloud, sched, Word(1, (5,)), 1, 0, 1)
     with pytest.raises(ValueError, match=r"^symbols\[1\] = 2 is outside generation 2, whose maps are 0\.\.1$"):
         partition_sum_separated(cloud, sched, Word(1, (0, 2)), 2, Potential("constant", (0.0,)), 0.5)
     with pytest.raises(ValueError, match=r"^symbols\[1\] = 7 is outside generation 2, whose maps are 0\.\.1$"):
@@ -385,10 +399,10 @@ def test_symbols_are_checked_against_their_generation():
     # a one-map prefix generation takes symbol 0 only
     prefixed = GenerationSchedule(prefix=((SWAP2,),), cycle=((ID, SWAP2),))
     with pytest.raises(ValueError, match=r"^symbols\[0\] = 1 is outside generation 1, whose maps are 0\.\.0$"):
-        bowen_distance(cloud, prefixed, Word(1, (1, 0)), 2, 0, 1)
+        bowen(cloud, prefixed, Word(1, (1, 0)), 2, 0, 1)
     with pytest.raises(ValueError, match=r"^symbols\[0\] = 1 is outside generation 1, whose maps are 0\.\.0$"):
         block_word(prefixed, Word(1, (1, 0)), 2)
-    assert bowen_distance(cloud, prefixed, Word(1, (0, 1)), 2, 0, 1) == 1.0
+    assert bowen(cloud, prefixed, Word(1, (0, 1)), 2, 0, 1) == 1.0
 
 
 def test_semiconjugacy_identity_is_exact():
@@ -588,14 +602,14 @@ def test_bowen_distance_is_a_metric():
     w = Word(1, (0, 1, 0))
     pts = points_of(cloud)[:6]
     for x in pts:
-        assert bowen_distance(cloud, sched, w, 3, x, x) == 0.0
+        assert bowen(cloud, sched, w, 3, x, x) == 0.0
         for y in pts:
-            dxy = bowen_distance(cloud, sched, w, 3, x, y)
-            assert dxy == bowen_distance(cloud, sched, w, 3, y, x)
+            dxy = bowen(cloud, sched, w, 3, x, y)
+            assert dxy == bowen(cloud, sched, w, 3, y, x)
             if x != y:
                 assert dxy > 0
             for z in pts:
-                assert dxy <= bowen_distance(cloud, sched, w, 3, x, z) + bowen_distance(cloud, sched, w, 3, z, y) + 1e-12
+                assert dxy <= bowen(cloud, sched, w, 3, x, z) + bowen(cloud, sched, w, 3, z, y) + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def test_power_orbit_is_every_nth_base_step(instance):
     # check_power_rule builds the power system's orbit from its base orbit's steps
     cloud, schedule, n, m, w, psi, eps = instance
     steps = _word_orbit(cloud, schedule, w, m * n).batches[::n]
-    powered = orbit_batches(cloud.space, power_system(schedule, n), block_word(schedule, w, n), m, cloud.batch)
+    [powered] = orbit_batches(cloud.space, power_system(schedule, n), [block_word(schedule, w, n)], m, cloud.batch)
     assert len(steps) == len(powered) == m + 1
     for a, b in zip(steps, powered):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -659,7 +659,7 @@ def test_pullback_is_evaluated_deep_in_an_orbit_without_the_reachable_set(monkey
     rot = NAIFS(cloud, GenerationSchedule((), ((MapSpec("rotation", (0.1234567,)),),)))
     proj = FactorMapSpec(source=rot, target=rot, kind="coordinate_projection")
     wave = Potential("piecewise_linear", (0.0, 1.0, -0.5))
-    step = orbit_batches(cloud.space, rot.schedule, Word(1, (0,) * 500), 500, cloud.batch)[500]
+    step = orbit_batches(cloud.space, rot.schedule, [Word(1, (0,) * 500)], 500, cloud.batch)[0][500]
     values = eval_potential_batch(cloud.space, pullback_potential(proj, wave), step)
     assert [v.hex() for v in values] == [v.hex() for v in eval_potential_batch(cloud.space, wave, step)]
 

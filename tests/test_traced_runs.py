@@ -51,8 +51,8 @@ def test_traced_runs_equal_untraced_runs(tmp_path):
 
 
 def test_a_traced_curve_solves_every_slot_on_one_orbit_per_distinct_word():
-    # every (word, eps) slot is still one public solve, but a word's orbit is
-    # built once per n, however many eps and draws it serves
+    # every (word, eps) slot is still one public solve, but the orbits of an
+    # n's words are built in one batch, however many eps and draws they serve
     cloud = build_cloud(SpaceSpec("circle_grid", 24))
     schedule = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"), MapSpec("rotation", (0.25,)), MapSpec("identity")),))
     psi = Potential("piecewise_linear", (0.0, 1.0, 0.2, 0.9))
@@ -68,7 +68,9 @@ def test_a_traced_curve_solves_every_slot_on_one_orbit_per_distinct_word():
     assert tracer.missing == []
     m = layer_metrics(tracer)
     assert m["pressure.solves.calls"] == len(eps_list) * sum(len(w) for w in words)
-    assert m["naifs.orbit_batches.calls"] == sum(len(set(w)) for w in words)
+    # one orbit pass and one potential evaluation per orbit step of each n
+    assert m["naifs.orbit_batches.calls"] == len(ns)
+    assert m["space.eval_potential_batch.calls"] == sum(n + 1 for n in ns)
     # one averaged sum and one word enumeration per (n, eps) cell
     assert tracer.stats["pressure.averaged_partition_sum"].calls == m["naifs.enumerate_words.calls"] == len(ns) * len(eps_list)
     assert [e.word_mode for e in curve.entries] == ["exact", "sampled", "sampled"] * len(eps_list)
