@@ -10,13 +10,11 @@ from .space import (
     distance,
 )
 from .naifs import (
-    ComposedMap,
     FactorMapSpec,
     GenerationSchedule,
     MapSpec,
     NAIFS,
     Word,
-    block_word,
     check_semiconjugacy,
     count_words,
     enumerate_words,
@@ -34,7 +32,6 @@ from .pressure import (
     PressureCurve,
     SupEntropyEstimate,
     averaged_partition_sum,
-    birkhoff_sum,
     max_separated,
     min_spanning,
     partition_sum_separated,
@@ -44,7 +41,6 @@ from .pressure import (
 )
 from .theorems import (
     EquicontinuityReport,
-    GrowthRate,
     InequalityReport,
     check_basic_properties,
     check_equicontinuity,
@@ -54,7 +50,6 @@ from .theorems import (
     check_power_rule,
     check_truncation_monotonicity,
     default_proxy_tol,
-    growth_rate,
     random_explicit_instance,
     run_finite_inequality_suite,
     summarize_reports,

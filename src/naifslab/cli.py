@@ -621,9 +621,15 @@ def _load_config_dict(name_or_path: str) -> dict:
     if not path.exists():
         raise ConfigError(f"config {name_or_path!r} is neither a file nor a bundled example")
     try:
-        return json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config {name_or_path!r} cannot be read: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {name_or_path!r} is not valid JSON: {e}") from e
+    # main writes the command-line overrides into it
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config field $: {raw!r} is not of type 'object'")
+    return raw
 
 
 def main(argv: list[str] | None = None) -> int:

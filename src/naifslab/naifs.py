@@ -312,24 +312,6 @@ def power_system(schedule: GenerationSchedule, n: int) -> GenerationSchedule:
     return GenerationSchedule(prefix=prefix, cycle=cycle)
 
 
-def block_word(schedule: GenerationSchedule, w: Word, n: int) -> Word:
-    """Reindex a word of length m*n over the base system as the length-m word
-    over the n-step power system that selects the same composition."""
-    n = validate_step_count(n)
-    if w.start != 1:
-        raise ValueError("blocking is defined for words rooted at start index 1")
-    if len(w) % n != 0:
-        raise ValueError(f"word length {len(w)} is not a multiple of {n}")
-    symbols = []
-    for b in range(len(w) // n):
-        sizes = [len(generation_at(schedule, 1 + b * n + t)) for t in range(n)]
-        idx = 0
-        for t in range(n):
-            idx = idx * sizes[t] + _symbol(w, b * n + t, sizes[t])
-        symbols.append(idx)
-    return Word(start=1, symbols=tuple(symbols))
-
-
 def truncate_system(schedule: GenerationSchedule, k: int) -> GenerationSchedule:
     """The system starting from generation k (generation j maps to j + k - 1)."""
     k = validate_step_count(k, "k")

@@ -19,7 +19,7 @@ bound is computed.
 An orbit object (_BowenOrbit) is built from one list of step batches:
 the orbit of the cloud along one word, every n-th step of such an orbit
 (the power system's orbit), or the orbits of a subset under every start
-and word (_sup_orbit).  The orbits of several words of one length are
+and word (sup_orbit).  The orbits of several words of one length are
 built together, in one orbit_batches pass (_word_orbits); a single word
 is the one-word case (_word_orbit).  Every row and tile of Bowen
 distances is computed from the orbit's distance forms.  The dense Bowen matrix is
@@ -82,11 +82,10 @@ from .space import (
     SYMBOLIC,
     PointCloud,
     Potential,
-    _distance_kernel,
-    _to_distance_form,
     cylinder_keys,
+    distance_form,
+    distance_kernel,
     eval_potential_batch,
-    points_to_batch,
 )
 
 log = logging.getLogger("naifslab.pressure")
@@ -106,7 +105,8 @@ CLASSES = "ultrametric_classes"
 KINDS = ("separated", "spanning")
 
 
-def _logsumexp(values: np.ndarray) -> float:
+def logsumexp(values: np.ndarray) -> float:
+    """log of the sum of exp(values), shifted by the max; -inf for no values."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return -math.inf
@@ -125,7 +125,7 @@ class _BowenOrbit:
 
     The distance is the running max of the space's base distance over the
     steps; the steps are those of one word of a word batch (_word_orbits),
-    of every start and word of the sup metric (_sup_orbit), or any list a
+    of every start and word of the sup metric (sup_orbit), or any list a
     caller already holds.  Each step is put in distance form once, and the
     forms are held stacked on one step axis, so that a row reads every
     step in one kernel call.  Rows and tiles are always computed from the
@@ -153,7 +153,7 @@ class _BowenOrbit:
         self.cloud = cloud
         self.batches = steps
         self.n_points = len(steps[0])
-        self.forms = _stack_forms([_to_distance_form(cloud, B) for B in steps], cloud.space.family == SYMBOLIC)
+        self.forms = _stack_forms([distance_form(cloud, B) for B in steps], cloud.space.family == SYMBOLIC)
         # only the grids have an order that their balls follow
         self._windowed = cloud.enumerated and steps[0] is cloud.batch and cloud.space.family in (INTERVAL, CIRCLE)
         self._matrix: np.ndarray | None = None
@@ -178,11 +178,11 @@ class _BowenOrbit:
         when given and otherwise into a new array."""
         a = self._columns(I)[..., None]
         b = self._columns(js)[..., None, :]
-        acc = _distance_kernel(self.cloud, a[..., 0, :, :], b[..., 0, :, :], out)
+        acc = distance_kernel(self.cloud, a[..., 0, :, :], b[..., 0, :, :], out)
         if a.shape[-3] > 1:
             scratch = self._buffer(1, acc.shape)
             for s in range(1, a.shape[-3]):
-                np.maximum(acc, _distance_kernel(self.cloud, a[..., s, :, :], b[..., s, :, :], scratch), out=acc)
+                np.maximum(acc, distance_kernel(self.cloud, a[..., s, :, :], b[..., s, :, :], scratch), out=acc)
         return acc
 
     def tile(self, I: np.ndarray, js: np.ndarray) -> np.ndarray:
@@ -193,7 +193,7 @@ class _BowenOrbit:
     def row(self, i: int, js: np.ndarray) -> np.ndarray:
         """Distances from point i to the points js, every step in one kernel call."""
         js = np.asarray(js, dtype=np.intp)
-        return _distance_kernel(self.cloud, self.forms[..., i, None], self._columns(js)).max(axis=0)
+        return distance_kernel(self.cloud, self.forms[..., i, None], self._columns(js)).max(axis=0)
 
     def _columns(self, js: np.ndarray | slice) -> np.ndarray:
         """The forms of the points js, in C order: np.take, unlike an index
@@ -293,7 +293,7 @@ def _matrix_tiles(cloud: PointCloud, forms: np.ndarray):
     for lo in range(0, n_words, per):
         words = slice(lo, lo + per)
         for r in range(0, n, rows):
-            yield words, slice(r, r + rows), _distance_kernel(cloud, forms[..., words, :, r : r + rows, None], forms[..., words, :, None, :])
+            yield words, slice(r, r + rows), distance_kernel(cloud, forms[..., words, :, r : r + rows, None], forms[..., words, :, None, :])
 
 
 def _tile_rows(n_cols: int) -> int:
@@ -321,7 +321,7 @@ def _word_orbit(cloud: PointCloud, schedule: GenerationSchedule, word: Word, n: 
     return _word_orbits(cloud, schedule, [word], n)[0]
 
 
-def _sup_orbit(cloud: PointCloud, schedule: GenerationSchedule, n: int, indices: Sequence[int]) -> _BowenOrbit:
+def sup_orbit(cloud: PointCloud, schedule: GenerationSchedule, n: int, indices: Sequence[int]) -> _BowenOrbit:
     """Orbits of a point subset under every start index and word of length n;
     their distance is the sup metric d*_n."""
     if len(indices) > SUBSET_METRIC_LIMIT:
@@ -807,18 +807,6 @@ def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto")
 # public operations
 
 
-def birkhoff_sum(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, psi: Potential, x) -> float:
-    """Sum of n+1 potential values along the w-orbit of x (steps 0..n)."""
-    n = validate_step_count(n, "n", minimum=0)
-    if n > len(w):
-        raise ValueError(f"n={n} exceeds word length {len(w)}")
-    space = cloud.space
-    total = 0.0
-    for step in orbit_batches(space, schedule, [w], n, points_to_batch(space, [x]))[0]:
-        total += float(eval_potential_batch(space, psi, step)[0])
-    return total
-
-
 def _birkhoff_vectors(orbits: list[_BowenOrbit], psi: Potential) -> np.ndarray:
     """The Birkhoff vectors of orbits of one cloud with equally many steps,
     one row per orbit, summed step by step: each step of every orbit takes
@@ -1016,7 +1004,7 @@ def averaged_partition_sum(
     op = partition_sum_separated if kind == "separated" else partition_sum_spanning
     sums = [op(cloud, schedule, w, n, psi, eps) for w in words]
     logs = np.array([r.log_value for r in sums])
-    log_average = _logsumexp(logs) - math.log(len(logs))
+    log_average = logsumexp(logs) - math.log(len(logs))
     stderr = 0.0
     if word_mode == "sampled" and len(logs) > 1:
         m = float(logs.max())
@@ -1231,7 +1219,7 @@ def sup_entropy_estimate(
     entries: list[SupEntropyEntry] = []
     sandwiches: list[SandwichCheck] = []
     for n in ns:
-        ctx = _sup_orbit(cloud, schedule, n, indices)
+        ctx = sup_orbit(cloud, schedule, n, indices)
         zeros = np.zeros(ctx.n_points)
         # one spanning solve per eps: on a schedule that halves eps, the
         # r*(eps/2) of one entry is the r*(eps) of the next

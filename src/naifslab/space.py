@@ -229,12 +229,12 @@ def batch_to_points(space: SpaceSpec, batch: np.ndarray) -> list:
 def pairwise_distances(cloud: PointCloud, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Distance matrix between two point batches of the same space."""
     A, B = _common_forms(cloud, A, B)
-    return _distance_kernel(cloud, A[..., :, None], B[..., None, :])
+    return distance_kernel(cloud, A[..., :, None], B[..., None, :])
 
 
 def paired_distances(cloud: PointCloud, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Elementwise distances between two equally long batches."""
-    return _distance_kernel(cloud, *_common_forms(cloud, A, B))
+    return distance_kernel(cloud, *_common_forms(cloud, A, B))
 
 
 def _common_forms(cloud: PointCloud, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,11 +242,11 @@ def _common_forms(cloud: PointCloud, A: np.ndarray, B: np.ndarray) -> tuple[np.n
     if cloud.space.family == SYMBOLIC:
         depth = min(A.shape[1], B.shape[1])
         A, B = A[:, :depth], B[:, :depth]
-    return _to_distance_form(cloud, A), _to_distance_form(cloud, B)
+    return distance_form(cloud, A), distance_form(cloud, B)
 
 
-def _to_distance_form(cloud: PointCloud, batch: np.ndarray) -> np.ndarray:
-    """A point batch as _distance_kernel reads it, points on the last axis:
+def distance_form(cloud: PointCloud, batch: np.ndarray) -> np.ndarray:
+    """A point batch as distance_kernel reads it, points on the last axis:
     packed codes for words, coordinates reduced mod 1 on the circle, point
     ids or coordinates as they are otherwise.  A circle batch already in
     [0, 1) is returned itself, not copied."""
@@ -263,7 +263,7 @@ def _to_distance_form(cloud: PointCloud, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _distance_kernel(cloud: PointCloud, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def distance_kernel(cloud: PointCloud, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Base distances between batches in distance form; `a` and `b`
     broadcast against each other.  The result is written into `out` when
     it is given (of the broadcast shape) and returned."""

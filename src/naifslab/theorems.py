@@ -53,13 +53,13 @@ from .pressure import (
     PressureCurve,
     _birkhoff_vector,
     _BowenOrbit,
-    _logsumexp,
     _solve_separated_weighted,
     _solve_spanning_weighted,
-    _sup_orbit,
+    logsumexp,
     min_spanning,
     pressure_estimate,
     sup_entropy_estimate,
+    sup_orbit,
     validate_eps_list,
     validate_n_range,
 )
@@ -106,21 +106,6 @@ class InequalityReport:
     level: str
     context: str
     tol: float | None = None
-
-
-@dataclass
-class GrowthRate:
-    """limsup/liminf of the running average of log generation sizes; exact
-    (and equal) for eventually periodic schedules via the cycle average."""
-
-    limsup_value: float
-    liminf_value: float
-
-
-def growth_rate(schedule: GenerationSchedule) -> GrowthRate:
-    logs = [math.log(len(g)) for g in schedule.cycle]
-    avg = math.fsum(logs) / len(logs)
-    return GrowthRate(limsup_value=avg, liminf_value=avg)
 
 
 def default_proxy_tol(n_max: int, cloud_size: int) -> float:
@@ -251,7 +236,7 @@ def check_basic_properties(
     logP = {name: np.array(vals) for name, vals in sums.items()}
 
     logW = math.log(len(words))
-    avg = {name: _logsumexp(vals) - logW for name, vals in logP.items()}
+    avg = {name: logsumexp(vals) - logW for name, vals in logP.items()}
     base_ctx = _ctx(n=n, eps=eps, words=len(words), word_mode=word_mode, p=p, c=c)
 
     def row(name: str, lhs: float, rhs: float, context: str = "", **kw) -> InequalityReport:
@@ -642,7 +627,7 @@ def _fiber_eps_schedule(cloud: PointCloud, schedule: GenerationSchedule, fiber: 
     """Extend the eps schedule by dyadic halving until it resolves every
     pair of the fiber in the one-step sup metric (distances only grow with
     n, so the separated counts are stable from there on)."""
-    ctx = _sup_orbit(cloud, schedule, 1, list(fiber))
+    ctx = sup_orbit(cloud, schedule, 1, list(fiber))
     floor = ctx.min_pair_distance(np.arange(ctx.n_points)) / 2.0
     out = list(eps_list)
     while out[-1] > floor:

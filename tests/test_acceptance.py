@@ -24,8 +24,8 @@ from naifslab import (
     check_factor_lower,
     check_factor_upper,
     check_semiconjugacy,
+    count_words,
     enumerate_words,
-    growth_rate,
     max_separated,
     min_spanning,
     partition_sum_separated,
@@ -217,15 +217,15 @@ def test_criterion_6_factor_suite():
 
 
 def test_criterion_7_power_rule(doubling_setup, doubling_curve):
-    worst = 0.0
+    # #I^{1,m} of the n-th power is #I^{1,mn} of the base, as exact integers:
+    # the growth rate of the word counts multiplies by n
+    gaps = []
     for sizes in ((2,), (3, 2), (2, 8), (4, 1)):
         sched = GenerationSchedule((), tuple(tuple(ID for _ in range(s)) for s in sizes))
-        base = growth_rate(sched).limsup_value
         for n in range(1, 5):
-            powered = growth_rate(power_system(sched, n)).limsup_value
-            scale = max(1.0, abs(n * base))
-            worst = max(worst, abs(powered - n * base) / scale)
-    ok_growth = worst <= 1e-12
+            powered = power_system(sched, n)
+            gaps += [(sizes, n, m) for m in range(1, 4) if count_words(powered, 1, m) != count_words(sched, 1, m * n)]
+    ok_growth = not gaps
 
     cloud, schedule = doubling_setup
     base_curve, _ = doubling_curve
@@ -236,7 +236,7 @@ def test_criterion_7_power_rule(doubling_setup, doubling_curve):
     _report(
         7,
         ok_growth and ok_proxy,
-        f"growth-rate power identity worst rel gap {worst:.1e} (<= 1e-12); "
+        f"word-count power identity fails at (sizes, n, m) {gaps} (none); "
         f"doubling squared proxy {curve2.estimate:.4f} vs 2x{base_curve.estimate:.4f} ({rel:.1%} <= 10%)",
     )
 

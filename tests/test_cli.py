@@ -181,6 +181,32 @@ def test_main_runs_config_file(tmp_path):
     assert (tmp_path / "out" / "estimate.txt").exists()
 
 
+# config files main cannot take: (the file's bytes, or None for a
+# directory at the path; what the config error says)
+UNREADABLE_CONFIGS = {
+    "a list": (b"[]", "config field $: [] is not of type 'object'"),
+    "a number": (b"3", "config field $: 3 is not of type 'object'"),
+    "a directory": (None, "cannot be read: [Errno 21] Is a directory"),
+    "not utf-8": (b'{"seed": "\xff"}', "cannot be read: 'utf-8' codec can't decode byte 0xff"),
+    "not json": (b"{", "is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "--seed", "1"], ["verify"], ["sweep", "--tol", "0.1"]], ids=" ".join)
+@pytest.mark.parametrize("case", sorted(UNREADABLE_CONFIGS))
+def test_a_config_file_that_is_no_readable_object_is_a_config_error(tmp_path, capsys, case, argv):
+    # refused before main writes the mode or an override into the document
+    content, message = UNREADABLE_CONFIGS[case]
+    path = tmp_path / "cfg.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
 def test_a_worker_count_is_refused_by_the_config_and_the_command_line(tmp_path, capsys):
     # every curve takes one serial path: no config field or flag sets a worker count
     path = tmp_path / "cfg.json"

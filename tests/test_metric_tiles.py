@@ -25,8 +25,8 @@ from naifslab.pressure import (
     _recheck_spanning,
     _solve_separated_weighted,
     _solve_spanning_weighted,
-    _sup_orbit,
     _word_orbit,
+    sup_orbit,
 )
 from naifslab.space import points_to_batch
 from naifslab.theorems import random_explicit_instance
@@ -92,7 +92,7 @@ def test_sup_orbit_block_matches_oracle_sup_bowen(family, seed, n, data):
     rng = random.Random(seed)
     cloud, sched = random_system(family, rng)
     subset = sorted(rng.sample(range(len(cloud)), min(5, len(cloud))))
-    ctx = _sup_orbit(cloud, sched, n, subset)
+    ctx = sup_orbit(cloud, sched, n, subset)
     I, js = index_lists(data, len(subset))
     pts = [points_of(cloud)[i] for i in subset]
     expected = [[oracle_sup_bowen(cloud, sched, n, pts[i], pts[j]) for j in js] for i in I]

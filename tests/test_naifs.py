@@ -15,7 +15,6 @@ from naifslab import (
     Potential,
     SpaceSpec,
     Word,
-    block_word,
     build_cloud,
     check_factor_upper,
     check_semiconjugacy,
@@ -25,7 +24,6 @@ from naifslab import (
     fiber_indices,
     generation_at,
     averaged_partition_sum,
-    birkhoff_sum,
     partition_sum_separated,
     partition_sum_spanning,
     power_system,
@@ -34,7 +32,7 @@ from naifslab import (
 import naifslab.naifs as naifs
 from naifslab.cli import main
 from naifslab.naifs import _is_surjective, apply_factor_batch, orbit_batches, reachable_batches, reachable_points, sup_orbit_batches
-from naifslab.pressure import _BowenOrbit, _sup_orbit, _word_orbit
+from naifslab.pressure import _birkhoff_vector, _BowenOrbit, _word_orbit, sup_orbit
 from naifslab.space import points_to_batch
 from oracles import canonical_key, compose, oracle_bowen, oracle_reachable_points, oracle_sup_bowen, oracle_surjective, points_of
 
@@ -249,8 +247,11 @@ def test_power_compose_reproduces_base_compose():
                 continue
             words, mode, _ = enumerate_words(sched, 1, m * n, None, 0)
             assert mode == "exact"
-            for w in words:
-                wstar = block_word(sched, w, n)
+            # both enumerations are lexicographic, so the i-th power word
+            # blocks the i-th base word
+            powered_words, powered_mode, _ = enumerate_words(powered, 1, m, None, 0)
+            assert powered_mode == "exact"
+            for w, wstar in zip(words, powered_words, strict=True):
                 for x in points_of(cloud)[:5]:
                     assert compose(cloud, powered, wstar, 1, m, x) == compose(cloud, sched, w, 1, m * n, x)
 
@@ -307,10 +308,9 @@ def test_enumerate_words_refuses_a_budget_past_the_cap(monkeypatch):
 _COUNT_ARGUMENTS = {
     "power_system": (lambda c, s, v: power_system(s, v), "n"),
     "truncate_system": (lambda c, s, v: truncate_system(s, v), "k"),
-    "block_word": (lambda c, s, v: block_word(s, Word(1, (0, 1, 1, 0)), v), "n"),
     # the Bowen distances of a word orbit and of the sup metric, as the orbit class reads them
     "bowen_distance": (lambda c, s, v: _word_orbit(c, s, Word(1, (0, 1, 1)), v).block([0], [1]).tolist(), "n"),
-    "sup_bowen_distance": (lambda c, s, v: _sup_orbit(c, s, v, [0, 1]).block([0], [1]).tolist(), "n"),
+    "sup_bowen_distance": (lambda c, s, v: sup_orbit(c, s, v, [0, 1]).block([0], [1]).tolist(), "n"),
     "count_words m": (lambda c, s, v: count_words(s, v, 2), "m"),
     "count_words n": (lambda c, s, v: count_words(s, 1, v), "n"),
     "enumerate_words m": (lambda c, s, v: enumerate_words(s, v, 2, None, 0), "m"),
@@ -322,7 +322,6 @@ _COUNT_ARGUMENTS = {
     "partition_sum_spanning": (lambda c, s, v: partition_sum_spanning(c, s, Word(1, (0, 1, 1)), v, ZERO, 0.5), "n"),
     "orbit_batches": (lambda c, s, v: [b.tolist() for b in orbit_batches(c.space, s, [Word(1, (0, 1, 1))], v, c.batch)[0]], "k"),
     "averaged_partition_sum": (lambda c, s, v: averaged_partition_sum(c, s, v, ZERO, 0.5), "n"),
-    "birkhoff_sum": (lambda c, s, v: birkhoff_sum(c, s, Word(1, (0, 1, 1)), v, Potential("explicit_table", (0.0, 1.0)), 0), "n"),
     "reachable_points": (lambda c, s, v: reachable_points(c, s, v), "steps"),
     "generation_at": (lambda c, s, v: generation_at(s, v), "j"),
     "Word start": (lambda c, s, v: Word(v, (0,)), "start"),
@@ -362,12 +361,12 @@ def test_counts_keep_their_lower_bounds():
     assert enumerate_words(sched, 1, 3, 1, 0)[1] == "sampled"
     assert partition_sum_spanning(cloud, sched, Word(1, (0,)), 0, ZERO, 0.5).witness_size == 2
     assert [len(o) for o in orbit_batches(cloud.space, sched, [Word(1, (0,))], 0, cloud.batch)] == [1]
-    assert birkhoff_sum(cloud, sched, Word(1, (0,)), 0, Potential("constant", (0.5,)), 0) == 0.5
+    assert _birkhoff_vector(_word_orbit(cloud, sched, Word(1, (0,)), 0), Potential("constant", (0.5,))).tolist() == [0.5, 0.5]
     for call, name, low in (
         (lambda: power_system(sched, 0), "n", 1),
         (lambda: truncate_system(sched, 0), "k", 1),
         (lambda: _word_orbit(cloud, sched, Word(1, (0,)), -1), "n", 0),
-        (lambda: _sup_orbit(cloud, sched, -1, [0, 1]), "n", 0),
+        (lambda: sup_orbit(cloud, sched, -1, [0, 1]), "n", 0),
         (lambda: count_words(sched, 0, 2), "m", 1),
         (lambda: enumerate_words(sched, 1, -1, None, 0), "n", 0),
         (lambda: enumerate_words(sched, 1, 3, 0, 0), "word_budget", 1),
@@ -376,7 +375,6 @@ def test_counts_keep_their_lower_bounds():
         (lambda: partition_sum_spanning(cloud, sched, Word(1, (0,)), -1, ZERO, 0.5), "n", 0),
         (lambda: orbit_batches(cloud.space, sched, [Word(1, (0,))], -1, cloud.batch), "k", 0),
         (lambda: averaged_partition_sum(cloud, sched, 0, ZERO, 0.5), "n", 1),
-        (lambda: birkhoff_sum(cloud, sched, Word(1, (0,)), -1, ZERO, 0), "n", 0),
         (lambda: reachable_points(cloud, sched, -1), "steps", 0),
         (lambda: generation_at(sched, 0), "j", 1),
         (lambda: Word(0, (0,)), "start", 1),
@@ -387,21 +385,16 @@ def test_counts_keep_their_lower_bounds():
 
 
 def test_symbols_are_checked_against_their_generation():
-    # two maps per step: symbol 5 at step 1, and 2 or 7 at step 2, name no map
+    # two maps per step: symbol 5 at step 1 and 2 at step 2 name no map
     cloud, sched = two_point()
     with pytest.raises(ValueError, match=r"^symbols\[0\] = 5 is outside generation 1, whose maps are 0\.\.1$"):
         bowen(cloud, sched, Word(1, (5,)), 1, 0, 1)
     with pytest.raises(ValueError, match=r"^symbols\[1\] = 2 is outside generation 2, whose maps are 0\.\.1$"):
         partition_sum_separated(cloud, sched, Word(1, (0, 2)), 2, Potential("constant", (0.0,)), 0.5)
-    with pytest.raises(ValueError, match=r"^symbols\[1\] = 7 is outside generation 2, whose maps are 0\.\.1$"):
-        block_word(sched, Word(1, (0, 7)), 2)
-    assert block_word(sched, Word(1, (1, 1)), 2) == Word(1, (3,))
     # a one-map prefix generation takes symbol 0 only
     prefixed = GenerationSchedule(prefix=((SWAP2,),), cycle=((ID, SWAP2),))
     with pytest.raises(ValueError, match=r"^symbols\[0\] = 1 is outside generation 1, whose maps are 0\.\.0$"):
         bowen(cloud, prefixed, Word(1, (1, 0)), 2, 0, 1)
-    with pytest.raises(ValueError, match=r"^symbols\[0\] = 1 is outside generation 1, whose maps are 0\.\.0$"):
-        block_word(prefixed, Word(1, (1, 0)), 2)
     assert bowen(cloud, prefixed, Word(1, (0, 1)), 2, 0, 1) == 1.0
 
 

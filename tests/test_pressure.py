@@ -17,7 +17,6 @@ from naifslab import (
     SpaceSpec,
     Word,
     averaged_partition_sum,
-    birkhoff_sum,
     build_cloud,
     distance,
     enumerate_words,
@@ -58,12 +57,16 @@ def two_point():
     return cloud, GenerationSchedule(prefix=(), cycle=((ID, SWAP2),))
 
 
+def _birkhoff(cloud, sched, w, n, pot):
+    return pressure._birkhoff_vector(pressure._word_orbit(cloud, sched, w, n), pot).tolist()
+
+
 def test_birkhoff_constant_counts_terms():
     cloud, sched = two_point()
     pot = Potential("constant", (0.7,))
     for n in range(4):
         w = Word(1, (0,) * 4)
-        assert birkhoff_sum(cloud, sched, w, n, pot, 0) == pytest.approx((n + 1) * 0.7)
+        assert _birkhoff(cloud, sched, w, n, pot) == pytest.approx([(n + 1) * 0.7] * 2)
 
 
 def test_birkhoff_doubling_orbit():
@@ -71,8 +74,11 @@ def test_birkhoff_doubling_orbit():
     sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
     pot = Potential("coordinate_affine", (1.0, 0.0))
     w = Word(1, (0, 0))
-    assert birkhoff_sum(cloud, sched, w, 2, pot, 0.3) == pytest.approx(1.1)
-    assert birkhoff_sum(cloud, sched, w, 0, pot, 0.3) == pytest.approx(0.3)
+    for n in (0, 1, 2):
+        sums = _birkhoff(cloud, sched, w, n, pot)
+        assert sums == pytest.approx([oracle_birkhoff(cloud, sched, w, n, pot, x) for x in points_of(cloud)])
+    # 5/16 -> 5/8 -> 1/4
+    assert points_of(cloud)[5] == 5 / 16 and sums[5] == pytest.approx(1.1875)
 
 
 def test_max_separated_extremes():

@@ -25,7 +25,7 @@ from naifslab import (
 from naifslab.space import (
     CLOUD_POINT_LIMIT,
     TRIANGLE_EXHAUSTIVE_LIMIT,
-    _to_distance_form,
+    distance_form,
     eval_potential_batch,
     paired_distances,
     pairwise_distances,
@@ -82,7 +82,7 @@ def test_cloud_batch_is_read_only():
                 batch[0] = batch[-1]
     # on the circle the batch is its own distance form: that is read-only too
     cloud = build_cloud(SpaceSpec("circle_grid", 16))
-    form = _to_distance_form(cloud, cloud.batch)
+    form = distance_form(cloud, cloud.batch)
     assert np.shares_memory(form, cloud.batch)
     with pytest.raises(ValueError, match="read-only"):
         form[1] = 0.5
@@ -262,10 +262,10 @@ def test_circle_distance_form_reuses_batches_in_range():
     # reduced mod 1 into a new array and left as it was
     cloud = build_cloud(SpaceSpec("circle_grid", 8))
     inside = np.array([0.0, 0.125, 0.5, 1.0 - 2.0**-53])
-    assert _to_distance_form(cloud, inside) is inside
+    assert distance_form(cloud, inside) is inside
     for x in (1.0, -0.25, 2.75):
         batch = np.append(inside, x)
-        form = _to_distance_form(cloud, batch)
+        form = distance_form(cloud, batch)
         assert form is not batch and batch[-1] == x
         assert form.tolist() == (batch - np.floor(batch)).tolist()
         assert 0.0 <= form.min() and form.max() < 1.0

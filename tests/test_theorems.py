@@ -19,7 +19,6 @@ from naifslab import (
     NAIFS,
     Potential,
     SpaceSpec,
-    block_word,
     build_cloud,
     check_basic_properties,
     check_equicontinuity,
@@ -30,7 +29,6 @@ from naifslab import (
     check_truncation_monotonicity,
     enumerate_words,
     generation_at,
-    growth_rate,
     power_system,
     run_finite_inequality_suite,
     summarize_reports,
@@ -47,10 +45,10 @@ from naifslab.pressure import (
     _BowenOrbit,
     _solve_separated_weighted,
     _solve_spanning_weighted,
-    _sup_orbit,
     _word_orbit,
     pressure_estimate,
     sup_entropy_estimate,
+    sup_orbit,
 )
 from naifslab.naifs import Word, apply_map, fiber_indices, orbit_batches, reachable_batches
 from naifslab.space import batch_to_points, eval_potential_batch, pairwise_distances
@@ -83,27 +81,6 @@ ZERO = Potential("constant", (0.0,))
 def two_point():
     cloud = build_cloud(SpaceSpec("finite_explicit", distance_matrix=((0.0, 1.0), (1.0, 0.0))))
     return cloud, GenerationSchedule(prefix=(), cycle=((ID, SWAP2),))
-
-
-def gen_of_size(k):
-    return tuple(ID for _ in range(k))
-
-
-def test_growth_rate_examples():
-    assert growth_rate(GenerationSchedule((), (gen_of_size(1),))).limsup_value == 0.0
-    g = growth_rate(GenerationSchedule((), (gen_of_size(3),)))
-    assert g.limsup_value == pytest.approx(math.log(3)) and g.liminf_value == g.limsup_value
-    g28 = growth_rate(GenerationSchedule((), (gen_of_size(2), gen_of_size(8))))
-    assert g28.limsup_value == pytest.approx(2 * math.log(2))
-
-
-def test_growth_rate_power_identity_exact():
-    for sizes in ((2,), (2, 3), (1, 4), (3, 2, 5)):
-        sched = GenerationSchedule((), tuple(gen_of_size(s) for s in sizes))
-        base = growth_rate(sched).limsup_value
-        for n in range(1, 5):
-            powered = growth_rate(power_system(sched, n)).limsup_value
-            assert math.isclose(powered, n * base, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_basic_properties_two_point_example():
@@ -204,7 +181,11 @@ def test_power_orbit_is_every_nth_base_step(instance):
     # check_power_rule builds the power system's orbit from its base orbit's steps
     cloud, schedule, n, m, w, psi, eps = instance
     steps = _word_orbit(cloud, schedule, w, m * n).batches[::n]
-    [powered] = orbit_batches(cloud.space, power_system(schedule, n), [block_word(schedule, w, n)], m, cloud.batch)
+    # the power system's words come in the order of the base words they block
+    power = power_system(schedule, n)
+    base_words = enumerate_words(schedule, 1, m * n, None, 0)[0]
+    wstar = enumerate_words(power, 1, m, None, 0)[0][base_words.index(w)]
+    [powered] = orbit_batches(cloud.space, power, [wstar], m, cloud.batch)
     assert len(steps) == len(powered) == m + 1
     for a, b in zip(steps, powered):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -696,7 +677,7 @@ def _sup_entropy_reference(cloud, schedule, subset, ns, eps_list):
     indices = sorted(set(subset))
     entries, sandwiches = [], []
     for n in ns:
-        ctx = _sup_orbit(cloud, schedule, n, indices)
+        ctx = sup_orbit(cloud, schedule, n, indices)
         zeros = np.zeros(ctx.n_points)
         for eps in eps_list:
             _, s_idx, s_method, s_exact = _solve_separated_weighted(ctx, zeros, eps)
