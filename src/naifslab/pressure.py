@@ -37,16 +37,21 @@ point's step-0 window when step 0 is an interval or circle grid itself
 solve on words reads full rows.  The witness re-checks read every pair or
 every point, so they do not depend on the window being right.
 
+Every word loop takes one batch path (batched_word_orbits): the words'
+orbits are built together, their Birkhoff vectors take one potential
+evaluation per step, and the exact solvers' eps-balls come from Bowen
+matrices built a tile of whole matrices at a time (_matrix_tiles) and
+packed once per eps.  The batch hands out its orbits one word at a time
+and holds one it has handed out only until the next is asked for, so
+each orbit is freed once the caller has solved it.  Each word is still solved on its own orbit, so its sums
+are the bits it has when solved alone.  The curves' per-word sums
+(_word_sums) and the theorem checks' word loops both run on it.
+
 A pressure curve holds one AveragedPartitionSum per (n, eps): the
 word-averaged sum in log space and its growth value (1/n) log.  It takes
 its cells n by n behind a memo of the per-word sums at the current n
 (_CurveMemo).  The first request of a step solves every distinct word
-the step drew in one batch, at every eps of the curve (_word_sums): the
-words' orbits are built together, their Birkhoff vectors take one
-potential evaluation per step, and the exact solvers' eps-balls come
-from Bowen matrices built a tile of whole matrices at a time
-(_matrix_tiles) and packed once per eps.  Each word is still solved on
-its own orbit, so its sums are the bits it has when solved alone.  The
+the step drew in one batch, at every eps of the curve (_word_sums).  The
 memo is dropped when the curve returns or raises; called on their own,
 the per-word sums are not memoised, and a single sum is a batch of one
 word.
@@ -56,6 +61,7 @@ All sums of exponentials are accumulated in log space with max shifting.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import logging
 import math
@@ -63,7 +69,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -147,6 +153,9 @@ class _BowenOrbit:
     enumeration (feasible_subsets) are built on first use and kept for the
     life of the orbit, one entry per eps and per (eps, kind): solves of
     other weight vectors on the same orbit read them instead of rebuilding.
+    An orbit of a word batch lives until its word is solved: the batch
+    drops it when it hands out the next word (batched_word_orbits), so
+    only the caller's reference keeps it, and its tables, alive.
     """
 
     def __init__(self, cloud: PointCloud, steps: list[np.ndarray]):
@@ -807,32 +816,34 @@ def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto")
 # public operations
 
 
-def _birkhoff_vectors(orbits: list[_BowenOrbit], psi: Potential) -> np.ndarray:
-    """The Birkhoff vectors of orbits of one cloud with equally many steps,
-    one row per orbit, summed step by step: each step of every orbit takes
-    one potential evaluation on the stacked points.  A point's sum does not
-    depend on the other orbits.  Only a symbolic generation that holds
+def _birkhoff_vectors(orbits: list[_BowenOrbit], terms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The Birkhoff sums of orbits of one cloud with equally many steps,
+    summed step by step: terms(points) gives the summands at a stack of
+    points, an array whose last axis runs over the points, and each step
+    of every orbit takes one terms call on the stacked points.  The result
+    has terms' leading axes, then one row per orbit.  A point's sum does
+    not depend on the other orbits.  Only a symbolic generation that holds
     both a shift and a map that keeps the depth gives the orbits' points
-    at one step two shapes; those are evaluated orbit by orbit."""
-    space, n = orbits[0].cloud.space, orbits[0].n_points
-    # the rows end to end, in the order of the stacked points
-    S = np.zeros(len(orbits) * n)
+    at one step two shapes; those are summed orbit by orbit."""
+    S = None
     # an overflowed sum is refused by _solve_setup, not warned about here
     with np.errstate(over="ignore"):
         for points in zip(*(ctx.batches for ctx in orbits)):
             if len(points) == 1:
-                S += eval_potential_batch(space, psi, points[0])
+                t = terms(points[0])
             elif all(p.shape == points[0].shape for p in points):
-                S += eval_potential_batch(space, psi, np.concatenate(points))
+                t = terms(np.concatenate(points))
             else:
-                for r, p in enumerate(points):
-                    S[r * n : (r + 1) * n] += eval_potential_batch(space, psi, p)
-    return S.reshape(len(orbits), n)
+                t = np.concatenate([terms(p) for p in points], axis=-1)
+            if S is None:
+                S = np.zeros_like(t)
+            S += t
+    return S.reshape(*S.shape[:-1], len(orbits), orbits[0].n_points)
 
 
 def _birkhoff_vector(ctx: _BowenOrbit, psi: Potential) -> np.ndarray:
-    """The Birkhoff vector of one orbit: _birkhoff_vectors at one orbit."""
-    return _birkhoff_vectors([ctx], psi)[0]
+    """The Birkhoff vector of one orbit: _birkhoff_vectors at one orbit of psi."""
+    return _birkhoff_vectors([ctx], functools.partial(eval_potential_batch, ctx.cloud.space, psi))[0]
 
 
 def max_separated(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: int, eps: float, mode: str = "auto") -> ExtremalSetResult:
@@ -850,10 +861,17 @@ def min_spanning(cloud: PointCloud, schedule: GenerationSchedule, w: Word, n: in
     """Minimal cardinality of a cloud subset that (n, w, eps)-spans the cloud."""
     ctx = _word_orbit(cloud, schedule, w, n)
     _, idxs, method, exact = _solve_spanning_weighted(ctx, np.zeros(ctx.n_points), eps, mode)
-    lower = len(idxs)
-    if not exact:
-        lower = min(lower, max(1, math.ceil(ctx.n_points / _max_ball_size(ctx, eps))))
-    return ExtremalSetResult(lower, len(idxs), tuple(map(int, idxs)), exact, method)
+    return ExtremalSetResult(spanning_lower_bound(ctx, eps, len(idxs), exact), len(idxs), tuple(map(int, idxs)), exact, method)
+
+
+def spanning_lower_bound(ctx: _BowenOrbit, eps: float, size: int, exact: bool) -> int:
+    """A lower bound on the least eps-spanning set of an orbit, given a
+    spanning witness of size points: size itself when the solve was exact,
+    else the smaller of size and the cloud's point count over its largest
+    eps-ball, rounded up (a ball covers at most that many points)."""
+    if exact:
+        return size
+    return min(size, max(1, math.ceil(ctx.n_points / _max_ball_size(ctx, eps))))
 
 
 def _weighted_solver(kind: str):
@@ -862,34 +880,67 @@ def _weighted_solver(kind: str):
     return _solve_separated_weighted if kind == "separated" else _solve_spanning_weighted
 
 
-def _word_sums(
-    cloud: PointCloud, schedule: GenerationSchedule, n: int, psi: Potential, kind: str, eps_list: list[float], words: list[Word], mode: str = "auto"
-) -> list[list[tuple[float, int, str, bool]]]:
-    """Per word, (log value, witness size, method, exact) at every eps of
-    the list, in order: the unit that _CurveMemo reads.
+def batched_word_orbits(
+    cloud: PointCloud,
+    schedule: GenerationSchedule,
+    words: list[Word],
+    n: int,
+    eps_list: list[float],
+    terms: Callable[[np.ndarray], np.ndarray],
+    strides: Sequence[int] = (1,),
+    mode: str = "auto",
+) -> Iterator[tuple[tuple[_BowenOrbit, np.ndarray], ...]]:
+    """Per word, in order, one (orbit, Birkhoff vector) pair per stride k:
+    the orbit of every k-th step of the word's first n, rooted at start 1
+    (at k the orbit of the k-step power system along the blocked word),
+    and its Birkhoff vector of terms (_birkhoff_vectors; for a potential
+    psi, functools.partial(eval_potential_batch, cloud.space, psi)).  The
+    caller solves each orbit at the eps of eps_list in mode.
 
     The words are taken in chunks whose orbits hold at most _TILE_ELEMENTS
     points (one word at least).  A chunk's orbits are built together
-    (_word_orbits) and its Birkhoff vectors take one potential evaluation
-    per step (_birkhoff_vectors).  For the exact solvers, which read
-    eps-balls, the chunk's balls come from its Bowen matrices, a tile of
-    words at a time (_word_balls).  Each word is then solved on its own
-    orbit, so its sums do not depend on the other words.
+    (_word_orbits) and, per stride, its Birkhoff vectors take one terms
+    call per step.  For the exact solvers, which read eps-balls, each
+    stride's balls at every eps come from its Bowen matrices, a tile of
+    words at a time (_word_balls).  The chunk then hands out its orbits one
+    word at a time and holds one it has handed out only until the caller
+    asks for the next word, so an orbit, with its eps-balls and feasible
+    subsets, is freed once the caller is done with it, not when the chunk
+    ends.  Each orbit is solved on its own, so its sums do not depend on
+    the other words.
     """
-    solve = _weighted_solver(kind)
     if type(n) is not int or n < 0:
         n = validate_step_count(n, "n", minimum=0)
     per = max(1, _TILE_ELEMENTS // ((n + 1) * len(cloud)))
     reads_balls = _resolve_method(mode, len(cloud), cloud.space.family == SYMBOLIC) in ("exhaustive", "branch_and_bound")
-    sums = []
     for lo in range(0, len(words), per):
-        orbits = _word_orbits(cloud, schedule, words[lo : lo + per], n)
-        S = _birkhoff_vectors(orbits, psi)
-        if reads_balls:
-            _word_balls(orbits, eps_list)
-        for ctx, s in zip(orbits, S):
-            sums.append([(value, len(idxs), method, exact) for value, idxs, method, exact in (solve(ctx, s, e, mode) for e in eps_list)])
-    return sums
+        base = _word_orbits(cloud, schedule, words[lo : lo + per], n)
+        views = []
+        for k in strides:
+            orbits = base if k == 1 else [_BowenOrbit(cloud, ctx.batches[::k]) for ctx in base]
+            if reads_balls:
+                _word_balls(orbits, eps_list)
+            views.append((orbits, _birkhoff_vectors(orbits, terms)))
+        del base
+        for i in range(len(views[0][0])):
+            pairs = tuple((orbits[i], S[..., i, :]) for orbits, S in views)
+            for orbits, _ in views:
+                orbits[i] = None
+            yield pairs
+
+
+def _word_sums(
+    cloud: PointCloud, schedule: GenerationSchedule, n: int, psi: Potential, kind: str, eps_list: list[float], words: list[Word], mode: str = "auto"
+) -> list[list[tuple[float, int, str, bool]]]:
+    """Per word, (log value, witness size, method, exact) at every eps of
+    the list, in order: the unit that _CurveMemo reads, solved on the
+    batch path (batched_word_orbits)."""
+    solve = _weighted_solver(kind)
+    terms = functools.partial(eval_potential_batch, cloud.space, psi)
+    return [
+        [(value, len(idxs), method, exact) for value, idxs, method, exact in (solve(ctx, s, e, mode) for e in eps_list)]
+        for [(ctx, s)] in batched_word_orbits(cloud, schedule, words, n, eps_list, terms, mode=mode)
+    ]
 
 
 class _CurveMemo:

@@ -5,6 +5,18 @@ Every check produces InequalityReport records.  Finite-scale inequalities
 partition sums; limit statements are compared at the asymptotic-proxy
 level between growth-rate estimates under a declared analytic tolerance.
 
+The finite-scale checks run over every word of their length, and solve
+them on pressure's batch path (batched_word_orbits), as the curves do:
+one orbit pass and one potential evaluation per step for all the words
+of a check, eps-balls built a tile of matrices at a time, and each orbit
+freed once its word is solved.  check_basic_properties sums its derived
+potentials (_derived_terms) on it, check_power_rule takes every n-th
+step of each base orbit as the power system's orbit (stride n), and
+check_truncation_monotonicity solves each word at 2 eps and its tail at
+eps.  Each solve goes through _solve_*_weighted, one per (word, eps,
+potential) as in a per-word loop, so each word's sums and each report
+are the bits they have when every word is solved alone.
+
 One table, VERDICTS, judges every row that can fail, from whether its
 claim holds, whether its inputs are exact and whether it declares a tol:
 a claim that holds reads holds_exact only on exact inputs with no tol
@@ -43,7 +55,6 @@ from .naifs import (
     enumerate_words,
     fiber_indices,
     generation_at,
-    orbit_batches,
     power_system,
     reachable_batches,
     truncate_system,
@@ -55,9 +66,10 @@ from .pressure import (
     _BowenOrbit,
     _solve_separated_weighted,
     _solve_spanning_weighted,
+    batched_word_orbits,
     logsumexp,
-    min_spanning,
     pressure_estimate,
+    spanning_lower_bound,
     sup_entropy_estimate,
     sup_orbit,
     validate_eps_list,
@@ -75,6 +87,11 @@ from .space import (
 )
 
 log = logging.getLogger("naifslab.theorems")
+
+# perfbench/spans.py traces the theorems -> pressure boundary by these names
+# in this namespace (THEOREMS_BOUNDARY); since the word loops take their
+# Birkhoff vectors from the batch path, _birkhoff_vector has no call here
+_TRACED_PRESSURE_NAMES = (_BowenOrbit, _birkhoff_vector, _solve_separated_weighted, _solve_spanning_weighted)
 
 HOLDS_EXACT = "holds_exact"
 HOLDS_WITHIN_TOL = "holds_within_tol"
@@ -170,24 +187,19 @@ def _exact_curves(*curves: PressureCurve) -> bool:
 # basic pressure properties at fixed (n, eps)
 
 
-def _derived_birkhoff(ctx: _BowenOrbit, phi: Potential, psi: Potential, p: float, c: float) -> dict[str, np.ndarray]:
-    """Birkhoff vectors of phi, psi and the potentials derived from them
-    pointwise.  phi and psi are evaluated once per step batch, and each
-    vector is summed step by step in _birkhoff_vector's order."""
-    space = ctx.cloud.space
-    S: dict[str, np.ndarray] = {}
-    # as in _birkhoff_vector, an overflowed sum is refused by the solve, not warned about here
-    with np.errstate(over="ignore"):
-        for B in ctx.batches:
-            f = eval_potential_batch(space, phi, B)
-            g = eval_potential_batch(space, psi, B)
-            step = {
-                "phi": f, "psi": g, "dominating": np.maximum(f, g), "mix": p * f + (1.0 - p) * g, "phi_plus_c": f + c,
-                "c_phi": c * f, "phi_plus_psi": f + g, "abs_phi": np.abs(f), "neg_abs_phi": -np.abs(f), "zero": np.zeros_like(f),
-            }
-            for name, v in step.items():
-                S[name] = S.get(name, 0.0) + v
-    return S
+# the potentials of check_basic_properties, in the order of _derived_terms' rows
+DERIVED = ("phi", "psi", "dominating", "mix", "phi_plus_c", "c_phi", "phi_plus_psi", "abs_phi", "neg_abs_phi", "zero")
+
+
+def _derived_terms(space, phi: Potential, psi: Potential, p: float, c: float, points: np.ndarray) -> np.ndarray:
+    """phi, psi and the potentials derived from them pointwise at the
+    points, one row per name of DERIVED: the terms whose _birkhoff_vectors
+    are the derived Birkhoff vectors.  phi and psi are evaluated once."""
+    f = eval_potential_batch(space, phi, points)
+    g = eval_potential_batch(space, psi, points)
+    return np.stack(
+        [f, g, np.maximum(f, g), p * f + (1.0 - p) * g, f + c, c * f, f + g, np.abs(f), -np.abs(f), np.zeros_like(f)]
+    )
 
 
 def _reachable_values(cloud: PointCloud, schedule: GenerationSchedule, pot: Potential, steps: int) -> np.ndarray:
@@ -225,15 +237,15 @@ def check_basic_properties(
     dist_norm = float(np.max(np.abs(fphi - fpsi)))
     inf_phi, sup_phi = float(fphi.min()), float(fphi.max())
 
-    sums: dict[str, list[float]] = {}
+    sums: list[list[float]] = [[] for _ in DERIVED]
     exact_inputs = True
-    for w in words:
-        ctx = _BowenOrbit(cloud, orbit_batches(cloud.space, schedule, [w], n, cloud.batch)[0])
-        for name, S in _derived_birkhoff(ctx, phi, psi, p, c).items():
-            value, _, _, ok = _solve_separated_weighted(ctx, S, eps)
-            sums.setdefault(name, []).append(value)
+    terms = functools.partial(_derived_terms, cloud.space, phi, psi, p, c)
+    for [(ctx, S)] in batched_word_orbits(cloud, schedule, words, n, [eps], terms):
+        for values, s in zip(sums, S):
+            value, _, _, ok = _solve_separated_weighted(ctx, s, eps)
+            values.append(value)
             exact_inputs = exact_inputs and ok
-    logP = {name: np.array(vals) for name, vals in sums.items()}
+    logP = {name: np.array(values) for name, values in zip(DERIVED, sums)}
 
     logW = math.log(len(words))
     avg = {name: logsumexp(vals) - logW for name, vals in logP.items()}
@@ -324,14 +336,11 @@ def check_power_rule(
     binding: tuple[float, float] | None = None
     exact_all = True
     checked = 0
+    terms = functools.partial(eval_potential_batch, cloud.space, psi)
     for m in ms:
         words, _, _ = enumerate_words(schedule, 1, m * n, None, seed)
-        for w in words:
-            ctx_base = _BowenOrbit(cloud, orbit_batches(cloud.space, schedule, [w], m * n, cloud.batch)[0])
-            # the power system's orbit along the blocked word is every n-th base step
-            ctx_pow = _BowenOrbit(cloud, ctx_base.batches[::n])
-            s_base = _birkhoff_vector(ctx_base, psi)
-            s_pow = _birkhoff_vector(ctx_pow, psi)
+        # the power system's orbit along the blocked word is every n-th base step
+        for (ctx_base, s_base), (ctx_pow, s_pow) in batched_word_orbits(cloud, schedule, words, m * n, eps_list, terms, strides=(1, n)):
             for eps in eps_list:
                 q_base, _, _, ok_b = _solve_spanning_weighted(ctx_base, s_base, eps)
                 q_pow, _, _, ok_p = _solve_spanning_weighted(ctx_pow, s_pow, eps)
@@ -382,6 +391,11 @@ def check_power_rule(
 # truncation monotonicity
 
 
+def _zero_terms(points: np.ndarray) -> np.ndarray:
+    """The zero potential at the points: counts are sums of unit weights."""
+    return np.zeros(len(points))
+
+
 def net_counting_length(n_max: int) -> int:
     """Word length of the truncation net-counting inequality for n_range up to n_max."""
     return max(2, min(n_max, 4))
@@ -421,14 +435,17 @@ def check_truncation_monotonicity(
         sched_k = truncate_system(schedule, k)
         sched_k1 = truncate_system(schedule, k + 1)
         words, _, _ = enumerate_words(sched_k, 1, n_count, None, seed)
-        for w in words:
-            w_tail = Word(start=1, symbols=w.symbols[1:])
+        tails = [Word(start=1, symbols=w.symbols[1:]) for w in words]
+        big = batched_word_orbits(cloud, sched_k, words, n_count, [2.0 * eps for eps in eps_list], _zero_terms)
+        small = batched_word_orbits(cloud, sched_k1, tails, n_count - 1, eps_list, _zero_terms)
+        for [(ctx_w, zeros)], [(ctx_tail, _)] in zip(big, small, strict=True):
             for eps in eps_list:
-                r_big = min_spanning(cloud, sched_k, w, n_count, 2.0 * eps)
-                r_small = min_spanning(cloud, sched_k1, w_tail, n_count - 1, eps)
-                exact_all = exact_all and r_big.exact and r_small.exact
-                lhs = r_big.upper_bound
-                rhs = net_size[eps] * r_small.lower_bound
+                _, big_idxs, _, big_exact = _solve_spanning_weighted(ctx_w, zeros, 2.0 * eps)
+                _, small_idxs, _, small_exact = _solve_spanning_weighted(ctx_tail, zeros, eps)
+                exact_all = exact_all and big_exact and small_exact
+                # r_n(w, 2 eps) from above and r_{n-1}(w', eps) from below
+                lhs = len(big_idxs)
+                rhs = net_size[eps] * spanning_lower_bound(ctx_tail, eps, len(small_idxs), small_exact)
                 if binding is None or rhs - lhs < binding[1] - binding[0]:
                     binding = (lhs, rhs)
     reports.append(

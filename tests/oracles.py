@@ -12,14 +12,15 @@ package's batch potentials and orbits.
 
 Everything else recomputes orbit distances point by point through
 `compose` and scans subsets with itertools, deliberately sharing no
-machinery with the package's solvers (no bitsets, no subset DP).  Four
+machinery with the package's solvers (no bitsets, no subset DP).  Five
 references are the exceptions: reference_bb_cover, a plain bitset search,
 reference_greedy_cover, the ratio greedy as one numpy pass per pick,
 reference_exhaustive, the subset DP with weights and feasibility in one
-pass, and reference_first_fit, first fit over an alive array with every
-row read in full, step by step.  They hold the package's faster
-ball-cover search, its heap greedy, its cached subset enumeration and its
-windowed first fit to the same results, bit for bit.
+pass, reference_first_fit, first fit over an alive array with every row
+read in full, step by step, and reference_word_orbits, one orbit and one
+Birkhoff vector per word.  They hold the package's faster ball-cover
+search, its heap greedy, its cached subset enumeration, its windowed
+first fit and its word batches to the same results, bit for bit.
 """
 
 import itertools
@@ -418,6 +419,25 @@ def reference_exhaustive(balls, wlin, kind):
         feas = np.flatnonzero(cov == size - 1)
         best = int(feas[np.argmin(wsum[feas])])
     return best, float(wsum[best])
+
+
+def reference_word_orbits(cloud, schedule, words, n, eps_list, terms, strides=(1,), mode="auto"):
+    """The per-word loop that pressure.batched_word_orbits replaces, with
+    its signature: each word's orbit built alone (orbit_batches of one
+    word), every k-th step of it an orbit of its own, and its Birkhoff
+    vector summed one step at a time.  The orbits read their eps-balls off
+    their own matrices, so eps_list and mode are not read."""
+    import functools
+
+    from naifslab.naifs import orbit_batches
+    from naifslab.pressure import _BowenOrbit
+
+    for w in words:
+        [steps] = orbit_batches(cloud.space, schedule, [w], n, cloud.batch)
+        yield tuple(
+            (ctx, functools.reduce(np.add, (terms(B) for B in ctx.batches), 0.0))
+            for ctx in (_BowenOrbit(cloud, steps[::k]) for k in strides)
+        )
 
 
 def oracle_surjective(factor):

@@ -5,7 +5,6 @@ import math
 import random
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +45,8 @@ from naifslab.pressure import (
     _solve_separated_weighted,
     _solve_spanning_weighted,
     _word_orbit,
+    _birkhoff_vectors,
+    _word_orbits,
     pressure_estimate,
     sup_entropy_estimate,
     sup_orbit,
@@ -62,7 +63,8 @@ from naifslab.theorems import (
     REL_TOL_EXACT,
     VERDICTS,
     VIOLATED,
-    _derived_birkhoff,
+    DERIVED,
+    _derived_terms,
     _factor_estimates,
     _fiber_eps_schedule,
     _sample_pairs,
@@ -448,9 +450,11 @@ def _derived_instances(draw):
 def test_derived_birkhoff_vectors_match_the_table_path(instance):
     cloud, schedule, n, phi, psi, p, c = instance
     words, _, _ = enumerate_words(schedule, 1, n, None, seed=0)
-    for w in words[:3]:
-        ctx = _word_orbit(cloud, schedule, w, n)
-        new = _derived_birkhoff(ctx, phi, psi, p, c)
+    # the orbits of three words stacked, as check_basic_properties' batch stacks them
+    orbits = _word_orbits(cloud, schedule, words[:3], n)
+    S = _birkhoff_vectors(orbits, lambda points: _derived_terms(cloud.space, phi, psi, p, c, points))
+    for r, ctx in enumerate(orbits):
+        new = dict(zip(DERIVED, S[:, r]))
         old = oracle_derived_birkhoff(ctx, schedule, n, phi, psi, p, c)
         assert {k: [float(x).hex() for x in v] for k, v in new.items()} == {
             k: [float(x).hex() for x in v] for k, v in old.items()
@@ -543,11 +547,12 @@ def test_net_counting_row_judges_its_counts_with_no_allowance(monkeypatch):
     # r_n(w, 2 eps) = 2**36 + 1 against #net * r_{n-1}(w', eps) = 2 * 2**35
     import naifslab.theorems as theorems
 
-    def fake_min_spanning(cloud, schedule, word, n, eps):
+    def fake_solve(ctx, S, eps, mode="auto"):
+        # a witness of count points, as a range: only its length is read
         count = 2**36 + 1 if eps == 1.0 else 2**35
-        return SimpleNamespace(lower_bound=count, upper_bound=count, exact=True)
+        return 0.0, range(count), "exhaustive", True
 
-    monkeypatch.setattr(theorems, "min_spanning", fake_min_spanning)
+    monkeypatch.setattr(theorems, "_solve_spanning_weighted", fake_solve)
     cloud, sched = two_point()
     reports = check_truncation_monotonicity(cloud, sched, ZERO, 1, 2, n_range=(2,), eps_list=[0.5], include_proxy=False)
     assert [(r.name, r.verdict) for r in reports] == [("truncation/net-counting", VIOLATED)]

@@ -74,3 +74,22 @@ def test_a_traced_curve_solves_every_slot_on_one_orbit_per_distinct_word():
     # one averaged sum and one word enumeration per (n, eps) cell
     assert tracer.stats["pressure.averaged_partition_sum"].calls == m["naifs.enumerate_words.calls"] == len(ns) * len(eps_list)
     assert [e.word_mode for e in curve.entries] == ["exact", "sampled", "sampled"] * len(eps_list)
+
+
+def test_a_traced_suite_builds_one_orbit_pass_per_word_batch():
+    # per instance: the basic properties' words, the power rule's words at
+    # m = 1 and m = 2, and the truncation's words and their tails; every
+    # batch of at most 12 points and 4 steps is one chunk
+    tracer = Tracer()
+    tracer.install()
+    try:
+        theorems.run_finite_inequality_suite(count=3)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    m = layer_metrics(tracer)
+    assert m["naifs.orbit_batches.calls"] == 3 * (1 + 2 + 2)
+    # one solve per (word, eps, potential), as in the per-word loops: the
+    # counts those loops read
+    assert (m["pressure.solves.calls"], m["pressure.method.exhaustive"], m["pressure.method.greedy"]) == (547, 544, 3)
+    assert m["pressure.method.branch_and_bound"] == 0
