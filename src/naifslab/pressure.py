@@ -10,11 +10,20 @@ metric is a max of cylinder ultrametrics, so its closed eps-balls are the
 classes of points that agree on their first k symbols at every step, and
 each sum is a sum over classes (_class_sum, method "ultrametric_classes").
 Other large orbits take deterministic greedy bounds.  Every result
-self-reports its method and exactness.  The spanning branch and bound
-prunes with a per-element ratio bound that reads, for each uncovered
-element, only the balls holding it, and a ball's ratio only once per node
-(_cover_lower_bound); its search tree and result do not depend on how the
-bound is computed.
+self-reports its method and exactness.  Both branch and bounds first
+split their instance into the connected components of its ball graph,
+taken on the undirected closure of the balls (_split): a ball covers,
+and conflicts with, points of its own component only, so the optimum is
+the union of the components' optima.  An isolated point is taken as it
+is, a pair whose balls each hold both points gives its lighter point
+(spanning) or its heavier one (separated), and every other component is
+searched alone.  The spanning search prunes with a per-element ratio
+bound that reads, for each uncovered element, only the balls holding
+it, and a ball's ratio only once per node (_cover_lower_bound).  The
+weight of a branch and bound witness is math.fsum of its weights in
+ascending index order (_witness_value), whichever search path found it.
+A spanning sum whose cover weights all underflow is taken again in a
+frame where they do not (_solve_spanning_weighted).
 
 An orbit object (_BowenOrbit) is built from one list of step batches:
 the orbit of the cloud along one word, every n-th step of such an orbit
@@ -429,23 +438,93 @@ def _best_subset(feas: np.ndarray, wlin: np.ndarray, pick) -> tuple[int, float]:
     return int(feas[i]), float(wsum[i])
 
 
+def _split(masks: list[int]) -> tuple[int, list[tuple[int, int]], list[int]]:
+    """The connected components of the graph in which i and j are adjacent
+    when masks[i] holds j or masks[j] holds i: the undirected closure, so
+    that asymmetric masks split as symmetric ones do.  A ball, or a
+    point's conflicts, lies inside its own component, so a least cover or
+    a heaviest independent set is the union of one per component.
+
+    Returns the isolated points as one mask, the two-point components
+    whose points each hold the other as (i, j) pairs, i < j, and every
+    other component as a mask.  The isolated points are those whose mask
+    holds no other point and which no other mask holds; every other mask
+    is merged, as it is read, with the components it meets.
+    """
+    held = 0
+    for i, m in enumerate(masks):
+        held |= m & ~(1 << i)
+    isolated, comps, seen = 0, [], 0
+    for i, m in enumerate(masks):
+        m |= 1 << i
+        if m == 1 << i and not (held >> i) & 1:
+            isolated |= m
+            continue
+        if not m & seen:
+            comps.append(m)
+        elif len(comps) == 1:
+            comps[0] |= m
+        else:
+            rest = []
+            for c in comps:
+                if c & m:
+                    m |= c
+                else:
+                    rest.append(c)
+            rest.append(m)
+            comps = rest
+        seen |= m
+    pairs, larger = [], []
+    for c in comps:
+        if c.bit_count() == 2:
+            i, j = _bits(c)
+            if masks[i] | 1 << i == c == masks[j] | 1 << j:
+                pairs.append((i, j))
+                continue
+        larger.append(c)
+    return isolated, pairs, larger
+
+
+def _witness_value(w: list[float], mask: int) -> float:
+    """The weight of a witness: math.fsum of its weights in ascending
+    index order, so that it does not depend on the search path that found
+    the witness."""
+    return math.fsum([w[i] for i in _bits(mask)])
+
+
 def _bb_mwis(conflict: list[int], wlin: np.ndarray) -> tuple[int, float]:
-    """Bitset branch and bound with a greedy clique-cover bound."""
-    n = len(wlin)
+    """Maximum weighted independent set by bitset branch and bound, one
+    connected component of the conflict graph at a time (_split): an
+    isolated point is taken, a conflicting pair gives its heavier point
+    (lowest index on ties), and every other component is searched
+    (_mwis_search)."""
     w = wlin.tolist()
+    chosen, pairs, comps = _split(conflict)
+    for i, j in pairs:
+        chosen |= 1 << (j if w[j] > w[i] else i)
+    for comp in comps:
+        chosen |= _mwis_search(conflict, w, comp)
+    return chosen, _witness_value(w, chosen)
+
+
+def _mwis_search(conflict: list[int], w: list[float], comp: int) -> int:
+    """The heaviest independent subset of the points of comp, a union of
+    components of the conflict graph, by branch and bound with a greedy
+    clique-cover bound."""
+    members = _bits(comp)
     cliques: list[int] = []
-    clique_of = [0] * n
-    for v in range(n):
-        for ci, members in enumerate(cliques):
-            if conflict[v] & members == members:
-                cliques[ci] = members | (1 << v)
+    clique_of = [0] * len(w)
+    for v in members:
+        for ci, clique in enumerate(cliques):
+            if conflict[v] & clique == clique:
+                cliques[ci] = clique | (1 << v)
                 clique_of[v] = ci
                 break
         else:
             clique_of[v] = len(cliques)
             cliques.append(1 << v)
 
-    order = sorted(range(n), key=lambda i: (-w[i], i))
+    order = sorted(members, key=lambda i: (-w[i], i))
     inc_mask = 0
     blocked = 0
     for v in order:
@@ -458,8 +537,8 @@ def _bb_mwis(conflict: list[int], wlin: np.ndarray) -> tuple[int, float]:
         best_val += w[i]
 
     def bound(mask: int) -> float:
-        # heaviest vertex per clique; float addition depends on order, and
-        # the sum runs over cliques as first met from the lowest vertex up
+        # heaviest vertex per clique, summed over cliques as first met from
+        # the lowest vertex up
         per = [0.0] * len(cliques)
         met: list[int] = []
         mm = mask
@@ -491,11 +570,11 @@ def _bb_mwis(conflict: list[int], wlin: np.ndarray) -> tuple[int, float]:
         dfs(mask & ~(conflict[v] | (1 << v)), chosen | (1 << v), cur + w[v])
         dfs(mask & ~(1 << v), chosen, cur)
 
-    dfs((1 << n) - 1, 0, 0.0)
+    dfs(comp, 0, 0.0)
     # dfs holds itself through its closure; dropping the name frees the
     # clique lists and weights now instead of at some later cycle collection
     del dfs
-    return best_mask, best_val
+    return best_mask
 
 
 def _cover_lower_bound(balls: list[int], w: list[float], uncov: int, covers_elem: list[list[int]]) -> float:
@@ -552,25 +631,51 @@ def _greedy_cover_bits(balls: list[int], w: list[float]) -> list[int]:
 
 
 def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
-    """Branch and bound minimum weighted ball cover."""
-    n = len(wlin)
+    """Minimum weighted ball cover by branch and bound, one connected
+    component of the ball graph at a time (_split): an isolated point is
+    covered by its own ball alone, a pair whose balls each hold both
+    points by the lighter ball (lowest index on ties), and every other
+    component is searched (_cover_search) from the part of the ratio
+    greedy cover (_greedy_cover_bits) that lies in it.  The greedy cover
+    of the whole instance is the union of the greedy covers of its
+    components, since a ball's ratio reads its own component alone."""
     w = wlin.tolist()
-    best_mask, best_val = 0, 0.0
-    for i in _greedy_cover_bits(balls, w):
-        best_mask |= 1 << i
-        best_val += w[i]
+    chosen, pairs, comps = _split(balls)
+    for i, j in pairs:
+        chosen |= 1 << (j if w[j] < w[i] else i)
+    if comps:
+        greedy = 0
+        for i in _greedy_cover_bits(balls, w):
+            greedy |= 1 << i
+        for comp in comps:
+            chosen |= _cover_search(balls, w, comp, greedy & comp)
+    return chosen, _witness_value(w, chosen)
 
+
+def _cover_search(balls: list[int], w: list[float], comp: int, best_mask: int) -> int:
+    """The least cover of the points of comp, a union of components of the
+    ball graph, by the balls of its points, found by depth-first search
+    from the cover best_mask.
+
+    A node branches on the balls that hold its uncovered element held by
+    fewest balls (lowest index on ties), lightest first, and prunes with
+    the ratio bound (_cover_lower_bound), memoised on the uncovered set.
+    """
+    best_val = 0.0
+    for i in _bits(best_mask):
+        best_val += w[i]
     # the balls holding each element, lightest first (lowest index on ties:
     # the sort is stable), and the elements by how few balls hold them
-    covers_elem: list[list[int]] = [[] for _ in range(n)]
-    for i in sorted(range(n), key=w.__getitem__):
+    members = _bits(comp)
+    covers_elem: list[list[int]] = [[] for _ in w]
+    for i in sorted(members, key=w.__getitem__):
         b = balls[i]
         while b:
             lsb = b & -b
             covers_elem[lsb.bit_length() - 1].append(i)
             b ^= lsb
-    elem_order = sorted(range(n), key=lambda e: (len(covers_elem[e]), e))
-    # within one solve the bound depends on the uncovered mask alone
+    elem_order = sorted(members, key=lambda e: (len(covers_elem[e]), e))
+    # within one search the bound depends on the uncovered mask alone
     bounds: dict[int, float] = {}
 
     def dfs(uncov_mask: int, chosen_mask: int, cur: float) -> None:
@@ -595,11 +700,11 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
                 break
             dfs(uncov_mask & ~balls[i], chosen_mask | (1 << i), cur + w[i])
 
-    dfs((1 << n) - 1, 0, 0.0)
+    dfs(comp, 0, 0.0)
     # dfs holds itself through its closure; dropping the name frees the
     # memo and ball lists now instead of at some later cycle collection
     del dfs
-    return best_mask, best_val
+    return best_mask
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +759,10 @@ def _class_sum(ctx: _BowenOrbit, S: np.ndarray, eps: float, kind: str) -> tuple[
     idxs = np.sort(order[first]).tolist()
     (_recheck_separated if kind == "separated" else _recheck_spanning)(ctx, idxs, eps)
     shift = float(S.max())
-    return shift + math.log(math.fsum(np.exp(S[idxs] - shift))), idxs
+    total = math.fsum(np.exp(S[idxs] - shift))
+    # the witness does not read the weights: when all of its own underflow,
+    # its sum is taken in its own frame
+    return (shift + math.log(total) if total else logsumexp(S[idxs])), idxs
 
 
 # ---------------------------------------------------------------------------
@@ -785,31 +893,65 @@ def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto"
 
 
 def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto") -> tuple[float, list[int], str, bool]:
-    """inf over spanning sets of sum exp(S); returns as _solve_separated_weighted."""
+    """inf over spanning sets of sum exp(S); returns as _solve_separated_weighted.
+
+    When every weight of the cover underflows (its sum is 0.0), a witness
+    that does not read the weights (classes, the eps-net) is summed in its
+    own frame, and a ball cover is solved again with S shifted by
+    _cover_floor, in whose frame the least cover sums to between 1 and N.
+    """
     method, shift, wlin = _solve_setup(ctx, S, eps, mode)
     if method == CLASSES:
         return *_class_sum(ctx, S, eps, "spanning"), method, True
-    if method == "greedy":
-        if ctx.n_points <= MATRIX_LIMIT:
-            idxs = _greedy_cover_bits(ctx.balls(eps), wlin.tolist())
-        else:
-            # an eps-net: a maximal eps-separated set spans at eps
-            idxs = _first_fit_separated(ctx, eps, np.arange(ctx.n_points))
-        witness = sorted(idxs)
-        _recheck_spanning(ctx, witness, eps)
-        return shift + math.log(float(wlin[idxs].sum())), witness, "greedy", False
+    if method == "greedy" and ctx.n_points > MATRIX_LIMIT:
+        # an eps-net: a maximal eps-separated set spans at eps
+        idxs = _first_fit_separated(ctx, eps, np.arange(ctx.n_points))
+        _recheck_spanning(ctx, idxs, eps)
+        total = float(wlin[idxs].sum())
+        return (shift + math.log(total) if total else logsumexp(S[idxs])), idxs, method, False
     balls = ctx.balls(eps)
-    if method == "exhaustive":
-        mask, val = _best_subset(ctx.feasible_subsets(eps, "spanning"), wlin, np.argmin)
+    idxs, total = _ball_cover(ctx, balls, wlin, eps, method)
+    if total == 0.0:
+        shift = _cover_floor(balls, S)
+        if shift > -math.inf:
+            # exp(S - shift) overflows only on balls that no least cover holds
+            with np.errstate(over="ignore"):
+                idxs, total = _ball_cover(ctx, balls, np.exp(S - shift), eps, method)
+    if method == "greedy":
+        _recheck_spanning(ctx, idxs, eps)
     else:
-        mask, val = _bb_cover(balls, wlin)
-    idxs = _bits(mask)
-    covered = 0
-    for i in idxs:
-        covered |= balls[i]
-    if covered != (1 << ctx.n_points) - 1:
-        raise RuntimeError("spanning witness failed its defining property")
-    return shift + math.log(val), idxs, method, True
+        covered = 0
+        for i in idxs:
+            covered |= balls[i]
+        if covered != (1 << ctx.n_points) - 1:
+            raise RuntimeError("spanning witness failed its defining property")
+    # a sum still 0.0 has a floor of -inf: every point lies in a ball of weight 0
+    return (shift + math.log(total) if total else -math.inf), idxs, method, method != "greedy"
+
+
+def _ball_cover(ctx, balls: list[int], wlin: np.ndarray, eps: float, method: str) -> tuple[list[int], float]:
+    """The cover that method finds over the eps-balls, as ascending
+    indices, and its weight: the ratio greedy cover (_greedy_cover_bits,
+    summed in pick order) for "greedy", the least cover otherwise."""
+    if method == "greedy":
+        picks = _greedy_cover_bits(balls, wlin.tolist())
+        return sorted(picks), float(wlin[picks].sum())
+    if method == "exhaustive":
+        mask, total = _best_subset(ctx.feasible_subsets(eps, "spanning"), wlin, np.argmin)
+    else:
+        mask, total = _bb_cover(balls, wlin)
+    return _bits(mask), total
+
+
+def _cover_floor(balls: list[int], S: np.ndarray) -> float:
+    """max over points x of the least S_i over the balls i that hold x.
+    Every cover holds a ball of that x, so exp(S - floor) gives it a weight
+    of at least 1; choosing each point's least ball gives a cover of
+    weight at most N."""
+    n = len(balls)
+    packed = np.frombuffer(b"".join(b.to_bytes(-(-n // 8), "little") for b in balls), dtype=np.uint8)
+    held = np.unpackbits(packed.reshape(n, -1), axis=1, count=n, bitorder="little").astype(bool)
+    return float(np.where(held, S[:, None], np.inf).min(axis=0).max())
 
 
 # ---------------------------------------------------------------------------

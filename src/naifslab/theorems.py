@@ -12,10 +12,11 @@ of a check, eps-balls built a tile of matrices at a time, and each orbit
 freed once its word is solved.  check_basic_properties sums its derived
 potentials (_derived_terms) on it, check_power_rule takes every n-th
 step of each base orbit as the power system's orbit (stride n), and
-check_truncation_monotonicity solves each word at 2 eps and its tail at
-eps.  Each solve goes through _solve_*_weighted, one per (word, eps,
-potential) as in a per-word loop, so each word's sums and each report
-are the bits they have when every word is solved alone.
+check_truncation_monotonicity solves each word at 2 eps and each
+distinct tail once at eps, read back for every word that has it.  Each
+solve goes through _solve_*_weighted, one per (word, eps, potential) as
+in a per-word loop, so each word's sums and each report are the bits
+they have when every word is solved alone.
 
 One table, VERDICTS, judges every row that can fail, from whether its
 claim holds, whether its inputs are exact and whether it declares a tol:
@@ -436,16 +437,23 @@ def check_truncation_monotonicity(
         sched_k1 = truncate_system(schedule, k + 1)
         words, _, _ = enumerate_words(sched_k, 1, n_count, None, seed)
         tails = [Word(start=1, symbols=w.symbols[1:]) for w in words]
+        # words that differ only in their first symbol share a tail: each
+        # distinct tail is solved once per eps
+        distinct = list(dict.fromkeys(tails))
+        small = {}
+        for tail, [(ctx_tail, zeros)] in zip(distinct, batched_word_orbits(cloud, sched_k1, distinct, n_count - 1, eps_list, _zero_terms), strict=True):
+            for eps in eps_list:
+                _, idxs, _, exact = _solve_spanning_weighted(ctx_tail, zeros, eps)
+                small[tail, eps] = spanning_lower_bound(ctx_tail, eps, len(idxs), exact), exact
         big = batched_word_orbits(cloud, sched_k, words, n_count, [2.0 * eps for eps in eps_list], _zero_terms)
-        small = batched_word_orbits(cloud, sched_k1, tails, n_count - 1, eps_list, _zero_terms)
-        for [(ctx_w, zeros)], [(ctx_tail, _)] in zip(big, small, strict=True):
+        for tail, [(ctx_w, zeros)] in zip(tails, big, strict=True):
             for eps in eps_list:
                 _, big_idxs, _, big_exact = _solve_spanning_weighted(ctx_w, zeros, 2.0 * eps)
-                _, small_idxs, _, small_exact = _solve_spanning_weighted(ctx_tail, zeros, eps)
+                small_lower, small_exact = small[tail, eps]
                 exact_all = exact_all and big_exact and small_exact
                 # r_n(w, 2 eps) from above and r_{n-1}(w', eps) from below
                 lhs = len(big_idxs)
-                rhs = net_size[eps] * spanning_lower_bound(ctx_tail, eps, len(small_idxs), small_exact)
+                rhs = net_size[eps] * small_lower
                 if binding is None or rhs - lhs < binding[1] - binding[0]:
                     binding = (lhs, rhs)
     reports.append(

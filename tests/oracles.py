@@ -18,9 +18,10 @@ reference_greedy_cover, the ratio greedy as one numpy pass per pick,
 reference_exhaustive, the subset DP with weights and feasibility in one
 pass, reference_first_fit, first fit over an alive array with every row
 read in full, step by step, and reference_word_orbits, one orbit and one
-Birkhoff vector per word.  They hold the package's faster ball-cover
-search, its heap greedy, its cached subset enumeration, its windowed
-first fit and its word batches to the same results, bit for bit.
+Birkhoff vector per word.  They hold the package's heap greedy, its
+cached subset enumeration, its windowed first fit and its word batches
+to the same results, bit for bit, and its component-wise ball-cover
+search to the same least weight.
 """
 
 import itertools
@@ -315,10 +316,12 @@ def per_element_cover_bound(balls, w, uncov):
 
 def reference_bb_cover(balls, wlin):
     """The minimum weighted ball cover by the plain branch and bound that
-    pressure._bb_cover speeds up: a greedy incumbent that rescans every
-    ball per pick, the per-element bound at every node, and every child
-    of a node entered.  It returns the same (mask, value) bit for bit, so
-    a pruning or ordering change in the package shows as a difference."""
+    pressure._bb_cover runs on each component of its ball graph (the
+    search of one component), here over the whole instance: a greedy
+    incumbent that rescans every ball per pick, the per-element bound at
+    every node, and every child of a node entered.  Its value is the sum
+    of the path that found the witness, so a test compares the math.fsum
+    of its witness's weights with the package's value."""
     n = len(wlin)
     w = [float(v) for v in wlin]
     full = (1 << n) - 1

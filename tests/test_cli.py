@@ -420,6 +420,24 @@ def test_overflowing_birkhoff_sums_are_a_runtime_error(tmp_path, capsys):
         assert "Birkhoff sums are not finite" in capsys.readouterr().err
 
 
+def test_a_spanning_run_whose_least_cover_underflows_exits_0(tmp_path):
+    # one ball covers both points; the lighter one's Birkhoff sum is -2000,
+    # whose weight exp(-2000 - max S) is 0.0 in the frame of max S
+    raw = dict(
+        TINY_ESTIMATE,
+        schedule={"prefix": [], "cycle": [[{"kind": "identity"}]]},
+        potential={"kind": "explicit_table", "params": [0.0, -1000.0]},
+        kind="spanning",
+        n_range=[1, 1],
+        eps_list=[1.0],
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = list(csv.DictReader((tmp_path / "out" / "pressure_curve.csv").read_text().splitlines()[1:]))
+    assert [(r["log_avg"], r["method"], r["exact"]) for r in rows] == [("-2000.0", "exhaustive", "True")]
+
+
 # check parameters that pass the schema but that no check can run with
 BAD_CHECKS = {
     "zero_n": {"type": "basic", "n": 0},

@@ -120,6 +120,36 @@ def test_nonfinite_weights_are_refused():
     assert pressure._solve_spanning_weighted(ctx, np.array([-math.inf, 0.0]), 0.5)[0] == 0.0
 
 
+def test_a_spanning_sum_whose_least_cover_underflows_reads_its_value():
+    # one ball covers the cloud and the lightest point's Birkhoff sum is
+    # -2000, so log Q = -2000, while exp(-2000 - max S) is 0.0
+    cloud, _ = two_point()
+    ident = GenerationSchedule(prefix=(), cycle=((ID,),))
+    psi = Potential("explicit_table", (0.0, -1000.0))
+    for mode in pressure.MODES:
+        r = partition_sum_spanning(cloud, ident, Word(1, (0,)), 1, psi, 1.0, mode)
+        assert (r.log_value, r.witness_size) == (-2000.0, 1)
+    words = build_cloud(SpaceSpec("symbolic_depth", 7, alphabet_size=2))
+    shift = GenerationSchedule(prefix=(), cycle=((MapSpec("shift"),),))
+    first = Potential("first_symbol_table", (0.0, -1000.0))
+    for mode, method in (("auto", pressure.CLASSES), ("greedy", "greedy")):
+        r = partition_sum_spanning(words, shift, Word(1, (0,)), 1, first, 1.0, mode)
+        assert (r.log_value, r.method, r.witness_size) == (-2000.0, method, 1)
+    # past MATRIX_LIMIT the greedy cover is the first-fit eps-net {0}, and
+    # psi(0) = -1000 while psi(x) -> 0 as x -> 1
+    grid = build_cloud(SpaceSpec("circle_grid", 2048))
+    r = partition_sum_spanning(grid, ident, Word(1, (0,)), 1, Potential("coordinate_affine", (1000.0, -1000.0)), 0.5, "greedy")
+    assert (r.log_value, r.witness_size) == (-2000.0, 1)
+
+
+def test_a_least_cover_of_weight_zero_reads_minus_infinity():
+    # every point lies in a ball whose Birkhoff sum is -inf
+    cloud, sched = two_point()
+    ctx = pressure._word_orbit(cloud, sched, Word(1, (0,)), 1)
+    for mode in pressure.MODES:
+        assert pressure._solve_spanning_weighted(ctx, np.array([-math.inf, 0.0]), 1.0, mode)[0] == -math.inf
+
+
 def test_min_spanning_four_cycle():
     dm = (
         (0.0, 1.0, 2.0, 1.0),
@@ -378,49 +408,117 @@ def test_cover_bound_equals_per_element_formula(data):
     assert pressure._cover_lower_bound(balls, w, uncov, covers_elem) == per_element_cover_bound(balls, w, uncov)
 
 
-@settings(max_examples=200)
-@given(st.data())
-def test_bb_cover_matches_reference_bit_for_bit(data):
-    n = data.draw(st.integers(1, 16))
-    # each ball holds its own centre, as every eps-ball does
-    balls = [data.draw(st.integers(0, (1 << n) - 1)) | (1 << i) for i in range(n)]
-    # tied weights, zero weights (exp underflow) and weights whose ratios round
-    weight = st.sampled_from([0.0, 0.25, 0.5, 1.0, 5e-324]) | st.floats(0.01, 1.0)
-    wlin = np.array([data.draw(weight) for _ in range(n)])
+# tied weights, zero weights (exp underflow), subnormal weights and
+# weights whose sums round differently in another order
+SOLVER_WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 5e-324, 1e-310]) | st.floats(0.01, 1.0)
+
+
+def _symmetric_balls(data, n):
+    """Balls that each hold their own centre, as every eps-ball does, and
+    hold each other's along a drawn edge list."""
+    balls = [1 << i for i in range(n)]
+    for i, j in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)):
+        balls[i] |= 1 << j
+        balls[j] |= 1 << i
+    return balls
+
+
+def _drawn_balls(data, n):
+    """Symmetric balls, or an independent mask per point that holds its
+    centre."""
+    if data.draw(st.booleans()):
+        return _symmetric_balls(data, n)
+    return [data.draw(st.integers(0, (1 << n) - 1)) | (1 << i) for i in range(n)]
+
+
+def _index_order_sum(wlin, mask):
+    return math.fsum(float(wlin[i]) for i in sorted(pressure._bits(mask)))
+
+
+def _assert_least_cover(balls, wlin, ref_mask):
+    """_bb_cover's value is the fsum of its witness's weights in index
+    order, bit for bit, and lies within 4 ulp of the fsum of the reference
+    optimum ref_mask; its witness covers every point."""
     mask, value = pressure._bb_cover(balls, wlin)
-    ref_mask, ref_value = reference_bb_cover(balls, wlin)
-    assert (mask, value.hex()) == (ref_mask, ref_value.hex())
+    assert value.hex() == _index_order_sum(wlin, mask).hex()
+    least = _index_order_sum(wlin, ref_mask)
+    assert abs(value - least) <= 4 * math.ulp(least)
     covered = 0
     for i in pressure._bits(mask):
         covered |= balls[i]
-    assert covered == (1 << n) - 1
-    _, least = pressure._best_subset(pressure._feasible_subsets(balls, "spanning"), wlin, np.argmin)
-    assert abs(value - least) <= 1e-12
+    assert covered == (1 << len(balls)) - 1
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_bb_cover_is_a_least_cover_summed_in_index_order(data):
+    n = data.draw(st.integers(1, 16))
+    balls = _drawn_balls(data, n)
+    wlin = np.array([data.draw(SOLVER_WEIGHTS) for _ in range(n)])
+    _assert_least_cover(balls, wlin, reference_exhaustive(balls, wlin, "spanning")[0])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(17, 40), st.booleans(), st.integers(0, 2**32 - 1), st.data())
-def test_bb_cover_matches_reference_at_the_workload_size(n, symmetric, seed, data):
-    # the benchmark's instances: closed Euclidean balls at the 30th
-    # percentile of the pairwise distances, or asymmetric balls, each
-    # holding its own centre
+def test_bb_cover_is_a_least_cover_at_the_workload_size(n, symmetric, seed, data):
+    # the benchmark's instances: closed Euclidean balls at a percentile of
+    # the pairwise distances (low ones split into many components), or
+    # asymmetric balls, each holding its own centre
     rng = np.random.default_rng(seed)
     if symmetric:
         pts = rng.random((n, 2))
         dm = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
-        balls = pressure._balls(dm, float(np.quantile(dm[np.triu_indices(n, 1)], 0.3)))
+        balls = pressure._balls(dm, float(np.quantile(dm[np.triu_indices(n, 1)], data.draw(st.floats(0.01, 0.4)))))
     else:
-        inside = rng.random((n, n)) < data.draw(st.floats(0.1, 0.5))
+        inside = rng.random((n, n)) < data.draw(st.floats(0.02, 0.5))
         np.fill_diagonal(inside, True)
         balls = pressure._balls(np.where(inside, 0.0, 1.0), 0.0)
     # weights exp(S - max S) as the solves make them: tied sums, and sums
-    # so low that their weight underflows to zero
-    term = st.sampled_from([0.0, -0.5, -1.0, -800.0]) | st.floats(-3.0, 0.0)
+    # so low that their weight underflows to zero or to a subnormal
+    term = st.sampled_from([0.0, -0.5, -1.0, -710.0, -800.0]) | st.floats(-3.0, 0.0)
     S = np.array(data.draw(st.lists(term, min_size=n, max_size=n)))
     wlin = np.exp(S - S.max())
+    _assert_least_cover(balls, wlin, reference_bb_cover(balls, wlin)[0])
+
+
+def test_bb_cover_solves_separated_clusters_one_by_one(monkeypatch):
+    # 16 clusters of 4 points, 10 apart: the least cover is the union of
+    # the clusters' own least covers, and only the clusters that need a
+    # search read the bound
+    rng = np.random.default_rng(64)
+    pts = np.concatenate([10.0 * np.array(divmod(c, 4)) + rng.random((4, 2)) for c in range(16)])
+    dm = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+    balls = pressure._balls(dm, 0.6)
+    wlin = rng.random(64)
+    union = 0
+    for c in range(16):
+        sub = slice(4 * c, 4 * c + 4)
+        best, _ = reference_exhaustive(pressure._balls(dm[sub, sub], 0.6), wlin[sub], "spanning")
+        union |= best << (4 * c)
+    calls = []
+    bound = pressure._cover_lower_bound
+    monkeypatch.setattr(pressure, "_cover_lower_bound", lambda *args: calls.append(args[2]) or bound(*args))
     mask, value = pressure._bb_cover(balls, wlin)
-    ref_mask, ref_value = reference_bb_cover(balls, wlin)
-    assert (mask, value.hex()) == (ref_mask, ref_value.hex())
+    assert mask == union and value.hex() == _index_order_sum(wlin, union).hex()
+    # no bound reads two clusters
+    assert all(any(u | (15 << (4 * c)) == 15 << (4 * c) for c in range(16)) for u in calls)
+    # 14 four-point and one three-point component are searched; one pair
+    # and three isolated points are not
+    assert len(calls) == 19
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_bb_mwis_is_a_heaviest_independent_set_summed_in_index_order(data):
+    n = data.draw(st.integers(1, 16))
+    # symmetric conflicts: a separated set's conflicts come from a metric
+    balls = _symmetric_balls(data, n)
+    wlin = np.array([data.draw(SOLVER_WEIGHTS) for _ in range(n)])
+    mask, value = pressure._bb_mwis([b & ~(1 << i) for i, b in enumerate(balls)], wlin)
+    assert all(not balls[i] & ~(1 << i) & mask for i in pressure._bits(mask))
+    assert value.hex() == _index_order_sum(wlin, mask).hex()
+    best = _index_order_sum(wlin, reference_exhaustive(balls, wlin, "separated")[0])
+    assert abs(value - best) <= 4 * math.ulp(best)
 
 
 @settings(max_examples=200)

@@ -19,7 +19,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 DIGESTS_AT_SEED_3 = {
     "circle_estimate": "221fd94d4b934d1fb9a31fe7271c74fb502a96c41e0a67fc45affd388fbb9229",
-    "explicit_spanning_bb": "808464e8826ec3dac95d4ebecd47a0bc65bf099b715e91338346303e77387dde",
+    "explicit_spanning_bb": "09534231f03fb1e6aeda86f23c0084417f4d7cf3d5d58148e12cae8a44df93dd",
     "factor_verify": "c941f33067ce8a9e16096086a90024d436b20e3ec34ae144daef7158cc37533a",
     "finite_suite": "985d8473df10c0a8339b6bcb0ba54bbaa55385e2d37ae62bc541117ccb57ec4c",
 }
