@@ -315,10 +315,12 @@ def _tol_from(value, path: str) -> float | None:
     return value
 
 
-def _check_from(chk: dict, path: str, eps_default: float, schedule: GenerationSchedule, n_max: int) -> dict:
+def _check_from(chk: dict, path: str, eps_default: float, space: SpaceSpec, schedule: GenerationSchedule, n_max: int) -> dict:
     """One check with its parameters read, range-checked and defaulted; the
-    runner reads these values only.  A check that would enumerate more than
-    WORD_ENUMERATION_CAP words is refused here, before any is enumerated."""
+    runner reads these values only.  A check whose words and finest eps
+    would read past a symbolic depth (_check_depth), or that would
+    enumerate more than WORD_ENUMERATION_CAP words, is refused here, before
+    any is enumerated."""
     kind = chk["type"]
     if kind != "semiconjugacy" and "tol" in chk:
         raise ConfigError(f"config field {path}.tol: only a semiconjugacy check takes its own tol; set $.tol or --tol")
@@ -350,6 +352,8 @@ def _check_from(chk: dict, path: str, eps_default: float, schedule: GenerationSc
     name, length, starts = {
         "basic": ("n", n, [1]), "power": ("m_range", n * m_hi, [1]), "truncation": ("j", net_counting_length(n_max), range(i, j)),
     }.get(kind, ("", 0, []))
+    if name:
+        _check_depth(space, length, out.get("eps", eps_default), f"{path}.{name}")
     count = max((count_words(schedule, k, length) for k in starts), default=0)
     if count > WORD_ENUMERATION_CAP:
         raise ConfigError(f"config field {path}.{name}: the check enumerates {count} words, more than {WORD_ENUMERATION_CAP}")
@@ -412,7 +416,7 @@ class ExperimentConfig:
         for idx, chk in enumerate(raw.get("checks", [])):
             if chk["type"] in ("semiconjugacy", "factor_lower", "factor_upper", "conjugacy") and factor is None:
                 raise ConfigError(f"config field $.checks[{idx}]: check {chk['type']!r} requires a factor")
-            checks.append(_check_from(chk, f"$.checks[{idx}]", eps_list[-1], schedule, hi))
+            checks.append(_check_from(chk, f"$.checks[{idx}]", eps_list[-1], space, schedule, hi))
             # the check's premise, once its parameters are read
             with _field(f"$.checks[{idx}]"):
                 if chk["type"] == "conjugacy":

@@ -31,14 +31,21 @@ the orbit of the cloud along one word, every n-th step of such an orbit
 and word (sup_orbit).  The orbits of several words of one length are
 built together, in one orbit_batches pass (_word_orbits); a single word
 is the one-word case (_word_orbit).  Every row and tile of Bowen
-distances is computed from the orbit's distance forms.  The dense Bowen matrix is
-read only to build closed eps-balls, so a greedy witness is re-checked on
-distances computed afresh, not on the table its cover read.  The orbit
-caches what a solve reads that does not depend on the weights: the
-matrix, its eps-balls per eps, and per (eps, kind) the subsets that subset
-enumeration may return.  Callers that solve several potentials, both kinds
-or a repeated eps on one orbit build these once; the cache is freed with
-the orbit.
+distances is computed from the orbit's distance forms.  Closed eps-balls
+have one builder (_word_balls): it reduces tiles of Bowen matrices
+(_matrix_tiles) over their steps and packs each tile into bit masks at
+every eps it is given, and no orbit keeps a table of distances.  So a
+greedy witness is re-checked on distances computed afresh, not on the
+balls its cover read.  One predicate (_reads_balls) decides which solves
+read balls: the exact ball solvers, and the ratio greedy cover of a
+spanning solve up to MATRIX_LIMIT points.  A caller that reads one
+orbit's balls at several eps builds them in one pass (the batch path,
+sup_entropy_estimate); an orbit asked for balls it lacks builds them at
+that eps alone.  The orbit caches what a solve reads that does not depend
+on the weights: its eps-balls per eps, and per (eps, kind) the subsets
+that subset enumeration may return.  Callers that solve several
+potentials, both kinds or a repeated eps on one orbit build these once;
+the cache is freed with the orbit.
 
 Greedy first fit reads one row per accepted point, and only over the
 point's step-0 window when step 0 is an interval or circle grid itself
@@ -48,13 +55,14 @@ every point, so they do not depend on the window being right.
 
 Every word loop takes one batch path (batched_word_orbits): the words'
 orbits are built together, their Birkhoff vectors take one potential
-evaluation per step, and the exact solvers' eps-balls come from Bowen
-matrices built a tile of whole matrices at a time (_matrix_tiles) and
-packed once per eps.  The batch hands out its orbits one word at a time
-and holds one it has handed out only until the next is asked for, so
-each orbit is freed once the caller has solved it.  Each word is still solved on its own orbit, so its sums
-are the bits it has when solved alone.  The curves' per-word sums
-(_word_sums) and the theorem checks' word loops both run on it.
+evaluation per step, and the eps-balls of the solves that read them come
+from Bowen matrices built a tile of whole matrices at a time
+(_matrix_tiles) and packed once per eps.  The batch hands out its
+orbits one word at a time and holds one it has handed out only until the
+next is asked for, so each orbit is freed once the caller has solved it.
+Each word is still solved on its own orbit, so its sums are the bits it
+has when solved alone.  The curves' per-word sums (_word_sums) and the
+theorem checks' word loops both run on it.
 
 A pressure curve holds one AveragedPartitionSum per (n, eps): the
 word-averaged sum in log space and its growth value (1/n) log.  It takes
@@ -93,6 +101,7 @@ from .naifs import (
 )
 from .space import (
     CIRCLE,
+    FINITE,
     INTERVAL,
     SYMBOLIC,
     PointCloud,
@@ -107,7 +116,9 @@ log = logging.getLogger("naifslab.pressure")
 
 EXHAUSTIVE_LIMIT = 20
 BRANCH_AND_BOUND_LIMIT = 64
-# the dense Bowen matrix serves the exact solvers and the ratio greedy cover
+# the largest orbit whose greedy spanning solve is a ratio cover over its
+# eps-balls (N * N bits at each eps); past it, the eps-net reads rows.  The
+# name predates the one ball builder and the benchmark reads it.
 MATRIX_LIMIT = 1500
 SUBSET_METRIC_LIMIT = 2000
 # elements of one distance tile (512 KiB of float64)
@@ -144,12 +155,12 @@ class _BowenOrbit:
     caller already holds.  Each step is put in distance form once, and the
     forms are held stacked on one step axis, so that a row reads every
     step in one kernel call.  Rows and tiles are always computed from the
-    forms; the dense matrix is built only for small clouds (MATRIX_LIMIT),
-    one kernel call per tile over every step (_matrix_tiles), and only its
-    eps-balls (balls) read it.  A word batch may give the orbit its
-    eps-balls instead, from matrices it built for all its words
-    (_word_balls).  The tiles of tile and block are written into two
-    buffers the orbit reuses.
+    forms, and no table of distances is kept.  The eps-balls (balls) come
+    from the one builder, _word_balls, one kernel call per tile of Bowen
+    matrices over every step (_matrix_tiles): run by a word batch for all
+    its words, by sup_entropy_estimate at all its eps, or by balls itself
+    at the one eps it lacks.  The tiles of tile and block are written into
+    two buffers the orbit reuses.
 
     When step 0 is the enumerated interval or circle grid itself, a Bowen
     distance is at least the base distance, so the closed eps-ball of a
@@ -158,10 +169,10 @@ class _BowenOrbit:
     are solved by classes (_ultrametric_classes), and a forced greedy
     solve reads full rows.
 
-    The matrix, its eps-balls (balls) and the feasible subsets of subset
-    enumeration (feasible_subsets) are built on first use and kept for the
-    life of the orbit, one entry per eps and per (eps, kind): solves of
-    other weight vectors on the same orbit read them instead of rebuilding.
+    The eps-balls (balls) and the feasible subsets of subset enumeration
+    (feasible_subsets) are built on first use and kept for the life of the
+    orbit, one entry per eps and per (eps, kind): solves of other weight
+    vectors on the same orbit read them instead of rebuilding.
     An orbit of a word batch lives until its word is solved: the batch
     drops it when it hands out the next word (batched_word_orbits), so
     only the caller's reference keeps it, and its tables, alive.
@@ -174,7 +185,6 @@ class _BowenOrbit:
         self.forms = _stack_forms([distance_form(cloud, B) for B in steps], cloud.space.family == SYMBOLIC)
         # only the grids have an order that their balls follow
         self._windowed = cloud.enumerated and steps[0] is cloud.batch and cloud.space.family in (INTERVAL, CIRCLE)
-        self._matrix: np.ndarray | None = None
         self._balls: dict[float, list[int]] = {}
         self._feasible: dict[tuple[float, str], np.ndarray] = {}
         self._buffers: list[np.ndarray | None] = [None, None]
@@ -234,26 +244,12 @@ class _BowenOrbit:
             return np.arange(n)
         return np.arange(c - r, c + r + 1) % n
 
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            n = self.n_points
-            if n > MATRIX_LIMIT:
-                raise ValueError(f"cloud of {n} points exceeds the matrix limit {MATRIX_LIMIT}")
-            # the one-word case of _matrix_tiles: row tiles of the matrix
-            # when it does not fit one tile with every step
-            m = np.empty((1, n, n))
-            for _, rows, d in _matrix_tiles(self.cloud, self.forms[..., None, :, :]):
-                np.max(d, axis=-3, out=m[:, rows])
-            self._matrix = m[0]
-        return self._matrix
-
     def balls(self, eps: float) -> list[int]:
-        """The closed eps-balls of the matrix rows as bit masks (_balls),
-        unless a word batch put them here (_word_balls)."""
-        balls = self._balls.get(eps)
-        if balls is None:
-            balls = self._balls[eps] = _balls(self.matrix(), eps)
-        return balls
+        """The closed eps-balls of the orbit as bit masks (_balls), built by
+        _word_balls at this eps unless a caller built them already."""
+        if eps not in self._balls:
+            _word_balls([self], [eps])
+        return self._balls[eps]
 
     def feasible_subsets(self, eps: float, kind: str) -> np.ndarray:
         """Ascending indices of the eps-separated subsets or of the eps-spanning
@@ -308,10 +304,16 @@ def _matrix_tiles(cloud: PointCloud, forms: np.ndarray):
     *_, n_words, steps, n = forms.shape
     per = max(1, _TILE_ELEMENTS // (steps * n * n))
     rows = min(n, _tile_rows(n * steps))
+    # every tile is written into one buffer: a new array per tile costs
+    # more in the allocator than the kernel does.  A finite space's kernel
+    # gathers into a new array anyway, so it takes none.
+    buf = None if cloud.space.family == FINITE else np.empty(min(per, n_words) * steps * rows * n)
     for lo in range(0, n_words, per):
         words = slice(lo, lo + per)
+        k = min(per, n_words - lo)
         for r in range(0, n, rows):
-            yield words, slice(r, r + rows), distance_kernel(cloud, forms[..., words, :, r : r + rows, None], forms[..., words, :, None, :])
+            out = None if buf is None else buf[: k * steps * min(rows, n - r) * n].reshape(k, steps, -1, n)
+            yield words, slice(r, r + rows), distance_kernel(cloud, forms[..., words, :, r : r + rows, None], forms[..., words, :, None, :], out)
 
 
 def _tile_rows(n_cols: int) -> int:
@@ -378,10 +380,11 @@ def _balls(matrices: np.ndarray, eps: float) -> list:
 
 
 def _word_balls(orbits: list[_BowenOrbit], eps_list: list[float]) -> None:
-    """Give each orbit of a word batch (_word_orbits) its eps-balls at every
-    eps of the list (balls): each tile of the batch's Bowen matrices
-    (_matrix_tiles over the stacked forms) is reduced over its steps once
-    and packed once per eps.  No matrix is kept."""
+    """Give each orbit of one cloud with equally many steps (a word batch,
+    or one orbit alone) its eps-balls at every eps of the list (balls):
+    each tile of the orbits' Bowen matrices (_matrix_tiles over the stacked
+    forms) is reduced over its steps once and packed once per eps.  No
+    matrix is kept.  The only writer of an orbit's balls."""
     cloud = orbits[0].cloud
     balls = {eps: [[] for _ in orbits] for eps in eps_list}
     for words, _, d in _matrix_tiles(cloud, _stack_forms([ctx.forms for ctx in orbits], cloud.space.family == SYMBOLIC)):
@@ -837,6 +840,14 @@ def _resolve_method(mode: str, n_points: int, symbolic: bool) -> str:
     return mode
 
 
+def _reads_balls(method: str, n_points: int, kind: str) -> bool:
+    """Whether a solve of kind by method reads the orbit's eps-balls: the
+    exact ball solvers do, and so does the ratio greedy cover of a
+    spanning solve up to MATRIX_LIMIT points.  The class solver reads
+    cylinder keys, and first fit and the eps-net read rows."""
+    return method in ("exhaustive", "branch_and_bound") or (method == "greedy" and kind == "spanning" and n_points <= MATRIX_LIMIT)
+
+
 def _recheck_separated(ctx, idxs: list[int], eps: float) -> None:
     """Every pair of the witness is more than eps apart."""
     if ctx.min_pair_distance(idxs) <= eps:
@@ -876,7 +887,7 @@ def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto"
     method, shift, wlin = _solve_setup(ctx, S, eps, mode)
     if method == CLASSES:
         return *_class_sum(ctx, S, eps, "separated"), method, True
-    if method == "greedy":
+    if not _reads_balls(method, ctx.n_points, "separated"):
         idxs = _first_fit_separated(ctx, eps, np.lexsort((np.arange(ctx.n_points), -S)))
         witness = sorted(idxs)
         _recheck_separated(ctx, witness, eps)
@@ -903,7 +914,7 @@ def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto")
     method, shift, wlin = _solve_setup(ctx, S, eps, mode)
     if method == CLASSES:
         return *_class_sum(ctx, S, eps, "spanning"), method, True
-    if method == "greedy" and ctx.n_points > MATRIX_LIMIT:
+    if not _reads_balls(method, ctx.n_points, "spanning"):
         # an eps-net: a maximal eps-separated set spans at eps
         idxs = _first_fit_separated(ctx, eps, np.arange(ctx.n_points))
         _recheck_spanning(ctx, idxs, eps)
@@ -1027,6 +1038,7 @@ def batched_word_orbits(
     schedule: GenerationSchedule,
     words: list[Word],
     n: int,
+    kind: str,
     eps_list: list[float],
     terms: Callable[[np.ndarray], np.ndarray],
     strides: Sequence[int] = (1,),
@@ -1037,16 +1049,16 @@ def batched_word_orbits(
     (at k the orbit of the k-step power system along the blocked word),
     and its Birkhoff vector of terms (_birkhoff_vectors; for a potential
     psi, functools.partial(eval_potential_batch, cloud.space, psi)).  The
-    caller solves each orbit at the eps of eps_list in mode.
+    caller solves each orbit as kind at the eps of eps_list in mode.
 
     The words are taken in chunks whose orbits hold at most _TILE_ELEMENTS
     points (one word at least).  A chunk's orbits are built together
     (_word_orbits) and, per stride, its Birkhoff vectors take one terms
-    call per step.  For the exact solvers, which read eps-balls, each
-    stride's balls at every eps come from its Bowen matrices, a tile of
-    words at a time (_word_balls).  The chunk then hands out its orbits one
-    word at a time and holds one it has handed out only until the caller
-    asks for the next word, so an orbit, with its eps-balls and feasible
+    call per step.  When a solve of kind in mode reads eps-balls
+    (_reads_balls), each stride's balls at every eps come from its Bowen
+    matrices, a tile of words at a time (_word_balls).  The chunk then
+    hands out its orbits one word at a time and holds one it has handed
+    out only until the caller asks for the next word, so an orbit, with its eps-balls and feasible
     subsets, is freed once the caller is done with it, not when the chunk
     ends.  Each orbit is solved on its own, so its sums do not depend on
     the other words.
@@ -1054,7 +1066,7 @@ def batched_word_orbits(
     if type(n) is not int or n < 0:
         n = validate_step_count(n, "n", minimum=0)
     per = max(1, _TILE_ELEMENTS // ((n + 1) * len(cloud)))
-    reads_balls = _resolve_method(mode, len(cloud), cloud.space.family == SYMBOLIC) in ("exhaustive", "branch_and_bound")
+    reads_balls = _reads_balls(_resolve_method(mode, len(cloud), cloud.space.family == SYMBOLIC), len(cloud), kind)
     for lo in range(0, len(words), per):
         base = _word_orbits(cloud, schedule, words[lo : lo + per], n)
         views = []
@@ -1081,7 +1093,7 @@ def _word_sums(
     terms = functools.partial(eval_potential_batch, cloud.space, psi)
     return [
         [(value, len(idxs), method, exact) for value, idxs, method, exact in (solve(ctx, s, e, mode) for e in eps_list)]
-        for [(ctx, s)] in batched_word_orbits(cloud, schedule, words, n, eps_list, terms, mode=mode)
+        for [(ctx, s)] in batched_word_orbits(cloud, schedule, words, n, kind, eps_list, terms, mode=mode)
     ]
 
 
@@ -1417,6 +1429,9 @@ def sup_entropy_estimate(
         # one spanning solve per eps: on a schedule that halves eps, the
         # r*(eps/2) of one entry is the r*(eps) of the next
         spanning_eps = sorted({*eps_list, *(eps / 2.0 for eps in eps_list)}, reverse=True)
+        # every solve below that reads eps-balls reads them at an eps of this list
+        if _reads_balls(_resolve_method("auto", ctx.n_points, cloud.space.family == SYMBOLIC), ctx.n_points, "spanning"):
+            _word_balls([ctx], spanning_eps)
         spans = {e: _solve_spanning_weighted(ctx, zeros, e) for e in spanning_eps}
         for eps in eps_list:
             _, s_idx, s_method, s_exact = _solve_separated_weighted(ctx, zeros, eps)

@@ -8,8 +8,9 @@ level between growth-rate estimates under a declared analytic tolerance.
 The finite-scale checks run over every word of their length, and solve
 them on pressure's batch path (batched_word_orbits), as the curves do:
 one orbit pass and one potential evaluation per step for all the words
-of a check, eps-balls built a tile of matrices at a time, and each orbit
-freed once its word is solved.  check_basic_properties sums its derived
+of a check, eps-balls, where the kind the check solves reads them, built
+a tile of matrices at a time, and each orbit freed once its word is
+solved.  check_basic_properties sums its derived
 potentials (_derived_terms) on it, check_power_rule takes every n-th
 step of each base orbit as the power system's orbit (stride n), and
 check_truncation_monotonicity solves each word at 2 eps and each
@@ -241,7 +242,7 @@ def check_basic_properties(
     sums: list[list[float]] = [[] for _ in DERIVED]
     exact_inputs = True
     terms = functools.partial(_derived_terms, cloud.space, phi, psi, p, c)
-    for [(ctx, S)] in batched_word_orbits(cloud, schedule, words, n, [eps], terms):
+    for [(ctx, S)] in batched_word_orbits(cloud, schedule, words, n, "separated", [eps], terms):
         for values, s in zip(sums, S):
             value, _, _, ok = _solve_separated_weighted(ctx, s, eps)
             values.append(value)
@@ -341,7 +342,7 @@ def check_power_rule(
     for m in ms:
         words, _, _ = enumerate_words(schedule, 1, m * n, None, seed)
         # the power system's orbit along the blocked word is every n-th base step
-        for (ctx_base, s_base), (ctx_pow, s_pow) in batched_word_orbits(cloud, schedule, words, m * n, eps_list, terms, strides=(1, n)):
+        for (ctx_base, s_base), (ctx_pow, s_pow) in batched_word_orbits(cloud, schedule, words, m * n, "spanning", eps_list, terms, strides=(1, n)):
             for eps in eps_list:
                 q_base, _, _, ok_b = _solve_spanning_weighted(ctx_base, s_base, eps)
                 q_pow, _, _, ok_p = _solve_spanning_weighted(ctx_pow, s_pow, eps)
@@ -441,11 +442,11 @@ def check_truncation_monotonicity(
         # distinct tail is solved once per eps
         distinct = list(dict.fromkeys(tails))
         small = {}
-        for tail, [(ctx_tail, zeros)] in zip(distinct, batched_word_orbits(cloud, sched_k1, distinct, n_count - 1, eps_list, _zero_terms), strict=True):
+        for tail, [(ctx_tail, zeros)] in zip(distinct, batched_word_orbits(cloud, sched_k1, distinct, n_count - 1, "spanning", eps_list, _zero_terms), strict=True):
             for eps in eps_list:
                 _, idxs, _, exact = _solve_spanning_weighted(ctx_tail, zeros, eps)
                 small[tail, eps] = spanning_lower_bound(ctx_tail, eps, len(idxs), exact), exact
-        big = batched_word_orbits(cloud, sched_k, words, n_count, [2.0 * eps for eps in eps_list], _zero_terms)
+        big = batched_word_orbits(cloud, sched_k, words, n_count, "spanning", [2.0 * eps for eps in eps_list], _zero_terms)
         for tail, [(ctx_w, zeros)] in zip(tails, big, strict=True):
             for eps in eps_list:
                 _, big_idxs, _, big_exact = _solve_spanning_weighted(ctx_w, zeros, 2.0 * eps)

@@ -424,12 +424,13 @@ def reference_exhaustive(balls, wlin, kind):
     return best, float(wsum[best])
 
 
-def reference_word_orbits(cloud, schedule, words, n, eps_list, terms, strides=(1,), mode="auto"):
+def reference_word_orbits(cloud, schedule, words, n, kind, eps_list, terms, strides=(1,), mode="auto"):
     """The per-word loop that pressure.batched_word_orbits replaces, with
     its signature: each word's orbit built alone (orbit_batches of one
     word), every k-th step of it an orbit of its own, and its Birkhoff
-    vector summed one step at a time.  The orbits read their eps-balls off
-    their own matrices, so eps_list and mode are not read."""
+    vector summed one step at a time.  Each orbit builds its eps-balls
+    itself, one eps at a time as a solve asks for them, so kind, eps_list
+    and mode are not read."""
     import functools
 
     from naifslab.naifs import orbit_batches

@@ -92,6 +92,35 @@ def test_symbolic_depth_guard():
         ExperimentConfig.from_dict(bad)
 
 
+# checks on shift_pressure (depth 14, eps_list [1/8]): each reads words
+# and an eps that $.n_range alone does not bound
+DEEP_CHECKS = {
+    "basic_past_the_depth": (dict(checks=[{"type": "basic", "n": 20}]), "$.checks[0].n", 23),
+    "basic_at_the_depth": (dict(checks=[{"type": "basic", "n": 12}]), "$.checks[0].n", 15),
+    "basic_at_its_own_eps": (dict(checks=[{"type": "basic", "n": 10, "eps": 1 / 16}]), "$.checks[0].n", 14),
+    "power_past_the_depth": (dict(checks=[{"type": "power", "n": 4, "m_range": [1, 4]}]), "$.checks[0].m_range", 19),
+    # at n_max = 1 the net-counting words have length 2
+    "truncation_at_n_max_1": (dict(n_range=[1, 1], eps_list=[1 / 4096], checks=[{"type": "truncation"}]), "$.checks[0].j", 14),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_CHECKS))
+def test_a_check_past_the_symbolic_depth_is_refused_at_its_field(tmp_path, capsys, case):
+    changes, field, needed = DEEP_CHECKS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_example("shift_pressure", mode="verify", **changes)))
+    assert main(["verify", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"config error: config field {field}: symbolic depth too small; need n_max + log2(1/eps_min) = {needed} < resolution D = 14"
+    )
+
+
+def test_checks_within_the_symbolic_depth_are_read():
+    for checks in ([{"type": "basic", "n": 10}], [{"type": "basic", "n": 9, "eps": 1 / 16}], [{"type": "power", "n": 3, "m_range": [1, 3]}]):
+        assert ExperimentConfig.from_dict(_example("shift_pressure", mode="verify", checks=checks)).checks[0]["type"] == checks[0]["type"]
+    ExperimentConfig.from_dict(_example("shift_pressure", mode="verify", n_range=[1, 1], eps_list=[1 / 2048], checks=[{"type": "truncation"}]))
+
+
 def test_check_requires_factor():
     bad = dict(TINY_ESTIMATE, mode="verify", checks=[{"type": "factor_lower"}])
     with pytest.raises(ConfigError, match="factor"):

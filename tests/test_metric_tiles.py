@@ -1,7 +1,9 @@
-"""The Bowen distance kernel of the orbit class, and the greedy solves and
-witness re-checks that read it in rows and tiles instead of a dense matrix."""
+"""The Bowen distance kernel of the orbit class, the tiles of Bowen
+matrices that its eps-balls are packed from, and the greedy solves and
+witness re-checks that read it in rows and tiles."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +63,16 @@ def random_system(family, rng):
     return cloud, GenerationSchedule(prefix=prefix, cycle=cycle)
 
 
+def tiled_matrix(ctx):
+    """An orbit's Bowen matrix assembled from the reduced tiles of
+    _matrix_tiles, each copied out of the buffer the next tile reuses."""
+    n = ctx.n_points
+    matrix = np.empty((n, n))
+    for _, rows, d in pressure._matrix_tiles(ctx.cloud, ctx.forms[..., None, :, :]):
+        matrix[rows] = d.max(axis=-3)[0]
+    return matrix
+
+
 def index_lists(data, n_points):
     draw = st.lists(st.integers(0, n_points - 1), min_size=1, max_size=6)
     return np.array(data.draw(draw), dtype=np.intp), np.array(data.draw(draw), dtype=np.intp)
@@ -81,8 +93,10 @@ def test_block_matches_oracle_bowen(family, seed, n, data):
     assert block.tolist() == expected
     assert ctx.row(int(I[0]), js).tolist() == expected[0]
     full = ctx.block(np.arange(len(cloud)), np.arange(len(cloud)))
-    assert np.array_equal(ctx.matrix(), full)
-    # a block read after the matrix is built is still computed from the forms
+    assert np.array_equal(tiled_matrix(ctx), full)
+    eps = data.draw(st.sampled_from(sorted(set(full.ravel().tolist()))))
+    assert ctx.balls(eps) == [sum(1 << j for j in np.flatnonzero(r <= eps).tolist()) for r in full]
+    # a block read after the balls are built is still computed from the forms
     assert np.array_equal(ctx.block(I, js), block)
 
 
@@ -143,8 +157,9 @@ def matrix_system(family, rng, steps):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(("finite_explicit", "circle_grid", "symbolic_depth")), st.integers(0, 10_000), st.integers(1, 9), st.data())
 def test_matrix_rows_equal_the_reference_rows(family, seed, steps, data):
-    # matrix reads every step of a tile in one kernel call; tiles of a few
-    # rows put tile boundaries inside the matrix
+    # _matrix_tiles reads every step of a tile in one kernel call; tiles of
+    # a few rows put tile boundaries inside the matrix, and every tile is
+    # written into the buffer of the one before
     rng = random.Random(seed)
     cloud, sched, w = matrix_system(family, rng, steps)
     ctx = _word_orbit(cloud, sched, w, steps)
@@ -153,12 +168,12 @@ def test_matrix_rows_equal_the_reference_rows(family, seed, steps, data):
     everything = np.arange(n_points)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pressure, "_TILE_ELEMENTS", rows * n_points * (steps + 1))
-        matrix = ctx.matrix()
+        matrix = tiled_matrix(ctx)
     assert [row.tolist() for row in matrix] == [reference_bowen_row(ctx, c, everything).tolist() for c in everything]
 
 
 # ---------------------------------------------------------------------------
-# greedy solves past the dense-matrix limit
+# greedy solves past MATRIX_LIMIT
 
 
 def doubling_orbit(n_points=4096, n=3):
@@ -167,21 +182,42 @@ def doubling_orbit(n_points=4096, n=3):
     return _word_orbit(cloud, sched, Word(1, (0,) * n), n)
 
 
-def test_greedy_solves_on_a_large_circle_never_build_the_matrix(monkeypatch):
+def test_greedy_solves_on_a_large_circle_never_build_balls(monkeypatch):
     ctx = doubling_orbit()
     S = _birkhoff_vector(ctx, Potential("coordinate_affine", (1.0, 0.0)))
     eps = 1.0 / 32
 
-    def no_matrix(self):
-        raise AssertionError("greedy path built the dense matrix")
+    def no_balls(*args):
+        raise AssertionError("a greedy solve past MATRIX_LIMIT built eps-balls")
 
-    monkeypatch.setattr(_BowenOrbit, "matrix", no_matrix)
+    assert ctx.n_points > pressure.MATRIX_LIMIT
+    monkeypatch.setattr(pressure, "_word_balls", no_balls)
+    monkeypatch.setattr(pressure, "_balls", no_balls)
+    monkeypatch.setattr(_BowenOrbit, "balls", no_balls)
     _, sep, method, exact = _solve_separated_weighted(ctx, S, eps, "auto")
     _, span, span_method, _ = _solve_spanning_weighted(ctx, S, eps, "auto")
     assert (method, exact, span_method) == ("greedy", False, "greedy")
     assert sep == sorted(reference_first_fit(ctx, eps, np.lexsort((np.arange(ctx.n_points), -S))))
     assert span == sorted(reference_first_fit(ctx, eps, np.arange(ctx.n_points)))
     assert 1 < len(sep) < ctx.n_points and 1 < len(span) < ctx.n_points
+
+
+def test_a_ratio_cover_at_the_matrix_limit_holds_no_float_table():
+    # 1500 points, 4 doubling steps: the eps-balls are packed tile by tile,
+    # so the peak is a tile buffer and the masks, not an 18 MB matrix
+    cloud = build_cloud(SpaceSpec("circle_grid", pressure.MATRIX_LIMIT))
+    sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
+    w = Word(1, (0,) * 4)
+    tracemalloc.start()
+    try:
+        result = pressure.min_spanning(cloud, sched, w, 4, 1 / 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.method, len(result.witness)) == ("greedy", 300)
+    assert peak < 4_000_000, peak
+    value = pressure.partition_sum_spanning(cloud, sched, w, 4, Potential("piecewise_linear", (0, 1, 0.3)), 1 / 32)
+    assert value.log_value == 8.738926252641608
 
 
 def test_recheck_separated_reads_every_pair():
@@ -204,22 +240,25 @@ def test_recheck_spanning_reads_every_point():
         _recheck_spanning(ctx, [i for i in everything if i != 2047], 0.5 / 4096)
 
 
-def test_greedy_spanning_recheck_does_not_read_the_matrix(monkeypatch):
-    # a corrupted matrix puts point 0 within every eps of every point: the
-    # ratio cover reads its balls and picks point 0 alone, and the witness
+def test_greedy_spanning_recheck_does_not_read_the_balls(monkeypatch):
+    # corrupted balls put point 0 within every eps of every point: the
+    # ratio cover reads them and picks point 0 alone, and the witness
     # re-check, which computes its tiles from the forms, refuses it
-    build = _BowenOrbit.matrix
+    build, built = pressure._word_balls, []
 
-    def corrupted(self):
-        m = build(self)
-        m[0, :] = m[:, 0] = 0.0
-        return m
+    def corrupted(orbits, eps_list):
+        build(orbits, eps_list)
+        for ctx in orbits:
+            for eps in eps_list:
+                ctx._balls[eps] = [(1 << ctx.n_points) - 1] + [b | 1 for b in ctx._balls[eps][1:]]
+                built.append(eps)
 
-    monkeypatch.setattr(_BowenOrbit, "matrix", corrupted)
+    monkeypatch.setattr(pressure, "_word_balls", corrupted)
     cloud = build_cloud(SpaceSpec("circle_grid", 200))
     sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"),),))
     with pytest.raises(RuntimeError, match="spanning witness failed its defining property"):
         pressure.partition_sum_spanning(cloud, sched, Word(1, (0,)), 1, Potential("constant", (0.0,)), 1 / 16)
+    assert built == [1 / 16]
 
 
 def test_words_across_a_chunk_boundary_stack_with_zero_chunks():

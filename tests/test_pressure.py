@@ -736,14 +736,18 @@ def test_basic_properties_build_one_feasibility_table_per_word_and_eps(monkeypat
 def test_sup_entropy_reuses_the_half_eps_tables(monkeypatch):
     # with eps halving, the spanning solve at eps / 2 is the next eps's
     # spanning solve: each orbit packs balls once per distinct eps
-    packed = []
-    balls = pressure._balls
+    # spanning solve: each orbit packs balls once per distinct eps, all of
+    # them in one pass of the ball builder
+    packed, passes = [], []
+    balls, word_balls = pressure._balls, pressure._word_balls
     monkeypatch.setattr(pressure, "_balls", lambda matrix, eps: packed.append(eps) or balls(matrix, eps))
+    monkeypatch.setattr(pressure, "_word_balls", lambda orbits, eps_list: passes.append(list(eps_list)) or word_balls(orbits, eps_list))
     rng = random.Random(12)
     cloud, sched = random_explicit_instance(rng, max_points=8, max_maps=2, max_cycle=2)
     eps_list = [0.4, 0.2, 0.1]
     sup_entropy_estimate(cloud, sched, range(len(cloud)), [1, 2], eps_list)
     assert packed == [0.4, 0.2, 0.1, 0.05] * 2
+    assert passes == [[0.4, 0.2, 0.1, 0.05]] * 2
 
 
 # The class solver of symbolic orbits (pressure._class_sum).  The auto

@@ -110,18 +110,34 @@ def test_no_new_private_imports_between_modules():
     assert sorted(found - PRIVATE_IMPORTS) == []
 
 
-def test_only_the_matrix_builder_reads_the_cached_matrix():
-    # rows and tiles come from the orbit's forms: the dense matrix is set
-    # up empty in __init__ and built, cached and returned by matrix() alone
+def test_only_the_ball_builder_writes_the_cached_balls():
+    # every eps-ball mask comes from _word_balls (tiles of Bowen matrices):
+    # an orbit's ball cache is set up empty in __init__, filled by
+    # _word_balls alone, and balls only looks it up.  A use of the cache
+    # other than a subscript load, an `in` test or .get counts as a write.
+    # No orbit holds a dense matrix.
     tree = ast.parse((SRC / "pressure.py").read_text())
-    touched = sorted(
-        fn.name
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        for n in _scope_nodes(fn)
-        if isinstance(n, ast.Attribute) and n.attr == "_matrix"
-    )
-    assert set(touched) == {"__init__", "matrix"}
+    writers, readers = set(), set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(_scope_nodes(fn))
+        parents = {child: n for n in [fn, *nodes] for child in ast.iter_child_nodes(n)}
+        for n in nodes:
+            if not (isinstance(n, ast.Attribute) and n.attr == "_balls"):
+                continue
+            up = parents[n]
+            loads = (
+                (isinstance(up, ast.Subscript) and up.value is n and isinstance(up.ctx, ast.Load))
+                or (isinstance(up, ast.Compare) and all(isinstance(op, (ast.In, ast.NotIn)) for op in up.ops))
+                or (isinstance(up, ast.Attribute) and up.attr == "get")
+            )
+            (readers if loads else writers).add(fn.name)
+    assert writers == {"__init__", "_word_balls"}
+    assert readers == {"balls"}
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    defs = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not {"_matrix", "matrix"} & (attrs | defs)
 
 
 def test_only_field_turns_library_errors_into_config_errors():

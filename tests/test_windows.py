@@ -138,14 +138,20 @@ def test_too_narrow_window_fails_the_separated_recheck(monkeypatch):
     assert info.traceback[-1].name == "_recheck_separated"
 
 
-def test_tiles_and_blocks_never_alias_the_matrix():
+def test_tiles_and_blocks_never_alias_the_balls():
     ctx = circle_orbit(48, 2)
-    m = ctx.matrix().copy()
+    balls = list(ctx.balls(2 / 48))
     everything = np.arange(48)
     assert ctx.min_pair_distance(everything) == pytest.approx(1 / 48)
     block = ctx.block(slice(0, 5), slice(None))
     block[:] = -1.0
     tile = ctx.tile(everything[:5], everything)
     tile[:] = -1.0
-    assert np.array_equal(ctx.matrix(), m)
+    assert ctx.balls(2 / 48) == balls
+    # balls built after the scribbling are those of a fresh orbit and of
+    # the distances computed afresh
+    fresh = circle_orbit(48, 2)
+    full = fresh.block(everything, everything)
+    for eps in (2 / 48, 3 / 48):
+        assert ctx.balls(eps) == fresh.balls(eps) == [sum(1 << j for j in np.flatnonzero(r <= eps).tolist()) for r in full]
     assert math.isclose(ctx.block(slice(1, 2), slice(0, 1))[0, 0], 1 / 48)

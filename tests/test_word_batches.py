@@ -72,6 +72,18 @@ def batch_system(family, rng):
     return cloud, GenerationSchedule(prefix=prefix, cycle=cycle), psi
 
 
+def assert_batch_balls(orbits, eps_list):
+    """A word batch's eps-balls (_word_balls) are each word's balls read
+    off its full block of distances, computed step by step from the
+    forms: no tile of _matrix_tiles, no _balls packing."""
+    pressure._word_balls(orbits, eps_list)
+    everything = np.arange(orbits[0].n_points)
+    for ctx in orbits:
+        full = ctx.block(everything, everything)
+        for eps in eps_list:
+            assert ctx._balls[eps] == [sum(1 << j for j in np.flatnonzero(row <= eps).tolist()) for row in full]
+
+
 def _bits(sums):
     return [[(value.hex(), size, method, exact) for value, size, method, exact in word] for word in sums]
 
@@ -99,12 +111,7 @@ def test_a_word_batch_equals_each_word_solved_alone(family, seed, n, kind, data)
         mp.setattr(pressure, "_TILE_ELEMENTS", tile)
         batch = pressure._word_sums(cloud, sched, n, psi, kind, eps_list, words)
         orbits = pressure._word_orbits(cloud, sched, words, n)
-        if size <= pressure.BRANCH_AND_BOUND_LIMIT:
-            pressure._word_balls(orbits, eps_list)
-            # a batch's balls are the balls of each word's own matrix
-            for ctx in orbits:
-                for eps in eps_list:
-                    assert ctx._balls[eps] == pressure._balls(ctx.matrix(), eps)
+        assert_batch_balls(orbits, eps_list)
     assert _bits(batch) == _bits(alone)
     for ctx, w in zip(orbits, words):
         own = pressure._word_orbit(cloud, sched, w, n)
@@ -113,6 +120,33 @@ def test_a_word_batch_equals_each_word_solved_alone(family, seed, n, kind, data)
     S = pressure._birkhoff_vectors(orbits, functools.partial(eval_potential_batch, cloud.space, psi))
     for ctx, row in zip(orbits, S):
         assert row.tobytes() == pressure._birkhoff_vector(ctx, psi).tobytes()
+
+
+def test_the_balls_of_a_large_word_batch_are_its_blocks_balls(monkeypatch):
+    # 150 points: each ball is wider than one uint64, and the tiles hold a
+    # few rows of one word's matrix
+    cloud = build_cloud(SpaceSpec("circle_grid", 150))
+    sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"), MapSpec("rotation", (0.3,))),))
+    words, _, _ = enumerate_words(sched, 1, 2, None, 0)
+    monkeypatch.setattr(pressure, "_TILE_ELEMENTS", 7 * 3 * 150)
+    orbits = pressure._word_orbits(cloud, sched, words, 2)
+    assert_batch_balls(orbits, [0.25, 1 / 32, 1 / 150])
+    assert max(b.bit_length() for b in orbits[0]._balls[0.25]) > 64
+
+
+@pytest.mark.parametrize("size, kind, reads", [(96, "spanning", True), (96, "separated", False), (16, "separated", True), (16, "spanning", True)])
+def test_a_curve_builds_the_balls_its_solves_read_once_per_step(monkeypatch, size, kind, reads):
+    # the ratio cover (96 points, spanning) and the exact solvers (16
+    # points) read eps-balls, first fit does not; each step's words are one
+    # chunk, whose balls at every eps of the curve are one builder pass
+    cloud = build_cloud(SpaceSpec("circle_grid", size))
+    sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"), MapSpec("rotation", (0.3,))),))
+    calls = []
+    word_balls = pressure._word_balls
+    monkeypatch.setattr(pressure, "_word_balls", lambda orbits, eps_list: calls.append((len(orbits), list(eps_list))) or word_balls(orbits, eps_list))
+    eps_list = [0.25, 1 / 8, 1 / 32]
+    pressure_estimate(cloud, sched, Potential("piecewise_linear", (0.0, 1.0, 0.2)), [1, 2, 3], eps_list, word_budget=None, kind=kind)
+    assert calls == ([(2**n, eps_list) for n in [1, 2, 3]] if reads else [])
 
 
 def test_every_word_orbit_of_a_grid_curve_keeps_its_window(monkeypatch):
