@@ -45,7 +45,12 @@ that eps alone.  The orbit caches what a solve reads that does not depend
 on the weights: its eps-balls per eps, and per (eps, kind) the subsets
 that subset enumeration may return.  Callers that solve several
 potentials, both kinds or a repeated eps on one orbit build these once;
-the cache is freed with the orbit.
+the cache is freed with the orbit.  Subset enumeration sums the weights
+of every subset in one pass (_subset_sums).  A caller with several
+potentials on one orbit at one eps hands them over as rows
+(solve_separated_rows): max(1, _TILE_ELEMENTS >> N) rows share a pass,
+so past 15 points a pass is the single solve, and each row keeps the
+bits of its single solve.
 
 Greedy first fit reads one row per accepted point, and only over the
 point's step-0 window when step 0 is an interval or circle grid itself
@@ -172,7 +177,9 @@ class _BowenOrbit:
     The eps-balls (balls) and the feasible subsets of subset enumeration
     (feasible_subsets) are built on first use and kept for the life of the
     orbit, one entry per eps and per (eps, kind): solves of other weight
-    vectors on the same orbit read them instead of rebuilding.
+    vectors on the same orbit read them instead of rebuilding, and the
+    rows of a rows solve (solve_separated_rows) read one feasible table
+    in passes of max(1, _TILE_ELEMENTS >> N) rows.
     An orbit of a word batch lives until its word is solved: the batch
     drops it when it hands out the next word (batched_word_orbits), so
     only the caller's reference keeps it, and its tables, alive.
@@ -422,23 +429,31 @@ def _feasible_subsets(balls: list[int], kind: str) -> np.ndarray:
     return np.flatnonzero(ok)
 
 
-def _subset_sums(wlin: np.ndarray) -> np.ndarray:
-    """wsum[s], the sum of wlin over the bits of s: the weight half of
-    subset enumeration.  Each subset adds its lowest bit's weight to the sum
-    of its tail, so the terms are added from the highest bit down."""
-    wsum = np.zeros(1 << len(wlin))
-    for b in reversed(range(len(wlin))):
+def _subset_sums(W: np.ndarray) -> np.ndarray:
+    """wsum[s], the sum of the weight vector W over the bits of s: the
+    weight half of subset enumeration.  Each subset adds its lowest bit's
+    weight to the sum of its tail, so the terms are added from the highest
+    bit down.  A stack of weight rows W, shape (rows, N), is summed in the
+    same pass, with wsum[s, r] the sum of row r: each entry is the float
+    it has when its row is summed alone.  Each row's sums are contiguous
+    (the transpose of a C-ordered table), so every add runs along a row."""
+    Wt = W.T
+    wsum = np.zeros((*W.shape[:-1], 1 << len(Wt))).T
+    for b in reversed(range(len(Wt))):
         step = 1 << (b + 1)
-        np.add(wsum[::step], wlin[b], out=wsum[1 << b :: step])
+        np.add(wsum[::step], Wt[b], out=wsum[1 << b :: step])
     return wsum
 
 
-def _best_subset(feas: np.ndarray, wlin: np.ndarray, pick) -> tuple[int, float]:
-    """The feasible subset whose weight pick (np.argmax or np.argmin)
-    selects, lowest index on ties, and its weight."""
-    wsum = _subset_sums(wlin)[feas]
-    i = pick(wsum)
-    return int(feas[i]), float(wsum[i])
+def _best_subset(feas: np.ndarray, W: np.ndarray, pick) -> tuple[int, float] | tuple[list[int], list[float]]:
+    """The feasible subset whose weight pick (np.ndarray.argmax or
+    .argmin) selects, lowest index on ties, and its weight; for a stack of
+    weight rows (_subset_sums), a list of each, one entry per row."""
+    wsum = _subset_sums(W)[feas]
+    i = pick(wsum, axis=0)
+    if W.ndim == 1:
+        return int(feas[i]), float(wsum[i])
+    return feas[i].tolist(), wsum[i, np.arange(len(W))].tolist()
 
 
 def _split(masks: list[int]) -> tuple[int, list[tuple[int, int]], list[int]]:
@@ -638,20 +653,14 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
     component of the ball graph at a time (_split): an isolated point is
     covered by its own ball alone, a pair whose balls each hold both
     points by the lighter ball (lowest index on ties), and every other
-    component is searched (_cover_search) from the part of the ratio
-    greedy cover (_greedy_cover_bits) that lies in it.  The greedy cover
-    of the whole instance is the union of the greedy covers of its
-    components, since a ball's ratio reads its own component alone."""
+    component is searched (_cover_search) from the cover by all of its
+    own balls."""
     w = wlin.tolist()
     chosen, pairs, comps = _split(balls)
     for i, j in pairs:
         chosen |= 1 << (j if w[j] < w[i] else i)
-    if comps:
-        greedy = 0
-        for i in _greedy_cover_bits(balls, w):
-            greedy |= 1 << i
-        for comp in comps:
-            chosen |= _cover_search(balls, w, comp, greedy & comp)
+    for comp in comps:
+        chosen |= _cover_search(balls, w, comp, comp)
     return chosen, _witness_value(w, chosen)
 
 
@@ -870,21 +879,28 @@ def _recheck_spanning(ctx, idxs: list[int], eps: float) -> None:
         raise RuntimeError("spanning witness failed its defining property")
 
 
-def _solve_setup(ctx, S: np.ndarray, eps: float, mode: str) -> tuple[str, float, np.ndarray]:
+def _solve_method(ctx, eps: float, mode: str) -> str:
+    """The method of a solve on ctx at eps in mode; eps must be positive."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    method = _resolve_method(mode, ctx.n_points, ctx.cloud.space.family == SYMBOLIC)
+    return _resolve_method(mode, ctx.n_points, ctx.cloud.space.family == SYMBOLIC)
+
+
+def _weights(S: np.ndarray) -> tuple[float, np.ndarray]:
+    """The shift of the Birkhoff sums S (their max) and the weights
+    exp(S - shift)."""
     shift = float(S.max())
     if not math.isfinite(shift):
         # a NaN or an overflowed Birkhoff sum has no partition sum to report
         raise ValueError(f"the Birkhoff sums are not finite (max {shift})")
-    return method, shift, np.exp(S - shift)
+    return shift, np.exp(S - shift)
 
 
 def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto") -> tuple[float, list[int], str, bool]:
     """sup over separated sets of sum exp(S); returns (log value, witness,
     method, exact).  Every witness is re-checked before it is returned."""
-    method, shift, wlin = _solve_setup(ctx, S, eps, mode)
+    method = _solve_method(ctx, eps, mode)
+    shift, wlin = _weights(S)
     if method == CLASSES:
         return *_class_sum(ctx, S, eps, "separated"), method, True
     if not _reads_balls(method, ctx.n_points, "separated"):
@@ -894,13 +910,45 @@ def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto"
         return shift + math.log(float(wlin[idxs].sum())), witness, "greedy", False
     balls = ctx.balls(eps)
     if method == "exhaustive":
-        mask, val = _best_subset(ctx.feasible_subsets(eps, "separated"), wlin, np.argmax)
+        mask, val = _best_subset(ctx.feasible_subsets(eps, "separated"), wlin, np.ndarray.argmax)
     else:
         mask, val = _bb_mwis([b & ~(1 << i) for i, b in enumerate(balls)], wlin)
+    return shift + math.log(val), _separated_witness(balls, mask), method, True
+
+
+def solve_separated_rows(ctx, S: np.ndarray, eps: float, mode: str = "auto") -> list[tuple[float, list[int], str, bool]]:
+    """_solve_separated_weighted of each row of S, shape (rows, N), on one
+    orbit at one eps: one (log value, witness, method, exact) per row, the
+    bits each row has when solved alone.
+
+    Subset enumeration takes each row's shift and weights as a single
+    solve does (_weights), then fills the subset sums of
+    max(1, _TILE_ELEMENTS >> N) rows at a time in one pass (_subset_sums)
+    and reads the orbit's one feasible table for them all.  From N = 16
+    up that is one row, the single solve, and every other method solves
+    row by row too."""
+    per = max(1, _TILE_ELEMENTS >> ctx.n_points)
+    if per == 1 or _solve_method(ctx, eps, mode) != "exhaustive":
+        return [_solve_separated_weighted(ctx, s, eps, mode) for s in S]
+    weights = [_weights(s) for s in S]
+    balls, feas = ctx.balls(eps), ctx.feasible_subsets(eps, "separated")
+    out = []
+    for lo in range(0, len(weights), per):
+        rows = weights[lo : lo + per]
+        masks, vals = _best_subset(feas, np.array([wlin for _, wlin in rows]), np.ndarray.argmax)
+        for (shift, _), mask, val in zip(rows, masks, vals):
+            out.append((shift + math.log(val), _separated_witness(balls, mask), "exhaustive", True))
+    return out
+
+
+def _separated_witness(balls: list[int], mask: int) -> list[int]:
+    """The points of mask, ascending, re-checked: no point lies in the
+    eps-ball of another."""
     idxs = _bits(mask)
-    if any(balls[i] & ~(1 << i) & mask for i in idxs):
-        raise RuntimeError("separated witness failed its defining property")
-    return shift + math.log(val), idxs, method, True
+    for i in idxs:
+        if balls[i] & ~(1 << i) & mask:
+            raise RuntimeError("separated witness failed its defining property")
+    return idxs
 
 
 def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto") -> tuple[float, list[int], str, bool]:
@@ -911,7 +959,8 @@ def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto")
     own frame, and a ball cover is solved again with S shifted by
     _cover_floor, in whose frame the least cover sums to between 1 and N.
     """
-    method, shift, wlin = _solve_setup(ctx, S, eps, mode)
+    method = _solve_method(ctx, eps, mode)
+    shift, wlin = _weights(S)
     if method == CLASSES:
         return *_class_sum(ctx, S, eps, "spanning"), method, True
     if not _reads_balls(method, ctx.n_points, "spanning"):
@@ -948,7 +997,7 @@ def _ball_cover(ctx, balls: list[int], wlin: np.ndarray, eps: float, method: str
         picks = _greedy_cover_bits(balls, wlin.tolist())
         return sorted(picks), float(wlin[picks].sum())
     if method == "exhaustive":
-        mask, total = _best_subset(ctx.feasible_subsets(eps, "spanning"), wlin, np.argmin)
+        mask, total = _best_subset(ctx.feasible_subsets(eps, "spanning"), wlin, np.ndarray.argmin)
     else:
         mask, total = _bb_cover(balls, wlin)
     return _bits(mask), total
@@ -979,7 +1028,7 @@ def _birkhoff_vectors(orbits: list[_BowenOrbit], terms: Callable[[np.ndarray], n
     both a shift and a map that keeps the depth gives the orbits' points
     at one step two shapes; those are summed orbit by orbit."""
     S = None
-    # an overflowed sum is refused by _solve_setup, not warned about here
+    # an overflowed sum is refused by _weights, not warned about here
     with np.errstate(over="ignore"):
         for points in zip(*(ctx.batches for ctx in orbits)):
             if len(points) == 1:

@@ -16,8 +16,10 @@ step of each base orbit as the power system's orbit (stride n), and
 check_truncation_monotonicity solves each word at 2 eps and each
 distinct tail once at eps, read back for every word that has it.  Each
 solve goes through _solve_*_weighted, one per (word, eps, potential) as
-in a per-word loop, so each word's sums and each report are the bits
-they have when every word is solved alone.
+in a per-word loop, or, for the basic properties' ten potentials of a
+word, through solve_separated_rows, which gives each row those bits too;
+so each word's sums and each report are the bits they have when every
+word is solved alone.
 
 One table, VERDICTS, judges every row that can fail, from whether its
 claim holds, whether its inputs are exact and whether it declares a tol:
@@ -71,6 +73,7 @@ from .pressure import (
     batched_word_orbits,
     logsumexp,
     pressure_estimate,
+    solve_separated_rows,
     spanning_lower_bound,
     sup_entropy_estimate,
     sup_orbit,
@@ -227,6 +230,12 @@ def check_basic_properties(
     the power-scaling bound, and the absolute-value envelope) plus one
     proxy-level finiteness link.  Equality-type checks need exact partition
     sums; greedy inputs downgrade failures to inconclusive_inexact.
+
+    The ten derived potentials of a word are solved on its orbit as rows
+    (solve_separated_rows): subset enumeration sums up to
+    max(1, 65536 >> N) of them in one pass over the orbit's one feasible
+    table, one at a time from 16 points up, and every other method row
+    by row.  Each sum has the bits of its single solve.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -243,8 +252,7 @@ def check_basic_properties(
     exact_inputs = True
     terms = functools.partial(_derived_terms, cloud.space, phi, psi, p, c)
     for [(ctx, S)] in batched_word_orbits(cloud, schedule, words, n, "separated", [eps], terms):
-        for values, s in zip(sums, S):
-            value, _, _, ok = _solve_separated_weighted(ctx, s, eps)
+        for values, (value, _, _, ok) in zip(sums, solve_separated_rows(ctx, S, eps)):
             values.append(value)
             exact_inputs = exact_inputs and ok
     logP = {name: np.array(values) for name, values in zip(DERIVED, sums)}
@@ -280,7 +288,7 @@ def check_basic_properties(
     else:
         abs_envelope = row("pressure/abs-envelope", avg["phi"], avg["abs_phi"], ";side='upper'")
 
-    # _solve_setup refuses non-finite Birkhoff sums, so both rates are finite
+    # pressure._weights refuses non-finite Birkhoff sums, so both rates are finite
     # and this row cannot fail
     rate_lhs = avg["phi"] / n
     rate_rhs = avg["zero"] / n + (n + 1) / n * sup_phi

@@ -318,7 +318,8 @@ def reference_bb_cover(balls, wlin):
     """The minimum weighted ball cover by the plain branch and bound that
     pressure._bb_cover runs on each component of its ball graph (the
     search of one component), here over the whole instance: a greedy
-    incumbent that rescans every ball per pick, the per-element bound at
+    incumbent that rescans every ball per pick (the package starts each
+    component from all of its own balls), the per-element bound at
     every node, and every child of a node entered.  Its value is the sum
     of the path that found the witness, so a test compares the math.fsum
     of its witness's weights with the package's value."""

@@ -156,7 +156,7 @@ def test_nothing_is_memoised_after_a_curve_returns_or_raises(monkeypatch):
     eps_list = _eps_list(cloud, [0.5, 0.2])
     pressure_estimate(cloud, sched, psi, [1, 2], eps_list)
     assert pressure._curve_memo.get() is None
-    # the Birkhoff sums of n + 1 huge values overflow: _solve_setup refuses them
+    # the Birkhoff sums of n + 1 huge values overflow: pressure._weights refuses them
     huge = Potential("explicit_table", (1e308,) * len(cloud))
     with pytest.raises(ValueError, match="Birkhoff sums are not finite"):
         pressure_estimate(cloud, sched, huge, [1, 2], eps_list)

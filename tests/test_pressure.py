@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -530,11 +531,75 @@ def test_subset_enumeration_matches_reference_bit_for_bit(data):
     # tied weights, zero weights (exp underflow), subnormal weights and
     # weights whose sums round differently in another order
     weight = st.sampled_from([0.0, 0.25, 0.5, 1.0, 5e-324]) | st.floats(0.01, 1.0)
-    wlin = np.array([data.draw(weight) for _ in range(n)])
+    # a stack of weight rows is solved in one pass, each row as if alone
+    W = np.array([[data.draw(weight) for _ in range(n)] for _ in range(data.draw(st.integers(1, 4)))])
     for kind, pick in (("separated", np.argmax), ("spanning", np.argmin)):
-        mask, value = pressure._best_subset(pressure._feasible_subsets(balls, kind), wlin, pick)
-        ref_mask, ref_value = reference_exhaustive(balls, wlin, kind)
-        assert (mask, value.hex()) == (ref_mask, ref_value.hex())
+        masks, values = pressure._best_subset(pressure._feasible_subsets(balls, kind), W, pick)
+        refs = [reference_exhaustive(balls, wlin, kind) for wlin in W]
+        assert [(mask, value.hex()) for mask, value in zip(masks, values)] == [(m, v.hex()) for m, v in refs]
+        mask, value = pressure._best_subset(pressure._feasible_subsets(balls, kind), W[0], pick)
+        assert (mask, value.hex()) == (refs[0][0], refs[0][1].hex())
+
+
+def _plane_orbit(rng, n_points):
+    """The zero-step orbit of n_points uniform in the unit square, and the
+    sorted off-diagonal distances."""
+    pts = np.array([(rng.random(), rng.random()) for _ in range(n_points)])
+    dm = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+    cloud = build_cloud(SpaceSpec("finite_explicit", distance_matrix=tuple(map(tuple, dm.tolist()))))
+    return pressure._BowenOrbit(cloud, [cloud.batch]), np.sort(dm[~np.eye(n_points, dtype=bool)])
+
+
+def _per_row(ctx, S, eps):
+    return [(v.hex(), w, m, e) for v, w, m, e in (pressure._solve_separated_weighted(ctx, s, eps) for s in S)]
+
+
+def _rows(ctx, S, eps):
+    return [(v.hex(), w, m, e) for v, w, m, e in pressure.solve_separated_rows(ctx, S, eps)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 14), st.integers(1, 10), st.integers(0, 2**32 - 1), st.floats(0.0, 0.99), st.data())
+def test_a_rows_solve_equals_each_row_solved_alone(n_points, k, seed, quantile, data):
+    # passes of 16 rows at 12 points, 8 at 13 and 4 at 14; ties, zero
+    # weights (exp underflows), subnormal weights and constant rows
+    ctx, off = _plane_orbit(random.Random(seed), n_points)
+    value = st.sampled_from([0.0, -0.5, -740.0, -1e4]) | st.floats(-3.0, 3.0)
+    S = np.array([[data.draw(value)] * n_points if data.draw(st.booleans()) else [data.draw(value) for _ in range(n_points)] for _ in range(k)])
+    eps = float(off[int(quantile * len(off))])
+    got = _rows(ctx, S, eps)
+    assert got == _per_row(ctx, S, eps)
+    assert {m for _, _, m, _ in got} == {"exhaustive"}
+
+
+@pytest.mark.parametrize("n_points, method", [(21, "branch_and_bound"), (65, "greedy")])
+def test_a_rows_solve_past_subset_enumeration_solves_row_by_row(n_points, method):
+    rng = random.Random(n_points)
+    ctx, off = _plane_orbit(rng, n_points)
+    S = np.array([[rng.uniform(-1, 1) for _ in range(n_points)] for _ in range(3)])
+    eps = float(off[len(off) // 4])
+    got = _rows(ctx, S, eps)
+    assert got == _per_row(ctx, S, eps)
+    assert [(m, e) for _, _, m, e in got] == [(method, method != "greedy")] * 3
+
+
+def test_a_rows_solve_at_20_points_holds_one_row_at_a_time():
+    # one pass holds max(1, _TILE_ELEMENTS >> N) rows: one at 20 points,
+    # so ten rows peak where one does, give or take their few KiB of results
+    rng = random.Random(20)
+    ctx, off = _plane_orbit(rng, 20)
+    S = np.array([[rng.uniform(-1, 1) for _ in range(20)] for _ in range(10)])
+    eps = float(off[len(off) // 4])
+    ctx.feasible_subsets(eps, "separated")
+    peaks = []
+    for rows in (S[:1], S):
+        tracemalloc.start()
+        pressure.solve_separated_rows(ctx, rows, eps)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    one, ten = peaks
+    assert one > 8 << 20  # the 2**20 subset sums of one row
+    assert ten <= one + (64 << 10)
 
 
 @settings(max_examples=100)

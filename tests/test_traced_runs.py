@@ -91,6 +91,9 @@ def test_a_traced_suite_builds_one_orbit_pass_per_word_batch(monkeypatch):
         return check(cloud, schedule, psi, i, j, n_range, eps_list, **kwargs)
 
     monkeypatch.setattr(theorems, "check_truncation_monotonicity", counting_repeated_tails)
+    rows = []
+    solve_rows = theorems.solve_separated_rows
+    monkeypatch.setattr(theorems, "solve_separated_rows", lambda ctx, S, eps: rows.append(len(S)) or solve_rows(ctx, S, eps))
     tracer = Tracer()
     tracer.install()
     try:
@@ -100,8 +103,12 @@ def test_a_traced_suite_builds_one_orbit_pass_per_word_batch(monkeypatch):
     assert tracer.missing == []
     m = layer_metrics(tracer)
     assert m["naifs.orbit_batches.calls"] == 3 * (1 + 2 + 2)
-    # one solve per (word, eps, potential), as in the per-word loops (547
-    # solves, 544 of them exhaustive), less one per repeated (tail, eps)
+    # the basic properties' ten potentials of a word take one rows solve,
+    # which the tracer does not count: 26 words
+    assert rows == [10] * 26
+    # one traced solve per other (word, eps, potential), as in the per-word
+    # loops (287 solves, 284 of them exhaustive), less one per repeated
+    # (tail, eps)
     assert sum(repeated) == 22
-    assert (m["pressure.solves.calls"], m["pressure.method.exhaustive"], m["pressure.method.greedy"]) == (547 - 22, 544 - 22, 3)
+    assert (m["pressure.solves.calls"], m["pressure.method.exhaustive"], m["pressure.method.greedy"]) == (287 - 22, 284 - 22, 3)
     assert m["pressure.method.branch_and_bound"] == 0
