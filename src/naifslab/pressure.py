@@ -445,15 +445,12 @@ def _subset_sums(W: np.ndarray) -> np.ndarray:
     return wsum
 
 
-def _best_subset(feas: np.ndarray, W: np.ndarray, pick) -> tuple[int, float] | tuple[list[int], list[float]]:
+def _best_subset(feas: np.ndarray, wlin: np.ndarray, pick) -> tuple[int, float]:
     """The feasible subset whose weight pick (np.ndarray.argmax or
-    .argmin) selects, lowest index on ties, and its weight; for a stack of
-    weight rows (_subset_sums), a list of each, one entry per row."""
-    wsum = _subset_sums(W)[feas]
-    i = pick(wsum, axis=0)
-    if W.ndim == 1:
-        return int(feas[i]), float(wsum[i])
-    return feas[i].tolist(), wsum[i, np.arange(len(W))].tolist()
+    .argmin) selects, lowest index on ties, and its weight."""
+    wsum = _subset_sums(wlin)[feas]
+    i = pick(wsum)
+    return int(feas[i]), float(wsum[i])
 
 
 def _split(masks: list[int]) -> tuple[int, list[tuple[int, int]], list[int]]:
@@ -654,7 +651,8 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
     covered by its own ball alone, a pair whose balls each hold both
     points by the lighter ball (lowest index on ties), and every other
     component is searched (_cover_search) from the cover by all of its
-    own balls."""
+    own balls.  Among least covers of equal weight the search keeps the
+    first it meets."""
     w = wlin.tolist()
     chosen, pairs, comps = _split(balls)
     for i, j in pairs:
@@ -916,7 +914,7 @@ def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto"
     return shift + math.log(val), _separated_witness(balls, mask), method, True
 
 
-def solve_separated_rows(ctx, S: np.ndarray, eps: float, mode: str = "auto") -> list[tuple[float, list[int], str, bool]]:
+def solve_separated_rows(ctx, S: np.ndarray, eps: float) -> list[tuple[float, list[int], str, bool]]:
     """_solve_separated_weighted of each row of S, shape (rows, N), on one
     orbit at one eps: one (log value, witness, method, exact) per row, the
     bits each row has when solved alone.
@@ -928,16 +926,16 @@ def solve_separated_rows(ctx, S: np.ndarray, eps: float, mode: str = "auto") -> 
     up that is one row, the single solve, and every other method solves
     row by row too."""
     per = max(1, _TILE_ELEMENTS >> ctx.n_points)
-    if per == 1 or _solve_method(ctx, eps, mode) != "exhaustive":
-        return [_solve_separated_weighted(ctx, s, eps, mode) for s in S]
+    if per == 1 or _solve_method(ctx, eps, "auto") != "exhaustive":
+        return [_solve_separated_weighted(ctx, s, eps) for s in S]
     weights = [_weights(s) for s in S]
     balls, feas = ctx.balls(eps), ctx.feasible_subsets(eps, "separated")
     out = []
     for lo in range(0, len(weights), per):
         rows = weights[lo : lo + per]
-        masks, vals = _best_subset(feas, np.array([wlin for _, wlin in rows]), np.ndarray.argmax)
-        for (shift, _), mask, val in zip(rows, masks, vals):
-            out.append((shift + math.log(val), _separated_witness(balls, mask), "exhaustive", True))
+        wsum = _subset_sums(np.array([wlin for _, wlin in rows]))[feas]
+        for r, ((shift, _), i) in enumerate(zip(rows, wsum.argmax(axis=0).tolist())):
+            out.append((shift + math.log(float(wsum[i, r])), _separated_witness(balls, int(feas[i])), "exhaustive", True))
     return out
 
 
