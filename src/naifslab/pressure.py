@@ -54,9 +54,13 @@ bits of its single solve.
 
 Greedy first fit reads one row per accepted point, and only over the
 point's step-0 window when step 0 is an interval or circle grid itself
-(_BowenOrbit.window); word clouds have no window, so a forced greedy
-solve on words reads full rows.  The witness re-checks read every pair or
-every point, so they do not depend on the window being right.
+(_BowenOrbit.window), as one slice of the forms or two where a circle
+window wraps; word clouds have no window, so a forced greedy solve on
+words reads full rows.  The witness re-checks read no window, so they
+do not depend on the window being right: the spanning re-check reads
+every point, and the separated re-check every pair that could fail,
+which on interval and circle orbits are the pairs near at step 0
+(_recheck_separated).
 
 Every word loop takes one batch path (batched_word_orbits): the words'
 orbits are built together, their Birkhoff vectors take one potential
@@ -128,6 +132,8 @@ MATRIX_LIMIT = 1500
 SUBSET_METRIC_LIMIT = 2000
 # elements of one distance tile (512 KiB of float64)
 _TILE_ELEMENTS = 1 << 16
+# pairs of one chunk of the separated re-check (_step0_near_pairs)
+_PAIR_CHUNK = 1 << 12
 
 MODES = ("auto", "exhaustive", "branch_and_bound", "greedy")
 # the exact method of symbolic orbits past BRANCH_AND_BOUND_LIMIT in mode
@@ -225,9 +231,9 @@ class _BowenOrbit:
         it, and the next tile does."""
         return self.block(I, js, self._buffer(0, (len(I), len(js))))
 
-    def row(self, i: int, js: np.ndarray) -> np.ndarray:
-        """Distances from point i to the points js, every step in one kernel call."""
-        js = np.asarray(js, dtype=np.intp)
+    def row(self, i: int, js: np.ndarray | slice) -> np.ndarray:
+        """Distances from point i to the points js, an index array or a
+        slice, every step in one kernel call."""
         return distance_kernel(self.cloud, self.forms[..., i, None], self._columns(js)).max(axis=0)
 
     def _columns(self, js: np.ndarray | slice) -> np.ndarray:
@@ -239,17 +245,29 @@ class _BowenOrbit:
     def window(self, c: int, eps: float) -> np.ndarray:
         """Indices that hold every point within eps of point c: all of them,
         unless step 0 is an enumerated grid (see the class docstring).
-        One grid step more than the base ball absorbs float rounding."""
+        One grid step more than the base ball absorbs float rounding.  A
+        window is a read-only view of one run of 0..N-1 taken twice over,
+        so it wraps past the end of the circle, and is given by its first
+        and last entries (_window_slices)."""
         n = self.n_points
         if not self._windowed:
-            return np.arange(n)
+            return self._ring[:n]
         if self.cloud.space.family == INTERVAL:
             r = math.ceil(min(eps, 1.0) * (n - 1)) + 1
-            return np.arange(max(0, c - r), min(n, c + r + 1))
+            return self._ring[max(0, c - r) : min(n, c + r + 1)]
         r = math.ceil(min(eps, 0.5) * n) + 1
         if 2 * r + 1 >= n:
-            return np.arange(n)
-        return np.arange(c - r, c + r + 1) % n
+            return self._ring[:n]
+        lo = (c - r) % n
+        return self._ring[lo : lo + 2 * r + 1]
+
+    @functools.cached_property
+    def _ring(self) -> np.ndarray:
+        """0..N-1 twice over, read-only: every window is a view of it, so
+        that first fit pays no index array per accepted point."""
+        ring = np.tile(np.arange(self.n_points), 2)
+        ring.flags.writeable = False
+        return ring
 
     def balls(self, eps: float) -> list[int]:
         """The closed eps-balls of the orbit as bit masks (_balls), built by
@@ -779,19 +797,27 @@ def _class_sum(ctx: _BowenOrbit, S: np.ndarray, eps: float, kind: str) -> tuple[
 # greedy solvers (deterministic; ties broken by lowest point index)
 
 
+def _window_slices(js: np.ndarray) -> tuple[slice, ...]:
+    """A window (_BowenOrbit.window) as slices of the index range, read off
+    its first and last entries: one slice, or two when it wraps past the
+    end of the circle."""
+    lo, hi = int(js[0]), int(js[-1]) + 1
+    return (slice(lo, hi),) if lo < hi else (slice(lo, None), slice(0, hi))
+
+
 def _first_fit_separated(ctx: _BowenOrbit, eps: float, order: np.ndarray) -> list[int]:
     """First-fit maximal separated set in the given candidate order: each
-    candidate still alive is accepted, and its row, read over the alive
-    points of its window, kills every point within eps."""
+    candidate still alive is accepted, and its row, read over its window
+    one slice at a time (_window_slices), marks every point within eps
+    dead."""
     dead = np.zeros(ctx.n_points, dtype=bool)
     accepted: list[int] = []
     for c in np.asarray(order, dtype=np.intp).tolist():
         if dead[c]:
             continue
         accepted.append(c)
-        js = ctx.window(c, eps)
-        js = js[~dead[js]]
-        dead[js[ctx.row(c, js) <= eps]] = True
+        for js in _window_slices(ctx.window(c, eps)):
+            dead[js] |= ctx.row(c, js) <= eps
     return accepted
 
 
@@ -856,9 +882,71 @@ def _reads_balls(method: str, n_points: int, kind: str) -> bool:
 
 
 def _recheck_separated(ctx, idxs: list[int], eps: float) -> None:
-    """Every pair of the witness is more than eps apart."""
-    if ctx.min_pair_distance(idxs) <= eps:
+    """Every pair of the witness is more than eps apart.
+
+    A Bowen distance is a max over steps, so a pair more than eps apart at
+    any one step cannot fail.  On interval and circle orbits the check
+    reads only the pairs within eps + margin of each other at step 0
+    (_step0_near_pairs): the witness sorted by its step-0 coordinate x
+    (forms[0]), searchsorted finds each point's partners above it up to
+    x + eps + margin, cyclically on the circle.  Each further step then
+    reads only the pairs the steps before it kept within eps
+    (_near_at_every_step), and the witness fails if a pair is kept at
+    every step.  The margin, 2**-46 (1 + max |x| + eps), exceeds the summed
+    rounding of the kernel's |a - b| and min(d, 1 - d), of x + 1 and of
+    x + eps + margin, each at most 2**-52 (1 + max |x| + eps): so every pair
+    whose computed step-0 distance is at most eps is read, and the verdict
+    is that of reading every pair.  Symbolic and finite orbits read every
+    pair (_BowenOrbit.min_pair_distance).  Either way the check reads the
+    forms, never a window or the balls."""
+    if ctx.cloud.space.family in (INTERVAL, CIRCLE):
+        failed = any(_near_at_every_step(ctx, a, b, eps) for a, b in _step0_near_pairs(ctx, idxs, eps))
+    else:
+        failed = ctx.min_pair_distance(idxs) <= eps
+    if failed:
         raise RuntimeError("separated witness failed its defining property")
+
+
+def _step0_near_pairs(ctx: _BowenOrbit, idxs: Sequence[int], eps: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs of the points idxs of an interval or circle orbit within
+    eps + margin of each other at step 0 (see _recheck_separated), as index
+    arrays (a, b) of at most _PAIR_CHUNK pairs.  On the circle the sorted
+    coordinates are followed by the same plus 1, so a pair close across 0
+    is found from its upper point, and eps is taken at most 1/2, past
+    which every pair is near."""
+    pts = np.asarray(idxs, dtype=np.intp)
+    if len(pts) < 2:
+        return
+    x = ctx.forms[0, pts]
+    order = np.argsort(x)
+    x, pts = x[order], pts[order]
+    if ctx.cloud.space.family == CIRCLE:
+        eps = min(eps, 0.5)
+        ys, pts = np.concatenate([x, x + 1.0]), np.concatenate([pts, pts])
+    else:
+        ys = x
+    reach = eps + 2.0**-46 * (1.0 + float(np.abs(x).max()) + eps)
+    first = np.arange(1, len(x) + 1)
+    counts = np.searchsorted(ys, x + reach, side="right") - first
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    for lo in range(0, total, _PAIR_CHUNK):
+        k = np.arange(lo, min(lo + _PAIR_CHUNK, total))
+        i = np.searchsorted(ends, k, side="right")
+        # pair k is point i and its (k - start of i)-th partner above it
+        yield pts[i], pts[k - (ends[i] - counts[i]) + first[i]]
+
+
+def _near_at_every_step(ctx: _BowenOrbit, a: np.ndarray, b: np.ndarray, eps: float) -> bool:
+    """Whether some pair (a[k], b[k]) is within eps at every step, that is
+    in the Bowen distance: each step reads only the pairs the steps before
+    it kept."""
+    for step in ctx.forms:
+        near = distance_kernel(ctx.cloud, step[a], step[b]) <= eps
+        a, b = a[near], b[near]
+        if not len(a):
+            return False
+    return True
 
 
 def _recheck_spanning(ctx, idxs: list[int], eps: float) -> None:

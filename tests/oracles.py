@@ -387,6 +387,14 @@ def reference_bowen_row(ctx, c, js):
     return d
 
 
+def reference_separated(ctx, idxs, eps):
+    """Whether every pair of the points idxs is more than eps apart: the
+    full pairwise re-check, each point's later partners read off a
+    reference row."""
+    idxs = [int(i) for i in idxs]
+    return all((reference_bowen_row(ctx, c, idxs[k + 1 :]) > eps).all() for k, c in enumerate(idxs[:-1]))
+
+
 def reference_first_fit(ctx, eps, order):
     """First fit over an alive array, the picks in order: the first alive
     candidate is accepted, and every alive point within eps of it (itself

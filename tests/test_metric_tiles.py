@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from naifslab import (
     GenerationSchedule,
@@ -32,7 +32,7 @@ from naifslab.pressure import (
 )
 from naifslab.space import points_to_batch
 from naifslab.theorems import random_explicit_instance
-from oracles import oracle_bowen, oracle_sup_bowen, points_of, reference_bowen_row, reference_first_fit
+from oracles import oracle_bowen, oracle_sup_bowen, points_of, reference_bowen_row, reference_first_fit, reference_separated
 
 FAMILIES = ("interval_grid", "circle_grid", "symbolic_depth", "finite_explicit")
 
@@ -228,6 +228,106 @@ def test_recheck_separated_reads_every_pair():
     with pytest.raises(RuntimeError, match="separated witness"):
         _recheck_separated(ctx, witness, 2.5 / 4096)
     _recheck_separated(ctx, [i for i in witness if i != 2401], 2.5 / 4096)
+
+
+GRID_MAPS = {
+    "interval_grid": [MapSpec("tent"), MapSpec("affine_clamped", (0.6, 0.3)), MapSpec("identity")],
+    "circle_grid": [MapSpec("doubling"), MapSpec("rotation", (0.3,)), MapSpec("affine_mod1", (3.0, 0.1))],
+}
+# coordinates whose differences round: 0.2 + (0.9 - 0.2) < 0.9 in floats,
+# and 1 - 2**-53 lies 2**-53 from 0 across the end of the circle
+EDGE_COORDINATES = [0.0, 2.0**-53, 0.2, 0.5, 0.9, 1.0 - 2.0**-53]
+
+
+@st.composite
+def grid_orbits(draw):
+    """An interval or circle orbit of n = 0..6 steps on a grid or on a cloud
+    of drawn coordinates: a word orbit, every p-th step of one (the power
+    system's orbit) or the sup orbit of a few points."""
+    family = draw(st.sampled_from(sorted(GRID_MAPS)))
+    if draw(st.booleans()):
+        cloud = build_cloud(SpaceSpec(family, draw(st.integers(2, 40))))
+    else:
+        upper = st.floats(0.0, 1.0, exclude_max=family == "circle_grid")
+        coords = draw(st.lists(st.one_of(st.sampled_from(EDGE_COORDINATES), upper), min_size=2, max_size=30))
+        space = SpaceSpec(family, len(coords))
+        cloud = PointCloud(space, points_to_batch(space, coords))
+    sched = GenerationSchedule(prefix=(), cycle=(tuple(draw(st.permutations(GRID_MAPS[family]))[:2]),))
+    kind = draw(st.sampled_from(["word", "strided", "sup"]))
+    n = draw(st.integers(0, 6))
+    if kind == "sup":
+        indices = draw(st.lists(st.integers(0, len(cloud) - 1), min_size=2, max_size=8, unique=True))
+        return sup_orbit(cloud, sched, n, indices)
+    p = draw(st.integers(2, 3)) if kind == "strided" else 1
+    symbols = tuple(draw(st.lists(st.integers(0, 1), min_size=n * p, max_size=n * p)))
+    base = _word_orbit(cloud, sched, Word(1, symbols), n * p)
+    return base if p == 1 else _BowenOrbit(cloud, base.batches[::p])
+
+
+def recheck_passes(ctx, idxs, eps):
+    try:
+        _recheck_separated(ctx, idxs, eps)
+    except RuntimeError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_orbits(), st.data())
+def test_the_step0_separated_recheck_gives_the_full_pairwise_verdict(ctx, data):
+    n = ctx.n_points
+    p, q = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    d = float(reference_bowen_row(ctx, p, [q])[0])
+    eps = data.draw(st.one_of(st.just(d), st.floats(1e-3, 1.0), st.sampled_from([0.5, 0.75, 3.0])))
+    assume(eps > 0)
+    # a maximal separated set from p on passes, and one more point fails
+    rest = data.draw(st.permutations([i for i in range(n) if i != p]))
+    witness = sorted(reference_first_fit(ctx, eps, np.array([p, *rest])))
+    assert reference_separated(ctx, witness, eps) and recheck_passes(ctx, witness, eps)
+    extras = [i for i in range(n) if i not in witness]
+    if eps == d:
+        # q lies at exactly eps from p, and the test is <=
+        extras = [q] + [i for i in extras if i != q]
+    for extra in extras[:2]:
+        corrupted = sorted([*witness, extra])
+        assert not reference_separated(ctx, corrupted, eps)
+        assert not recheck_passes(ctx, corrupted, eps)
+    subset = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    assert recheck_passes(ctx, subset, eps) == reference_separated(ctx, subset, eps)
+    # chunks of a few pairs split one point's partners between chunks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pressure, "_PAIR_CHUNK", data.draw(st.integers(1, 5)))
+        assert recheck_passes(ctx, subset, eps) == reference_separated(ctx, subset, eps)
+        assert recheck_passes(ctx, witness, eps)
+        if extras:
+            assert not recheck_passes(ctx, sorted([*witness, extras[0]]), eps)
+
+
+def test_a_pair_close_only_across_0_fails_the_separated_recheck():
+    for n_pts in (64, 4096):
+        cloud = build_cloud(SpaceSpec("circle_grid", n_pts))
+        ctx = _BowenOrbit(cloud, [cloud.batch])
+        # points 0 and N-1 are 1/N apart across 0; every other pair at least 3/N
+        witness = [*range(0, n_pts - 1, 4), n_pts - 1]
+        for eps in (1 / n_pts, 2.5 / n_pts):
+            assert not reference_separated(ctx, witness, eps)
+            with pytest.raises(RuntimeError, match="separated witness"):
+                _recheck_separated(ctx, witness, eps)
+            _recheck_separated(ctx, witness[:-1], eps)
+
+
+def test_a_pair_at_eps_after_rounding_fails_the_separated_recheck():
+    # fl(0.9 - 0.2) is eps, but fl(0.2 + eps) < 0.9: the step-0 search
+    # finds the pair only through its margin
+    space = SpaceSpec("interval_grid", 2)
+    cloud = PointCloud(space, points_to_batch(space, [0.2, 0.9]))
+    ctx = _BowenOrbit(cloud, [cloud.batch])
+    eps = 0.9 - 0.2
+    assert 0.2 + eps < 0.9
+    assert not reference_separated(ctx, [0, 1], eps)
+    with pytest.raises(RuntimeError, match="separated witness"):
+        _recheck_separated(ctx, [0, 1], eps)
+    _recheck_separated(ctx, [0, 1], np.nextafter(eps, 0.0))
 
 
 def test_recheck_spanning_reads_every_point():

@@ -16,6 +16,7 @@ from naifslab.pressure import (
     _first_fit_separated,
     _max_ball_size,
     _solve_separated_weighted,
+    _window_slices,
     _word_orbit,
 )
 from oracles import reference_bowen_row, reference_first_fit
@@ -119,6 +120,38 @@ def test_circle_windows_wrap_past_both_ends():
     picks = _first_fit_separated(ctx, eps, order)
     assert picks == reference_first_fit(ctx, eps, order)
     assert picks[:2] == [63, 3]
+
+
+@pytest.mark.parametrize("kind", ["interval", "circle_doubling", "circle_rotation"])
+def test_first_fit_and_ball_sizes_read_the_windows_at_the_ends_of_the_grid(kind):
+    # the first picks are 0 and N-1: their circle windows wrap past the end
+    # (two slices) and their interval windows stop at it; from eps 1/2 on
+    # the circle (1 on the interval) every window is the whole cloud
+    n_pts = 64
+    if kind == "interval":
+        cloud = build_cloud(SpaceSpec("interval_grid", n_pts))
+        gen = (MapSpec("affine_clamped", (0.6, 0.3)), MapSpec("tent"))
+    else:
+        cloud = build_cloud(SpaceSpec("circle_grid", n_pts))
+        rotation = MapSpec("rotation", (1.0 / n_pts,))
+        gen = (MapSpec("doubling"), rotation) if kind == "circle_doubling" else (rotation, MapSpec("identity"))
+    sched = GenerationSchedule(prefix=(), cycle=(gen,))
+    everything = np.arange(n_pts)
+    ends_first = np.array([0, n_pts - 1, *range(1, n_pts - 1)])
+    for ctx in (_BowenOrbit(cloud, [cloud.batch]), _word_orbit(cloud, sched, Word(1, (0, 1)), 2)):
+        for eps in (1 / n_pts, 3 / n_pts, 7 / n_pts, 0.5, 0.75, 1.0):
+            for order in (ends_first, ends_first[::-1], everything[::-1]):
+                assert _first_fit_separated(ctx, eps, order) == reference_first_fit(ctx, eps, order), (eps, order[:2])
+            sizes = [int((reference_bowen_row(ctx, c, everything) <= eps).sum()) for c in everything]
+            assert _max_ball_size(ctx, eps) == max(sizes)
+            whole = eps >= (1.0 if kind == "interval" else 0.5)
+            wraps = kind != "interval" and not whole
+            for c in (0, n_pts - 1):
+                slices = _window_slices(ctx.window(c, eps))
+                assert len(slices) == (2 if wraps else 1)
+                assert sorted(j for s in slices for j in everything[s]) == sorted(ctx.window(c, eps))
+            if whole:
+                assert ctx.window(5, eps).tolist() == everything.tolist()
 
 
 def test_windows_are_the_whole_cloud_off_the_enumerated_step_0():
