@@ -19,7 +19,8 @@ is, a pair whose balls each hold both points gives its lighter point
 (spanning) or its heavier one (separated), and every other component is
 searched alone.  The spanning search prunes with a per-element ratio
 bound that reads, for each uncovered element, only the balls holding
-it, and a ball's ratio only once per node (_cover_lower_bound).  The
+it, and a ball's ratio only once per node (_cover_lower_bound); it is
+computed only at nodes where it can prune (_cover_search).  The
 weight of a branch and bound witness is math.fsum of its weights in
 ascending index order (_witness_value), whichever search path found it.
 A spanning sum whose cover weights all underflow is taken again in a
@@ -670,9 +671,12 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
     points by the lighter ball (lowest index on ties), and every other
     component is searched (_cover_search) from the cover by all of its
     own balls.  Among least covers of equal weight the search keeps the
-    first it meets."""
+    first it meets.  A point that no ball holds raises RuntimeError."""
     w = wlin.tolist()
     chosen, pairs, comps = _split(balls)
+    # an isolated point whose ball is empty lies in no ball at all
+    if 0 in balls and not all(balls[i] for i in _bits(chosen)):
+        raise RuntimeError("spanning witness failed its defining property")
     for i, j in pairs:
         chosen |= 1 << (j if w[j] < w[i] else i)
     for comp in comps:
@@ -683,11 +687,23 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
 def _cover_search(balls: list[int], w: list[float], comp: int, best_mask: int) -> int:
     """The least cover of the points of comp, a union of components of the
     ball graph, by the balls of its points, found by depth-first search
-    from the cover best_mask.
+    from the cover best_mask.  A point of comp that no ball holds raises
+    RuntimeError.
 
     A node branches on the balls that hold its uncovered element held by
     fewest balls (lowest index on ties), lightest first, and prunes with
     the ratio bound (_cover_lower_bound), memoised on the uncovered set.
+    Two constant-time checks spare the bound where it cannot prune.  When
+    the branching element's lightest ball brings the cost up to the best
+    cover found, every child would prune on entry, and the node returns.
+    And the bound charges each uncovered element the least w_i / c,
+    c >= 1, over the balls i that hold it, at most the weight of its
+    lightest ball; light sums those weights over every point of comp in
+    ascending order, the order in which the bound adds its charges.
+    Float addition rounds monotonically and every term is >= 0, so the
+    bound is at most light, and at a node with cur + light < best_val it
+    is not computed.  The search thus visits the nodes, and returns the
+    cover, of the search that computes the bound at every node.
     """
     best_val = 0.0
     for i in _bits(best_mask):
@@ -696,12 +712,20 @@ def _cover_search(balls: list[int], w: list[float], comp: int, best_mask: int) -
     # the sort is stable), and the elements by how few balls hold them
     members = _bits(comp)
     covers_elem: list[list[int]] = [[] for _ in w]
+    held = 0
     for i in sorted(members, key=w.__getitem__):
         b = balls[i]
+        held |= b
         while b:
             lsb = b & -b
             covers_elem[lsb.bit_length() - 1].append(i)
             b ^= lsb
+    # a ball of a point of comp holds points of comp only
+    if held != comp:
+        raise RuntimeError("spanning witness failed its defining property")
+    light = 0.0
+    for e in members:
+        light += w[covers_elem[e][0]]
     elem_order = sorted(members, key=lambda e: (len(covers_elem[e]), e))
     # within one search the bound depends on the uncovered mask alone
     bounds: dict[int, float] = {}
@@ -713,15 +737,19 @@ def _cover_search(balls: list[int], w: list[float], comp: int, best_mask: int) -
                 best_val = cur
                 best_mask = chosen_mask
             return
-        lb = bounds.get(uncov_mask)
-        if lb is None:
-            lb = bounds[uncov_mask] = _cover_lower_bound(balls, w, uncov_mask, covers_elem)
-        if cur + lb >= best_val:
-            return
         for e in elem_order:
             if (uncov_mask >> e) & 1:
                 break
-        for i in covers_elem[e]:
+        holders = covers_elem[e]
+        if cur + w[holders[0]] >= best_val:
+            return
+        if cur + light >= best_val:
+            lb = bounds.get(uncov_mask)
+            if lb is None:
+                lb = bounds[uncov_mask] = _cover_lower_bound(balls, w, uncov_mask, covers_elem)
+            if cur + lb >= best_val:
+                return
+        for i in holders:
             # children come lightest first and the bound is >= 0, so once a
             # child would prune on entry every later one would too
             if cur + w[i] >= best_val:

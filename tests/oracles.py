@@ -12,16 +12,18 @@ package's batch potentials and orbits.
 
 Everything else recomputes orbit distances point by point through
 `compose` and scans subsets with itertools, deliberately sharing no
-machinery with the package's solvers (no bitsets, no subset DP).  Five
+machinery with the package's solvers (no bitsets, no subset DP).  Six
 references are the exceptions: reference_bb_cover, a plain bitset search,
-reference_greedy_cover, the ratio greedy as one numpy pass per pick,
+reference_cover_search, the package's component search with its ratio
+bound computed at every node, reference_greedy_cover, the ratio greedy as one numpy pass per pick,
 reference_exhaustive, the subset DP with weights and feasibility in one
 pass, reference_first_fit, first fit over an alive array with every row
 read in full, step by step, and reference_word_orbits, one orbit and one
 Birkhoff vector per word.  They hold the package's heap greedy, its
 cached subset enumeration, its windowed first fit and its word batches
 to the same results, bit for bit, and its component-wise ball-cover
-search to the same least weight.
+search to the same least weight and, pick for pick, to the same witness
+as the search that reads its bound at every node.
 """
 
 import itertools
@@ -29,7 +31,7 @@ import math
 
 import numpy as np
 
-from naifslab import distance
+from naifslab import distance, pressure
 from naifslab.naifs import apply_factor_batch, apply_map, generation_at
 from naifslab.space import CIRCLE, FINITE, INTERVAL, SYMBOLIC, batch_to_points, pairwise_distances, points_to_batch
 
@@ -356,6 +358,64 @@ def reference_bb_cover(balls, wlin):
 
     dfs(full, 0, 0.0)
     return best[0], best[1]
+
+
+def reference_cover_search(balls, w, comp, best_mask):
+    """pressure._cover_search as it was before it learned to skip its
+    ratio bound: the bound (pressure._cover_lower_bound, looked up on the
+    module at each call, so that a test can count the calls) at every
+    node with an uncovered point, memoised on the uncovered set.  The
+    package's search must visit the same nodes in the same order and
+    return the same cover."""
+    best_val = 0.0
+    for i in pressure._bits(best_mask):
+        best_val += w[i]
+    members = pressure._bits(comp)
+    covers_elem = [[] for _ in w]
+    for i in sorted(members, key=w.__getitem__):
+        b = balls[i]
+        while b:
+            lsb = b & -b
+            covers_elem[lsb.bit_length() - 1].append(i)
+            b ^= lsb
+    elem_order = sorted(members, key=lambda e: (len(covers_elem[e]), e))
+    bounds = {}
+
+    def dfs(uncov_mask, chosen_mask, cur):
+        nonlocal best_mask, best_val
+        if uncov_mask == 0:
+            if cur < best_val:
+                best_val = cur
+                best_mask = chosen_mask
+            return
+        lb = bounds.get(uncov_mask)
+        if lb is None:
+            lb = bounds[uncov_mask] = pressure._cover_lower_bound(balls, w, uncov_mask, covers_elem)
+        if cur + lb >= best_val:
+            return
+        for e in elem_order:
+            if (uncov_mask >> e) & 1:
+                break
+        for i in covers_elem[e]:
+            if cur + w[i] >= best_val:
+                break
+            dfs(uncov_mask & ~balls[i], chosen_mask | (1 << i), cur + w[i])
+
+    dfs(comp, 0, 0.0)
+    return best_mask
+
+
+def reference_split_cover(balls, wlin):
+    """pressure._bb_cover with reference_cover_search on each component
+    that is searched: its mask and the fsum of its weights in index
+    order."""
+    w = wlin.tolist()
+    chosen, pairs, comps = pressure._split(balls)
+    for i, j in pairs:
+        chosen |= 1 << (j if w[j] < w[i] else i)
+    for comp in comps:
+        chosen |= reference_cover_search(balls, w, comp, comp)
+    return chosen, math.fsum([w[i] for i in pressure._bits(chosen)])
 
 
 def reference_greedy_cover(matrix, eps, wlin):

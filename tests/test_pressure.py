@@ -46,6 +46,7 @@ from oracles import (
     reference_bb_cover,
     reference_exhaustive,
     reference_greedy_cover,
+    reference_split_cover,
 )
 
 ID = MapSpec("identity")
@@ -459,21 +460,26 @@ def test_bb_cover_is_a_least_cover_summed_in_index_order(data):
     _assert_least_cover(balls, wlin, reference_exhaustive(balls, wlin, "spanning")[0])
 
 
+def _planar_or_asymmetric_balls(n, planar, seed, level):
+    """Closed Euclidean balls of n random points in the unit square, at the
+    level-th quantile of their pairwise distances (low ones split into
+    many components); or an independent mask per point that holds its
+    centre and each other point with probability level."""
+    rng = np.random.default_rng(seed)
+    if planar:
+        pts = rng.random((n, 2))
+        dm = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+        return pressure._balls(dm, float(np.quantile(dm[np.triu_indices(n, 1)], level)))
+    inside = rng.random((n, n)) < level
+    np.fill_diagonal(inside, True)
+    return pressure._balls(np.where(inside, 0.0, 1.0), 0.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(17, 40), st.booleans(), st.integers(0, 2**32 - 1), st.data())
 def test_bb_cover_is_a_least_cover_at_the_workload_size(n, symmetric, seed, data):
-    # the benchmark's instances: closed Euclidean balls at a percentile of
-    # the pairwise distances (low ones split into many components), or
-    # asymmetric balls, each holding its own centre
-    rng = np.random.default_rng(seed)
-    if symmetric:
-        pts = rng.random((n, 2))
-        dm = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
-        balls = pressure._balls(dm, float(np.quantile(dm[np.triu_indices(n, 1)], data.draw(st.floats(0.01, 0.4)))))
-    else:
-        inside = rng.random((n, n)) < data.draw(st.floats(0.02, 0.5))
-        np.fill_diagonal(inside, True)
-        balls = pressure._balls(np.where(inside, 0.0, 1.0), 0.0)
+    # the benchmark's instances, and asymmetric ones
+    balls = _planar_or_asymmetric_balls(n, symmetric, seed, data.draw(st.floats(0.01, 0.4) if symmetric else st.floats(0.02, 0.5)))
     # weights exp(S - max S) as the solves make them: tied sums, and sums
     # so low that their weight underflows to zero or to a subnormal
     term = st.sampled_from([0.0, -0.5, -1.0, -710.0, -800.0]) | st.floats(-3.0, 0.0)
@@ -503,9 +509,58 @@ def test_bb_cover_solves_separated_clusters_one_by_one(monkeypatch):
     assert mask == union and value.hex() == _index_order_sum(wlin, union).hex()
     # no bound reads two clusters
     assert all(any(u | (15 << (4 * c)) == 15 << (4 * c) for c in range(16)) for u in calls)
-    # 14 four-point and one three-point component are searched; one pair
-    # and three isolated points are not
-    assert len(calls) == 19
+    # 14 four-point and one three-point component are searched, and one
+    # pair and three isolated points are not; only two of the searches'
+    # nodes read the bound: there the cost plus every point's lightest
+    # ball reaches the best cover, and the cost plus the branching point's
+    # lightest ball does not
+    assert len(calls) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["constant", "underflow", "floor"]), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_bb_cover_equals_the_search_with_the_bound_at_every_node(weights, planar, seed, data):
+    # tied weights grow the widest trees: past about 40 points one search
+    # can take seconds
+    n = data.draw(st.integers(3, 40 if weights == "constant" else 64))
+    balls = _planar_or_asymmetric_balls(n, planar, seed, data.draw(st.floats(0.01, 0.4) if planar else st.floats(0.02, 0.5)))
+    if weights == "constant":
+        wlin = np.full(n, data.draw(st.sampled_from([1.0, 0.5, 5e-324])))
+    else:
+        term = st.sampled_from([0.0, -0.5, -1.0, -710.0, -800.0, -1500.0]) | st.floats(-3.0, 0.0)
+        S = np.array(data.draw(st.lists(term, min_size=n, max_size=n)))
+        if weights == "floor":
+            # as the underflow re-solve makes them, exp(S - _cover_floor):
+            # +inf on balls that no least cover holds once S spreads over
+            # more than about 710
+            S *= data.draw(st.sampled_from([1.0, 1000.0]))
+            shift = pressure._cover_floor(balls, S)
+        else:
+            # exp(S - max S): weights that underflow to zero or to a subnormal
+            shift = S.max()
+        with np.errstate(over="ignore"):
+            wlin = np.exp(S - shift)
+    mask, value = pressure._bb_cover(balls, wlin)
+    ref_mask, ref_value = reference_split_cover(balls, wlin)
+    assert (mask, value.hex()) == (ref_mask, ref_value.hex())
+
+
+@pytest.mark.parametrize(
+    "balls",
+    [
+        # point 0 lies in no ball; its own ball holds point 1 only
+        [0b010, 0b110, 0b110],
+        # an isolated point whose ball is empty
+        [0b00, 0b10],
+    ],
+)
+def test_bb_cover_refuses_a_point_that_no_ball_holds(balls):
+    with pytest.raises(RuntimeError, match="spanning witness failed its defining property"):
+        pressure._bb_cover(balls, np.ones(len(balls)))
+
+
+def test_bb_cover_takes_an_empty_ball_whose_point_another_ball_holds():
+    assert pressure._bb_cover([0b11, 0b00], np.array([1.0, 0.5])) == (0b01, 1.0)
 
 
 @settings(max_examples=300)
