@@ -15,11 +15,12 @@ Everything else recomputes orbit distances point by point through
 machinery with the package's solvers (no bitsets, no subset DP).  Six
 references are the exceptions: reference_bb_cover, a plain bitset search,
 reference_cover_search, the package's component search with its ratio
-bound computed at every node, reference_greedy_cover, the ratio greedy as one numpy pass per pick,
-reference_exhaustive, the subset DP with weights and feasibility in one
-pass, reference_first_fit, first fit over an alive array with every row
-read in full, step by step, and reference_word_orbits, one orbit and one
-Birkhoff vector per word.  They hold the package's heap greedy, its
+bound computed at every node (reference_split_cover runs it on each
+component), reference_greedy_cover, the ratio greedy as one numpy pass
+per pick, reference_exhaustive, the subset DP with weights and
+feasibility in one pass, reference_first_fit, first fit over an alive
+array with every row read in full, step by step, and
+reference_word_orbits, one orbit and one Birkhoff vector per word.  They hold the package's heap greedy, its
 cached subset enumeration, its windowed first fit and its word batches
 to the same results, bit for bit, and its component-wise ball-cover
 search to the same least weight and, pick for pick, to the same witness
@@ -361,12 +362,11 @@ def reference_bb_cover(balls, wlin):
 
 
 def reference_cover_search(balls, w, comp, best_mask):
-    """pressure._cover_search as it was before it learned to skip its
-    ratio bound: the bound (pressure._cover_lower_bound, looked up on the
-    module at each call, so that a test can count the calls) at every
-    node with an uncovered point, memoised on the uncovered set.  The
-    package's search must visit the same nodes in the same order and
-    return the same cover."""
+    """pressure._cover_search with its ratio bound computed at every node
+    with an uncovered point, memoised on the uncovered set.  The bound is
+    pressure._cover_lower_bound, looked up on the module at each call so
+    that a test can count the calls.  The package's search must visit the
+    same nodes in the same order and return the same cover."""
     best_val = 0.0
     for i in pressure._bits(best_mask):
         best_val += w[i]
