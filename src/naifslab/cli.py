@@ -315,15 +315,22 @@ def _tol_from(value, path: str) -> float | None:
     return value
 
 
+# the parameters each check type reads; a check given any other is refused
+_CHECK_PARAMETERS = {"basic": ("n", "eps", "p", "c"), "power": ("n", "m_range"), "truncation": ("i", "j"), "semiconjugacy": ("tol",), "factor_upper": ("fiber_sample",)}
+
+
 def _check_from(chk: dict, path: str, eps_default: float, space: SpaceSpec, schedule: GenerationSchedule, n_max: int) -> dict:
     """One check with its parameters read, range-checked and defaulted; the
-    runner reads these values only.  A check whose words and finest eps
-    would read past a symbolic depth (_check_depth), or that would
-    enumerate more than WORD_ENUMERATION_CAP words, is refused here, before
-    any is enumerated."""
+    runner reads these values only.  A parameter its type does not read
+    (_CHECK_PARAMETERS), a check whose words and finest eps would read
+    past a symbolic depth (_check_depth), or one that would enumerate more
+    than WORD_ENUMERATION_CAP words, is refused here, before any is
+    enumerated."""
     kind = chk["type"]
-    if kind != "semiconjugacy" and "tol" in chk:
-        raise ConfigError(f"config field {path}.tol: only a semiconjugacy check takes its own tol; set $.tol or --tol")
+    for key in chk:
+        if key != "type" and key not in _CHECK_PARAMETERS.get(kind, ()):
+            why = "only a semiconjugacy check takes its own tol; set $.tol or --tol" if key == "tol" else f"a {kind} check does not read {key}"
+            raise ConfigError(f"config field {path}.{key}: {why}")
     out = {"type": kind, "tol": _tol_from(chk.get("tol"), f"{path}.tol")}
     with _field(path):
         if kind == "basic":

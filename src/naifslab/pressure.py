@@ -4,7 +4,7 @@ The combinatorial core: a maximal separated set is a maximum independent
 set of the proximity graph under a Bowen metric, a minimal spanning set is
 a minimum ball cover, and the partition sums are their weighted versions
 with vertex weights exp(Birkhoff sum).  Exact solvers run up to fixed
-size thresholds (subset enumeration to 20 points, bitset branch and bound
+size thresholds (subset enumeration to 12 points, bitset branch and bound
 to 64).  Beyond that a symbolic orbit is still solved exactly: its Bowen
 metric is a max of cylinder ultrametrics, so its closed eps-balls are the
 classes of points that agree on their first k symbols at every step, and
@@ -16,15 +16,15 @@ taken on the undirected closure of the balls (_split): a ball covers,
 and conflicts with, points of its own component only, so the optimum is
 the union of the components' optima.  An isolated point is taken as it
 is, a pair whose balls each hold both points gives its lighter point
-(spanning) or its heavier one (separated), and every other component is
-searched alone.  The spanning search prunes with a per-element ratio
-bound that reads, for each uncovered element, only the balls holding
-it, and a ball's ratio only once per node (_cover_lower_bound); it is
-computed only at nodes where it can prune (_cover_search).  The
-weight of a branch and bound witness is math.fsum of its weights in
-ascending index order (_witness_value), whichever search path found it.
-A spanning sum whose cover weights all underflow is taken again in a
-frame where they do not (_solve_spanning_weighted).
+(spanning), a conflicting pair its heavier one (separated), and every
+other component is searched alone.  The spanning search prunes with a
+per-element ratio bound that reads, for each uncovered element, only the
+balls holding it, and a ball's ratio only once per node
+(_cover_lower_bound); it is computed only at nodes where it can prune
+(_cover_search).  The weight of a branch and bound witness is math.fsum
+of its weights in ascending index order (_witness_value), whichever
+search path found it.  A spanning sum whose cover weights all underflow
+is taken again in a frame where they do not (_solve_spanning_weighted).
 
 An orbit object (_BowenOrbit) is built from one list of step batches:
 the orbit of the cloud along one word, every n-th step of such an orbit
@@ -42,16 +42,16 @@ read balls: the exact ball solvers, and the ratio greedy cover of a
 spanning solve up to MATRIX_LIMIT points.  A caller that reads one
 orbit's balls at several eps builds them in one pass (the batch path,
 sup_entropy_estimate); an orbit asked for balls it lacks builds them at
-that eps alone.  The orbit caches what a solve reads that does not depend
-on the weights: its eps-balls per eps, and per (eps, kind) the subsets
-that subset enumeration may return.  Callers that solve several
-potentials, both kinds or a repeated eps on one orbit build these once;
-the cache is freed with the orbit.  Subset enumeration sums the weights
-of every subset in one pass (_subset_sums).  A caller with several
-potentials on one orbit at one eps hands them over as rows
-(solve_separated_rows): max(1, _TILE_ELEMENTS >> N) rows share a pass,
-so past 15 points a pass is the single solve, and each row keeps the
-bits of its single solve.
+that eps alone.  The orbit keeps its eps-balls per eps, the one thing a
+solve reads that does not depend on the weights, so callers that solve
+several potentials, both kinds or a repeated eps on one orbit build
+them once; they are freed with the orbit.  Subset enumeration builds
+the subsets it may return from the balls at each solve
+(_feasible_subsets) and sums the weights of every subset in one pass
+(_subset_sums).  A caller with several potentials on one orbit at one
+eps hands them over as rows (solve_separated_rows): up to 12 points
+they share one table and one pass, and each row keeps the bits of its
+single solve.
 
 Greedy first fit reads one row per accepted point, and only over the
 point's step-0 window when step 0 is an interval or circle grid itself
@@ -124,7 +124,9 @@ from .space import (
 
 log = logging.getLogger("naifslab.pressure")
 
-EXHAUSTIVE_LIMIT = 20
+# the largest N at which one pass of _TILE_ELEMENTS subset sums holds the
+# basic checks' ten rows; one branch and bound solve is faster at every N
+EXHAUSTIVE_LIMIT = 12
 BRANCH_AND_BOUND_LIMIT = 64
 # the largest orbit whose greedy spanning solve is a ratio cover over its
 # eps-balls (N * N bits at each eps); past it, the eps-net reads rows.  The
@@ -181,15 +183,12 @@ class _BowenOrbit:
     are solved by classes (_ultrametric_classes), and a forced greedy
     solve reads full rows.
 
-    The eps-balls (balls) and the feasible subsets of subset enumeration
-    (feasible_subsets) are built on first use and kept for the life of the
-    orbit, one entry per eps and per (eps, kind): solves of other weight
-    vectors on the same orbit read them instead of rebuilding, and the
-    rows of a rows solve (solve_separated_rows) read one feasible table
-    in passes of max(1, _TILE_ELEMENTS >> N) rows.
-    An orbit of a word batch lives until its word is solved: the batch
-    drops it when it hands out the next word (batched_word_orbits), so
-    only the caller's reference keeps it, and its tables, alive.
+    The eps-balls (balls) are built on first use and kept for the life of
+    the orbit, one entry per eps: solves of other weight vectors on the
+    same orbit read them instead of rebuilding.  An orbit of a word batch
+    lives until its word is solved: the batch drops it when it hands out
+    the next word (batched_word_orbits), so only the caller's reference
+    keeps it, and its balls, alive.
     """
 
     def __init__(self, cloud: PointCloud, steps: list[np.ndarray]):
@@ -200,7 +199,6 @@ class _BowenOrbit:
         # only the grids have an order that their balls follow
         self._windowed = cloud.enumerated and steps[0] is cloud.batch and cloud.space.family in (INTERVAL, CIRCLE)
         self._balls: dict[float, list[int]] = {}
-        self._feasible: dict[tuple[float, str], np.ndarray] = {}
         self._buffers: list[np.ndarray | None] = [None, None]
 
     def _buffer(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -276,16 +274,6 @@ class _BowenOrbit:
         if eps not in self._balls:
             _word_balls([self], [eps])
         return self._balls[eps]
-
-    def feasible_subsets(self, eps: float, kind: str) -> np.ndarray:
-        """Ascending indices of the eps-separated subsets or of the eps-spanning
-        subsets of the cloud (_feasible_subsets)."""
-        feas = self._feasible.get((eps, kind))
-        if feas is None:
-            feas = self._feasible[eps, kind] = _feasible_subsets(self.balls(eps), kind)
-            # shared by every later solve at (eps, kind)
-            feas.flags.writeable = False
-        return feas
 
     def min_pair_distance(self, idxs: Sequence[int]) -> float:
         """Smallest distance between two distinct points of idxs (inf for
@@ -669,16 +657,21 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
     component of the ball graph at a time (_split): an isolated point is
     covered by its own ball alone, a pair whose balls each hold both
     points by the lighter ball (lowest index on ties), and every other
-    component is searched (_cover_search) from the cover by all of its
-    own balls.  Among least covers of equal weight the search keeps the
-    first it meets.  A point that no ball holds raises RuntimeError."""
+    component, a pair with a ball that misses its own centre too, is
+    searched (_cover_search) from the cover by all of its own balls.
+    Among least covers of equal weight the search keeps the first it
+    meets.  A point that no ball holds raises RuntimeError."""
     w = wlin.tolist()
     chosen, pairs, comps = _split(balls)
     # an isolated point whose ball is empty lies in no ball at all
     if 0 in balls and not all(balls[i] for i in _bits(chosen)):
         raise RuntimeError("spanning witness failed its defining property")
     for i, j in pairs:
-        chosen |= 1 << (j if w[j] < w[i] else i)
+        # _split ORs each point's own bit into its mask
+        if balls[i] == 1 << i | 1 << j == balls[j]:
+            chosen |= 1 << (j if w[j] < w[i] else i)
+        else:
+            comps.append(1 << i | 1 << j)
     for comp in comps:
         chosen |= _cover_search(balls, w, comp, comp)
     return chosen, _witness_value(w, chosen)
@@ -1024,7 +1017,7 @@ def _solve_separated_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto"
         return shift + math.log(float(wlin[idxs].sum())), witness, "greedy", False
     balls = ctx.balls(eps)
     if method == "exhaustive":
-        mask, val = _best_subset(ctx.feasible_subsets(eps, "separated"), wlin, np.ndarray.argmax)
+        mask, val = _best_subset(_feasible_subsets(balls, "separated"), wlin, np.ndarray.argmax)
     else:
         mask, val = _bb_mwis([b & ~(1 << i) for i, b in enumerate(balls)], wlin)
     return shift + math.log(val), _separated_witness(balls, mask), method, True
@@ -1036,23 +1029,20 @@ def solve_separated_rows(ctx, S: np.ndarray, eps: float) -> list[tuple[float, li
     bits each row has when solved alone.
 
     Subset enumeration takes each row's shift and weights as a single
-    solve does (_weights), then fills the subset sums of
-    max(1, _TILE_ELEMENTS >> N) rows at a time in one pass (_subset_sums)
-    and reads the orbit's one feasible table for them all.  From N = 16
-    up that is one row, the single solve, and every other method solves
-    row by row too."""
-    per = max(1, _TILE_ELEMENTS >> ctx.n_points)
-    if per == 1 or _solve_method(ctx, eps, "auto") != "exhaustive":
+    solve does (_weights), then fills the subset sums of every row in one
+    pass (_subset_sums) and reads one feasible table for them all: up to
+    EXHAUSTIVE_LIMIT = 12 points the basic checks' ten rows are at most
+    ten times 4,096 sums.  Every other method solves row by row."""
+    if _solve_method(ctx, eps, "auto") != "exhaustive":
         return [_solve_separated_weighted(ctx, s, eps) for s in S]
     weights = [_weights(s) for s in S]
-    balls, feas = ctx.balls(eps), ctx.feasible_subsets(eps, "separated")
-    out = []
-    for lo in range(0, len(weights), per):
-        rows = weights[lo : lo + per]
-        wsum = _subset_sums(np.array([wlin for _, wlin in rows]))[feas]
-        for r, ((shift, _), i) in enumerate(zip(rows, wsum.argmax(axis=0).tolist())):
-            out.append((shift + math.log(float(wsum[i, r])), _separated_witness(balls, int(feas[i])), "exhaustive", True))
-    return out
+    balls = ctx.balls(eps)
+    feas = _feasible_subsets(balls, "separated")
+    wsum = _subset_sums(np.array([wlin for _, wlin in weights]).reshape(S.shape))[feas]
+    return [
+        (shift + math.log(float(wsum[i, r])), _separated_witness(balls, int(feas[i])), "exhaustive", True)
+        for r, ((shift, _), i) in enumerate(zip(weights, wsum.argmax(axis=0).tolist()))
+    ]
 
 
 def _separated_witness(balls: list[int], mask: int) -> list[int]:
@@ -1084,13 +1074,13 @@ def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto")
         total = float(wlin[idxs].sum())
         return (shift + math.log(total) if total else logsumexp(S[idxs])), idxs, method, False
     balls = ctx.balls(eps)
-    idxs, total = _ball_cover(ctx, balls, wlin, eps, method)
+    idxs, total = _ball_cover(balls, wlin, method)
     if total == 0.0:
         shift = _cover_floor(balls, S)
         if shift > -math.inf:
             # exp(S - shift) overflows only on balls that no least cover holds
             with np.errstate(over="ignore"):
-                idxs, total = _ball_cover(ctx, balls, np.exp(S - shift), eps, method)
+                idxs, total = _ball_cover(balls, np.exp(S - shift), method)
     if method == "greedy":
         _recheck_spanning(ctx, idxs, eps)
     else:
@@ -1103,7 +1093,7 @@ def _solve_spanning_weighted(ctx, S: np.ndarray, eps: float, mode: str = "auto")
     return (shift + math.log(total) if total else -math.inf), idxs, method, method != "greedy"
 
 
-def _ball_cover(ctx, balls: list[int], wlin: np.ndarray, eps: float, method: str) -> tuple[list[int], float]:
+def _ball_cover(balls: list[int], wlin: np.ndarray, method: str) -> tuple[list[int], float]:
     """The cover that method finds over the eps-balls, as ascending
     indices, and its weight: the ratio greedy cover (_greedy_cover_bits,
     summed in pick order) for "greedy", the least cover otherwise."""
@@ -1111,7 +1101,7 @@ def _ball_cover(ctx, balls: list[int], wlin: np.ndarray, eps: float, method: str
         picks = _greedy_cover_bits(balls, wlin.tolist())
         return sorted(picks), float(wlin[picks].sum())
     if method == "exhaustive":
-        mask, total = _best_subset(ctx.feasible_subsets(eps, "spanning"), wlin, np.ndarray.argmin)
+        mask, total = _best_subset(_feasible_subsets(balls, "spanning"), wlin, np.ndarray.argmin)
     else:
         mask, total = _bb_cover(balls, wlin)
     return _bits(mask), total
@@ -1221,10 +1211,10 @@ def batched_word_orbits(
     (_reads_balls), each stride's balls at every eps come from its Bowen
     matrices, a tile of words at a time (_word_balls).  The chunk then
     hands out its orbits one word at a time and holds one it has handed
-    out only until the caller asks for the next word, so an orbit, with its eps-balls and feasible
-    subsets, is freed once the caller is done with it, not when the chunk
-    ends.  Each orbit is solved on its own, so its sums do not depend on
-    the other words.
+    out only until the caller asks for the next word, so an orbit, with
+    its eps-balls, is freed once the caller is done with it, not when the
+    chunk ends.  Each orbit is solved on its own, so its sums do not
+    depend on the other words.
     """
     if type(n) is not int or n < 0:
         n = validate_step_count(n, "n", minimum=0)

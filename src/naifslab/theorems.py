@@ -17,9 +17,10 @@ check_truncation_monotonicity solves each word at 2 eps and each
 distinct tail once at eps, read back for every word that has it.  Each
 solve goes through _solve_*_weighted, one per (word, eps, potential) as
 in a per-word loop, or, for the basic properties' ten potentials of a
-word, through solve_separated_rows, which gives each row those bits too;
-so each word's sums and each report are the bits they have when every
-word is solved alone.
+word, through solve_separated_rows (one subset-sum pass for all ten up
+to 12 points, row by row past that), which gives each row those bits
+too; so each word's sums and each report are the bits they have when
+every word is solved alone.
 
 One table, VERDICTS, judges every row that can fail, from whether its
 claim holds, whether its inputs are exact and whether it declares a tol:
@@ -232,10 +233,10 @@ def check_basic_properties(
     sums; greedy inputs downgrade failures to inconclusive_inexact.
 
     The ten derived potentials of a word are solved on its orbit as rows
-    (solve_separated_rows): subset enumeration sums up to
-    max(1, 65536 >> N) of them in one pass over the orbit's one feasible
-    table, one at a time from 16 points up, and every other method row
-    by row.  Each sum has the bits of its single solve.
+    (solve_separated_rows): subset enumeration, up to 12 points, sums all
+    ten in one pass over one feasible table, and branch and bound and
+    greedy solve them row by row.  Each sum has the bits of its single
+    solve.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")

@@ -21,7 +21,7 @@ per pick, reference_exhaustive, the subset DP with weights and
 feasibility in one pass, reference_first_fit, first fit over an alive
 array with every row read in full, step by step, and
 reference_word_orbits, one orbit and one Birkhoff vector per word.  They hold the package's heap greedy, its
-cached subset enumeration, its windowed first fit and its word batches
+subset enumeration, its windowed first fit and its word batches
 to the same results, bit for bit, and its component-wise ball-cover
 search to the same least weight and, pick for pick, to the same witness
 as the search that reads its bound at every node.
@@ -412,7 +412,10 @@ def reference_split_cover(balls, wlin):
     w = wlin.tolist()
     chosen, pairs, comps = pressure._split(balls)
     for i, j in pairs:
-        chosen |= 1 << (j if w[j] < w[i] else i)
+        if balls[i] == 1 << i | 1 << j == balls[j]:
+            chosen |= 1 << (j if w[j] < w[i] else i)
+        else:
+            comps.append(1 << i | 1 << j)
     for comp in comps:
         chosen |= reference_cover_search(balls, w, comp, comp)
     return chosen, math.fsum([w[i] for i in pressure._bits(chosen)])

@@ -576,6 +576,28 @@ def test_check_tol_is_refused_except_on_semiconjugacy(tmp_path, capsys):
     assert ExperimentConfig.from_dict(raw).checks[0]["tol"] == 1e-30
 
 
+@pytest.mark.parametrize(
+    "check, key",
+    [
+        ({"type": "truncation", "eps": 0.001}, "eps"),
+        ({"type": "equicontinuity", "n": 5, "m_range": [1, 9]}, "n"),
+        ({"type": "factor_lower", "fiber_sample": 4}, "fiber_sample"),
+    ],
+)
+def test_a_check_parameter_its_type_does_not_read_is_refused(tmp_path, capsys, check, key):
+    # it would be dropped silently: truncation runs on $.eps_list, and
+    # equicontinuity and factor_lower read no parameter
+    raw = _example("four_point_quotient")
+    raw["checks"] = raw["checks"][:1] + [check]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config field $.checks[1].{key}: a {check['type']} check does not read {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    raw["checks"][1] = {"type": check["type"]}
+    assert ExperimentConfig.from_dict(raw).checks[1]["type"] == check["type"]
+
+
 def test_truncation_words_past_the_cap_are_a_config_error(tmp_path):
     # 38**4 words of the net-counting length 4 at n_max = 6
     raw = _example("two_point_swap", checks=[{"type": "truncation"}], schedule={"prefix": [], "cycle": [[{"kind": "identity"}] * 38]})

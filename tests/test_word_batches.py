@@ -186,7 +186,7 @@ def test_a_curve_frees_each_orbit_once_its_word_is_solved(monkeypatch):
     cloud = build_cloud(SpaceSpec("circle_grid", 16))
     sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"), MapSpec("rotation", (0.3,))),))
     psi = Potential("piecewise_linear", (0.0, 1.0, 0.2, 0.9))
-    built, held = [], []
+    built, solved, held = [], weakref.WeakSet(), []
     word_orbits, solve = pressure._word_orbits, pressure._solve_spanning_weighted
 
     def recording(*args):
@@ -195,13 +195,15 @@ def test_a_curve_frees_each_orbit_once_its_word_is_solved(monkeypatch):
         return orbits
 
     def counting(ctx, *args):
-        held.append(sum(1 for ref in built if (other := ref()) is not None and other is not ctx and other._feasible))
+        # the orbits solved before this one that are still alive
+        held.append(sum(1 for other in solved if other is not ctx))
+        solved.add(ctx)
         return solve(ctx, *args)
 
     monkeypatch.setattr(pressure, "_word_orbits", recording)
     monkeypatch.setattr(pressure, "_solve_spanning_weighted", counting)
     curve = pressure_estimate(cloud, sched, psi, [1, 2, 3], [0.25, 0.125], word_budget=None, kind="spanning")
-    assert {e.method for e in curve.entries} == {"exhaustive"} and len(built) == 2 + 4 + 8
+    assert {e.method for e in curve.entries} == {"branch_and_bound"} and len(built) == 2 + 4 + 8
     assert len(held) == 2 * len(built) and max(held) <= 1
 
 
