@@ -447,6 +447,9 @@ def fiber_indices(factor: FactorMapSpec, yi: int) -> list[int]:
     unavailable on depth-truncated clouds).
     """
     tgt = factor.target.cloud
+    if isinstance(yi, bool) or not isinstance(yi, (int, np.integer)):
+        # numpy would read a bool as a mask
+        raise TypeError(f"a target index is an integer, not {yi!r}")
     if not 0 <= yi < len(tgt):
         raise IndexError(f"target index {yi} is outside the cloud of {len(tgt)} points")
     y = tgt.batch[yi]

@@ -42,10 +42,12 @@ read balls: the exact ball solvers, and the ratio greedy cover of a
 spanning solve up to MATRIX_LIMIT points.  A caller that reads one
 orbit's balls at several eps builds them in one pass (the batch path,
 sup_entropy_estimate); an orbit asked for balls it lacks builds them at
-that eps alone.  The orbit keeps its eps-balls per eps, the one thing a
-solve reads that does not depend on the weights, so callers that solve
-several potentials, both kinds or a repeated eps on one orbit build
-them once; they are freed with the orbit.  Subset enumeration builds
+that eps alone.  sup_entropy_estimate also takes each distinct (kind,
+balls) of its exact solves once over all its n and eps.  The orbit
+keeps its eps-balls per eps, the one thing a solve reads that does not
+depend on the weights, so callers that solve several potentials, both
+kinds or a repeated eps on one orbit build them once; they are freed
+with the orbit.  Subset enumeration builds
 the subsets it may return from the balls at each solve
 (_feasible_subsets) and sums the weights of every subset in one pass
 (_subset_sums).  A caller with several potentials on one orbit at one
@@ -1568,6 +1570,12 @@ def sup_entropy_estimate(
     are exact the sandwich r*(eps) <= s*(eps) <= r*(eps/2) is verified, and
     a triple that breaks it raises RuntimeError, as a failed witness
     re-check does.
+
+    When the subset is solved exhaustively or by branch and bound, a solve
+    of the zero potential and its witness check read its eps-balls alone,
+    so the call solves each distinct (kind, balls) once, over all its n
+    and eps, and reads the stored result wherever they recur.  Class and
+    greedy solves are taken, and re-checked, at every (n, eps).
     """
     eps_list = validate_eps_list(eps_list)
     ns = validate_n_range(n_range)
@@ -1576,20 +1584,25 @@ def sup_entropy_estimate(
         return SupEntropyEstimate(0.0, eps_list[-1], [], [], 0, True)
     entries: list[SupEntropyEntry] = []
     sandwiches: list[SandwichCheck] = []
+    spanning_eps = sorted({*eps_list, *(eps / 2.0 for eps in eps_list)}, reverse=True)
+    method = _resolve_method("auto", len(indices), cloud.space.family == SYMBOLIC)
+    # an exact solve of the zero potential depends on its balls alone, so it
+    # is keyed on them; a class or greedy solve is keyed on its (n, eps)
+    solved: dict[tuple, tuple[float, list[int], str, bool]] = {}
     for n in ns:
         ctx = sup_orbit(cloud, schedule, n, indices)
         zeros = np.zeros(ctx.n_points)
-        # one spanning solve per eps: on a schedule that halves eps, the
-        # r*(eps/2) of one entry is the r*(eps) of the next
-        spanning_eps = sorted({*eps_list, *(eps / 2.0 for eps in eps_list)}, reverse=True)
-        # every solve below that reads eps-balls reads them at an eps of this list
-        if _reads_balls(_resolve_method("auto", ctx.n_points, cloud.space.family == SYMBOLIC), ctx.n_points, "spanning"):
+        # every solve below that reads eps-balls reads them at an eps of spanning_eps
+        if _reads_balls(method, ctx.n_points, "spanning"):
             _word_balls([ctx], spanning_eps)
-        spans = {e: _solve_spanning_weighted(ctx, zeros, e) for e in spanning_eps}
+        got = {}
+        for kind, eps in [*(("spanning", e) for e in spanning_eps), *(("separated", e) for e in eps_list)]:
+            key = (kind, tuple(ctx.balls(eps))) if method in ("exhaustive", "branch_and_bound") else (kind, n, eps)
+            got[kind, eps] = solved[key] = solved.get(key) or _weighted_solver(kind)(ctx, zeros, eps)
         for eps in eps_list:
-            _, s_idx, s_method, s_exact = _solve_separated_weighted(ctx, zeros, eps)
-            _, r_idx, _, r_exact = spans[eps]
-            _, rh_idx, _, rh_exact = spans[eps / 2.0]
+            _, s_idx, s_method, s_exact = got["separated", eps]
+            _, r_idx, _, r_exact = got["spanning", eps]
+            _, rh_idx, _, rh_exact = got["spanning", eps / 2.0]
             entries.append(
                 SupEntropyEntry(
                     n=n,
@@ -1619,8 +1632,9 @@ def sup_entropy_estimate(
 
 def _subset_indices(cloud: PointCloud, subset: Sequence[int]) -> list[int]:
     """The subset's distinct cloud indices, ascending."""
-    if not all(isinstance(i, (int, np.integer)) for i in subset):
-        raise TypeError("a subset holds cloud indices (integers)")
+    bad = [i for i in subset if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
+    if bad:
+        raise TypeError(f"a subset holds cloud indices (integers), not {bad[0]!r}")
     indices = {int(i) for i in subset}
     if not all(0 <= i < len(cloud) for i in indices):
         raise KeyError(f"a subset index is outside the cloud of {len(cloud)} points")

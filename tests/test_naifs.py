@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -430,6 +431,10 @@ def test_semiconjugacy_quotient_table():
     assert fiber_indices(factor, 1) == [1, 3]
     for yi in (-1, 2):
         with pytest.raises(IndexError):
+            fiber_indices(factor, yi)
+    # numpy would read a bool as a mask, and True is not target point 1
+    for yi in (True, np.True_, 1.0):
+        with pytest.raises(TypeError, match=rf"not {yi!r}$"):
             fiber_indices(factor, yi)
 
 

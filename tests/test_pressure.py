@@ -765,17 +765,23 @@ def test_sup_entropy_edge_cases():
         for bad in (len(c), -1):
             with pytest.raises(KeyError):
                 sup_entropy_estimate(c, sch, [0, bad], [1], [0.5])
-    # a point value is not an index, even where it names a cloud point
-    for point in (0.75, 0.0):
-        with pytest.raises(TypeError):
+    # a point value is not an index, even where it names a cloud point, and
+    # neither is a bool, which would name point 1
+    for point in (0.75, 0.0, True, np.True_):
+        with pytest.raises(TypeError, match=rf"not {point!r}$"):
             sup_entropy_estimate(circle, doubling, [3, point], [1], [0.5])
     assert sup_entropy_estimate(circle, doubling, [3, np.int64(3)], [1], [0.5]).subset_size == 1
 
 
 def test_a_broken_sandwich_raises(monkeypatch):
-    # a spanning witness padded by one point at eps makes r*(eps) = 3 exceed
-    # s*(eps) = 2 on the two-point cloud, with every count still exact
-    cloud, sched = two_point()
+    # two pairs 0.4 apart, the pairs 1 apart: at eps = 0.5 the balls are the
+    # pairs (r* = s* = 2), at 0.25 the singletons (r* = 4).  A spanning
+    # witness padded by one point at eps makes r*(eps) = 3 exceed s*(eps) = 2,
+    # with every count still exact; the balls differ at eps and eps/2, so
+    # the padded solve is not the one read as r*(eps/2)
+    d = [[0.0 if i == j else 0.4 if i // 2 == j // 2 else 1.0 for j in range(4)] for i in range(4)]
+    cloud = build_cloud(SpaceSpec("finite_explicit", distance_matrix=tuple(map(tuple, d))))
+    sched = GenerationSchedule(prefix=(), cycle=((ID,),))
     solve = pressure._solve_spanning_weighted
 
     def padded(ctx, S, eps, mode="auto"):
@@ -783,8 +789,8 @@ def test_a_broken_sandwich_raises(monkeypatch):
         return value, idxs + idxs[:1] if eps == 0.5 else idxs, method, exact
 
     monkeypatch.setattr(pressure, "_solve_spanning_weighted", padded)
-    with pytest.raises(RuntimeError, match=r"sandwich r\*\(eps\) <= s\*\(eps\) <= r\*\(eps/2\) failed at n=1, eps=0.5: 3, 2, 2"):
-        sup_entropy_estimate(cloud, sched, [0, 1], [1, 2], [0.5])
+    with pytest.raises(RuntimeError, match=r"sandwich r\*\(eps\) <= s\*\(eps\) <= r\*\(eps/2\) failed at n=1, eps=0.5: 3, 2, 4"):
+        sup_entropy_estimate(cloud, sched, range(4), [1, 2], [0.5])
 
 
 def test_sup_entropy_sandwich_on_random_instances():

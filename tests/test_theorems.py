@@ -696,25 +696,41 @@ def _sup_entropy_reference(cloud, schedule, subset, ns, eps_list):
     return entries, sandwiches
 
 
-def _assert_one_spanning_solve_per_eps(cloud, schedule, subset, ns, eps_list):
-    """sup_entropy_estimate solves spanning once per distinct (n, eps) and
-    reads the reference's entries and sandwiches."""
+def _assert_one_solve_per_ball_structure(cloud, schedule, subset, ns, eps_list):
+    """sup_entropy_estimate solves each distinct (kind, eps-balls) of the
+    call once when its solves are exhaustive or branch and bound, and each
+    (kind, n, eps) once otherwise, and reads the reference's entries and
+    sandwiches, which solve every (n, eps) afresh."""
     import naifslab.pressure as pressure
 
     calls = []
-    solve = pressure._solve_spanning_weighted
+    patched = {}
+    for kind in ("separated", "spanning"):
+        solve = getattr(pressure, f"_solve_{kind}_weighted")
+        # bind kind and solve now: each patch records its own kind
+        patched[kind] = lambda ctx, S, eps, kind=kind, solve=solve: calls.append((kind, ctx, eps)) or solve(ctx, S, eps)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pressure, "_solve_spanning_weighted", lambda ctx, S, eps: calls.append((ctx, eps)) or solve(ctx, S, eps))
+        for kind, fn in patched.items():
+            mp.setattr(pressure, f"_solve_{kind}_weighted", fn)
         est = sup_entropy_estimate(cloud, schedule, subset, ns, eps_list)
     distinct = set(eps_list) | {eps / 2.0 for eps in eps_list}
-    # each n has an orbit of its own, and calls holds every orbit alive
-    assert len({id(ctx) for ctx, _ in calls}) == len(ns)
-    assert len(calls) == len({(id(ctx), eps) for ctx, eps in calls}) == len(ns) * len(distinct)
+    wanted = [(kind, n, eps) for n in ns for kind, eps_set in (("spanning", distinct), ("separated", eps_list)) for eps in eps_set]
+    method = est.entries[0].method
+    if method in ("exhaustive", "branch_and_bound"):
+        orbits = {n: sup_orbit(cloud, schedule, n, sorted(set(subset))) for n in ns}
+        structures = {(kind, tuple(orbits[n].balls(eps))) for kind, n, eps in wanted}
+        solved = [(kind, tuple(ctx.balls(eps))) for kind, ctx, eps in calls]
+        assert sorted(solved) == sorted(structures)
+    else:
+        # calls holds every orbit alive, so each n's orbit keeps its id
+        assert len({id(ctx) for _, ctx, _ in calls}) == len(ns)
+        assert len(calls) == len({(kind, id(ctx), eps) for kind, ctx, eps in calls}) == len(wanted)
     assert (est.entries, est.sandwiches) == _sup_entropy_reference(cloud, schedule, subset, ns, eps_list)
+    return est
 
 
 @pytest.mark.parametrize("depth, circle, fiber_size", [(10, 256, 5), (14, 2048, 9)])
-def test_fiber_entropy_solves_each_eps_once(depth, circle, fiber_size):
+def test_fiber_entropy_solves_each_ball_structure_once(depth, circle, fiber_size):
     # the fiber schedule halves eps, so r*(eps / 2) of one entry is r*(eps) of the next
     factor = ExperimentConfig.from_dict(_shift_to_doubling(depth, circle, 3)).factor
     src = factor.source
@@ -723,12 +739,12 @@ def test_fiber_entropy_solves_each_eps_once(depth, circle, fiber_size):
         fiber = fiber_indices(factor, yi)
         fiber_eps = _fiber_eps_schedule(src.cloud, src.schedule, fiber, [0.25, 0.125])
         assert len(fiber) == fiber_size and len(fiber_eps) > 2
-        _assert_one_spanning_solve_per_eps(src.cloud, src.schedule, fiber, [1, 2, 3], fiber_eps)
+        _assert_one_solve_per_ball_structure(src.cloud, src.schedule, fiber, [1, 2, 3], fiber_eps)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 3), st.data())
-def test_sup_entropy_solves_each_eps_once_on_random_instances(salt, n_max, data):
+def test_sup_entropy_solves_each_ball_structure_once_on_random_instances(salt, n_max, data):
     cloud, schedule = random_explicit_instance(random.Random(salt), max_points=10, max_maps=2, max_cycle=2)
     subset = data.draw(st.lists(st.integers(0, len(cloud) - 1), min_size=1, max_size=len(cloud)))
     off = np.sort(cloud.dmatrix()[~np.eye(len(cloud), dtype=bool)])
@@ -736,7 +752,23 @@ def test_sup_entropy_solves_each_eps_once_on_random_instances(salt, n_max, data)
     if data.draw(st.booleans()):
         # a halving schedule, as check_factor_upper extends it
         eps_list = _fiber_eps_schedule(cloud, schedule, sorted(set(subset)), eps_list)
-    _assert_one_spanning_solve_per_eps(cloud, schedule, subset, list(range(1, n_max + 1)), eps_list)
+    _assert_one_solve_per_ball_structure(cloud, schedule, subset, list(range(1, n_max + 1)), eps_list)
+
+
+@pytest.mark.parametrize(
+    "space, maps, method",
+    [
+        (SpaceSpec("symbolic_depth", 7, alphabet_size=2), (MapSpec("shift"),), "ultrametric_classes"),
+        (SpaceSpec("circle_grid", 128), (MapSpec("doubling"),), "greedy"),
+    ],
+)
+def test_sup_entropy_past_branch_and_bound_solves_every_n_and_eps(space, maps, method):
+    # a subset of 70 points is past BRANCH_AND_BOUND_LIMIT: its class or
+    # greedy solves are not shared, even where two (n, eps) have equal balls
+    cloud = build_cloud(space)
+    schedule = GenerationSchedule(prefix=(), cycle=(maps,))
+    est = _assert_one_solve_per_ball_structure(cloud, schedule, range(70), [1, 2], [0.5, 0.25, 0.125])
+    assert {e.method for e in est.entries} == {method}
 
 
 def test_semiconjugacy_check_with_its_own_tol_measures_once(monkeypatch, tmp_path):
