@@ -18,9 +18,9 @@ the union of the components' optima.  An isolated point is taken as it
 is, a pair whose balls each hold both points gives its lighter point
 (spanning), a conflicting pair its heavier one (separated), and every
 other component is searched alone.  The spanning search prunes with a
-per-element ratio bound that reads, for each uncovered element, only the
-balls holding it, and a ball's ratio only once per node
-(_cover_lower_bound); it is computed only at nodes where it can prune
+greedy ascent in the dual of the cover LP, scaled down by a stated
+rounding margin (_cover_lower_bound); it is computed only at nodes where
+it can prune, and stops once it reaches what the node needs to prune
 (_cover_search).  The weight of a branch and bound witness is math.fsum
 of its weights in ascending index order (_witness_value), whichever
 search path found it.  A spanning sum whose cover weights all underflow
@@ -601,31 +601,58 @@ def _mwis_search(conflict: list[int], w: list[float], comp: int) -> int:
     return best_mask
 
 
-def _cover_lower_bound(balls: list[int], w: list[float], uncov: int, covers_elem: list[list[int]]) -> float:
-    """Lower bound on the weight of a cover of the elements in uncov.
+def _cover_lower_bound(w: list[float], uncov: int, covers_elem: list[list[int]], elem_order: list[int], target: float) -> float:
+    """Lower bound on the weight of a cover of the elements in uncov: a
+    greedy ascent in the dual of the cover LP (Chvátal 1979; Beasley
+    1990), less a rounding margin.
 
-    Each uncovered element, in increasing order, is charged the least ratio
-    w_i / |ball_i & uncov| over the balls that hold it (covers_elem[e]).  A
-    ball's ratio is computed the first time an element reads it, so balls
-    that hold no uncovered element cost nothing.  The charges are added in
-    increasing element order, which makes the bound the same float as the
-    per-element minimum.
+    Every ball starts with its weight as slack.  The uncovered elements,
+    in elem_order (fewest holders first), each take as charge y_e the
+    least slack over the balls that hold it (covers_elem[e]), and that
+    charge is taken off the slack of each of those balls.  So no ball i
+    is charged more than w_i in all, a feasible dual, and any cover C of
+    uncov weighs sum_C w_i >= sum_C sum_{e in B_i} y_e >= sum_e y_e.  The
+    ascent stops once the charges reach target: the charges so far are a
+    feasible dual too.  A charge of +inf means that every ball holding e,
+    and so every cover, weighs +inf; the sum is then +inf, which reaches
+    every target, so the ascent stops with the bound +inf before an
+    inf - inf could leave a NaN slack.  Each y_e is at most the weight of
+    e's lightest ball.
+
+    Floats, with u = 2**-53 and m elements in elem_order.  A ball's slack
+    is lowered at most m times, never rises, and each rounded subtraction
+    adds at most u times the slack, so at most u w_i, to what the ball is
+    charged: the float charges are a feasible dual of the weights
+    (1 + m u) w_i.  Their float sum is at most 1 + gamma_m times their
+    real sum, gamma_m = m u / (1 - m u).  Addition and subtraction round
+    with no underflow error, and charges below 2**-1022 sum exactly, so
+    these factors hold for subnormal weights too.  The sum scaled by
+    _rounding_shrink(m) = 1 - 4 (m + 1) u, rounded, is therefore at most
+    the correctly rounded weight of every cover of uncov, and at most the
+    float sum of every element's lightest ball, in any order.
     """
-    ratio: list[float | None] = [None] * len(balls)
+    slack = w.copy()
+    get = slack.__getitem__
     total = 0.0
-    mm = uncov
-    while mm:
-        lsb = mm & -mm
-        mm ^= lsb
-        least = math.inf
-        for i in covers_elem[lsb.bit_length() - 1]:
-            r = ratio[i]
-            if r is None:
-                r = ratio[i] = w[i] / (balls[i] & uncov).bit_count()
-            if r < least:
-                least = r
-        total += least
-    return total
+    for e in elem_order:
+        if (uncov >> e) & 1:
+            holders = covers_elem[e]
+            y = min(map(get, holders))
+            if y:
+                total += y
+                if total >= target:
+                    break
+                for i in holders:
+                    slack[i] -= y
+    return total * _rounding_shrink(len(elem_order))
+
+
+def _rounding_shrink(m: int) -> float:
+    """1 - 4 (m + 1) u, u = 2**-53: the factor that scales a cover bound
+    over m elements, and a node's cost plus that bound, below the rounding
+    of m float charges, of their sum and of a path of m picks
+    (_cover_lower_bound, _cover_search)."""
+    return 1.0 - (m + 1) * 2.0**-51
 
 
 def _greedy_cover_bits(balls: list[int], w: list[float]) -> list[int]:
@@ -660,7 +687,7 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
     covered by its own ball alone, a pair whose balls each hold both
     points by the lighter ball (lowest index on ties), and every other
     component, a pair with a ball that misses its own centre too, is
-    searched (_cover_search) from the cover by all of its own balls.
+    searched (_cover_search).
     Among least covers of equal weight the search keeps the first it
     meets.  A point that no ball holds raises RuntimeError."""
     w = wlin.tolist()
@@ -675,37 +702,49 @@ def _bb_cover(balls: list[int], wlin: np.ndarray) -> tuple[int, float]:
         else:
             comps.append(1 << i | 1 << j)
     for comp in comps:
-        chosen |= _cover_search(balls, w, comp, comp)
+        chosen |= _cover_search(balls, w, comp)
     return chosen, _witness_value(w, chosen)
 
 
-def _cover_search(balls: list[int], w: list[float], comp: int, best_mask: int) -> int:
+def _cover_search(balls: list[int], w: list[float], comp: int) -> int:
     """The least cover of the points of comp, a union of components of the
     ball graph, by the balls of its points, found by depth-first search
-    from the cover best_mask.  A point of comp that no ball holds raises
-    RuntimeError.
+    from the cover by all of them.  A point of comp that no ball holds
+    raises RuntimeError.
 
     A node branches on the balls that hold its uncovered element held by
     fewest balls (lowest index on ties), lightest first, and prunes with
-    the ratio bound (_cover_lower_bound), memoised on the uncovered set.
-    Two constant-time checks spare the bound where it cannot prune.  When
-    the branching element's lightest ball brings the cost up to the best
-    cover found, every child would prune on entry, and the node returns.
-    And the bound charges each uncovered element the least w_i / c,
-    c >= 1, over the balls i that hold it, at most the weight of its
-    lightest ball; light sums those weights over every point of comp in
-    ascending order, the order in which the bound adds its charges.
-    Float addition rounds monotonically and every term is >= 0, so the
-    bound is at most light, and at a node with cur + light < best_val it
-    is not computed.  The search thus visits the nodes, and returns the
-    cover, of the search that computes the bound at every node.
+    the dual-ascent bound (_cover_lower_bound).  A child whose ball covers
+    every element left is a leaf: it is taken as the best cover at the
+    node, and its heavier siblings are not entered.  Two constant-time
+    checks spare the bound where it cannot prune.  When the branching
+    element's lightest ball brings the cost up to the best cover found,
+    every child would prune on entry, and the node returns.  And the bound
+    is at most light, the sum of every point's lightest ball, so at a node
+    with cur + light < best_val it is not computed.
+
+    Floats, with u = 2**-53.  Every weight is >= 0 and float addition
+    rounds monotonically, so no cover below a child whose cost cur + w_i
+    already reaches best_val is lighter.  A cover below a node is found at
+    the float sum of its picks in path order, at most m of them, m the
+    number of points of comp: at least (1 - gamma_m)(A + R), with A the
+    real sum of the node's picks, R that of the picks below it, and
+    gamma_m = m u / (1 - m u).  The bound is at most R, and cur is at most
+    (1 + gamma_m) A, so the pruning test, cur + bound rounded, scaled by
+    _rounding_shrink(m) = 1 - 4 (m + 1) u and rounded, is at most
+    (A + R)(1 + gamma_m)(1 + u)**2 (1 - 4 (m + 1) u), below that float; in
+    the subnormal range the sums are exact and the scaling rounds at most
+    back to the unscaled value.  So a pruned node holds no cover lighter
+    than best_val, and the search keeps the best covers, in order, of the
+    search that prunes on children alone: among least covers of equal
+    float weight, the first it meets.
     """
-    best_val = 0.0
-    for i in _bits(best_mask):
-        best_val += w[i]
     # the balls holding each element, lightest first (lowest index on ties:
     # the sort is stable), and the elements by how few balls hold them
     members = _bits(comp)
+    best_mask, best_val = comp, 0.0
+    for i in members:
+        best_val += w[i]
     covers_elem: list[list[int]] = [[] for _ in w]
     held = 0
     for i in sorted(members, key=w.__getitem__):
@@ -722,38 +761,35 @@ def _cover_search(balls: list[int], w: list[float], comp: int, best_mask: int) -
     for e in members:
         light += w[covers_elem[e][0]]
     elem_order = sorted(members, key=lambda e: (len(covers_elem[e]), e))
-    # within one search the bound depends on the uncovered mask alone
-    bounds: dict[int, float] = {}
+    shrink = _rounding_shrink(len(members))
 
     def dfs(uncov_mask: int, chosen_mask: int, cur: float) -> None:
         nonlocal best_mask, best_val
-        if uncov_mask == 0:
-            if cur < best_val:
-                best_val = cur
-                best_mask = chosen_mask
-            return
         for e in elem_order:
             if (uncov_mask >> e) & 1:
                 break
         holders = covers_elem[e]
         if cur + w[holders[0]] >= best_val:
             return
-        if cur + light >= best_val:
-            lb = bounds.get(uncov_mask)
-            if lb is None:
-                lb = bounds[uncov_mask] = _cover_lower_bound(balls, w, uncov_mask, covers_elem)
-            if cur + lb >= best_val:
-                return
+        if cur + light >= best_val and (cur + _cover_lower_bound(w, uncov_mask, covers_elem, elem_order, best_val - cur)) * shrink >= best_val:
+            return
         for i in holders:
-            # children come lightest first and the bound is >= 0, so once a
-            # child would prune on entry every later one would too
-            if cur + w[i] >= best_val:
+            # children come lightest first, so once a child would prune on
+            # entry every later one would too
+            child = cur + w[i]
+            if child >= best_val:
                 break
-            dfs(uncov_mask & ~balls[i], chosen_mask | (1 << i), cur + w[i])
+            rest = uncov_mask & ~balls[i]
+            if not rest:
+                # a leaf lighter than the best: every later child is heavier
+                best_val = child
+                best_mask = chosen_mask | 1 << i
+                break
+            dfs(rest, chosen_mask | 1 << i, child)
 
     dfs(comp, 0, 0.0)
     # dfs holds itself through its closure; dropping the name frees the
-    # memo and ball lists now instead of at some later cycle collection
+    # ball lists now instead of at some later cycle collection
     del dfs
     return best_mask
 

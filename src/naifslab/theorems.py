@@ -66,6 +66,7 @@ from .naifs import (
     validate_step_count,
 )
 from .pressure import (
+    BRANCH_AND_BOUND_LIMIT,
     PressureCurve,
     _birkhoff_vector,
     _BowenOrbit,
@@ -427,7 +428,14 @@ def check_truncation_monotonicity(
 ) -> list[InequalityReport]:
     """Pressure of the system truncated at i against the one truncated at j
     (proxy level), plus the exact net-counting inequality
-    r_n(w, 2 eps) <= #net * r_{n-1}(w', eps) for each consecutive truncation."""
+    r_n(w, 2 eps) <= #net * r_{n-1}(w', eps) for each consecutive truncation.
+
+    Every spanning solve of the net counting is of the zero potential on
+    an orbit of the cloud's points in auto mode.  Up to
+    BRANCH_AND_BOUND_LIMIT points that is subset enumeration or branch and
+    bound, which reads the eps-balls alone, so the call solves each
+    distinct balls once, over all its words, truncations and eps, as
+    sup_entropy_estimate does."""
     i, j = validate_step_count(i, "i"), validate_step_count(j, "j")
     if not i < j:
         raise ValueError(f"need 1 <= i < j, got i={i}, j={j}")
@@ -442,6 +450,21 @@ def check_truncation_monotonicity(
     net_size = {eps: len(_solve_separated_weighted(base, np.zeros(len(cloud)), eps, "greedy")[1]) for eps in eps_list}
     binding: tuple[int, int] | None = None
     exact_all = True
+    # (least spanning size from below and above, exact) per distinct balls;
+    # auto mode solves up to BRANCH_AND_BOUND_LIMIT points by a ball search
+    by_balls = len(cloud) <= BRANCH_AND_BOUND_LIMIT
+    solved: dict[tuple[int, ...], tuple[int, int, bool]] = {}
+
+    def spanning(ctx: _BowenOrbit, zeros: np.ndarray, eps: float) -> tuple[int, int, bool]:
+        key = tuple(ctx.balls(eps)) if by_balls else None
+        got = solved.get(key)
+        if got is None:
+            _, idxs, _, exact = _solve_spanning_weighted(ctx, zeros, eps)
+            got = spanning_lower_bound(ctx, eps, len(idxs), exact), len(idxs), exact
+            if by_balls:
+                solved[key] = got
+        return got
+
     for k in range(i, j):
         sched_k = truncate_system(schedule, k)
         sched_k1 = truncate_system(schedule, k + 1)
@@ -453,16 +476,14 @@ def check_truncation_monotonicity(
         small = {}
         for tail, [(ctx_tail, zeros)] in zip(distinct, batched_word_orbits(cloud, sched_k1, distinct, n_count - 1, "spanning", eps_list, _zero_terms), strict=True):
             for eps in eps_list:
-                _, idxs, _, exact = _solve_spanning_weighted(ctx_tail, zeros, eps)
-                small[tail, eps] = spanning_lower_bound(ctx_tail, eps, len(idxs), exact), exact
+                small[tail, eps] = spanning(ctx_tail, zeros, eps)
         big = batched_word_orbits(cloud, sched_k, words, n_count, "spanning", [2.0 * eps for eps in eps_list], _zero_terms)
         for tail, [(ctx_w, zeros)] in zip(tails, big, strict=True):
             for eps in eps_list:
-                _, big_idxs, _, big_exact = _solve_spanning_weighted(ctx_w, zeros, 2.0 * eps)
-                small_lower, small_exact = small[tail, eps]
+                _, lhs, big_exact = spanning(ctx_w, zeros, 2.0 * eps)
+                small_lower, _, small_exact = small[tail, eps]
                 exact_all = exact_all and big_exact and small_exact
                 # r_n(w, 2 eps) from above and r_{n-1}(w', eps) from below
-                lhs = len(big_idxs)
                 rhs = net_size[eps] * small_lower
                 if binding is None or rhs - lhs < binding[1] - binding[0]:
                     binding = (lhs, rhs)

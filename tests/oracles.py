@@ -14,9 +14,10 @@ Everything else recomputes orbit distances point by point through
 `compose` and scans subsets with itertools, deliberately sharing no
 machinery with the package's solvers (no bitsets, no subset DP).  Six
 references are the exceptions: reference_bb_cover, a plain bitset search,
-reference_cover_search, the package's component search with its ratio
-bound computed at every node (reference_split_cover runs it on each
-component), reference_greedy_cover, the ratio greedy as one numpy pass
+reference_cover_search, the package's component search branching as the
+package does but pruning with the ratio bound of per_element_cover_bound
+at every node (reference_split_cover runs it on each component),
+reference_greedy_cover, the ratio greedy as one numpy pass
 per pick, reference_exhaustive, the subset DP with weights and
 feasibility in one pass, reference_first_fit, first fit over an alive
 array with every row read in full, step by step, and
@@ -24,7 +25,7 @@ reference_word_orbits, one orbit and one Birkhoff vector per word.  They hold th
 subset enumeration, its windowed first fit and its word batches
 to the same results, bit for bit, and its component-wise ball-cover
 search to the same least weight and, pick for pick, to the same witness
-as the search that reads its bound at every node.
+as the search that prunes with another valid bound at every node.
 """
 
 import itertools
@@ -304,12 +305,14 @@ def oracle_derived_birkhoff(ctx, schedule, n, phi, psi, p, c):
     return out
 
 
-def per_element_cover_bound(balls, w, uncov):
-    """Reference for pressure._cover_lower_bound, one minimum per element:
-    each uncovered element takes the least w_i / |ball_i & uncov| over
-    the balls that hold it."""
+def per_element_cover_bound(balls, w, uncov, covers_elem=None):
+    """The ratio bound on the weight of a cover of the elements in uncov,
+    one minimum per element: each uncovered element, in increasing order,
+    takes the least w_i / |ball_i & uncov| over the balls that hold it
+    (covers_elem[e], computed from balls when not given)."""
     n = len(balls)
-    covers_elem = [[i for i in range(n) if (balls[i] >> e) & 1] for e in range(n)]
+    if covers_elem is None:
+        covers_elem = [[i for i in range(n) if (balls[i] >> e) & 1] for e in range(n)]
     total = 0.0
     for e in range(n):
         if (uncov >> e) & 1:
@@ -361,16 +364,21 @@ def reference_bb_cover(balls, wlin):
     return best[0], best[1]
 
 
-def reference_cover_search(balls, w, comp, best_mask):
-    """pressure._cover_search with its ratio bound computed at every node
-    with an uncovered point, memoised on the uncovered set.  The bound is
-    pressure._cover_lower_bound, looked up on the module at each call so
-    that a test can count the calls.  The package's search must visit the
-    same nodes in the same order and return the same cover."""
-    best_val = 0.0
-    for i in pressure._bits(best_mask):
-        best_val += w[i]
+def reference_cover_search(balls, w, comp):
+    """The least cover of the points of comp by depth-first search from the
+    cover by all of their balls, as pressure._cover_search branches: on
+    the uncovered element held by fewest balls (lowest index on ties), its
+    balls lightest first, a child entered only while its cost is below
+    the best cover found.  It prunes with the ratio bound of
+    per_element_cover_bound, computed at every node with an uncovered
+    point and memoised on the uncovered set, not with the package's
+    bound.  Two searches whose bounds are both valid keep the same
+    sequence of best covers, so the package's search must return the same
+    cover."""
     members = pressure._bits(comp)
+    best_mask, best_val = comp, 0.0
+    for i in members:
+        best_val += w[i]
     covers_elem = [[] for _ in w]
     for i in sorted(members, key=w.__getitem__):
         b = balls[i]
@@ -390,7 +398,7 @@ def reference_cover_search(balls, w, comp, best_mask):
             return
         lb = bounds.get(uncov_mask)
         if lb is None:
-            lb = bounds[uncov_mask] = pressure._cover_lower_bound(balls, w, uncov_mask, covers_elem)
+            lb = bounds[uncov_mask] = per_element_cover_bound(balls, w, uncov_mask, covers_elem)
         if cur + lb >= best_val:
             return
         for e in elem_order:
@@ -417,7 +425,7 @@ def reference_split_cover(balls, wlin):
         else:
             comps.append(1 << i | 1 << j)
     for comp in comps:
-        chosen |= reference_cover_search(balls, w, comp, comp)
+        chosen |= reference_cover_search(balls, w, comp)
     return chosen, math.fsum([w[i] for i in pressure._bits(chosen)])
 
 

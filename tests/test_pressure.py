@@ -40,7 +40,6 @@ from oracles import (
     oracle_partition_separated,
     oracle_partition_spanning,
     oracle_weighted_sum,
-    per_element_cover_bound,
     points_of,
     reference_bb_cover,
     reference_exhaustive,
@@ -393,22 +392,6 @@ def test_conflict_masks_match_per_bit_formula(n):
     assert pressure._balls(np.zeros((n, n)), 0.0) == [(1 << n) - 1] * n
 
 
-@settings(max_examples=200)
-@given(st.data())
-def test_cover_bound_equals_per_element_formula(data):
-    n = data.draw(st.integers(1, 64))
-    # each ball holds its own centre, as every eps-ball does
-    balls = [data.draw(st.integers(0, (1 << n) - 1)) | (1 << i) for i in range(n)]
-    # tied weights, and weights whose ratios round: the sum must be bit-equal
-    weight = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 1.0)
-    w = [data.draw(weight) for _ in range(n)]
-    uncov = data.draw(st.integers(1, (1 << n) - 1))
-    # the balls holding each element, lightest first, as _bb_cover passes them
-    by_weight = sorted(range(n), key=lambda i: (w[i], i))
-    covers_elem = [[i for i in by_weight if (balls[i] >> e) & 1] for e in range(n)]
-    assert pressure._cover_lower_bound(balls, w, uncov, covers_elem) == per_element_cover_bound(balls, w, uncov)
-
-
 # tied weights, zero weights (exp underflow), subnormal weights and
 # weights whose sums round differently in another order
 SOLVER_WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 5e-324, 1e-310]) | st.floats(0.01, 1.0)
@@ -487,6 +470,81 @@ def test_bb_cover_is_a_least_cover_at_the_workload_size(n, symmetric, seed, data
     _assert_least_cover(balls, wlin, reference_bb_cover(balls, wlin)[0])
 
 
+def _holder_lists(balls, w):
+    """The balls holding each point, lightest first (lowest index on ties),
+    and the points by how few balls hold them: covers_elem and elem_order
+    as _cover_search builds them, here over every point."""
+    n = len(balls)
+    by_weight = sorted(range(n), key=lambda i: (w[i], i))
+    covers_elem = [[i for i in by_weight if (balls[i] >> e) & 1] for e in range(n)]
+    return covers_elem, sorted(range(n), key=lambda e: (len(covers_elem[e]), e))
+
+
+def _least_cover_of(balls, wlin, uncov):
+    """The fsum of a least cover of the points of uncov: the reference
+    optimum of the balls with every other point added to each, so that a
+    cover of every point is a cover of uncov."""
+    n = len(balls)
+    rest = ((1 << n) - 1) & ~uncov
+    padded = [b | rest for b in balls]
+    mask = reference_exhaustive(padded, wlin, "spanning")[0] if n <= 12 else reference_split_cover(padded, wlin)[0]
+    return _index_order_sum(wlin, mask)
+
+
+# tied weights, zero and subnormal weights (exp underflow), and +inf, the
+# weight that the _cover_floor re-solve gives balls no least cover holds
+BOUND_WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-310, 0.25, 0.5, 1.0, math.inf]) | st.floats(0.01, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cover_bound_is_at_most_the_least_cover_and_light(data):
+    n = data.draw(st.integers(1, 40))
+    if n <= 12:
+        balls = _drawn_balls(data, n)
+    else:
+        planar = data.draw(st.booleans())
+        balls = _planar_or_asymmetric_balls(n, planar, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.floats(0.01, 0.4) if planar else st.floats(0.02, 0.5)))
+    w = [data.draw(BOUND_WEIGHTS) for _ in range(n)]
+    uncov = data.draw(st.integers(1, (1 << n) - 1) | st.just((1 << n) - 1))
+    covers_elem, elem_order = _holder_lists(balls, w)
+    bound = pressure._cover_lower_bound(w, uncov, covers_elem, elem_order, math.inf)
+    assert not math.isnan(bound)
+    # each uncovered point's lightest ball, summed in ascending order
+    light = 0.0
+    for e in pressure._bits(uncov):
+        light += w[covers_elem[e][0]]
+    assert 0.0 <= bound <= light
+    assert bound <= _least_cover_of(balls, np.array(w), uncov)
+    # a search stops the ascent once it reaches the cost left to the best
+    # cover: the bound it gets is a prefix of the same sum
+    target = data.draw(st.floats(0.0, 2.0) | st.just(math.inf))
+    assert 0.0 <= pressure._cover_lower_bound(w, uncov, covers_elem, elem_order, target) <= bound
+
+
+@pytest.mark.parametrize(
+    "balls, w, at_most, at_least",
+    [
+        # three singletons: 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001,
+        # above the least cover's fsum, 0.6; the margin takes it below
+        ([0b001, 0b010, 0b100], [0.1, 0.2, 0.3], 0.6, 0.599999999999),
+        # point 0 lies in +inf balls only: every cover is +inf, and the
+        # ascent stops there, before inf - inf would leave a NaN slack
+        ([0b011, 0b010, 0b100], [math.inf, math.inf, 1.0], math.inf, math.inf),
+        # zero and subnormal weights: exact sums, and no charge below zero
+        ([0b011, 0b011, 0b100], [0.0, 5e-324, 5e-324], 5e-324, 5e-324),
+        # one ball of weight 1 holds both points that two balls of weight 1
+        # hold: the charges of the two points share that ball's slack
+        ([0b011, 0b011], [1.0, 1.0], 1.0, 0.999999999999),
+    ],
+)
+def test_cover_bound_at_its_edge_weights(balls, w, at_most, at_least):
+    covers_elem, elem_order = _holder_lists(balls, w)
+    uncov = (1 << len(balls)) - 1
+    bound = pressure._cover_lower_bound(w, uncov, covers_elem, elem_order, math.inf)
+    assert at_least <= bound <= at_most == _least_cover_of(balls, np.array(w), uncov)
+
+
 def test_bb_cover_solves_separated_clusters_one_by_one(monkeypatch):
     # 16 clusters of 4 points, 10 apart: the least cover is the union of
     # the clusters' own least covers, and only the clusters that need a
@@ -503,7 +561,7 @@ def test_bb_cover_solves_separated_clusters_one_by_one(monkeypatch):
         union |= best << (4 * c)
     calls = []
     bound = pressure._cover_lower_bound
-    monkeypatch.setattr(pressure, "_cover_lower_bound", lambda *args: calls.append(args[2]) or bound(*args))
+    monkeypatch.setattr(pressure, "_cover_lower_bound", lambda *args: calls.append(args[1]) or bound(*args))
     mask, value = pressure._bb_cover(balls, wlin)
     assert mask == union and value.hex() == _index_order_sum(wlin, union).hex()
     # no bound reads two clusters

@@ -81,16 +81,32 @@ def test_a_traced_suite_builds_one_orbit_pass_per_word_batch(monkeypatch):
     # m = 1 and m = 2, and the truncation's distinct tails and its words;
     # every batch of at most 12 points and 4 steps is one chunk
     repeated = []
+    # the eps-balls of each truncation call's spanning solves
+    truncation_balls = []
+    inside_truncation = [False]
     check = theorems.check_truncation_monotonicity
+    solve_spanning = theorems._solve_spanning_weighted
 
     def counting_repeated_tails(cloud, schedule, psi, i, j, n_range, eps_list, **kwargs):
         n = theorems.net_counting_length(max(n_range))
         for k in range(i, j):
             words = enumerate_words(theorems.truncate_system(schedule, k), 1, n, None, 0)[0]
             repeated.append((len(words) - len({w.symbols[1:] for w in words})) * len(eps_list))
-        return check(cloud, schedule, psi, i, j, n_range, eps_list, **kwargs)
+        truncation_balls.append([])
+        inside_truncation[0] = True
+        try:
+            return check(cloud, schedule, psi, i, j, n_range, eps_list, **kwargs)
+        finally:
+            inside_truncation[0] = False
+
+    def recording_balls(ctx, S, eps, *args):
+        if inside_truncation[0]:
+            truncation_balls[-1].append(tuple(ctx.balls(eps)))
+        return solve_spanning(ctx, S, eps, *args)
 
     monkeypatch.setattr(theorems, "check_truncation_monotonicity", counting_repeated_tails)
+    # set before the tracer wraps theorems' solvers, so that it counts these calls
+    monkeypatch.setattr(theorems, "_solve_spanning_weighted", recording_balls)
     rows = []
     solve_rows = theorems.solve_separated_rows
     monkeypatch.setattr(theorems, "solve_separated_rows", lambda ctx, S, eps: rows.append(len(S)) or solve_rows(ctx, S, eps))
@@ -106,9 +122,14 @@ def test_a_traced_suite_builds_one_orbit_pass_per_word_batch(monkeypatch):
     # the basic properties' ten potentials of a word take one rows solve,
     # which the tracer does not count: 26 words
     assert rows == [10] * 26
+    # every spanning solve of the net counting is exhaustive, and a call
+    # solves each distinct eps-balls once
+    assert len(truncation_balls) == 3
+    assert all(len(set(balls)) == len(balls) for balls in truncation_balls)
     # one traced solve per other (word, eps, potential), as in the per-word
     # loops (287 solves, 284 of them exhaustive), less one per repeated
-    # (tail, eps)
+    # (tail, eps), and less one per truncation solve whose eps-balls an
+    # earlier solve of its call had (39, counted by wrapping the solver)
     assert sum(repeated) == 22
-    assert (m["pressure.solves.calls"], m["pressure.method.exhaustive"], m["pressure.method.greedy"]) == (287 - 22, 284 - 22, 3)
+    assert (m["pressure.solves.calls"], m["pressure.method.exhaustive"], m["pressure.method.greedy"]) == (287 - 22 - 39, 284 - 22 - 39, 3)
     assert m["pressure.method.branch_and_bound"] == 0
