@@ -19,12 +19,13 @@ is, a pair whose balls each hold both points gives its lighter point
 (spanning), a conflicting pair its heavier one (separated), and every
 other component is searched alone.  The spanning search prunes with a
 greedy ascent in the dual of the cover LP, scaled down by a stated
-rounding margin (_cover_lower_bound); it is computed only at nodes where
-it can prune, and stops once it reaches what the node needs to prune
-(_cover_search).  The weight of a branch and bound witness is math.fsum
-of its weights in ascending index order (_witness_value), whichever
-search path found it.  A spanning sum whose cover weights all underflow
-is taken again in a frame where they do not (_solve_spanning_weighted).
+rounding margin, none when the weights are integers as the zero
+potential's are (_cover_lower_bound); it is computed only at nodes where
+it can prune, and stops once the node would prune (_cover_search).  The
+weight of a branch and bound witness is math.fsum of its weights in
+ascending index order (_witness_value), whichever search path found it.
+A spanning sum whose cover weights all underflow is taken again in a
+frame where they do not (_solve_spanning_weighted).
 
 An orbit object (_BowenOrbit) is built from one list of step batches:
 the orbit of the cloud along one word, every n-th step of such an orbit
@@ -601,10 +602,10 @@ def _mwis_search(conflict: list[int], w: list[float], comp: int) -> int:
     return best_mask
 
 
-def _cover_lower_bound(w: list[float], uncov: int, covers_elem: list[list[int]], elem_order: list[int], target: float) -> float:
+def _cover_lower_bound(w: list[float], uncov: int, covers_elem: list[list[int]], elem_order: list[int], shrink: float, cur: float, best_val: float) -> float:
     """Lower bound on the weight of a cover of the elements in uncov: a
     greedy ascent in the dual of the cover LP (Chvátal 1979; Beasley
-    1990), less a rounding margin.
+    1990), scaled by shrink (_rounding_shrink of the weights).
 
     Every ball starts with its weight as slack.  The uncovered elements,
     in elem_order (fewest holders first), each take as charge y_e the
@@ -612,24 +613,27 @@ def _cover_lower_bound(w: list[float], uncov: int, covers_elem: list[list[int]],
     charge is taken off the slack of each of those balls.  So no ball i
     is charged more than w_i in all, a feasible dual, and any cover C of
     uncov weighs sum_C w_i >= sum_C sum_{e in B_i} y_e >= sum_e y_e.  The
-    ascent stops once the charges reach target: the charges so far are a
-    feasible dual too.  A charge of +inf means that every ball holding e,
-    and so every cover, weighs +inf; the sum is then +inf, which reaches
-    every target, so the ascent stops with the bound +inf before an
-    inf - inf could leave a NaN slack.  Each y_e is at most the weight of
-    e's lightest ball.
+    ascent stops once a node of cost cur would prune on the bound, once
+    (cur + bound) * shrink reaches best_val (_cover_search): the charges
+    so far are a feasible dual too.  A charge of +inf means that every
+    ball holding e, and so every cover, weighs +inf; cur is finite, so
+    the test then passes for every best_val, and the ascent stops with
+    the bound +inf before an inf - inf could leave a NaN slack.  Each y_e
+    is at most the weight of e's lightest ball.
 
-    Floats, with u = 2**-53 and m elements in elem_order.  A ball's slack
-    is lowered at most m times, never rises, and each rounded subtraction
+    Floats, with u = 2**-53 and m elements in elem_order.  When every
+    weight is an integer and their sum is below 2**52, every slack, charge
+    and sum here is exact, and shrink is 1.0.  Otherwise a ball's slack is
+    lowered at most m times, never rises, and each rounded subtraction
     adds at most u times the slack, so at most u w_i, to what the ball is
     charged: the float charges are a feasible dual of the weights
     (1 + m u) w_i.  Their float sum is at most 1 + gamma_m times their
     real sum, gamma_m = m u / (1 - m u).  Addition and subtraction round
     with no underflow error, and charges below 2**-1022 sum exactly, so
     these factors hold for subnormal weights too.  The sum scaled by
-    _rounding_shrink(m) = 1 - 4 (m + 1) u, rounded, is therefore at most
-    the correctly rounded weight of every cover of uncov, and at most the
-    float sum of every element's lightest ball, in any order.
+    shrink = 1 - 4 (m + 1) u, rounded, is therefore at most the correctly
+    rounded weight of every cover of uncov, and at most the float sum of
+    every element's lightest ball, in any order.
     """
     slack = w.copy()
     get = slack.__getitem__
@@ -640,19 +644,24 @@ def _cover_lower_bound(w: list[float], uncov: int, covers_elem: list[list[int]],
             y = min(map(get, holders))
             if y:
                 total += y
-                if total >= target:
+                if (cur + total * shrink) * shrink >= best_val:
                     break
                 for i in holders:
                     slack[i] -= y
-    return total * _rounding_shrink(len(elem_order))
+    return total * shrink
 
 
-def _rounding_shrink(m: int) -> float:
-    """1 - 4 (m + 1) u, u = 2**-53: the factor that scales a cover bound
-    over m elements, and a node's cost plus that bound, below the rounding
-    of m float charges, of their sum and of a path of m picks
-    (_cover_lower_bound, _cover_search)."""
-    return 1.0 - (m + 1) * 2.0**-51
+def _rounding_shrink(weights: list[float]) -> float:
+    """The factor that scales a cover bound over the m = len(weights)
+    elements of a search, and a node's cost plus that bound, below the
+    rounding of m float charges, of their sum and of a path of m picks
+    (_cover_lower_bound, _cover_search): 1.0 when every weight is an
+    integer and their sum is below 2**52, so that all of those are exact
+    (the zero potential's weights are all 1.0), else 1 - 4 (m + 1) u,
+    u = 2**-53."""
+    if all(map(float.is_integer, weights)) and math.fsum(weights) < 2.0**52:
+        return 1.0
+    return 1.0 - (len(weights) + 1) * 2.0**-51
 
 
 def _greedy_cover_bits(balls: list[int], w: list[float]) -> list[int]:
@@ -725,13 +734,16 @@ def _cover_search(balls: list[int], w: list[float], comp: int) -> int:
 
     Floats, with u = 2**-53.  Every weight is >= 0 and float addition
     rounds monotonically, so no cover below a child whose cost cur + w_i
-    already reaches best_val is lighter.  A cover below a node is found at
-    the float sum of its picks in path order, at most m of them, m the
-    number of points of comp: at least (1 - gamma_m)(A + R), with A the
-    real sum of the node's picks, R that of the picks below it, and
+    already reaches best_val is lighter.  When every weight of comp is an
+    integer and their sum is below 2**52, every path sum is exact, the
+    bound is a real lower bound, and the pruning test is cur + bound >=
+    best_val, as in exact arithmetic.  Otherwise a cover below a node is
+    found at the float sum of its picks in path order, at most m of them,
+    m the number of points of comp: at least (1 - gamma_m)(A + R), with A
+    the real sum of the node's picks, R that of the picks below it, and
     gamma_m = m u / (1 - m u).  The bound is at most R, and cur is at most
     (1 + gamma_m) A, so the pruning test, cur + bound rounded, scaled by
-    _rounding_shrink(m) = 1 - 4 (m + 1) u and rounded, is at most
+    _rounding_shrink = 1 - 4 (m + 1) u and rounded, is at most
     (A + R)(1 + gamma_m)(1 + u)**2 (1 - 4 (m + 1) u), below that float; in
     the subnormal range the sums are exact and the scaling rounds at most
     back to the unscaled value.  So a pruned node holds no cover lighter
@@ -761,7 +773,7 @@ def _cover_search(balls: list[int], w: list[float], comp: int) -> int:
     for e in members:
         light += w[covers_elem[e][0]]
     elem_order = sorted(members, key=lambda e: (len(covers_elem[e]), e))
-    shrink = _rounding_shrink(len(members))
+    shrink = _rounding_shrink([w[i] for i in members])
 
     def dfs(uncov_mask: int, chosen_mask: int, cur: float) -> None:
         nonlocal best_mask, best_val
@@ -771,7 +783,7 @@ def _cover_search(balls: list[int], w: list[float], comp: int) -> int:
         holders = covers_elem[e]
         if cur + w[holders[0]] >= best_val:
             return
-        if cur + light >= best_val and (cur + _cover_lower_bound(w, uncov_mask, covers_elem, elem_order, best_val - cur)) * shrink >= best_val:
+        if cur + light >= best_val and (cur + _cover_lower_bound(w, uncov_mask, covers_elem, elem_order, shrink, cur, best_val)) * shrink >= best_val:
             return
         for i in holders:
             # children come lightest first, so once a child would prune on
@@ -1218,6 +1230,16 @@ def spanning_lower_bound(ctx: _BowenOrbit, eps: float, size: int, exact: bool) -
     return min(size, max(1, math.ceil(ctx.n_points / _max_ball_size(ctx, eps))))
 
 
+def zero_potential_key(ctx: _BowenOrbit, kind: str, eps: float) -> tuple | None:
+    """(kind, the orbit's eps-balls) when an auto-mode solve of kind of the
+    zero potential on ctx depends on those balls alone, as subset
+    enumeration and branch and bound do, so that solves with equal keys
+    are equal; None for the class and greedy solves, which do not."""
+    if _solve_method(ctx, eps, "auto") in ("exhaustive", "branch_and_bound"):
+        return kind, tuple(ctx.balls(eps))
+    return None
+
+
 def _weighted_solver(kind: str):
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
@@ -1622,8 +1644,8 @@ def sup_entropy_estimate(
     sandwiches: list[SandwichCheck] = []
     spanning_eps = sorted({*eps_list, *(eps / 2.0 for eps in eps_list)}, reverse=True)
     method = _resolve_method("auto", len(indices), cloud.space.family == SYMBOLIC)
-    # an exact solve of the zero potential depends on its balls alone, so it
-    # is keyed on them; a class or greedy solve is keyed on its (n, eps)
+    # an exact solve is keyed on its balls (zero_potential_key), a class or
+    # greedy solve on its (n, eps)
     solved: dict[tuple, tuple[float, list[int], str, bool]] = {}
     for n in ns:
         ctx = sup_orbit(cloud, schedule, n, indices)
@@ -1633,7 +1655,7 @@ def sup_entropy_estimate(
             _word_balls([ctx], spanning_eps)
         got = {}
         for kind, eps in [*(("spanning", e) for e in spanning_eps), *(("separated", e) for e in eps_list)]:
-            key = (kind, tuple(ctx.balls(eps))) if method in ("exhaustive", "branch_and_bound") else (kind, n, eps)
+            key = zero_potential_key(ctx, kind, eps) or (kind, n, eps)
             got[kind, eps] = solved[key] = solved.get(key) or _weighted_solver(kind)(ctx, zeros, eps)
         for eps in eps_list:
             _, s_idx, s_method, s_exact = got["separated", eps]

@@ -66,7 +66,6 @@ from .naifs import (
     validate_step_count,
 )
 from .pressure import (
-    BRANCH_AND_BOUND_LIMIT,
     PressureCurve,
     _birkhoff_vector,
     _BowenOrbit,
@@ -81,6 +80,7 @@ from .pressure import (
     sup_orbit,
     validate_eps_list,
     validate_n_range,
+    zero_potential_key,
 )
 from .space import (
     FINITE,
@@ -431,9 +431,8 @@ def check_truncation_monotonicity(
     r_n(w, 2 eps) <= #net * r_{n-1}(w', eps) for each consecutive truncation.
 
     Every spanning solve of the net counting is of the zero potential on
-    an orbit of the cloud's points in auto mode.  Up to
-    BRANCH_AND_BOUND_LIMIT points that is subset enumeration or branch and
-    bound, which reads the eps-balls alone, so the call solves each
+    an orbit of the cloud's points in auto mode.  Where that solve depends
+    on the eps-balls alone (zero_potential_key), the call solves each
     distinct balls once, over all its words, truncations and eps, as
     sup_entropy_estimate does."""
     i, j = validate_step_count(i, "i"), validate_step_count(j, "j")
@@ -450,18 +449,16 @@ def check_truncation_monotonicity(
     net_size = {eps: len(_solve_separated_weighted(base, np.zeros(len(cloud)), eps, "greedy")[1]) for eps in eps_list}
     binding: tuple[int, int] | None = None
     exact_all = True
-    # (least spanning size from below and above, exact) per distinct balls;
-    # auto mode solves up to BRANCH_AND_BOUND_LIMIT points by a ball search
-    by_balls = len(cloud) <= BRANCH_AND_BOUND_LIMIT
-    solved: dict[tuple[int, ...], tuple[int, int, bool]] = {}
+    # (least spanning size from below and above, exact) per distinct balls
+    solved: dict[tuple, tuple[int, int, bool]] = {}
 
     def spanning(ctx: _BowenOrbit, zeros: np.ndarray, eps: float) -> tuple[int, int, bool]:
-        key = tuple(ctx.balls(eps)) if by_balls else None
+        key = zero_potential_key(ctx, "spanning", eps)
         got = solved.get(key)
         if got is None:
             _, idxs, _, exact = _solve_spanning_weighted(ctx, zeros, eps)
             got = spanning_lower_bound(ctx, eps, len(idxs), exact), len(idxs), exact
-            if by_balls:
+            if key is not None:
                 solved[key] = got
         return got
 

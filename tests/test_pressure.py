@@ -508,7 +508,8 @@ def test_cover_bound_is_at_most_the_least_cover_and_light(data):
     w = [data.draw(BOUND_WEIGHTS) for _ in range(n)]
     uncov = data.draw(st.integers(1, (1 << n) - 1) | st.just((1 << n) - 1))
     covers_elem, elem_order = _holder_lists(balls, w)
-    bound = pressure._cover_lower_bound(w, uncov, covers_elem, elem_order, math.inf)
+    shrink = pressure._rounding_shrink(w)
+    bound = pressure._cover_lower_bound(w, uncov, covers_elem, elem_order, shrink, 0.0, math.inf)
     assert not math.isnan(bound)
     # each uncovered point's lightest ball, summed in ascending order
     light = 0.0
@@ -516,10 +517,13 @@ def test_cover_bound_is_at_most_the_least_cover_and_light(data):
         light += w[covers_elem[e][0]]
     assert 0.0 <= bound <= light
     assert bound <= _least_cover_of(balls, np.array(w), uncov)
-    # a search stops the ascent once it reaches the cost left to the best
-    # cover: the bound it gets is a prefix of the same sum
-    target = data.draw(st.floats(0.0, 2.0) | st.just(math.inf))
-    assert 0.0 <= pressure._cover_lower_bound(w, uncov, covers_elem, elem_order, target) <= bound
+    # a search stops the ascent once its node would prune: the bound it
+    # gets is a prefix of the same sum, and it stops no earlier
+    cur = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0))
+    best_val = data.draw(st.floats(0.0, 4.0) | st.just(math.inf))
+    stopped = pressure._cover_lower_bound(w, uncov, covers_elem, elem_order, shrink, cur, best_val)
+    assert 0.0 <= stopped <= bound
+    assert stopped == bound or (cur + stopped) * shrink >= best_val
 
 
 @pytest.mark.parametrize(
@@ -534,14 +538,15 @@ def test_cover_bound_is_at_most_the_least_cover_and_light(data):
         # zero and subnormal weights: exact sums, and no charge below zero
         ([0b011, 0b011, 0b100], [0.0, 5e-324, 5e-324], 5e-324, 5e-324),
         # one ball of weight 1 holds both points that two balls of weight 1
-        # hold: the charges of the two points share that ball's slack
-        ([0b011, 0b011], [1.0, 1.0], 1.0, 0.999999999999),
+        # hold: the charges of the two points share that ball's slack; with
+        # integer weights every sum is exact, and there is no margin
+        ([0b011, 0b011], [1.0, 1.0], 1.0, 1.0),
     ],
 )
 def test_cover_bound_at_its_edge_weights(balls, w, at_most, at_least):
     covers_elem, elem_order = _holder_lists(balls, w)
     uncov = (1 << len(balls)) - 1
-    bound = pressure._cover_lower_bound(w, uncov, covers_elem, elem_order, math.inf)
+    bound = pressure._cover_lower_bound(w, uncov, covers_elem, elem_order, pressure._rounding_shrink(w), 0.0, math.inf)
     assert at_least <= bound <= at_most == _least_cover_of(balls, np.array(w), uncov)
 
 
@@ -572,6 +577,28 @@ def test_bb_cover_solves_separated_clusters_one_by_one(monkeypatch):
     # ball reaches the best cover, and the cost plus the branching point's
     # lightest ball does not
     assert len(calls) == 2
+
+
+def test_bb_cover_prunes_unit_weights_where_cost_plus_bound_equals_the_best(monkeypatch):
+    # the zero potential's weights are all 1.0, so every sum is exact and a
+    # node whose cost plus bound reaches the best cover prunes with no
+    # margin; a margin there would keep every such node open, and the
+    # search would read its bound several times as often as the reference
+    import oracles
+
+    instances = [_planar_or_asymmetric_balls(40, True, seed, level) for level in (0.15, 0.25) for seed in range(4)]
+    calls = []
+    bound = pressure._cover_lower_bound
+    monkeypatch.setattr(pressure, "_cover_lower_bound", lambda *args: calls.append(args[1]) or bound(*args))
+    got = [pressure._bb_cover(balls, np.ones(40)) for balls in instances]
+    gated = len(calls)
+    calls.clear()
+    ratio = oracles.per_element_cover_bound
+    monkeypatch.setattr(oracles, "per_element_cover_bound", lambda *args: calls.append(args[2]) or ratio(*args))
+    want = [reference_split_cover(balls, np.ones(40)) for balls in instances]
+    assert [(mask, value.hex()) for mask, value in got] == [(mask, value.hex()) for mask, value in want]
+    # about 300 calls against 1,500
+    assert gated <= 0.5 * len(calls), (gated, len(calls))
 
 
 @settings(max_examples=150, deadline=None)
