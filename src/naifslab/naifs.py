@@ -406,6 +406,16 @@ class FactorMapSpec:
         elif not 0.0 <= self.fiber_tol < math.inf:
             raise ValueError(f"fiber_tol must be finite and >= 0, got {self.fiber_tol!r}")
 
+    @cached_property
+    def source_image(self) -> np.ndarray:
+        """pi of the source cloud's batch, read-only.  It is computed once
+        per factor, which is not changed after construction; the fibers and
+        the semiconjugacy check read it, and theorems.py keeps its memo on
+        the factor beside it."""
+        image = apply_factor_batch(self, self.source.cloud.batch)
+        image.flags.writeable = False
+        return image
+
 
 def default_fiber_tol(target_cloud: PointCloud) -> float:
     """Half the minimum spacing of the target cloud."""
@@ -444,7 +454,8 @@ def fiber_indices(factor: FactorMapSpec, yi: int) -> list[int]:
     Exact preimage for index_table / coordinate_projection: the image rows
     equal to the target row; for binary_expansion membership is distance
     to the target point within fiber_tol (analytic preimages are
-    unavailable on depth-truncated clouds).
+    unavailable on depth-truncated clouds).  The images are the factor's
+    source_image, so the fibers of one factor apply pi once in all.
     """
     tgt = factor.target.cloud
     if isinstance(yi, bool) or not isinstance(yi, (int, np.integer)):
@@ -453,7 +464,7 @@ def fiber_indices(factor: FactorMapSpec, yi: int) -> list[int]:
     if not 0 <= yi < len(tgt):
         raise IndexError(f"target index {yi} is outside the cloud of {len(tgt)} points")
     y = tgt.batch[yi]
-    images = apply_factor_batch(factor, factor.source.cloud.batch)
+    images = factor.source_image
     if factor.kind == "binary_expansion":
         hit = paired_distances(tgt, images, np.full(len(images), y)) <= factor.fiber_tol + 1e-15
     elif images.shape[1:] != y.shape:
@@ -484,11 +495,14 @@ class SemiconjugacyReport:
 
 def check_semiconjugacy(factor: FactorMapSpec, tol: float) -> SemiconjugacyReport:
     """Verify pi o f = g o pi over one prefix+cycle horizon and surjectivity
-    of pi onto the target cloud.  Mismatched index sets are a hard error."""
+    of pi onto the target cloud.  Mismatched index sets are a hard error.
+
+    pi of the source cloud is the factor's source_image, shared with
+    fiber_indices; pi is applied afresh only to the image of each map."""
     src, tgt = factor.source, factor.target
     horizon = max(src.schedule.horizon, tgt.schedule.horizon)
     batch = src.cloud.batch
-    pi_batch = apply_factor_batch(factor, batch)
+    pi_batch = factor.source_image
     dev = 0.0
     for j in range(1, horizon + 1):
         fgen = generation_at(src.schedule, j)

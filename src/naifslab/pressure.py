@@ -117,6 +117,7 @@ from .space import (
     FINITE,
     INTERVAL,
     SYMBOLIC,
+    TILE_ELEMENTS,
     PointCloud,
     Potential,
     cylinder_keys,
@@ -127,7 +128,7 @@ from .space import (
 
 log = logging.getLogger("naifslab.pressure")
 
-# the largest N at which one pass of _TILE_ELEMENTS subset sums holds the
+# the largest N at which one pass of TILE_ELEMENTS subset sums holds the
 # basic checks' ten rows; one branch and bound solve is faster at every N
 EXHAUSTIVE_LIMIT = 12
 BRANCH_AND_BOUND_LIMIT = 64
@@ -136,8 +137,6 @@ BRANCH_AND_BOUND_LIMIT = 64
 # name predates the one ball builder and the benchmark reads it.
 MATRIX_LIMIT = 1500
 SUBSET_METRIC_LIMIT = 2000
-# elements of one distance tile (512 KiB of float64)
-_TILE_ELEMENTS = 1 << 16
 # pairs of one chunk of the separated re-check (_step0_near_pairs)
 _PAIR_CHUNK = 1 << 12
 
@@ -212,7 +211,7 @@ class _BowenOrbit:
         size = math.prod(shape)
         buf = self._buffers[slot]
         if buf is None or buf.size < size:
-            buf = self._buffers[slot] = np.empty(max(size, min(_TILE_ELEMENTS, self.n_points**2)))
+            buf = self._buffers[slot] = np.empty(max(size, min(TILE_ELEMENTS, self.n_points**2)))
         return buf[:size].reshape(shape)
 
     def block(self, I: np.ndarray | slice, js: np.ndarray | slice, out: np.ndarray | None = None) -> np.ndarray:
@@ -314,12 +313,12 @@ def _matrix_tiles(cloud: PointCloud, forms: np.ndarray):
     d[i, s] holds the step-s distances of the matrix rows `rows` of word
     words[i], so that a max over axis -3 gives those rows.
 
-    A tile holds the whole matrices of as many words as fit _TILE_ELEMENTS
+    A tile holds the whole matrices of as many words as fit TILE_ELEMENTS
     with every step or, when one matrix does not, as many rows of one
     word's matrix as fit.  Either way it is one kernel call over every
     step."""
     *_, n_words, steps, n = forms.shape
-    per = max(1, _TILE_ELEMENTS // (steps * n * n))
+    per = max(1, TILE_ELEMENTS // (steps * n * n))
     rows = min(n, _tile_rows(n * steps))
     # every tile is written into one buffer: a new array per tile costs
     # more in the allocator than the kernel does.  A finite space's kernel
@@ -335,7 +334,7 @@ def _matrix_tiles(cloud: PointCloud, forms: np.ndarray):
 
 def _tile_rows(n_cols: int) -> int:
     """Rows of a distance tile with n_cols columns."""
-    return max(1, _TILE_ELEMENTS // max(1, n_cols))
+    return max(1, TILE_ELEMENTS // max(1, n_cols))
 
 
 def _word_orbits(cloud: PointCloud, schedule: GenerationSchedule, words: list[Word], n: int) -> list[_BowenOrbit]:
@@ -658,8 +657,10 @@ def _rounding_shrink(weights: list[float]) -> float:
     (_cover_lower_bound, _cover_search): 1.0 when every weight is an
     integer and their sum is below 2**52, so that all of those are exact
     (the zero potential's weights are all 1.0), else 1 - 4 (m + 1) u,
-    u = 2**-53."""
-    if all(map(float.is_integer, weights)) and math.fsum(weights) < 2.0**52:
+    u = 2**-53.  Integer weights of 2**52 or more fail the test before
+    their fsum is taken: two finite weights near the float maximum (the
+    floor-scaled weights of _bb_cover) would overflow it."""
+    if all(x.is_integer() and x < 2.0**52 for x in weights) and math.fsum(weights) < 2.0**52:
         return 1.0
     return 1.0 - (len(weights) + 1) * 2.0**-51
 
@@ -1264,7 +1265,7 @@ def batched_word_orbits(
     psi, functools.partial(eval_potential_batch, cloud.space, psi)).  The
     caller solves each orbit as kind at the eps of eps_list in mode.
 
-    The words are taken in chunks whose orbits hold at most _TILE_ELEMENTS
+    The words are taken in chunks whose orbits hold at most TILE_ELEMENTS
     points (one word at least).  A chunk's orbits are built together
     (_word_orbits) and, per stride, its Birkhoff vectors take one terms
     call per step.  When a solve of kind in mode reads eps-balls
@@ -1278,7 +1279,7 @@ def batched_word_orbits(
     """
     if type(n) is not int or n < 0:
         n = validate_step_count(n, "n", minimum=0)
-    per = max(1, _TILE_ELEMENTS // ((n + 1) * len(cloud)))
+    per = max(1, TILE_ELEMENTS // ((n + 1) * len(cloud)))
     reads_balls = _reads_balls(_resolve_method(mode, len(cloud), cloud.space.family == SYMBOLIC), len(cloud), kind)
     for lo in range(0, len(words), per):
         base = _word_orbits(cloud, schedule, words[lo : lo + per], n)

@@ -16,6 +16,7 @@ the grid only seeds candidate sets for the extremal-set solvers.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -287,10 +288,27 @@ def distance_kernel(cloud: PointCloud, a: np.ndarray, b: np.ndarray, out: np.nda
 # Chunks stay below 2**52 so that their xor converts to float64 exactly and
 # frexp reads its highest set bit exactly.
 _CHUNK_BITS = 52
+# elements of one working tile (512 KiB of float64): the distance tiles of
+# pressure.py and the row blocks of pack_words
+TILE_ELEMENTS = 1 << 16
 
 
 def _symbol_bits(alphabet: int) -> int:
     return max(1, (alphabet - 1).bit_length())
+
+
+@functools.lru_cache(maxsize=64)
+def _place_values(bits: int, depth: int) -> np.ndarray:
+    """(depth, chunks) float64, read-only: symbol k's place value
+    2**(bits * slot) in its chunk k // per, slot per - 1 - k % per counted
+    from the low end, and 0 in every other chunk.  Cached, since a run
+    packs many batches of a few depths."""
+    per = _CHUNK_BITS // bits
+    place = np.zeros((depth, max(1, -(-depth // per))))
+    k = np.arange(depth)
+    place[k, k // per] = np.ldexp(1.0, bits * (per - 1 - k % per))
+    place.flags.writeable = False
+    return place
 
 
 def pack_words(batch: np.ndarray, alphabet: int) -> np.ndarray:
@@ -301,18 +319,19 @@ def pack_words(batch: np.ndarray, alphabet: int) -> np.ndarray:
     chunk's unused room is zero at its low end.  So equal prefixes give
     equal leading chunks, and a symbol's position follows from its bits
     alone.  A depth-0 batch packs into one zero chunk.
+
+    Every chunk is one float64 product of the symbols with their place
+    values (_place_values).  It is exact: the symbols' bit fields do not
+    overlap, so every product and every partial sum, in whatever order a
+    BLAS kernel adds them, is an integer below 2**52.  The rows go in
+    blocks of TILE_ELEMENTS symbols, so no temporary outgrows one tile.
     """
     n, depth = batch.shape
-    bits = _symbol_bits(alphabet)
-    per = _CHUNK_BITS // bits
-    codes = np.zeros((max(1, -(-depth // per)), n), dtype=np.uint64)
-    # one symbol column at a time: no (N, D)-sized temporaries
-    for k in range(depth):
-        row = codes[k // per]
-        np.left_shift(row, np.uint64(bits), out=row)
-        np.bitwise_or(row, batch[:, k].astype(np.uint64), out=row)
-    if depth % per:
-        np.left_shift(codes[-1], np.uint64(bits * (per - depth % per)), out=codes[-1])
+    place = _place_values(_symbol_bits(alphabet), depth)
+    codes = np.empty((place.shape[1], n), dtype=np.uint64)
+    rows = max(1, TILE_ELEMENTS // max(1, depth))
+    for r in range(0, n, rows):
+        codes[:, r : r + rows] = (batch[r : r + rows] @ place).T
     return codes
 
 
@@ -449,10 +468,14 @@ def validate_potential(space: SpaceSpec, psi: Potential) -> None:
 
 
 def eval_potential_batch(space: SpaceSpec, psi: Potential | Pullback, batch: np.ndarray) -> np.ndarray:
-    """Vectorized potential evaluation over a point batch."""
-    if isinstance(psi, Pullback):
-        return eval_potential_batch(psi.space, psi.phi, psi.pi(batch))
+    """Vectorized potential evaluation over a point batch.  A Pullback is
+    phi evaluated at pi of the batch, except that a constant phi reads no
+    point: it is filled in without applying pi."""
     n = batch.shape[0]
+    if isinstance(psi, Pullback):
+        if psi.phi.kind != "constant":
+            return eval_potential_batch(psi.space, psi.phi, psi.pi(batch))
+        psi = psi.phi
     if psi.kind == "constant":
         return np.full(n, psi.params[0])
     if psi.kind == "coordinate_affine":

@@ -12,8 +12,9 @@ package's batch potentials and orbits.
 
 Everything else recomputes orbit distances point by point through
 `compose` and scans subsets with itertools, deliberately sharing no
-machinery with the package's solvers (no bitsets, no subset DP).  Six
-references are the exceptions: reference_bb_cover, a plain bitset search,
+machinery with the package's solvers (no bitsets, no subset DP).  Seven
+references are the exceptions: reference_pack_words, the word packer by
+integer shifts, one symbol column at a time, reference_bb_cover, a plain bitset search,
 reference_cover_search, the package's component search branching as the
 package does but pruning with the ratio bound of per_element_cover_bound
 at every node (reference_split_cover runs it on each component),
@@ -21,7 +22,7 @@ reference_greedy_cover, the ratio greedy as one numpy pass
 per pick, reference_exhaustive, the subset DP with weights and
 feasibility in one pass, reference_first_fit, first fit over an alive
 array with every row read in full, step by step, and
-reference_word_orbits, one orbit and one Birkhoff vector per word.  They hold the package's heap greedy, its
+reference_word_orbits, one orbit and one Birkhoff vector per word.  They hold the package's word packer, its heap greedy, its
 subset enumeration, its windowed first fit and its word batches
 to the same results, bit for bit, and its component-wise ball-cover
 search to the same least weight and, pick for pick, to the same witness
@@ -124,6 +125,23 @@ def oracle_cylinder_distance(x, y):
         if a != b:
             return 2.0 ** -k
     return 0.0
+
+
+def reference_pack_words(batch, alphabet):
+    """space.pack_words by integer shifts, one symbol column at a time:
+    each chunk is shifted left by a symbol's bits and or-ed with the next
+    symbol, and the last chunk is shifted up over its unused room."""
+    n, depth = batch.shape
+    bits = max(1, (alphabet - 1).bit_length())
+    per = 52 // bits
+    codes = np.zeros((max(1, -(-depth // per)), n), dtype=np.uint64)
+    for k in range(depth):
+        row = codes[k // per]
+        np.left_shift(row, np.uint64(bits), out=row)
+        np.bitwise_or(row, batch[:, k].astype(np.uint64), out=row)
+    if depth % per:
+        np.left_shift(codes[-1], np.uint64(bits * (per - depth % per)), out=codes[-1])
+    return codes
 
 
 def oracle_bowen(cloud, schedule, w, n, x, y):

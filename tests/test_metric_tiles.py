@@ -167,7 +167,7 @@ def test_matrix_rows_equal_the_reference_rows(family, seed, steps, data):
     rows = data.draw(st.integers(1, n_points))
     everything = np.arange(n_points)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pressure, "_TILE_ELEMENTS", rows * n_points * (steps + 1))
+        mp.setattr(pressure, "TILE_ELEMENTS", rows * n_points * (steps + 1))
         matrix = tiled_matrix(ctx)
     assert [row.tolist() for row in matrix] == [reference_bowen_row(ctx, c, everything).tolist() for c in everything]
 

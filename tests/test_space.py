@@ -24,9 +24,12 @@ from naifslab import (
 )
 from naifslab.space import (
     CLOUD_POINT_LIMIT,
+    TILE_ELEMENTS,
     TRIANGLE_EXHAUSTIVE_LIMIT,
+    Pullback,
     distance_form,
     eval_potential_batch,
+    pack_words,
     paired_distances,
     pairwise_distances,
     points_to_batch,
@@ -39,6 +42,7 @@ from oracles import (
     oracle_max_separated,
     pack_points,
     points_of,
+    reference_pack_words,
 )
 
 
@@ -221,6 +225,19 @@ def test_explicit_table_missing_entry():
         Potential("explicit_table", {0: 0.1, 1: 0.2})
 
 
+def test_a_constant_pullback_evaluates_without_applying_pi():
+    # a constant reads no point: pi, which raises here, is never applied
+    def refuse(batch):
+        raise AssertionError("pi was applied")
+
+    space = SpaceSpec("circle_grid", 8)
+    batch = build_cloud(space).batch
+    pulled = Pullback(Potential("constant", (0.25,)), space, refuse)
+    assert eval_potential_batch(space, pulled, batch).tolist() == [0.25] * 8
+    with pytest.raises(AssertionError, match="pi was applied"):
+        eval_potential_batch(space, Pullback(Potential("coordinate_affine", (1.0, 0.0)), space, refuse), batch)
+
+
 def test_vectorized_symbolic_table_lookup():
     cloud = build_cloud(SpaceSpec("symbolic_depth", 3, alphabet_size=3))
     pot = Potential("first_symbol_table", (0.5, -1.25, 2.0))
@@ -269,6 +286,33 @@ def test_circle_distance_form_reuses_batches_in_range():
         assert form is not batch and batch[-1] == x
         assert form.tolist() == (batch - np.floor(batch)).tolist()
         assert 0.0 <= form.min() and form.max() < 1.0
+
+
+# alphabets of every symbol width from 1 to 10 bits, the widest and
+# narrowest alphabet of each width among them
+_PACK_ALPHABETS = st.one_of(
+    st.sampled_from([3, 5, 255, 1000]),
+    st.integers(1, 10).flatmap(lambda bits: st.sampled_from([(1 << (bits - 1)) + 1, 1 << bits])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PACK_ALPHABETS, st.data())
+def test_pack_words_matches_the_column_by_column_packer(alphabet, data):
+    per = 52 // max(1, (alphabet - 1).bit_length())
+    # no word, one symbol, a chunk's room less one, exactly, plus one, and several chunks
+    depth = data.draw(st.sampled_from([0, 1, per - 1, per, per + 1, 2 * per + 1, 3 * per]), label="depth")
+    rows = max(1, TILE_ELEMENTS // max(1, depth))
+    n = data.draw(st.one_of(st.integers(0, 3), st.sampled_from([rows - 1, rows, rows + 1, 2 * rows + 1])), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    words = rng.integers(0, alphabet, size=(n, depth))
+    # the largest symbol fills every bit of its slots
+    words[: n // 2 + 1 : 2] = alphabet - 1
+    # the symbol type of points_to_batch: int8 up to 128 letters, else int16
+    batch = words.astype(np.int8 if alphabet <= 128 else np.int16)
+    got, want = pack_words(batch, alphabet), reference_pack_words(batch, alphabet)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=100)

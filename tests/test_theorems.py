@@ -676,6 +676,43 @@ def test_factor_checks_of_one_run_share_setup_and_curves(monkeypatch):
         assert _run_checks(fresh) == [report]
 
 
+def test_factor_lower_reads_the_pullback_on_the_source():
+    # phi is non-constant, and its table is longer than the target cloud:
+    # read on the source's point ids it gives phi(i), not phi(pi(i))
+    factor = quotient_factor()
+    phi = Potential("explicit_table", (0.3, -0.2, 0.9, -0.7))
+    pulled_by_hand = Potential("explicit_table", tuple(phi.params[y] for y in factor.table))
+    kw = dict(n_range=range(1, 5), eps_list=[0.5, 0.25])
+    rep = check_factor_lower(factor, phi, **kw)
+    _, source_curve = _factor_estimates(factor, phi, list(kw["n_range"]), kw["eps_list"], 4096, 0)
+    want = pressure_estimate(factor.source.cloud, factor.source.schedule, pulled_by_hand, list(kw["n_range"]), kw["eps_list"])
+    assert source_curve.entries == want.entries
+    assert rep.rhs.hex() == want.estimate.hex()
+
+
+def test_a_factor_verify_run_applies_pi_to_the_source_cloud_twice(monkeypatch, tmp_path):
+    # once for the source image that the semiconjugacy check and every
+    # fiber read, once for the image of the one shift map; the pulled-back
+    # phi is a constant and applies pi to no batch
+    import naifslab.naifs as naifs
+    import naifslab.theorems as theorems
+
+    source_size = 2 ** EXAMPLE_CONFIGS["shift_to_doubling_factor"]["space"]["resolution"]
+    whole = []
+    original = naifs.apply_factor_batch
+
+    def counted(factor, batch):
+        whole.append(len(batch) == source_size)
+        return original(factor, batch)
+
+    for module in (naifs, theorems):
+        monkeypatch.setattr(module, "apply_factor_batch", counted)
+    assert main(["verify", "shift_to_doubling_factor", "--out", str(tmp_path)]) == 0
+    assert sum(whole) == 2
+    digest = json.loads((Path(__file__).parent / "example_digests.json").read_text())["shift_to_doubling_factor"]["verdicts.csv"]
+    assert hashlib.sha256((tmp_path / "verdicts.csv").read_bytes()).hexdigest() == digest
+
+
 def _sup_entropy_reference(cloud, schedule, subset, ns, eps_list):
     """The entries and sandwiches of sup_entropy_estimate from three solves
     per (n, eps): separated at eps, spanning at eps and spanning at eps / 2."""

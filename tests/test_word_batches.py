@@ -108,7 +108,7 @@ def test_a_word_batch_equals_each_word_solved_alone(family, seed, n, kind, data)
         )
     )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pressure, "_TILE_ELEMENTS", tile)
+        mp.setattr(pressure, "TILE_ELEMENTS", tile)
         batch = pressure._word_sums(cloud, sched, n, psi, kind, eps_list, words)
         orbits = pressure._word_orbits(cloud, sched, words, n)
         assert_batch_balls(orbits, eps_list)
@@ -128,7 +128,7 @@ def test_the_balls_of_a_large_word_batch_are_its_blocks_balls(monkeypatch):
     cloud = build_cloud(SpaceSpec("circle_grid", 150))
     sched = GenerationSchedule(prefix=(), cycle=((MapSpec("doubling"), MapSpec("rotation", (0.3,))),))
     words, _, _ = enumerate_words(sched, 1, 2, None, 0)
-    monkeypatch.setattr(pressure, "_TILE_ELEMENTS", 7 * 3 * 150)
+    monkeypatch.setattr(pressure, "TILE_ELEMENTS", 7 * 3 * 150)
     orbits = pressure._word_orbits(cloud, sched, words, 2)
     assert_batch_balls(orbits, [0.25, 1 / 32, 1 / 150])
     assert max(b.bit_length() for b in orbits[0]._balls[0.25]) > 64
@@ -234,7 +234,7 @@ def test_the_theorem_checks_equal_their_per_word_loops(seed, data):
     words_per_chunk = data.draw(st.sampled_from([1, 2, 3, None]))
     with pytest.MonkeyPatch.context() as mp:
         if words_per_chunk is not None:
-            mp.setattr(pressure, "_TILE_ELEMENTS", words_per_chunk * 5 * size)
+            mp.setattr(pressure, "TILE_ELEMENTS", words_per_chunk * 5 * size)
         batched = _theorem_reports(cloud, sched, phi, psi, psi_pos, eps, n, p, c)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(theorems, "batched_word_orbits", reference_word_orbits)
